@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"configsynth/internal/service"
 )
 
 func TestProblemSpecsParseAndAreDeterministic(t *testing.T) {
@@ -25,15 +27,13 @@ func TestProblemSpecsParseAndAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestLoadRunInProcess(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "bench.json")
+// loadRun runs confload with the given arguments and returns its JSON
+// report.
+func loadRun(t *testing.T, args ...string) report {
+	t.Helper()
+	jsonPath := filepath.Join(t.TempDir(), "bench.json")
 	var out strings.Builder
-	err := run([]string{
-		"-clients", "4", "-requests", "40", "-problems", "5",
-		"-json", jsonPath,
-	}, &out)
-	if err != nil {
+	if err := run(append(args, "-json", jsonPath), &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	data, err := os.ReadFile(jsonPath)
@@ -44,11 +44,42 @@ func TestLoadRunInProcess(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+func TestLoadRunInProcess(t *testing.T) {
+	rep := loadRun(t, "-clients", "4", "-requests", "40", "-problems", "5")
 	if rep.Errors != 0 {
 		t.Errorf("errors = %d", rep.Errors)
 	}
 	if rep.Requests != 40 || rep.P50MS <= 0 || rep.P99MS < rep.P50MS {
 		t.Errorf("report: %+v", rep)
+	}
+	if rep.CacheHits+rep.CacheMisses != 40 {
+		t.Errorf("cache hits %d + misses %d, want 40 lookups", rep.CacheHits, rep.CacheMisses)
+	}
+}
+
+// TestLoadRunServesRepeatsFromCache holds the cache to 5 distinct
+// problems over 40 concurrent requests costing at most 5 misses. Each
+// problem is posted once, sequentially, before the concurrent phase:
+// from a cold cache the count depends on timing (two clients with the
+// same problem in flight both miss, since a second request is not
+// coalesced with a running solve), which made the single-phase form of
+// this check fail a third of its runs on two cores.
+func TestLoadRunServesRepeatsFromCache(t *testing.T) {
+	svc := service.New(service.Config{Workers: 2, QueueDepth: 64})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	warm := loadRun(t, "-addr", srv.URL, "-clients", "1", "-requests", "5", "-problems", "5")
+	if warm.Errors != 0 || warm.CacheMisses != 5 {
+		t.Fatalf("warm-up: errors %d, misses %d, want 0 and 5", warm.Errors, warm.CacheMisses)
+	}
+	rep := loadRun(t, "-addr", srv.URL, "-clients", "4", "-requests", "40", "-problems", "5")
+	if rep.Errors != 0 {
+		t.Errorf("errors = %d", rep.Errors)
 	}
 	// 5 distinct problems over 40 requests: at least 35 must be hits.
 	if rep.CacheHits < 35 {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"maps"
+	"slices"
+
 	"configsynth/internal/sat"
 )
 
@@ -121,6 +124,25 @@ func newFlowTheory(solver *sat.Solver, flows [][]ftOption) *flowTheory {
 	t.stateDirt = true
 	solver.SetTheory(t)
 	return t
+}
+
+// clone returns a copy of the theory attached to solver, a clone of the
+// solver t is attached to. The per-flow state, aggregates and queues are
+// copied; the option lists and the literal index are fixed at
+// construction and shared.
+func (t *flowTheory) clone(solver *sat.Solver) *flowTheory {
+	c := *t
+	c.solver = solver
+	c.flows = slices.Clone(t.flows)
+	c.guardLit = maps.Clone(t.guardLit)
+	c.isoGuards = slices.Clone(t.isoGuards)
+	c.lossGuards = slices.Clone(t.lossGuards)
+	c.gainCounts = slices.Clone(t.gainCounts)
+	c.dirty = slices.Clone(t.dirty)
+	c.dirtySet = slices.Clone(t.dirtySet)
+	c.expl = nil
+	solver.SetTheory(&c)
+	return &c
 }
 
 // watchIsoGuard registers lit → (isolation ≥ bound) with the theory.

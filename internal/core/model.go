@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -78,8 +79,31 @@ func (s *Synthesizer) name() string { return string(s.nb) }
 var ErrModelTooLarge = sat.ErrModelTooLarge
 
 // NewSynthesizer validates the problem and encodes the full constraint
-// system Constr ≡ CR ∧ TC ∧ IIC ∧ UIC into the SMT solver.
-func NewSynthesizer(p *Problem) (retS *Synthesizer, retErr error) {
+// system Constr ≡ CR ∧ TC ∧ IIC ∧ UIC into the SMT solver: a Template
+// given the problem's own thresholds.
+func NewSynthesizer(p *Problem) (*Synthesizer, error) {
+	t, err := NewTemplate(p)
+	if err != nil {
+		return nil, err
+	}
+	return t.Synthesizer(), nil
+}
+
+// Template is an encoded problem before any threshold exists in it:
+// routes, flows, placements, policies and the flow theory (CR ∧ IIC ∧
+// UIC) are in the solver, the three threshold guards of TC are not, and
+// no search has run. That part is three quarters of an encode and does
+// not depend on the thresholds, so everything that needs several
+// synthesizers over one problem family — a portfolio's raced workers, a
+// what-if session's per-query extractors — encodes one Template and
+// takes a Clone per synthesizer.
+type Template struct {
+	syn *Synthesizer
+}
+
+// NewTemplate validates the problem and encodes its threshold-independent
+// part.
+func NewTemplate(p *Problem) (retT *Template, retErr error) {
 	// Encode-time arena overflow (a monolithic encode too big for the
 	// 31-bit cref space) surfaces as a typed error, not a panic: the
 	// model is simply too large, and the caller should be told so
@@ -87,7 +111,7 @@ func NewSynthesizer(p *Problem) (retS *Synthesizer, retErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && errors.Is(err, ErrModelTooLarge) {
-				retS, retErr = nil, err
+				retT, retErr = nil, err
 				return
 			}
 			panic(r)
@@ -98,20 +122,17 @@ func NewSynthesizer(p *Problem) (retS *Synthesizer, retErr error) {
 	}
 	p = p.normalized()
 	s := &Synthesizer{
-		prob:       p,
-		sol:        smt.NewSolverWith(p.Options.Solver),
-		flows:      sortedFlows(p.Flows),
-		patterns:   p.Catalog.Patterns(),
-		y:          make(map[usability.Flow]map[isolation.PatternID]smt.Bool, len(p.Flows)),
-		x:          make(map[pairDev]smt.Bool),
-		l:          make(map[linkDev]smt.Bool),
-		routes:     make(map[pairKey][]topology.Route),
-		isoSum:     &smt.Sum{},
-		lossSum:    &smt.Sum{},
-		costSum:    &smt.Sum{},
-		isoGuards:  make(map[int]smt.Bool),
-		usaGuards:  make(map[int]smt.Bool),
-		costGuards: make(map[int64]smt.Bool),
+		prob:     p,
+		sol:      smt.NewSolverWith(p.Options.Solver),
+		flows:    sortedFlows(p.Flows),
+		patterns: p.Catalog.Patterns(),
+		y:        make(map[usability.Flow]map[isolation.PatternID]smt.Bool, len(p.Flows)),
+		x:        make(map[pairDev]smt.Bool),
+		l:        make(map[linkDev]smt.Bool),
+		routes:   make(map[pairKey][]topology.Route),
+		isoSum:   &smt.Sum{},
+		lossSum:  &smt.Sum{},
+		costSum:  &smt.Sum{},
 	}
 	if len(p.Preplaced) > 0 {
 		s.preset = make(map[linkDev]bool, len(p.Preplaced))
@@ -120,16 +141,121 @@ func NewSynthesizer(p *Problem) (retS *Synthesizer, retErr error) {
 			s.preset[linkDev{link: link, dev: pp.Dev}] = true
 		}
 	}
-	if p.Options.SolverBudget > 0 {
-		s.sol.SetBudget(p.Options.SolverBudget)
-	}
-	if p.Options.Verify {
-		s.sol.SetVerify(true)
-	}
 	if err := s.encode(); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &Template{syn: s}, nil
+}
+
+// Synthesizer gives the template the thresholds of the problem it was
+// built on and returns it as that problem's synthesizer — what
+// NewSynthesizer returns. It consumes the template: the encoded state
+// is handed over, not copied, so the template must not be cloned
+// afterwards.
+func (t *Template) Synthesizer() *Synthesizer {
+	s := t.syn
+	t.syn = nil
+	s.instantiate()
+	return s
+}
+
+// Clone returns a synthesizer for the template's problem under the
+// thresholds th whose solver is diversified by cfg, from a structural
+// copy of the template instead of a second encode. Only the thresholds
+// are the caller's: everything structural — and with it the meaning of
+// every LinkID in the designs the clone produces — stays the template
+// problem's, which Synthesizer.Problem reports. A caller that holds a
+// different Problem value of the same family asks Fits before reading
+// the clone's answers against its own.
+//
+// Everything search mutates is copied and re-bound to the clone's SAT
+// core (sat.Solver.Clone, pb.Theory.Clone, the flow theory's per-flow
+// state) and the guard tables start empty; everything fixed once
+// encoded is shared: the variable maps, routes, flows, patterns, the
+// three sums and the flow theory's inputs. Because the template holds
+// no threshold guard and has never searched, the clone is state for
+// state what NewSynthesizer of the same problem under th and cfg would
+// have built — the same variable numbering, clause and watch order, PB
+// constraint ids and root assignment — so it answers every query
+// bit-identically, counters included. It fails with ErrModelTooLarge
+// when the encoding does not fit cfg.ArenaCapWords.
+func (t *Template) Clone(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, error) {
+	if t.syn == nil {
+		panic("core: Clone of a Template already turned into its Synthesizer")
+	}
+	sol, err := t.syn.sol.Clone(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c := *t.syn
+	prob := *t.syn.prob
+	prob.Thresholds = th
+	prob.Options.Solver = cfg
+	c.prob = &prob
+	c.sol = sol
+	c.nb = nil
+	if c.theory != nil {
+		c.theory = c.theory.clone(sol.SAT())
+	}
+	c.instantiate()
+	return &c, nil
+}
+
+// Fits reports whether a Clone of the template stands for a fresh encode
+// of p, given that p is of the template problem's family (equal up to
+// thresholds and declaration order — spec.FamilyFingerprint, which the
+// caller has compared). Within a family the encode still reads three
+// things in declaration order: the links, whose order numbers the
+// LinkIDs that routes, placement variables and Design.Placements are
+// written in; each pattern's device list; and the policy rules. When
+// they agree too (and Options.Verify, an execution knob the fingerprint
+// leaves out, is the same), the template's encoding is p's, variable for
+// variable, and a clone's designs read correctly against p.Network.
+// Flows are sorted before they are encoded, and requirements, ranks and
+// preplacements are looked up, never iterated.
+func (t *Template) Fits(p *Problem) bool {
+	tp := t.syn.prob
+	if p.Options.withDefaults().Verify != tp.Options.Verify ||
+		!slices.Equal(p.Network.Links(), tp.Network.Links()) {
+		return false
+	}
+	if p.Catalog != tp.Catalog {
+		pats := p.Catalog.Patterns()
+		if len(pats) != len(t.syn.patterns) {
+			return false
+		}
+		for i, pat := range pats {
+			if !slices.Equal(pat.Devices, t.syn.patterns[i].Devices) {
+				return false
+			}
+		}
+	}
+	var rules []policy.Rule
+	if p.Policies != nil {
+		rules = p.Policies.All()
+	}
+	return slices.Equal(rules, tp.Policies.All())
+}
+
+// CostUpperBound returns the trivially sufficient cost budget of the
+// template's problem (see Synthesizer.CostUpperBound).
+func (t *Template) CostUpperBound() int64 { return t.syn.CostUpperBound() }
+
+// Stats returns the statistics of the encoding the template holds.
+func (t *Template) Stats() ModelStats { return t.syn.Stats() }
+
+// instantiate turns a pristine encoding into the synthesizer of s.prob:
+// the problem's solver options, empty guard tables, and the guards of
+// its own thresholds.
+func (s *Synthesizer) instantiate() {
+	if b := s.prob.Options.SolverBudget; b > 0 {
+		s.sol.SetBudget(b)
+	}
+	s.sol.SetVerify(s.prob.Options.Verify)
+	s.isoGuards = make(map[int]smt.Bool)
+	s.usaGuards = make(map[int]smt.Bool)
+	s.costGuards = make(map[int64]smt.Bool)
+	s.encodeThresholds()
 }
 
 // Problem returns the (normalized) problem the synthesizer was built on.
@@ -139,6 +265,7 @@ func (s *Synthesizer) Problem() *Problem { return s.prob }
 // (Options.Verify or CONFSYNTH_VERIFY).
 func (s *Synthesizer) Verifying() bool { return s.sol.Verifying() }
 
+// encode builds the threshold-independent part of the model.
 func (s *Synthesizer) encode() error {
 	if err := s.encodeRoutes(); err != nil {
 		return err
@@ -154,7 +281,6 @@ func (s *Synthesizer) encode() error {
 	if !s.prob.Options.DisableFlowTheory {
 		s.theory = newFlowTheory(s.sol.SAT(), s.ftInputs)
 	}
-	s.encodeThresholds()
 	return nil
 }
 
@@ -555,6 +681,36 @@ func (s *ModelStats) Add(b ModelStats) {
 	s.SharedKept += b.SharedKept
 	s.SharedDropped += b.SharedDropped
 	s.EstimatedBytes += b.EstimatedBytes
+}
+
+// AddSearch accumulates only b's search counters — the work a solver
+// did, as opposed to the shape of the model it did it on — into s. This
+// is how counters of several solvers over one encoding (a portfolio's
+// workers, a session's per-query extractors) are summed.
+func (s *ModelStats) AddSearch(b ModelStats) { s.addSearch(b, 1) }
+
+// Since returns s with its search counters reduced by base's: the work
+// done since base was snapshotted from the same solver, with the model
+// shape reported as is.
+func (s ModelStats) Since(base ModelStats) ModelStats {
+	s.addSearch(base, -1)
+	return s
+}
+
+func (s *ModelStats) addSearch(b ModelStats, sign int64) {
+	s.Conflicts += sign * b.Conflicts
+	s.Decisions += sign * b.Decisions
+	s.Propagations += sign * b.Propagations
+	s.Restarts += sign * b.Restarts
+	s.LubyRestarts += sign * b.LubyRestarts
+	s.GeomRestarts += sign * b.GeomRestarts
+	s.Interrupts += sign * b.Interrupts
+	s.RandomDecisions += sign * b.RandomDecisions
+	s.Subsumed += sign * b.Subsumed
+	s.Strengthened += sign * b.Strengthened
+	s.Reduced += sign * b.Reduced
+	s.SharedKept += sign * b.SharedKept
+	s.SharedDropped += sign * b.SharedDropped
 }
 
 // Stats returns current model statistics.

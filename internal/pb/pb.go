@@ -36,9 +36,10 @@
 package pb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"configsynth/internal/sat"
 )
@@ -82,7 +83,9 @@ type Theory struct {
 	dead        int // number of deactivated constraints
 
 	// scratch buffers
-	expl []sat.Lit
+	expl  []sat.Lit
+	stamp []uint32 // per variable: tick of the last AddAtMost that saw it
+	tick  uint32
 }
 
 var (
@@ -95,6 +98,41 @@ func New(s *sat.Solver) *Theory {
 	t := &Theory{solver: s}
 	s.SetTheory(t)
 	return t
+}
+
+// Clone returns a copy of the store bound to s, which must be a clone of
+// the solver t is attached to (sat.Solver.Clone), and registers it with
+// s. Counters, queue state and occurrence lists are copied (the lists
+// into one slab, each clipped so an append reallocates); the term
+// arrays are shared, since nothing writes to them after AddAtMost.
+func (t *Theory) Clone(s *sat.Solver) *Theory {
+	c := &Theory{
+		solver:      s,
+		constraints: make([]*constraint, len(t.constraints)),
+		occ:         make([][]occEntry, len(t.occ)),
+		touched:     slices.Clone(t.touched),
+		onQueue:     slices.Clone(t.onQueue),
+		rootViol:    t.rootViol,
+		dead:        t.dead,
+	}
+	cons := make([]constraint, len(t.constraints))
+	for i, k := range t.constraints {
+		cons[i] = *k
+		c.constraints[i] = &cons[i]
+	}
+	total := 0
+	for _, es := range t.occ {
+		total += len(es)
+	}
+	slab := make([]occEntry, total)
+	off := 0
+	for l, es := range t.occ {
+		end := off + copy(slab[off:], es)
+		c.occ[l] = slab[off:end:end]
+		off = end
+	}
+	s.SetTheory(c)
+	return c
 }
 
 // NumConstraints returns the number of constraints added so far.
@@ -114,20 +152,34 @@ func (t *Theory) RootViolated() bool { return t.rootViol }
 // whose weight exceeds the remaining root-level slack are immediately
 // forced false through the solver, so the root assignment reflects them
 // before the next Solve.
+//
+// Terms are stored in stable descending-weight order (the order decides
+// propagation and explanation order). Input that already arrives in
+// non-increasing weight order — smt.Sum hands its cached order over —
+// is stored as is; a stable sort would not move anything.
 func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
 	if len(lits) != len(weights) {
 		return fmt.Errorf("%w: %d literals vs %d weights", ErrBadConstraint, len(lits), len(weights))
 	}
-	seen := make(map[sat.Var]bool, len(lits))
+	// Duplicate check by stamping: a variable seen twice in this call
+	// carries this call's tick already.
+	if n := t.solver.NumVars(); len(t.stamp) < n {
+		t.stamp = append(t.stamp, make([]uint32, n-len(t.stamp))...)
+	}
+	t.tick++
+	sorted := true
 	for i, w := range weights {
 		if w <= 0 {
 			return fmt.Errorf("%w: weight %d at index %d", ErrBadConstraint, w, i)
 		}
 		v := lits[i].Var()
-		if seen[v] {
+		if t.stamp[v] == t.tick {
 			return fmt.Errorf("%w: duplicate variable v%d", ErrBadConstraint, v)
 		}
-		seen[v] = true
+		t.stamp[v] = t.tick
+		if i > 0 && w > weights[i-1] {
+			sorted = false
+		}
 	}
 	if bound < 0 {
 		t.rootViol = true
@@ -140,9 +192,9 @@ func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
 	for i, l := range lits {
 		c.terms[i] = term{lit: l, weight: weights[i]}
 	}
-	sort.SliceStable(c.terms, func(i, j int) bool {
-		return c.terms[i].weight > c.terms[j].weight
-	})
+	if !sorted {
+		slices.SortStableFunc(c.terms, func(a, b term) int { return cmp.Compare(b.weight, a.weight) })
+	}
 	c.watermark = bound
 	if len(c.terms) > 0 {
 		c.watermark = bound - c.terms[0].weight
@@ -151,9 +203,21 @@ func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
 	t.constraints = append(t.constraints, c)
 	t.onQueue = append(t.onQueue, false)
 
-	for _, tm := range c.terms {
-		t.growOcc(tm.lit)
-		t.occ[tm.lit] = append(t.occ[tm.lit], occEntry{id: id, weight: tm.weight})
+	if n := 2 * t.solver.NumVars(); len(t.occ) < n {
+		t.occ = append(t.occ, make([][]occEntry, n-len(t.occ))...)
+	}
+	// A literal's first occurrence entry comes out of one slab per
+	// constraint (clipped, so a second entry reallocates) instead of its
+	// own allocation: most literals sit in exactly one constraint.
+	slab := make([]occEntry, len(c.terms))
+	for i, tm := range c.terms {
+		e := occEntry{id: id, weight: tm.weight}
+		if cap(t.occ[tm.lit]) == 0 {
+			slab[i] = e
+			t.occ[tm.lit] = slab[i : i+1 : i+1]
+		} else {
+			t.occ[tm.lit] = append(t.occ[tm.lit], e)
+		}
 		// Account for literals already true at the root level.
 		if t.solver.ValueLit(tm.lit) == sat.True {
 			c.sum += tm.weight
@@ -180,12 +244,6 @@ func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
 		}
 	}
 	return nil
-}
-
-func (t *Theory) growOcc(l sat.Lit) {
-	for int(l) >= len(t.occ) {
-		t.occ = append(t.occ, nil)
-	}
 }
 
 func (t *Theory) push(id int32) {

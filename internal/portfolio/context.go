@@ -37,8 +37,9 @@ func (s *Solver) interruptAll() {
 	if s.extract != nil {
 		s.extract.Interrupt()
 	}
+	work := s.work
 	s.extractMu.Unlock()
-	for _, w := range s.work {
+	for _, w := range work {
 		w.Interrupt()
 	}
 }

@@ -1,11 +1,24 @@
 // Package portfolio implements parallel portfolio solving for
-// ConfigSynth: the same synthesis problem is encoded into K independent
+// ConfigSynth: one synthesis problem is answered by K independent
 // solver instances whose searches are diversified (PRNG seed with a
 // small random-decision fraction, initial phase polarity, restart
 // schedule), and each satisfiability probe is raced across the K
 // workers on goroutines. The first worker to reach a definitive answer
 // (Sat or Unsat) wins the probe; the losers are cancelled cooperatively
 // and rejoin before the next probe.
+//
+// The problem is encoded once. Every constructor builds one
+// core.Template — the threshold-independent three quarters of the model,
+// with no threshold guard in it and no search behind it — and takes a
+// structural core.Template.Clone of it per worker; NewRacing then turns
+// the template itself into the canonical synthesizer, and a session
+// (session.go) keeps it pristine to clone one extractor per query, and
+// its workers when the first descent needs them. Because the snapshot
+// predates every guard and every search, a clone is state for state the
+// synthesizer a second encode under the worker's configuration would
+// have produced (same variable numbering, clause and watch order, PB
+// constraint ids, root assignment), so encoding once changes no search
+// and no result.
 //
 // Results are deterministic regardless of which worker wins a race:
 //
@@ -46,12 +59,14 @@ import (
 type Solver struct {
 	prob  *core.Problem
 	canon *core.Synthesizer   // canonical extraction engine, never raced
-	work  []*core.Synthesizer // diversified raced workers; nil = delegate
+	work  []*core.Synthesizer // diversified raced workers
 
-	// dead marks workers whose last probe panicked: a panic may leave a
-	// solver's trail or clause database inconsistent, so the worker is
-	// retired from all later races rather than trusted again. panics
-	// counts panics the portfolio absorbed without failing the query.
+	// dead has one entry per raced worker (none on New's sequential
+	// delegate) and marks those whose last probe panicked: a panic may
+	// leave a solver's trail or clause database inconsistent, so the
+	// worker is retired from all later races rather than trusted again.
+	// panics counts panics the portfolio absorbed without failing the
+	// query.
 	dead   []bool
 	panics atomic.Uint64
 
@@ -62,16 +77,21 @@ type Solver struct {
 	incumbent     core.Thresholds
 	haveIncumbent bool
 
-	// session marks a persistent what-if solver (NewSession): canon is
-	// nil, workers stay warm across Retarget calls, and designs/cores are
-	// extracted by a fresh per-query canonical synthesizer instead (see
-	// session.go). family is the thresholds-zeroed fingerprint Retarget
-	// validates against; extract tracks the live per-query extractor so a
-	// context cancellation can interrupt it.
-	session   bool
+	// tmpl is set on a persistent what-if solver (NewSession) and marks
+	// it: canon is nil, designs/cores are extracted by a per-query clone
+	// of the pristine template instead (see session.go), and the workers
+	// are cloned from it by the first probe and then stay warm across
+	// Retarget calls. family is the thresholds-zeroed fingerprint Retarget
+	// validates against; extracted sums the search counters of the
+	// extractors already dropped, which would otherwise vanish with them.
+	// extractMu guards what a context watcher's goroutine reads while a
+	// query runs: extract, the live per-query extractor it interrupts,
+	// and the assignment that fills work.
+	tmpl      *core.Template
 	family    string
 	extractMu sync.Mutex
 	extract   *core.Synthesizer
+	extracted core.ModelStats
 
 	// onBound, when set, observes every improvement an optimization
 	// descent proves: after each satisfiable probe the newly established
@@ -119,24 +139,29 @@ func New(p *core.Problem, workers int) (*Solver, error) {
 // worker. The engine path is identical for every K — probes drive a
 // central descent and a dedicated canonical synthesizer extracts every
 // design — which is what makes K=1 and K=4 produce identical results.
-// The price is one canonical final check per query.
+// The price is one canonical final check per query. The problem is
+// encoded once: the workers are clones of the template, which then
+// becomes the canonical synthesizer itself.
 func NewRacing(p *core.Problem, workers int) (*Solver, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	canon, err := core.NewSynthesizer(p)
+	tmpl, err := core.NewTemplate(p)
 	if err != nil {
 		return nil, err
 	}
-	work := make([]*core.Synthesizer, workers)
+	work, err := cloneWorkers(tmpl, p.Thresholds, max(workers, 1))
+	if err != nil {
+		return nil, err
+	}
+	return &Solver{prob: p, canon: tmpl.Synthesizer(), work: work, dead: make([]bool, len(work))}, nil
+}
+
+// cloneWorkers clones n diversified workers from the template.
+func cloneWorkers(tmpl *core.Template, th core.Thresholds, n int) ([]*core.Synthesizer, error) {
+	work := make([]*core.Synthesizer, n)
 	for i := range work {
-		q := *p // shallow copy: topology/catalog/flows are read-only here
-		q.Options.Solver = WorkerConfig(i)
-		w, err := core.NewSynthesizer(&q)
-		if err != nil {
+		var err error
+		if work[i], err = tmpl.Clone(th, WorkerConfig(i)); err != nil {
 			return nil, fmt.Errorf("portfolio: worker %d: %w", i, err)
 		}
-		work[i] = w
 	}
 	if len(work) > 1 {
 		// Clause sharing: losers' sharp learnt clauses flow to the other
@@ -148,7 +173,7 @@ func NewRacing(p *core.Problem, workers int) (*Solver, error) {
 			w.EnableClauseSharing()
 		}
 	}
-	return &Solver{prob: p, canon: canon, work: work, dead: make([]bool, workers)}, nil
+	return work, nil
 }
 
 // WorkerConfig returns the diversification profile of worker i. Worker
@@ -172,7 +197,7 @@ func WorkerConfig(i int) smt.SolverConfig {
 }
 
 // Workers returns the number of raced workers (0 in delegate mode).
-func (s *Solver) Workers() int { return len(s.work) }
+func (s *Solver) Workers() int { return len(s.dead) }
 
 // Problem returns the problem the solver currently targets (for a
 // session, the problem of the most recent Retarget).
@@ -200,7 +225,7 @@ func (s *Solver) probeWorker(i int, th core.Thresholds, limited bool) (st smt.St
 			st, pval = smt.Unknown, r
 		}
 	}()
-	if s.session {
+	if s.tmpl != nil {
 		// Warm workers keep their learnt clauses across queries, but
 		// search heuristics tuned to a previous threshold combination can
 		// derail the next probe by orders of magnitude (saved phases
@@ -225,6 +250,7 @@ func (s *Solver) PanicsRecovered() uint64 { return s.panics.Load() }
 // races; only when every live worker panicked in the same race is the
 // panic rethrown.
 func (s *Solver) raceStatus(th core.Thresholds, limited bool) smt.Status {
+	s.warm()
 	if faults.Active() && faults.Fire(faults.PortfolioProbeInterrupt) {
 		// Chaos hook: a spurious cancellation landing on a worker just as
 		// the race launches — the descent must absorb the lost answer.
@@ -334,10 +360,10 @@ func (s *Solver) shareClauses() {
 // provides the status; the design (or the unsat core) is then derived
 // canonically, so the result does not depend on which worker won.
 func (s *Solver) Solve() (*core.Design, error) {
-	if s.work == nil {
+	if s.Workers() == 0 {
 		return s.canon.Solve()
 	}
-	if s.session {
+	if s.tmpl != nil {
 		// Model-producing queries gain nothing from the status race: the
 		// per-query canonical extraction re-decides satisfiability on its
 		// own (design, core, and budget errors all come from it), so the
@@ -355,10 +381,10 @@ func (s *Solver) Solve() (*core.Design, error) {
 // CheckAt checks satisfiability at the given thresholds (a what-if
 // query) with a raced status and canonical extraction.
 func (s *Solver) CheckAt(th core.Thresholds) (*core.Design, error) {
-	if s.work == nil {
+	if s.Workers() == 0 {
 		return s.canon.CheckAt(th)
 	}
-	if s.session {
+	if s.tmpl != nil {
 		// See Solve: the canonical extraction decides the status itself.
 		return s.canonCheckAt(th)
 	}
@@ -447,7 +473,7 @@ func (s *Solver) AnytimeDesign() (*core.Design, bool) {
 // paper's Fig. 3 curves. With workers, each binary-search probe is
 // raced and the winning status drives the descent.
 func (s *Solver) MaxIsolation(usabilityTenths int, costBudget int64) (float64, *core.Design, error) {
-	if s.work == nil {
+	if s.Workers() == 0 {
 		return s.canon.MaxIsolation(usabilityTenths, costBudget)
 	}
 	s.resetIncumbent()
@@ -485,7 +511,7 @@ func (s *Solver) MaxIsolation(usabilityTenths int, costBudget int64) (float64, *
 // MaxUsability computes the maximum achievable usability subject to an
 // isolation threshold and a cost budget.
 func (s *Solver) MaxUsability(isolationTenths int, costBudget int64) (float64, *core.Design, error) {
-	if s.work == nil {
+	if s.Workers() == 0 {
 		return s.canon.MaxUsability(isolationTenths, costBudget)
 	}
 	s.resetIncumbent()
@@ -523,7 +549,7 @@ func (s *Solver) MaxUsability(isolationTenths int, costBudget int64) (float64, *
 // MinCost computes the minimum deployment budget that still satisfies
 // the given isolation and usability thresholds.
 func (s *Solver) MinCost(isolationTenths, usabilityTenths int) (int64, *core.Design, error) {
-	if s.work == nil {
+	if s.Workers() == 0 {
 		return s.canon.MinCost(isolationTenths, usabilityTenths)
 	}
 	s.resetIncumbent()
@@ -566,7 +592,7 @@ func (s *Solver) MinCost(isolationTenths, usabilityTenths int) (int64, *core.Des
 // Assist produces the slider-assistance table (paper Table III) at the
 // given usability levels, using the problem's cost budget.
 func (s *Solver) Assist(usabilityLevels []int) ([]core.AssistEntry, error) {
-	if s.work == nil {
+	if s.Workers() == 0 {
 		return s.canon.Assist(usabilityLevels)
 	}
 	entries := make([]core.AssistEntry, 0, len(usabilityLevels))
@@ -608,34 +634,22 @@ func (s *Solver) Explain() (*core.Explanation, error) {
 // Stats returns the canonical model statistics with the dynamic search
 // counters (conflicts, decisions, propagations, restarts, interrupts,
 // random decisions) aggregated across the canonical solver and every
-// worker.
+// worker — for a session, across the workers and every per-query
+// extractor it has used.
 func (s *Solver) Stats() core.ModelStats {
 	var st core.ModelStats
-	rest := s.work
 	if s.canon != nil {
 		st = s.canon.Stats()
 	} else {
-		// Session: no long-lived canonical. Worker 0 supplies the static
-		// model shape (identical on every worker) plus its own counters;
-		// the remaining workers are aggregated below.
-		st = s.work[0].Stats()
-		rest = s.work[1:]
+		// Session: no long-lived canonical. The template supplies the
+		// model shape every clone starts from.
+		st = s.tmpl.Stats()
 	}
-	for _, w := range rest {
-		ws := w.Stats()
-		st.Conflicts += ws.Conflicts
-		st.Decisions += ws.Decisions
-		st.Propagations += ws.Propagations
-		st.Restarts += ws.Restarts
-		st.LubyRestarts += ws.LubyRestarts
-		st.GeomRestarts += ws.GeomRestarts
-		st.Interrupts += ws.Interrupts
-		st.RandomDecisions += ws.RandomDecisions
-		st.Subsumed += ws.Subsumed
-		st.Strengthened += ws.Strengthened
-		st.Reduced += ws.Reduced
-		st.SharedKept += ws.SharedKept
-		st.SharedDropped += ws.SharedDropped
+	for _, w := range s.work {
+		st.AddSearch(w.Stats())
 	}
+	s.extractMu.Lock()
+	st.AddSearch(s.extracted)
+	s.extractMu.Unlock()
 	return st
 }

@@ -19,14 +19,22 @@ import (
 // keep a canonical solver bit-stable across queries (it cannot be: root
 // simplification, learnt units, and on-demand guard allocation mutate
 // it irreversibly). A session has no long-lived canonical synthesizer
-// at all. Each query's design or unsat core is extracted by a fresh
-// canonical synthesizer built from the session's current problem, used
-// for exactly one model-producing check, and discarded — byte for byte
-// the same computation a from-scratch NewRacing solve of that problem
-// performs. Statuses from the warm workers are semantic properties of
-// the formula, so the descent takes the same path either way, and in
-// the exact regime (probe budgets that do not bind) session results
-// are bit-identical to independent from-scratch solves.
+// at all. It keeps one encoded template pristine — no threshold guard,
+// never searched — and each query's design or unsat core is extracted
+// by a fresh clone of it given the session's current thresholds, used
+// for exactly one model-producing check, and discarded. Since the
+// snapshot predates every guard and every search, that clone is state
+// for state the canonical synthesizer a from-scratch NewRacing solve of
+// the problem builds, and performs the same computation byte for byte —
+// for the price of a copy and three guards instead of an encode.
+// Statuses from the warm workers are semantic properties of the
+// formula, so the descent takes the same path either way, and in the
+// exact regime (probe budgets that do not bind) session results are
+// bit-identical to independent from-scratch solves.
+//
+// The workers are clones of the same template, taken by the first probe
+// (warm): a session that only ever answers Solve-style deltas — a
+// slider sweep — never races, and holds the template alone.
 
 // NewSession builds a persistent what-if session over p: a racing
 // portfolio whose workers are kept warm across queries. Retarget moves
@@ -34,44 +42,80 @@ import (
 // family; every query then re-solves only the delta. workers < 1 is
 // treated as 1.
 func NewSession(p *core.Problem, workers int) (*Solver, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	s, err := NewRacing(p, workers)
+	tmpl, err := core.NewTemplate(p)
 	if err != nil {
 		return nil, err
 	}
-	// The long-lived canonical synthesizer is the racing engine's
-	// per-problem extractor; a session extracts through fresh per-query
-	// canonicals instead (see extractor), so it would only go stale.
-	s.canon = nil
-	s.session = true
-	s.family = spec.FamilyFingerprint(p)
-	return s, nil
+	return &Solver{
+		prob:   p,
+		dead:   make([]bool, max(workers, 1)),
+		tmpl:   tmpl,
+		family: spec.FamilyFingerprint(p),
+	}, nil
+}
+
+// warm clones the session's workers from its template before the first
+// race. A clone cannot outgrow an arena the template's own encode fit
+// in, but if it does the error unwinds like a search-time overflow
+// (context.go turns it into the typed error).
+func (s *Solver) warm() {
+	if s.tmpl == nil || s.work != nil {
+		return
+	}
+	work, err := cloneWorkers(s.tmpl, s.prob.Thresholds, len(s.dead))
+	if err != nil {
+		panic(err)
+	}
+	s.extractMu.Lock()
+	s.work = work
+	s.extractMu.Unlock()
 }
 
 // Session reports whether this solver is a persistent what-if session.
-func (s *Solver) Session() bool { return s.session }
+func (s *Solver) Session() bool { return s.tmpl != nil }
 
 // Family returns the session's family fingerprint (the problem with
 // thresholds zeroed); empty for non-session solvers.
 func (s *Solver) Family() string { return s.family }
 
 // Retarget points the session at a modified problem. Only threshold
-// deltas are legal: the workers' encodings (routes, flows, placements,
-// policies) are reused verbatim, which is sound exactly when everything
-// except the thresholds is unchanged — enforced by comparing
-// thresholds-zeroed canonical fingerprints. Any leftover per-query
-// state (incumbent, bound observer, sticky interrupts) is cleared.
+// deltas are legal: the encoding (routes, flows, placements, policies)
+// is reused verbatim, which is sound exactly when everything except the
+// thresholds is unchanged — enforced by comparing thresholds-zeroed
+// canonical fingerprints. Any leftover per-query state (incumbent,
+// bound observer, sticky interrupts) is cleared.
+//
+// It is RetargetFamily for a caller without p's family fingerprint in
+// hand.
 func (s *Solver) Retarget(p *core.Problem) error {
-	if !s.session {
+	return s.RetargetFamily(p, spec.FamilyFingerprint(p))
+}
+
+// RetargetFamily is Retarget for a caller that already holds p's family
+// fingerprint (spec.FamilyFingerprint(p) — the service keys its session
+// registry on it), sparing a second canonicalisation and hash of p.
+func (s *Solver) RetargetFamily(p *core.Problem, family string) error {
+	if s.tmpl == nil {
 		return fmt.Errorf("portfolio: Retarget on a non-session solver")
 	}
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if fam := spec.FamilyFingerprint(p); fam != s.family {
-		return fmt.Errorf("portfolio: retarget problem differs beyond thresholds (family %.12s, session %.12s)", fam, s.family)
+	if family != s.family {
+		return fmt.Errorf("portfolio: retarget problem differs beyond thresholds (family %.12s, session %.12s)", family, s.family)
+	}
+	if !s.tmpl.Fits(p) {
+		// Same family, other declaration order (the fingerprint sorts
+		// links and rules): the LinkIDs in the template's designs are not
+		// p's, and a from-scratch solve of p would search a differently
+		// numbered model. Extract from p's own encoding from here on. The
+		// warm workers stay: they only ever report statuses, which are the
+		// family's.
+		tmpl, err := core.NewTemplate(p)
+		if err != nil {
+			return err
+		}
+		s.tmpl = tmpl
 	}
 	s.prob = p
 	s.ResetQueryState()
@@ -99,15 +143,15 @@ func (s *Solver) ResetQueryState() {
 
 // extractor returns the canonical synthesizer to extract one query's
 // design or core with. Non-session solvers use their dedicated
-// long-lived canonical; a session builds a fresh one from its current
-// problem, records it so a concurrent context cancellation can reach it
-// (interruptAll), and the caller releases it when the extraction
-// returns.
+// long-lived canonical; a session clones a fresh one from its pristine
+// template under its current problem's thresholds, records it so a
+// concurrent context cancellation can reach it (interruptAll), and the
+// caller releases it when the extraction returns.
 func (s *Solver) extractor() (*core.Synthesizer, error) {
-	if !s.session {
+	if s.tmpl == nil {
 		return s.canon, nil
 	}
-	syn, err := core.NewSynthesizer(s.prob)
+	syn, err := s.tmpl.Clone(s.prob.Thresholds, s.prob.Options.Solver)
 	if err != nil {
 		return nil, err
 	}
@@ -117,19 +161,21 @@ func (s *Solver) extractor() (*core.Synthesizer, error) {
 	return syn, nil
 }
 
-// release drops a session's per-query extractor again.
+// release drops a session's per-query extractor again, keeping the
+// search it did (its counters beyond the template's) for Stats.
 func (s *Solver) release(syn *core.Synthesizer) {
-	if !s.session {
+	if s.tmpl == nil {
 		return
 	}
 	s.extractMu.Lock()
 	if s.extract == syn {
 		s.extract = nil
 	}
+	s.extracted.AddSearch(syn.Stats().Since(s.tmpl.Stats()))
 	s.extractMu.Unlock()
 }
 
-// canonSolve runs the canonical Solve for this query (fresh synthesizer
+// canonSolve runs the canonical Solve for this query (on a fresh clone
 // in session mode).
 func (s *Solver) canonSolve() (*core.Design, error) {
 	syn, err := s.extractor()
@@ -162,16 +208,10 @@ func (s *Solver) canonAnytimeAt(th core.Thresholds) (*core.Design, error) {
 }
 
 // costUpperBound returns the trivially sufficient cost budget. The cost
-// sum is a property of the encoding, identical on every worker and
-// canonical synthesizer, so in session mode any live worker can answer.
+// sum is a property of the encoding, so a session's template answers.
 func (s *Solver) costUpperBound() int64 {
-	if !s.session {
+	if s.tmpl == nil {
 		return s.canon.CostUpperBound()
 	}
-	for i, w := range s.work {
-		if !s.dead[i] {
-			return w.CostUpperBound()
-		}
-	}
-	panic("portfolio: all raced workers retired by panics")
+	return s.tmpl.CostUpperBound()
 }

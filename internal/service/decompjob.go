@@ -20,7 +20,7 @@ import (
 // the anytime degrade: regions are independent min-cost solves with no
 // global incumbent to fall back on.
 func (s *Service) runDecompJob(j *Job, start time.Time) {
-	res := &Result{Mode: j.Mode, Fingerprint: j.Fingerprint}
+	res := &Result{Mode: j.Mode, Fingerprint: j.Fingerprint, JobID: j.ID}
 	decRes, qerr := s.solveDecomp(j)
 	if decRes != nil {
 		s.mu.Lock()
@@ -42,8 +42,8 @@ func (s *Service) runDecompJob(j *Job, start time.Time) {
 			res.DegradedReason = "budget"
 			s.degraded.Add(1)
 		}
-		j.finish(res, nil)
 		s.completed.Add(1)
+		j.finish(res, nil)
 	case qerr == nil:
 		res.Status = "unsat"
 		for _, k := range decRes.Conflict {
@@ -54,14 +54,14 @@ func (s *Service) runDecompJob(j *Job, start time.Time) {
 		// cacheable even when conservative — the Decomp payload carries the
 		// conservativeness for the client to judge.
 		s.cache.put(cacheKey(j.Fingerprint, j.Mode), res)
-		j.finish(res, nil)
 		s.completed.Add(1)
+		j.finish(res, nil)
 	case errors.Is(qerr, context.Canceled) || errors.Is(qerr, context.DeadlineExceeded):
-		j.finish(nil, qerr)
 		s.canceled.Add(1)
-	default:
 		j.finish(nil, qerr)
+	default:
 		s.failed.Add(1)
+		j.finish(nil, qerr)
 	}
 }
 

@@ -348,8 +348,12 @@ func (j *Job) finish(res *Result, err error) bool {
 		j.state = StateDone
 		// Stamp the serving job's id so every successful response names a
 		// valid /v1/whatif parent; cache-hit copies overwrite the
-		// producer's id with their own job's.
-		res.JobID = j.ID
+		// producer's id with their own job's. A producer's result already
+		// carries it and may be in the cache by now, where concurrent
+		// submissions copy it: it must not be written again.
+		if res.JobID != j.ID {
+			res.JobID = j.ID
+		}
 		j.result = res
 		e = Event{Event: "done", Result: res}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):

@@ -75,8 +75,9 @@ type Config struct {
 	// loss, not just process death) at the cost of one flush per record.
 	JournalSync bool
 	// SessionEntries bounds the what-if session registry (default 8
-	// warm sessions). Each session pins SolverWorkers encoded solver
-	// instances in memory, so the cap is deliberately small.
+	// warm sessions). Each session pins one encoded template in memory
+	// and, once an optimization has raced, SolverWorkers clones of it, so
+	// the cap is deliberately small.
 	SessionEntries int
 	// SessionTTL evicts what-if sessions idle longer than this (default
 	// 10m); 0 uses the default, negative disables expiry.
@@ -801,7 +802,7 @@ func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err err
 	}
 	family := spec.FamilyFingerprint(j.prob)
 	if sess, ok := s.sessions.checkout(family); ok {
-		if rerr := sess.Retarget(j.prob); rerr == nil {
+		if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
 			return sess, true, nil
 		}
 		// A session that cannot retarget within its own family is
@@ -809,29 +810,6 @@ func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err err
 	}
 	syn, err = portfolio.NewSession(j.prob, s.cfg.SolverWorkers)
 	return syn, false, err
-}
-
-// statsDelta returns this job's share of a solver's cumulative model
-// statistics: the dynamic search counters advanced since base was
-// snapshotted, with the static model-shape counts (vars, clauses, PB
-// constraints…) reported as-is. For a fresh solver base is zero and
-// this is the identity.
-func statsDelta(after, base core.ModelStats) core.ModelStats {
-	d := after
-	d.Conflicts -= base.Conflicts
-	d.Decisions -= base.Decisions
-	d.Propagations -= base.Propagations
-	d.Restarts -= base.Restarts
-	d.LubyRestarts -= base.LubyRestarts
-	d.GeomRestarts -= base.GeomRestarts
-	d.Interrupts -= base.Interrupts
-	d.RandomDecisions -= base.RandomDecisions
-	d.Subsumed -= base.Subsumed
-	d.Strengthened -= base.Strengthened
-	d.Reduced -= base.Reduced
-	d.SharedKept -= base.SharedKept
-	d.SharedDropped -= base.SharedDropped
-	return d
 }
 
 // degradeToAnytime attempts the anytime fallback after a deadline or
@@ -950,14 +928,14 @@ func (s *Service) runJob(j *Job) {
 		j.publish(Event{Event: "bound", Kind: kind.String(), Value: val})
 	})
 
-	res := &Result{Mode: j.Mode, Fingerprint: j.Fingerprint}
+	res := &Result{Mode: j.Mode, Fingerprint: j.Fingerprint, JobID: j.ID}
 	design, qerr := s.solveJob(j, syn, res)
 	// Worker panics the portfolio absorbed internally (survivors kept
 	// the query alive) still count as contained.
 	s.panicsRecovered.Add(int64(syn.PanicsRecovered() - panicsBase))
 
 	s.mu.Lock()
-	s.totals.Add(statsDelta(syn.Stats(), statsBase))
+	s.totals.Add(syn.Stats().Since(statsBase))
 	s.mu.Unlock()
 
 	if syn.Session() {
@@ -1000,8 +978,8 @@ func (s *Service) runJob(j *Job) {
 		} else {
 			s.degraded.Add(1)
 		}
-		j.finish(res, nil)
 		s.completed.Add(1)
+		j.finish(res, nil)
 	case errors.As(qerr, &conflict):
 		res.Status = "unsat"
 		for _, k := range conflict.Core {
@@ -1009,22 +987,22 @@ func (s *Service) runJob(j *Job) {
 		}
 		// Unsat is as deterministic as Sat; cache it too.
 		s.cache.put(cacheKey(j.Fingerprint, j.Mode), res)
-		j.finish(res, nil)
 		s.completed.Add(1)
+		j.finish(res, nil)
 	case errors.Is(qerr, context.Canceled) || errors.Is(qerr, context.DeadlineExceeded):
 		if s.degradeToAnytime(j, syn, res, qerr) {
 			// Degraded results are never cached: a patient client must get
 			// the exact answer, not this job's deadline-truncated one.
-			j.finish(res, nil)
 			s.degraded.Add(1)
 			s.completed.Add(1)
+			j.finish(res, nil)
 			return
 		}
-		j.finish(nil, qerr)
 		s.canceled.Add(1)
-	default:
 		j.finish(nil, qerr)
+	default:
 		s.failed.Add(1)
+		j.finish(nil, qerr)
 	}
 }
 

@@ -26,8 +26,9 @@ type SessionStats struct {
 // and solves on a fresh session — no blocking, no sharing. Checkin
 // re-inserts the session after the job resets its per-query state.
 // Entries idle past the TTL are pruned on every access: a session pins
-// K encoded solver instances, too expensive to keep for a client that
-// has moved on.
+// one pristine encoded template (every per-query extractor is a clone
+// of it) and, from its first optimization on, the K warm workers cloned
+// from it, too expensive to keep for a client that has moved on.
 type sessionRegistry struct {
 	mu    sync.Mutex
 	cap   int

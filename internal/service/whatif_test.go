@@ -95,6 +95,53 @@ func TestHTTPWhatIfSessionReuseAndCache(t *testing.T) {
 	}
 }
 
+// TestWhatIfSearchShowsInStatsz: a what-if in solve mode is answered by
+// the session's per-query extractor, which is dropped with the query.
+// Its search must still reach the /statsz solver totals — on a fresh
+// session and on a reused one — or a whole slider sweep reads as zero
+// propagations.
+func TestWhatIfSearchShowsInStatsz(t *testing.T) {
+	s, srv := newTestServer(t, Config{Workers: 1})
+	parent, err := submitSpec(t, s, specVariant(0), ModeSolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, parent)
+
+	propagations := func() int64 {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Solver.Propagations
+	}
+	before := propagations()
+	for i, want := range []string{"fresh", "reused"} {
+		resp, data := postWhatIf(t, srv.URL, "", parent.ID, fmt.Sprintf(`{"isolation_tenths":%d}`, 40+10*i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		var r Result
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Session != want {
+			t.Fatalf("delta %d: session %q, want %q", i, r.Session, want)
+		}
+		after := propagations()
+		if after <= before {
+			t.Fatalf("delta %d (%s session): /statsz solver.propagations stayed at %d across a what-if solve", i, want, before)
+		}
+		before = after
+	}
+}
+
 func TestHTTPWhatIfRejections(t *testing.T) {
 	s, srv := newTestServer(t, Config{Workers: 1})
 	parent, err := submitSpec(t, s, specVariant(1), ModeSolve)
@@ -211,5 +258,60 @@ func TestWhatIfDegradedNeverCachedNorReplayed(t *testing.T) {
 	}
 	if got, ok := s2.cache.get(cacheKey(res.Fingerprint, ModeMaxIsolation)); ok && got.Degraded {
 		t.Fatalf("degraded what-if result was replayed into the proven cache: %+v", got)
+	}
+}
+
+// TestWhatIfAcrossLinkOrderMatchesColdServer: the session registry keys
+// on the family fingerprint, which sorts links, so a what-if whose
+// parent declares the family's links in another order lands on a
+// session encoded for the first order. Its answer must still name the
+// links of its own parent — byte for byte what a server that never saw
+// the first order answers.
+func TestWhatIfAcrossLinkOrderMatchesColdServer(t *testing.T) {
+	lines := strings.Split(specVariant(2), "\n")
+	var links []int
+	for i, l := range lines {
+		if strings.HasPrefix(l, "link ") {
+			links = append(links, i)
+		}
+	}
+	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
+		lines[links[i]], lines[links[j]] = lines[links[j]], lines[links[i]]
+	}
+	relinked := strings.Join(lines, "\n")
+
+	whatIf := func(s *Service, url, specText, wantSession string) Result {
+		t.Helper()
+		parent, err := submitSpec(t, s, specText, ModeSolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait(t, parent)
+		resp, data := postWhatIf(t, url, "", parent.ID, `{"isolation_tenths":30}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("what-if: status %d: %s", resp.StatusCode, data)
+		}
+		var r Result
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatalf("bad JSON: %v\n%s", err, data)
+		}
+		if r.Status != "sat" || r.Session != wantSession {
+			t.Fatalf("what-if: status %q session %q, want sat on a %s session", r.Status, r.Session, wantSession)
+		}
+		return r
+	}
+
+	warm, warmSrv := newTestServer(t, Config{Workers: 1})
+	whatIf(warm, warmSrv.URL, specVariant(0), "fresh") // registers the family, first link order
+	got := whatIf(warm, warmSrv.URL, relinked, "reused")
+
+	cold, coldSrv := newTestServer(t, Config{Workers: 1})
+	want := whatIf(cold, coldSrv.URL, relinked, "fresh")
+
+	if got.Design == nil || len(got.Design.Placements) == 0 {
+		t.Fatalf("the what-if places no device; the test would compare nothing: %+v", got.Design)
+	}
+	if got.Text != want.Text {
+		t.Fatalf("what-if on a warm session of another link order differs from a cold server:\nwarm:\n%s\ncold:\n%s", got.Text, want.Text)
 	}
 }

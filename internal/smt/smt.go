@@ -9,9 +9,12 @@
 package smt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"configsynth/internal/pb"
 	"configsynth/internal/sat"
@@ -57,10 +60,27 @@ func (b Bool) Valid() bool { return b.lit > sat.LitUndef }
 
 // Sum is a linear pseudo-Boolean expression Σ weightᵢ·termᵢ where a term
 // contributes its weight when true. Weights must be positive.
+//
+// Once built, a Sum may be asserted from several solvers over the same
+// variables at once (clones of one encoded model share their sums): the
+// assert methods only read it, apart from the order cache below.
 type Sum struct {
 	terms   []Bool
 	weights []int64
 	total   int64
+
+	// order caches the terms in the stable descending-weight order the PB
+	// store keeps them in, so that every assertion of the sum — a guarded
+	// threshold per what-if query, a probe per optimization step — hands
+	// the store pre-sorted input instead of paying a sort each time. It
+	// is rebuilt when Add has grown the sum since; concurrent asserters
+	// may both build it, and either result is the same.
+	order atomic.Pointer[sumOrder]
+}
+
+type sumOrder struct {
+	lits    []sat.Lit
+	weights []int64
 }
 
 // Add appends w*b to the sum. Weights must be positive; zero-weight terms
@@ -79,6 +99,25 @@ func (s *Sum) Len() int { return len(s.terms) }
 
 // Total returns the maximum possible value of the sum.
 func (s *Sum) Total() int64 { return s.total }
+
+// byWeight returns the sum's literals and weights in stable
+// descending-weight order.
+func (s *Sum) byWeight() *sumOrder {
+	if o := s.order.Load(); o != nil && len(o.lits) == len(s.terms) {
+		return o
+	}
+	idx := make([]int32, len(s.terms))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(s.weights[b], s.weights[a]) })
+	o := &sumOrder{lits: make([]sat.Lit, len(idx)), weights: make([]int64, len(idx))}
+	for i, j := range idx {
+		o.lits[i], o.weights[i] = s.terms[j].lit, s.weights[j]
+	}
+	s.order.Store(o)
+	return o
+}
 
 // Solver is an incremental SMT-style solver for Boolean logic plus linear
 // pseudo-Boolean arithmetic.
@@ -122,6 +161,32 @@ func NewSolverWith(cfg SolverConfig) *Solver {
 		sat: s,
 		th:  pb.New(s),
 	}
+}
+
+// Clone returns an independent solver over the same assertions, its CDCL
+// core configured by cfg: the SAT state and the PB store are deep-copied
+// (sat.Solver.Clone, pb.Theory.Clone), the variable names are shared
+// (clipped, so naming a new variable on either side reallocates), and
+// no model or core is carried over. A clone taken before the first
+// Check searches exactly like a NewSolverWith(cfg) solver given the
+// same assertions. Theories attached through SAT() are not copied; the
+// caller re-attaches its own clones. It fails, with an error wrapping
+// sat.ErrModelTooLarge, when the assertions do not fit
+// cfg.ArenaCapWords.
+func (s *Solver) Clone(cfg SolverConfig) (*Solver, error) {
+	core, err := s.sat.Clone(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Solver{
+		sat:       core,
+		th:        s.th.Clone(core),
+		names:     s.names[:len(s.names):len(s.names)],
+		rootUnsat: s.rootUnsat,
+		trueTerm:  s.trueTerm,
+		hasTrue:   s.hasTrue,
+		verify:    s.verify,
+	}, nil
 }
 
 // SetBudget limits the conflicts spent per Check; negative is unlimited.
@@ -254,6 +319,35 @@ func (s *Solver) AddExactlyOne(terms ...Bool) {
 	s.AddAtMostOne(terms...)
 }
 
+// addAtMost hands Σ w·t (+ guardWeight·guard) ≤ bound to the PB store,
+// with every sum literal complemented when negate is set. The terms go
+// over in the sum's cached descending-weight order with the guard term
+// inserted behind the last term at least as heavy as it — where a
+// stable sort of "sum terms, then guard" would put it.
+func (s *Solver) addAtMost(sum *Sum, negate bool, guard Bool, guardWeight, bound int64) {
+	o := sum.byWeight()
+	lits := append(make([]sat.Lit, 0, len(o.lits)+1), o.lits...)
+	if negate {
+		for i := range lits {
+			lits[i] = lits[i].Not()
+		}
+	}
+	weights := o.weights
+	if guard.Valid() {
+		at, _ := slices.BinarySearchFunc(weights, guardWeight, func(w, gw int64) int {
+			if w >= gw {
+				return -1
+			}
+			return 1
+		})
+		lits = slices.Insert(lits, at, guard.lit)
+		weights = slices.Insert(append(make([]int64, 0, len(weights)+1), weights...), at, guardWeight)
+	}
+	if err := s.th.AddAtMost(lits, weights, bound); err != nil || s.th.RootViolated() {
+		s.rootUnsat = true
+	}
+}
+
 // AssertAtMost asserts sum ≤ bound.
 func (s *Solver) AssertAtMost(sum *Sum, bound int64) {
 	if s.rootUnsat {
@@ -267,13 +361,7 @@ func (s *Solver) AssertAtMost(sum *Sum, bound int64) {
 	if bound >= sum.total {
 		return // trivially true
 	}
-	lits := make([]sat.Lit, len(sum.terms))
-	for i, t := range sum.terms {
-		lits[i] = t.lit
-	}
-	if err := s.th.AddAtMost(lits, sum.weights, bound); err != nil || s.th.RootViolated() {
-		s.rootUnsat = true
-	}
+	s.addAtMost(sum, false, Bool{sat.LitUndef}, 0, bound)
 }
 
 // AssertAtLeast asserts sum ≥ bound.
@@ -289,13 +377,7 @@ func (s *Solver) AssertAtLeast(sum *Sum, bound int64) {
 		return
 	}
 	// Σ w·t ≥ K  ⇔  Σ w·¬t ≤ W−K.
-	lits := make([]sat.Lit, len(sum.terms))
-	for i, t := range sum.terms {
-		lits[i] = t.lit.Not()
-	}
-	if err := s.th.AddAtMost(lits, sum.weights, sum.total-bound); err != nil || s.th.RootViolated() {
-		s.rootUnsat = true
-	}
+	s.addAtMost(sum, true, Bool{sat.LitUndef}, 0, sum.total-bound)
 }
 
 // AssertAtMostIf asserts cond → (sum ≤ bound) using a big-M guard:
@@ -310,20 +392,11 @@ func (s *Solver) AssertAtMostIf(cond Bool, sum *Sum, bound int64) {
 		s.AddClause(cond.Not())
 		return
 	}
-	lits := make([]sat.Lit, 0, len(sum.terms)+1)
-	weights := make([]int64, 0, len(sum.terms)+1)
-	for i, t := range sum.terms {
-		lits = append(lits, t.lit)
-		weights = append(weights, sum.weights[i])
-	}
-	lits = append(lits, cond.lit)
-	weights = append(weights, sum.total-bound)
-	if err := s.th.AddAtMost(lits, weights, sum.total); err != nil || s.th.RootViolated() {
-		s.rootUnsat = true
-	}
+	s.addAtMost(sum, false, cond, sum.total-bound, sum.total)
 }
 
-// AssertAtLeastIf asserts cond → (sum ≥ bound).
+// AssertAtLeastIf asserts cond → (sum ≥ bound), as the complemented
+// at-most: Σ w·¬t + K·cond ≤ W.
 func (s *Solver) AssertAtLeastIf(cond Bool, sum *Sum, bound int64) {
 	if s.rootUnsat || bound <= 0 {
 		return
@@ -332,15 +405,7 @@ func (s *Solver) AssertAtLeastIf(cond Bool, sum *Sum, bound int64) {
 		s.AddClause(cond.Not())
 		return
 	}
-	neg := &Sum{
-		terms:   make([]Bool, len(sum.terms)),
-		weights: append([]int64(nil), sum.weights...),
-		total:   sum.total,
-	}
-	for i, t := range sum.terms {
-		neg.terms[i] = t.Not()
-	}
-	s.AssertAtMostIf(cond, neg, sum.total-bound)
+	s.addAtMost(sum, true, cond, bound, sum.total)
 }
 
 // SetVerify toggles the solver's self-check mode: after every Sat check

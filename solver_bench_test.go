@@ -77,6 +77,35 @@ func BenchmarkSolverUNSAT20(b *testing.B)  { benchProbe(b, 20, unsatThresholds(2
 func BenchmarkSolverUNSAT50(b *testing.B)  { benchProbe(b, 50, unsatThresholds(50), smt.Unsat) }
 func BenchmarkSolverUNSAT100(b *testing.B) { benchProbe(b, 100, unsatThresholds(100), smt.Unsat) }
 
+// BenchmarkSynthesizerClone50 measures what a portfolio worker or a
+// what-if delta pays instead of an encode: a structural clone of the
+// 50-host template plus its three threshold guards. Read it against
+// BenchmarkSolverSAT50 (encode + one probe) for the clone-vs-encode
+// ratio; allocs/op is the number of objects a clone owns.
+func BenchmarkSynthesizerClone50(b *testing.B) {
+	prob, err := netgen.Generate(solverBenchConfig(50))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob.Thresholds = satThresholds(50)
+	tmpl, err := core.NewTemplate(prob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := tmpl.Stats().Vars + 3 // one guard variable per threshold
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		syn, err := tmpl.Clone(prob.Thresholds, smt.SolverConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := syn.Stats().Vars; got != want {
+			b.Fatalf("clone has %d variables, want %d", got, want)
+		}
+	}
+}
+
 // BenchmarkSolverMinCost50 measures a full optimization descent (binary
 // search over guarded cost probes) — the shape every MinCost service
 // request and slider sweep runs.
