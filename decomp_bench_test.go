@@ -9,6 +9,7 @@ import (
 	"configsynth/internal/decomp"
 	"configsynth/internal/netgen"
 	"configsynth/internal/portfolio"
+	"configsynth/internal/topology"
 )
 
 // Decomposition benchmarks: monolithic vs decomposed synthesis on the
@@ -16,7 +17,7 @@ import (
 // that exercises the region cache. These anchor BENCH_decomp.json. Run
 // with:
 //
-//	go test -bench 'Decomp|BatchSweep' -benchtime 1x
+//	go test -bench 'Decomp|BatchSweep|RoutesCampus' -benchtime 1x
 //
 // The 100-host pair runs by default; the 500- and 1000-host sizes only
 // with CONFSYNTH_BENCH_LARGE=1 (a monolithic 1000-host encode alone is
@@ -118,6 +119,50 @@ func BenchmarkBatchSweep(b *testing.B) {
 			b.Fatalf("region hit rate <= 50%%: hits=%d misses=%d", cs.Hits, cs.Misses)
 		}
 		b.ReportMetric(float64(cs.Hits)/float64(cs.Hits+cs.Misses), "hit-rate")
+	}
+}
+
+// BenchmarkDecompAllHit measures what a decomposed solve costs when the
+// region cache answers every subproblem: a budget-only variant of a
+// campus the solver has seen. What is left is validation, partition,
+// split (one enumeration of the global routes), fingerprints, stitch
+// and placement completion — the floor under every batch variant.
+func BenchmarkDecompAllHit(b *testing.B) {
+	p := campusProblem(b, 100)
+	s := decomp.New(decomp.Options{Workers: 4})
+	if _, err := s.Solve(context.Background(), p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := *p
+		q.Thresholds.CostBudget = p.Thresholds.CostBudget + int64(10*(1+i%20))
+		res, err := s.Solve(context.Background(), &q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Unsat || res.Misses != 0 {
+			b.Fatalf("variant %d: unsat=%v misses=%d, want a stitched design from cache hits alone", i, res.Unsat, res.Misses)
+		}
+	}
+}
+
+var benchRoutes []topology.Route
+
+// BenchmarkRoutesCampus100 enumerates every flow pair of the 100-host
+// campus in both directions through a fresh route table: what one
+// decomposed solve, encode or verification pays for its routes.
+func BenchmarkRoutesCampus100(b *testing.B) {
+	p := campusProblem(b, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table := topology.NewRouteTable(p.Network, p.Options.Routes)
+		for _, f := range p.Flows {
+			benchRoutes, _ = table.Routes(f.Src, f.Dst)
+			benchRoutes, _ = table.Routes(f.Dst, f.Src)
+		}
 	}
 }
 

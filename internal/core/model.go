@@ -37,7 +37,7 @@ type Synthesizer struct {
 	y      map[usability.Flow]map[isolation.PatternID]smt.Bool
 	x      map[pairDev]smt.Bool
 	l      map[linkDev]smt.Bool
-	routes map[pairKey][]topology.Route
+	routes *topology.RouteTable // one entry per unordered host pair, asked as (low, high)
 	// preset marks link-device placements the problem declares as already
 	// deployed (Problem.Preplaced): their l variables are pinned true and
 	// contribute nothing to the cost sum, so Design.Cost and MinCost
@@ -58,8 +58,6 @@ type Synthesizer struct {
 
 	theory   *flowTheory
 	ftInputs [][]ftOption
-
-	nRoutes int
 
 	nb []byte // scratch for building variable names without fmt
 }
@@ -129,7 +127,7 @@ func NewTemplate(p *Problem) (retT *Template, retErr error) {
 		y:        make(map[usability.Flow]map[isolation.PatternID]smt.Bool, len(p.Flows)),
 		x:        make(map[pairDev]smt.Bool),
 		l:        make(map[linkDev]smt.Bool),
-		routes:   make(map[pairKey][]topology.Route),
+		routes:   topology.NewRouteTable(p.Network, p.Options.Routes),
 		isoSum:   &smt.Sum{},
 		lossSum:  &smt.Sum{},
 		costSum:  &smt.Sum{},
@@ -285,21 +283,24 @@ func (s *Synthesizer) encode() error {
 }
 
 // encodeRoutes enumerates flow routes per unordered host pair (paper
-// §III-C, "Modeling Flow Routes").
+// §III-C, "Modeling Flow Routes"). The synthesizer's route table is
+// filled here and only read afterwards.
 func (s *Synthesizer) encodeRoutes() error {
 	for _, f := range s.flows {
 		key := mkPair(f.Src, f.Dst)
-		if _, ok := s.routes[key]; ok {
-			continue
-		}
-		routes, err := s.prob.Network.Routes(key.a, key.b, s.prob.Options.Routes)
-		if err != nil {
+		if _, err := s.routes.Routes(key.a, key.b); err != nil {
 			return fmt.Errorf("routes for pair (%d,%d): %w", key.a, key.b, err)
 		}
-		s.routes[key] = routes
-		s.nRoutes += len(routes)
 	}
 	return nil
+}
+
+// pairRoutes returns the routes of a host pair encodeRoutes has
+// enumerated; the only error the table reports is an unknown node, which
+// encodeRoutes would have returned.
+func (s *Synthesizer) pairRoutes(pair pairKey) []topology.Route {
+	routes, _ := s.routes.Routes(pair.a, pair.b)
+	return routes
 }
 
 // encodeFlows creates the isolation decision variables y^k_{i,j}(g),
@@ -393,7 +394,7 @@ func (s *Synthesizer) encodePlacements() {
 			s.encodeTunnel(pd.pair, xv)
 			continue
 		}
-		for _, route := range s.routes[pd.pair] {
+		for _, route := range s.pairRoutes(pd.pair) {
 			clause := make([]smt.Bool, 0, len(route)+1)
 			clause = append(clause, xv.Not())
 			for _, link := range route {
@@ -412,7 +413,7 @@ func (s *Synthesizer) encodePlacements() {
 // (netsim.checkTunnel) apply the same window semantics.
 func (s *Synthesizer) encodeTunnel(pair pairKey, xv smt.Bool) {
 	T := s.prob.Options.TunnelSlackHops
-	for _, route := range s.routes[pair] {
+	for _, route := range s.pairRoutes(pair) {
 		headW, tailW := tunnelWindows(route, T)
 		head := make([]smt.Bool, 0, len(headW)+1)
 		head = append(head, xv.Not())
@@ -716,11 +717,12 @@ func (s *ModelStats) addSearch(b ModelStats, sign int64) {
 // Stats returns current model statistics.
 func (s *Synthesizer) Stats() ModelStats {
 	st := s.sol.Stats()
+	pairs, routes := s.routes.Size()
 	pbTerms := s.isoSum.Len() + s.lossSum.Len() + s.costSum.Len()
 	return ModelStats{
 		Flows:           len(s.flows),
-		HostPairs:       len(s.routes),
-		Routes:          s.nRoutes,
+		HostPairs:       pairs,
+		Routes:          routes,
 		Vars:            st.Vars,
 		Clauses:         st.Clauses + st.Learnts,
 		PBConstraints:   st.PBConstraints,

@@ -87,7 +87,7 @@ func TestCompletePlacementsNoOpOnSolvedDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := d.Cost
-	added, err := CompletePlacements(p, d)
+	added, err := CompletePlacements(p, d, topology.NewRouteTable(p.Network, p.Options.Routes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCompletePlacementsRepairs(t *testing.T) {
 		FlowPatterns: map[usability.Flow]isolation.PatternID{f: isolation.ProxyForwarding},
 		Placements:   make(map[topology.LinkID][]isolation.DeviceID),
 	}
-	added, err := CompletePlacements(p, d)
+	added, err := CompletePlacements(p, d, topology.NewRouteTable(p.Network, p.Options.Routes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,5 +117,10 @@ func TestCompletePlacementsRepairs(t *testing.T) {
 	}
 	if !vr.OK() {
 		t.Fatalf("repaired design still invalid: %v", vr.Violations)
+	}
+	// A table of other route options stands for other routes: refused.
+	other := topology.NewRouteTable(p.Network, topology.RouteOptions{MaxRoutes: 1})
+	if _, err := CompletePlacements(p, d, other); err == nil {
+		t.Fatal("a route table of other options was accepted")
 	}
 }

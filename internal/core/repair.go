@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sort"
 
 	"configsynth/internal/isolation"
@@ -23,9 +24,16 @@ import (
 // enumerated route. Completion restores the invariant checked by
 // Verify at the price of a few extra (deterministically chosen)
 // devices.
-func CompletePlacements(p *Problem, d *Design) (int, error) {
+//
+// routes is the caller's table of p's routes (the decomposing solver has
+// enumerated most of them already while splitting); a table of another
+// network or other route options is refused.
+func CompletePlacements(p *Problem, d *Design, routes *topology.RouteTable) (int, error) {
 	p = p.normalized()
 	opts := p.Options.Normalized()
+	if !routes.Covers(p.Network, opts.Routes) {
+		return 0, errors.New("core: CompletePlacements: route table is not of the problem's network and route options")
+	}
 
 	placed := make(map[linkDev]bool)
 	for link, devs := range d.Placements {
@@ -94,11 +102,11 @@ func CompletePlacements(p *Problem, d *Design) (int, error) {
 
 	added := 0
 	for _, n := range needs {
-		routes, err := p.Network.Routes(n.a, n.b, opts.Routes)
+		pairRoutes, err := routes.Routes(n.a, n.b)
 		if err != nil {
 			return added, err
 		}
-		for _, route := range routes {
+		for _, route := range pairRoutes {
 			if n.dev == isolation.IPSec {
 				head, tail := tunnelWindows(route, opts.TunnelSlackHops)
 				if place(head, n.dev) {

@@ -201,7 +201,7 @@ func (s *Synthesizer) neededDevices(flowPatterns map[usability.Flow]isolation.Pa
 // as encodeTunnel asserts) carry a gateway.
 func (s *Synthesizer) covered(pd pairDev, placed map[linkDev]bool) bool {
 	T := s.prob.Options.TunnelSlackHops
-	for _, route := range s.routes[pd.pair] {
+	for _, route := range s.pairRoutes(pd.pair) {
 		if pd.dev == isolation.IPSec {
 			head, tail := tunnelWindows(route, T)
 			if !anyPlaced(head, pd.dev, placed) {

@@ -156,13 +156,17 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 		return nil, err
 	}
 
+	// One table of the global network's routes serves the whole request:
+	// the splitter reads it to cut out each subproblem's subgraph, the
+	// placement completion reads it again after the stitch.
+	routes := topology.NewRouteTable(p.Network, p.Options.Routes)
 	regions := Partition(p.Network, s.opts.Partition)
 	var subs []*Subproblem
 	var splitErr error
 	if len(regions) < 2 {
 		splitErr = fmt.Errorf("%w: partition found %d region(s)", ErrNotDecomposable, len(regions))
 	} else {
-		subs, splitErr = Split(p, regions)
+		subs, splitErr = split(p, regions, routes)
 	}
 	if splitErr != nil {
 		if !errors.Is(splitErr, ErrNotDecomposable) {
@@ -249,7 +253,7 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 	// enumeration hits its search cap, so the stitched union may leave a
 	// globally enumerated route uncovered. Complete the placements under
 	// the global route set before judging the budget.
-	if added, err := core.CompletePlacements(p, design); err != nil {
+	if added, err := core.CompletePlacements(p, design, routes); err != nil {
 		return nil, err
 	} else if added > 0 {
 		res.Repaired = added

@@ -265,6 +265,12 @@ type groupID struct{ a, b int }
 // subproblems (an Implication between flows of different groups), or
 // when fewer than two subproblems result.
 func Split(p *core.Problem, regions []Region) ([]*Subproblem, error) {
+	return split(p, regions, topology.NewRouteTable(p.Network, p.Options.Routes))
+}
+
+// split is Split over the caller's table of p's global routes, which
+// Solve goes on to share with the post-stitch placement completion.
+func split(p *core.Problem, regions []Region, routes *topology.RouteTable) ([]*Subproblem, error) {
 	regionOf := make(map[topology.NodeID]int)
 	for _, reg := range regions {
 		for _, h := range reg.Hosts {
@@ -358,7 +364,7 @@ func Split(p *core.Problem, regions []Region) ([]*Subproblem, error) {
 
 	subs := make([]*Subproblem, 0, len(ids))
 	for _, g := range ids {
-		sub, err := extract(p, g, groups[g], append(append([]policy.Rule(nil), global...), perGroup[g]...))
+		sub, err := extract(p, routes, g, groups[g], append(append([]policy.Rule(nil), global...), perGroup[g]...))
 		if err != nil {
 			return nil, err
 		}
@@ -379,8 +385,7 @@ func Split(p *core.Problem, regions []Region) ([]*Subproblem, error) {
 // global order — a monotone remap, so route enumeration on the local
 // network reproduces the global routes (shortest-first, ties by link
 // ID) restricted to these pairs.
-func extract(p *core.Problem, g groupID, flows []usability.Flow, rules []policy.Rule) (*Subproblem, error) {
-	ropts := p.Options.Routes
+func extract(p *core.Problem, global *topology.RouteTable, g groupID, flows []usability.Flow, rules []policy.Rule) (*Subproblem, error) {
 	type pair struct{ a, b topology.NodeID }
 	pairs := make(map[pair]bool)
 	for _, f := range flows {
@@ -394,7 +399,7 @@ func extract(p *core.Problem, g groupID, flows []usability.Flow, rules []policy.
 	nodeSet := make(map[topology.NodeID]bool)
 	linkSet := make(map[topology.LinkID]bool)
 	for pr := range pairs {
-		routes, err := p.Network.Routes(pr.a, pr.b, ropts)
+		routes, err := global.Routes(pr.a, pr.b)
 		if err != nil {
 			return nil, err
 		}

@@ -61,11 +61,12 @@ type FlowReport struct {
 // OK reports whether the flow's treatment matches its pattern.
 func (r FlowReport) OK() bool { return len(r.Violations) == 0 }
 
-// Simulator walks flows through a topology with device placements.
+// Simulator walks flows through a topology with device placements. Its
+// route table lives as long as it does, so the services of a host pair
+// share one enumeration.
 type Simulator struct {
-	net        *topology.Network
 	placements map[topology.LinkID][]isolation.DeviceID
-	routeOpts  topology.RouteOptions
+	routes     *topology.RouteTable
 	tunnelT    int
 }
 
@@ -99,9 +100,8 @@ func New(cfg Config) (*Simulator, error) {
 		placements[link] = append([]isolation.DeviceID(nil), devs...)
 	}
 	return &Simulator{
-		net:        cfg.Network,
 		placements: placements,
-		routeOpts:  cfg.Routes,
+		routes:     topology.NewRouteTable(cfg.Network, cfg.Routes),
 		tunnelT:    cfg.TunnelSlackHops,
 	}, nil
 }
@@ -146,7 +146,7 @@ func (s *Simulator) walk(route topology.Route) Treatment {
 // SimulateFlow walks every route of a flow and checks the assigned
 // pattern against the achieved treatment.
 func (s *Simulator) SimulateFlow(f usability.Flow, pattern isolation.PatternID) (FlowReport, error) {
-	routes, err := s.net.Routes(f.Src, f.Dst, s.routeOpts)
+	routes, err := s.routes.Routes(f.Src, f.Dst)
 	if err != nil {
 		return FlowReport{}, fmt.Errorf("netsim: routes for %v: %w", f, err)
 	}

@@ -938,23 +938,24 @@ func (s *Service) runJob(j *Job) {
 	s.totals.Add(syn.Stats().Since(statsBase))
 	s.mu.Unlock()
 
+	// A warm session goes back into the registry for the family's next
+	// delta before the job's terminal transition is visible: a client
+	// that submits its next delta the moment this one finishes must find
+	// the session. A session a panic escaped from is dropped, its state
+	// being suspect.
+	checkin := func() {}
 	if syn.Session() {
 		if reused {
 			res.Session = "reused"
 		} else {
 			res.Session = "fresh"
 		}
-		// Check the warm session back in for the family's next delta —
-		// unless a panic escaped the solver stack, in which case its state
-		// is suspect and it is dropped. Deferred to function exit so the
-		// degrade-to-anytime path below can still read the incumbent and
-		// re-extract through the session before it is reset.
 		var pe *SolverPanicError
 		if poisoned := errors.As(qerr, &pe); !poisoned {
-			defer func() {
+			checkin = func() {
 				syn.ResetQueryState()
 				s.sessions.checkin(syn.Family(), syn)
-			}()
+			}
 		}
 	}
 
@@ -979,7 +980,6 @@ func (s *Service) runJob(j *Job) {
 			s.degraded.Add(1)
 		}
 		s.completed.Add(1)
-		j.finish(res, nil)
 	case errors.As(qerr, &conflict):
 		res.Status = "unsat"
 		for _, k := range conflict.Core {
@@ -988,21 +988,27 @@ func (s *Service) runJob(j *Job) {
 		// Unsat is as deterministic as Sat; cache it too.
 		s.cache.put(cacheKey(j.Fingerprint, j.Mode), res)
 		s.completed.Add(1)
-		j.finish(res, nil)
 	case errors.Is(qerr, context.Canceled) || errors.Is(qerr, context.DeadlineExceeded):
+		// degradeToAnytime reads the incumbent and re-extracts through the
+		// session, so it runs before the check-in resets the query state.
 		if s.degradeToAnytime(j, syn, res, qerr) {
 			// Degraded results are never cached: a patient client must get
 			// the exact answer, not this job's deadline-truncated one.
 			s.degraded.Add(1)
 			s.completed.Add(1)
-			j.finish(res, nil)
-			return
+		} else {
+			s.canceled.Add(1)
+			res = nil
 		}
-		s.canceled.Add(1)
-		j.finish(nil, qerr)
 	default:
 		s.failed.Add(1)
+		res = nil
+	}
+	checkin()
+	if res == nil {
 		j.finish(nil, qerr)
+	} else {
+		j.finish(res, nil)
 	}
 }
 

@@ -1,11 +1,13 @@
 package spec
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"configsynth/internal/core"
 	"configsynth/internal/topology"
@@ -29,24 +31,33 @@ import (
 // execution knobs that cannot change the answer in the exact regime
 // (worker counts, solver diversification, self-check mode).
 func Canonical(p *core.Problem) []byte {
-	var b strings.Builder
-	b.WriteString("configsynth-canon/1\n")
+	// The per-node, per-link, per-preplacement and per-flow lines — all
+	// but a few dozen bytes of a large problem — are appended with
+	// strconv into one buffer; fmt formats only the handful of lines
+	// whose count does not grow with the network.
+	size := 1024 + 40*len(p.Flows) + 24*len(p.Preplaced)
+	if p.Network != nil {
+		size += 24*p.Network.NumNodes() + 16*p.Network.NumLinks()
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "configsynth-canon/1\n"...)
 
 	opt := p.Options.Normalized()
-	fmt.Fprintf(&b, "options tunnel=%d alpha=%d maxroutes=%d maxhops=%d noft=%t sbudget=%d pbudget=%d\n",
+	b = fmt.Appendf(b, "options tunnel=%d alpha=%d maxroutes=%d maxhops=%d noft=%t sbudget=%d pbudget=%d\n",
 		opt.TunnelSlackHops, opt.AlphaPct, opt.Routes.MaxRoutes, opt.Routes.MaxHops,
 		opt.DisableFlowTheory, opt.SolverBudget, opt.ProbeBudget)
 
 	th := p.Thresholds
-	fmt.Fprintf(&b, "thresholds iso=%d usa=%d cost=%d\n",
+	b = fmt.Appendf(b, "thresholds iso=%d usa=%d cost=%d\n",
 		th.IsolationTenths, th.UsabilityTenths, th.CostBudget)
 
 	if p.Network != nil {
-		nodes := append(p.Network.Hosts(), p.Network.Routers()...)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for _, id := range nodes {
-			n, _ := p.Network.Node(id)
-			fmt.Fprintf(&b, "node %d %s %s\n", n.ID, n.Kind, n.Name)
+		// Node IDs are dense, so counting up is ascending ID order.
+		for id := 0; id < p.Network.NumNodes(); id++ {
+			n, _ := p.Network.Node(topology.NodeID(id))
+			b = appendInts(append(b, "node"...), int64(n.ID))
+			b = append(append(b, ' '), n.Kind.String()...)
+			b = append(append(append(b, ' '), n.Name...), '\n')
 		}
 		// Links are canonicalized as sorted endpoint pairs: LinkIDs depend
 		// on declaration order, which must not affect the fingerprint.
@@ -59,14 +70,9 @@ func Canonical(p *core.Problem) []byte {
 			}
 			pairs = append(pairs, [2]topology.NodeID{a, c})
 		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
+		slices.SortFunc(pairs, func(x, y [2]topology.NodeID) int { return slices.Compare(x[:], y[:]) })
 		for _, pr := range pairs {
-			fmt.Fprintf(&b, "link %d %d\n", pr[0], pr[1])
+			b = append(appendInts(append(b, "link"...), int64(pr[0]), int64(pr[1])), '\n')
 		}
 	}
 
@@ -82,17 +88,10 @@ func Canonical(p *core.Problem) []byte {
 			}
 			pres = append(pres, [3]int32{int32(a), int32(c), int32(pp.Dev)})
 		}
-		sort.Slice(pres, func(i, j int) bool {
-			if pres[i][0] != pres[j][0] {
-				return pres[i][0] < pres[j][0]
-			}
-			if pres[i][1] != pres[j][1] {
-				return pres[i][1] < pres[j][1]
-			}
-			return pres[i][2] < pres[j][2]
-		})
+		slices.SortFunc(pres, func(x, y [3]int32) int { return slices.Compare(x[:], y[:]) })
 		for _, pr := range pres {
-			fmt.Fprintf(&b, "preplace %d %d dev=%d\n", pr[0], pr[1], pr[2])
+			b = appendInts(append(b, "preplace"...), int64(pr[0]), int64(pr[1]))
+			b = append(strconv.AppendInt(append(b, " dev="...), int64(pr[2]), 10), '\n')
 		}
 	}
 
@@ -103,24 +102,17 @@ func Canonical(p *core.Problem) []byte {
 				devs = append(devs, int(d))
 			}
 			sort.Ints(devs)
-			fmt.Fprintf(&b, "pattern %d %q devs=%v usability=%d score=%d\n",
+			b = fmt.Appendf(b, "pattern %d %q devs=%v usability=%d score=%d\n",
 				pat.ID, pat.Name, devs, pat.UsabilityPct, p.Catalog.Score(pat.ID))
 		}
 		for _, dev := range p.Catalog.Devices() {
-			fmt.Fprintf(&b, "device %d %q cost=%d\n", dev.ID, dev.Name, dev.Cost)
+			b = fmt.Appendf(b, "device %d %q cost=%d\n", dev.ID, dev.Name, dev.Cost)
 		}
 	}
 
-	flows := append([]usability.Flow(nil), p.Flows...)
-	sort.Slice(flows, func(i, j int) bool {
-		a, c := flows[i], flows[j]
-		if a.Src != c.Src {
-			return a.Src < c.Src
-		}
-		if a.Dst != c.Dst {
-			return a.Dst < c.Dst
-		}
-		return a.Svc < c.Svc
+	flows := slices.Clone(p.Flows)
+	slices.SortFunc(flows, func(a, c usability.Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, c.Src), cmp.Compare(a.Dst, c.Dst), cmp.Compare(a.Svc, c.Svc))
 	})
 	for _, f := range flows {
 		rank := 1
@@ -128,7 +120,9 @@ func Canonical(p *core.Problem) []byte {
 			rank = p.Ranks.Rank(f)
 		}
 		req := p.Requirements != nil && p.Requirements.Required(f)
-		fmt.Fprintf(&b, "flow %d %d %d rank=%d require=%t\n", f.Src, f.Dst, f.Svc, rank, req)
+		b = appendInts(append(b, "flow"...), int64(f.Src), int64(f.Dst), int64(f.Svc))
+		b = strconv.AppendInt(append(b, " rank="...), int64(rank), 10)
+		b = append(strconv.AppendBool(append(b, " require="...), req), '\n')
 	}
 
 	if p.Policies != nil {
@@ -140,10 +134,18 @@ func Canonical(p *core.Problem) []byte {
 		}
 		sort.Strings(rules)
 		for _, r := range rules {
-			fmt.Fprintf(&b, "policy %s\n", r)
+			b = append(append(append(b, "policy "...), r...), '\n')
 		}
 	}
-	return []byte(b.String())
+	return b
+}
+
+// appendInts appends each value in decimal behind a space.
+func appendInts(b []byte, vals ...int64) []byte {
+	for _, v := range vals {
+		b = strconv.AppendInt(append(b, ' '), v, 10)
+	}
+	return b
 }
 
 // FingerprintVersion identifies the canonical-encoding format. It is

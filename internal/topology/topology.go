@@ -8,7 +8,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -75,7 +74,11 @@ type edge struct {
 type Network struct {
 	nodes []Node
 	links []Link
-	adj   [][]edge
+	// adj[n] lists n's links in increasing LinkID: Connect, the only
+	// writer, appends each new link under an ID larger than every
+	// earlier one. Route enumeration visits neighbours in this order
+	// without sorting.
+	adj [][]edge
 }
 
 // Errors reported by topology construction and queries.
@@ -194,126 +197,71 @@ func (n *Network) Degree(id NodeID) int {
 	return len(n.adj[id])
 }
 
-// RouteOptions bounds route enumeration. Zero values select defaults.
-type RouteOptions struct {
-	// MaxRoutes caps the number of routes returned per pair (default 8).
-	MaxRoutes int
-	// MaxHops caps the route length in links (default 16).
-	MaxHops int
-}
-
-// Normalized returns the options with defaults filled in, exposing the
-// effective caps to canonical problem serialization.
-func (o RouteOptions) Normalized() RouteOptions { return o.withDefaults() }
-
-func (o RouteOptions) withDefaults() RouteOptions {
-	if o.MaxRoutes <= 0 {
-		o.MaxRoutes = 8
-	}
-	if o.MaxHops <= 0 {
-		o.MaxHops = 16
-	}
-	return o
-}
-
-// Route is an ordered sequence of link IDs forming a simple path.
-type Route []LinkID
-
-// Routes enumerates simple paths from src to dst whose interior nodes are
-// routers (traffic is not forwarded through hosts). Results are
-// deterministic: shorter routes first, ties broken lexicographically by
-// link ID. Enumeration honours the caps in opts.
-func (n *Network) Routes(src, dst NodeID, opts RouteOptions) ([]Route, error) {
-	if !n.valid(src) || !n.valid(dst) {
-		return nil, fmt.Errorf("%w: %d or %d", ErrUnknownNode, src, dst)
-	}
-	if src == dst {
-		return nil, nil
-	}
-	opts = opts.withDefaults()
-	// DFS may enumerate exponentially many paths in dense cores; stop
-	// collecting after a generous multiple of the requested cap so the
-	// shortest-first sort below still has candidates to choose from.
-	searchCap := opts.MaxRoutes * 4
-	if searchCap < 32 {
-		searchCap = 32
-	}
-
-	visited := make([]bool, len(n.nodes))
-	visited[src] = true
-	var (
-		path   Route
-		found  []Route
-		search func(at NodeID) bool
-	)
-	search = func(at NodeID) bool {
-		if len(path) >= opts.MaxHops || len(found) >= searchCap {
-			return false
-		}
-		// Deterministic neighbour order by link ID.
-		edges := n.adj[at]
-		order := make([]edge, len(edges))
-		copy(order, edges)
-		sort.Slice(order, func(i, j int) bool { return order[i].link < order[j].link })
-		for _, e := range order {
-			if e.peer == dst {
-				r := make(Route, len(path)+1)
-				copy(r, path)
-				r[len(path)] = e.link
-				found = append(found, r)
-				continue
-			}
-			nd := n.nodes[e.peer]
-			if nd.Kind != Router || visited[e.peer] {
-				continue
-			}
-			visited[e.peer] = true
-			path = append(path, e.link)
-			search(e.peer)
-			path = path[:len(path)-1]
-			visited[e.peer] = false
-		}
-		return false
-	}
-	search(src)
-	sort.SliceStable(found, func(i, j int) bool {
-		if len(found[i]) != len(found[j]) {
-			return len(found[i]) < len(found[j])
-		}
-		for k := range found[i] {
-			if found[i][k] != found[j][k] {
-				return found[i][k] < found[j][k]
-			}
-		}
-		return false
-	})
-	if len(found) > opts.MaxRoutes {
-		found = found[:opts.MaxRoutes]
-	}
-	return found, nil
-}
-
 // Connected reports whether at least one route exists between src and
 // dst under default options.
 func (n *Network) Connected(src, dst NodeID) bool {
-	routes, err := n.Routes(src, dst, RouteOptions{})
-	return err == nil && len(routes) > 0
+	if !n.valid(src) || !n.valid(dst) || src == dst {
+		return false
+	}
+	return n.hopsFrom(src, nil)[dst] > 0
 }
 
-// Validate checks structural sanity: every host attaches to at least one
-// link, and every pair of hosts is connected through the router core.
+// hopsFrom returns, for every node, the length in links of the shortest
+// route from src to it under default options, or 0 where there is none
+// (and for src itself). Routes forward through routers only, so a
+// breadth-first search that expands src and routers and stops at the
+// default hop cap finds exactly the nodes Routes would return a route
+// for: the shortest path is simple, and the depth-first enumeration is
+// exhaustive up to the cap until it has found something. dist is reused
+// when it is large enough.
+func (n *Network) hopsFrom(src NodeID, dist []int32) []int32 {
+	maxHops := int32(RouteOptions{}.withDefaults().MaxHops)
+	if len(dist) < len(n.nodes) {
+		dist = make([]int32, len(n.nodes))
+	}
+	clear(dist)
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
+		if dist[at] == maxHops || (at != src && n.nodes[at].Kind != Router) {
+			continue
+		}
+		for _, e := range n.adj[at] {
+			if e.peer != src && dist[e.peer] == 0 {
+				dist[e.peer] = dist[at] + 1
+				queue = append(queue, e.peer)
+			}
+		}
+	}
+	return dist
+}
+
+// Validate checks structural sanity: adjacency lists are in link order
+// (what route enumeration relies on for its deterministic neighbour
+// order), every host attaches to at least one link, and every pair of
+// hosts is connected through the router core.
 func (n *Network) Validate() error {
+	for id, edges := range n.adj {
+		for i := 1; i < len(edges); i++ {
+			if edges[i-1].link >= edges[i].link {
+				return fmt.Errorf("topology: adjacency of node %s is not in link order", n.nodes[id].Name)
+			}
+		}
+	}
 	hosts := n.Hosts()
 	for _, h := range hosts {
 		if len(n.adj[h]) == 0 {
 			return fmt.Errorf("topology: host %s has no links", n.nodes[h].Name)
 		}
 	}
-	for i := 0; i < len(hosts); i++ {
-		for j := i + 1; j < len(hosts); j++ {
-			if !n.Connected(hosts[i], hosts[j]) {
+	var dist []int32
+	for i, src := range hosts {
+		dist = n.hopsFrom(src, dist)
+		for _, dst := range hosts[i+1:] {
+			if dist[dst] == 0 {
 				return fmt.Errorf("topology: hosts %s and %s are not connected",
-					n.nodes[hosts[i]].Name, n.nodes[hosts[j]].Name)
+					n.nodes[src].Name, n.nodes[dst].Name)
 			}
 		}
 	}

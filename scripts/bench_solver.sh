@@ -8,7 +8,7 @@
 # Environment:
 #   BENCHTIME   -benchtime value (default 3x; every iteration asserts the
 #               expected probe status, so even 1x is a correctness smoke)
-#   BENCHFILTER -bench regexp (default 'Solver|SynthesizerClone|PB|SliderSweep|Decomp|BatchSweep';
+#   BENCHFILTER -bench regexp (default 'Solver|SynthesizerClone|PB|SliderSweep|Decomp|BatchSweep|RoutesCampus';
 #               the Decomp pair also runs 500/1000-host sizes when
 #               CONFSYNTH_BENCH_LARGE=1)
 #   COUNT       -count value (default 1; use >=6 for benchstat significance)
@@ -34,7 +34,7 @@ if [ "$#" -eq 2 ]; then
 fi
 
 benchtime=${BENCHTIME:-3x}
-filter=${BENCHFILTER:-'Solver|SynthesizerClone|PB|SliderSweep|Decomp|BatchSweep'}
+filter=${BENCHFILTER:-'Solver|SynthesizerClone|PB|SliderSweep|Decomp|BatchSweep|RoutesCampus'}
 count=${COUNT:-1}
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo worktree)
 out="bench-${rev}.txt"
