@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"configsynth/internal/core"
-	"configsynth/internal/netgen"
 	"configsynth/internal/service"
 	"configsynth/internal/spec"
 )
@@ -136,9 +134,11 @@ type Node struct {
 	// that excludes this node is observed.
 	rejoining atomic.Bool
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	// stopCtx ends when Stop is called: every background loop selects
+	// on it, and a stolen job's wait is bounded by it.
+	stopCtx context.Context
+	stopAll context.CancelFunc
+	wg      sync.WaitGroup
 
 	forwarded    atomic.Int64
 	forwardFails atomic.Int64
@@ -186,8 +186,8 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 		rpcClient:    &http.Client{Timeout: cfg.RPCTimeout},
 		fwdClient:    &http.Client{},
 		takeoverDone: map[string]bool{},
-		stop:         make(chan struct{}),
 	}
+	n.stopCtx, n.stopAll = context.WithCancel(context.Background())
 	n.mem.onDeath = n.handleDeath
 	n.mem.onRejoin = func(id string) { n.cfg.Logf("cluster: peer %s answering again", id) }
 
@@ -373,7 +373,7 @@ func (n *Node) triggerRejoin(v *view) {
 // goAsync runs fn on a tracked goroutine unless the node is stopping.
 func (n *Node) goAsync(fn func()) {
 	select {
-	case <-n.stop:
+	case <-n.stopCtx.Done():
 		return
 	default:
 	}
@@ -398,7 +398,7 @@ func (n *Node) Start() {
 
 // Stop halts the background loops and unhooks the service callbacks.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() { close(n.stop) })
+	n.stopAll()
 	n.wg.Wait()
 	n.svc.SetPeerFill(nil)
 	n.svc.SetJournalNotify(nil)
@@ -416,7 +416,7 @@ func (n *Node) loop(every time.Duration, fn func()) {
 		defer t.Stop()
 		for {
 			select {
-			case <-n.stop:
+			case <-n.stopCtx.Done():
 				return
 			case <-t.C:
 				fn()
@@ -480,7 +480,7 @@ func (n *Node) Join(ctx context.Context, seeds []string) ([]string, error) {
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("cluster: join: %w (last error: %v)", ctx.Err(), lastErr)
-		case <-n.stop:
+		case <-n.stopCtx.Done():
 			return nil, errors.New("cluster: join: node stopped")
 		case <-time.After(backoff):
 		}
@@ -615,7 +615,7 @@ func (n *Node) shadowStateOf(follower, origin string) (int, bool) {
 			return ss.Records, true
 		}
 		select {
-		case <-n.stop:
+		case <-n.stopCtx.Done():
 			return 0, false
 		case <-time.After(n.cfg.HeartbeatInterval / 2):
 		}
@@ -706,7 +706,7 @@ func (n *Node) postHandoff(target string, req handoffRequest) bool {
 			return true
 		}
 		select {
-		case <-n.stop:
+		case <-n.stopCtx.Done():
 			return false
 		case <-time.After(n.cfg.HeartbeatInterval / 2):
 		}
@@ -772,7 +772,10 @@ func (n *Node) stealOnce() {
 // other job) and posts the outcome back to the origin, which still owns
 // the job.
 func (n *Node) runStolen(origin string, job service.StolenJob) {
-	prob, src, err := problemOf(job)
+	// A fingerprint mismatch means the two nodes disagree about
+	// canonicalization: the steal is refused rather than mis-cached.
+	src := &service.JobSource{Spec: job.Spec, Example: job.Example}
+	prob, err := src.Problem(job.Fingerprint)
 	if err != nil {
 		n.postComplete(origin, completeRequest{ID: job.ID, Error: "stolen job: " + err.Error()})
 		return
@@ -792,13 +795,7 @@ func (n *Node) runStolen(origin string, job service.StolenJob) {
 		n.postComplete(origin, completeRequest{ID: job.ID, Error: err.Error()})
 		return
 	}
-	select {
-	case <-j.Done():
-	case <-n.stop:
-		j.Cancel()
-		<-j.Done()
-	}
-	res, jerr := j.Result()
+	res, jerr := j.Wait(n.stopCtx)
 	if jerr != nil {
 		if errors.Is(jerr, context.Canceled) || errors.Is(jerr, context.DeadlineExceeded) {
 			// The origin's own deadline watcher produces the identical
@@ -827,40 +824,11 @@ func (n *Node) postComplete(origin string, req completeRequest) {
 			return
 		}
 		select {
-		case <-n.stop:
+		case <-n.stopCtx.Done():
 			return
 		case <-time.After(n.cfg.HeartbeatInterval / 2):
 		}
 	}
 	n.postsFailed.Add(1)
 	n.cfg.Logf("cluster: failed to post completion of %s back to %s", req.ID, origin)
-}
-
-// problemOf rebuilds a stolen job's problem from its shipped source
-// and checks it still hashes to the fingerprint it was stolen under —
-// a mismatch means the two nodes disagree about canonicalization and
-// the steal must be refused rather than mis-cached.
-func problemOf(job service.StolenJob) (*core.Problem, *service.JobSource, error) {
-	var (
-		prob *core.Problem
-		src  *service.JobSource
-	)
-	switch {
-	case job.Example:
-		prob = netgen.PaperExample()
-		src = &service.JobSource{Example: true}
-	case job.Spec != "":
-		p, err := spec.Parse(strings.NewReader(job.Spec))
-		if err != nil {
-			return nil, nil, fmt.Errorf("re-parsing stolen spec: %w", err)
-		}
-		prob = p
-		src = &service.JobSource{Spec: job.Spec}
-	default:
-		return nil, nil, errors.New("stolen job carries no source")
-	}
-	if fp := spec.Fingerprint(prob); fp != job.Fingerprint {
-		return nil, nil, fmt.Errorf("stolen job fingerprint mismatch: %s != %s", fp[:12], job.Fingerprint[:12])
-	}
-	return prob, src, nil
 }

@@ -128,7 +128,7 @@ func (s *shipper) run() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.n.stop:
+		case <-s.n.stopCtx.Done():
 			return
 		case <-s.notify:
 		case <-t.C:

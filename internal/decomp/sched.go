@@ -284,7 +284,8 @@ func outcomesSnapshot(mu *sync.Mutex, outcomes map[string]*subOutcome, deps []st
 //
 // A fresh solve is attempted single-solver first, under the RegionBudget
 // wall-clock deadline. Most regions finish there in a fraction of the
-// portfolio's cost (a K-wide portfolio encodes the model K+1 times). The
+// portfolio's cost (a K-wide portfolio encodes the model once and clones
+// it K times, and pays one canonical extraction on top of the race). The
 // rare region that sits on its projected thresholds' feasibility
 // boundary can stall a single search for minutes; when the bounded
 // attempt times out — or returns a truncated, inexact descent — the

@@ -148,77 +148,64 @@ func tooLargeToError(query func() error) func() error {
 	}
 }
 
-// SolveContext is Solve bounded by ctx: cancellation or deadline expiry
-// interrupts the solvers cooperatively and returns ctx.Err().
-func (s *Solver) SolveContext(ctx context.Context) (*core.Design, error) {
+// guardDesign runs a design-producing query under guard; the design is
+// dropped when the guard reports an error. All five ctx-aware queries go
+// through it: an optimization's value is a field of its design.
+func (s *Solver) guardDesign(ctx context.Context, query func() (*core.Design, error)) (*core.Design, error) {
 	var d *core.Design
 	err := s.guard(ctx, func() (qerr error) {
-		d, qerr = s.Solve()
+		d, qerr = query()
 		return qerr
 	})
 	if err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// SolveContext is Solve bounded by ctx: cancellation or deadline expiry
+// interrupts the solvers cooperatively and returns ctx.Err().
+func (s *Solver) SolveContext(ctx context.Context) (*core.Design, error) {
+	return s.guardDesign(ctx, s.Solve)
 }
 
 // CheckAtContext is CheckAt bounded by ctx.
 func (s *Solver) CheckAtContext(ctx context.Context, th core.Thresholds) (*core.Design, error) {
-	var d *core.Design
-	err := s.guard(ctx, func() (qerr error) {
-		d, qerr = s.CheckAt(th)
-		return qerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return s.guardDesign(ctx, func() (*core.Design, error) { return s.CheckAt(th) })
 }
 
 // MaxIsolationContext is MaxIsolation bounded by ctx.
 func (s *Solver) MaxIsolationContext(ctx context.Context, usabilityTenths int, costBudget int64) (float64, *core.Design, error) {
-	var (
-		v float64
-		d *core.Design
-	)
-	err := s.guard(ctx, func() (qerr error) {
-		v, d, qerr = s.MaxIsolation(usabilityTenths, costBudget)
-		return qerr
+	d, err := s.guardDesign(ctx, func() (*core.Design, error) {
+		_, d, err := s.MaxIsolation(usabilityTenths, costBudget)
+		return d, err
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	return v, d, nil
+	return d.Isolation, d, nil
 }
 
 // MaxUsabilityContext is MaxUsability bounded by ctx.
 func (s *Solver) MaxUsabilityContext(ctx context.Context, isolationTenths int, costBudget int64) (float64, *core.Design, error) {
-	var (
-		v float64
-		d *core.Design
-	)
-	err := s.guard(ctx, func() (qerr error) {
-		v, d, qerr = s.MaxUsability(isolationTenths, costBudget)
-		return qerr
+	d, err := s.guardDesign(ctx, func() (*core.Design, error) {
+		_, d, err := s.MaxUsability(isolationTenths, costBudget)
+		return d, err
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	return v, d, nil
+	return d.Usability, d, nil
 }
 
 // MinCostContext is MinCost bounded by ctx.
 func (s *Solver) MinCostContext(ctx context.Context, isolationTenths, usabilityTenths int) (int64, *core.Design, error) {
-	var (
-		v int64
-		d *core.Design
-	)
-	err := s.guard(ctx, func() (qerr error) {
-		v, d, qerr = s.MinCost(isolationTenths, usabilityTenths)
-		return qerr
+	d, err := s.guardDesign(ctx, func() (*core.Design, error) {
+		_, d, err := s.MinCost(isolationTenths, usabilityTenths)
+		return d, err
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	return v, d, nil
+	return d.Cost, d, nil
 }

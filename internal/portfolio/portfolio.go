@@ -468,6 +468,50 @@ func (s *Solver) AnytimeDesign() (*core.Design, bool) {
 	return d, true
 }
 
+// optimize is the racing descent behind every optimization query: probe
+// base, which leaves the searched threshold at its loosest; on unsat
+// report the canonical core; otherwise binary-search that threshold over
+// [lo, hi], racing every probe, recording each satisfiable one as the
+// anytime incumbent and reporting it to the bound observer; and extract
+// the canonical design at the optimum.
+func (s *Solver) optimize(base core.Thresholds, kind core.ThresholdKind, lo, hi int64, maximize bool) (*core.Design, error) {
+	s.resetIncumbent()
+	switch s.raceStatus(base, false) {
+	case smt.Unknown:
+		return nil, core.ErrBudgetExceeded
+	case smt.Unsat:
+		_, err := s.canonCheckAt(base) // canonical unsat core
+		if err == nil {
+			err = fmt.Errorf("portfolio: workers proved unsat but canonical check succeeded")
+		}
+		return nil, err
+	}
+	s.setIncumbent(base)
+	best, exact := s.descent(lo, hi, maximize, func(v int64) smt.Status {
+		th := withThreshold(base, kind, v)
+		st := s.raceStatus(th, true)
+		if st == smt.Sat {
+			s.setIncumbent(th)
+			s.emitBound(kind, v)
+		}
+		return st
+	})
+	return s.finish(withThreshold(base, kind, best), exact)
+}
+
+// withThreshold returns th with the threshold of the given kind set to v.
+func withThreshold(th core.Thresholds, kind core.ThresholdKind, v int64) core.Thresholds {
+	switch kind {
+	case core.ThresholdIsolation:
+		th.IsolationTenths = int(v)
+	case core.ThresholdUsability:
+		th.UsabilityTenths = int(v)
+	case core.ThresholdCost:
+		th.CostBudget = v
+	}
+	return th
+}
+
 // MaxIsolation computes the maximum achievable network isolation (0–10
 // scale) subject to a usability threshold and a cost budget, as in the
 // paper's Fig. 3 curves. With workers, each binary-search probe is
@@ -476,32 +520,8 @@ func (s *Solver) MaxIsolation(usabilityTenths int, costBudget int64) (float64, *
 	if s.Workers() == 0 {
 		return s.canon.MaxIsolation(usabilityTenths, costBudget)
 	}
-	s.resetIncumbent()
 	base := core.Thresholds{UsabilityTenths: usabilityTenths, CostBudget: costBudget}
-	switch s.raceStatus(base, false) {
-	case smt.Unknown:
-		return 0, nil, core.ErrBudgetExceeded
-	case smt.Unsat:
-		_, err := s.canonCheckAt(base) // canonical unsat core
-		if err == nil {
-			err = fmt.Errorf("portfolio: workers proved unsat but canonical check succeeded")
-		}
-		return 0, nil, err
-	}
-	s.setIncumbent(base)
-	best, exact := s.descent(0, 100, true, func(v int64) smt.Status {
-		th := base
-		th.IsolationTenths = int(v)
-		st := s.raceStatus(th, true)
-		if st == smt.Sat {
-			s.setIncumbent(th)
-			s.emitBound(core.ThresholdIsolation, v)
-		}
-		return st
-	})
-	th := base
-	th.IsolationTenths = int(best)
-	d, err := s.finish(th, exact)
+	d, err := s.optimize(base, core.ThresholdIsolation, 0, 100, true)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -514,32 +534,8 @@ func (s *Solver) MaxUsability(isolationTenths int, costBudget int64) (float64, *
 	if s.Workers() == 0 {
 		return s.canon.MaxUsability(isolationTenths, costBudget)
 	}
-	s.resetIncumbent()
 	base := core.Thresholds{IsolationTenths: isolationTenths, CostBudget: costBudget}
-	switch s.raceStatus(base, false) {
-	case smt.Unknown:
-		return 0, nil, core.ErrBudgetExceeded
-	case smt.Unsat:
-		_, err := s.canonCheckAt(base)
-		if err == nil {
-			err = fmt.Errorf("portfolio: workers proved unsat but canonical check succeeded")
-		}
-		return 0, nil, err
-	}
-	s.setIncumbent(base)
-	best, exact := s.descent(0, 100, true, func(v int64) smt.Status {
-		th := base
-		th.UsabilityTenths = int(v)
-		st := s.raceStatus(th, true)
-		if st == smt.Sat {
-			s.setIncumbent(th)
-			s.emitBound(core.ThresholdUsability, v)
-		}
-		return st
-	})
-	th := base
-	th.UsabilityTenths = int(best)
-	d, err := s.finish(th, exact)
+	d, err := s.optimize(base, core.ThresholdUsability, 0, 100, true)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -552,37 +548,9 @@ func (s *Solver) MinCost(isolationTenths, usabilityTenths int) (int64, *core.Des
 	if s.Workers() == 0 {
 		return s.canon.MinCost(isolationTenths, usabilityTenths)
 	}
-	s.resetIncumbent()
 	upper := s.costUpperBound()
-	base := core.Thresholds{
-		IsolationTenths: isolationTenths,
-		UsabilityTenths: usabilityTenths,
-		CostBudget:      upper,
-	}
-	switch s.raceStatus(base, false) {
-	case smt.Unknown:
-		return 0, nil, core.ErrBudgetExceeded
-	case smt.Unsat:
-		_, err := s.canonCheckAt(base)
-		if err == nil {
-			err = fmt.Errorf("portfolio: workers proved unsat but canonical check succeeded")
-		}
-		return 0, nil, err
-	}
-	s.setIncumbent(base)
-	best, exact := s.descent(0, upper, false, func(v int64) smt.Status {
-		th := base
-		th.CostBudget = v
-		st := s.raceStatus(th, true)
-		if st == smt.Sat {
-			s.setIncumbent(th)
-			s.emitBound(core.ThresholdCost, v)
-		}
-		return st
-	})
-	th := base
-	th.CostBudget = best
-	d, err := s.finish(th, exact)
+	base := core.Thresholds{IsolationTenths: isolationTenths, UsabilityTenths: usabilityTenths, CostBudget: upper}
+	d, err := s.optimize(base, core.ThresholdCost, 0, upper, false)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -152,23 +152,17 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	timeout, err := parseTimeout(r)
+	// Streamed batches die with their client; async ones are owned by
+	// the journal and survive the request (and the process).
+	opts, err := submitOptions(r)
 	if err != nil {
 		submitError(w, err)
 		return
 	}
-	q := r.URL.Query()
-	async := q.Get("async") != ""
-	mode := req.Mode
-	if qm := q.Get("mode"); qm != "" {
-		mode = Mode(qm)
+	if opts.Mode == "" {
+		opts.Mode = req.Mode
 	}
-	opts := SubmitOptions{Mode: mode, Timeout: timeout}
-	if !async {
-		// Streamed batches die with their client; async ones are owned by
-		// the journal and survive the request (and the process).
-		opts.Parent = r.Context()
-	}
+	async := r.URL.Query().Get("async") != ""
 	start := time.Now()
 	items, err := s.SubmitBatch(r.Context(), req.Variants, opts)
 	if err != nil {

@@ -72,20 +72,12 @@ func (s *Service) CacheEach(fn func(fingerprint string, mode Mode, res *Result))
 }
 
 // CacheSeed inserts a peer-shipped proven result (re-sharding handoff).
-// Only provable answers are accepted — unsat, or exact undegraded sat —
-// mirroring what the local solve path would have cached.
+// Only proven answers are accepted, mirroring what a local solve would
+// have cached.
 func (s *Service) CacheSeed(fingerprint string, mode Mode, res *Result) {
-	if fingerprint == "" || res == nil {
-		return
+	if fingerprint != "" {
+		s.seed(fingerprint, mode, res)
 	}
-	if res.Status != "unsat" &&
-		!(res.Status == "sat" && res.Design != nil && res.Design.Exact && !res.Degraded) {
-		return
-	}
-	cp := *res
-	cp.Cached = false
-	cp.Session = ""
-	s.cache.put(cacheKey(fingerprint, mode), &cp)
 }
 
 // JobIDsWithPrefix lists every registered job ID (pending or retained
@@ -111,29 +103,17 @@ func (s *Service) JobIDsWithPrefix(prefix string) []string {
 var ErrSuperseded = errors.New("service: job superseded by cluster takeover")
 
 // DropSuperseded truncates still-pending replayed jobs whose IDs the
-// cluster reported as adopted: each is finished with ErrSuperseded,
-// journaled terminal (so the next replay skips it), and fully
-// deregistered — the adopter is the job's one holder now, and a client
+// cluster reported as adopted: each is settled with ErrSuperseded —
+// journaled terminal (so the next replay skips it) and fully
+// deregistered: the adopter is the job's one holder now, and a client
 // polling the ID on this node gets 404 rather than a shadow copy.
 // Already-terminal and unknown IDs are skipped. Returns the drop count.
 func (s *Service) DropSuperseded(ids []string) int {
 	dropped := 0
 	for _, id := range ids {
-		s.mu.Lock()
-		j, ok := s.jobs[id]
-		s.mu.Unlock()
-		if !ok {
-			continue
+		if j, ok := s.Job(id); ok && s.settle(j, nil, ErrSuperseded) {
+			dropped++
 		}
-		if !j.finish(nil, ErrSuperseded) {
-			continue
-		}
-		s.journalResult(j)
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
-		s.droppedStale.Add(1)
-		dropped++
 	}
 	return dropped
 }
@@ -144,9 +124,8 @@ func (s *Service) QueueLen() int { return len(s.queue) }
 
 // tryPeerFill consults the cluster peer-fill hook before solving a
 // cold job: the ring owner of the job's fingerprint may hold a proven
-// result. On a hit the job completes immediately and the result seeds
-// the local cache. Runs after startRun, so the runJob defers journal
-// and retire the job as usual.
+// result. On a hit the result seeds the local cache and the job is
+// settled with a copy of it, like any other hit.
 func (s *Service) tryPeerFill(j *Job) bool {
 	s.peerMu.Lock()
 	fill := s.peerFill
@@ -160,12 +139,8 @@ func (s *Service) tryPeerFill(j *Job) bool {
 		return false
 	}
 	s.peerHits.Add(1)
-	s.cache.put(cacheKey(j.Fingerprint, j.Mode), res)
-	hit := *res
-	hit.Cached = true
-	hit.Session = ""
-	j.finish(&hit, nil)
-	s.completed.Add(1)
+	s.seed(j.Fingerprint, j.Mode, res)
+	s.settle(j, hitOf(res), nil)
 	return true
 }
 
@@ -201,12 +176,7 @@ func (s *Service) DelegateMatching(peer string, max int, match func(fingerprint 
 	if peer == "" || max <= 0 {
 		return nil
 	}
-	s.mu.Lock()
-	cands := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		cands = append(cands, j)
-	}
-	s.mu.Unlock()
+	cands := s.allJobs()
 	// Oldest first: the longest-queued jobs gain the most from another
 	// node's workers.
 	sort.Slice(cands, func(i, k int) bool { return cands[i].created.Before(cands[k].created) })
@@ -247,14 +217,10 @@ func (s *Service) watchDelegated(j *Job) {
 		defer s.wg.Done()
 		select {
 		case <-j.ctx.Done():
-			// finish cancels the context itself on any terminal
-			// transition, so this arm also fires after a remote
-			// completion — idempotence makes that a no-op.
-			if j.finish(nil, j.ctx.Err()) {
-				s.canceled.Add(1)
-				s.retire(j.ID)
-				s.journalResult(j)
-			}
+			// Every terminal transition cancels the context, so this arm
+			// also fires after a remote completion; settle lets only the
+			// first transition through.
+			s.settle(j, nil, j.ctx.Err())
 		case <-j.done:
 		}
 	}()
@@ -265,39 +231,28 @@ func (s *Service) watchDelegated(j *Job) {
 // won the race) report false; the first caller to land wins, exactly
 // once.
 func (s *Service) CompleteRemote(id string, res *Result, errMsg string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.Job(id)
 	if !ok {
 		return false
 	}
+	var err error
 	if res != nil {
+		// The thief may have answered from its own cache or a session;
+		// here the result is a fresh solve, and a proven one seeds the
+		// local cache exactly as a local solve's would.
 		cp := *res
-		cp.Cached = false
-		cp.Session = ""
-		if !j.finish(&cp, nil) {
-			return false
-		}
-		s.completed.Add(1)
-		// Proven remote answers seed the local cache exactly as a local
-		// solve's would; degraded/anytime ones stay transient.
-		if cp.Status == "unsat" ||
-			(cp.Status == "sat" && cp.Design != nil && cp.Design.Exact && !cp.Degraded) {
-			s.cache.put(cacheKey(j.Fingerprint, j.Mode), &cp)
-		}
+		cp.Cached, cp.Session = false, ""
+		res = &cp
 	} else {
-		msg := errMsg
-		if msg == "" {
-			msg = "remote completion without a result"
+		if errMsg == "" {
+			errMsg = "remote completion without a result"
 		}
-		if !j.finish(nil, errors.New(msg)) {
-			return false
-		}
-		s.failed.Add(1)
+		err = errors.New(errMsg)
+	}
+	if !s.settle(j, res, err) {
+		return false
 	}
 	s.stolenDone.Add(1)
-	s.retire(j.ID)
-	s.journalResult(j)
 	return true
 }
 
@@ -305,14 +260,8 @@ func (s *Service) CompleteRemote(id string, res *Result, errMsg string) bool {
 // local pool. Jobs that completed or expired in the meantime are left
 // alone. Returns how many were reclaimed.
 func (s *Service) ReenqueueStolen(peer string) int {
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
 	n := 0
-	for _, j := range jobs {
+	for _, j := range s.allJobs() {
 		if !j.undelegate(peer) {
 			continue
 		}
@@ -368,7 +317,7 @@ func (s *Service) Adopt(records []wal.Record) AdoptReport {
 	var rep AdoptReport
 	st := scanJournal(records, s.idPrefix())
 	for _, rr := range st.proven {
-		s.cache.put(cacheKey(rr.Fingerprint, rr.Mode), rr.Result)
+		s.seed(rr.Fingerprint, rr.Mode, rr.Result)
 		rep.Proven++
 	}
 	for _, rec := range st.pending {
@@ -388,69 +337,11 @@ func (s *Service) Adopt(records []wal.Record) AdoptReport {
 			rep.Failed++
 			continue
 		}
-		s.adoptJob(rec)
 		s.adopted.Add(1)
+		if j, pending := s.readmit(rec); pending {
+			s.requeue(j)
+		}
 		rep.Requeued++
 	}
 	return rep
-}
-
-// adoptJob re-admits one adopted submit: instantly terminal on a local
-// cache hit or an undecodable source, otherwise queued (or run on a
-// dedicated goroutine when the queue is full — takeover must not block
-// on local backpressure).
-func (s *Service) adoptJob(rec submitRecord) {
-	prob, derr := problemFromSource(rec)
-	if derr != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		j := newJob(rec.ID, rec.Mode, nil, rec.Fingerprint, ctx, cancel)
-		s.register(j)
-		j.setRunning()
-		j.finish(nil, &BadRequestError{Msg: "adopt: " + derr.Error()})
-		s.retire(j.ID)
-		s.failed.Add(1)
-		s.journalResult(j)
-		return
-	}
-	if res, ok := s.cache.get(cacheKey(rec.Fingerprint, rec.Mode)); ok {
-		hit := *res
-		hit.Cached = true
-		hit.Session = ""
-		ctx, cancel := context.WithCancel(context.Background())
-		j := newJob(rec.ID, rec.Mode, prob, rec.Fingerprint, ctx, cancel)
-		s.register(j)
-		j.setRunning()
-		j.finish(&hit, nil)
-		s.retire(j.ID)
-		s.completed.Add(1)
-		s.journalResult(j)
-		return
-	}
-	timeout := time.Duration(rec.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	j := newJob(rec.ID, rec.Mode, prob, rec.Fingerprint, ctx, cancel)
-	j.src = sourceOf(rec)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		return
-	}
-	s.jobs[j.ID] = j
-	queued := false
-	select {
-	case s.queue <- j:
-		queued = true
-	default:
-	}
-	s.mu.Unlock()
-	if !queued {
-		s.runAsync(j)
-	}
 }

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -277,6 +279,15 @@ func TestModelTooLargeSurfacesAs422(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "mode=decomp") {
 		t.Fatalf("422 body lacks the decomp hint: %s", body)
+	}
+	// /v1/verify without a design runs the same job and hands the same
+	// error to the same status mapping.
+	_, _, verr := s.Verify(context.Background(), p, nil, time.Minute, nil)
+	if !errors.Is(verr, core.ErrModelTooLarge) {
+		t.Fatalf("Verify error = %v, want ErrModelTooLarge", verr)
+	}
+	if status, _ := errorStatus(verr); status != 422 {
+		t.Fatalf("Verify's error maps to %d, want 422", status)
 	}
 	// The worker survived: the next job solves normally.
 	if res := wait(t, mustSubmit(t, s, smallProblem(t), SubmitOptions{})); res.Status != "sat" {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -60,27 +61,47 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// submitError maps a Submit failure to an HTTP response. A full queue is
-// backpressure: 429 with Retry-After so well-behaved clients pace
-// themselves.
-func submitError(w http.ResponseWriter, err error) {
+// errorStatus is the one mapping from an error — a refused submission
+// or a job's terminal error alike — to its HTTP status and the message
+// the client reads.
+func errorStatus(err error) (int, string) {
 	var bad *BadRequestError
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue is full; retry shortly")
+		return http.StatusTooManyRequests, "job queue is full; retry shortly"
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, "service is shutting down")
+		return http.StatusServiceUnavailable, "service is shutting down"
 	case errors.Is(err, ErrJournal):
-		// The job was refused before enqueue, so retrying is safe; the
-		// journal may recover (self-repair) by the next attempt.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "job journal unavailable; retry shortly")
+		return http.StatusServiceUnavailable, "job journal unavailable; retry shortly"
+	case errors.Is(err, ErrUnknownJob):
+		return http.StatusNotFound, err.Error()
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "deadline exceeded"
+	case errors.Is(err, context.Canceled):
+		return http.StatusRequestTimeout, "canceled"
+	case errors.Is(err, core.ErrModelTooLarge):
+		// A stated capacity limit, not a server fault: the monolithic
+		// encode exceeds the clause arena's 31-bit cref space. 422 tells
+		// the client the request was understood but cannot be represented;
+		// mode=decomp is the designed way to solve instances this large.
+		return http.StatusUnprocessableEntity,
+			err.Error() + " (try mode=decomp: decomposed regions stay below the arena limit)"
 	case errors.As(err, &bad):
-		writeError(w, http.StatusBadRequest, "%s", bad.Msg)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		return http.StatusBadRequest, bad.Msg
 	}
+	return http.StatusInternalServerError, err.Error()
+}
+
+// submitError renders a request that produced no job result. A full
+// queue is backpressure, and a journal refusal happens before enqueue
+// (the journal may have repaired itself by the next attempt): both carry
+// Retry-After so well-behaved clients pace themselves.
+func submitError(w http.ResponseWriter, err error) {
+	status, msg := errorStatus(err)
+	if status == http.StatusTooManyRequests || errors.Is(err, ErrJournal) {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeError(w, status, "%s", msg)
 }
 
 // parseProblem reads the request problem: the body in the paper's
@@ -109,8 +130,8 @@ func parseProblem(r *http.Request) (*core.Problem, *JobSource, error) {
 }
 
 // parseTimeout reads ?timeout=30s style deadlines.
-func parseTimeout(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
+func parseTimeout(q url.Values) (time.Duration, error) {
+	raw := q.Get("timeout")
 	if raw == "" {
 		return 0, nil
 	}
@@ -134,48 +155,53 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	timeout, err := parseTimeout(r)
+	opts, err := submitOptions(r)
 	if err != nil {
 		submitError(w, err)
 		return
 	}
-	q := r.URL.Query()
-	async := q.Get("async") != ""
-	stream := q.Get("stream") != ""
-	opts := SubmitOptions{
-		Mode:    Mode(q.Get("mode")),
-		Timeout: timeout,
-		Source:  src,
-	}
-	if opts.Mode == "" {
-		opts.Mode = ModeSolve
-	}
-	if !async {
-		// Synchronous (and streamed) jobs die with their client: a
-		// disconnect cancels the solvers through the job context.
-		opts.Parent = r.Context()
-	}
+	opts.Source = src
 	job, err := s.Submit(prob, opts)
 	if err != nil {
 		submitError(w, err)
 		return
 	}
+	reply(w, r, job)
+}
+
+// submitOptions reads what /v1/synthesize, /v1/whatif and /v1/batch
+// share: ?mode, ?timeout, and — unless ?async — the request context as
+// the job's parent, so synchronous and streamed jobs die with their
+// client: a disconnect cancels the solvers through the job context.
+func submitOptions(r *http.Request) (SubmitOptions, error) {
+	q := r.URL.Query()
+	timeout, err := parseTimeout(q)
+	if err != nil {
+		return SubmitOptions{}, err
+	}
+	opts := SubmitOptions{Mode: Mode(q.Get("mode")), Timeout: timeout}
+	if q.Get("async") == "" {
+		opts.Parent = r.Context()
+	}
+	return opts, nil
+}
+
+// reply answers a single-job request in the form the client asked for:
+// 202 and the job's address (?async), its NDJSON event stream
+// (?stream), or the result once the job is terminal.
+func reply(w http.ResponseWriter, r *http.Request, job *Job) {
+	q := r.URL.Query()
 	switch {
-	case async:
+	case q.Get("async") != "":
 		writeJSON(w, http.StatusAccepted, map[string]string{
 			"job_id": job.ID,
 			"status": string(job.State()),
 			"href":   "/v1/jobs/" + job.ID,
 		})
-	case stream:
+	case q.Get("stream") != "":
 		streamEvents(w, job)
 	default:
-		select {
-		case <-job.Done():
-		case <-r.Context().Done():
-			job.Cancel()
-			<-job.Done()
-		}
+		job.Wait(r.Context())
 		writeJobResult(w, job)
 	}
 }
@@ -183,33 +209,17 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // writeJobResult renders a terminal job as a JSON response.
 func writeJobResult(w http.ResponseWriter, job *Job) {
 	res, err := job.Result()
-	switch {
-	case err == nil && res != nil:
-		if res.Cached {
-			w.Header().Set("X-Cache", "hit")
-		} else {
-			w.Header().Set("X-Cache", "miss")
-		}
-		writeJSON(w, http.StatusOK, res)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "job %s: deadline exceeded", job.ID)
-	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, "job %s: canceled", job.ID)
-	case errors.Is(err, core.ErrModelTooLarge):
-		// A stated capacity limit, not a server fault: the monolithic
-		// encode exceeds the clause arena's 31-bit cref space. 422 tells
-		// the client the request was understood but cannot be represented;
-		// mode=decomp is the designed way to solve instances this large.
-		writeError(w, http.StatusUnprocessableEntity,
-			"job %s: %v (try mode=decomp: decomposed regions stay below the arena limit)", job.ID, err)
-	default:
-		var bad *BadRequestError
-		if errors.As(err, &bad) {
-			writeError(w, http.StatusBadRequest, "%s", bad.Msg)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "job %s: %v", job.ID, err)
+	if err != nil {
+		status, msg := errorStatus(err)
+		writeError(w, status, "job %s: %s", job.ID, msg)
+		return
 	}
+	if res.Cached {
+		w.Header().Set("X-Cache", "hit")
+	} else {
+		w.Header().Set("X-Cache", "miss")
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 // streamEvents writes the job's event log as NDJSON, flushing per event,
@@ -286,48 +296,17 @@ func (s *Service) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, `missing "parent" (job id of the baseline solve)`)
 		return
 	}
-	timeout, err := parseTimeout(r)
+	opts, err := submitOptions(r)
 	if err != nil {
 		submitError(w, err)
 		return
-	}
-	q := r.URL.Query()
-	async := q.Get("async") != ""
-	stream := q.Get("stream") != ""
-	opts := SubmitOptions{
-		Mode:    Mode(q.Get("mode")),
-		Timeout: timeout,
-	}
-	if !async {
-		opts.Parent = r.Context()
 	}
 	job, err := s.WhatIf(req.Parent, req.Delta, opts)
 	if err != nil {
-		if errors.Is(err, ErrUnknownJob) {
-			writeError(w, http.StatusNotFound, "%v", err)
-			return
-		}
 		submitError(w, err)
 		return
 	}
-	switch {
-	case async:
-		writeJSON(w, http.StatusAccepted, map[string]string{
-			"job_id": job.ID,
-			"status": string(job.State()),
-			"href":   "/v1/jobs/" + job.ID,
-		})
-	case stream:
-		streamEvents(w, job)
-	default:
-		select {
-		case <-job.Done():
-		case <-r.Context().Done():
-			job.Cancel()
-			<-job.Done()
-		}
-		writeJobResult(w, job)
-	}
+	reply(w, r, job)
 }
 
 // verifyRequest is the POST /v1/verify body.
@@ -384,7 +363,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		}
 		src = &JobSource{Spec: req.Problem}
 	}
-	timeout, err := parseTimeout(r)
+	timeout, err := parseTimeout(r.URL.Query())
 	if err != nil {
 		submitError(w, err)
 		return

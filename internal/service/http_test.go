@@ -345,6 +345,18 @@ func TestHTTPVerifyExample(t *testing.T) {
 	}
 }
 
+// TestHTTPVerifyReportsInnerJobDeadline: /v1/verify without a design
+// runs a synthesis job, and that job's deadline must answer as it does
+// on /v1/synthesize (504), not as a server fault. The 1ns deadline is
+// over before a worker picks the job up.
+func TestHTTPVerifyReportsInnerJobDeadline(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	resp, data := postSpec(t, srv.URL+"/v1/verify?example=1&timeout=1ns", "")
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
+	}
+}
+
 func getURL(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -168,10 +168,18 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// timeout is the clamped deadline the job was admitted with, as the
+	// submit record journals it.
+	timeout time.Duration
+	// journaled is set once the job's submit record is in the journal;
+	// settle writes a terminal record exactly for those jobs. A Submit
+	// cache hit is terminal before Submit returns, so no crash can lose
+	// it and neither record is written.
+	journaled bool
 	// replayed marks a job re-enqueued from the journal on startup; the
 	// service tracks these for readiness gating.
 	replayed bool
-	// whatif marks a job derived via WhatIf: runJob routes it onto a
+	// whatif marks a job derived via WhatIf: solverFor routes it onto a
 	// warm session for its problem family when the registry has one.
 	// Journal replay never sets it — a restarted service has no warm
 	// sessions, so replayed what-if jobs re-solve from scratch.
@@ -196,14 +204,17 @@ type Job struct {
 	delegated string
 }
 
-func newJob(id string, mode Mode, prob *core.Problem, fp string, ctx context.Context, cancel context.CancelFunc) *Job {
+// newJob builds a queued job with nothing to cancel yet: admit gives a
+// job that needs solving its deadline context, and one answered at
+// admission never gets to run.
+func newJob(id string, mode Mode, prob *core.Problem, fp string) *Job {
 	j := &Job{
 		ID:          id,
 		Mode:        mode,
 		Fingerprint: fp,
 		prob:        prob,
-		ctx:         ctx,
-		cancel:      cancel,
+		ctx:         context.Background(),
+		cancel:      func() {},
 		created:     time.Now(),
 		state:       StateQueued,
 		done:        make(chan struct{}),
@@ -233,6 +244,19 @@ func (j *Job) Result() (*Result, error) {
 // Cancel asks the job to stop; a queued job fails straight to canceled,
 // a running one is interrupted through its context.
 func (j *Job) Cancel() { j.cancel() }
+
+// Wait blocks until the job is terminal and returns its outcome. A
+// waiter whose ctx ends first cancels the job (it was the job's
+// audience) and gets the outcome that cancellation produced.
+func (j *Job) Wait(ctx context.Context) (*Result, error) {
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		j.cancel()
+		<-j.done
+	}
+	return j.Result()
+}
 
 // publish appends an event to the replay log and fans it out. Slow
 // subscribers drop intermediate events (their channels are buffered);
@@ -270,14 +294,6 @@ func (j *Job) Subscribe() <-chan Event {
 	}
 	j.mu.Unlock()
 	return ch
-}
-
-// setRunning transitions queued → running.
-func (j *Job) setRunning() {
-	j.mu.Lock()
-	j.state = StateRunning
-	j.mu.Unlock()
-	j.publish(Event{Event: "started"})
 }
 
 // tryDelegate marks a still-queued, serializable job as stolen by peer.
@@ -335,8 +351,11 @@ func (j *Job) terminalLocked() bool {
 // finish transitions to a terminal state and wakes every waiter. It is
 // idempotent: with cluster stealing, a remote completion can race the
 // job's own deadline watcher, and only the first transition wins — the
-// return value reports whether this call was it.
-func (j *Job) finish(res *Result, err error) bool {
+// return value reports whether this call was it. record runs once the
+// transition is won, under the job mutex, so nothing that can observe
+// the terminal state (State, Done, Subscribe) runs before it has
+// returned. Service.settle is the only caller.
+func (j *Job) finish(res *Result, err error, record func(JobState)) bool {
 	var e Event
 	j.mu.Lock()
 	if j.terminalLocked() {
@@ -365,6 +384,7 @@ func (j *Job) finish(res *Result, err error) bool {
 		j.err = err
 		e = Event{Event: "failed", Error: err.Error()}
 	}
+	record(j.state)
 	j.mu.Unlock()
 	j.publish(e)
 	j.mu.Lock()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -125,42 +126,39 @@ func sourceFor(prob *core.Problem, fp string, opts SubmitOptions) *JobSource {
 	return &JobSource{Spec: sb.String()}
 }
 
-// problemFromSource rebuilds the problem a submit record was journaled
-// with and checks it still matches the journaled fingerprint.
-func problemFromSource(rec submitRecord) (*core.Problem, error) {
+// Problem rebuilds the problem a job was submitted with from its
+// journaled or shipped source and checks it still hashes to the
+// fingerprint it was accepted under. Journal replay, takeover adoption
+// and a stealing peer all reconstruct through here: a mismatch means
+// two builds (or two nodes) disagree about canonicalization, and the job
+// must fail rather than be solved and cached under the wrong key.
+func (src *JobSource) Problem(fingerprint string) (*core.Problem, error) {
 	var prob *core.Problem
 	switch {
-	case rec.Example:
+	case src == nil || (!src.Example && src.Spec == ""):
+		return nil, errors.New("job carries no replayable source")
+	case src.Example:
 		prob = netgen.PaperExample()
-	case rec.Spec != "":
-		p, err := spec.Parse(strings.NewReader(rec.Spec))
+	default:
+		p, err := spec.Parse(strings.NewReader(src.Spec))
 		if err != nil {
-			return nil, fmt.Errorf("re-parsing journaled spec: %w", err)
+			return nil, fmt.Errorf("re-parsing job spec: %w", err)
 		}
 		prob = p
-	default:
-		return nil, fmt.Errorf("job was journaled without a replayable source")
 	}
-	if fp := spec.Fingerprint(prob); fp != rec.Fingerprint {
-		return nil, fmt.Errorf("journaled spec re-parses to fingerprint %s, want %s", fp[:12], rec.Fingerprint[:12])
+	if fp := spec.Fingerprint(prob); fp != fingerprint {
+		return nil, fmt.Errorf("job spec re-parses to fingerprint %.12s, want %.12s", fp, fingerprint)
 	}
 	return prob, nil
 }
 
-// provenResult reports whether a journaled result is safe to re-seed
-// the cache with: unsat cores and exact sat designs, the same classes
-// runJob caches. Degraded and budget-truncated answers are transient.
-func provenResult(rr resultRecord) bool {
-	if rr.State != StateDone || rr.Result == nil {
-		return false
+// source rebuilds the JobSource a submit record was journaled with; nil
+// when the job was journaled as non-replayable.
+func (rec submitRecord) source() *JobSource {
+	if !rec.Example && rec.Spec == "" {
+		return nil
 	}
-	switch rr.Result.Status {
-	case "unsat":
-		return true
-	case "sat":
-		return rr.Result.Design != nil && rr.Result.Design.Exact && !rr.Result.Degraded
-	}
-	return false
+	return &JobSource{Spec: rec.Spec, Example: rec.Example}
 }
 
 // replayState is what a journal scan recovers.
@@ -168,18 +166,6 @@ type replayState struct {
 	pending []submitRecord // accepted jobs with no terminal record, in order
 	proven  []resultRecord // cache-seedable results, oldest first
 	maxID   int64          // highest numeric job ID seen
-}
-
-// sourceOf rebuilds the JobSource a submit record was journaled with;
-// nil when the job was journaled as non-replayable.
-func sourceOf(rec submitRecord) *JobSource {
-	switch {
-	case rec.Example:
-		return &JobSource{Example: true}
-	case rec.Spec != "":
-		return &JobSource{Spec: rec.Spec}
-	}
-	return nil
 }
 
 // scanJournal folds the raw WAL records into replay state. idPrefix is
@@ -219,7 +205,9 @@ func scanJournal(records []wal.Record, idPrefix string) replayState {
 			if e, ok := submits[rr.ID]; ok {
 				e.live = false
 			}
-			if provenResult(rr) {
+			// Only proven results re-seed a cache; degraded and
+			// budget-truncated answers were for their one client.
+			if rr.State == StateDone && proven(rr.Result) {
 				st.proven = append(st.proven, rr)
 			}
 		}

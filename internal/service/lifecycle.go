@@ -1,0 +1,403 @@
+package service
+
+// This file is the one lifecycle every job goes through, whichever door
+// it came in by (Submit, journal replay, adoption of a dead peer's
+// journal) and whichever way it ends (cache hit, solve, peer fill,
+// remote completion, deadline, panic, takeover):
+//
+//	admit    answer from the result cache, or clamp the deadline
+//	enqueue  the entry point's own policy (accept for Submit, requeue
+//	         for replay and adoption)
+//	runJob   claim, peer fill, solve (the mode picks the arm)
+//	settle   counters, cache, wake, retire, journal
+//
+// settle is the only caller of (*Job).finish, so the order of those
+// last steps is written once.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime/debug"
+	"strings"
+	"time"
+
+	"configsynth/internal/core"
+	"configsynth/internal/portfolio"
+	"configsynth/internal/spec"
+)
+
+// admit is the admission every entry point shares. A job whose
+// (fingerprint, mode) has a stored result is answered on the spot;
+// otherwise the job gets its deadline — clamped here and nowhere else —
+// and admit reports true: the caller enqueues it under its own policy.
+func (s *Service) admit(j *Job, timeout time.Duration, parent context.Context) bool {
+	if res, ok := s.cache.get(cacheKey(j.Fingerprint, j.Mode)); ok {
+		s.answer(j, hitOf(res), nil)
+		return false
+	}
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	if timeout > s.cfg.MaxTimeout {
+		timeout = s.cfg.MaxTimeout
+	}
+	if parent == nil {
+		parent = context.Background()
+	}
+	j.timeout = timeout
+	j.ctx, j.cancel = context.WithTimeout(parent, timeout)
+	return true
+}
+
+// readmit is admit for a journaled submit record — this node's own after
+// a restart, or a dead peer's during takeover — under the record's
+// original ID, so clients polling GET /v1/jobs/{id} still find the job.
+// A record whose source no longer decodes to its fingerprint becomes an
+// explicit failed job rather than a silently dropped one; the fault is
+// the journal's, not the client's, so it is an ordinary error (HTTP 500)
+// on whichever node finds it.
+func (s *Service) readmit(rec submitRecord) (*Job, bool) {
+	src := rec.source()
+	prob, err := src.Problem(rec.Fingerprint)
+	j := newJob(rec.ID, rec.Mode, prob, rec.Fingerprint)
+	j.journaled = true
+	j.src = src
+	if err != nil {
+		s.answer(j, nil, fmt.Errorf("journaled job cannot be rebuilt: %w", err))
+		return j, false
+	}
+	return j, s.admit(j, time.Duration(rec.TimeoutMS)*time.Millisecond, nil)
+}
+
+// answer settles a job at admission, before it ever reaches the queue.
+func (s *Service) answer(j *Job, res *Result, err error) {
+	s.mu.Lock()
+	s.jobs[j.ID] = j
+	s.mu.Unlock()
+	j.startRun()
+	s.settle(j, res, err)
+}
+
+// hitOf copies a stored result for one response. Stored results carry
+// neither Cached nor Session (see seed), so only Cached needs setting.
+func hitOf(stored *Result) *Result {
+	hit := *stored
+	hit.Cached = true
+	return &hit
+}
+
+// requeue hands a re-admitted job to the pool; it never blocks and never
+// refuses. Replay finds room in the channel by construction (open sizes
+// it for every pending record); an adoption that finds it full runs the
+// job on its own goroutine, because takeover must not wait on local
+// backpressure.
+func (s *Service) requeue(j *Job) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		j.cancel()
+		return
+	}
+	s.jobs[j.ID] = j
+	queued := false
+	select {
+	case s.queue <- j:
+		queued = true
+	default:
+	}
+	s.mu.Unlock()
+	if !queued {
+		s.runAsync(j)
+	}
+}
+
+// runJob takes one job from the queue to its terminal state: claim it,
+// ask the cluster for a proven answer, solve it, settle it.
+func (s *Service) runJob(j *Job) {
+	s.active.Add(1)
+	defer s.active.Add(-1)
+	if j.replayed {
+		defer s.replayPending.Add(-1)
+	}
+	if err := j.ctx.Err(); err != nil {
+		// Canceled or expired while queued. A remote completion may have
+		// beaten this; settle lets only the first transition through.
+		s.settle(j, nil, err)
+		return
+	}
+	if !j.startRun() {
+		// Stolen by a peer while queued: the delegation path (remote
+		// completion, deadline watcher, or peer-death re-enqueue) settles
+		// it.
+		return
+	}
+	if s.tryPeerFill(j) {
+		return
+	}
+	res, err := s.solve(j)
+	s.settle(j, res, err)
+}
+
+// solve answers the job's query: a filled sat or unsat result (possibly
+// Degraded), or the raw error. The mode only picks the arm; the panic
+// barrier, the verdict and the timing are the same for both. A panic
+// escaping the solver stack (poisoned instance, injected fault) becomes
+// a SolverPanicError carrying the stack and the problem fingerprint, so
+// the job fails cleanly and the daemon survives.
+func (s *Service) solve(j *Job) (res *Result, err error) {
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicsRecovered.Add(1)
+			res, err = nil, &SolverPanicError{
+				Value:       fmt.Sprint(r),
+				Stack:       string(debug.Stack()),
+				Fingerprint: j.Fingerprint,
+			}
+		}
+	}()
+	res = &Result{Mode: j.Mode, Fingerprint: j.Fingerprint, JobID: j.ID}
+	var design *core.Design
+	var conflict []core.ThresholdKind
+	if j.Mode == ModeDecomp {
+		design, conflict, err = s.solveDecomp(j, res)
+	} else {
+		design, conflict, err = s.solveMono(j, res)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case design != nil:
+		res.Status = "sat"
+		if !design.Exact && !res.Degraded {
+			// The solver itself truncated the descent (conflict budget):
+			// the answer is a feasible incumbent, not a proven optimum.
+			res.Degraded, res.DegradedReason = true, "budget"
+		}
+		switch j.Mode {
+		case ModeMaxIsolation:
+			res.Objective = design.Isolation
+		case ModeMaxUsability:
+			res.Objective = design.Usability
+		case ModeMinCost, ModeDecomp:
+			res.Objective = float64(design.Cost)
+		}
+		res.Design = designJSON(j.prob, design)
+		var sb strings.Builder
+		if werr := spec.WriteDesign(&sb, j.prob, design); werr == nil {
+			res.Text = sb.String()
+		}
+	default:
+		res.Status = "unsat"
+		for _, k := range conflict {
+			res.Conflict = append(res.Conflict, k.String())
+		}
+	}
+	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	return res, nil
+}
+
+// solveMono is the monolithic arm: one portfolio (or warm what-if
+// session) answers the query under the job context. It returns the
+// design, or the threshold kinds of the unsat core with a nil design.
+// When the deadline or a cancellation cuts an optimization short after
+// the descent has proven a feasible incumbent, that design (Exact=false)
+// is the answer, marked degraded with the reason, instead of a bare
+// timeout error.
+func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.ThresholdKind, error) {
+	syn, reused, err := s.solverFor(j)
+	if err != nil {
+		if !errors.Is(err, core.ErrModelTooLarge) {
+			// ErrModelTooLarge is a capacity verdict (HTTP 422); any other
+			// encode failure is a malformed request.
+			err = &BadRequestError{Msg: err.Error()}
+		}
+		return nil, nil, err
+	}
+	syn.SetBoundObserver(func(kind core.ThresholdKind, v int64) {
+		val := float64(v)
+		if kind != core.ThresholdCost {
+			val = float64(v) / 10 // tenths → 0–10 scale
+		}
+		j.publish(Event{Event: "bound", Kind: kind.String(), Value: val})
+	})
+
+	design, qerr := s.query(j, syn, reused)
+	var kinds []core.ThresholdKind
+	var conflict *core.ThresholdConflictError
+	switch {
+	case errors.As(qerr, &conflict):
+		kinds, qerr = conflict.Core, nil
+	case j.Mode != ModeSolve && (errors.Is(qerr, context.Canceled) || errors.Is(qerr, context.DeadlineExceeded)):
+		// AnytimeDesign re-extracts through the session, so it runs before
+		// the check-in below resets the query state.
+		if ad, ok := syn.AnytimeDesign(); ok {
+			res.Degraded, res.DegradedReason = true, "canceled"
+			if errors.Is(qerr, context.DeadlineExceeded) {
+				res.DegradedReason = "deadline"
+			}
+			design, qerr = ad, nil
+		}
+	}
+	if syn.Session() {
+		res.Session = "fresh"
+		if reused {
+			res.Session = "reused"
+		}
+		// A warm session goes back into the registry before the job's
+		// terminal transition is visible: a client that submits its next
+		// delta the moment this one finishes must find the session. A
+		// session a panic escaped from never gets here and is dropped, its
+		// state being suspect.
+		syn.ResetQueryState()
+		s.sessions.checkin(syn.Family(), syn)
+	}
+	return design, kinds, qerr
+}
+
+// solverFor builds (or checks out) the job's synthesizer. Ordinary jobs
+// get a fresh racing portfolio — NewRacing even for one worker, so the
+// engine path drives optimization descents centrally, which is what
+// makes bound streaming work and results independent of K. What-if jobs
+// consult the session registry first: a warm session for the problem
+// family is retargeted at the job's thresholds and re-solves only the
+// delta; on a miss a fresh session is built and, after the job, checked
+// in for the family's next delta.
+func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err error) {
+	if !j.whatif {
+		syn, err = portfolio.NewRacing(j.prob, s.cfg.SolverWorkers)
+		return syn, false, err
+	}
+	family := spec.FamilyFingerprint(j.prob)
+	if sess, ok := s.sessions.checkout(family); ok {
+		if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
+			return sess, true, nil
+		}
+		// A session that cannot retarget within its own family is
+		// defective; drop it and fall through to a fresh one.
+	}
+	syn, err = portfolio.NewSession(j.prob, s.cfg.SolverWorkers)
+	return syn, false, err
+}
+
+// query runs the job's mode on syn. On the way out — by return or by
+// panic, and before the caller can check a session back in for another
+// job to use — it folds the search this job did into the fleet totals.
+// A reused session carries counters from earlier jobs; only the share
+// past the snapshot is this job's. Worker panics the portfolio absorbed
+// internally (survivors kept the query alive) still count as contained.
+func (s *Service) query(j *Job, syn *portfolio.Solver, reused bool) (*core.Design, error) {
+	var statsBase core.ModelStats
+	var panicsBase uint64
+	if reused {
+		statsBase, panicsBase = syn.Stats(), syn.PanicsRecovered()
+	}
+	defer func() {
+		s.panicsRecovered.Add(int64(syn.PanicsRecovered() - panicsBase))
+		s.mu.Lock()
+		s.totals.Add(syn.Stats().Since(statsBase))
+		s.mu.Unlock()
+	}()
+	th := j.prob.Thresholds
+	var design *core.Design
+	var err error
+	switch j.Mode {
+	case ModeMaxIsolation:
+		_, design, err = syn.MaxIsolationContext(j.ctx, th.UsabilityTenths, th.CostBudget)
+	case ModeMaxUsability:
+		_, design, err = syn.MaxUsabilityContext(j.ctx, th.IsolationTenths, th.CostBudget)
+	case ModeMinCost:
+		_, design, err = syn.MinCostContext(j.ctx, th.IsolationTenths, th.UsabilityTenths)
+	default:
+		design, err = syn.SolveContext(j.ctx)
+	}
+	return design, err
+}
+
+// proven reports whether a result is a fact about its problem — an unsat
+// verdict or an exact, undegraded design — and so may be cached, shipped
+// to a peer and replayed from a journal. An anytime design truncated by
+// one job's deadline or budget must never be served to a patient client.
+func proven(res *Result) bool {
+	if res == nil {
+		return false
+	}
+	switch res.Status {
+	case "unsat":
+		return true
+	case "sat":
+		return res.Design != nil && res.Design.Exact && !res.Degraded
+	}
+	return false
+}
+
+// seed stores a result under (fingerprint, mode) if it is proven, and
+// drops it otherwise. The stored copy describes the solve, not the
+// response it first went out on: no Cached, no Session.
+func (s *Service) seed(fingerprint string, mode Mode, res *Result) {
+	if !proven(res) {
+		return
+	}
+	cp := *res
+	cp.Cached, cp.Session = false, ""
+	s.cache.put(cacheKey(fingerprint, mode), &cp)
+}
+
+// settle is the one terminal transition. From (res, err) alone it
+// derives the state (finish: done, canceled for a context error, failed
+// otherwise), bumps the matching outcome counters and stores a proven
+// result that is new to this node — a local solve or a remote
+// completion, not a hit — and only then wakes the waiters; after that it
+// retires the job into the bounded retention ring and journals the
+// outcome if the submit was journaled. Counters and cache come first
+// because a client that sees the job done may read /statsz or resubmit
+// at once (PR 13 fixed that race on two paths; this is all of them).
+//
+// With cluster stealing a remote completion races the job's deadline
+// watcher and the local cancel path, so settle is idempotent: the first
+// call wins, and the return value says whether this one did. The rejoin
+// handshake's ErrSuperseded differs in two ways: it counts under
+// jobs_dropped_stale, and the job is deregistered instead of retained —
+// the adopter is its one holder now.
+func (s *Service) settle(j *Job, res *Result, err error) bool {
+	superseded := errors.Is(err, ErrSuperseded)
+	won := j.finish(res, err, func(state JobState) {
+		switch {
+		case superseded:
+			s.droppedStale.Add(1)
+		case state == StateDone:
+			s.completed.Add(1)
+			if res.Degraded {
+				s.degraded.Add(1)
+			}
+			if !res.Cached {
+				s.seed(j.Fingerprint, j.Mode, res)
+			}
+		case state == StateCanceled:
+			s.canceled.Add(1)
+		default:
+			s.failed.Add(1)
+		}
+	})
+	if !won {
+		return false
+	}
+	s.mu.Lock()
+	if superseded {
+		delete(s.jobs, j.ID)
+	} else {
+		// The oldest finished job is forgotten once the ring is full, so
+		// the registry cannot grow without bound under sustained traffic.
+		s.finished = append(s.finished, j.ID)
+		for len(s.finished) > finishedRetention {
+			delete(s.jobs, s.finished[0])
+			s.finished = s.finished[1:]
+		}
+	}
+	s.mu.Unlock()
+	if j.journaled {
+		s.journalResult(j)
+	}
+	return true
+}

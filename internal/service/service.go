@@ -24,27 +24,34 @@
 //	GET  /readyz          readiness (503 while replaying, saturated, or draining)
 //	GET  /statsz          queue depth, cache and solver counters
 //
+// Every job goes through one lifecycle (lifecycle.go): admit answers
+// it from the result cache or gives it its deadline; the entry point
+// enqueues it under its own policy (Submit refuses when full and
+// journals first, journal replay and adoption never refuse); runJob
+// claims it, asks the cluster for a proven answer and runs solve, where
+// the query mode only picks the arm (monolithic portfolio or what-if
+// session, or decomposition) behind one panic barrier; and settle — the
+// single terminal transition — counts the outcome and caches a proven
+// result before it wakes the waiters, then retires and journals the job.
+//
 // With Config.JournalPath set the service is crash-recoverable: jobs
 // are journaled to a write-ahead log at accept and at completion, and
 // reopening against the same journal replays unfinished work (see
-// journal.go). Solver panics are contained per job — the worker
-// converts them into failed results and restarts — so one poisoned
-// instance never takes the daemon down.
+// journal.go). Solver panics are contained per job — solve converts
+// them into failed results, and a worker that dies anyway is replaced —
+// so one poisoned instance never takes the daemon down.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"configsynth/internal/core"
 	"configsynth/internal/decomp"
-	"configsynth/internal/portfolio"
 	"configsynth/internal/spec"
 	"configsynth/internal/wal"
 )
@@ -335,9 +342,12 @@ func OpenHeld(cfg Config) (*Service, error) {
 // starts and /readyz stops reporting the hold. Idempotent; a no-op on a
 // service Open already started.
 func (s *Service) StartWorkers() {
-	if !s.held.CompareAndSwap(true, false) {
-		return
+	if s.held.CompareAndSwap(true, false) {
+		s.startPool()
 	}
+}
+
+func (s *Service) startPool() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -371,7 +381,7 @@ func open(cfg Config, startWorkers bool) (*Service, error) {
 		st := scanJournal(records, s.idPrefix())
 		s.nextID.Store(st.maxID)
 		for _, rr := range st.proven {
-			s.cache.put(cacheKey(rr.Fingerprint, rr.Mode), rr.Result)
+			s.seed(rr.Fingerprint, rr.Mode, rr.Result)
 		}
 		recs, err := compactionRecords(st, cfg.CacheEntries)
 		if err == nil {
@@ -393,62 +403,21 @@ func open(cfg Config, startWorkers bool) (*Service, error) {
 	}
 
 	if startWorkers {
-		for i := 0; i < cfg.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
+		s.startPool()
 	}
 	return s, nil
 }
 
-// replayJob re-admits one journaled submit: instantly terminal on a
-// (re-seeded) cache hit or an undecodable source, re-enqueued
-// otherwise. Replayed jobs keep their original IDs so clients polling
-// GET /v1/jobs/{id} across the restart still find them.
+// replayJob re-admits one journaled submit after a restart; a job that
+// still needs solving goes back on the queue and holds /readyz at 503
+// until it is terminal.
 func (s *Service) replayJob(rec submitRecord) {
 	s.replayed.Add(1)
-	prob, derr := problemFromSource(rec)
-	if derr != nil {
-		// The job was accepted but cannot be reconstructed: surface an
-		// explicit failure instead of silently dropping it.
-		ctx, cancel := context.WithCancel(context.Background())
-		j := newJob(rec.ID, rec.Mode, nil, rec.Fingerprint, ctx, cancel)
-		s.register(j)
-		j.setRunning()
-		j.finish(nil, fmt.Errorf("replay: %w", derr))
-		s.retire(j.ID)
-		s.failed.Add(1)
-		s.journalResult(j)
-		return
+	if j, pending := s.readmit(rec); pending {
+		j.replayed = true
+		s.replayPending.Add(1)
+		s.requeue(j)
 	}
-	if res, ok := s.cache.get(cacheKey(rec.Fingerprint, rec.Mode)); ok {
-		hit := *res
-		hit.Cached = true
-		hit.Session = ""
-		ctx, cancel := context.WithCancel(context.Background())
-		j := newJob(rec.ID, rec.Mode, prob, rec.Fingerprint, ctx, cancel)
-		s.register(j)
-		j.setRunning()
-		j.finish(&hit, nil)
-		s.retire(j.ID)
-		s.completed.Add(1)
-		s.journalResult(j)
-		return
-	}
-	timeout := time.Duration(rec.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	j := newJob(rec.ID, rec.Mode, prob, rec.Fingerprint, ctx, cancel)
-	j.replayed = true
-	j.src = sourceOf(rec)
-	s.replayPending.Add(1)
-	s.register(j)
-	s.queue <- j
 }
 
 // idPrefix is what NodeID contributes to every job ID this instance
@@ -504,15 +473,21 @@ func (s *Service) beginShutdown() {
 	s.mu.Unlock()
 }
 
-// cancelAll cancels every registered job, queued or running.
-func (s *Service) cancelAll() {
+// allJobs snapshots the registry, so callers can act on jobs without
+// holding the service mutex across job locks or callbacks.
+func (s *Service) allJobs() []*Job {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
-	s.mu.Unlock()
-	for _, j := range jobs {
+	return jobs
+}
+
+// cancelAll cancels every registered job, queued or running.
+func (s *Service) cancelAll() {
+	for _, j := range s.allJobs() {
 		j.Cancel()
 	}
 }
@@ -616,7 +591,7 @@ type SubmitOptions struct {
 	// round-trips, and otherwise journals the job as non-replayable.
 	Source *JobSource
 
-	// whatif marks a job derived by WhatIf: runJob routes it onto a warm
+	// whatif marks a job derived by WhatIf: solverFor routes it onto a warm
 	// session from the registry when the problem family has one. Only
 	// WhatIf sets it — everything else about the job (cache, journal,
 	// queue, results) is identical to an ordinary submission, which is
@@ -638,94 +613,57 @@ func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
 	fp := spec.Fingerprint(prob)
-	id := s.newJobID()
-
-	if res, ok := s.cache.get(cacheKey(fp, opts.Mode)); ok {
-		// Cache hits complete synchronously before Submit returns, so no
-		// accepted-but-unfinished window exists for a crash to lose; they
-		// are deliberately not journaled.
-		hit := *res
-		hit.Cached = true
-		hit.Session = "" // describes how this response was produced: no session ran
-		ctx, cancel := context.WithCancel(context.Background())
-		j := newJob(id, opts.Mode, prob, fp, ctx, cancel)
-		s.register(j)
+	j := newJob(s.newJobID(), opts.Mode, prob, fp)
+	j.whatif = opts.whatif
+	if !s.admit(j, opts.Timeout, opts.Parent) {
 		s.submitted.Add(1)
-		j.setRunning()
-		j.finish(&hit, nil)
-		s.retire(j.ID)
-		s.completed.Add(1)
 		return j, nil
 	}
-
 	// A replayable source is needed for the journal and — in cluster
 	// mode — for work stealing, where a queued job ships to a peer as
 	// spec text.
-	var src *JobSource
 	if s.wal != nil || s.cfg.NodeID != "" {
-		src = sourceFor(prob, fp, opts)
+		j.src = sourceFor(prob, fp, opts)
 	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
+	if err := s.accept(j); err != nil {
+		j.cancel()
+		return nil, err
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	parent := opts.Parent
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(parent, timeout)
-	j := newJob(id, opts.Mode, prob, fp, ctx, cancel)
-	j.whatif = opts.whatif
-	j.src = src
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrClosed
-	}
-	// The channel may be over-provisioned to absorb replayed jobs, so
-	// backpressure is enforced against the configured depth, not cap().
-	if len(s.queue) >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrQueueFull
-	}
-	// Journal before enqueueing, still under the mutex: once Submit
-	// returns success the job is durable, and a journal that cannot
-	// accept the record rejects the submission instead of accepting work
-	// a crash would silently lose.
-	if err := s.journalAppend(recSubmit, submitRecord{
-		ID:          j.ID,
-		Mode:        j.Mode,
-		Fingerprint: fp,
-		Spec:        specOf(src),
-		Example:     src != nil && src.Example,
-		TimeoutMS:   timeout.Milliseconds(),
-	}); err != nil {
-		s.mu.Unlock()
-		cancel()
-		s.journalErrors.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	// Cannot block: capacity was checked above and only Submit (which
-	// holds the mutex) sends.
-	s.queue <- j
-	s.jobs[j.ID] = j
-	s.mu.Unlock()
 	s.submitted.Add(1)
 	return j, nil
 }
 
-// specOf unwraps a source's spec text, tolerating nil.
-func specOf(src *JobSource) string {
-	if src == nil {
-		return ""
+// accept is Submit's enqueue policy, all of it under the mutex: refuse
+// when closed or when the queue is at its configured depth, journal the
+// submit record, and only then enqueue and register.
+func (s *Service) accept(j *Job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	return src.Spec
+	// The channel may be over-provisioned to absorb replayed jobs, so
+	// backpressure is enforced against the configured depth, not cap().
+	if len(s.queue) >= s.cfg.QueueDepth {
+		return ErrQueueFull
+	}
+	// Journal before enqueueing: once Submit returns success the job is
+	// durable, and a journal that cannot accept the record rejects the
+	// submission instead of accepting work a crash would silently lose.
+	rec := submitRecord{ID: j.ID, Mode: j.Mode, Fingerprint: j.Fingerprint, TimeoutMS: j.timeout.Milliseconds()}
+	if j.src != nil {
+		rec.Spec, rec.Example = j.src.Spec, j.src.Example
+	}
+	if err := s.journalAppend(recSubmit, rec); err != nil {
+		s.journalErrors.Add(1)
+		return fmt.Errorf("%w: %v", ErrJournal, err)
+	}
+	j.journaled = true
+	// Cannot block: capacity was checked above, and closing the queue
+	// takes the same mutex.
+	s.queue <- j
+	s.jobs[j.ID] = j
+	return nil
 }
 
 // Job looks a job up by ID.
@@ -734,282 +672,6 @@ func (s *Service) Job(id string) (*Job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-func (s *Service) register(j *Job) {
-	s.mu.Lock()
-	s.jobs[j.ID] = j
-	s.mu.Unlock()
-}
-
-// retire records a terminal job in the bounded retention ring so the
-// registry cannot grow without bound under sustained traffic; the oldest
-// finished job is forgotten once the ring is full.
-func (s *Service) retire(id string) {
-	s.mu.Lock()
-	s.finished = append(s.finished, id)
-	for len(s.finished) > finishedRetention {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
-	s.mu.Unlock()
-}
-
-// solveJob runs the job's query under a recover barrier: a panic
-// escaping the solver stack (poisoned instance, injected fault) is
-// converted into a SolverPanicError carrying the stack and the problem
-// fingerprint, so the job fails cleanly and the daemon survives.
-func (s *Service) solveJob(j *Job, syn *portfolio.Solver, res *Result) (design *core.Design, qerr error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panicsRecovered.Add(1)
-			design = nil
-			qerr = &SolverPanicError{
-				Value:       fmt.Sprint(r),
-				Stack:       string(debug.Stack()),
-				Fingerprint: j.Fingerprint,
-			}
-		}
-	}()
-	th := j.prob.Thresholds
-	switch j.Mode {
-	case ModeSolve:
-		design, qerr = syn.SolveContext(j.ctx)
-	case ModeMaxIsolation:
-		res.Objective, design, qerr = syn.MaxIsolationContext(j.ctx, th.UsabilityTenths, th.CostBudget)
-	case ModeMaxUsability:
-		res.Objective, design, qerr = syn.MaxUsabilityContext(j.ctx, th.IsolationTenths, th.CostBudget)
-	case ModeMinCost:
-		var cost int64
-		cost, design, qerr = syn.MinCostContext(j.ctx, th.IsolationTenths, th.UsabilityTenths)
-		res.Objective = float64(cost)
-	}
-	return design, qerr
-}
-
-// solverFor builds (or checks out) the job's synthesizer. Ordinary jobs
-// get a fresh racing portfolio — NewRacing even for one worker, so the
-// engine path drives optimization descents centrally, which is what
-// makes bound streaming work and results independent of K. What-if jobs
-// consult the session registry first: a warm session for the problem
-// family is retargeted at the job's thresholds and re-solves only the
-// delta; on a miss a fresh session is built and, after the job, checked
-// in for the family's next delta.
-func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err error) {
-	if !j.whatif {
-		syn, err = portfolio.NewRacing(j.prob, s.cfg.SolverWorkers)
-		return syn, false, err
-	}
-	family := spec.FamilyFingerprint(j.prob)
-	if sess, ok := s.sessions.checkout(family); ok {
-		if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
-			return sess, true, nil
-		}
-		// A session that cannot retarget within its own family is
-		// defective; drop it and fall through to a fresh one.
-	}
-	syn, err = portfolio.NewSession(j.prob, s.cfg.SolverWorkers)
-	return syn, false, err
-}
-
-// degradeToAnytime attempts the anytime fallback after a deadline or
-// cancellation cut an optimization short: if the descent had already
-// proven a feasible incumbent, that model (Exact=false) becomes the
-// job's answer, marked degraded with the reason, instead of a bare
-// timeout error.
-func (s *Service) degradeToAnytime(j *Job, syn *portfolio.Solver, res *Result, qerr error) bool {
-	switch j.Mode {
-	case ModeMaxIsolation, ModeMaxUsability, ModeMinCost:
-	default:
-		return false
-	}
-	ad, ok := syn.AnytimeDesign()
-	if !ok {
-		return false
-	}
-	switch j.Mode {
-	case ModeMaxIsolation:
-		res.Objective = ad.Isolation
-	case ModeMaxUsability:
-		res.Objective = ad.Usability
-	case ModeMinCost:
-		res.Objective = float64(ad.Cost)
-	}
-	res.Status = "sat"
-	res.Degraded = true
-	if errors.Is(qerr, context.DeadlineExceeded) {
-		res.DegradedReason = "deadline"
-	} else {
-		res.DegradedReason = "canceled"
-	}
-	s.fillDesign(res, j, ad)
-	return true
-}
-
-// fillDesign renders a design into the result (wire form plus the
-// paper's text format).
-func (s *Service) fillDesign(res *Result, j *Job, design *core.Design) {
-	res.Design = designJSON(j.prob, design)
-	var sb strings.Builder
-	if werr := spec.WriteDesign(&sb, j.prob, design); werr == nil {
-		res.Text = sb.String()
-	}
-}
-
-// runJob executes one job on a worker: build the portfolio synthesizer,
-// run the query under the job context (and a panic barrier), publish
-// bound events as the descent improves, degrade to the anytime
-// incumbent when the deadline lands mid-optimization, store proven
-// results in the cache, journal the terminal outcome, and fold the
-// solver counters into the fleet totals.
-func (s *Service) runJob(j *Job) {
-	s.active.Add(1)
-	defer s.active.Add(-1)
-	if j.replayed {
-		defer s.replayPending.Add(-1)
-	}
-
-	if err := j.ctx.Err(); err != nil {
-		// finish is idempotent: a remote completion may have beaten the
-		// cancellation here, in which case that path already journaled
-		// and retired the job.
-		if j.finish(nil, err) {
-			s.canceled.Add(1)
-			s.retire(j.ID)
-			s.journalResult(j)
-		}
-		return
-	}
-	if !j.startRun() {
-		// Stolen by a peer while queued: the delegation path (remote
-		// completion, deadline watcher, or peer-death re-enqueue) owns
-		// journaling and retirement now.
-		return
-	}
-	defer s.retire(j.ID)
-	defer s.journalResult(j)
-	start := time.Now()
-
-	if s.tryPeerFill(j) {
-		return
-	}
-
-	if j.Mode == ModeDecomp {
-		s.runDecompJob(j, start)
-		return
-	}
-
-	syn, reused, err := s.solverFor(j)
-	if err != nil {
-		if errors.Is(err, core.ErrModelTooLarge) {
-			// Encode-time arena overflow: a capacity verdict (HTTP 422),
-			// not a malformed request.
-			j.finish(nil, err)
-		} else {
-			j.finish(nil, &BadRequestError{Msg: err.Error()})
-		}
-		s.failed.Add(1)
-		return
-	}
-	// Session solvers carry counters accumulated by earlier jobs;
-	// snapshot them so this job folds only its own share into the fleet
-	// totals below.
-	var statsBase core.ModelStats
-	var panicsBase uint64
-	if reused {
-		statsBase = syn.Stats()
-		panicsBase = syn.PanicsRecovered()
-	}
-	syn.SetBoundObserver(func(kind core.ThresholdKind, v int64) {
-		val := float64(v)
-		if kind != core.ThresholdCost {
-			val = float64(v) / 10 // tenths → 0–10 scale
-		}
-		j.publish(Event{Event: "bound", Kind: kind.String(), Value: val})
-	})
-
-	res := &Result{Mode: j.Mode, Fingerprint: j.Fingerprint, JobID: j.ID}
-	design, qerr := s.solveJob(j, syn, res)
-	// Worker panics the portfolio absorbed internally (survivors kept
-	// the query alive) still count as contained.
-	s.panicsRecovered.Add(int64(syn.PanicsRecovered() - panicsBase))
-
-	s.mu.Lock()
-	s.totals.Add(syn.Stats().Since(statsBase))
-	s.mu.Unlock()
-
-	// A warm session goes back into the registry for the family's next
-	// delta before the job's terminal transition is visible: a client
-	// that submits its next delta the moment this one finishes must find
-	// the session. A session a panic escaped from is dropped, its state
-	// being suspect.
-	checkin := func() {}
-	if syn.Session() {
-		if reused {
-			res.Session = "reused"
-		} else {
-			res.Session = "fresh"
-		}
-		var pe *SolverPanicError
-		if poisoned := errors.As(qerr, &pe); !poisoned {
-			checkin = func() {
-				syn.ResetQueryState()
-				s.sessions.checkin(syn.Family(), syn)
-			}
-		}
-	}
-
-	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-
-	var conflict *core.ThresholdConflictError
-	switch {
-	case qerr == nil:
-		res.Status = "sat"
-		if !design.Exact {
-			// The solver itself truncated the descent (conflict budget):
-			// the answer is a feasible incumbent, not a proven optimum.
-			res.Degraded = true
-			res.DegradedReason = "budget"
-		}
-		s.fillDesign(res, j, design)
-		// Only exact answers are cached: an anytime design truncated by
-		// this job's deadline must not be served to a patient client.
-		if design.Exact {
-			s.cache.put(cacheKey(j.Fingerprint, j.Mode), res)
-		} else {
-			s.degraded.Add(1)
-		}
-		s.completed.Add(1)
-	case errors.As(qerr, &conflict):
-		res.Status = "unsat"
-		for _, k := range conflict.Core {
-			res.Conflict = append(res.Conflict, k.String())
-		}
-		// Unsat is as deterministic as Sat; cache it too.
-		s.cache.put(cacheKey(j.Fingerprint, j.Mode), res)
-		s.completed.Add(1)
-	case errors.Is(qerr, context.Canceled) || errors.Is(qerr, context.DeadlineExceeded):
-		// degradeToAnytime reads the incumbent and re-extracts through the
-		// session, so it runs before the check-in resets the query state.
-		if s.degradeToAnytime(j, syn, res, qerr) {
-			// Degraded results are never cached: a patient client must get
-			// the exact answer, not this job's deadline-truncated one.
-			s.degraded.Add(1)
-			s.completed.Add(1)
-		} else {
-			s.canceled.Add(1)
-			res = nil
-		}
-	default:
-		s.failed.Add(1)
-		res = nil
-	}
-	checkin()
-	if res == nil {
-		j.finish(nil, qerr)
-	} else {
-		j.finish(res, nil)
-	}
 }
 
 // Verify independently checks a design against a problem. With dj nil
@@ -1023,13 +685,7 @@ func (s *Service) Verify(ctx context.Context, prob *core.Problem, dj *DesignJSON
 		if err != nil {
 			return nil, nil, err
 		}
-		select {
-		case <-j.Done():
-		case <-ctx.Done():
-			j.Cancel()
-			<-j.Done()
-		}
-		res, jerr := j.Result()
+		res, jerr := j.Wait(ctx)
 		if jerr != nil {
 			return nil, nil, jerr
 		}
