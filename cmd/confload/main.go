@@ -5,7 +5,7 @@
 // Usage:
 //
 //	confload [-addr http://host:8732] [-clients 8] [-requests 200]
-//	         [-problems 10] [-mode solve] [-json BENCH_serve.json]
+//	         [-problems 10] [-mode solve] [-json report.json]
 //	         [-whatif 0] [-allow-errors]
 //	         [-targets http://h1:8732,http://h2:8732,http://h3:8732]
 //

@@ -58,8 +58,8 @@ type benchReport struct {
 	Rows          [][]string               `json:"rows"`
 	Solver        experiments.SolverTotals `json:"solver"`
 	// Region-cache totals of a -batch sweep (absent otherwise).
-	RegionHits    uint64   `json:"region_hits,omitempty"`
-	RegionMisses  uint64   `json:"region_misses,omitempty"`
+	RegionHits    int64    `json:"region_hits,omitempty"`
+	RegionMisses  int64    `json:"region_misses,omitempty"`
 	RegionHitRate *float64 `json:"region_hit_rate,omitempty"`
 }
 

@@ -14,8 +14,8 @@ import (
 
 // Decomposition benchmarks: monolithic vs decomposed synthesis on the
 // campus topologies decomp is built for, plus the batch variant sweep
-// that exercises the region cache. These anchor BENCH_decomp.json. Run
-// with:
+// that exercises the region cache (the ledger's campus_batch workload
+// measures the same sweep through the service). Run with:
 //
 //	go test -bench 'Decomp|BatchSweep|RoutesCampus' -benchtime 1x
 //

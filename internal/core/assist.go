@@ -18,49 +18,95 @@ import (
 // threshold probes, so every probe benefits from the flow-assignment
 // theory.
 func (s *Synthesizer) MaxIsolation(usabilityTenths int, costBudget int64) (float64, *Design, error) {
-	gU := s.guardUsability(usabilityTenths)
-	gC := s.guardCost(costBudget)
-	return s.maxIsolation([]smt.Bool{gU, gC})
-}
-
-func (s *Synthesizer) maxIsolation(assume []smt.Bool) (float64, *Design, error) {
-	best, err := s.checkExtract(assume)
+	d, err := s.descend(ThresholdIsolation, []smt.Bool{s.guardUsability(usabilityTenths), s.guardCost(costBudget)})
 	if err != nil {
 		return 0, nil, err
 	}
-	lo := isoTenthsFloor(best)
-	hi := 100
+	return d.Isolation, d, nil
+}
+
+// MaxUsability computes the maximum achievable usability (0–10) subject
+// to the given isolation threshold and cost budget.
+func (s *Synthesizer) MaxUsability(isolationTenths int, costBudget int64) (float64, *Design, error) {
+	d, err := s.descend(ThresholdUsability, []smt.Bool{s.guardIsolation(isolationTenths), s.guardCost(costBudget)})
+	if err != nil {
+		return 0, nil, err
+	}
+	return d.Usability, d, nil
+}
+
+// MinCost computes the minimum deployment cost that still satisfies the
+// given isolation and usability thresholds.
+func (s *Synthesizer) MinCost(isolationTenths, usabilityTenths int) (int64, *Design, error) {
+	d, err := s.descend(ThresholdCost, []smt.Bool{s.guardIsolation(isolationTenths), s.guardUsability(usabilityTenths)})
+	if err != nil {
+		return 0, nil, err
+	}
+	return d.Cost, d, nil
+}
+
+// descend is the one optimisation descent: check the assumptions alone,
+// then binary-search the threshold of the given kind over guarded
+// probes. The search runs over a tightness v in [lo, hi] — the threshold
+// itself, in tenths, for isolation and usability; the saving against
+// the first design's cost for cost — so every query maximises. A
+// satisfiable probe raises lo to what its design achieved (never below
+// the probed value); a probe that blows its budget counts as
+// unsatisfiable and marks the answer inexact.
+func (s *Synthesizer) descend(kind ThresholdKind, assume []smt.Bool) (*Design, error) {
+	best, err := s.checkExtract(assume)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi, at := scoreOf(kind, best), int64(100), func(v int64) int64 { return v }
+	if kind == ThresholdCost {
+		first := best.Cost
+		lo, hi, at = 0, first, func(v int64) int64 { return first - v }
+	}
 	for lo < hi {
 		mid := lo + (hi-lo+1)/2
-		d, err := s.probe(append(append([]smt.Bool(nil), assume...), s.guardIsolation(mid)))
+		d, err := s.probe(append(append([]smt.Bool(nil), assume...), s.guardOf(kind, at(mid))))
 		switch {
 		case err == nil:
 			d.Exact = best.Exact
 			best = d
-			lo = isoTenthsFloor(d)
-			if lo < mid {
-				lo = mid
-			}
+			lo = max(at(scoreOf(kind, d)), mid)
 		case errors.Is(err, ErrBudgetExceeded):
 			best.Exact = false
-			hi = mid - 1
+			fallthrough
 		case IsUnsat(err):
 			hi = mid - 1
 		default:
-			return 0, nil, err
+			return nil, err
 		}
 	}
-	return best.Isolation, best, nil
+	return best, nil
 }
 
-// isoTenthsFloor converts a design's achieved isolation into slider
-// tenths, rounding down.
-func isoTenthsFloor(d *Design) int {
-	t := int(d.Isolation * 10)
-	if t > 100 {
-		t = 100
+// guardOf returns the guard that holds the threshold of the given kind
+// at v or better.
+func (s *Synthesizer) guardOf(kind ThresholdKind, v int64) smt.Bool {
+	switch kind {
+	case ThresholdIsolation:
+		return s.guardIsolation(int(v))
+	case ThresholdUsability:
+		return s.guardUsability(int(v))
+	default:
+		return s.guardCost(v)
 	}
-	return t
+}
+
+// scoreOf is what a design achieved on the threshold of the given kind,
+// in that threshold's unit: slider tenths rounded down, or cost.
+func scoreOf(kind ThresholdKind, d *Design) int64 {
+	switch kind {
+	case ThresholdIsolation:
+		return int64(d.Isolation * 10)
+	case ThresholdUsability:
+		return int64(d.Usability * 10)
+	default:
+		return d.Cost
+	}
 }
 
 // checkExtract checks the assumptions and extracts a design on SAT.
@@ -107,85 +153,6 @@ func (s *Synthesizer) CheckAt(th Thresholds) (*Design, error) {
 	})
 }
 
-// MinCost computes the minimum deployment cost that still satisfies the
-// given isolation and usability thresholds, by binary search over cost
-// guards.
-func (s *Synthesizer) MinCost(isolationTenths, usabilityTenths int) (int64, *Design, error) {
-	gI := s.guardIsolation(isolationTenths)
-	gU := s.guardUsability(usabilityTenths)
-	return s.minCost([]smt.Bool{gI, gU})
-}
-
-func (s *Synthesizer) minCost(assume []smt.Bool) (int64, *Design, error) {
-	best, err := s.checkExtract(assume)
-	if err != nil {
-		return 0, nil, err
-	}
-	lo, hi := int64(0), best.Cost
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		d, err := s.probe(append(append([]smt.Bool(nil), assume...), s.guardCost(mid)))
-		switch {
-		case err == nil:
-			d.Exact = best.Exact
-			best = d
-			if d.Cost < hi {
-				hi = d.Cost
-			} else {
-				hi = mid
-			}
-		case errors.Is(err, ErrBudgetExceeded):
-			best.Exact = false
-			lo = mid + 1
-		case IsUnsat(err):
-			lo = mid + 1
-		default:
-			return 0, nil, err
-		}
-	}
-	return best.Cost, best, nil
-}
-
-// MaxUsability computes the maximum achievable usability (0–10) subject
-// to the given isolation threshold and cost budget, by binary search
-// over usability guards.
-func (s *Synthesizer) MaxUsability(isolationTenths int, costBudget int64) (float64, *Design, error) {
-	gI := s.guardIsolation(isolationTenths)
-	gC := s.guardCost(costBudget)
-	return s.maxUsability([]smt.Bool{gI, gC})
-}
-
-func (s *Synthesizer) maxUsability(assume []smt.Bool) (float64, *Design, error) {
-	best, err := s.checkExtract(assume)
-	if err != nil {
-		return 0, nil, err
-	}
-	lo := int(best.Usability * 10)
-	hi := 100
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		d, err := s.probe(append(append([]smt.Bool(nil), assume...), s.guardUsability(mid)))
-		switch {
-		case err == nil:
-			d.Exact = best.Exact
-			best = d
-			if t := int(d.Usability * 10); t > mid {
-				lo = t
-			} else {
-				lo = mid
-			}
-		case errors.Is(err, ErrBudgetExceeded):
-			best.Exact = false
-			hi = mid - 1
-		case IsUnsat(err):
-			hi = mid - 1
-		default:
-			return 0, nil, err
-		}
-	}
-	return best.Usability, best, nil
-}
-
 // AssistEntry is one row of the slider-assistance table (paper Table
 // III): for a usability level, the best achievable isolation and a
 // description of the configuration that achieves it.
@@ -212,18 +179,24 @@ func (e AssistEntry) String() string {
 // can understand what each slider position means before running the
 // final synthesis (paper §IV-A, Table III).
 func (s *Synthesizer) Assist(usabilityLevels []int) ([]AssistEntry, error) {
+	return AssistTable(s.prob, usabilityLevels, s.MaxIsolation)
+}
+
+// AssistTable builds the slider-assistance table for p from a
+// MaxIsolation query, one row per usability level; the sequential and
+// the portfolio synthesizer each pass their own.
+func AssistTable(p *Problem, usabilityLevels []int, maxIsolation func(usabilityTenths int, costBudget int64) (float64, *Design, error)) ([]AssistEntry, error) {
 	entries := make([]AssistEntry, 0, len(usabilityLevels))
 	for _, level := range usabilityLevels {
-		iso, design, err := s.MaxIsolation(level, s.prob.Thresholds.CostBudget)
+		iso, design, err := maxIsolation(level, p.Thresholds.CostBudget)
+		if IsUnsat(err) {
+			entries = append(entries, AssistEntry{
+				UsabilityTenths: level,
+				Note:            "no satisfiable configuration at this usability level",
+			})
+			continue
+		}
 		if err != nil {
-			var tc *ThresholdConflictError
-			if errors.As(err, &tc) {
-				entries = append(entries, AssistEntry{
-					UsabilityTenths: level,
-					Note:            "no satisfiable configuration at this usability level",
-				})
-				continue
-			}
 			return nil, err
 		}
 		mix := design.PatternMix()
@@ -231,7 +204,7 @@ func (s *Synthesizer) Assist(usabilityLevels []int) ([]AssistEntry, error) {
 			UsabilityTenths: level,
 			IsolationTenths: int(iso*10 + 0.5),
 			Mix:             mix,
-			Note:            DescribeMix(s.prob.Catalog, mix),
+			Note:            DescribeMix(p.Catalog, mix),
 		})
 	}
 	return entries, nil

@@ -107,26 +107,11 @@ func (s *Synthesizer) Explain() (*Explanation, error) {
 // suggest computes the best achievable value for a dropped threshold
 // while the remaining threshold assumptions stay enforced.
 func (s *Synthesizer) suggest(k ThresholdKind, rest []smt.Bool) (Suggestion, error) {
-	switch k {
-	case ThresholdIsolation:
-		iso, _, err := s.maxIsolation(rest)
-		if err != nil {
-			return Suggestion{}, err
-		}
-		return Suggestion{Threshold: k, ValueTenths: int64(iso * 10)}, nil
-	case ThresholdUsability:
-		usa, _, err := s.maxUsability(rest)
-		if err != nil {
-			return Suggestion{}, err
-		}
-		return Suggestion{Threshold: k, ValueTenths: int64(usa * 10)}, nil
-	default:
-		cost, _, err := s.minCost(rest)
-		if err != nil {
-			return Suggestion{}, err
-		}
-		return Suggestion{Threshold: k, ValueTenths: cost}, nil
+	d, err := s.descend(k, rest)
+	if err != nil {
+		return Suggestion{}, err
 	}
+	return Suggestion{Threshold: k, ValueTenths: scoreOf(k, d)}, nil
 }
 
 // subsets enumerates all non-empty subsets of kinds, smallest first, as

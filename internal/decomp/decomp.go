@@ -9,6 +9,7 @@ import (
 
 	"configsynth/internal/core"
 	"configsynth/internal/isolation"
+	"configsynth/internal/lru"
 	"configsynth/internal/portfolio"
 	"configsynth/internal/topology"
 	"configsynth/internal/usability"
@@ -133,18 +134,21 @@ type Result struct {
 // problem variants) only pays for the subproblems whose fingerprints
 // changed.
 type Solver struct {
-	opts  Options
-	cache *regionCache
+	opts Options
+	// cache holds proven region results by subproblem fingerprint.
+	// Concurrent solves of one fingerprint (common in batch sweeps, where
+	// many variants share regions) run once and share the outcome.
+	cache *lru.Cache[*regionResult]
 }
 
 // New builds a decomposing solver.
 func New(opts Options) *Solver {
 	opts = opts.withDefaults()
-	return &Solver{opts: opts, cache: newRegionCache(opts.CacheEntries)}
+	return &Solver{opts: opts, cache: lru.New[*regionResult](opts.CacheEntries, 0)}
 }
 
 // CacheStats snapshots the region cache counters.
-func (s *Solver) CacheStats() CacheStats { return s.cache.Stats() }
+func (s *Solver) CacheStats() lru.Stats { return s.cache.Stats() }
 
 // Solve decomposes, schedules, and stitches. Problems that do not
 // decompose (fewer than two regions, flows through no region, or

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"configsynth/internal/core"
+	"configsynth/internal/faults"
 	"configsynth/internal/isolation"
 	"configsynth/internal/netgen"
 	"configsynth/internal/policy"
@@ -490,5 +492,46 @@ func TestBatchVariantsShareRegions(t *testing.T) {
 	}
 	if res2.Misses != 0 {
 		t.Errorf("budget-only variant missed %d region solves; fingerprints must be budget-invariant", res2.Misses)
+	}
+}
+
+// TestSolveAfterRegionPanic: a solver panic inside a region solve is
+// contained by the scheduler and reported as that solve's error, and it
+// must not leave the region's flight in the cache — the next solve of
+// the same problem computes the region afresh instead of waiting for a
+// leader that is gone.
+func TestSolveAfterRegionPanic(t *testing.T) {
+	solver := New(Options{})
+	p := triCampus(t, false)
+	p.Thresholds.CostBudget = 300
+
+	plan, err := faults.Parse(faults.SatSolvePanic + "=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := faults.Set(plan)
+	_, err = solver.Solve(context.Background(), p)
+	restore()
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("solve under %s: err = %v, want a contained panic", faults.SatSolvePanic, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		res, err := solver.Solve(ctx, p)
+		if err == nil && res.Unsat {
+			err = errors.New("unsat")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("solve after the panic: %v", err)
+		}
+	case <-time.After(45 * time.Second):
+		t.Fatal("solve after the panic hangs: a panicked region's flight was never released")
 	}
 }

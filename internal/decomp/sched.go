@@ -1,7 +1,6 @@
 package decomp
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -49,112 +48,6 @@ type regionResult struct {
 }
 
 func (r *regionResult) exact() bool { return r.Unsat || (r.Design != nil && r.Design.Exact) }
-
-// CacheStats mirrors the service cache counters for the region cache.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
-
-// regionCache is an LRU over proven subproblem results keyed by the
-// subproblem fingerprint, with singleflight semantics: concurrent
-// requests for the same fingerprint (common in batch sweeps, where many
-// variants share regions) run one solve and share its result.
-type regionCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recent
-	inflight map[string]*flight
-	hits     uint64
-	misses   uint64
-	evicted  uint64
-}
-
-type flight struct {
-	done chan struct{}
-	res  *regionResult
-	err  error
-}
-
-type cacheEntry struct {
-	key string
-	res *regionResult
-}
-
-func newRegionCache(capacity int) *regionCache {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &regionCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-		inflight: make(map[string]*flight),
-	}
-}
-
-// do returns the cached result for fp, or runs compute — once, even
-// under concurrent callers — and caches it if proven. A leader whose
-// compute fails or returns an unproven (anytime) result does not poison
-// waiters: they get the result as-is but it is not stored, so a later
-// call recomputes.
-func (c *regionCache) do(fp string, compute func() (*regionResult, error)) (*regionResult, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[fp]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		res := el.Value.(*cacheEntry).res
-		c.mu.Unlock()
-		return res, true, nil
-	}
-	if fl, ok := c.inflight[fp]; ok {
-		// Someone is already solving this fingerprint: wait and share.
-		// Counts as a hit — no solver work happens on this path.
-		c.hits++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.res, true, fl.err
-	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[fp] = fl
-	c.misses++
-	c.mu.Unlock()
-
-	res, err := compute()
-	fl.res, fl.err = res, err
-
-	c.mu.Lock()
-	delete(c.inflight, fp)
-	if err == nil && res != nil && res.exact() {
-		c.entries[fp] = c.order.PushFront(&cacheEntry{key: fp, res: res})
-		for c.order.Len() > c.capacity {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-			c.evicted++
-		}
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return res, false, err
-}
-
-// Stats snapshots the counters.
-func (c *regionCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evicted,
-		Entries:   c.order.Len(),
-		Capacity:  c.capacity,
-	}
-}
 
 // subOutcome pairs a subproblem with its (possibly cached) result.
 type subOutcome struct {
@@ -304,7 +197,7 @@ func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]
 	}
 	fp := spec.Fingerprint(prob)
 
-	res, cached, err := s.cache.do(fp, func() (*regionResult, error) {
+	res, cached, err := s.cache.Do(ctx, fp, func() (*regionResult, error) {
 		start := time.Now()
 		rr := &regionResult{}
 		// run overwrites rr's outcome fields from one solve attempt and
@@ -361,7 +254,7 @@ func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]
 		}
 		rr.ElapsedMS = time.Since(start).Milliseconds()
 		return rr, nil
-	})
+	}, (*regionResult).exact)
 	if err != nil {
 		return nil, err
 	}

@@ -560,31 +560,7 @@ func (s *Solver) MinCost(isolationTenths, usabilityTenths int) (int64, *core.Des
 // Assist produces the slider-assistance table (paper Table III) at the
 // given usability levels, using the problem's cost budget.
 func (s *Solver) Assist(usabilityLevels []int) ([]core.AssistEntry, error) {
-	if s.Workers() == 0 {
-		return s.canon.Assist(usabilityLevels)
-	}
-	entries := make([]core.AssistEntry, 0, len(usabilityLevels))
-	for _, level := range usabilityLevels {
-		iso, design, err := s.MaxIsolation(level, s.prob.Thresholds.CostBudget)
-		if err != nil {
-			if core.IsUnsat(err) {
-				entries = append(entries, core.AssistEntry{
-					UsabilityTenths: level,
-					Note:            "no satisfiable configuration at this usability level",
-				})
-				continue
-			}
-			return nil, err
-		}
-		mix := design.PatternMix()
-		entries = append(entries, core.AssistEntry{
-			UsabilityTenths: level,
-			IsolationTenths: int(iso*10 + 0.5),
-			Mix:             mix,
-			Note:            core.DescribeMix(s.prob.Catalog, mix),
-		})
-	}
-	return entries, nil
+	return core.AssistTable(s.prob, usabilityLevels, s.MaxIsolation)
 }
 
 // Explain runs the paper's Algorithm 1 on the canonical synthesizer.

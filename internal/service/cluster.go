@@ -50,7 +50,7 @@ func (s *Service) NodeID() string { return s.cfg.NodeID }
 // layer: peers ask the ring owner for (fingerprint, mode) before
 // solving a cold miss locally. The returned result is a copy.
 func (s *Service) CacheLookup(fingerprint string, mode Mode) (*Result, bool) {
-	res, ok := s.cache.get(cacheKey(fingerprint, mode))
+	res, ok := s.cache.Get(cacheKey(fingerprint, mode))
 	if !ok {
 		return nil, false
 	}
@@ -62,7 +62,7 @@ func (s *Service) CacheLookup(fingerprint string, mode Mode) (*Result, bool) {
 // streams moved-range entries to their new ring owner with it. The
 // callback's result pointer is shared and must be treated as immutable.
 func (s *Service) CacheEach(fn func(fingerprint string, mode Mode, res *Result)) {
-	s.cache.each(func(key string, res *Result) {
+	s.cache.Each(func(key string, res *Result) {
 		mode, fp, ok := strings.Cut(key, ":")
 		if !ok {
 			return

@@ -32,7 +32,7 @@ import (
 // otherwise the job gets its deadline — clamped here and nowhere else —
 // and admit reports true: the caller enqueues it under its own policy.
 func (s *Service) admit(j *Job, timeout time.Duration, parent context.Context) bool {
-	if res, ok := s.cache.get(cacheKey(j.Fingerprint, j.Mode)); ok {
+	if res, ok := s.cache.Get(cacheKey(j.Fingerprint, j.Mode)); ok {
 		s.answer(j, hitOf(res), nil)
 		return false
 	}
@@ -251,7 +251,7 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 		// session a panic escaped from never gets here and is dropped, its
 		// state being suspect.
 		syn.ResetQueryState()
-		s.sessions.checkin(syn.Family(), syn)
+		s.sessions.Put(syn.Family(), syn)
 	}
 	return design, kinds, qerr
 }
@@ -270,7 +270,7 @@ func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err err
 		return syn, false, err
 	}
 	family := spec.FamilyFingerprint(j.prob)
-	if sess, ok := s.sessions.checkout(family); ok {
+	if sess, ok := s.sessions.Take(family); ok {
 		if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
 			return sess, true, nil
 		}
@@ -332,6 +332,10 @@ func proven(res *Result) bool {
 	return false
 }
 
+// cacheKey scopes a fingerprint by query mode: the same problem under
+// solve and max-isolation has different answers.
+func cacheKey(fp string, mode Mode) string { return string(mode) + ":" + fp }
+
 // seed stores a result under (fingerprint, mode) if it is proven, and
 // drops it otherwise. The stored copy describes the solve, not the
 // response it first went out on: no Cached, no Session.
@@ -341,7 +345,7 @@ func (s *Service) seed(fingerprint string, mode Mode, res *Result) {
 	}
 	cp := *res
 	cp.Cached, cp.Session = false, ""
-	s.cache.put(cacheKey(fingerprint, mode), &cp)
+	s.cache.Put(cacheKey(fingerprint, mode), &cp)
 }
 
 // settle is the one terminal transition. From (res, err) alone it

@@ -443,3 +443,9 @@ func TestLifecycleInvariants(t *testing.T) {
 	}
 	assertJournalPaired(t, cfg3.JournalPath, 3)
 }
+
+func TestCacheKeyScopesByMode(t *testing.T) {
+	if cacheKey("fp", ModeSolve) == cacheKey("fp", ModeMaxIsolation) {
+		t.Error("cache keys must differ across modes")
+	}
+}

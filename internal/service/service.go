@@ -52,6 +52,8 @@ import (
 
 	"configsynth/internal/core"
 	"configsynth/internal/decomp"
+	"configsynth/internal/lru"
+	"configsynth/internal/portfolio"
 	"configsynth/internal/spec"
 	"configsynth/internal/wal"
 )
@@ -222,15 +224,17 @@ type Stats struct {
 	// the rejoin handshake found their IDs adopted by a peer.
 	JobsDroppedStale int64 `json:"jobs_dropped_stale,omitempty"`
 
-	Cache CacheStats `json:"cache"`
+	// Cache reports the whole-problem result cache. All three stores
+	// below are one internal/lru and share its Stats shape.
+	Cache lru.Stats `json:"cache"`
 	// RegionCache reports the decomposed solver's region-level result
 	// cache — hits here are sub-problem reuses inside and across
 	// ModeDecomp jobs, counted separately from the whole-problem Cache
 	// above.
-	RegionCache decomp.CacheStats `json:"region_cache"`
+	RegionCache lru.Stats `json:"region_cache"`
 	// Sessions reports the what-if session registry: warm solver state
 	// reused across /v1/whatif deltas.
-	Sessions SessionStats `json:"sessions"`
+	Sessions lru.Stats `json:"sessions"`
 	// Journal reports write-ahead-log health when a journal is
 	// configured.
 	Journal *wal.Stats `json:"journal,omitempty"`
@@ -241,10 +245,21 @@ type Stats struct {
 // Service owns the queue, the worker pool, the job registry, and the
 // result cache.
 type Service struct {
-	cfg      Config
-	queue    chan *Job
-	cache    *cache
-	sessions *sessionRegistry
+	cfg   Config
+	queue chan *Job
+	// cache holds proven results by (mode, fingerprint). Results are
+	// immutable once stored, so a hit hands out the shared pointer.
+	cache *lru.Cache[*Result]
+	// sessions holds warm what-if sessions by family fingerprint (the
+	// problem with its thresholds zeroed). A job Takes its session rather
+	// than sharing it: solver state is single-owner, so a concurrent
+	// what-if on the same family misses and solves on a fresh session —
+	// no blocking — and the job Puts the session back once it has reset
+	// its per-query state (the newer of two wins; one per family is
+	// enough). A session pins an encoded template and, from its first
+	// optimization on, K warm workers cloned from it, which is too much
+	// to keep for a client that has moved on: hence the idle TTL.
+	sessions *lru.Cache[*portfolio.Solver]
 	decomp   *decomp.Solver // shared region cache across ModeDecomp jobs
 	wal      *wal.Log       // nil when no journal is configured
 	start    time.Time
@@ -361,8 +376,8 @@ func open(cfg Config, startWorkers bool) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		cache:    newCache(cfg.CacheEntries),
-		sessions: newSessionRegistry(cfg.SessionEntries, cfg.SessionTTL),
+		cache:    lru.New[*Result](cfg.CacheEntries, 0),
+		sessions: lru.New[*portfolio.Solver](cfg.SessionEntries, cfg.SessionTTL),
 		decomp: decomp.New(decomp.Options{
 			Workers:      cfg.RegionWorkers,
 			CacheEntries: cfg.RegionCacheEntries,
@@ -736,9 +751,9 @@ func (s *Service) Stats() Stats {
 		JobsAdopted:         s.adopted.Load(),
 		JobsDroppedStale:    s.droppedStale.Load(),
 		Ready:               ready,
-		Cache:               s.cache.stats(),
+		Cache:               s.cache.Stats(),
 		RegionCache:         s.decomp.CacheStats(),
-		Sessions:            s.sessions.stats(),
+		Sessions:            s.sessions.Stats(),
 		Solver:              totals,
 	}
 	if s.wal != nil {

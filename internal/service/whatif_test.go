@@ -253,10 +253,10 @@ func TestWhatIfDegradedNeverCachedNorReplayed(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, ok := s2.cache.get(cacheKey(pres.Fingerprint, ModeSolve)); !ok {
+	if _, ok := s2.cache.Get(cacheKey(pres.Fingerprint, ModeSolve)); !ok {
 		t.Error("parent's proven result did not survive the restart")
 	}
-	if got, ok := s2.cache.get(cacheKey(res.Fingerprint, ModeMaxIsolation)); ok && got.Degraded {
+	if got, ok := s2.cache.Get(cacheKey(res.Fingerprint, ModeMaxIsolation)); ok && got.Degraded {
 		t.Fatalf("degraded what-if result was replayed into the proven cache: %+v", got)
 	}
 }

@@ -12,8 +12,9 @@ import (
 	"configsynth/internal/smt"
 )
 
-// Solver microbenchmarks: raw backend speed on seeded netgen instances,
-// the trajectory anchor for BENCH_solver.json. Unlike the experiment
+// Solver microbenchmarks: raw backend speed on seeded netgen instances
+// (the ledger's cold_solve and optimise workloads measure the same
+// probes end to end). Unlike the experiment
 // benchmarks above (which regenerate whole paper figures), these measure
 // a single satisfiability probe — the unit every portfolio race, cache
 // miss, and descent step pays — at 20/50/100 hosts in both the SAT and
