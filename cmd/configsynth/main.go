@@ -100,19 +100,11 @@ func run(args []string, stdout io.Writer) error {
 		defer cancel()
 	}
 
-	var design *configsynth.Design
+	q := configsynth.Query{Thresholds: prob.Thresholds}
 	if *maxIso {
-		iso, d, merr := syn.MaxIsolationContext(ctx, prob.Thresholds.UsabilityTenths, prob.Thresholds.CostBudget)
-		if merr != nil {
-			err = merr
-		} else if ctx.Err() == nil {
-			fmt.Fprintf(stdout, "# maximum isolation %.2f (usability >= %.1f, cost <= $%dK)\n",
-				iso, float64(prob.Thresholds.UsabilityTenths)/10, prob.Thresholds.CostBudget)
-			design = d
-		}
-	} else {
-		design, err = syn.SolveContext(ctx)
+		q.Optimise = configsynth.ThresholdIsolation
 	}
+	design, err := syn.Run(ctx, q)
 	// -timeout is a hard deadline: even when the descent salvaged an
 	// anytime best-found design, an expired context fails the run.
 	if cerr := ctx.Err(); cerr != nil {
@@ -141,6 +133,10 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	if *maxIso {
+		fmt.Fprintf(stdout, "# maximum isolation %.2f (usability >= %.1f, cost <= $%dK)\n",
+			q.Objective(design), float64(prob.Thresholds.UsabilityTenths)/10, prob.Thresholds.CostBudget)
+	}
 	out := stdout
 	if *outFile != "" {
 		f, ferr := os.Create(*outFile)

@@ -136,6 +136,9 @@ type (
 	Problem = core.Problem
 	// Thresholds are the three slider values (paper Eq. 9).
 	Thresholds = core.Thresholds
+	// Query is one question to a Synthesizer's Run: the thresholds held
+	// and, for an optimisation, the one left free.
+	Query = core.Query
 	// Options tune the synthesis model.
 	Options = core.Options
 	// Synthesizer answers queries against the encoded model. With

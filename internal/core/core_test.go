@@ -574,7 +574,7 @@ func TestHostIsolationReporting(t *testing.T) {
 		Options:    Options{AlphaPct: 100},
 	}
 	s := mustSynth(t, p)
-	_, d, err := s.MaxUsability(0, 1000)
+	d, err := s.Run(Query{Optimise: ThresholdUsability, Thresholds: Thresholds{CostBudget: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"configsynth/internal/smt"
@@ -70,7 +71,8 @@ var ErrSatisfiable = errors.New("core: model is satisfiable; nothing to explain"
 // core it removes A, re-solves, and on SAT reports the achievable value
 // of each dropped threshold.
 func (s *Synthesizer) Explain() (*Explanation, error) {
-	switch s.sol.Check(s.gIso, s.gUsa, s.gCost) {
+	own := s.assume(Query{Thresholds: s.prob.Thresholds})
+	switch s.sol.Check(own...) {
 	case smt.Sat:
 		return nil, ErrSatisfiable
 	case smt.Unknown:
@@ -78,40 +80,25 @@ func (s *Synthesizer) Explain() (*Explanation, error) {
 	}
 	core := s.coreKinds()
 	ex := &Explanation{Core: core}
-	guards := map[ThresholdKind]smt.Bool{
-		ThresholdIsolation: s.gIso,
-		ThresholdUsability: s.gUsa,
-		ThresholdCost:      s.gCost,
-	}
 	for _, dropped := range subsets(core) {
-		rest := remaining(guards, dropped)
+		rest := remaining(own, dropped)
 		if s.sol.Check(rest...) != smt.Sat {
 			continue
 		}
 		relax := Relaxation{Dropped: dropped}
 		for _, k := range dropped {
-			sug, err := s.suggest(k, rest)
+			// The best achievable value of a dropped threshold while the
+			// remaining ones stay enforced.
+			q := Query{Optimise: k}
+			d, err := s.descend(q, rest)
 			if err != nil {
-				if errors.Is(err, smt.ErrBudget) {
-					return nil, ErrBudgetExceeded
-				}
 				continue
 			}
-			relax.Suggestions = append(relax.Suggestions, sug)
+			relax.Suggestions = append(relax.Suggestions, Suggestion{Threshold: k, ValueTenths: q.Value(d)})
 		}
 		ex.Relaxations = append(ex.Relaxations, relax)
 	}
 	return ex, nil
-}
-
-// suggest computes the best achievable value for a dropped threshold
-// while the remaining threshold assumptions stay enforced.
-func (s *Synthesizer) suggest(k ThresholdKind, rest []smt.Bool) (Suggestion, error) {
-	d, err := s.descend(k, rest)
-	if err != nil {
-		return Suggestion{}, err
-	}
-	return Suggestion{Threshold: k, ValueTenths: scoreOf(k, d)}, nil
 }
 
 // subsets enumerates all non-empty subsets of kinds, smallest first, as
@@ -144,15 +131,13 @@ func popcount(x int) int {
 	return n
 }
 
-func remaining(guards map[ThresholdKind]smt.Bool, dropped []ThresholdKind) []smt.Bool {
-	drop := make(map[ThresholdKind]bool, len(dropped))
-	for _, k := range dropped {
-		drop[k] = true
-	}
+// remaining returns the problem's own guards (isolation, usability, cost)
+// without those of the dropped thresholds.
+func remaining(own []smt.Bool, dropped []ThresholdKind) []smt.Bool {
 	var rest []smt.Bool
-	for _, k := range []ThresholdKind{ThresholdIsolation, ThresholdUsability, ThresholdCost} {
-		if !drop[k] {
-			rest = append(rest, guards[k])
+	for i, g := range own {
+		if !slices.Contains(dropped, ThresholdKind(i+1)) {
+			rest = append(rest, g)
 		}
 	}
 	return rest

@@ -203,34 +203,57 @@ func BroadcastDesign(grouped *Problem, d *Design, expanded *Problem, members map
 			}
 		}
 	}
-	scoreDesign(expandedNorm, out)
+	if err := ScoreDesign(expandedNorm, out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// scoreDesign recomputes a design's aggregate scores from its patterns
-// and placements against a problem.
-func scoreDesign(p *Problem, d *Design) {
+// ScoreDesign recomputes the network scores and the deployment cost of
+// a design assembled outside a synthesizer — stitched from regions,
+// broadcast over host groups — from its patterns and placements: the
+// paper's normalizations (Eqs. 4, 6, 8) over p's full flow set, every
+// placed device at full cost. It fails on a flow of p the design leaves
+// out and on a device the catalog does not know.
+func ScoreDesign(p *Problem, d *Design) error {
+	p = p.normalized()
+	var err error
+	if d.Isolation, d.Usability, err = networkScores(p, d.FlowPatterns); err != nil {
+		return err
+	}
+	d.Cost = 0
+	for _, devs := range d.Placements {
+		for _, id := range devs {
+			dev, ok := p.Catalog.Device(id)
+			if !ok {
+				return fmt.Errorf("core: design places unknown device %d", id)
+			}
+			d.Cost += dev.Cost
+		}
+	}
+	return nil
+}
+
+// networkScores computes network isolation and usability on the 0–10
+// scale from a pattern per flow of the (normalized) problem.
+func networkScores(p *Problem, patterns map[usability.Flow]isolation.PatternID) (iso, usa float64, err error) {
 	cat := p.Catalog
 	var isoNum, lossNum, sumRanks int64
 	for _, f := range p.Flows {
-		pid := d.FlowPatterns[f]
+		pid, ok := patterns[f]
+		if !ok {
+			return 0, 0, fmt.Errorf("core: flow %v missing from the design", f)
+		}
 		rank := int64(p.Ranks.Rank(f))
 		isoNum += int64(cat.Score(pid))
 		lossNum += rank * int64(100-cat.UsabilityPct(pid))
 		sumRanks += rank
 	}
-	maxIso := int64(len(p.Flows)) * int64(cat.MaxScore())
-	if maxIso > 0 {
-		d.Isolation = 10 * float64(isoNum) / float64(maxIso)
+	if maxIso := int64(len(p.Flows)) * int64(cat.MaxScore()); maxIso > 0 {
+		iso = 10 * float64(isoNum) / float64(maxIso)
 	}
 	if sumRanks > 0 {
-		d.Usability = 10 * (1 - float64(lossNum)/float64(100*sumRanks))
+		usa = 10 * (1 - float64(lossNum)/float64(100*sumRanks))
 	}
-	d.Cost = 0
-	for _, devs := range d.Placements {
-		for _, dev := range devs {
-			dd, _ := cat.Device(dev)
-			d.Cost += dd.Cost
-		}
-	}
+	return iso, usa, nil
 }

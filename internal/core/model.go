@@ -51,10 +51,11 @@ type Synthesizer struct {
 	sumRanks int64 // Σ a_f over all flows
 	maxIso   int64 // F · Lmax: the isolation normalization denominator
 
-	gIso, gUsa, gCost smt.Bool
-	isoGuards         map[int]smt.Bool
-	usaGuards         map[int]smt.Bool
-	costGuards        map[int64]smt.Bool
+	// guards holds the threshold constraints of Eq. (9) created so far,
+	// one assumption literal per (kind, value); guardKind is its inverse,
+	// which maps an unsat core back to the thresholds it blames.
+	guards    map[guardKey]smt.Bool
+	guardKind map[smt.Bool]ThresholdKind
 
 	theory   *flowTheory
 	ftInputs [][]ftOption
@@ -244,16 +245,16 @@ func (t *Template) Stats() ModelStats { return t.syn.Stats() }
 
 // instantiate turns a pristine encoding into the synthesizer of s.prob:
 // the problem's solver options, empty guard tables, and the guards of
-// its own thresholds.
+// its own thresholds, so that they are numbered before those of any
+// other query.
 func (s *Synthesizer) instantiate() {
 	if b := s.prob.Options.SolverBudget; b > 0 {
 		s.sol.SetBudget(b)
 	}
 	s.sol.SetVerify(s.prob.Options.Verify)
-	s.isoGuards = make(map[int]smt.Bool)
-	s.usaGuards = make(map[int]smt.Bool)
-	s.costGuards = make(map[int64]smt.Bool)
-	s.encodeThresholds()
+	s.guards = make(map[guardKey]smt.Bool)
+	s.guardKind = make(map[smt.Bool]ThresholdKind)
+	s.assume(Query{Thresholds: s.prob.Thresholds})
 }
 
 // Problem returns the (normalized) problem the synthesizer was built on.
@@ -556,61 +557,48 @@ func (s *Synthesizer) encodePolicies() error {
 	return nil
 }
 
-// encodeThresholds creates the three guarded threshold constraints of
-// Eq. (9). Each guard is used as an assumption, which is what enables
-// unsat-core analysis over exactly these three constraints (paper
-// Algorithm 1 takes them as the soft assumptions).
-func (s *Synthesizer) encodeThresholds() {
-	th := s.prob.Thresholds
-	s.gIso = s.guardIsolation(th.IsolationTenths)
-	s.gUsa = s.guardUsability(th.UsabilityTenths)
-	s.gCost = s.guardCost(th.CostBudget)
+// guardKey names one threshold constraint: a kind held at a value.
+type guardKey struct {
+	kind ThresholdKind
+	v    int64
 }
 
-// guardIsolation returns a guard literal enforcing network isolation
-// ≥ tenths/10 on the 0–10 scale when assumed.
-func (s *Synthesizer) guardIsolation(tenths int) smt.Bool {
-	if g, ok := s.isoGuards[tenths]; ok {
+// guardOf returns the guard literal that, when assumed, holds the
+// threshold of the given kind at v or better: network isolation or
+// usability ≥ v/10 on the 0–10 scale, or deployment cost ≤ v. Guards
+// are only ever assumed, never asserted, which is what enables
+// unsat-core analysis over exactly these constraints (paper Algorithm 1
+// takes them as the soft assumptions) and lets one encoding answer every
+// query. A guard is created on first use and kept.
+func (s *Synthesizer) guardOf(kind ThresholdKind, v int64) smt.Bool {
+	key := guardKey{kind, v}
+	if g, ok := s.guards[key]; ok {
 		return g
 	}
-	g := s.sol.NewBool(fmt.Sprintf("Th_I>=%d", tenths))
-	// I = Σ L·y / (F·Lmax) ≥ tenths/100  ⇔  Σ L·y ≥ ⌈tenths·F·Lmax/100⌉.
-	bound := ceilDiv(int64(tenths)*s.maxIso, 100)
-	s.sol.AssertAtLeastIf(g, s.isoSum, bound)
-	if s.theory != nil {
-		s.theory.watchIsoGuard(g.Lit(), bound)
+	var g smt.Bool
+	switch kind {
+	case ThresholdIsolation:
+		g = s.sol.NewBool(fmt.Sprintf("Th_I>=%d", v))
+		// I = Σ L·y / (F·Lmax) ≥ v/100  ⇔  Σ L·y ≥ ⌈v·F·Lmax/100⌉.
+		bound := ceilDiv(v*s.maxIso, 100)
+		s.sol.AssertAtLeastIf(g, s.isoSum, bound)
+		if s.theory != nil {
+			s.theory.watchIsoGuard(g.Lit(), bound)
+		}
+	case ThresholdUsability:
+		g = s.sol.NewBool(fmt.Sprintf("Th_U>=%d", v))
+		// U = (100·Σa − loss)/(100·Σa) ≥ v/100  ⇔  loss ≤ (100−v)·Σa.
+		bound := (100 - v) * s.sumRanks
+		s.sol.AssertAtMostIf(g, s.lossSum, bound)
+		if s.theory != nil {
+			s.theory.watchLossGuard(g.Lit(), bound)
+		}
+	default:
+		g = s.sol.NewBool(fmt.Sprintf("Th_C<=%d", v))
+		s.sol.AssertAtMostIf(g, s.costSum, v)
 	}
-	s.isoGuards[tenths] = g
-	return g
-}
-
-// guardUsability returns a guard enforcing network usability ≥ tenths/10
-// when assumed.
-func (s *Synthesizer) guardUsability(tenths int) smt.Bool {
-	if g, ok := s.usaGuards[tenths]; ok {
-		return g
-	}
-	g := s.sol.NewBool(fmt.Sprintf("Th_U>=%d", tenths))
-	// U = (100·Σa − loss)/(100·Σa) ≥ tenths/100
-	//   ⇔ loss ≤ (100−tenths)·Σa.
-	bound := int64(100-tenths) * s.sumRanks
-	s.sol.AssertAtMostIf(g, s.lossSum, bound)
-	if s.theory != nil {
-		s.theory.watchLossGuard(g.Lit(), bound)
-	}
-	s.usaGuards[tenths] = g
-	return g
-}
-
-// guardCost returns a guard enforcing deployment cost ≤ budget when
-// assumed.
-func (s *Synthesizer) guardCost(budget int64) smt.Bool {
-	if g, ok := s.costGuards[budget]; ok {
-		return g
-	}
-	g := s.sol.NewBool(fmt.Sprintf("Th_C<=%d", budget))
-	s.sol.AssertAtMostIf(g, s.costSum, budget)
-	s.costGuards[budget] = g
+	s.guards[key] = g
+	s.guardKind[g] = kind
 	return g
 }
 

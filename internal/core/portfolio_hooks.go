@@ -19,17 +19,7 @@ import (
 // Guard literals are created on demand exactly as for CheckAt, so a
 // fixed probe sequence allocates identical guards on every worker.
 func (s *Synthesizer) ProbeStatus(th Thresholds, limited bool) smt.Status {
-	if limited {
-		if b := s.prob.Options.ProbeBudget; b > 0 {
-			s.sol.SetBudget(b)
-			defer s.restoreBudget()
-		}
-	}
-	return s.sol.Check(
-		s.guardIsolation(th.IsolationTenths),
-		s.guardUsability(th.UsabilityTenths),
-		s.guardCost(th.CostBudget),
-	)
+	return s.check(s.assume(Query{Thresholds: th}), limited)
 }
 
 // Interrupt asks the solver to abandon its current check as soon as
@@ -78,11 +68,7 @@ func (s *Synthesizer) CostUpperBound() int64 { return s.costSum.Total() }
 // inexact instead of surfacing a bare timeout. The check runs under the
 // probe budget so a degraded extraction cannot itself run unbounded.
 func (s *Synthesizer) AnytimeAt(th Thresholds) (*Design, error) {
-	d, err := s.probe([]smt.Bool{
-		s.guardIsolation(th.IsolationTenths),
-		s.guardUsability(th.UsabilityTenths),
-		s.guardCost(th.CostBudget),
-	})
+	d, err := s.checkExtract(s.assume(Query{Thresholds: th}), true)
 	if err != nil {
 		return nil, err
 	}

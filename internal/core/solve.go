@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"configsynth/internal/isolation"
-	"configsynth/internal/smt"
 	"configsynth/internal/topology"
 	"configsynth/internal/usability"
 )
@@ -108,39 +107,6 @@ func (d *Design) PatternMix() map[isolation.PatternID]float64 {
 		mix[k] /= float64(len(d.FlowPatterns))
 	}
 	return mix
-}
-
-// Solve checks the full conjunction Constr ≡ CR ∧ TC ∧ IIC ∧ UIC
-// (Eq. 12) and extracts a design on SAT. On UNSAT it returns a
-// *ThresholdConflictError carrying the unsat core over the three
-// threshold constraints.
-func (s *Synthesizer) Solve() (*Design, error) {
-	switch s.sol.Check(s.gIso, s.gUsa, s.gCost) {
-	case smt.Sat:
-		d := s.extractDesign()
-		d.Exact = true
-		return d, nil
-	case smt.Unknown:
-		return nil, ErrBudgetExceeded
-	default:
-		return nil, &ThresholdConflictError{Core: s.coreKinds()}
-	}
-}
-
-func (s *Synthesizer) coreKinds() []ThresholdKind {
-	var kinds []ThresholdKind
-	for _, b := range s.sol.Core() {
-		switch b {
-		case s.gIso:
-			kinds = append(kinds, ThresholdIsolation)
-		case s.gUsa:
-			kinds = append(kinds, ThresholdUsability)
-		case s.gCost:
-			kinds = append(kinds, ThresholdCost)
-		}
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
 }
 
 // extractDesign reads the model: chosen patterns, placed devices (pruned
@@ -290,18 +256,8 @@ func (s *Synthesizer) prunedPlacements(flowPatterns map[usability.Flow]isolation
 // fillScores computes the achieved network and per-host scores from the
 // chosen patterns, using the paper's normalizations.
 func (s *Synthesizer) fillScores(d *Design) {
-	cat := s.prob.Catalog
-	var isoNum, lossNum int64
-	for f, pid := range d.FlowPatterns {
-		isoNum += int64(cat.Score(pid))
-		lossNum += int64(s.prob.Ranks.Rank(f)) * int64(100-cat.UsabilityPct(pid))
-	}
-	if s.maxIso > 0 {
-		d.Isolation = 10 * float64(isoNum) / float64(s.maxIso)
-	}
-	if s.sumRanks > 0 {
-		d.Usability = 10 * (1 - float64(lossNum)/float64(100*s.sumRanks))
-	}
+	// extractDesign gave every flow a pattern, so nothing can be missing.
+	d.Isolation, d.Usability, _ = networkScores(s.prob, d.FlowPatterns)
 	s.fillHostIsolation(d)
 }
 

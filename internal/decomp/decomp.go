@@ -299,7 +299,7 @@ func (s *Solver) solveMonolithic(ctx context.Context, p *core.Problem, reason st
 		FallbackReason: reason,
 		Misses:         1,
 	}
-	design, err := solver.SolveContext(ctx)
+	design, err := solver.Run(ctx, core.Query{Thresholds: p.Thresholds})
 	res.Stats = solver.Stats()
 	elapsed := time.Since(start).Milliseconds()
 	res.Regions = []RegionReport{{
@@ -329,7 +329,7 @@ func (s *Solver) solveMonolithic(ctx context.Context, p *core.Problem, reason st
 // patterns map through each subproblem's node remap; placements map to
 // global links and are deduplicated (a boundary keeping an interior's
 // preplaced device re-reports the same global placement); cost,
-// isolation, and usability are recomputed globally.
+// isolation, and usability are recomputed globally (core.ScoreDesign).
 func (s *Solver) stitch(p *core.Problem, outcomes map[string]*subOutcome) (*core.Design, error) {
 	d := &core.Design{
 		FlowPatterns: make(map[usability.Flow]isolation.PatternID, len(p.Flows)),
@@ -377,38 +377,12 @@ func (s *Solver) stitch(p *core.Problem, outcomes map[string]*subOutcome) (*core
 		sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
 	}
 
-	// Global cost over the deduplicated union, at full device cost:
+	// Global cost over the deduplicated union, at full device cost —
 	// preplacements were a marginal-cost device within a subproblem, but
-	// globally every placed device is paid for exactly once.
-	for gp := range placed {
-		dev, ok := p.Catalog.Device(gp.Dev)
-		if !ok {
-			return nil, fmt.Errorf("decomp: stitched placement uses unknown device %d", gp.Dev)
-		}
-		d.Cost += dev.Cost
-	}
-
-	// Global scores, the paper's normalizations over the full flow set.
-	cat := p.Catalog
-	var isoNum, lossNum, sumRanks int64
-	for _, f := range p.Flows {
-		pid, ok := d.FlowPatterns[f]
-		if !ok {
-			return nil, fmt.Errorf("decomp: flow %v missing from stitched design", f)
-		}
-		rank := int64(1)
-		if p.Ranks != nil {
-			rank = int64(p.Ranks.Rank(f))
-		}
-		isoNum += int64(cat.Score(pid))
-		lossNum += rank * int64(100-cat.UsabilityPct(pid))
-		sumRanks += rank
-	}
-	if maxIso := int64(len(p.Flows)) * int64(cat.MaxScore()); maxIso > 0 {
-		d.Isolation = 10 * float64(isoNum) / float64(maxIso)
-	}
-	if sumRanks > 0 {
-		d.Usability = 10 * (1 - float64(lossNum)/float64(100*sumRanks))
+	// globally every placed device is paid for exactly once — and global
+	// scores over the full flow set.
+	if err := core.ScoreDesign(p, d); err != nil {
+		return nil, fmt.Errorf("decomp: stitched design: %w", err)
 	}
 	return d, nil
 }

@@ -11,6 +11,7 @@ import (
 	"configsynth/internal/core"
 	"configsynth/internal/faults"
 	"configsynth/internal/isolation"
+	"configsynth/internal/lru"
 	"configsynth/internal/netgen"
 	"configsynth/internal/policy"
 	"configsynth/internal/portfolio"
@@ -240,6 +241,17 @@ func TestDecompDifferential(t *testing.T) {
 			} else if c.mono && !res.Conservative && monoSat {
 				t.Fatalf("decomposition claimed definite UNSAT (region %s, %v) but monolithic is SAT",
 					res.ConflictRegion, res.Conflict)
+			}
+			// A region is hard-unsat — which drops Conservative — only on the
+			// empty core of a query at the region's own thresholds; a core
+			// that lost its threshold kinds would pass for one.
+			solver.cache.Each(func(fp string, rr *regionResult) {
+				if rr.HardUnsat != (rr.Unsat && len(rr.Conflict) == 0) {
+					t.Errorf("region %.12s: HardUnsat=%v with unsat=%v core=%v", fp, rr.HardUnsat, rr.Unsat, rr.Conflict)
+				}
+			})
+			if res.Unsat && c.th.IsolationTenths == 100 && !res.Conservative {
+				t.Errorf("a pure slider conflict (%v in %s) was reported as definite", res.Conflict, res.ConflictRegion)
 			}
 		})
 	}
@@ -533,5 +545,67 @@ func TestSolveAfterRegionPanic(t *testing.T) {
 		}
 	case <-time.After(45 * time.Second):
 		t.Fatal("solve after the panic hangs: a panicked region's flight was never released")
+	}
+}
+
+// TestSolveOutlivesCancelledSibling: concurrent solves of one campus (a
+// /v1/batch of variants) share region flights, and a region's compute
+// runs under its leader's context. Cancelling the first solve mid-region
+// must not fail the second, which nobody cancelled: its waiters see the
+// leader give up, solve the regions themselves and return a design.
+func TestSolveOutlivesCancelledSibling(t *testing.T) {
+	solver := New(Options{})
+	first, second := triCampus(t, false), triCampus(t, false)
+	// Every SAT call sleeps before it searches, so the first solve is still
+	// inside its region solves when the second joins their flights.
+	plan, err := faults.Parse(faults.SatSolveDelay + "=1:300ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := faults.Set(plan)
+	defer restore()
+	waitFor := func(what string, cond func(st lru.Stats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(solver.CacheStats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s: %+v", what, solver.CacheStats())
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := solver.Solve(ctx, first)
+		firstErr <- err
+	}()
+	waitFor("the first solve leads a region flight", func(st lru.Stats) bool { return st.Misses > 0 })
+	type outcome struct {
+		res *Result
+		err error
+	}
+	secondDone := make(chan outcome, 1)
+	go func() {
+		res, err := solver.Solve(context.Background(), second)
+		secondDone <- outcome{res, err}
+	}()
+	waitFor("the second solve waits on one", func(st lru.Stats) bool { return st.Hits > 0 })
+	cancel()
+	restore() // the rest runs at full speed
+
+	if err := <-firstErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled solve: err = %v, want context.Canceled", err)
+	}
+	select {
+	case out := <-secondDone:
+		if out.err != nil {
+			t.Fatalf("the sibling of a cancelled solve failed with it: %v", out.err)
+		}
+		if out.res.Design == nil {
+			t.Fatalf("the sibling of a cancelled solve returned no design: %+v", out.res)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("the sibling of a cancelled solve hangs")
 	}
 }

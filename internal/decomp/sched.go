@@ -208,12 +208,11 @@ func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]
 			if err != nil {
 				return err
 			}
-			cost, design, err := solver.MinCostContext(ctx,
-				int(prob.Thresholds.IsolationTenths), int(prob.Thresholds.UsabilityTenths))
+			design, err := solver.Run(ctx, core.Query{Optimise: core.ThresholdCost, Thresholds: prob.Thresholds})
 			rr.Stats.Add(solver.Stats())
 			switch {
 			case err == nil:
-				rr.Design, rr.Cost = design, cost
+				rr.Design, rr.Cost = design, design.Cost
 				rr.Unsat, rr.Conflict, rr.HardUnsat = false, nil, false
 			case core.IsUnsat(err):
 				var tc *core.ThresholdConflictError

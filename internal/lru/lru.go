@@ -171,27 +171,41 @@ func (c *Cache[V]) Each(fn func(key string, v V)) {
 //
 // Waiters share whatever the leader got, including its error and a
 // value keep rejects, but nothing unkept is stored, so a later call
-// computes again. A waiter whose ctx ends first returns ctx.Err()
-// instead of out-waiting the leader. If compute panics the flight is
-// still released: waiters get ErrPanicked, the key is free for the next
-// caller, and the panic continues up the leader's stack.
+// computes again. One error is the leader's alone: compute closes over
+// the leader's context, so a flight that ends in context.Canceled or
+// context.DeadlineExceeded says the leader gave up, not that the work
+// failed, and a waiter whose own ctx is live goes round again — finds a
+// stored value, joins the next flight, or leads. A waiter whose ctx ends
+// first returns ctx.Err() instead of out-waiting the leader. If compute
+// panics the flight is still released: waiters get ErrPanicked, the key
+// is free for the next caller, and the panic continues up the leader's
+// stack.
 func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error), keep func(V) bool) (v V, hit bool, err error) {
 	c.mu.Lock()
-	now := c.prune()
-	if el, ok := c.index[key]; ok {
-		v = c.touch(el, now)
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
+	for {
+		now := c.prune()
+		if el, ok := c.index[key]; ok {
+			v = c.touch(el, now)
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		fl, ok := c.inflight[key]
+		if !ok {
+			break
+		}
 		c.stats.Hits++
 		c.mu.Unlock()
 		select {
 		case <-fl.done:
-			return fl.val, true, fl.err
 		case <-ctx.Done():
 			return v, false, ctx.Err()
 		}
+		leaderGaveUp := errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)
+		if !leaderGaveUp || ctx.Err() != nil {
+			return fl.val, true, fl.err
+		}
+		c.mu.Lock()
+		c.stats.Hits-- // the flight gave this call nothing
 	}
 	fl := &flight[V]{done: make(chan struct{}), err: ErrPanicked}
 	c.inflight[key] = fl

@@ -312,3 +312,72 @@ func TestDoWaiterHonoursContext(t *testing.T) {
 		t.Errorf("leader's value = %d, %v; want 1 stored", v, ok)
 	}
 }
+
+// TestDoWaiterOutlivesCancelledLeader: compute closes over the leader's
+// context, so a flight ending in the leader's cancellation says nothing
+// about the work. Waiters whose own contexts are live go round again:
+// one of them leads a second compute and the others share its value —
+// the compute runs exactly twice and nobody inherits context.Canceled. A
+// deadline wrapped in the compute's own error counts the same.
+func TestDoWaiterOutlivesCancelledLeader(t *testing.T) {
+	for _, cause := range []error{context.Canceled, fmt.Errorf("region r3: %w", context.DeadlineExceeded)} {
+		const waiters = 3
+		c := New[int](4, 0)
+		leaderCtx, cancelLeader := context.WithCancel(context.Background())
+		var computes int // no lock: two computes at once would be a -race report
+		compute := func(ctx context.Context) func() (int, error) {
+			return func() (int, error) {
+				computes++
+				if ctx == leaderCtx {
+					<-ctx.Done()
+					return 0, cause
+				}
+				return 42, nil
+			}
+		}
+		leaderErr := make(chan error, 1)
+		go func() {
+			_, _, err := c.Do(leaderCtx, "k", compute(leaderCtx), keepAll)
+			leaderErr <- err
+		}()
+		for c.Stats().Misses == 0 { // the leader holds the flight
+			time.Sleep(time.Millisecond)
+		}
+		type answer struct {
+			v   int
+			hit bool
+			err error
+		}
+		answers := make(chan answer, waiters)
+		for i := 0; i < waiters; i++ {
+			go func() {
+				ctx := context.Background()
+				v, hit, err := c.Do(ctx, "k", compute(ctx), keepAll)
+				answers <- answer{v, hit, err}
+			}()
+		}
+		waitForHits(t, c, waiters)
+		cancelLeader()
+		if err := <-leaderErr; !errors.Is(err, cause) {
+			t.Errorf("leader err = %v, want its own %v", err, cause)
+		}
+		led := 0
+		for i := 0; i < waiters; i++ {
+			select {
+			case a := <-answers:
+				if a.v != 42 || a.err != nil {
+					t.Errorf("waiter got %d, %v; want 42 from a second compute", a.v, a.err)
+				}
+				if !a.hit {
+					led++
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("waiter still blocked after its leader was cancelled")
+			}
+		}
+		want := Stats{Hits: waiters - 1, Misses: 2, Entries: 1, Capacity: 4}
+		if st := c.Stats(); computes != 2 || led != 1 || st != want {
+			t.Errorf("%v: computes=%d second leaders=%d stats=%+v; want 2, 1, %+v", cause, computes, led, st, want)
+		}
+	}
+}

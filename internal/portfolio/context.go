@@ -9,10 +9,10 @@ import (
 	"configsynth/internal/core"
 )
 
-// This file maps context cancellation and deadlines onto the solvers'
-// cooperative Interrupt/ClearInterrupt protocol, giving every synthesis
-// query a ctx-aware variant. It is the substrate confserved builds
-// per-job deadlines and client-disconnect cancellation on.
+// This file is the one entry every query takes: Run maps context
+// cancellation and deadlines onto the solvers' cooperative
+// Interrupt/ClearInterrupt protocol, which is the substrate confserved
+// builds per-job deadlines and client-disconnect cancellation on.
 //
 // The watcher goroutine re-asserts the interrupt on a short tick rather
 // than firing it once: probe loops call ClearInterrupt between probes
@@ -25,32 +25,52 @@ import (
 // reassertInterval is the watcher's re-interrupt period after ctx fires.
 const reassertInterval = time.Millisecond
 
-// interruptAll asks every solver — raced workers and the canonical
-// extractor — to abandon its current check. In session mode there is no
-// long-lived canonical; the live per-query extractor (if an extraction
-// is in flight) is interrupted instead.
+// Run answers q under ctx: cancellation or deadline expiry interrupts
+// the solvers cooperatively and returns ctx.Err(), and a clause-arena
+// overflow returns as core.ErrModelTooLarge. The sequential arm answers
+// everything on its own synthesizer. An engine races the descent of an
+// optimisation and extracts the design at the optimum; a plain check
+// goes straight to a canonical clone and never races — the extraction
+// decides satisfiability itself (design, core and budget error all come
+// from it), so a raced status would only be computed twice.
+func (s *Solver) Run(ctx context.Context, q core.Query) (d *core.Design, err error) {
+	err = s.guard(ctx, func() (err error) {
+		if s.tmpl != nil && q.Optimise != 0 {
+			d, err = s.optimise(q)
+			return err
+		}
+		return s.canonical(func(syn *core.Synthesizer) (err error) {
+			d, err = syn.Run(q)
+			return err
+		})
+	})
+	return d, err
+}
+
+// interruptAll asks every solver — the canonical synthesizer, if one is
+// live, and the raced workers — to abandon its current check.
 func (s *Solver) interruptAll() {
+	s.canonMu.Lock()
 	if s.canon != nil {
 		s.canon.Interrupt()
 	}
-	s.extractMu.Lock()
-	if s.extract != nil {
-		s.extract.Interrupt()
-	}
 	work := s.work
-	s.extractMu.Unlock()
+	s.canonMu.Unlock()
 	for _, w := range work {
 		w.Interrupt()
 	}
 }
 
 // clearAll re-arms every solver after a context cancellation, so the
-// Solver remains usable for later queries. Session per-query extractors
-// are not re-armed: each one is discarded with its query.
+// Solver remains usable for later queries. The canonical synthesizer it
+// finds is the sequential arm's: an engine's clones are discarded with
+// their question, and none is live when this runs.
 func (s *Solver) clearAll() {
+	s.canonMu.Lock()
 	if s.canon != nil {
 		s.canon.ClearInterrupt()
 	}
+	s.canonMu.Unlock()
 	for _, w := range s.work {
 		w.ClearInterrupt()
 	}
@@ -67,9 +87,6 @@ func (s *Solver) guard(ctx context.Context, query func() error) error {
 	// so it is surfaced as an ordinary typed error instead of reaching
 	// the service's panic containment as a worker death.
 	query = tooLargeToError(query)
-	if ctx == nil {
-		return query()
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -146,66 +163,4 @@ func tooLargeToError(query func() error) func() error {
 		}()
 		return query()
 	}
-}
-
-// guardDesign runs a design-producing query under guard; the design is
-// dropped when the guard reports an error. All five ctx-aware queries go
-// through it: an optimization's value is a field of its design.
-func (s *Solver) guardDesign(ctx context.Context, query func() (*core.Design, error)) (*core.Design, error) {
-	var d *core.Design
-	err := s.guard(ctx, func() (qerr error) {
-		d, qerr = query()
-		return qerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// SolveContext is Solve bounded by ctx: cancellation or deadline expiry
-// interrupts the solvers cooperatively and returns ctx.Err().
-func (s *Solver) SolveContext(ctx context.Context) (*core.Design, error) {
-	return s.guardDesign(ctx, s.Solve)
-}
-
-// CheckAtContext is CheckAt bounded by ctx.
-func (s *Solver) CheckAtContext(ctx context.Context, th core.Thresholds) (*core.Design, error) {
-	return s.guardDesign(ctx, func() (*core.Design, error) { return s.CheckAt(th) })
-}
-
-// MaxIsolationContext is MaxIsolation bounded by ctx.
-func (s *Solver) MaxIsolationContext(ctx context.Context, usabilityTenths int, costBudget int64) (float64, *core.Design, error) {
-	d, err := s.guardDesign(ctx, func() (*core.Design, error) {
-		_, d, err := s.MaxIsolation(usabilityTenths, costBudget)
-		return d, err
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return d.Isolation, d, nil
-}
-
-// MaxUsabilityContext is MaxUsability bounded by ctx.
-func (s *Solver) MaxUsabilityContext(ctx context.Context, isolationTenths int, costBudget int64) (float64, *core.Design, error) {
-	d, err := s.guardDesign(ctx, func() (*core.Design, error) {
-		_, d, err := s.MaxUsability(isolationTenths, costBudget)
-		return d, err
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return d.Usability, d, nil
-}
-
-// MinCostContext is MinCost bounded by ctx.
-func (s *Solver) MinCostContext(ctx context.Context, isolationTenths, usabilityTenths int) (int64, *core.Design, error) {
-	d, err := s.guardDesign(ctx, func() (*core.Design, error) {
-		_, d, err := s.MinCost(isolationTenths, usabilityTenths)
-		return d, err
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return d.Cost, d, nil
 }

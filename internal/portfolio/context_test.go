@@ -67,7 +67,7 @@ func TestSolveContextCancelReturnsPromptly(t *testing.T) {
 				t.Fatalf("cancelled solve took %v; want prompt return (uncancelled runs take minutes)", elapsed)
 			}
 			// The solver must be re-armed and usable afterwards.
-			if _, err := s.CheckAtContext(context.Background(), core.Thresholds{CostBudget: 1000}); err != nil {
+			if _, err := s.Run(context.Background(), core.Query{Thresholds: core.Thresholds{CostBudget: 1000}}); err != nil {
 				t.Fatalf("solver unusable after cancellation: %v", err)
 			}
 		})

@@ -1,46 +1,55 @@
-// Package portfolio implements parallel portfolio solving for
-// ConfigSynth: one synthesis problem is answered by K independent
-// solver instances whose searches are diversified (PRNG seed with a
-// small random-decision fraction, initial phase polarity, restart
-// schedule), and each satisfiability probe is raced across the K
-// workers on goroutines. The first worker to reach a definitive answer
-// (Sat or Unsat) wins the probe; the losers are cancelled cooperatively
-// and rejoin before the next probe.
+// Package portfolio answers synthesis queries (core.Query) against one
+// encoded problem, in one of two shapes.
 //
-// The problem is encoded once. Every constructor builds one
-// core.Template — the threshold-independent three quarters of the model,
-// with no threshold guard in it and no search behind it — and takes a
-// structural core.Template.Clone of it per worker; NewRacing then turns
-// the template itself into the canonical synthesizer, and a session
-// (session.go) keeps it pristine to clone one extractor per query, and
-// its workers when the first descent needs them. Because the snapshot
-// predates every guard and every search, a clone is state for state the
-// synthesizer a second encode under the worker's configuration would
-// have produced (same variable numbering, clause and watch order, PB
-// constraint ids, root assignment), so encoding once changes no search
-// and no result.
+// The sequential arm (New with at most one worker) is one long-lived
+// incremental core.Synthesizer: every query runs on it, an optimisation
+// descends by its own models (a satisfiable probe jumps the bound to
+// what the model reached), and later queries build on what earlier ones
+// learnt. Decomposition's width-1 region solves, the experiments'
+// incremental sweeps and refcheck's reference run on it.
+//
+// The engine (NewRacing, or NewSession: the same constructor) keeps one
+// pristine core.Template — the threshold-independent three quarters of
+// the model, with no threshold guard in it and no search behind it — and
+// never searches it. Two kinds of structural clone of it do the work:
+//
+//   - Every design, unsat core, anytime incumbent and explanation is
+//     extracted by a canonical clone made for that one question under the
+//     problem's own solver configuration and dropped afterwards. Because
+//     the snapshot predates every guard and every search, that clone is
+//     state for state what a fresh encode would have built, so an answer
+//     depends only on the question, never on the engine's history.
+//   - An optimisation's probes are raced as statuses across K diversified
+//     workers (PRNG seed with a small random-decision fraction, initial
+//     phase polarity, restart schedule), cloned by the first race and
+//     kept, learnt clauses included. The first worker to reach Sat or
+//     Unsat wins the probe; the losers are cancelled cooperatively,
+//     rejoin, and exchange their sharp learnt clauses. core.Query.Bisect
+//     drives the descent from those statuses, and the canonical clone
+//     then extracts the design at the optimum.
+//
+// A plain check never races: its canonical extraction decides
+// satisfiability itself, so a raced status would only be computed twice.
+// An engine somebody keeps and Retargets at another threshold
+// combination of the same problem family is a what-if session; nothing
+// in the engine distinguishes it.
 //
 // Results are deterministic regardless of which worker wins a race:
-//
-//   - probe outcomes are used as statuses only, and Sat/Unsat is a
-//     semantic property of the formula, identical for every worker;
-//   - optimization queries run a central binary-search descent over
-//     threshold guards, driven purely by those statuses;
-//   - the final design (or unsat core) is always extracted by a
-//     dedicated canonical synthesizer that never participates in races
-//     and is never interrupted, so its model — and hence the reported
-//     scores and pruned placements — depends only on the (unique)
-//     optimum, not on race timing.
-//
-// The only caveat is conflict budgets: a probe reports Unknown only if
-// every worker exhausts its budget, and an interrupted worker's learnt
-// clauses depend on when the cancellation landed, which can in
-// principle flip a later probe between "budget exhausted" and
+// Sat/Unsat is a semantic property of the formula, identical for every
+// worker, and models come from the canonical clone only, which never
+// races, imports no shared clause and is interrupted only by the
+// caller's context. The only caveat is conflict budgets: a probe reports
+// Unknown only if every worker exhausts its budget, and an interrupted
+// worker's learnt clauses depend on when the cancellation landed, which
+// can in principle flip a later probe between "budget exhausted" and
 // "answered". In the exact regime (budgets that do not bind, the
-// default) results are bit-identical across runs and across K.
+// default) results are bit-identical across runs, across K, and between
+// a warm engine and a fresh one.
 package portfolio
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -51,79 +60,65 @@ import (
 	"configsynth/internal/smt"
 )
 
-// Solver answers synthesis queries against an encoded problem. With one
-// worker it is a thin wrapper over core.Synthesizer (identical to the
-// single-threaded path); with K > 1 workers it races diversified
-// solvers per probe. It is not safe for concurrent use; it manages its
-// own goroutines internally.
+// Solver answers synthesis queries against an encoded problem: the
+// sequential arm or the engine (see the package comment). It is not safe
+// for concurrent use; it manages its own goroutines internally.
 type Solver struct {
-	prob  *core.Problem
-	canon *core.Synthesizer   // canonical extraction engine, never raced
-	work  []*core.Synthesizer // diversified raced workers
+	prob   *core.Problem
+	family string // Family's cache
 
-	// dead has one entry per raced worker (none on New's sequential
-	// delegate) and marks those whose last probe panicked: a panic may
-	// leave a solver's trail or clause database inconsistent, so the
-	// worker is retired from all later races rather than trusted again.
-	// panics counts panics the portfolio absorbed without failing the
-	// query.
+	// canon is the canonical synthesizer, the one that produces models.
+	// The sequential arm has one for life and nothing else below. An
+	// engine (tmpl != nil) has one while a question is being answered on
+	// it: a clone of tmpl, nil between questions; extracted sums the
+	// search counters of the clones already dropped, which would otherwise
+	// vanish with them. canonMu guards what a context watcher's goroutine
+	// reads while a query runs: canon and the assignment that fills work.
+	canonMu   sync.Mutex
+	canon     *core.Synthesizer
+	extracted core.ModelStats
+
+	// tmpl is the engine's pristine encoding; work holds the diversified
+	// raced workers cloned from it by the first race (warm), nil until
+	// then.
+	tmpl *core.Template
+	work []*core.Synthesizer
+
+	// dead has one entry per raced worker and marks those whose last
+	// probe panicked: a panic may leave a solver's trail or clause
+	// database inconsistent, so the worker is retired from all later races
+	// rather than trusted again. panics counts panics the portfolio
+	// absorbed without failing the query.
 	dead   []bool
 	panics atomic.Uint64
 
-	// incumbent is the tightest threshold combination an optimization
-	// descent has proven satisfiable so far; haveIncumbent gates it. When
+	// incumbent is the tightest threshold combination the last
+	// optimisation descent proved satisfiable, nil before the first. When
 	// a deadline truncates the descent, AnytimeDesign re-extracts the
 	// feasible model at these thresholds instead of losing the work.
-	incumbent     core.Thresholds
-	haveIncumbent bool
+	incumbent *core.Thresholds
 
-	// tmpl is set on a persistent what-if solver (NewSession) and marks
-	// it: canon is nil, designs/cores are extracted by a per-query clone
-	// of the pristine template instead (see session.go), and the workers
-	// are cloned from it by the first probe and then stay warm across
-	// Retarget calls. family is the thresholds-zeroed fingerprint Retarget
-	// validates against; extracted sums the search counters of the
-	// extractors already dropped, which would otherwise vanish with them.
-	// extractMu guards what a context watcher's goroutine reads while a
-	// query runs: extract, the live per-query extractor it interrupts,
-	// and the assignment that fills work.
-	tmpl      *core.Template
-	family    string
-	extractMu sync.Mutex
-	extract   *core.Synthesizer
-	extracted core.ModelStats
-
-	// onBound, when set, observes every improvement an optimization
+	// onBound, when set, observes every improvement an optimisation
 	// descent proves: after each satisfiable probe the newly established
 	// bound (isolation/usability tenths, or a cost value) is reported.
 	// This is the anytime hook confserved streams to clients while a
-	// Maximize-style query is still running. Only the engine path (built
-	// via NewRacing) drives descents centrally, so only it emits bounds.
+	// query is still running.
 	onBound func(kind core.ThresholdKind, value int64)
 }
 
 // SetBoundObserver registers f to be called with every bound an
-// optimization descent proves satisfiable, as (threshold kind, value)
+// optimisation descent proves satisfiable, as (threshold kind, value)
 // pairs: tenths of the 0–10 scale for isolation/usability, a budget
 // value for cost. f runs on the goroutine driving the query and must be
-// fast; nil unregisters. Descents only run centrally on Solvers built
-// with NewRacing (any K); a delegate Solver (New with workers <= 1)
-// optimizes inside internal/core and emits nothing.
+// fast; nil unregisters. Only an engine drives its descents here; the
+// sequential arm optimises inside internal/core and emits nothing.
 func (s *Solver) SetBoundObserver(f func(kind core.ThresholdKind, value int64)) {
 	s.onBound = f
 }
 
-// emitBound reports a newly proven bound to the observer, if any.
-func (s *Solver) emitBound(kind core.ThresholdKind, value int64) {
-	if s.onBound != nil {
-		s.onBound(kind, value)
-	}
-}
-
 // New returns a solver for p with the given worker count. workers <= 1
-// yields the sequential solver, behaviourally identical to
-// core.NewSynthesizer (today's default); workers >= 2 builds a racing
-// portfolio with canonical extraction.
+// yields the sequential arm, behaviourally identical to
+// core.NewSynthesizer; workers >= 2 the engine.
 func New(p *core.Problem, workers int) (*Solver, error) {
 	if workers <= 1 {
 		canon, err := core.NewSynthesizer(p)
@@ -135,24 +130,24 @@ func New(p *core.Problem, workers int) (*Solver, error) {
 	return NewRacing(p, workers)
 }
 
-// NewRacing always builds the portfolio engine, even with a single
-// worker. The engine path is identical for every K — probes drive a
-// central descent and a dedicated canonical synthesizer extracts every
-// design — which is what makes K=1 and K=4 produce identical results.
-// The price is one canonical final check per query. The problem is
-// encoded once: the workers are clones of the template, which then
-// becomes the canonical synthesizer itself.
+// NewRacing always builds the engine, even with a single worker
+// (workers < 1 is treated as 1). The engine path is identical for every
+// K — raced statuses drive a central descent and a canonical clone
+// extracts every design — which is what makes K=1 and K=4 produce
+// identical results and lets the descent stream its bounds. The problem
+// is encoded once, here; the workers are cloned by the first race.
 func NewRacing(p *core.Problem, workers int) (*Solver, error) {
 	tmpl, err := core.NewTemplate(p)
 	if err != nil {
 		return nil, err
 	}
-	work, err := cloneWorkers(tmpl, p.Thresholds, max(workers, 1))
-	if err != nil {
-		return nil, err
-	}
-	return &Solver{prob: p, canon: tmpl.Synthesizer(), work: work, dead: make([]bool, len(work))}, nil
+	return &Solver{prob: p, tmpl: tmpl, dead: make([]bool, max(workers, 1))}, nil
 }
+
+// NewSession is NewRacing under the name of its use: an engine built to
+// be kept and Retargeted across the threshold variants of one problem
+// family, re-solving only each delta.
+func NewSession(p *core.Problem, workers int) (*Solver, error) { return NewRacing(p, workers) }
 
 // cloneWorkers clones n diversified workers from the template.
 func cloneWorkers(tmpl *core.Template, th core.Thresholds, n int) ([]*core.Synthesizer, error) {
@@ -166,9 +161,9 @@ func cloneWorkers(tmpl *core.Template, th core.Thresholds, n int) ([]*core.Synth
 	if len(work) > 1 {
 		// Clause sharing: losers' sharp learnt clauses flow to the other
 		// workers at every race join (see shareClauses). Pointless with a
-		// single worker, and the canonical synthesizer never participates
-		// — its extraction must depend only on the formula, so its search
-		// is never steered by race-timing-dependent imports.
+		// single worker, and a canonical clone never participates — its
+		// extraction must depend only on the formula, so its search is
+		// never steered by race-timing-dependent imports.
 		for _, w := range work {
 			w.EnableClauseSharing()
 		}
@@ -196,11 +191,11 @@ func WorkerConfig(i int) smt.SolverConfig {
 	return cfg
 }
 
-// Workers returns the number of raced workers (0 in delegate mode).
+// Workers returns the number of raced workers (0 on the sequential arm).
 func (s *Solver) Workers() int { return len(s.dead) }
 
-// Problem returns the problem the solver currently targets (for a
-// session, the problem of the most recent Retarget).
+// Problem returns the problem the solver currently targets (that of the
+// most recent Retarget).
 func (s *Solver) Problem() *core.Problem { return s.prob }
 
 // liveWorkers returns the indices of workers that have not been retired
@@ -225,15 +220,6 @@ func (s *Solver) probeWorker(i int, th core.Thresholds, limited bool) (st smt.St
 			st, pval = smt.Unknown, r
 		}
 	}()
-	if s.tmpl != nil {
-		// Warm workers keep their learnt clauses across queries, but
-		// search heuristics tuned to a previous threshold combination can
-		// derail the next probe by orders of magnitude (saved phases
-		// replay a stale model against a changed bound). Start every
-		// session probe from fresh heuristics; the clause database is the
-		// warm-start payoff.
-		s.work[i].ResetSearchState()
-	}
 	return s.work[i].ProbeStatus(th, limited), nil
 }
 
@@ -356,83 +342,42 @@ func (s *Solver) shareClauses() {
 	}
 }
 
-// Solve checks the problem's own thresholds. The satisfiability race
-// provides the status; the design (or the unsat core) is then derived
-// canonically, so the result does not depend on which worker won.
-func (s *Solver) Solve() (*core.Design, error) {
-	if s.Workers() == 0 {
-		return s.canon.Solve()
+// optimise is the engine's descent behind every optimisation query: race
+// the held thresholds with the free one at its loosest; on unsat report
+// the canonical core; otherwise bisect the free threshold, racing every
+// probe, recording each satisfiable one as the anytime incumbent and
+// reporting it to the bound observer; and extract the canonical design
+// at the optimum. Heuristics carry from probe to probe: they are reset
+// when the engine is retargeted, never inside a descent.
+func (s *Solver) optimise(q core.Query) (*core.Design, error) {
+	s.incumbent = nil
+	var from int64 // the loosest value: slider 0, or a budget that buys everything
+	if q.Optimise == core.ThresholdCost {
+		from = s.tmpl.CostUpperBound()
 	}
-	if s.tmpl != nil {
-		// Model-producing queries gain nothing from the status race: the
-		// per-query canonical extraction re-decides satisfiability on its
-		// own (design, core, and budget errors all come from it), so the
-		// race would only add the warm workers' probe time on top. Go
-		// straight to the canonical; the warm workers are kept for the
-		// optimization descents, where probes outnumber extractions.
-		return s.canonSolve()
-	}
-	if st := s.raceStatus(s.prob.Thresholds, false); st == smt.Unknown {
+	base := q.Thresholds.With(q.Optimise, from)
+	switch s.raceStatus(base, false) {
+	case smt.Unknown:
 		return nil, core.ErrBudgetExceeded
-	}
-	return s.canonSolve()
-}
-
-// CheckAt checks satisfiability at the given thresholds (a what-if
-// query) with a raced status and canonical extraction.
-func (s *Solver) CheckAt(th core.Thresholds) (*core.Design, error) {
-	if s.Workers() == 0 {
-		return s.canon.CheckAt(th)
-	}
-	if s.tmpl != nil {
-		// See Solve: the canonical extraction decides the status itself.
-		return s.canonCheckAt(th)
-	}
-	if st := s.raceStatus(th, false); st == smt.Unknown {
-		return nil, core.ErrBudgetExceeded
-	}
-	return s.canonCheckAt(th)
-}
-
-// descent runs the shared central binary search: feasible() must hold
-// at lo already (or the caller handles infeasibility first), and
-// probe(mid) reports whether the query is satisfiable when the searched
-// threshold is tightened to mid. With maximize true the search finds
-// the largest satisfiable value in [lo, hi]; otherwise the smallest.
-// It returns the optimum and whether every probe was definitive.
-func (s *Solver) descent(lo, hi int64, maximize bool, probe func(v int64) smt.Status) (int64, bool) {
-	exact := true
-	for lo < hi {
-		var mid int64
-		if maximize {
-			mid = lo + (hi-lo+1)/2
-		} else {
-			mid = lo + (hi-lo)/2
+	case smt.Unsat:
+		if _, err := s.checkAt(base); err != nil {
+			return nil, err // the canonical unsat core
 		}
-		switch probe(mid) {
-		case smt.Sat:
-			if maximize {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		case smt.Unknown:
-			exact = false
-			fallthrough
-		default: // Unsat, or Unknown treated pessimistically
-			if maximize {
-				hi = mid - 1
-			} else {
-				lo = mid + 1
+		return nil, errors.New("portfolio: workers proved unsat but canonical check succeeded")
+	}
+	s.incumbent = &base
+	best, _, exact := q.Bisect(from, func(v int64) (smt.Status, *core.Design) {
+		th := q.Thresholds.With(q.Optimise, v)
+		st := s.raceStatus(th, true)
+		if st == smt.Sat {
+			s.incumbent = &th
+			if s.onBound != nil {
+				s.onBound(q.Optimise, v)
 			}
 		}
-	}
-	return lo, exact
-}
-
-// finish extracts the canonical design at th and stamps its exactness.
-func (s *Solver) finish(th core.Thresholds, exact bool) (*core.Design, error) {
-	d, err := s.canonCheckAt(th)
+		return st, nil
+	})
+	d, err := s.checkAt(q.Thresholds.With(q.Optimise, best))
 	if err != nil {
 		return nil, err
 	}
@@ -440,121 +385,75 @@ func (s *Solver) finish(th core.Thresholds, exact bool) (*core.Design, error) {
 	return d, nil
 }
 
-// resetIncumbent discards the previous query's incumbent; each
-// optimization call starts with no feasible model in hand.
-func (s *Solver) resetIncumbent() { s.haveIncumbent = false }
-
-// setIncumbent records th as proven satisfiable — a feasible model the
-// query could fall back on if it is cut short.
-func (s *Solver) setIncumbent(th core.Thresholds) { s.incumbent, s.haveIncumbent = th, true }
+// checkAt is the canonical check of all three thresholds.
+func (s *Solver) checkAt(th core.Thresholds) (d *core.Design, err error) {
+	err = s.canonical(func(syn *core.Synthesizer) (err error) {
+		d, err = syn.CheckAt(th)
+		return err
+	})
+	return d, err
+}
 
 // AnytimeDesign extracts the feasible design at the best bound the last
-// optimization descent proved before it was interrupted — the
+// optimisation descent proved before it was interrupted — the
 // degrade-to-anytime path confserved takes when a job's deadline
 // expires mid-descent. It reports false when the descent never reached
 // a satisfiable probe (nothing to degrade to) or when re-extraction
 // itself fails. The returned design has Exact=false.
-func (s *Solver) AnytimeDesign() (*core.Design, bool) {
-	if !s.haveIncumbent {
+func (s *Solver) AnytimeDesign() (d *core.Design, ok bool) {
+	if s.incumbent == nil {
 		return nil, false
 	}
 	// The interrupt that cut the descent short is sticky; re-arm before
 	// the extraction check or it would immediately return Unknown.
 	s.clearAll()
-	d, err := s.canonAnytimeAt(s.incumbent)
-	if err != nil {
-		return nil, false
-	}
-	return d, true
-}
-
-// optimize is the racing descent behind every optimization query: probe
-// base, which leaves the searched threshold at its loosest; on unsat
-// report the canonical core; otherwise binary-search that threshold over
-// [lo, hi], racing every probe, recording each satisfiable one as the
-// anytime incumbent and reporting it to the bound observer; and extract
-// the canonical design at the optimum.
-func (s *Solver) optimize(base core.Thresholds, kind core.ThresholdKind, lo, hi int64, maximize bool) (*core.Design, error) {
-	s.resetIncumbent()
-	switch s.raceStatus(base, false) {
-	case smt.Unknown:
-		return nil, core.ErrBudgetExceeded
-	case smt.Unsat:
-		_, err := s.canonCheckAt(base) // canonical unsat core
-		if err == nil {
-			err = fmt.Errorf("portfolio: workers proved unsat but canonical check succeeded")
-		}
-		return nil, err
-	}
-	s.setIncumbent(base)
-	best, exact := s.descent(lo, hi, maximize, func(v int64) smt.Status {
-		th := withThreshold(base, kind, v)
-		st := s.raceStatus(th, true)
-		if st == smt.Sat {
-			s.setIncumbent(th)
-			s.emitBound(kind, v)
-		}
-		return st
+	err := s.canonical(func(syn *core.Synthesizer) (err error) {
+		d, err = syn.AnytimeAt(*s.incumbent)
+		return err
 	})
-	return s.finish(withThreshold(base, kind, best), exact)
+	return d, err == nil
 }
 
-// withThreshold returns th with the threshold of the given kind set to v.
-func withThreshold(th core.Thresholds, kind core.ThresholdKind, v int64) core.Thresholds {
-	switch kind {
-	case core.ThresholdIsolation:
-		th.IsolationTenths = int(v)
-	case core.ThresholdUsability:
-		th.UsabilityTenths = int(v)
-	case core.ThresholdCost:
-		th.CostBudget = v
-	}
-	return th
+// Solve checks the problem's own thresholds.
+func (s *Solver) Solve() (*core.Design, error) { return s.SolveContext(context.Background()) }
+
+// SolveContext is Solve bounded by ctx: cancellation or deadline expiry
+// interrupts the solvers cooperatively and returns ctx.Err().
+func (s *Solver) SolveContext(ctx context.Context) (*core.Design, error) {
+	return s.Run(ctx, core.Query{Thresholds: s.prob.Thresholds})
 }
 
 // MaxIsolation computes the maximum achievable network isolation (0–10
 // scale) subject to a usability threshold and a cost budget, as in the
-// paper's Fig. 3 curves. With workers, each binary-search probe is
-// raced and the winning status drives the descent.
+// paper's Fig. 3 curves.
 func (s *Solver) MaxIsolation(usabilityTenths int, costBudget int64) (float64, *core.Design, error) {
-	if s.Workers() == 0 {
-		return s.canon.MaxIsolation(usabilityTenths, costBudget)
-	}
-	base := core.Thresholds{UsabilityTenths: usabilityTenths, CostBudget: costBudget}
-	d, err := s.optimize(base, core.ThresholdIsolation, 0, 100, true)
-	if err != nil {
-		return 0, nil, err
-	}
-	return d.Isolation, d, nil
+	return s.MaxIsolationContext(context.Background(), usabilityTenths, costBudget)
 }
 
-// MaxUsability computes the maximum achievable usability subject to an
-// isolation threshold and a cost budget.
-func (s *Solver) MaxUsability(isolationTenths int, costBudget int64) (float64, *core.Design, error) {
-	if s.Workers() == 0 {
-		return s.canon.MaxUsability(isolationTenths, costBudget)
-	}
-	base := core.Thresholds{IsolationTenths: isolationTenths, CostBudget: costBudget}
-	d, err := s.optimize(base, core.ThresholdUsability, 0, 100, true)
-	if err != nil {
-		return 0, nil, err
-	}
-	return d.Usability, d, nil
+// MaxIsolationContext is MaxIsolation bounded by ctx.
+func (s *Solver) MaxIsolationContext(ctx context.Context, usabilityTenths int, costBudget int64) (float64, *core.Design, error) {
+	q := core.Query{Optimise: core.ThresholdIsolation, Thresholds: core.Thresholds{UsabilityTenths: usabilityTenths, CostBudget: costBudget}}
+	return q.Optimum(s.Run(ctx, q))
+}
+
+// MaxUsabilityContext computes the maximum achievable usability subject
+// to an isolation threshold and a cost budget, bounded by ctx.
+func (s *Solver) MaxUsabilityContext(ctx context.Context, isolationTenths int, costBudget int64) (float64, *core.Design, error) {
+	q := core.Query{Optimise: core.ThresholdUsability, Thresholds: core.Thresholds{IsolationTenths: isolationTenths, CostBudget: costBudget}}
+	return q.Optimum(s.Run(ctx, q))
 }
 
 // MinCost computes the minimum deployment budget that still satisfies
 // the given isolation and usability thresholds.
 func (s *Solver) MinCost(isolationTenths, usabilityTenths int) (int64, *core.Design, error) {
-	if s.Workers() == 0 {
-		return s.canon.MinCost(isolationTenths, usabilityTenths)
-	}
-	upper := s.costUpperBound()
-	base := core.Thresholds{IsolationTenths: isolationTenths, UsabilityTenths: usabilityTenths, CostBudget: upper}
-	d, err := s.optimize(base, core.ThresholdCost, 0, upper, false)
-	if err != nil {
-		return 0, nil, err
-	}
-	return d.Cost, d, nil
+	return s.MinCostContext(context.Background(), isolationTenths, usabilityTenths)
+}
+
+// MinCostContext is MinCost bounded by ctx.
+func (s *Solver) MinCostContext(ctx context.Context, isolationTenths, usabilityTenths int) (int64, *core.Design, error) {
+	q := core.Query{Optimise: core.ThresholdCost, Thresholds: core.Thresholds{IsolationTenths: isolationTenths, UsabilityTenths: usabilityTenths}}
+	v, d, err := q.Optimum(s.Run(ctx, q))
+	return int64(v), d, err
 }
 
 // Assist produces the slider-assistance table (paper Table III) at the
@@ -563,37 +462,31 @@ func (s *Solver) Assist(usabilityLevels []int) ([]core.AssistEntry, error) {
 	return core.AssistTable(s.prob, usabilityLevels, s.MaxIsolation)
 }
 
-// Explain runs the paper's Algorithm 1 on the canonical synthesizer.
-// Explanation is inherently sequential and model-extraction heavy, so
-// it is not raced.
-func (s *Solver) Explain() (*core.Explanation, error) {
-	syn, err := s.extractor()
-	if err != nil {
-		return nil, err
-	}
-	defer s.release(syn)
-	return syn.Explain()
+// Explain runs the paper's Algorithm 1. Explanation is inherently
+// sequential and model-extraction heavy, so it is never raced.
+func (s *Solver) Explain() (ex *core.Explanation, err error) {
+	err = s.canonical(func(syn *core.Synthesizer) (err error) {
+		ex, err = syn.Explain()
+		return err
+	})
+	return ex, err
 }
 
-// Stats returns the canonical model statistics with the dynamic search
-// counters (conflicts, decisions, propagations, restarts, interrupts,
-// random decisions) aggregated across the canonical solver and every
-// worker — for a session, across the workers and every per-query
-// extractor it has used.
+// Stats returns the model statistics with the dynamic search counters
+// (conflicts, decisions, propagations, restarts, interrupts, random
+// decisions): the sequential arm's own, or for an engine the pristine
+// template's shape with the search of every worker and of every
+// canonical clone it has used.
 func (s *Solver) Stats() core.ModelStats {
-	var st core.ModelStats
-	if s.canon != nil {
-		st = s.canon.Stats()
-	} else {
-		// Session: no long-lived canonical. The template supplies the
-		// model shape every clone starts from.
-		st = s.tmpl.Stats()
+	if s.tmpl == nil {
+		return s.canon.Stats()
 	}
+	st := s.tmpl.Stats()
 	for _, w := range s.work {
 		st.AddSearch(w.Stats())
 	}
-	s.extractMu.Lock()
+	s.canonMu.Lock()
 	st.AddSearch(s.extracted)
-	s.extractMu.Unlock()
+	s.canonMu.Unlock()
 	return st
 }

@@ -1,11 +1,13 @@
 package portfolio
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"configsynth/internal/core"
 	"configsynth/internal/netgen"
+	"configsynth/internal/smt"
 	"configsynth/internal/usability"
 )
 
@@ -148,11 +150,11 @@ func TestPortfolioDescentDeterminismK1vsK4(t *testing.T) {
 	}
 	sameDesign(t, "MinCost", m1, m4)
 
-	u1, n1, err := s1.MaxUsability(40, 20)
+	u1, n1, err := s1.MaxUsabilityContext(context.Background(), 40, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u4, n4, err := s4.MaxUsability(40, 20)
+	u4, n4, err := s4.MaxUsabilityContext(context.Background(), 40, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestPortfolioUnsat(t *testing.T) {
 	var cores []string
 	for _, k := range []int{1, 4} {
 		s := mustRacing(t, netgen.PaperExample(), k)
-		_, err := s.CheckAt(impossible)
+		_, err := s.Run(context.Background(), core.Query{Thresholds: impossible})
 		if err == nil {
 			t.Fatalf("K=%d: expected error at isolation 10.0 + usability 10.0", k)
 		}
@@ -258,5 +260,143 @@ func TestPortfolioStats(t *testing.T) {
 	st := s.Stats()
 	if st.Decisions == 0 && st.Propagations == 0 {
 		t.Errorf("stats show no search effort: %+v", st)
+	}
+}
+
+// searchOf strips the model shape from stats, leaving the search counters.
+func searchOf(st core.ModelStats) (search core.ModelStats) {
+	search.AddSearch(st)
+	return search
+}
+
+// TestChecksNeverRace: a plain check on an engine goes straight to a
+// canonical clone. No worker is cloned, and the engine has searched
+// exactly once — its counters are those of one sequential solve, not of
+// a raced status plus an extraction that decides the same thing again.
+func TestChecksNeverRace(t *testing.T) {
+	p := easyProblem(t)
+	tight := p.Thresholds
+	tight.IsolationTenths = 45
+	for name, q := range map[string]core.Query{"Solve": {Thresholds: p.Thresholds}, "CheckAt": {Thresholds: tight}} {
+		seq, err := New(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := mustRacing(t, p, 3)
+		want, errSeq := seq.Run(context.Background(), q)
+		got, errEng := eng.Run(context.Background(), q)
+		if errSeq != nil || errEng != nil {
+			t.Fatalf("%s: sequential err %v, engine err %v", name, errSeq, errEng)
+		}
+		sameDesign(t, name, got, want)
+		if eng.work != nil {
+			t.Errorf("%s cloned %d workers it never probes", name, len(eng.work))
+		}
+		one, did := seq.Stats(), eng.Stats()
+		if one.Conflicts == 0 {
+			t.Fatalf("%s is conflict-free on this instance; the test would compare nothing", name)
+		}
+		if searchOf(did) != searchOf(one) {
+			t.Errorf("%s on an engine searched\n%+v\n, one sequential solve\n%+v", name, searchOf(did), searchOf(one))
+		}
+	}
+}
+
+// TestOneEngineBehindBothConstructors: NewRacing and NewSession build
+// the same engine, so the three optimisations come back with identical
+// designs and — one worker, nothing left to race timing — identical
+// search counters.
+func TestOneEngineBehindBothConstructors(t *testing.T) {
+	p := smallPaperExample()
+	th := p.Thresholds
+	for _, kind := range []core.ThresholdKind{core.ThresholdIsolation, core.ThresholdCost, core.ThresholdUsability} {
+		q := core.Query{Optimise: kind, Thresholds: th}
+		racing := mustRacing(t, p, 1)
+		session, err := NewSession(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, errA := racing.Run(context.Background(), q)
+		b, errB := session.Run(context.Background(), q)
+		if errA != nil || errB != nil {
+			t.Fatalf("optimise %v: NewRacing err %v, NewSession err %v", kind, errA, errB)
+		}
+		sameDesign(t, "optimise "+kind.String(), a, b)
+		if sa, sb := racing.Stats(), session.Stats(); sa != sb || sa.Conflicts == 0 {
+			t.Errorf("optimise %v: stats differ (or show no search):\nNewRacing  %+v\nNewSession %+v", kind, sa, sb)
+		}
+	}
+}
+
+// TestHeuristicsResetOnRetargetOnly pins the reset rule by replaying an
+// engine's probes by hand on a worker clone of the same template. Within
+// one target the probes of a descent build on each other's heuristics
+// (phases, activities, restart schedule); moving to another target
+// forgets them once, keeping the learnt clauses. A worker that is reset
+// before every probe — what a session used to do — searches differently,
+// which is what makes the comparison tell the two apart.
+func TestHeuristicsResetOnRetargetOnly(t *testing.T) {
+	p := smallPaperExample()
+	next := *p
+	next.Thresholds.UsabilityTenths = 70
+	eng := mustRacing(t, p, 1)
+
+	tmpl, err := core.NewTemplate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *core.Synthesizer {
+		w, err := tmpl.Clone(p.Thresholds, WorkerConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// descend is the engine's MaxIsolation descent on w: the base probe,
+	// then the bisection's, with before run ahead of each.
+	descend := func(w *core.Synthesizer, th core.Thresholds, before func()) {
+		q := core.Query{Optimise: core.ThresholdIsolation, Thresholds: th}
+		before()
+		if st := w.ProbeStatus(th.With(q.Optimise, 0), false); st != smt.Sat {
+			t.Fatalf("base probe: %v", st)
+		}
+		q.Bisect(0, func(v int64) (smt.Status, *core.Design) {
+			before()
+			return w.ProbeStatus(th.With(q.Optimise, v), true), nil
+		})
+	}
+	nothing := func() {}
+	maxIsolation := func(th core.Thresholds) {
+		t.Helper()
+		if _, d, err := eng.MaxIsolation(th.UsabilityTenths, th.CostBudget); err != nil || !d.Exact {
+			t.Fatalf("MaxIsolation: %v (exact %v)", err, d != nil && d.Exact)
+		}
+	}
+
+	maxIsolation(p.Thresholds)
+	kept, reset := clone(), clone()
+	descend(kept, p.Thresholds, nothing)
+	descend(reset, p.Thresholds, reset.ResetSearchState)
+	if kept.Stats() == reset.Stats() {
+		t.Fatal("resetting before every probe changes nothing on this instance; the test would compare nothing")
+	}
+	if got := eng.work[0].Stats(); got != kept.Stats() {
+		t.Errorf("the engine's worker did not search like one that keeps its heuristics through a descent:\nengine %+v\nkept   %+v\nreset  %+v", got, kept.Stats(), reset.Stats())
+	}
+
+	if err := eng.Retarget(&next); err != nil {
+		t.Fatal(err)
+	}
+	maxIsolation(next.Thresholds)
+	stale := clone()
+	descend(stale, p.Thresholds, nothing)
+	descend(stale, next.Thresholds, nothing)
+	kept.ResetSearchState() // once, as Retarget does
+	descend(kept, next.Thresholds, nothing)
+	if kept.Stats() == stale.Stats() {
+		t.Fatal("resetting at the retarget changes nothing on this instance; the test would compare nothing")
+	}
+	if got := eng.work[0].Stats(); got != kept.Stats() {
+		t.Errorf("the retargeted engine's worker did not search like one reset once, at the retarget:\nengine %+v\nreset  %+v\nstale  %+v", got, kept.Stats(), stale.Stats())
 	}
 }

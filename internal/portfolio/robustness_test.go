@@ -87,7 +87,8 @@ func TestGuardReapsWatcherWhenQueryPanics(t *testing.T) {
 // TestRaceRethrowsWhenAllWorkersPanic: with every worker poisoned, the
 // race cannot produce a status, so the panic must escape to the caller
 // (where the service's containment layer converts it into a failed
-// job) and every worker must be retired.
+// job) and every worker must be retired. Only a descent races, so the
+// race is reached through an optimisation query.
 func TestRaceRethrowsWhenAllWorkersPanic(t *testing.T) {
 	plan, err := faults.Parse("seed=3," + faults.SatSolvePanic + "=1")
 	if err != nil {
@@ -103,11 +104,14 @@ func TestRaceRethrowsWhenAllWorkersPanic(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Solve with all workers panicking did not panic")
+				t.Fatal("a descent with all workers panicking did not panic")
 			}
 		}()
-		s.Solve()
+		s.MaxIsolation(p.Thresholds.UsabilityTenths, p.Thresholds.CostBudget)
 	}()
+	if len(s.work) != 3 {
+		t.Fatalf("the race cloned %d workers, want 3", len(s.work))
+	}
 	for i, d := range s.dead {
 		if !d {
 			t.Errorf("worker %d not retired after panicking", i)
@@ -124,7 +128,7 @@ func TestRaceRethrowsWhenAllWorkersPanic(t *testing.T) {
 				t.Fatal("fully-retired portfolio did not panic")
 			}
 		}()
-		s.Solve()
+		s.MaxIsolation(p.Thresholds.UsabilityTenths, p.Thresholds.CostBudget)
 	}()
 }
 

@@ -33,42 +33,42 @@ func sessionProblem(t *testing.T, seed int64) *core.Problem {
 	return p
 }
 
+// TestSessionAccessorsAndRetargetRules: an engine — from either
+// constructor, there is one — reports its problem's family and may be
+// retargeted within it; a problem of another family is refused, and so is
+// the sequential arm, which has no template to re-instantiate.
 func TestSessionAccessorsAndRetargetRules(t *testing.T) {
 	p := sessionProblem(t, 1)
-	s, err := NewSession(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Session() {
-		t.Fatal("NewSession must mark the solver as a session")
-	}
-	if want := spec.FamilyFingerprint(p); s.Family() != want {
-		t.Fatalf("Family = %.12s, want %.12s", s.Family(), want)
-	}
-
-	plain, err := NewRacing(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Session() || plain.Family() != "" {
-		t.Fatal("NewRacing must not produce a session")
-	}
-	if err := plain.Retarget(p); err == nil || !strings.Contains(err.Error(), "non-session") {
-		t.Fatalf("Retarget on a non-session solver: err = %v, want non-session rejection", err)
-	}
-
-	// Threshold deltas stay in the family.
 	q := *p
 	q.Thresholds.IsolationTenths = 70
-	if err := s.Retarget(&q); err != nil {
-		t.Fatalf("threshold-only Retarget: %v", err)
-	}
-
-	// Anything beyond thresholds changes the family and must be refused:
-	// the warm workers' encodings would silently describe the old problem.
 	other := sessionProblem(t, 2)
-	if err := s.Retarget(other); err == nil || !strings.Contains(err.Error(), "beyond thresholds") {
-		t.Fatalf("cross-family Retarget: err = %v, want family rejection", err)
+	for name, build := range map[string]func(*core.Problem, int) (*Solver, error){"NewSession": NewSession, "NewRacing": NewRacing} {
+		s, err := build(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := spec.FamilyFingerprint(p); s.Family() != want {
+			t.Fatalf("%s: Family = %.12s, want %.12s", name, s.Family(), want)
+		}
+		// Threshold deltas stay in the family.
+		if err := s.Retarget(&q); err != nil {
+			t.Fatalf("%s: threshold-only Retarget: %v", name, err)
+		}
+		if s.Problem() != &q {
+			t.Fatalf("%s: Retarget left the engine on its old problem", name)
+		}
+		// Anything beyond thresholds changes the family and must be refused:
+		// the warm workers' encodings would silently describe the old problem.
+		if err := s.Retarget(other); err == nil || !strings.Contains(err.Error(), "beyond thresholds") {
+			t.Fatalf("%s: cross-family Retarget: err = %v, want family rejection", name, err)
+		}
+	}
+	seq, err := New(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.Retarget(&q); err == nil || !strings.Contains(err.Error(), "sequential arm") {
+		t.Fatalf("Retarget on the sequential arm: err = %v, want a refusal", err)
 	}
 }
 
@@ -239,7 +239,7 @@ func TestSessionSweepAllModesMatchScratch(t *testing.T) {
 			return result{v, d, err}
 		},
 		"MaxUsability": func(s *Solver, th core.Thresholds) result {
-			v, d, err := s.MaxUsability(th.IsolationTenths, th.CostBudget)
+			v, d, err := s.MaxUsabilityContext(context.Background(), th.IsolationTenths, th.CostBudget)
 			return result{v, d, err}
 		},
 		"MinCost": func(s *Solver, th core.Thresholds) result {

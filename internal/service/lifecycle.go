@@ -175,14 +175,7 @@ func (s *Service) solve(j *Job) (res *Result, err error) {
 			// the answer is a feasible incumbent, not a proven optimum.
 			res.Degraded, res.DegradedReason = true, "budget"
 		}
-		switch j.Mode {
-		case ModeMaxIsolation:
-			res.Objective = design.Isolation
-		case ModeMaxUsability:
-			res.Objective = design.Usability
-		case ModeMinCost, ModeDecomp:
-			res.Objective = float64(design.Cost)
-		}
+		res.Objective = j.question().Objective(design)
 		res.Design = designJSON(j.prob, design)
 		var sb strings.Builder
 		if werr := spec.WriteDesign(&sb, j.prob, design); werr == nil {
@@ -198,13 +191,28 @@ func (s *Service) solve(j *Job) (res *Result, err error) {
 	return res, nil
 }
 
-// solveMono is the monolithic arm: one portfolio (or warm what-if
-// session) answers the query under the job context. It returns the
-// design, or the threshold kinds of the unsat core with a nil design.
-// When the deadline or a cancellation cuts an optimization short after
-// the descent has proven a feasible incumbent, that design (Exact=false)
-// is the answer, marked degraded with the reason, instead of a bare
-// timeout error.
+// question is the job's query as data: the mode picks which threshold,
+// if any, the problem's own sliders leave free.
+func (j *Job) question() core.Query {
+	return core.Query{Optimise: optimised[j.Mode], Thresholds: j.prob.Thresholds}
+}
+
+// optimised maps a mode to the threshold it optimises. A decomposed
+// solve minimises cost region by region; ModeSolve optimises nothing.
+var optimised = map[Mode]core.ThresholdKind{
+	ModeMaxIsolation: core.ThresholdIsolation,
+	ModeMaxUsability: core.ThresholdUsability,
+	ModeMinCost:      core.ThresholdCost,
+	ModeDecomp:       core.ThresholdCost,
+}
+
+// solveMono is the monolithic arm: one portfolio engine (or a warm one
+// from the what-if session registry) answers the query under the job
+// context. It returns the design, or the threshold kinds of the unsat
+// core with a nil design. When the deadline or a cancellation cuts an
+// optimization short after the descent has proven a feasible incumbent,
+// that design (Exact=false) is the answer, marked degraded with the
+// reason, instead of a bare timeout error.
 func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.ThresholdKind, error) {
 	syn, reused, err := s.solverFor(j)
 	if err != nil {
@@ -230,7 +238,7 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 	case errors.As(qerr, &conflict):
 		kinds, qerr = conflict.Core, nil
 	case j.Mode != ModeSolve && (errors.Is(qerr, context.Canceled) || errors.Is(qerr, context.DeadlineExceeded)):
-		// AnytimeDesign re-extracts through the session, so it runs before
+		// AnytimeDesign re-extracts through the engine, so it runs before
 		// the check-in below resets the query state.
 		if ad, ok := syn.AnytimeDesign(); ok {
 			res.Degraded, res.DegradedReason = true, "canceled"
@@ -240,15 +248,15 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 			design, qerr = ad, nil
 		}
 	}
-	if syn.Session() {
+	if j.whatif {
 		res.Session = "fresh"
 		if reused {
 			res.Session = "reused"
 		}
-		// A warm session goes back into the registry before the job's
-		// terminal transition is visible: a client that submits its next
-		// delta the moment this one finishes must find the session. A
-		// session a panic escaped from never gets here and is dropped, its
+		// A what-if job's engine goes (back) into the registry before the
+		// job's terminal transition is visible: a client that submits its
+		// next delta the moment this one finishes must find the session. An
+		// engine a panic escaped from never gets here and is dropped, its
 		// state being suspect.
 		syn.ResetQueryState()
 		s.sessions.Put(syn.Family(), syn)
@@ -256,32 +264,30 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 	return design, kinds, qerr
 }
 
-// solverFor builds (or checks out) the job's synthesizer. Ordinary jobs
-// get a fresh racing portfolio — NewRacing even for one worker, so the
-// engine path drives optimization descents centrally, which is what
-// makes bound streaming work and results independent of K. What-if jobs
-// consult the session registry first: a warm session for the problem
+// solverFor builds (or checks out) the job's portfolio engine — an
+// engine even for one worker, so the descent of an optimisation is
+// driven centrally, which is what makes bound streaming work and results
+// independent of K. Ordinary jobs get a fresh one and drop it. What-if
+// jobs consult the session registry first: a warm engine for the problem
 // family is retargeted at the job's thresholds and re-solves only the
-// delta; on a miss a fresh session is built and, after the job, checked
-// in for the family's next delta.
+// delta; on a miss the fresh engine is, after the job, checked in for
+// the family's next delta. The job, not the engine, says which it is.
 func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err error) {
-	if !j.whatif {
-		syn, err = portfolio.NewRacing(j.prob, s.cfg.SolverWorkers)
-		return syn, false, err
-	}
-	family := spec.FamilyFingerprint(j.prob)
-	if sess, ok := s.sessions.Take(family); ok {
-		if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
-			return sess, true, nil
+	if j.whatif {
+		family := spec.FamilyFingerprint(j.prob)
+		if sess, ok := s.sessions.Take(family); ok {
+			if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
+				return sess, true, nil
+			}
+			// A session that cannot retarget within its own family is
+			// defective; drop it and fall through to a fresh one.
 		}
-		// A session that cannot retarget within its own family is
-		// defective; drop it and fall through to a fresh one.
 	}
-	syn, err = portfolio.NewSession(j.prob, s.cfg.SolverWorkers)
+	syn, err = portfolio.NewRacing(j.prob, s.cfg.SolverWorkers)
 	return syn, false, err
 }
 
-// query runs the job's mode on syn. On the way out — by return or by
+// query runs the job's query on syn. On the way out — by return or by
 // panic, and before the caller can check a session back in for another
 // job to use — it folds the search this job did into the fleet totals.
 // A reused session carries counters from earlier jobs; only the share
@@ -299,20 +305,7 @@ func (s *Service) query(j *Job, syn *portfolio.Solver, reused bool) (*core.Desig
 		s.totals.Add(syn.Stats().Since(statsBase))
 		s.mu.Unlock()
 	}()
-	th := j.prob.Thresholds
-	var design *core.Design
-	var err error
-	switch j.Mode {
-	case ModeMaxIsolation:
-		_, design, err = syn.MaxIsolationContext(j.ctx, th.UsabilityTenths, th.CostBudget)
-	case ModeMaxUsability:
-		_, design, err = syn.MaxUsabilityContext(j.ctx, th.IsolationTenths, th.CostBudget)
-	case ModeMinCost:
-		_, design, err = syn.MinCostContext(j.ctx, th.IsolationTenths, th.UsabilityTenths)
-	default:
-		design, err = syn.SolveContext(j.ctx)
-	}
-	return design, err
+	return syn.Run(j.ctx, j.question())
 }
 
 // proven reports whether a result is a fact about its problem — an unsat
