@@ -1,6 +1,12 @@
 package core
 
-import "configsynth/internal/sat"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+
+	"configsynth/internal/sat"
+	"configsynth/internal/smt"
+)
 
 // RootAssigned returns how many variables the template's solver holds
 // assigned at the root level — its root trail length — so the clone
@@ -14,4 +20,30 @@ func (t *Template) RootAssigned() int {
 		}
 	}
 	return n
+}
+
+// Digest returns the sha256 of the template's solver state
+// (smt.Solver.Digest), in hex.
+func (t *Template) Digest() string { return t.syn.Digest() }
+
+// Digest returns the sha256 of the synthesizer's solver state, in hex.
+func (s *Synthesizer) Digest() string {
+	h := sha256.New()
+	s.sol.Digest(h)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// HookReserve puts hook in front of the encoder's capacity reservation
+// until the returned function is called: it sees the variable and clause
+// counts every encode reserves with, and the reservation itself happens
+// only if it returns true. Tests use it to read the counts and to check
+// that the encoding does not depend on the reservation.
+func HookReserve(hook func(vars, clauses int) (proceed bool)) (restore func()) {
+	old := reserve
+	reserve = func(s *smt.Solver, vars, clauses, arenaWords int) {
+		if hook(vars, clauses) {
+			old(s, vars, clauses, arenaWords)
+		}
+	}
+	return func() { reserve = old }
 }

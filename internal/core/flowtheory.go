@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 
 	"configsynth/internal/sat"
@@ -32,9 +31,13 @@ import (
 type flowTheory struct {
 	solver *sat.Solver
 
-	flows    []ftFlow
-	byLit    map[sat.Lit]ftRef // y literal -> (flow, option)
-	guardLit map[sat.Lit]bool  // guard literals we watch
+	flows []ftFlow
+	// flowOf maps a variable to the flow it is a y variable of, or -1; it
+	// covers the variables that existed when the theory was built, is
+	// fixed from then on and shared between clones. guardVar marks the
+	// variables of the guard literals we watch.
+	flowOf   []int32
+	guardVar []bool
 
 	isoGuards  []ftGuard // lit -> isolation lower bound (raw score units)
 	lossGuards []ftGuard // lit -> loss budget (raw loss units)
@@ -56,11 +59,6 @@ type flowTheory struct {
 type ftGuard struct {
 	lit   sat.Lit
 	bound int64
-}
-
-type ftRef struct {
-	flow int32
-	opt  int32
 }
 
 type ftOption struct {
@@ -86,15 +84,18 @@ var _ sat.Theory = (*flowTheory)(nil)
 // folded into the initial state.
 func newFlowTheory(solver *sat.Solver, flows [][]ftOption) *flowTheory {
 	t := &flowTheory{
-		solver:   solver,
-		byLit:    make(map[sat.Lit]ftRef),
-		guardLit: make(map[sat.Lit]bool),
+		solver: solver,
+		flows:  make([]ftFlow, 0, len(flows)),
+		flowOf: make([]int32, solver.NumVars()),
+	}
+	for v := range t.flowOf {
+		t.flowOf[v] = -1
 	}
 	uniform := int64(-1) // -1: unseen, 0: mixed, >0: the uniform λ
 	for fi, opts := range flows {
 		f := ftFlow{options: opts, committed: -1}
-		for oi, o := range opts {
-			t.byLit[o.lit] = ftRef{flow: int32(fi), opt: int32(oi)}
+		for _, o := range opts {
+			t.flowOf[o.lit.Var()] = int32(fi)
 			if o.iso > f.staticMax {
 				f.staticMax = o.iso
 			}
@@ -128,13 +129,13 @@ func newFlowTheory(solver *sat.Solver, flows [][]ftOption) *flowTheory {
 
 // clone returns a copy of the theory attached to solver, a clone of the
 // solver t is attached to. The per-flow state, aggregates and queues are
-// copied; the option lists and the literal index are fixed at
+// copied; the option lists and the variable index are fixed at
 // construction and shared.
 func (t *flowTheory) clone(solver *sat.Solver) *flowTheory {
 	c := *t
 	c.solver = solver
 	c.flows = slices.Clone(t.flows)
-	c.guardLit = maps.Clone(t.guardLit)
+	c.guardVar = slices.Clone(t.guardVar)
 	c.isoGuards = slices.Clone(t.isoGuards)
 	c.lossGuards = slices.Clone(t.lossGuards)
 	c.gainCounts = slices.Clone(t.gainCounts)
@@ -148,14 +149,21 @@ func (t *flowTheory) clone(solver *sat.Solver) *flowTheory {
 // watchIsoGuard registers lit → (isolation ≥ bound) with the theory.
 func (t *flowTheory) watchIsoGuard(lit sat.Lit, bound int64) {
 	t.isoGuards = append(t.isoGuards, ftGuard{lit: lit, bound: bound})
-	t.guardLit[lit] = true
-	t.stateDirt = true
+	t.watchGuard(lit)
 }
 
 // watchLossGuard registers lit → (loss ≤ bound) with the theory.
 func (t *flowTheory) watchLossGuard(lit sat.Lit, bound int64) {
 	t.lossGuards = append(t.lossGuards, ftGuard{lit: lit, bound: bound})
-	t.guardLit[lit] = true
+	t.watchGuard(lit)
+}
+
+func (t *flowTheory) watchGuard(lit sat.Lit) {
+	v := int(lit.Var())
+	if v >= len(t.guardVar) {
+		t.guardVar = append(t.guardVar, make([]bool, v+1-len(t.guardVar))...)
+	}
+	t.guardVar[v] = true
 	t.stateDirt = true
 }
 
@@ -167,17 +175,16 @@ func (t *flowTheory) markDirty(fi int32) {
 	t.stateDirt = true
 }
 
-// Assign implements sat.Theory.
+// Assign implements sat.Theory. It runs on every literal the solver
+// assigns or undoes, most of which are neither a y nor a guard, so what
+// the variable is to the theory is one slice read.
 func (t *flowTheory) Assign(l sat.Lit) {
-	if ref, ok := t.byLit[l]; ok {
-		t.markDirty(ref.flow)
+	v := int(l.Var())
+	if v < len(t.flowOf) && t.flowOf[v] >= 0 {
+		t.markDirty(t.flowOf[v])
 		return
 	}
-	if ref, ok := t.byLit[l.Not()]; ok {
-		t.markDirty(ref.flow)
-		return
-	}
-	if t.guardLit[l] || t.guardLit[l.Not()] {
+	if v < len(t.guardVar) && t.guardVar[v] {
 		t.stateDirt = true
 	}
 }

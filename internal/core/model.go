@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"configsynth/internal/isolation"
@@ -15,34 +15,34 @@ import (
 	"configsynth/internal/usability"
 )
 
-type pairDev struct {
-	pair pairKey
-	dev  isolation.DeviceID
-}
-
-type linkDev struct {
-	link topology.LinkID
-	dev  isolation.DeviceID
-}
-
 // Synthesizer holds the encoded synthesis model (paper Eq. 12) and
 // answers satisfiability, optimization, and explanation queries against
 // it incrementally.
 type Synthesizer struct {
 	prob     *Problem
 	sol      *smt.Solver
-	flows    []usability.Flow
-	patterns []isolation.Pattern
+	flows    []usability.Flow    // ascending (sortedFlows)
+	patterns []isolation.Pattern // ascending ID
+	devices  []isolation.Device  // ascending ID
+	pairs    []pairKey           // the unordered host pairs of the flows, ascending
+	flowPair []int32             // flows[i]'s pair, as an index into pairs
 
-	y      map[usability.Flow]map[isolation.PatternID]smt.Bool
-	x      map[pairDev]smt.Bool
-	l      map[linkDev]smt.Bool
+	// The decision variables, in dense tables: y by flow·P + pattern
+	// position, x by pair·D + device position, l by link·D + device
+	// position (P patterns, D devices; positions are indexes into patterns
+	// and devices). A slot whose variable does not exist — a device no
+	// pattern uses, a link no route crosses — holds smt.NoBool, not the
+	// zero smt.Bool, which is variable 0.
+	y      []smt.Bool
+	x      []smt.Bool
+	l      []smt.Bool
 	routes *topology.RouteTable // one entry per unordered host pair, asked as (low, high)
 	// preset marks link-device placements the problem declares as already
-	// deployed (Problem.Preplaced): their l variables are pinned true and
-	// contribute nothing to the cost sum, so Design.Cost and MinCost
-	// measure marginal cost over the existing deployment.
-	preset map[linkDev]bool
+	// deployed (Problem.Preplaced), indexed like l; nil when there are
+	// none. Their l variables are pinned true and contribute nothing to
+	// the cost sum, so Design.Cost and MinCost measure marginal cost over
+	// the existing deployment.
+	preset []bool
 
 	isoSum  *smt.Sum // Σ L_k · y  (network isolation numerator)
 	lossSum *smt.Sum // Σ a_f(100−b_k) · y (usability loss numerator)
@@ -67,7 +67,10 @@ type Synthesizer struct {
 // allocates one y/x/l variable per flow-pattern, pair-device, and
 // link-device combination; naming them through fmt.Sprintf was a
 // measurable slice of probe time, so the names are built with strconv
-// appends into a reused buffer instead.
+// appends into a reused buffer instead. The string goes straight into
+// smt.Solver.NewBool, which copies it into its name slab and keeps no
+// reference, so the conversion of a short name does not reach the heap
+// (TestEncodeAllocBudget would notice if it did).
 func (s *Synthesizer) name() string { return string(s.nb) }
 
 // ErrModelTooLarge re-exports the SAT core's clause-arena overflow
@@ -125,20 +128,11 @@ func NewTemplate(p *Problem) (retT *Template, retErr error) {
 		sol:      smt.NewSolverWith(p.Options.Solver),
 		flows:    sortedFlows(p.Flows),
 		patterns: p.Catalog.Patterns(),
-		y:        make(map[usability.Flow]map[isolation.PatternID]smt.Bool, len(p.Flows)),
-		x:        make(map[pairDev]smt.Bool),
-		l:        make(map[linkDev]smt.Bool),
+		devices:  p.Catalog.Devices(),
 		routes:   topology.NewRouteTable(p.Network, p.Options.Routes),
 		isoSum:   &smt.Sum{},
 		lossSum:  &smt.Sum{},
 		costSum:  &smt.Sum{},
-	}
-	if len(p.Preplaced) > 0 {
-		s.preset = make(map[linkDev]bool, len(p.Preplaced))
-		for _, pp := range p.Preplaced {
-			link, _ := p.Network.LinkBetween(pp.A, pp.B) // Validate checked existence
-			s.preset[linkDev{link: link, dev: pp.Dev}] = true
-		}
 	}
 	if err := s.encode(); err != nil {
 		return nil, err
@@ -170,7 +164,7 @@ func (t *Template) Synthesizer() *Synthesizer {
 // Everything search mutates is copied and re-bound to the clone's SAT
 // core (sat.Solver.Clone, pb.Theory.Clone, the flow theory's per-flow
 // state) and the guard tables start empty; everything fixed once
-// encoded is shared: the variable maps, routes, flows, patterns, the
+// encoded is shared: the variable tables, routes, flows, patterns, the
 // three sums and the flow theory's inputs. Because the template holds
 // no threshold guard and has never searched, the clone is state for
 // state what NewSynthesizer of the same problem under th and cfg would
@@ -269,6 +263,9 @@ func (s *Synthesizer) encode() error {
 	if err := s.encodeRoutes(); err != nil {
 		return err
 	}
+	if err := s.reserveTables(); err != nil {
+		return err
+	}
 	s.encodeFlows()
 	s.encodePlacements()
 	if err := s.encodePolicies(); err != nil {
@@ -284,16 +281,33 @@ func (s *Synthesizer) encode() error {
 }
 
 // encodeRoutes enumerates flow routes per unordered host pair (paper
-// §III-C, "Modeling Flow Routes"). The synthesizer's route table is
-// filled here and only read afterwards.
+// §III-C, "Modeling Flow Routes") and numbers the pairs. The
+// synthesizer's route table is filled here and only read afterwards.
 func (s *Synthesizer) encodeRoutes() error {
-	for _, f := range s.flows {
+	all := make([]pairKey, len(s.flows))
+	for i, f := range s.flows {
 		key := mkPair(f.Src, f.Dst)
 		if _, err := s.routes.Routes(key.a, key.b); err != nil {
 			return fmt.Errorf("routes for pair (%d,%d): %w", key.a, key.b, err)
 		}
+		all[i] = key
+	}
+	s.pairs = slices.Clone(all)
+	slices.SortFunc(s.pairs, comparePairs)
+	s.pairs = slices.Compact(s.pairs)
+	s.flowPair = make([]int32, len(all))
+	for i, key := range all {
+		pi, _ := slices.BinarySearchFunc(s.pairs, key, comparePairs)
+		s.flowPair[i] = int32(pi)
 	}
 	return nil
+}
+
+func comparePairs(p, q pairKey) int {
+	if c := cmp.Compare(p.a, q.a); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.b, q.b)
 }
 
 // pairRoutes returns the routes of a host pair encodeRoutes has
@@ -302,6 +316,135 @@ func (s *Synthesizer) encodeRoutes() error {
 func (s *Synthesizer) pairRoutes(pair pairKey) []topology.Route {
 	routes, _ := s.routes.Routes(pair.a, pair.b)
 	return routes
+}
+
+// reserve is what reserveTables hands its counts to; a test stubs it to
+// check that the reservation is only a hint.
+var reserve = (*smt.Solver).Reserve
+
+// reserveTables sizes everything the encode fills from the counts that
+// are known once the routes are: the variable tables, the solver
+// (smt.Solver.Reserve) and the backing arrays of the three sums and the
+// flow theory's options. The encode is a bulk load — tens of thousands
+// of variables and clauses, nearly all of them the at-most-one and
+// pattern→device binary clauses of the flows — and growing each array by
+// doubling while it runs cost more than everything it computes. The
+// counts are upper bounds that the stored formula misses only by the
+// clauses dropped at the root (a pattern→device implication of a denied
+// pattern a requirement has ruled out) and the placement variables of
+// links no route crosses.
+//
+// An encoding that cannot fit the clause arena is refused here, before
+// the first clause, with the error the overflowing allocation would
+// raise: the at-most-one clauses alone — always stored, since a flow's y
+// variables are fresh when its constraint is added — are a lower bound
+// of the arena, so nothing that would have fitted is refused.
+func (s *Synthesizer) reserveTables() error {
+	F, P, D, L := len(s.flows), len(s.patterns), len(s.devices), s.prob.Network.NumLinks()
+	amoVars, amoClauses := smt.AtMostOneSize(P)
+	if need, limit := F*amoClauses*sat.ClauseWords(2), s.sol.SAT().ArenaLimit(); need > limit {
+		return &sat.ArenaOverflowError{Need: need, Cap: limit}
+	}
+
+	used := make([]bool, D)          // devices some pattern requires
+	nUsed, patDevs, lossy := 0, 0, 0 // their number; Σ over patterns of devices required; patterns that cost usability
+	for _, p := range s.patterns {
+		patDevs += len(p.Devices)
+		if s.prob.Catalog.UsabilityPct(p.ID) < 100 {
+			lossy++
+		}
+		for _, d := range p.Devices {
+			if dp := s.devPos(d); !used[dp] {
+				used[dp] = true
+				nUsed++
+			}
+		}
+	}
+	// Coverage clauses ¬x ∨ l…: one per route and device, over the route's
+	// links; two per route for IPSec, over its tunnel windows.
+	T := s.prob.Options.TunnelSlackHops
+	covClauses, covWords := 0, 0
+	for _, pair := range s.pairs {
+		for _, route := range s.pairRoutes(pair) {
+			for dp, u := range used {
+				switch {
+				case !u:
+				case s.devices[dp].ID == isolation.IPSec:
+					covClauses += 2
+					covWords += 2 * sat.ClauseWords(1+min(T, len(route)))
+				default:
+					covClauses++
+					covWords += sat.ClauseWords(1 + len(route))
+				}
+			}
+		}
+	}
+	implications := 0
+	for _, r := range s.prob.Policies.All() {
+		if _, ok := r.(policy.Implication); ok {
+			implications++
+		}
+	}
+	binary := F*(amoClauses+patDevs) + implications
+	reserve(s.sol,
+		F*(P+amoVars)+len(s.pairs)*nUsed+L*nUsed,
+		binary+covClauses,
+		binary*sat.ClauseWords(2)+covWords)
+
+	s.y = filled(F * P)
+	s.x = filled(len(s.pairs) * D)
+	s.l = filled(L * D)
+	s.isoSum.Grow(F * P)
+	s.lossSum.Grow(F * lossy)
+	s.costSum.Grow(L * nUsed)
+	s.ftInputs = make([][]ftOption, 0, F)
+	if len(s.prob.Preplaced) > 0 {
+		s.preset = make([]bool, L*D)
+		for _, pp := range s.prob.Preplaced {
+			link, _ := s.prob.Network.LinkBetween(pp.A, pp.B) // Validate checked existence
+			s.preset[int(link)*D+s.devPos(pp.Dev)] = true
+		}
+	}
+	return nil
+}
+
+// filled returns a variable table of n empty slots.
+func filled(n int) []smt.Bool {
+	t := make([]smt.Bool, n)
+	for i := range t {
+		t[i] = smt.NoBool
+	}
+	return t
+}
+
+// devPos returns the position of device d in s.devices. The catalog has a
+// handful of devices, so a scan beats a map.
+func (s *Synthesizer) devPos(d isolation.DeviceID) int {
+	for i := range s.devices {
+		if s.devices[i].ID == d {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("core: device %d is not in the catalog", d))
+}
+
+// patternPos returns the position of pattern id in s.patterns, or -1.
+func (s *Synthesizer) patternPos(id isolation.PatternID) int {
+	for i := range s.patterns {
+		if s.patterns[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// flowPos returns the position of f in s.flows, or -1.
+func (s *Synthesizer) flowPos(f usability.Flow) int {
+	i, ok := slices.BinarySearchFunc(s.flows, f, compareFlows)
+	if !ok {
+		return -1
+	}
+	return i
 }
 
 // encodeFlows creates the isolation decision variables y^k_{i,j}(g),
@@ -313,11 +456,18 @@ func (s *Synthesizer) encodeFlows() {
 	maxScore := int64(cat.MaxScore())
 	s.maxIso = int64(len(s.flows)) * maxScore
 
-	for _, f := range s.flows {
-		vars := make(map[isolation.PatternID]smt.Bool, len(s.patterns))
-		group := make([]smt.Bool, 0, len(s.patterns))
-		opts := make([]ftOption, 0, len(s.patterns))
-		for _, p := range s.patterns {
+	P := len(s.patterns)
+	deny := s.patternPos(isolation.AccessDeny)
+	scores, lossPct := make([]int64, P), make([]int64, P)
+	for pi, p := range s.patterns {
+		scores[pi] = int64(cat.Score(p.ID))
+		lossPct[pi] = int64(100 - cat.UsabilityPct(p.ID))
+	}
+	opts := make([]ftOption, 0, len(s.flows)*P) // one backing array for every flow's options
+	for fi, f := range s.flows {
+		group := s.y[fi*P : (fi+1)*P]
+		rank := int64(s.prob.Ranks.Rank(f))
+		for pi, p := range s.patterns {
 			// y<k>[g<svc>(<src>-><dst>)], as Flow.String renders it.
 			nb := append(s.nb[:0], 'y')
 			nb = strconv.AppendInt(nb, int64(p.ID), 10)
@@ -330,33 +480,25 @@ func (s *Synthesizer) encodeFlows() {
 			nb = append(nb, ")]"...)
 			s.nb = nb
 			v := s.sol.NewBool(s.name())
-			vars[p.ID] = v
-			group = append(group, v)
+			group[pi] = v
 			// Isolation contribution L_k · y.
-			s.isoSum.Add(v, int64(cat.Score(p.ID)))
+			s.isoSum.Add(v, scores[pi])
 			// Usability loss contribution a_f · (100 − b_k) · y.
-			loss := int64(100-cat.UsabilityPct(p.ID)) * int64(s.prob.Ranks.Rank(f))
+			loss := lossPct[pi] * rank
 			if loss > 0 {
 				s.lossSum.Add(v, loss)
 			}
-			opts = append(opts, ftOption{
-				lit:  v.Lit(),
-				iso:  int64(cat.Score(p.ID)),
-				loss: loss,
-			})
+			opts = append(opts, ftOption{lit: v.Lit(), iso: scores[pi], loss: loss})
 		}
-		s.ftInputs = append(s.ftInputs, opts)
-		s.y[f] = vars
+		s.ftInputs = append(s.ftInputs, opts[len(opts)-P:len(opts):len(opts)])
 		// IIC1: at most one isolation pattern per flow (none selected
 		// means "no isolation").
 		s.sol.AddAtMostOne(group...)
 		// CR + IIC2: a connectivity requirement forbids access deny.
-		if s.prob.Requirements.Required(f) {
-			if deny, ok := vars[isolation.AccessDeny]; ok {
-				s.sol.AddUnit(deny.Not())
-			}
+		if deny >= 0 && s.prob.Requirements.Required(f) {
+			s.sol.AddUnit(group[deny].Not())
 		}
-		s.sumRanks += int64(s.prob.Ranks.Rank(f))
+		s.sumRanks += rank
 	}
 }
 
@@ -365,41 +507,32 @@ func (s *Synthesizer) encodeFlows() {
 // Eq. (7) (device → a placement on every flow route), including the
 // special IPSec tunnel-placement rule.
 func (s *Synthesizer) encodePlacements() {
+	P, D := len(s.patterns), len(s.devices)
 	// y^k → x^d for every device the pattern requires.
-	for _, f := range s.flows {
-		key := mkPair(f.Src, f.Dst)
-		for _, p := range s.patterns {
+	for fi := range s.flows {
+		pi0 := int(s.flowPair[fi])
+		for pi, p := range s.patterns {
 			for _, d := range p.Devices {
-				s.sol.AddImplies(s.y[f][p.ID], s.xVar(key, d))
+				s.sol.AddImplies(s.y[fi*P+pi], s.xVar(pi0, s.devPos(d)))
 			}
 		}
 	}
-	// x^d → coverage of every route.
-	pairs := make([]pairDev, 0, len(s.x))
-	for pd := range s.x {
-		pairs = append(pairs, pd)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i], pairs[j]
-		if a.pair != b.pair {
-			if a.pair.a != b.pair.a {
-				return a.pair.a < b.pair.a
-			}
-			return a.pair.b < b.pair.b
-		}
-		return a.dev < b.dev
-	})
-	for _, pd := range pairs {
-		xv := s.x[pd]
-		if pd.dev == isolation.IPSec {
-			s.encodeTunnel(pd.pair, xv)
+	// x^d → coverage of every route, by pair and then device: the order of
+	// the table.
+	var clause []smt.Bool
+	for i, xv := range s.x {
+		if !xv.Valid() {
 			continue
 		}
-		for _, route := range s.pairRoutes(pd.pair) {
-			clause := make([]smt.Bool, 0, len(route)+1)
-			clause = append(clause, xv.Not())
+		pair, dp := s.pairs[i/D], i%D
+		if s.devices[dp].ID == isolation.IPSec {
+			clause = s.encodeTunnel(pair, xv, clause)
+			continue
+		}
+		for _, route := range s.pairRoutes(pair) {
+			clause = append(clause[:0], xv.Not())
 			for _, link := range route {
-				clause = append(clause, s.lVar(link, pd.dev))
+				clause = append(clause, s.lVar(link, dp))
 			}
 			s.sol.AddClause(clause...)
 		}
@@ -411,24 +544,22 @@ func (s *Synthesizer) encodePlacements() {
 // destination. On routes shorter than 2T links the head and tail windows
 // overlap (see tunnelWindows), so a single gateway in the overlap can
 // serve as both tunnel endpoints. The pruner (covered) and the simulator
-// (netsim.checkTunnel) apply the same window semantics.
-func (s *Synthesizer) encodeTunnel(pair pairKey, xv smt.Bool) {
+// (netsim.checkTunnel) apply the same window semantics. clause is the
+// caller's scratch, handed back.
+func (s *Synthesizer) encodeTunnel(pair pairKey, xv smt.Bool, clause []smt.Bool) []smt.Bool {
 	T := s.prob.Options.TunnelSlackHops
+	ipsec := s.devPos(isolation.IPSec)
 	for _, route := range s.pairRoutes(pair) {
 		headW, tailW := tunnelWindows(route, T)
-		head := make([]smt.Bool, 0, len(headW)+1)
-		head = append(head, xv.Not())
-		for _, link := range headW {
-			head = append(head, s.lVar(link, isolation.IPSec))
+		for _, window := range [2][]topology.LinkID{headW, tailW} {
+			clause = append(clause[:0], xv.Not())
+			for _, link := range window {
+				clause = append(clause, s.lVar(link, ipsec))
+			}
+			s.sol.AddClause(clause...)
 		}
-		s.sol.AddClause(head...)
-		tail := make([]smt.Bool, 0, len(tailW)+1)
-		tail = append(tail, xv.Not())
-		for _, link := range tailW {
-			tail = append(tail, s.lVar(link, isolation.IPSec))
-		}
-		s.sol.AddClause(tail...)
 	}
+	return clause
 }
 
 // tunnelWindows returns the IPSec gateway windows of a route under
@@ -447,44 +578,46 @@ func tunnelWindows(route topology.Route, T int) (head, tail []topology.LinkID) {
 	return route[:w], route[len(route)-w:]
 }
 
-func (s *Synthesizer) xVar(pair pairKey, d isolation.DeviceID) smt.Bool {
-	key := pairDev{pair: pair, dev: d}
-	if v, ok := s.x[key]; ok {
-		return v
+// xVar returns the device-requirement variable of the pair and device at
+// the given positions, creating it on first use.
+func (s *Synthesizer) xVar(pair, dev int) smt.Bool {
+	slot := &s.x[pair*len(s.devices)+dev]
+	if slot.Valid() {
+		return *slot
 	}
 	nb := append(s.nb[:0], 'x')
-	nb = strconv.AppendInt(nb, int64(d), 10)
+	nb = strconv.AppendInt(nb, int64(s.devices[dev].ID), 10)
 	nb = append(nb, '[')
-	nb = strconv.AppendInt(nb, int64(pair.a), 10)
+	nb = strconv.AppendInt(nb, int64(s.pairs[pair].a), 10)
 	nb = append(nb, ',')
-	nb = strconv.AppendInt(nb, int64(pair.b), 10)
+	nb = strconv.AppendInt(nb, int64(s.pairs[pair].b), 10)
 	nb = append(nb, ']')
 	s.nb = nb
-	v := s.sol.NewBool(s.name())
-	s.x[key] = v
-	return v
+	*slot = s.sol.NewBool(s.name())
+	return *slot
 }
 
-func (s *Synthesizer) lVar(link topology.LinkID, d isolation.DeviceID) smt.Bool {
-	key := linkDev{link: link, dev: d}
-	if v, ok := s.l[key]; ok {
-		return v
+// lVar returns the placement variable of the link and the device at the
+// given position, creating it on first use.
+func (s *Synthesizer) lVar(link topology.LinkID, dev int) smt.Bool {
+	i := int(link)*len(s.devices) + dev
+	if s.l[i].Valid() {
+		return s.l[i]
 	}
 	nb := append(s.nb[:0], 'l')
-	nb = strconv.AppendInt(nb, int64(d), 10)
+	nb = strconv.AppendInt(nb, int64(s.devices[dev].ID), 10)
 	nb = append(nb, '[')
 	nb = strconv.AppendInt(nb, int64(link), 10)
 	nb = append(nb, ']')
 	s.nb = nb
 	v := s.sol.NewBool(s.name())
-	s.l[key] = v
-	if s.preset[key] {
+	s.l[i] = v
+	if s.isPreset(i) {
 		// Already deployed: pinned true and free, so the solver can rely
 		// on it without spending budget.
 		s.sol.AddUnit(v)
 	} else {
-		dev, _ := s.prob.Catalog.Device(d)
-		s.costSum.Add(v, dev.Cost)
+		s.costSum.Add(v, s.devices[dev].Cost)
 	}
 	return v
 }
@@ -492,59 +625,76 @@ func (s *Synthesizer) lVar(link topology.LinkID, d isolation.DeviceID) smt.Bool 
 // encodePolicies translates the user-defined constraints (UIC).
 func (s *Synthesizer) encodePolicies() error {
 	for _, r := range s.prob.Policies.All() {
+		// flowOf and varOf look up what the rule names: a flow's position,
+		// and the y variable of the flow at a position under a pattern.
+		flowOf := func(f usability.Flow) (int, error) {
+			if fi := s.flowPos(f); fi >= 0 {
+				return fi, nil
+			}
+			return 0, fmt.Errorf("core: policy %q references unknown flow %v", r, f)
+		}
+		varOf := func(fi int, id isolation.PatternID) (smt.Bool, error) {
+			if pi := s.patternPos(id); pi >= 0 {
+				return s.y[fi*len(s.patterns)+pi], nil
+			}
+			return smt.NoBool, fmt.Errorf("core: policy %q references unknown pattern %d", r, id)
+		}
+		// pinAll asserts the pattern's y, negated or not, on every flow of
+		// the service.
+		pinAll := func(svc usability.Service, id isolation.PatternID, negated bool) error {
+			for fi, f := range s.flows {
+				if svc != policy.AnyService && f.Svc != svc {
+					continue
+				}
+				v, err := varOf(fi, id)
+				if err != nil {
+					return err
+				}
+				if negated {
+					v = v.Not()
+				}
+				s.sol.AddUnit(v)
+			}
+			return nil
+		}
 		switch rule := r.(type) {
 		case policy.ForbidPattern:
-			for _, f := range s.flows {
-				if rule.Svc != policy.AnyService && f.Svc != rule.Svc {
-					continue
-				}
-				v, ok := s.y[f][rule.Pattern]
-				if !ok {
-					return fmt.Errorf("core: policy %q references unknown pattern %d", r, rule.Pattern)
-				}
-				s.sol.AddUnit(v.Not())
+			if err := pinAll(rule.Svc, rule.Pattern, true); err != nil {
+				return err
 			}
 		case policy.RequirePattern:
-			for _, f := range s.flows {
-				if rule.Svc != policy.AnyService && f.Svc != rule.Svc {
-					continue
-				}
-				v, ok := s.y[f][rule.Pattern]
-				if !ok {
-					return fmt.Errorf("core: policy %q references unknown pattern %d", r, rule.Pattern)
-				}
-				s.sol.AddUnit(v)
+			if err := pinAll(rule.Svc, rule.Pattern, false); err != nil {
+				return err
 			}
 		case policy.PinFlow:
-			fv, ok := s.y[rule.Flow]
-			if !ok {
-				return fmt.Errorf("core: policy %q references unknown flow %v", r, rule.Flow)
+			fi, err := flowOf(rule.Flow)
+			if err != nil {
+				return err
 			}
-			v, ok := fv[rule.Pattern]
-			if !ok {
-				return fmt.Errorf("core: policy %q references unknown pattern %d", r, rule.Pattern)
+			v, err := varOf(fi, rule.Pattern)
+			if err != nil {
+				return err
 			}
 			if rule.Negated {
-				s.sol.AddUnit(v.Not())
-			} else {
-				s.sol.AddUnit(v)
+				v = v.Not()
 			}
+			s.sol.AddUnit(v)
 		case policy.Implication:
-			fromVars, ok := s.y[rule.If]
-			if !ok {
-				return fmt.Errorf("core: policy %q references unknown flow %v", r, rule.If)
+			fromFlow, err := flowOf(rule.If)
+			if err != nil {
+				return err
 			}
-			toVars, ok := s.y[rule.Then]
-			if !ok {
-				return fmt.Errorf("core: policy %q references unknown flow %v", r, rule.Then)
+			toFlow, err := flowOf(rule.Then)
+			if err != nil {
+				return err
 			}
-			from, ok := fromVars[rule.IfPattern]
-			if !ok {
-				return fmt.Errorf("core: policy %q references unknown pattern %d", r, rule.IfPattern)
+			from, err := varOf(fromFlow, rule.IfPattern)
+			if err != nil {
+				return err
 			}
-			to, ok := toVars[rule.ThenPattern]
-			if !ok {
-				return fmt.Errorf("core: policy %q references unknown pattern %d", r, rule.ThenPattern)
+			to, err := varOf(toFlow, rule.ThenPattern)
+			if err != nil {
+				return err
 			}
 			if rule.ThenNegated {
 				to = to.Not()

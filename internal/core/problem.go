@@ -7,10 +7,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"configsynth/internal/isolation"
 	"configsynth/internal/policy"
@@ -246,17 +247,18 @@ func mkPair(x, y topology.NodeID) pairKey {
 
 // sortedFlows returns the problem's flows in deterministic order.
 func sortedFlows(flows []usability.Flow) []usability.Flow {
-	out := make([]usability.Flow, len(flows))
-	copy(out, flows)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Svc < b.Svc
-	})
+	out := slices.Clone(flows)
+	slices.SortFunc(out, compareFlows)
 	return out
+}
+
+// compareFlows orders flows by source, destination and service.
+func compareFlows(a, b usability.Flow) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Svc, b.Svc)
 }

@@ -9,6 +9,12 @@ import (
 	"configsynth/internal/usability"
 )
 
+// linkDev is one placement: a device on a link.
+type linkDev struct {
+	link topology.LinkID
+	dev  isolation.DeviceID
+}
+
 // CompletePlacements tops up a design's placements until every (pair,
 // device) requirement implied by its flow patterns is covered on every
 // route, under the same semantics the encoding asserts (every route

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"configsynth/internal/isolation"
@@ -117,31 +118,40 @@ func (s *Synthesizer) extractDesign() *Design {
 		Placements:    make(map[topology.LinkID][]isolation.DeviceID),
 		HostIsolation: make(map[topology.NodeID]float64),
 	}
-	for _, f := range s.flows {
+	P, D := len(s.patterns), len(s.devices)
+	for fi, f := range s.flows {
 		d.FlowPatterns[f] = isolation.PatternNone
-		for _, p := range s.patterns {
-			if s.sol.Value(s.y[f][p.ID]) {
+		for pi, p := range s.patterns {
+			if s.sol.Value(s.y[fi*P+pi]) {
 				d.FlowPatterns[f] = p.ID
 				break
 			}
 		}
 	}
-	placed := s.prunedPlacements(d.FlowPatterns)
-	for ld := range placed {
-		d.Placements[ld.link] = append(d.Placements[ld.link], ld.dev)
-	}
-	for _, devs := range d.Placements {
-		sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	}
-	for ld := range placed {
-		if s.preset[ld] {
-			continue // already deployed: no marginal cost
+	// By link and then device, so each link's devices come out ascending.
+	for i, on := range s.prunedPlacements(d.FlowPatterns) {
+		if !on {
+			continue
 		}
-		dev, _ := s.prob.Catalog.Device(ld.dev)
-		d.Cost += dev.Cost
+		link, dev := topology.LinkID(i/D), s.devices[i%D]
+		d.Placements[link] = append(d.Placements[link], dev.ID)
+		if !s.isPreset(i) { // already deployed: no marginal cost
+			d.Cost += dev.Cost
+		}
 	}
 	s.fillScores(d)
 	return d
+}
+
+// isPreset reports whether slot i of the l table is a placement the
+// problem declares as already deployed.
+func (s *Synthesizer) isPreset(i int) bool { return s.preset != nil && s.preset[i] }
+
+// pairDev is one device requirement: the device on every route of the
+// pair.
+type pairDev struct {
+	pair pairKey
+	dev  isolation.DeviceID
 }
 
 // neededDevices derives, from the chosen flow patterns, which (pair,
@@ -160,38 +170,36 @@ func (s *Synthesizer) neededDevices(flowPatterns map[usability.Flow]isolation.Pa
 	return needed
 }
 
-// covered checks whether the placement set satisfies one (pair, device)
-// requirement under the same semantics as the encoding: every route of
-// the pair carries the device; for IPSec, both the head and tail windows
-// of every route (tunnelWindows — overlapping on short routes, exactly
-// as encodeTunnel asserts) carry a gateway.
-func (s *Synthesizer) covered(pd pairDev, placed map[linkDev]bool) bool {
+// covered checks whether the placement set (indexed like the l table)
+// satisfies one (pair, device) requirement under the same semantics as
+// the encoding: every route of the pair carries the device; for IPSec,
+// both the head and tail windows of every route (tunnelWindows —
+// overlapping on short routes, exactly as encodeTunnel asserts) carry a
+// gateway.
+func (s *Synthesizer) covered(pd pairDev, placed []bool) bool {
 	T := s.prob.Options.TunnelSlackHops
+	D, dev := len(s.devices), s.devPos(pd.dev)
+	anyPlaced := func(links []topology.LinkID) bool {
+		for _, link := range links {
+			if placed[int(link)*D+dev] {
+				return true
+			}
+		}
+		return false
+	}
 	for _, route := range s.pairRoutes(pd.pair) {
 		if pd.dev == isolation.IPSec {
 			head, tail := tunnelWindows(route, T)
-			if !anyPlaced(head, pd.dev, placed) {
-				return false
-			}
-			if !anyPlaced(tail, pd.dev, placed) {
+			if !anyPlaced(head) || !anyPlaced(tail) {
 				return false
 			}
 			continue
 		}
-		if !anyPlaced(route, pd.dev, placed) {
+		if !anyPlaced(route) {
 			return false
 		}
 	}
 	return true
-}
-
-func anyPlaced(links []topology.LinkID, dev isolation.DeviceID, placed map[linkDev]bool) bool {
-	for _, link := range links {
-		if placed[linkDev{link: link, dev: dev}] {
-			return true
-		}
-	}
-	return false
 }
 
 // prunedPlacements extracts the placed devices from the model and then
@@ -199,55 +207,39 @@ func anyPlaced(links []topology.LinkID, dev isolation.DeviceID, placed map[linkD
 // every needed (pair, device) requirement covered. The SMT model only
 // guarantees feasibility within budget; pruning yields the
 // cost-minimal-ish deployment the paper reports in its output figures.
-func (s *Synthesizer) prunedPlacements(flowPatterns map[usability.Flow]isolation.PatternID) map[linkDev]bool {
-	placed := make(map[linkDev]bool)
-	for ld, v := range s.l {
-		if s.sol.Value(v) {
-			placed[ld] = true
+// The result is indexed like the l table.
+func (s *Synthesizer) prunedPlacements(flowPatterns map[usability.Flow]isolation.PatternID) []bool {
+	D := len(s.devices)
+	placed := make([]bool, len(s.l))
+	var candidates []int
+	for i, v := range s.l {
+		if v.Valid() && s.sol.Value(v) {
+			placed[i] = true
+			candidates = append(candidates, i)
 		}
 	}
 	needed := s.neededDevices(flowPatterns)
 
-	// Deterministic order: expensive devices first, then link, then dev.
-	candidates := make([]linkDev, 0, len(placed))
-	for ld := range placed {
-		candidates = append(candidates, ld)
-	}
+	// Deterministic order: expensive devices first, then link, then dev —
+	// the order of the table, which a stable sort keeps within one cost.
 	// Preplaced devices count as free: they sort last, so the pruner
 	// removes paid placements first and keeps the existing deployment
 	// whenever it covers a requirement.
-	effCost := func(ld linkDev) int64 {
-		if s.preset[ld] {
+	effCost := func(i int) int64 {
+		if s.isPreset(i) {
 			return 0
 		}
-		dev, _ := s.prob.Catalog.Device(ld.dev)
-		return dev.Cost
+		return s.devices[i%D].Cost
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		ca, cb := effCost(a), effCost(b)
-		if ca != cb {
-			return ca > cb
-		}
-		if a.link != b.link {
-			return a.link < b.link
-		}
-		return a.dev < b.dev
-	})
-	for _, ld := range candidates {
-		delete(placed, ld)
-		ok := true
+	slices.SortStableFunc(candidates, func(i, j int) int { return cmp.Compare(effCost(j), effCost(i)) })
+	for _, i := range candidates {
+		placed[i] = false
+		dev := s.devices[i%D].ID
 		for pd := range needed {
-			if pd.dev != ld.dev {
-				continue
-			}
-			if !s.covered(pd, placed) {
-				ok = false
+			if pd.dev == dev && !s.covered(pd, placed) {
+				placed[i] = true
 				break
 			}
-		}
-		if !ok {
-			placed[ld] = true
 		}
 	}
 	return placed

@@ -37,8 +37,10 @@ package pb
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"slices"
 
 	"configsynth/internal/sat"
@@ -133,6 +135,31 @@ func (t *Theory) Clone(s *sat.Solver) *Theory {
 	}
 	s.SetTheory(c)
 	return c
+}
+
+// Digest writes the store to h: every constraint in id order with its
+// bound, whether it is deactivated, and its terms in stored order. Like
+// sat.Solver.Digest it is a debugging aid for tests that pin an encoding.
+func (t *Theory) Digest(h hash.Hash) {
+	var buf [8]byte
+	put := func(x int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	put(int64(len(t.constraints)))
+	for _, c := range t.constraints {
+		put(c.bound)
+		if c.dead {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(int64(len(c.terms)))
+		for _, tm := range c.terms {
+			put(int64(tm.lit))
+			put(tm.weight)
+		}
+	}
 }
 
 // NumConstraints returns the number of constraints added so far.

@@ -104,9 +104,13 @@ func (s *Solver) demoteToProblem(c int32) {
 	s.arena[c] = Lit(int32(uint32(s.arena[c]) &^ hdrLearnt))
 }
 
-// arenaLimit returns the effective arena cap in words: the 31-bit cref
+// ClauseWords returns the arena words a stored clause of n literals
+// occupies, for callers that size a formula before adding it (Reserve).
+func ClauseWords(n int) int { return hdrWords + n }
+
+// ArenaLimit returns the effective arena cap in words: the 31-bit cref
 // ceiling, or the lower test-injected cap.
-func (s *Solver) arenaLimit() int {
+func (s *Solver) ArenaLimit() int {
 	if s.arenaCap > 0 {
 		return s.arenaCap
 	}
@@ -129,8 +133,8 @@ func (s *Solver) allocClause(lits []Lit, learnt bool, lbd int) int32 {
 	// Compaction cannot rescue an overflow here: GC remaps crefs, and
 	// allocClause callers hold crefs across the call, so the only safe
 	// outcome is the typed panic.
-	if len(s.arena)+hdrWords+len(lits) > s.arenaLimit() {
-		panic(&ArenaOverflowError{Words: len(s.arena), Need: hdrWords + len(lits), Cap: s.arenaLimit()})
+	if len(s.arena)+hdrWords+len(lits) > s.ArenaLimit() {
+		panic(&ArenaOverflowError{Words: len(s.arena), Need: hdrWords + len(lits), Cap: s.ArenaLimit()})
 	}
 	c := int32(len(s.arena))
 	h := uint32(len(lits))

@@ -75,8 +75,8 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 
 		cfg: cfg,
 	}
-	if len(s.arena) > c.arenaLimit() {
-		return nil, &ArenaOverflowError{Need: len(s.arena), Cap: c.arenaLimit()}
+	if len(s.arena) > c.ArenaLimit() {
+		return nil, &ArenaOverflowError{Need: len(s.arena), Cap: c.ArenaLimit()}
 	}
 	// Headroom for the first learnt clauses, as an append-grown arena has.
 	c.arena = append(make([]Lit, 0, len(s.arena)+len(s.arena)/8), s.arena...)

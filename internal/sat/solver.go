@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -235,6 +236,11 @@ type Solver struct {
 	clauseRefs []int32 // live problem clauses
 	learntRefs []int32 // live learnt clauses
 	watches    [][]watcher
+	// Reserve's clause count and the chunk it pays for: an empty watch
+	// list takes its first watchSeed slots from watchChunk when a problem
+	// clause is attached to it; see seedWatches.
+	reservedClauses int
+	watchChunk      []watcher
 
 	assigns  []LBool
 	level    []int32
@@ -398,6 +404,43 @@ func (s *Solver) Stats() Stats {
 	return st
 }
 
+// Reserve tells the solver how large the formula about to be added is:
+// about vars variables, clauses problem clauses of two or more literals
+// and arenaWords clause-arena words (ClauseWords per clause) in total,
+// what is already there included. It is only a hint.
+// The per-variable arrays, the watch table, the clause list and the
+// arena get that capacity at once instead of by doubling, and watch
+// lists take their first slots from a chunk sized by the clause count;
+// nothing a later NewVar, AddClause or Solve computes depends on it, so
+// a wrong hint costs memory or reallocation and never changes the
+// state. The arena is never pre-allocated past its cap: a formula that
+// does not fit still fails at the allocation that overflows.
+func (s *Solver) Reserve(vars, clauses, arenaWords int) {
+	s.assigns = reserve(s.assigns, vars)
+	s.level = reserve(s.level, vars)
+	s.trailPos = reserve(s.trailPos, vars)
+	s.reason = reserve(s.reason, vars)
+	s.activity = reserve(s.activity, vars)
+	s.polarity = reserve(s.polarity, vars)
+	s.seen = reserve(s.seen, vars)
+	s.lazyEx = reserve(s.lazyEx, vars)
+	s.lazyTag = reserve(s.lazyTag, vars)
+	s.order.heap = reserve(s.order.heap, vars)
+	s.order.indices = reserve(s.order.indices, vars)
+	s.watches = reserve(s.watches, 2*vars)
+	s.clauseRefs = reserve(s.clauseRefs, clauses)
+	s.arena = reserve(s.arena, min(arenaWords, s.ArenaLimit()))
+	s.reservedClauses = clauses
+}
+
+// reserve returns s with capacity for at least total elements.
+func reserve[S ~[]E, E any](s S, total int) S {
+	if total <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, total-len(s))
+}
+
 // NewVar allocates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
@@ -462,8 +505,10 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		// Clauses may only be added at the root level.
 		return errors.New("sat: AddClause called during search")
 	}
-	// Simplify: drop false/duplicate literals, detect tautologies.
-	out := s.analyzeTs[:0] // scratch; copied by allocClause
+	// Simplify: drop false/duplicate literals, detect tautologies. The
+	// result is built in the analysis scratch, which nothing else uses at
+	// the root level, and copied into the arena by allocClause.
+	s.analyzeTs = s.analyzeTs[:0]
 	for _, l := range lits {
 		switch s.ValueLit(l) {
 		case True:
@@ -472,7 +517,7 @@ func (s *Solver) AddClause(lits ...Lit) error {
 			continue
 		}
 		dup := false
-		for _, o := range out {
+		for _, o := range s.analyzeTs {
 			if o == l {
 				dup = true
 				break
@@ -482,9 +527,10 @@ func (s *Solver) AddClause(lits ...Lit) error {
 			}
 		}
 		if !dup {
-			out = append(out, l)
+			s.analyzeTs = append(s.analyzeTs, l)
 		}
 	}
+	out := s.analyzeTs
 	switch len(out) {
 	case 0:
 		s.rootUnsat = true
@@ -512,10 +558,45 @@ func (s *Solver) attachNew(lits []Lit, learnt bool, lbd int) int32 {
 		s.learntRefs = append(s.learntRefs, cref)
 	} else {
 		s.clauseRefs = append(s.clauseRefs, cref)
+		s.seedWatches(lits[0].Not())
+		s.seedWatches(lits[1].Not())
 	}
 	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{cref, lits[1]})
 	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{cref, lits[0]})
 	return cref
+}
+
+// watchSeed is the capacity an empty watch list starts with when it is
+// seeded from the reserved chunk: what append growth (1, 2, 4, 8) would
+// have reached for the short lists most literals of an encoding end up
+// with, in one step and without a heap allocation per step.
+const watchSeed = 8
+
+// seedWatches gives the still-unallocated watch list of l its first
+// watchSeed slots out of the chunk Reserve pays for, so that loading a
+// reserved formula does not grow tens of thousands of small lists on
+// the heap. Only problem clauses seed: a learnt clause is attached by
+// append alone, as it would be without a reservation. The chunk is
+// refilled in blocks of two watchers per clause still expected — what
+// the rest of the formula attaches — so what is left over when the
+// reservation is spent is a fraction of the last, smallest block; a
+// solver that was never reserved, or has outgrown its reservation, seeds
+// nothing. The list is clipped, so the append that outgrows it moves it
+// to the heap like any other, and the order of its watchers is the
+// order of the appends either way.
+func (s *Solver) seedWatches(l Lit) {
+	if cap(s.watches[l]) != 0 {
+		return
+	}
+	if len(s.watchChunk) < watchSeed {
+		room := 2 * (s.reservedClauses - len(s.clauseRefs) + 1)
+		if room < 2*watchSeed {
+			return
+		}
+		s.watchChunk = make([]watcher, room)
+	}
+	s.watches[l] = s.watchChunk[:0:watchSeed]
+	s.watchChunk = s.watchChunk[watchSeed:]
 }
 
 // detachWatches removes the clause's two watcher entries by scanning

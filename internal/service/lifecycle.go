@@ -171,9 +171,12 @@ func (s *Service) solve(j *Job) (res *Result, err error) {
 	case design != nil:
 		res.Status = "sat"
 		if !design.Exact && !res.Degraded {
-			// The solver itself truncated the descent (conflict budget):
-			// the answer is a feasible incumbent, not a proven optimum.
-			res.Degraded, res.DegradedReason = true, "budget"
+			// The descent was truncated and still returned its incumbent
+			// rather than an error: by the solver's own conflict budget, or
+			// by an interrupt of the job's context that cut a probe short
+			// but missed the extraction after it. Either way the answer is
+			// a feasible incumbent, not a proven optimum.
+			res.Degraded, res.DegradedReason = true, truncatedBy(j.ctx.Err())
 		}
 		res.Objective = j.question().Objective(design)
 		res.Design = designJSON(j.prob, design)
@@ -189,6 +192,20 @@ func (s *Service) solve(j *Job) (res *Result, err error) {
 	}
 	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	return res, nil
+}
+
+// truncatedBy names what cut a descent short, given the job context's
+// error: its deadline, a cancellation, or — the context still live — the
+// solver's own conflict budget.
+func truncatedBy(ctxErr error) string {
+	switch {
+	case ctxErr == nil:
+		return "budget"
+	case errors.Is(ctxErr, context.DeadlineExceeded):
+		return "deadline"
+	default:
+		return "canceled"
+	}
 }
 
 // question is the job's query as data: the mode picks which threshold,
@@ -241,10 +258,7 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 		// AnytimeDesign re-extracts through the engine, so it runs before
 		// the check-in below resets the query state.
 		if ad, ok := syn.AnytimeDesign(); ok {
-			res.Degraded, res.DegradedReason = true, "canceled"
-			if errors.Is(qerr, context.DeadlineExceeded) {
-				res.DegradedReason = "deadline"
-			}
+			res.Degraded, res.DegradedReason = true, truncatedBy(qerr)
 			design, qerr = ad, nil
 		}
 	}

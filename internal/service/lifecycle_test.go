@@ -33,20 +33,39 @@ func (a outcomes) minus(b outcomes) outcomes {
 var unsatSpec = strings.Replace(smallSpec, "sliders 2.5 5 30", "sliders 9 5 0", 1)
 
 // TestCountersFinalAtDone: on every terminal path, a client woken by
+// withFaults installs a fault plan until the test ends.
+func withFaults(t *testing.T, plan string) {
+	t.Helper()
+	t.Cleanup(setFaults(t, plan))
+}
+
+// setFaults installs a fault plan and returns what removes it again.
+func setFaults(t *testing.T, plan string) (restore func()) {
+	t.Helper()
+	p, err := faults.Parse(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faults.Set(p)
+}
+
+// stalledSolves is a fault plan under which every solve first sleeps
+// 100 ms, and noIncumbentTimeout a job deadline that expires inside the
+// first of them: the job meets its deadline mid-search with nothing to
+// degrade to, however fast the machine or the encode. (A bare 1 ms
+// deadline did that only while encoding the hard problem took longer
+// than 1 ms.)
+const (
+	stalledSolves      = "seed=5," + faults.SatSolveDelay + "=1:100ms"
+	noIncumbentTimeout = 30 * time.Millisecond
+)
+
 // Done() that reads /statsz at once must find the job's outcome already
 // counted — exactly one outcome counter up by one, none of the others
 // touched. PR 13 and PR 14 each met a path where the counter lagged the
 // wake-up as a 1-in-8 flake; settle orders them for all paths, and this
 // pins it (run with -race -count=20).
 func TestCountersFinalAtDone(t *testing.T) {
-	withFaults := func(t *testing.T, plan string) {
-		t.Helper()
-		p, err := faults.Parse(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(faults.Set(p))
-	}
 	// unstarted opens a service whose pool never starts: jobs stay
 	// queued until the case runs one by hand or a peer "steals" it.
 	unstarted := func(t *testing.T, cfg Config) *Service {
@@ -120,12 +139,13 @@ func TestCountersFinalAtDone(t *testing.T) {
 			return j
 		}, outcomes{canceled: 1}},
 		{"deadline without an incumbent", func(t *testing.T, snap func(*Service)) *Job {
+			withFaults(t, stalledSolves)
 			s := started(t)
 			snap(s)
-			return mustSubmit(t, s, hardProblem(t), SubmitOptions{Mode: ModeMaxIsolation, Timeout: time.Millisecond})
+			return mustSubmit(t, s, hardProblem(t), SubmitOptions{Mode: ModeMaxIsolation, Timeout: noIncumbentTimeout})
 		}, outcomes{canceled: 1}},
 		{"deadline with an incumbent", func(t *testing.T, snap func(*Service)) *Job {
-			withFaults(t, "seed=5,"+faults.SatSolveDelay+"=1:100ms")
+			withFaults(t, stalledSolves)
 			s := started(t)
 			snap(s)
 			return submit(t, s, smallSpec, SubmitOptions{Mode: ModeMaxIsolation, Timeout: 350 * time.Millisecond})
@@ -361,8 +381,10 @@ func TestLifecycleInvariants(t *testing.T) {
 			t.Fatalf("what-if %d ran on a %q session, want %q", i, res.Session, want)
 		}
 	}
-	late := mustSubmit(t, s1, hardProblem(t), SubmitOptions{Mode: ModeMaxIsolation, Timeout: time.Millisecond})
+	restoreStall := setFaults(t, stalledSolves)
+	late := mustSubmit(t, s1, hardProblem(t), SubmitOptions{Mode: ModeMaxIsolation, Timeout: noIncumbentTimeout})
 	<-late.Done()
+	restoreStall()
 	if late.State() != StateCanceled {
 		t.Fatalf("deadline job ended %s, want canceled", late.State())
 	}

@@ -170,10 +170,11 @@ func TestCacheScopedByMode(t *testing.T) {
 }
 
 func TestDeadlineReturnsTimeoutWithoutWedgingWorker(t *testing.T) {
+	withFaults(t, stalledSolves)
 	s := New(Config{Workers: 1})
 	defer s.Close()
 
-	j, err := s.Submit(hardProblem(t), SubmitOptions{Mode: ModeMaxIsolation, Timeout: time.Millisecond})
+	j, err := s.Submit(hardProblem(t), SubmitOptions{Mode: ModeMaxIsolation, Timeout: noIncumbentTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"hash"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -58,6 +59,11 @@ func (b Bool) Lit() sat.Lit { return b.lit }
 // Valid reports whether the term refers to an allocated variable.
 func (b Bool) Valid() bool { return b.lit > sat.LitUndef }
 
+// NoBool is the term that refers to no variable, for which Valid
+// reports false. The zero Bool is not it: that is the positive literal
+// of variable 0, so a table of terms with holes is filled with NoBool.
+var NoBool = Bool{sat.LitUndef}
+
 // Sum is a linear pseudo-Boolean expression Σ weightᵢ·termᵢ where a term
 // contributes its weight when true. Weights must be positive.
 //
@@ -94,6 +100,13 @@ func (s *Sum) Add(b Bool, w int64) {
 	s.total += w
 }
 
+// Grow makes room for n more terms, for a caller that knows how many it
+// is about to Add.
+func (s *Sum) Grow(n int) {
+	s.terms = slices.Grow(s.terms, n)
+	s.weights = slices.Grow(s.weights, n)
+}
+
 // Len returns the number of terms.
 func (s *Sum) Len() int { return len(s.terms) }
 
@@ -122,9 +135,15 @@ func (s *Sum) byWeight() *sumOrder {
 // Solver is an incremental SMT-style solver for Boolean logic plus linear
 // pseudo-Boolean arithmetic.
 type Solver struct {
-	sat       *sat.Solver
-	th        *pb.Theory
-	names     []string // diagnostic names, indexed by variable; "" = unnamed
+	sat *sat.Solver
+	th  *pb.Theory
+	// Diagnostic names by variable: inherited holds those of the
+	// variables the solver was cloned with, shared read-only with the
+	// solver it was cloned from and its other clones; names holds those
+	// of the variables allocated here, numbered from inherited.len().
+	inherited nameTable
+	names     nameTable
+	lits      []sat.Lit // AddClause scratch
 	rootUnsat bool
 	trueTerm  Bool
 	hasTrue   bool
@@ -138,6 +157,30 @@ type Solver struct {
 
 	verify   bool
 	inVerify bool
+}
+
+// nameTable stores variable names back to back in one byte slab instead
+// of one string per variable: an encode names every variable it creates,
+// and tens of thousands of string headers are allocations to make and
+// pointers for the collector to chase, for text only a diagnostic reads.
+type nameTable struct {
+	buf []byte
+	end []int32 // end[i] is where name i ends in buf; it starts at end[i-1]
+}
+
+func (t *nameTable) len() int { return len(t.end) }
+
+func (t *nameTable) add(name string) {
+	t.buf = append(t.buf, name...)
+	t.end = append(t.end, int32(len(t.buf)))
+}
+
+func (t *nameTable) get(i int) string {
+	start := int32(0)
+	if i > 0 {
+		start = t.end[i-1]
+	}
+	return string(t.buf[start:t.end[i]])
 }
 
 // SolverConfig diversifies the underlying CDCL search for portfolio
@@ -166,13 +209,13 @@ func NewSolverWith(cfg SolverConfig) *Solver {
 // Clone returns an independent solver over the same assertions, its CDCL
 // core configured by cfg: the SAT state and the PB store are deep-copied
 // (sat.Solver.Clone, pb.Theory.Clone), the variable names are shared
-// (clipped, so naming a new variable on either side reallocates), and
-// no model or core is carried over. A clone taken before the first
-// Check searches exactly like a NewSolverWith(cfg) solver given the
-// same assertions. Theories attached through SAT() are not copied; the
-// caller re-attaches its own clones. It fails, with an error wrapping
-// sat.ErrModelTooLarge, when the assertions do not fit
-// cfg.ArenaCapWords.
+// read-only (a variable named on either side afterwards goes into that
+// side's own table), and no model or core is carried over. A clone
+// taken before the first Check searches exactly like a
+// NewSolverWith(cfg) solver given the same assertions. Theories attached
+// through SAT() are not copied; the caller re-attaches its own clones.
+// It fails, with an error wrapping sat.ErrModelTooLarge, when the
+// assertions do not fit cfg.ArenaCapWords.
 func (s *Solver) Clone(cfg SolverConfig) (*Solver, error) {
 	core, err := s.sat.Clone(cfg)
 	if err != nil {
@@ -181,12 +224,39 @@ func (s *Solver) Clone(cfg SolverConfig) (*Solver, error) {
 	return &Solver{
 		sat:       core,
 		th:        s.th.Clone(core),
-		names:     s.names[:len(s.names):len(s.names)],
+		inherited: s.allNames(),
 		rootUnsat: s.rootUnsat,
 		trueTerm:  s.trueTerm,
 		hasTrue:   s.hasTrue,
 		verify:    s.verify,
 	}, nil
+}
+
+// allNames returns one table over every name the solver holds, clipped
+// so that it can be shared: the solver's own table or the one it
+// inherited when the other is empty (an encoded solver, or a clone that
+// has named nothing yet), and a merged copy otherwise.
+func (s *Solver) allNames() nameTable {
+	t := s.names
+	switch {
+	case s.names.len() == 0:
+		t = s.inherited
+	case s.inherited.len() > 0:
+		t = nameTable{buf: slices.Concat(s.inherited.buf, s.names.buf), end: slices.Clone(s.inherited.end)}
+		for _, e := range s.names.end {
+			t.end = append(t.end, int32(len(s.inherited.buf))+e)
+		}
+	}
+	return nameTable{buf: slices.Clip(t.buf), end: slices.Clip(t.end)}
+}
+
+// Reserve forwards a capacity hint for the assertions about to be made
+// to the SAT core (sat.Solver.Reserve: variables, clauses of two or more
+// literals, clause-arena words) and makes room for the name offsets of
+// the variables.
+func (s *Solver) Reserve(vars, clauses, arenaWords int) {
+	s.sat.Reserve(vars, clauses, arenaWords)
+	s.names.end = slices.Grow(s.names.end, max(0, vars-s.inherited.len()-s.names.len()))
 }
 
 // SetBudget limits the conflicts spent per Check; negative is unlimited.
@@ -207,6 +277,14 @@ func (s *Solver) ClearInterrupt() { s.sat.ClearInterrupt() }
 // cannot derail the next probe.
 func (s *Solver) ResetSearchState() { s.sat.ResetSearchState() }
 
+// Digest writes the solver's clause database, root assignment and PB
+// store to h (sat.Solver.Digest, then pb.Theory.Digest): the state an
+// encode leaves behind, which tests pin.
+func (s *Solver) Digest(h hash.Hash) {
+	s.sat.Digest(h)
+	s.th.Digest(h)
+}
+
 // SAT exposes the underlying SAT solver so that callers can attach
 // custom theory propagators (sat.Solver.SetTheory). Mutating solver
 // state through it directly is not supported.
@@ -218,23 +296,28 @@ func (s *Solver) NewBool(name string) Bool {
 	v := s.sat.NewVar()
 	// Vars are normally allocated only here, but a caller reaching the
 	// SAT core directly may have created unnamed ones; keep aligned.
-	for int(v) > len(s.names) {
-		s.names = append(s.names, "")
+	for int(v) > s.inherited.len()+s.names.len() {
+		s.names.add("")
 	}
-	s.names = append(s.names, name)
+	s.names.add(name)
 	return Bool{sat.PosLit(v)}
 }
 
 // Name returns the diagnostic name of the term's variable.
 func (s *Solver) Name(b Bool) string {
-	v := b.lit.Var()
-	if int(v) < len(s.names) && s.names[v] != "" {
-		if b.lit.Neg() {
-			return "!" + s.names[v]
-		}
-		return s.names[v]
+	name := ""
+	if v := int(b.lit.Var()); v < s.inherited.len() {
+		name = s.inherited.get(v)
+	} else if v -= s.inherited.len(); v < s.names.len() {
+		name = s.names.get(v)
 	}
-	return b.lit.String()
+	if name == "" {
+		return b.lit.String()
+	}
+	if b.lit.Neg() {
+		return "!" + name
+	}
+	return name
 }
 
 // True returns a term that is constrained to be true.
@@ -252,14 +335,20 @@ func (s *Solver) False() Bool { return s.True().Not() }
 
 // AddClause asserts the disjunction of the given terms.
 func (s *Solver) AddClause(terms ...Bool) {
+	s.lits = s.lits[:0]
+	s.addLits(terms)
+}
+
+// addLits asserts the disjunction of the literals already in the scratch
+// and the given terms.
+func (s *Solver) addLits(terms []Bool) {
 	if s.rootUnsat {
 		return
 	}
-	lits := make([]sat.Lit, len(terms))
-	for i, t := range terms {
-		lits[i] = t.lit
+	for _, t := range terms {
+		s.lits = append(s.lits, t.lit)
 	}
-	if err := s.sat.AddClause(lits...); err != nil {
+	if err := s.sat.AddClause(s.lits...); err != nil {
 		s.rootUnsat = true
 	}
 }
@@ -269,7 +358,8 @@ func (s *Solver) AddUnit(b Bool) { s.AddClause(b) }
 
 // AddImplies asserts a → (c1 ∨ c2 ∨ ...).
 func (s *Solver) AddImplies(a Bool, consequent ...Bool) {
-	s.AddClause(append([]Bool{a.Not()}, consequent...)...)
+	s.lits = append(s.lits[:0], a.lit.Not())
+	s.addLits(consequent)
 }
 
 // AddIff asserts a ↔ b.
@@ -282,6 +372,19 @@ func (s *Solver) AddIff(a, b Bool) {
 // the pairwise encoding; beyond it the sequential encoding's 3(n−1)
 // clauses beat the pairwise n(n−1)/2.
 const pairwiseAtMostOneMax = 8
+
+// AtMostOneSize returns what AddAtMostOne over n terms adds to the
+// solver: auxiliary variables and clauses, all of them binary.
+func AtMostOneSize(n int) (auxVars, clauses int) {
+	switch {
+	case n < 2:
+		return 0, 0
+	case n <= pairwiseAtMostOneMax:
+		return 0, n * (n - 1) / 2
+	default:
+		return n - 1, 3*n - 4
+	}
+}
 
 // AddAtMostOne asserts that at most one of the terms is true. Small
 // groups (such as the isolation patterns of one flow) use the pairwise
@@ -361,7 +464,7 @@ func (s *Solver) AssertAtMost(sum *Sum, bound int64) {
 	if bound >= sum.total {
 		return // trivially true
 	}
-	s.addAtMost(sum, false, Bool{sat.LitUndef}, 0, bound)
+	s.addAtMost(sum, false, NoBool, 0, bound)
 }
 
 // AssertAtLeast asserts sum ≥ bound.
@@ -377,7 +480,7 @@ func (s *Solver) AssertAtLeast(sum *Sum, bound int64) {
 		return
 	}
 	// Σ w·t ≥ K  ⇔  Σ w·¬t ≤ W−K.
-	s.addAtMost(sum, true, Bool{sat.LitUndef}, 0, sum.total-bound)
+	s.addAtMost(sum, true, NoBool, 0, sum.total-bound)
 }
 
 // AssertAtMostIf asserts cond → (sum ≤ bound) using a big-M guard:

@@ -475,3 +475,42 @@ func TestVerifyModeChecksSatAndUnsat(t *testing.T) {
 		t.Fatalf("got %v after verification, want sat", got)
 	}
 }
+
+// TestCloneSharesNames: a clone reads the names it was cloned with out
+// of the original's slab and keeps the names of its own variables apart,
+// so that neither side sees (or pays for) what the other names later —
+// also when the cloned solver is itself a clone with names of its own,
+// and when a variable was created behind the solver's back.
+func TestCloneSharesNames(t *testing.T) {
+	s := NewSolver()
+	a, b := s.NewBool("a"), s.NewBool("b")
+	c1, err := s.Clone(SolverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := c1.NewBool("g")
+	h := s.NewBool("h") // the same variable index as g, on the other side
+	c1.SAT().NewVar()   // unnamed
+	k := c1.NewBool("k")
+	c2, err := c1.Clone(SolverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c2.NewBool("m")
+	for _, c := range []struct {
+		sol  *Solver
+		term Bool
+		want string
+	}{
+		{s, a, "a"}, {s, b.Not(), "!b"}, {s, h, "h"},
+		{c1, a, "a"}, {c1, b, "b"}, {c1, g, "g"}, {c1, k.Not(), "!k"},
+		{c1, Bool{k.lit - 2}, "v3"},
+		{c2, a, "a"}, {c2, g, "g"}, {c2, k, "k"}, {c2, m, "m"},
+		{c2, Bool{k.lit - 2}, "v3"},
+		{s, m, m.lit.String()}, // a variable s never allocated
+	} {
+		if got := c.sol.Name(c.term); got != c.want {
+			t.Errorf("Name(%v) = %q, want %q", c.term.lit, got, c.want)
+		}
+	}
+}

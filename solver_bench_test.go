@@ -107,6 +107,28 @@ func BenchmarkSynthesizerClone50(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode50 measures the other side of that ratio alone: one
+// encode of the 50-host template, with no clone and no probe. It is the
+// bulk load every cold job pays once; allocs/op is what
+// core.TestEncodeAllocBudget holds under one allocation per variable.
+func BenchmarkEncode50(b *testing.B) {
+	prob, err := netgen.Generate(solverBenchConfig(50))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tmpl, err := core.NewTemplate(prob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := tmpl.Stats().Clauses; got == 0 {
+			b.Fatal("template holds no clauses")
+		}
+	}
+}
+
 // BenchmarkSolverMinCost50 measures a full optimization descent (binary
 // search over guarded cost probes) — the shape every MinCost service
 // request and slider sweep runs.
