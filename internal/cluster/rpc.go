@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"configsynth/internal/core"
 	"configsynth/internal/netgen"
 	"configsynth/internal/service"
 	"configsynth/internal/spec"
@@ -543,13 +545,27 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, handoffResponse{Accepted: len(req.Entries) + len(req.Jobs)})
 }
 
+// maxBodyBytes bounds a synthesis request body, as the service does.
+const maxBodyBytes = 4 << 20
+
 // routeSynthesize forwards a synthesis request to the ring owner of
 // its problem fingerprint, so repeat problems always land where their
 // result is cached. Requests that already hopped, parse failures, and
 // owner errors all fall through to the local service — forwarding is
-// an optimization, never a point of failure.
+// an optimization, never a point of failure. Finding the owner costs a
+// parse and a fingerprint; when the request is then served here, both
+// go to the service with the body (parsedBody) instead of being redone.
 func (n *Node) routeSynthesize(inner http.Handler, w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		// Never a truncated read: a spec cut at the limit can still parse,
+		// as a different problem.
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit),
+		})
+		return
+	}
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -559,39 +575,53 @@ func (n *Node) routeSynthesize(inner http.Handler, w http.ResponseWriter, r *htt
 		inner.ServeHTTP(w, r)
 		return
 	}
-	fp, ok := fingerprintOf(r, body)
-	if !ok {
+	prob, fp := fingerprintOf(r, body)
+	if fp == "" {
 		inner.ServeHTTP(w, r)
 		return
 	}
-	owner := n.curRing().owner(fp, n.mem.alive)
-	if owner == "" || owner == n.cfg.NodeID {
-		inner.ServeHTTP(w, r)
-		return
+	if owner := n.curRing().owner(fp, n.mem.alive); owner != "" && owner != n.cfg.NodeID {
+		if n.forward(w, r, body, n.mem.url(owner)) {
+			n.forwarded.Add(1)
+			return
+		}
+		n.forwardFails.Add(1)
 	}
-	if n.forward(w, r, body, n.mem.url(owner)) {
-		n.forwarded.Add(1)
-		return
+	if prob != nil {
+		r.Body = &parsedBody{Reader: bytes.NewReader(body), prob: prob, fp: fp}
 	}
-	n.forwardFails.Add(1)
-	r.Body = io.NopCloser(bytes.NewReader(body))
 	inner.ServeHTTP(w, r)
 }
 
+// parsedBody is the request body routeSynthesize passes to the local
+// service once it has parsed it: the bytes, the problem and its
+// fingerprint. The service looks for Parsed on the body it is given.
+type parsedBody struct {
+	*bytes.Reader
+	prob *core.Problem
+	fp   string
+}
+
+func (b *parsedBody) Close() error { return nil }
+
+func (b *parsedBody) Parsed() (*core.Problem, string) { return b.prob, b.fp }
+
 // fingerprintOf computes the canonical fingerprint of the request's
-// problem without consuming the request (the body was already read).
-func fingerprintOf(r *http.Request, body []byte) (string, bool) {
+// problem without consuming the request (the body was already read), ""
+// when it has none, and returns the problem when it had to parse the
+// body for it.
+func fingerprintOf(r *http.Request, body []byte) (*core.Problem, string) {
 	if r.URL.Query().Get("example") != "" {
-		return spec.Fingerprint(netgen.PaperExample()), true
+		return nil, spec.Fingerprint(netgen.PaperExample())
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
-		return "", false
+		return nil, ""
 	}
 	p, err := spec.Parse(bytes.NewReader(body))
 	if err != nil {
-		return "", false
+		return nil, ""
 	}
-	return spec.Fingerprint(p), true
+	return p, spec.Fingerprint(p)
 }
 
 // forward proxies the request to the owner node, streaming the
@@ -615,7 +645,9 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, base
 		io.Copy(io.Discard, resp.Body)
 		return false
 	}
-	for _, h := range []string{"Content-Type", "Retry-After", "Location", "X-Cache"} {
+	// Content-Length with the rest: a hit says its length, and passing it
+	// on keeps the forwarded copy from being re-chunked.
+	for _, h := range []string{"Content-Type", "Content-Length", "Retry-After", "Location", "X-Cache"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -142,9 +141,9 @@ type batchLine struct {
 // in completion order, closed by a batch_done summary line that totals
 // verdicts and region-cache traffic.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBodyBytes))
+	body, err := readBody(w, r, maxBatchBodyBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		submitError(w, err)
 		return
 	}
 	var req batchRequest

@@ -50,11 +50,11 @@ func (s *Service) NodeID() string { return s.cfg.NodeID }
 // layer: peers ask the ring owner for (fingerprint, mode) before
 // solving a cold miss locally. The returned result is a copy.
 func (s *Service) CacheLookup(fingerprint string, mode Mode) (*Result, bool) {
-	res, ok := s.cache.Get(cacheKey(fingerprint, mode))
+	e, ok := s.cache.Get(cacheKey(fingerprint, mode))
 	if !ok {
 		return nil, false
 	}
-	cp := *res
+	cp := *e.res
 	return &cp, true
 }
 
@@ -62,12 +62,12 @@ func (s *Service) CacheLookup(fingerprint string, mode Mode) (*Result, bool) {
 // streams moved-range entries to their new ring owner with it. The
 // callback's result pointer is shared and must be treated as immutable.
 func (s *Service) CacheEach(fn func(fingerprint string, mode Mode, res *Result)) {
-	s.cache.Each(func(key string, res *Result) {
+	s.cache.Each(func(key string, e *cached) {
 		mode, fp, ok := strings.Cut(key, ":")
 		if !ok {
 			return
 		}
-		fn(fp, Mode(mode), res)
+		fn(fp, Mode(mode), e.res)
 	})
 }
 
@@ -125,7 +125,8 @@ func (s *Service) QueueLen() int { return len(s.queue) }
 // tryPeerFill consults the cluster peer-fill hook before solving a
 // cold job: the ring owner of the job's fingerprint may hold a proven
 // result. On a hit the result seeds the local cache and the job is
-// settled with a copy of it, like any other hit.
+// settled from the new entry, like any other hit; a fill the cache will
+// not keep (unproven) is no answer.
 func (s *Service) tryPeerFill(j *Job) bool {
 	s.peerMu.Lock()
 	fill := s.peerFill
@@ -133,14 +134,16 @@ func (s *Service) tryPeerFill(j *Job) bool {
 	if fill == nil {
 		return false
 	}
-	res, ok := fill(j.ctx, j.Fingerprint, j.Mode)
-	if !ok || res == nil {
+	var e *cached
+	if res, ok := fill(j.ctx, j.Fingerprint, j.Mode); ok {
+		e = s.seed(j.Fingerprint, j.Mode, res)
+	}
+	if e == nil {
 		s.peerMisses.Add(1)
 		return false
 	}
 	s.peerHits.Add(1)
-	s.seed(j.Fingerprint, j.Mode, res)
-	s.settle(j, hitOf(res), nil)
+	s.settle(j, hitOf(e), nil)
 	return true
 }
 

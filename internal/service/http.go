@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -52,9 +53,29 @@ func (s *Service) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	_ = encodeJSON(w, v)
+}
+
+// encodeJSON is the one rendering of a response body.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc.Encode(v)
+}
+
+// readBody reads a request body of at most limit bytes. A longer one is
+// refused (413) — unread, when it declares its length — never cut short:
+// a spec truncated at the limit can still parse, as a different problem.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	if err != nil && !errors.As(err, &tooLarge) {
+		err = &BadRequestError{Msg: fmt.Sprintf("reading body: %v", err)}
+	}
+	return body, err
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -66,6 +87,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // the client reads.
 func errorStatus(err error) (int, string) {
 	var bad *BadRequestError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests, "job queue is full; retry shortly"
@@ -88,6 +110,8 @@ func errorStatus(err error) (int, string) {
 			err.Error() + " (try mode=decomp: decomposed regions stay below the arena limit)"
 	case errors.As(err, &bad):
 		return http.StatusBadRequest, bad.Msg
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)
 	}
 	return http.StatusInternalServerError, err.Error()
 }
@@ -107,26 +131,41 @@ func submitError(w http.ResponseWriter, err error) {
 // parseProblem reads the request problem: the body in the paper's
 // Table IV spec format, or the built-in paper example with ?example=1
 // (and an empty body). The returned JobSource is the replayable origin
-// the journal records — HTTP submissions always have one.
-func parseProblem(r *http.Request) (*core.Problem, *JobSource, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+// the journal records — HTTP submissions always have one. A fingerprint
+// comes back only with a handed-over parse (see parsedBody).
+func parseProblem(w http.ResponseWriter, r *http.Request) (*core.Problem, string, *JobSource, error) {
+	handed, _ := r.Body.(parsedBody)
+	body, err := readBody(w, r, maxBodyBytes)
 	if err != nil {
-		return nil, nil, &BadRequestError{Msg: fmt.Sprintf("reading body: %v", err)}
+		return nil, "", nil, err
 	}
+	text := string(body)
+	blank := strings.TrimSpace(text) == ""
 	if r.URL.Query().Get("example") != "" {
-		if len(strings.TrimSpace(string(body))) != 0 {
-			return nil, nil, &BadRequestError{Msg: "example=1 takes no body"}
+		if !blank {
+			return nil, "", nil, &BadRequestError{Msg: "example=1 takes no body"}
 		}
-		return netgen.PaperExample(), &JobSource{Example: true}, nil
+		return netgen.PaperExample(), "", &JobSource{Example: true}, nil
 	}
-	if len(strings.TrimSpace(string(body))) == 0 {
-		return nil, nil, &BadRequestError{Msg: "empty body; POST a problem in the Table IV spec format (or use ?example=1)"}
+	if blank {
+		return nil, "", nil, &BadRequestError{Msg: "empty body; POST a problem in the Table IV spec format (or use ?example=1)"}
 	}
-	p, err := spec.Parse(strings.NewReader(string(body)))
+	if handed != nil {
+		p, fp := handed.Parsed()
+		return p, fp, &JobSource{Spec: text}, nil
+	}
+	p, err := spec.Parse(strings.NewReader(text))
 	if err != nil {
-		return nil, nil, &BadRequestError{Msg: err.Error()}
+		return nil, "", nil, &BadRequestError{Msg: err.Error()}
 	}
-	return p, &JobSource{Spec: string(body)}, nil
+	return p, "", &JobSource{Spec: text}, nil
+}
+
+// parsedBody is a request body that brings its own parse. The cluster
+// router parses and fingerprints a request to find its owner; when that
+// is this node it passes both on as the body, and they are not redone.
+type parsedBody interface {
+	Parsed() (prob *core.Problem, fingerprint string)
 }
 
 // parseTimeout reads ?timeout=30s style deadlines.
@@ -150,7 +189,7 @@ func parseTimeout(q url.Values) (time.Duration, error) {
 //	?stream=1        NDJSON event stream: queued, started, bound…, done
 //	?example=1       use the built-in paper example problem
 func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	prob, src, err := parseProblem(r)
+	prob, fp, src, err := parseProblem(w, r)
 	if err != nil {
 		submitError(w, err)
 		return
@@ -160,7 +199,7 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	opts.Source = src
+	opts.Source, opts.fingerprint = src, fp
 	job, err := s.Submit(prob, opts)
 	if err != nil {
 		submitError(w, err)
@@ -206,7 +245,9 @@ func reply(w http.ResponseWriter, r *http.Request, job *Job) {
 	}
 }
 
-// writeJobResult renders a terminal job as a JSON response.
+// writeJobResult renders a terminal job as a JSON response. A solve is
+// marshalled; a hit is its cache entry's bytes with this job's id spliced
+// in: what writeJSON would send, with no encode and a known length.
 func writeJobResult(w http.ResponseWriter, job *Job) {
 	res, err := job.Result()
 	if err != nil {
@@ -214,12 +255,21 @@ func writeJobResult(w http.ResponseWriter, job *Job) {
 		writeError(w, status, "job %s: %s", job.ID, msg)
 		return
 	}
-	if res.Cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
+	h := w.Header()
+	if res.hit == nil {
+		h.Set("X-Cache", "miss")
+		writeJSON(w, http.StatusOK, res)
+		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	head, tail := res.hit.body()
+	id, _ := json.Marshal(&res.JobID) // cannot fail; by pointer, so unboxed
+	h.Set("X-Cache", "hit")
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(id)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	for _, part := range [][]byte{head, id, tail} {
+		_, _ = w.Write(part) // a failed write is a client that went away
+	}
 }
 
 // streamEvents writes the job's event log as NDJSON, flushing per event,
@@ -282,9 +332,9 @@ type whatIfRequest struct {
 //	?async=1         return 202 + job id immediately
 //	?stream=1        NDJSON event stream
 func (s *Service) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := readBody(w, r, maxBodyBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		submitError(w, err)
 		return
 	}
 	var req whatIfRequest
@@ -332,9 +382,9 @@ type verifyResponse struct {
 // "design": {...}?}; with example=1 the paper example problem is used
 // and the body may omit "problem".
 func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := readBody(w, r, maxBodyBytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		submitError(w, err)
 		return
 	}
 	var req verifyRequest

@@ -122,6 +122,10 @@ type Result struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Decomp carries the region breakdown of a ModeDecomp run.
 	Decomp *DecompJSON `json:"decomp,omitempty"`
+
+	// hit is the cache entry a hit was answered from, whose rendered body
+	// writeJobResult sends; nil on a solve and on every stored result.
+	hit *cached
 }
 
 // DecompJSON is the wire form of a decomposed solve's region breakdown.

@@ -15,11 +15,13 @@ package service
 // last steps is written once.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"configsynth/internal/core"
@@ -32,8 +34,8 @@ import (
 // otherwise the job gets its deadline — clamped here and nowhere else —
 // and admit reports true: the caller enqueues it under its own policy.
 func (s *Service) admit(j *Job, timeout time.Duration, parent context.Context) bool {
-	if res, ok := s.cache.Get(cacheKey(j.Fingerprint, j.Mode)); ok {
-		s.answer(j, hitOf(res), nil)
+	if e, ok := s.cache.Get(cacheKey(j.Fingerprint, j.Mode)); ok {
+		s.answer(j, hitOf(e), nil)
 		return false
 	}
 	if timeout <= 0 {
@@ -79,12 +81,41 @@ func (s *Service) answer(j *Job, res *Result, err error) {
 	s.settle(j, res, err)
 }
 
+// cached is one result-cache entry: the stored result and, from its
+// first hit on, the response every hit of it gets — two hits differ in
+// job_id alone, so the body is kept as the bytes either side of that
+// value. Rendered on the first hit, not in seed: most entries are never
+// hit (cold_solve stores 67 results of 275 KB a round and reads none
+// back) and must pay neither the encode nor the memory.
+type cached struct {
+	res        *Result
+	render     sync.Once
+	head, tail []byte
+}
+
 // hitOf copies a stored result for one response. Stored results carry
-// neither Cached nor Session (see seed), so only Cached needs setting.
-func hitOf(stored *Result) *Result {
-	hit := *stored
-	hit.Cached = true
+// neither Cached nor Session (see seed), so only Cached needs setting,
+// and the entry whose body writeJobResult will send.
+func hitOf(e *cached) *Result {
+	hit := *e.res
+	hit.Cached, hit.hit = true, e
 	return &hit
+}
+
+// body is hitOf(stored) through writeJSON's encoder, split around the
+// job id's value. A quote inside a JSON string is always escaped, so the
+// first `"job_id": ` is the field itself, whatever the design text holds.
+func (e *cached) body() (head, tail []byte) {
+	e.render.Do(func() {
+		hit := hitOf(e)
+		hit.JobID = "?"
+		var buf bytes.Buffer
+		_ = encodeJSON(&buf, hit) // a Result always marshals
+		b := bytes.Clone(buf.Bytes())
+		at := bytes.Index(b, []byte(`"job_id": `)) + len(`"job_id": `)
+		e.head, e.tail = b[:at], b[at+len(`"?"`):]
+	})
+	return e.head, e.tail
 }
 
 // requeue hands a re-admitted job to the pool; it never blocks and never
@@ -345,14 +376,18 @@ func cacheKey(fp string, mode Mode) string { return string(mode) + ":" + fp }
 
 // seed stores a result under (fingerprint, mode) if it is proven, and
 // drops it otherwise. The stored copy describes the solve, not the
-// response it first went out on: no Cached, no Session.
-func (s *Service) seed(fingerprint string, mode Mode, res *Result) {
+// response it first went out on: no Cached, no Session. A key's entry is
+// replaced whole, so rendered bytes never outlive the result they show.
+// Returns the new entry, nil for a dropped result.
+func (s *Service) seed(fingerprint string, mode Mode, res *Result) *cached {
 	if !proven(res) {
-		return
+		return nil
 	}
 	cp := *res
-	cp.Cached, cp.Session = false, ""
-	s.cache.Put(cacheKey(fingerprint, mode), &cp)
+	cp.Cached, cp.Session, cp.hit = false, "", nil
+	e := &cached{res: &cp}
+	s.cache.Put(cacheKey(fingerprint, mode), e)
+	return e
 }
 
 // settle is the one terminal transition. From (res, err) alone it

@@ -247,9 +247,10 @@ type Stats struct {
 type Service struct {
 	cfg   Config
 	queue chan *Job
-	// cache holds proven results by (mode, fingerprint). Results are
+	// cache holds proven results by (mode, fingerprint), each with its
+	// hit response once it has been hit (see cached). Results are
 	// immutable once stored, so a hit hands out the shared pointer.
-	cache *lru.Cache[*Result]
+	cache *lru.Cache[*cached]
 	// sessions holds warm what-if sessions by family fingerprint (the
 	// problem with its thresholds zeroed). A job Takes its session rather
 	// than sharing it: solver state is single-owner, so a concurrent
@@ -376,7 +377,7 @@ func open(cfg Config, startWorkers bool) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		cache:    lru.New[*Result](cfg.CacheEntries, 0),
+		cache:    lru.New[*cached](cfg.CacheEntries, 0),
 		sessions: lru.New[*portfolio.Solver](cfg.SessionEntries, cfg.SessionTTL),
 		decomp: decomp.New(decomp.Options{
 			Workers:      cfg.RegionWorkers,
@@ -612,6 +613,9 @@ type SubmitOptions struct {
 	// queue, results) is identical to an ordinary submission, which is
 	// what keeps what-if answers cache-compatible with /v1/synthesize.
 	whatif bool
+	// fingerprint is the problem's fingerprint when the HTTP layer was
+	// handed it with the parse (see parsedBody); empty, Submit computes it.
+	fingerprint string
 }
 
 // Submit fingerprints the problem, answers from the cache when it can,
@@ -627,7 +631,10 @@ func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
-	fp := spec.Fingerprint(prob)
+	fp := opts.fingerprint
+	if fp == "" {
+		fp = spec.Fingerprint(prob)
+	}
 	j := newJob(s.newJobID(), opts.Mode, prob, fp)
 	j.whatif = opts.whatif
 	if !s.admit(j, opts.Timeout, opts.Parent) {

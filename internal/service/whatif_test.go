@@ -256,7 +256,7 @@ func TestWhatIfDegradedNeverCachedNorReplayed(t *testing.T) {
 	if _, ok := s2.cache.Get(cacheKey(pres.Fingerprint, ModeSolve)); !ok {
 		t.Error("parent's proven result did not survive the restart")
 	}
-	if got, ok := s2.cache.Get(cacheKey(res.Fingerprint, ModeMaxIsolation)); ok && got.Degraded {
+	if got, ok := s2.cache.Get(cacheKey(res.Fingerprint, ModeMaxIsolation)); ok && got.res.Degraded {
 		t.Fatalf("degraded what-if result was replayed into the proven cache: %+v", got)
 	}
 }

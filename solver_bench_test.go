@@ -2,14 +2,21 @@ package configsynth_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"configsynth/internal/core"
 	"configsynth/internal/netgen"
 	"configsynth/internal/portfolio"
+	"configsynth/internal/service"
 	"configsynth/internal/smt"
+	"configsynth/internal/spec"
 )
 
 // Solver microbenchmarks: raw backend speed on seeded netgen instances
@@ -337,4 +344,79 @@ func BenchmarkPBMaximize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// permuteLines shuffles the link lines of a spec among themselves, and
+// its require lines likewise: another text of the same problem.
+func permuteLines(text string, rng *rand.Rand) string {
+	lines := strings.Split(text, "\n")
+	for _, section := range []string{"link ", "require "} {
+		var at []int
+		for i, l := range lines {
+			if strings.HasPrefix(l, section) {
+				at = append(at, i)
+			}
+		}
+		rng.Shuffle(len(at), func(i, k int) { lines[at[i]], lines[at[k]] = lines[at[k]], lines[at[i]] })
+	}
+	return strings.Join(lines, "\n")
+}
+
+// BenchmarkHitHTTP is the ledger's hit_path in one number: a solved
+// 16-host problem (a 95 KB response, the ledger's average) re-posted
+// over loopback HTTP by 2 closed-loop clients with its link and require
+// lines permuted, so an op is parse, canonicalise, fingerprint, LRU read
+// and the write of a stored response. B/op includes the client's own
+// read of the body. Every iteration asserts the hit and its declared
+// length.
+func BenchmarkHitHTTP(b *testing.B) {
+	prob, err := netgen.Generate(solverBenchConfig(16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob.Thresholds = satThresholds(16)
+	var sb strings.Builder
+	if err := spec.WriteProblem(&sb, prob); err != nil {
+		b.Fatal(err)
+	}
+	svc := service.New(service.Config{Workers: 2, SolverWorkers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	post := func(text string) (xcache string, n, declared int64, err error) {
+		resp, err := http.Post(srv.URL+"/v1/synthesize", "text/plain", strings.NewReader(text))
+		if err != nil {
+			return "", 0, 0, err
+		}
+		defer resp.Body.Close()
+		n, err = io.Copy(io.Discard, resp.Body)
+		return resp.Header.Get("X-Cache"), n, resp.ContentLength, err
+	}
+	if xcache, _, _, err := post(sb.String()); err != nil || xcache != "miss" {
+		b.Fatalf("set-up solve: X-Cache %q, %v", xcache, err)
+	}
+
+	const clients = 2
+	rng := rand.New(rand.NewSource(1))
+	texts := make([]string, 16)
+	for i := range texts {
+		texts[i] = permuteLines(sb.String(), rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < b.N; i += clients {
+				xcache, n, declared, err := post(texts[i%len(texts)])
+				if err != nil || xcache != "hit" || declared != n {
+					b.Errorf("op %d: X-Cache %q, %d bytes read, Content-Length %d, %v", i, xcache, n, declared, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
