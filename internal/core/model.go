@@ -765,13 +765,10 @@ type ModelStats struct {
 	Vars          int
 	Clauses       int
 	PBConstraints int
-	// PBActive counts PB constraints still in the propagation occurrence
-	// lists (dead optimization-probe constraints are deactivated).
-	PBActive     int
-	PBTerms      int
-	Conflicts    int64
-	Decisions    int64
-	Propagations int64
+	PBTerms       int
+	Conflicts     int64
+	Decisions     int64
+	Propagations  int64
 	// Restarts counts solver restarts, split by schedule below.
 	Restarts     int64
 	LubyRestarts int64
@@ -804,7 +801,6 @@ func (s *ModelStats) Add(b ModelStats) {
 	s.Vars += b.Vars
 	s.Clauses += b.Clauses
 	s.PBConstraints += b.PBConstraints
-	s.PBActive += b.PBActive
 	s.PBTerms += b.PBTerms
 	s.Conflicts += b.Conflicts
 	s.Decisions += b.Decisions
@@ -864,7 +860,6 @@ func (s *Synthesizer) Stats() ModelStats {
 		Vars:            st.Vars,
 		Clauses:         st.Clauses + st.Learnts,
 		PBConstraints:   st.PBConstraints,
-		PBActive:        st.PBActive,
 		PBTerms:         pbTerms,
 		Conflicts:       st.Conflicts,
 		Decisions:       st.Decisions,

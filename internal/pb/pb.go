@@ -63,7 +63,6 @@ type constraint struct {
 	bound     int64
 	sum       int64 // total weight of currently-true literals
 	watermark int64 // bound − max weight; only sums above it can act
-	dead      bool  // deactivated: removed from the occ lists, never propagates
 }
 
 func (c *constraint) slack() int64 { return c.bound - c.sum }
@@ -82,7 +81,6 @@ type Theory struct {
 	touched     []int32
 	onQueue     []bool
 	rootViol    bool
-	dead        int // number of deactivated constraints
 
 	// scratch buffers
 	expl  []sat.Lit
@@ -115,7 +113,6 @@ func (t *Theory) Clone(s *sat.Solver) *Theory {
 		touched:     slices.Clone(t.touched),
 		onQueue:     slices.Clone(t.onQueue),
 		rootViol:    t.rootViol,
-		dead:        t.dead,
 	}
 	cons := make([]constraint, len(t.constraints))
 	for i, k := range t.constraints {
@@ -138,8 +135,9 @@ func (t *Theory) Clone(s *sat.Solver) *Theory {
 }
 
 // Digest writes the store to h: every constraint in id order with its
-// bound, whether it is deactivated, and its terms in stored order. Like
-// sat.Solver.Digest it is a debugging aid for tests that pin an encoding.
+// bound, a zero word (where a deactivated flag used to be, so recorded
+// digests stand), and its terms in stored order. Like sat.Solver.Digest
+// it is a debugging aid for tests that pin an encoding.
 func (t *Theory) Digest(h hash.Hash) {
 	var buf [8]byte
 	put := func(x int64) {
@@ -149,11 +147,7 @@ func (t *Theory) Digest(h hash.Hash) {
 	put(int64(len(t.constraints)))
 	for _, c := range t.constraints {
 		put(c.bound)
-		if c.dead {
-			put(1)
-		} else {
-			put(0)
-		}
+		put(0)
 		put(int64(len(c.terms)))
 		for _, tm := range c.terms {
 			put(int64(tm.lit))
@@ -164,10 +158,6 @@ func (t *Theory) Digest(h hash.Hash) {
 
 // NumConstraints returns the number of constraints added so far.
 func (t *Theory) NumConstraints() int { return len(t.constraints) }
-
-// ActiveConstraints returns the number of constraints still paying
-// Assign/Unassign propagation cost (added minus deactivated).
-func (t *Theory) ActiveConstraints() int { return len(t.constraints) - t.dead }
 
 // RootViolated reports whether some constraint is already violated by the
 // root-level (level 0) assignment at the time it was added. Such a store
@@ -307,94 +297,10 @@ func (t *Theory) Unassign(l sat.Lit) {
 	}
 }
 
-// deadUnderRoot reports whether c can never be violated nor propagate
-// again under any extension of the current root-level assignment: the
-// total weight of its literals not already false at the root is within
-// the bound. (If that maximum is ≤ bound, then for any unassigned
-// literal l the slack always stays ≥ weight(l), so l never propagates.)
-func (t *Theory) deadUnderRoot(c *constraint) bool {
-	var max int64
-	for _, tm := range c.terms {
-		if t.solver.ValueLit(tm.lit) != sat.False {
-			max += tm.weight
-		}
-	}
-	return max <= c.bound
-}
-
-// deactivate removes constraint id from the occupancy lists so it stops
-// paying Assign/Unassign cost. Only constraints dead under the root
-// assignment may be deactivated; they can never propagate or conflict.
-func (t *Theory) deactivate(id int32) {
-	c := t.constraints[id]
-	if c.dead {
-		return
-	}
-	c.dead = true
-	t.dead++
-	for _, tm := range c.terms {
-		occ := t.occ[tm.lit]
-		for i := range occ {
-			if occ[i].id == id {
-				occ[i] = occ[len(occ)-1]
-				t.occ[tm.lit] = occ[:len(occ)-1]
-				break
-			}
-		}
-	}
-}
-
-// DeactivateDeadFor deactivates every constraint mentioning l that is
-// dead under the current root-level assignment, returning the number
-// deactivated. It must be called at the root level (decision level 0) —
-// typically right after a unit clause fixed l's variable, e.g. when an
-// optimization probe's big-M guard is permanently relaxed. Calls at a
-// non-zero decision level are ignored.
-func (t *Theory) DeactivateDeadFor(l sat.Lit) int {
-	if t.solver.DecisionLevel() != 0 {
-		return 0
-	}
-	n := 0
-	for _, side := range [2]sat.Lit{l, l.Not()} {
-		if int(side) >= len(t.occ) {
-			continue
-		}
-		// deactivate mutates t.occ[side]; walk a snapshot of the ids.
-		ids := make([]int32, len(t.occ[side]))
-		for i, e := range t.occ[side] {
-			ids[i] = e.id
-		}
-		for _, id := range ids {
-			if c := t.constraints[id]; !c.dead && t.deadUnderRoot(c) {
-				t.deactivate(id)
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// DeactivateDead scans every constraint and deactivates those dead under
-// the current root-level assignment, returning the number deactivated.
-// Like DeactivateDeadFor, it is a no-op off the root level.
-func (t *Theory) DeactivateDead() int {
-	if t.solver.DecisionLevel() != 0 {
-		return 0
-	}
-	n := 0
-	for id, c := range t.constraints {
-		if !c.dead && t.deadUnderRoot(c) {
-			t.deactivate(int32(id))
-			n++
-		}
-	}
-	return n
-}
-
-// VerifyModel checks every constraint — including deactivated ones —
-// against a complete assignment, where val reports whether a literal is
-// true. It returns a descriptive error for the first violated bound, and
-// nil when the assignment satisfies the whole store.
+// VerifyModel checks every constraint against a complete assignment,
+// where val reports whether a literal is true. It returns a descriptive
+// error for the first violated bound, and nil when the assignment
+// satisfies the whole store.
 func (t *Theory) VerifyModel(val func(sat.Lit) bool) error {
 	for id, c := range t.constraints {
 		var sum int64
@@ -479,11 +385,6 @@ func (t *Theory) Propagate(s *sat.Solver) []sat.Lit {
 		t.touched = t.touched[:len(t.touched)-1]
 		t.onQueue[id] = false
 		c := t.constraints[id]
-		if c.dead {
-			// Deactivated between solves; a stale queue entry may remain.
-			continue
-		}
-
 		if c.sum > c.bound {
 			expl := t.explain(c, sat.LitUndef, c.bound)
 			conflict := make([]sat.Lit, len(expl))

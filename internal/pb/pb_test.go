@@ -418,45 +418,3 @@ func TestAddAtMostForcingCascadeConflict(t *testing.T) {
 		t.Fatal("asserting the forced-false literal should report root unsat")
 	}
 }
-
-func TestDeactivateDeadConstraints(t *testing.T) {
-	// A big-M guarded constraint whose guard is fixed false at the root
-	// becomes inert: the maximum reachable sum fits the bound. It must be
-	// removable from the occ lists while the store stays sound.
-	s, th, lits := setup(4)
-	guard := lits[3]
-	// lits[0..2] with weights 2,2,2 and guard weight 3, bound 6:
-	// with the guard true the bound forces at most one of lits[0..2]+...;
-	// with the guard root-false the constraint can never trip.
-	if err := th.AddAtMost(lits, []int64{2, 2, 2, 3}, 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := th.AddAtMost(lits[:2], ones(2), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := th.ActiveConstraints(); got != 2 {
-		t.Fatalf("ActiveConstraints = %d, want 2", got)
-	}
-	if n := th.DeactivateDeadFor(guard); n != 0 {
-		t.Fatalf("deactivated %d constraints while guard still free, want 0", n)
-	}
-	if err := s.AddClause(guard.Not()); err != nil {
-		t.Fatal(err)
-	}
-	if n := th.DeactivateDeadFor(guard); n != 1 {
-		t.Fatalf("deactivated %d constraints after fixing guard false, want 1", n)
-	}
-	if got := th.ActiveConstraints(); got != 1 {
-		t.Fatalf("ActiveConstraints = %d, want 1", got)
-	}
-	// The surviving cardinality constraint still propagates.
-	if got := s.Solve(lits[0]); got != sat.Sat {
-		t.Fatalf("got %v, want sat", got)
-	}
-	if got := s.ModelValue(lits[1]); got != sat.False {
-		t.Fatalf("lits[1] = %v in model, want false (at-most-one)", got)
-	}
-	if err := th.VerifyModel(func(l sat.Lit) bool { return s.ModelValue(l) == sat.True }); err != nil {
-		t.Fatalf("VerifyModel after deactivation: %v", err)
-	}
-}

@@ -2,6 +2,7 @@ package refcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"configsynth/internal/smt"
 )
@@ -11,18 +12,27 @@ type built struct {
 	sol    *smt.Solver
 	vars   []smt.Bool // vars[v-1] is variable v
 	obj    *smt.Sum
-	assume []smt.Bool // parallel to Instance.Assumptions
+	assume []smt.Bool            // parallel to Instance.Assumptions
+	guards []smt.Bool            // parallel to Instance.AtMosts if built guarded
+	probes map[[2]int64]smt.Bool // Bisect's probe guards; see guard
 }
 
 // Build encodes the instance into a fresh solver diversified by cfg,
 // with the self-check hooks armed: every Sat model and every Unsat
 // core the solver produces during the differential is re-validated.
-func Build(in *Instance, cfg smt.SolverConfig) *built {
-	b := &built{sol: smt.NewSolverWith(cfg), obj: &smt.Sum{}}
+func Build(in *Instance, cfg smt.SolverConfig) *built { return build(in, cfg, false) }
+
+// BuildGuarded encodes the instance like Build, except that each
+// at-most constraint is asserted under a fresh guard literal instead of
+// unconditionally; checking with all guards assumed true is equivalent
+// to the baked encoding.
+func BuildGuarded(in *Instance, cfg smt.SolverConfig) *built { return build(in, cfg, true) }
+
+func build(in *Instance, cfg smt.SolverConfig, guarded bool) *built {
+	b := &built{sol: smt.NewSolverWith(cfg), obj: &smt.Sum{}, probes: map[[2]int64]smt.Bool{}}
 	b.sol.SetVerify(true)
-	b.vars = make([]smt.Bool, in.Vars)
-	for v := range b.vars {
-		b.vars[v] = b.sol.NewBool(fmt.Sprintf("x%d", v+1))
+	for v := 1; v <= in.Vars; v++ {
+		b.vars = append(b.vars, b.sol.NewBool(fmt.Sprintf("x%d", v)))
 	}
 	for _, c := range in.Clauses {
 		terms := make([]smt.Bool, len(c))
@@ -31,21 +41,30 @@ func Build(in *Instance, cfg smt.SolverConfig) *built {
 		}
 		b.sol.AddClause(terms...)
 	}
-	for _, am := range in.AtMosts {
+	for ai, am := range in.AtMosts {
 		sum := &smt.Sum{}
 		for i, l := range am.Lits {
 			sum.Add(b.term(l), am.Weights[i])
 		}
-		b.sol.AssertAtMost(sum, am.Bound)
+		if guarded {
+			b.guards = append(b.guards, b.sol.NewBool(fmt.Sprintf("$guard%d", ai)))
+			b.sol.AssertAtMostIf(b.guards[ai], sum, am.Bound)
+		} else {
+			b.sol.AssertAtMost(sum, am.Bound)
+		}
 	}
 	for i, l := range in.ObjLits {
 		b.obj.Add(b.term(l), in.ObjWeights[i])
 	}
-	b.assume = make([]smt.Bool, len(in.Assumptions))
-	for i, l := range in.Assumptions {
-		b.assume[i] = b.term(l)
+	for _, l := range in.Assumptions {
+		b.assume = append(b.assume, b.term(l))
 	}
 	return b
+}
+
+// assumptions returns the instance assumptions plus every guard.
+func (b *built) assumptions() []smt.Bool {
+	return append(slices.Clip(b.assume), b.guards...)
 }
 
 func (b *built) term(l Lit) smt.Bool {
@@ -66,88 +85,68 @@ func (b *built) value() func(v int) bool {
 // (the core must be drawn from the assumptions and re-solving the
 // formula under the core literals alone must stay unsatisfiable).
 func CheckStatus(in *Instance, cfg smt.SolverConfig) error {
+	return checkStatus(in, Build(in, cfg))
+}
+
+// checkStatus is CheckStatus on a built solver, baked or guarded. On a
+// guarded build the cored guards name the at-most constraints that take
+// part in the contradiction: the formula restricted to exactly those
+// (clauses are unconditional in both encodings) must stay unsatisfiable
+// under the cored assumption literals.
+func checkStatus(in *Instance, b *built) error {
 	refSat := Solve(in)
-	b := Build(in, cfg)
-	switch st := b.sol.Check(b.assume...); st {
-	case smt.Unknown:
+	switch st := b.sol.Check(b.assumptions()...); {
+	case st == smt.Unknown:
 		return fmt.Errorf("refcheck: unbudgeted Check returned unknown on %v", in)
-	case smt.Sat:
-		if !refSat {
-			return fmt.Errorf("refcheck: solver says sat, reference says unsat on %v", in)
-		}
+	case (st == smt.Sat) != refSat:
+		return fmt.Errorf("refcheck: solver says %v, reference sat %v on %v", st, refSat, in)
+	case st == smt.Sat:
 		if bad := Violations(in, in.Assumptions, b.value()); len(bad) > 0 {
 			return fmt.Errorf("refcheck: unsound model on %v: %v", in, bad)
 		}
-	default:
-		if refSat {
-			return fmt.Errorf("refcheck: solver says unsat, reference says sat on %v", in)
-		}
-		core, err := coreLits(in, b)
-		if err != nil {
-			return err
-		}
-		if SolveUnder(in, core) {
-			return fmt.Errorf("refcheck: unsound core %v on %v: formula is satisfiable under it", core, in)
-		}
-	}
-	return nil
-}
-
-// coreLits maps the solver's unsat core back to instance literals,
-// rejecting any core term that is not one of the assumptions.
-func coreLits(in *Instance, b *built) ([]Lit, error) {
-	byTerm := make(map[smt.Bool]Lit, len(b.assume))
-	for i, t := range b.assume {
-		byTerm[t] = in.Assumptions[i]
-	}
-	var lits []Lit
-	for _, t := range b.sol.Core() {
-		l, ok := byTerm[t]
-		if !ok {
-			return nil, fmt.Errorf("refcheck: core term %s is not an assumption on %v", b.sol.Name(t), in)
-		}
-		lits = append(lits, l)
-	}
-	return lits, nil
-}
-
-// CheckOptimum cross-checks Maximize and then Minimize of the
-// instance's objective against the reference's exhaustive optima, and
-// validates the optimizing models.
-func CheckOptimum(in *Instance, cfg smt.SolverConfig) error {
-	refMax, feasible := Maximize(in)
-	b := Build(in, cfg)
-	got, err := b.sol.Maximize(b.obj, b.assume...)
-	if !feasible {
-		if err != smt.ErrNoModel {
-			return fmt.Errorf("refcheck: Maximize on infeasible %v: got (%d, %v), want ErrNoModel", in, got, err)
-		}
 		return nil
 	}
+	lits, atmosts, err := coreOf(in, b)
 	if err != nil {
-		return fmt.Errorf("refcheck: Maximize failed on %v: %v", in, err)
+		return err
 	}
-	if got != refMax {
-		return fmt.Errorf("refcheck: Maximize = %d, reference optimum %d on %v", got, refMax, in)
+	reduced := in
+	if len(b.guards) > 0 {
+		reduced = &Instance{Vars: in.Vars, Clauses: in.Clauses}
+		for _, i := range atmosts {
+			reduced.AtMosts = append(reduced.AtMosts, in.AtMosts[i])
+		}
 	}
-	if v := b.sol.EvalSum(b.obj); v != got {
-		return fmt.Errorf("refcheck: Maximize model achieves %d, claimed %d on %v", v, got, in)
-	}
-	if bad := Violations(in, in.Assumptions, b.value()); len(bad) > 0 {
-		return fmt.Errorf("refcheck: unsound maximizing model on %v: %v", in, bad)
-	}
-	refMin, _ := Minimize(in)
-	gotMin, err := b.sol.Minimize(b.obj, b.assume...)
-	if err != nil {
-		return fmt.Errorf("refcheck: Minimize failed on %v: %v", in, err)
-	}
-	if gotMin != refMin {
-		return fmt.Errorf("refcheck: Minimize = %d, reference optimum %d on %v", gotMin, refMin, in)
-	}
-	if bad := Violations(in, in.Assumptions, b.value()); len(bad) > 0 {
-		return fmt.Errorf("refcheck: unsound minimizing model on %v: %v", in, bad)
+	if SolveUnder(reduced, lits) {
+		return fmt.Errorf("refcheck: unsound core (lits %v, atmosts %v) on %v: formula is satisfiable under it", lits, atmosts, in)
 	}
 	return nil
+}
+
+// coreOf splits the solver's unsat core into instance assumption
+// literals and the indices of cored at-most constraints (guarded builds
+// only), rejecting terms that are neither.
+func coreOf(in *Instance, b *built) (lits []Lit, atmosts []int, err error) {
+	byAssume := make(map[smt.Bool]Lit, len(b.assume))
+	for i, t := range b.assume {
+		byAssume[t] = in.Assumptions[i]
+	}
+	byGuard := make(map[smt.Bool]int, len(b.guards))
+	for i, g := range b.guards {
+		byGuard[g] = i
+	}
+	for _, t := range b.sol.Core() {
+		if l, ok := byAssume[t]; ok {
+			lits = append(lits, l)
+			continue
+		}
+		if i, ok := byGuard[t]; ok {
+			atmosts = append(atmosts, i)
+			continue
+		}
+		return nil, nil, fmt.Errorf("refcheck: core term %s is neither an assumption nor a guard on %v", b.sol.Name(t), in)
+	}
+	return lits, atmosts, nil
 }
 
 // Check runs the full differential battery on one instance.

@@ -34,9 +34,10 @@ func FuzzSolve(f *testing.F) {
 	})
 }
 
-// FuzzMaximize differentials the optimizer: Maximize/Minimize optima
-// and the soundness of the optimizing models.
-func FuzzMaximize(f *testing.F) {
+// FuzzBisect differentials core.Query.Bisect: optima in both
+// coordinates and both prober shapes, every probe's status, the models
+// the answers are claimed from, and exactness under injected Unknowns.
+func FuzzBisect(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := CheckOptimum(Decode(data), smt.SolverConfig{}); err != nil {

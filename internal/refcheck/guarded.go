@@ -3,6 +3,7 @@ package refcheck
 import (
 	"fmt"
 
+	"configsynth/internal/core"
 	"configsynth/internal/smt"
 )
 
@@ -19,171 +20,36 @@ import (
 // must replay bit-identically run over run, which is the determinism the
 // session rebuild design rests on.
 
-// builtGuarded is an Instance encoded with every at-most constraint
-// behind an assumption guard.
-type builtGuarded struct {
-	built
-	guards []smt.Bool // one per Instance.AtMosts entry
-}
-
-// BuildGuarded encodes the instance like Build, except that each
-// at-most constraint is asserted under a fresh guard literal instead of
-// unconditionally; checking with all guards assumed true is equivalent
-// to the baked encoding.
-func BuildGuarded(in *Instance, cfg smt.SolverConfig) *builtGuarded {
-	b := &builtGuarded{built: built{sol: smt.NewSolverWith(cfg), obj: &smt.Sum{}}}
-	b.sol.SetVerify(true)
-	b.vars = make([]smt.Bool, in.Vars)
-	for v := range b.vars {
-		b.vars[v] = b.sol.NewBool(fmt.Sprintf("x%d", v+1))
-	}
-	for _, c := range in.Clauses {
-		terms := make([]smt.Bool, len(c))
-		for i, l := range c {
-			terms[i] = b.term(l)
-		}
-		b.sol.AddClause(terms...)
-	}
-	for ai, am := range in.AtMosts {
-		sum := &smt.Sum{}
-		for i, l := range am.Lits {
-			sum.Add(b.term(l), am.Weights[i])
-		}
-		g := b.sol.NewBool(fmt.Sprintf("$guard%d", ai))
-		b.sol.AssertAtMostIf(g, sum, am.Bound)
-		b.guards = append(b.guards, g)
-	}
-	for i, l := range in.ObjLits {
-		b.obj.Add(b.term(l), in.ObjWeights[i])
-	}
-	b.assume = make([]smt.Bool, len(in.Assumptions))
-	for i, l := range in.Assumptions {
-		b.assume[i] = b.term(l)
-	}
-	return b
-}
-
-// assumptions returns the instance assumptions plus every guard.
-func (b *builtGuarded) assumptions() []smt.Bool {
-	return append(append([]smt.Bool(nil), b.assume...), b.guards...)
-}
-
-// guardedCore splits the guarded solver's unsat core into instance
-// assumption literals and the indices of cored at-most constraints,
-// rejecting terms that are neither.
-func guardedCore(in *Instance, b *builtGuarded) (lits []Lit, atmosts []int, err error) {
-	byAssume := make(map[smt.Bool]Lit, len(b.assume))
-	for i, t := range b.assume {
-		byAssume[t] = in.Assumptions[i]
-	}
-	byGuard := make(map[smt.Bool]int, len(b.guards))
-	for i, g := range b.guards {
-		byGuard[g] = i
-	}
-	for _, t := range b.sol.Core() {
-		if l, ok := byAssume[t]; ok {
-			lits = append(lits, l)
-			continue
-		}
-		if i, ok := byGuard[t]; ok {
-			atmosts = append(atmosts, i)
-			continue
-		}
-		return nil, nil, fmt.Errorf("refcheck: core term %s is neither an assumption nor a guard on %v", b.sol.Name(t), in)
-	}
-	return lits, atmosts, nil
-}
-
 // CheckGuarded runs the guarded-vs-baked differential on one instance:
-// Check status (plus model/core soundness), then Maximize and Minimize
-// optima, and finally a guarded-vs-guarded replay that must be
-// bit-identical variable for variable.
+// Check status against the reference (plus model/core soundness) for
+// both encodings and for a replay of the guarded one, which must also
+// reproduce its model variable for variable, and then a Bisect descent
+// to each optimum for both encodings.
 func CheckGuarded(in *Instance, cfg smt.SolverConfig) error {
-	refSat := Solve(in)
-	baked := Build(in, cfg)
-	bst := baked.sol.Check(baked.assume...)
-	g := BuildGuarded(in, cfg)
-	gst := g.sol.Check(g.assumptions()...)
-
-	if gst == smt.Unknown || bst == smt.Unknown {
-		return fmt.Errorf("refcheck: unbudgeted Check returned unknown on %v", in)
-	}
-	if gst != bst {
-		return fmt.Errorf("refcheck: guarded Check = %v, baked Check = %v on %v", gst, bst, in)
-	}
-	switch gst {
-	case smt.Sat:
-		if !refSat {
-			return fmt.Errorf("refcheck: guarded+baked say sat, reference says unsat on %v", in)
-		}
-		if bad := Violations(in, in.Assumptions, g.value()); len(bad) > 0 {
-			return fmt.Errorf("refcheck: unsound guarded model on %v: %v", in, bad)
-		}
-	default:
-		if refSat {
-			return fmt.Errorf("refcheck: guarded+baked say unsat, reference says sat on %v", in)
-		}
-		lits, atmosts, err := guardedCore(in, g)
-		if err != nil {
+	baked, g, replay := Build(in, cfg), BuildGuarded(in, cfg), BuildGuarded(in, cfg)
+	for _, b := range []*built{baked, g, replay} {
+		if err := checkStatus(in, b); err != nil {
 			return err
 		}
-		// The cored guards name the at-most constraints that participate
-		// in the contradiction: the formula restricted to exactly those
-		// constraints (clauses are unconditional in both encodings) must
-		// stay unsatisfiable under the cored assumption literals.
-		reduced := &Instance{Vars: in.Vars, Clauses: in.Clauses}
-		for _, i := range atmosts {
-			reduced.AtMosts = append(reduced.AtMosts, in.AtMosts[i])
-		}
-		if SolveUnder(reduced, lits) {
-			return fmt.Errorf("refcheck: unsound guarded core (lits %v, atmosts %v) on %v: reduced formula is satisfiable", lits, atmosts, in)
+	}
+	// Replay determinism: the second guarded build under the same config
+	// reproduces the first bit for bit — its status matched the reference
+	// too, and on Sat it must assign every instance variable the same.
+	// Sessions extract results from freshly built solvers on every query;
+	// this is the property that makes those extractions reproducible.
+	for v := 1; g.sol.HasModel() && v <= in.Vars; v++ {
+		if g.value()(v) != replay.value()(v) {
+			return fmt.Errorf("refcheck: guarded replay model differs at x%d on %v", v, in)
 		}
 	}
 
-	if len(in.ObjLits) > 0 && refSat {
-		refMax, _ := Maximize(in)
-		bmax, berr := baked.sol.Maximize(baked.obj, baked.assume...)
-		gmax, gerr := g.sol.Maximize(g.obj, g.assumptions()...)
-		if berr != nil || gerr != nil {
-			return fmt.Errorf("refcheck: Maximize errs (baked %v, guarded %v) on %v", berr, gerr, in)
-		}
-		if gmax != bmax || gmax != refMax {
-			return fmt.Errorf("refcheck: Maximize guarded=%d baked=%d reference=%d on %v", gmax, bmax, refMax, in)
-		}
-		if bad := Violations(in, in.Assumptions, g.value()); len(bad) > 0 {
-			return fmt.Errorf("refcheck: unsound guarded maximizing model on %v: %v", in, bad)
-		}
-		refMin, _ := Minimize(in)
-		bmin, berr := baked.sol.Minimize(baked.obj, baked.assume...)
-		gmin, gerr := g.sol.Minimize(g.obj, g.assumptions()...)
-		if berr != nil || gerr != nil {
-			return fmt.Errorf("refcheck: Minimize errs (baked %v, guarded %v) on %v", berr, gerr, in)
-		}
-		if gmin != bmin || gmin != refMin {
-			return fmt.Errorf("refcheck: Minimize guarded=%d baked=%d reference=%d on %v", gmin, bmin, refMin, in)
-		}
-	}
-
-	// Replay determinism: a second guarded build under the same config
-	// must reproduce the first bit for bit — same status, and on Sat the
-	// same assignment for every instance variable. Sessions extract
-	// results from freshly built solvers on every query; this is the
-	// property that makes those extractions reproducible.
-	r := BuildGuarded(in, cfg)
-	rst := r.sol.Check(r.assumptions()...)
-	if rst != gst {
-		return fmt.Errorf("refcheck: guarded replay status %v, first run %v on %v", rst, gst, in)
-	}
-	if gst == smt.Sat {
-		// The first solver's model was clobbered by the optimization calls
-		// above; re-run the plain check on a third build to compare.
-		g2 := BuildGuarded(in, cfg)
-		if st := g2.sol.Check(g2.assumptions()...); st != smt.Sat {
-			return fmt.Errorf("refcheck: guarded re-check flipped to %v on %v", st, in)
-		}
-		for v := 1; v <= in.Vars; v++ {
-			if g2.value()(v) != r.value()(v) {
-				return fmt.Errorf("refcheck: guarded replay model differs at x%d on %v", v, in)
+	// Both encodings descend to the brute-force optimum in both
+	// coordinates, each descent checked probe by probe.
+	ref := newReference(in, nil)
+	for _, q := range []core.Query{maximise, minimise} {
+		for _, b := range []*built{baked, g} {
+			if _, err := ref.descend(b, q, true, -1, false); err != nil {
+				return err
 			}
 		}
 	}

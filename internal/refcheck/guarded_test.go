@@ -55,7 +55,7 @@ func TestGuardedCoreBlamesConstraint(t *testing.T) {
 	if st := g.sol.Check(g.assumptions()...); st != smt.Unsat {
 		t.Fatalf("got %v, want unsat", st)
 	}
-	lits, atmosts, err := guardedCore(in, g)
+	lits, atmosts, err := coreOf(in, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 // Package refcheck is ConfigSynth's correctness-tooling layer: a
 // brute-force reference solver for small CNF + pseudo-Boolean formulas,
 // a deterministic random-instance generator, and a differential-check
-// battery that cross-validates internal/sat, internal/pb, and
-// internal/smt against the reference — status equality, optimum
-// equality for Maximize/Minimize, model soundness, and unsat-core
-// soundness. The Go native fuzz targets and the seeded differential
-// tests in this package are the burn-down harness for solver bugs.
+// battery that cross-validates internal/sat, internal/pb, internal/smt
+// and core.Query.Bisect, the one optimisation descent production runs,
+// against the reference — status equality, model soundness, unsat-core
+// soundness, and Bisect's optima, probe statuses and exactness under
+// injected Unknowns. The Go native fuzz targets and the seeded
+// differential tests in this package are the burn-down harness for
+// solver bugs.
 package refcheck
 
 import (
@@ -46,8 +48,8 @@ type Instance struct {
 	Clauses [][]Lit
 	// AtMosts are the pseudo-Boolean constraints.
 	AtMosts []AtMost
-	// ObjLits/ObjWeights define the objective Σ w·lit for Maximize and
-	// Minimize differentials; empty means no objective.
+	// ObjLits/ObjWeights define the objective Σ w·lit that the Bisect
+	// differential maximises and minimises; empty means no objective.
 	ObjLits    []Lit
 	ObjWeights []int64
 	// Assumptions are literals assumed true for the check, the smt-level
@@ -129,34 +131,25 @@ func SolveUnder(in *Instance, units []Lit) bool {
 // Solve decides satisfiability under the instance's assumptions.
 func Solve(in *Instance) bool { return SolveUnder(in, in.Assumptions) }
 
-// Maximize computes the exact maximum of the objective over all models
-// under the instance's assumptions. ok is false when no model exists.
-func Maximize(in *Instance) (best int64, ok bool) {
+// Optima computes the exact minimum and maximum of the objective over
+// all models under the instance's assumptions. ok is false when no model
+// exists.
+func Optima(in *Instance) (lo, hi int64, ok bool) {
 	in.guard()
 	for mask := uint32(0); mask < 1<<in.Vars; mask++ {
 		if !in.satisfies(mask, in.Assumptions) {
 			continue
 		}
-		if v := in.objective(mask); !ok || v > best {
-			best, ok = v, true
+		v := in.objective(mask)
+		if !ok || v < lo {
+			lo = v
 		}
+		if !ok || v > hi {
+			hi = v
+		}
+		ok = true
 	}
-	return best, ok
-}
-
-// Minimize computes the exact minimum of the objective over all models
-// under the instance's assumptions.
-func Minimize(in *Instance) (best int64, ok bool) {
-	in.guard()
-	for mask := uint32(0); mask < 1<<in.Vars; mask++ {
-		if !in.satisfies(mask, in.Assumptions) {
-			continue
-		}
-		if v := in.objective(mask); !ok || v < best {
-			best, ok = v, true
-		}
-	}
-	return best, ok
+	return lo, hi, ok
 }
 
 // Violations lists every constraint of the instance (clauses, at-most

@@ -25,11 +25,8 @@ func TestReferenceSolverKnownInstances(t *testing.T) {
 	if !Solve(in) {
 		t.Fatal("instance should be sat")
 	}
-	if best, ok := Maximize(in); !ok || best != 1 {
-		t.Fatalf("Maximize = (%d, %v), want (1, true)", best, ok)
-	}
-	if best, ok := Minimize(in); !ok || best != 1 {
-		t.Fatalf("Minimize = (%d, %v), want (1, true): the clause forces one true", best, ok)
+	if min, max, ok := Optima(in); !ok || min != 1 || max != 1 {
+		t.Fatalf("Optima = (%d, %d, %v), want (1, 1, true): the clause forces one true", min, max, ok)
 	}
 	// Assumption forcing x2 with weight-2 constraint 2·x2 ≤ 1: unsat.
 	in2 := &Instance{
@@ -43,10 +40,10 @@ func TestReferenceSolverKnownInstances(t *testing.T) {
 	if !SolveUnder(in2, nil) {
 		t.Fatal("the formula alone is satisfiable")
 	}
-	// Negative-polarity objective: maximize 3·¬x1 with x1 free = 3.
+	// Negative-polarity objective 3·¬x1 with x1 free: 0 to 3.
 	in3 := &Instance{Vars: 1, ObjLits: []Lit{-1}, ObjWeights: []int64{3}}
-	if best, ok := Maximize(in3); !ok || best != 3 {
-		t.Fatalf("Maximize(3·¬x1) = (%d, %v), want (3, true)", best, ok)
+	if min, max, ok := Optima(in3); !ok || min != 0 || max != 3 {
+		t.Fatalf("Optima(3·¬x1) = (%d, %d, %v), want (0, 3, true)", min, max, ok)
 	}
 	if bad := Violations(in, []Lit{1}, func(v int) bool { return v == 2 }); len(bad) != 1 {
 		t.Fatalf("model x2-only violates exactly the assumption, got %v", bad)
@@ -85,10 +82,12 @@ var diversified = []smt.SolverConfig{
 // TestDifferentialAgainstReference is the harness's core guarantee: 600
 // seeded mixed CNF+PB instances, each cross-checked against the
 // brute-force reference for status, model soundness, core soundness,
-// and Maximize/Minimize optima — with self-check hooks armed. Every
-// third seed additionally runs under the diversified configurations.
+// and core.Query.Bisect's optima, probes and exactness under injected
+// Unknowns — with self-check hooks armed. Every third seed additionally
+// runs under the diversified configurations.
 func TestDifferentialAgainstReference(t *testing.T) {
 	sawSat, sawUnsat, sawCore := false, false, false
+	var cov coverage
 	for seed := int64(0); seed < 600; seed++ {
 		in := Gen(seed)
 		if Solve(in) {
@@ -104,17 +103,27 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			cfgs = diversified
 		}
 		for ci, cfg := range cfgs {
-			if err := Check(in, cfg); err != nil {
+			err := CheckStatus(in, cfg)
+			if err == nil {
+				err = checkOptimum(in, cfg, &cov)
+			}
+			if err != nil {
 				t.Fatalf("seed %d config %d: %v", seed, ci, err)
 			}
 		}
 	}
-	// The generator must exercise all three differential regimes, or
-	// the cross-checks above silently lose coverage.
+	// The generator must exercise all three differential regimes, and the
+	// injections must have met Unknowns both ways — including descents
+	// whose answer a Sat jump carried past an Unknown probe — or the
+	// cross-checks above silently lose coverage.
 	if !sawSat || !sawUnsat || !sawCore {
 		t.Fatalf("generator coverage collapsed: sat=%v unsat=%v assumption-unsat=%v",
 			sawSat, sawUnsat, sawCore)
 	}
+	if cov.budget == 0 || cov.wrapper == 0 || cov.jumped == 0 {
+		t.Fatalf("injection coverage collapsed: %+v", cov)
+	}
+	t.Logf("descents that met an Unknown: %+v", cov)
 }
 
 // TestDifferentialPBOnly stresses the pseudo-Boolean store alone — no

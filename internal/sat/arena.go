@@ -109,19 +109,13 @@ func (s *Solver) demoteToProblem(c int32) {
 func ClauseWords(n int) int { return hdrWords + n }
 
 // ArenaLimit returns the effective arena cap in words: the 31-bit cref
-// ceiling, or the lower test-injected cap.
+// ceiling, or the lower Config.ArenaCapWords.
 func (s *Solver) ArenaLimit() int {
 	if s.arenaCap > 0 {
 		return s.arenaCap
 	}
 	return defaultArenaCap
 }
-
-// SetArenaCap lowers the clause-arena capacity (in words) below the
-// 31-bit architectural limit. Tests use it to exercise the
-// ErrModelTooLarge path on small instances; values <= 0 restore the
-// default.
-func (s *Solver) SetArenaCap(words int) { s.arenaCap = words }
 
 // allocClause appends a clause to the arena and returns its cref. The
 // literal slice is copied, not retained. An allocation that would push

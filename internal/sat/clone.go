@@ -64,8 +64,6 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 		lazyEx:  make([]LazyExplainer, n, room),
 		lazyTag: make([]int32, n, room),
 
-		theoryReasons: make(map[Var][]Lit),
-
 		rootUnsat:         s.rootUnsat,
 		maxLearnts:        s.maxLearnts,
 		budget:            s.budget,

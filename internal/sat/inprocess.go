@@ -64,11 +64,7 @@ func (s *Solver) simplifyRoot() bool {
 	for _, p := range s.trail {
 		v := p.Var()
 		if s.reason[v] == reasonTheory {
-			if s.lazyEx[v] != nil {
-				s.lazyEx[v] = nil
-			} else {
-				delete(s.theoryReasons, v)
-			}
+			s.lazyEx[v] = nil
 		}
 		s.reason[v] = reasonNone
 	}

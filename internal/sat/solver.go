@@ -27,18 +27,17 @@ type Theory interface {
 	// Unassign notifies the theory that l is being undone.
 	Unassign(l Lit)
 	// Propagate runs theory propagation to fixpoint. The implementation
-	// may call s.TheoryEnqueue to imply literals. It returns a non-nil
+	// may call s.TheoryEnqueueLazy to imply literals. It returns a non-nil
 	// conflict clause (all of whose literals are currently false) if the
 	// partial assignment is theory-inconsistent, and nil otherwise.
 	Propagate(s *Solver) []Lit
 }
 
-// LazyExplainer is the deferred-explanation side channel of DPLL(T):
+// LazyExplainer is how a theory explains what it implies in DPLL(T):
 // instead of materializing a reason clause for every implied literal up
-// front (TheoryEnqueue copies it), a theory may enqueue with only an
-// integer tag and reconstruct the reason on demand — most theory
-// implications never reach conflict analysis, so most explanations are
-// never built.
+// front, the theory enqueues with only an integer tag and reconstructs
+// the reason on demand — most theory implications never reach conflict
+// analysis, so most explanations are never built.
 type LazyExplainer interface {
 	// Explain rebuilds the reason clause for the implied literal p that
 	// was enqueued with the given tag. The result must have p first, and
@@ -57,7 +56,7 @@ type watcher struct {
 
 const (
 	reasonNone   int32 = -1
-	reasonTheory int32 = -2 // theory reasons: lazy via lazyEx, or theoryReasons map
+	reasonTheory int32 = -2 // theory reason, rebuilt on demand by lazyEx
 )
 
 type varOrder struct {
@@ -232,7 +231,7 @@ type Stats struct {
 type Solver struct {
 	arena      []Lit   // flat clause store; see arena.go
 	wasted     int     // reclaimable arena words
-	arenaCap   int     // test-injected arena cap in words; 0 = 31-bit limit
+	arenaCap   int     // Config.ArenaCapWords; 0 = 31-bit limit
 	clauseRefs []int32 // live problem clauses
 	learntRefs []int32 // live learnt clauses
 	watches    [][]watcher
@@ -262,10 +261,9 @@ type Solver struct {
 	lbdStamp  []int64 // per-level stamp for LBD computation
 	lbdTick   int64
 
-	theories      []Theory
-	theoryReasons map[Var][]Lit // eager theory reasons, keyed by var
-	lazyEx        []LazyExplainer
-	lazyTag       []int32
+	theories []Theory
+	lazyEx   []LazyExplainer // set exactly where reason is reasonTheory
+	lazyTag  []int32
 
 	assumptions []Lit
 	conflictSet []Lit // failed assumptions after Unsat
@@ -305,7 +303,6 @@ func NewWith(cfg Config) *Solver {
 		varInc:        1,
 		claInc:        1,
 		budget:        -1,
-		theoryReasons: make(map[Var][]Lit),
 		nextInprocess: inprocessFirst,
 		cfg:           cfg,
 		rng:           cfg.Seed,
@@ -479,18 +476,11 @@ func (s *Solver) ModelValue(l Lit) LBool {
 	return b
 }
 
-// Level returns the decision level at which v was assigned.
-func (s *Solver) Level(v Var) int { return int(s.level[v]) }
-
 // TrailPos returns the trail position at which v was assigned. Positions
 // order assignments: a smaller position was assigned earlier. Only
 // meaningful while v is assigned; lazy explainers use it to restrict
 // reconstructed reasons to literals assigned before the implied one.
 func (s *Solver) TrailPos(v Var) int { return int(s.trailPos[v]) }
-
-// DecisionLevel returns the current decision level (0 at the root,
-// outside of any Solve call).
-func (s *Solver) DecisionLevel() int { return s.decisionLevel() }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -648,26 +638,6 @@ func (s *Solver) enqueue(p Lit, from int32) bool {
 	return true
 }
 
-// TheoryEnqueue implies literal p with the given reason clause. The
-// reason must have p as its first literal, and every other literal must
-// currently be false. It returns false if p is already false (the caller
-// should then report a conflict using the same explanation).
-func (s *Solver) TheoryEnqueue(p Lit, reason []Lit) bool {
-	if s.ValueLit(p) == False {
-		return false
-	}
-	if s.ValueLit(p) == True {
-		return true
-	}
-	r := make([]Lit, len(reason))
-	copy(r, reason)
-	v := p.Var()
-	s.theoryReasons[v] = r
-	s.lazyEx[v] = nil
-	s.stats.TheoryProps++
-	return s.enqueue(p, reasonTheory)
-}
-
 // TheoryEnqueueLazy implies literal p with a deferred explanation: the
 // reason clause is only reconstructed — via ex.Explain(p, tag) — if
 // conflict analysis actually needs it. This removes the dominant cost of
@@ -780,11 +750,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.assigns[v] = Undef
 		s.polarity[v] = p.Neg()
 		if s.reason[v] == reasonTheory {
-			if s.lazyEx[v] != nil {
-				s.lazyEx[v] = nil
-			} else {
-				delete(s.theoryReasons, v)
-			}
+			s.lazyEx[v] = nil
 		}
 		s.reason[v] = reasonNone
 		s.order.push(v)
@@ -799,14 +765,11 @@ func (s *Solver) reasonLits(v Var) []Lit {
 	case reasonNone:
 		return nil
 	case reasonTheory:
-		if ex := s.lazyEx[v]; ex != nil {
-			p := PosLit(v)
-			if s.assigns[v] == False {
-				p = NegLit(v)
-			}
-			return ex.Explain(p, s.lazyTag[v])
+		p := PosLit(v)
+		if s.assigns[v] == False {
+			p = NegLit(v)
 		}
-		return s.theoryReasons[v]
+		return s.lazyEx[v].Explain(p, s.lazyTag[v])
 	default:
 		return s.clsLits(s.reason[v])
 	}
@@ -867,8 +830,8 @@ func (s *Solver) analyze(confl []Lit) ([]Lit, int) {
 	for {
 		start := 0
 		if p != LitUndef {
-			// Reason clauses store the implied literal first (both unit
-			// propagation and TheoryEnqueue maintain this invariant).
+			// Reason clauses store the implied literal first (unit
+			// propagation and LazyExplainer.Explain maintain this invariant).
 			start = 1
 		}
 		for _, q := range confl[start:] {

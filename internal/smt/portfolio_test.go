@@ -88,55 +88,6 @@ func TestAtMostOneLadderRejectsTwo(t *testing.T) {
 	}
 }
 
-// TestMinimizeRoundTrip checks Minimize against Maximize on the same
-// objective: with x+y ≥ 1 over weights 3 and 5, the maximum is 8 (both
-// on) and the minimum is 3 (cheapest alone), and the models witness the
-// values.
-func TestMinimizeRoundTrip(t *testing.T) {
-	s := NewSolver()
-	x := s.NewBool("x")
-	y := s.NewBool("y")
-	s.AddClause(x, y)
-	obj := &Sum{}
-	obj.Add(x, 3)
-	obj.Add(y, 5)
-
-	max, err := s.Maximize(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max != 8 {
-		t.Fatalf("Maximize = %d, want 8", max)
-	}
-	if got := s.EvalSum(obj); got != 8 {
-		t.Errorf("maximizing model evaluates to %d, want 8", got)
-	}
-
-	min, err := s.Minimize(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != 3 {
-		t.Fatalf("Minimize = %d, want 3", min)
-	}
-	if got := s.EvalSum(obj); got != 3 {
-		t.Errorf("minimizing model evaluates to %d, want 3", got)
-	}
-	if !s.Value(x) || s.Value(y) {
-		t.Errorf("minimizing model should pick x only: x=%v y=%v", s.Value(x), s.Value(y))
-	}
-
-	// Round trip: maximizing again after minimizing must restore 8 —
-	// optimization probes may not leak permanent constraints.
-	max2, err := s.Maximize(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max2 != 8 {
-		t.Errorf("Maximize after Minimize = %d, want 8", max2)
-	}
-}
-
 // TestUnsatCoreDeterminism checks that repeated Check calls with the
 // same assumptions return the same unsat core every time, even as the
 // solver accumulates learnt clauses between calls.

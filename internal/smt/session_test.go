@@ -1,14 +1,10 @@
 package smt
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
-// Regression tests for the session-reuse bugfixes: stale model reads
-// after a non-Sat check must fail loudly, and repeated optimization
-// calls on one solver must not leak descent state (probe constraints,
-// budget windows, model coherence) into the next call.
+// Regression test for a session-reuse bugfix: stale model reads after a
+// non-Sat check must fail loudly. (That repeated descents on one solver
+// match fresh solvers is checked by internal/refcheck's CheckOptimum.)
 
 // mustPanic runs f and reports whether it panicked.
 func mustPanic(f func()) (panicked bool) {
@@ -54,108 +50,5 @@ func TestValueAfterNonSatCheckPanics(t *testing.T) {
 	}
 	if !s.Value(a) {
 		t.Fatal("a was assumed true")
-	}
-}
-
-// buildOptInstance encodes the shared optimization fixture: a weighted
-// sum of 12 literals capped at 6 by a permanent PB constraint.
-func buildOptInstance(s *Solver) (obj *Sum) {
-	obj = &Sum{}
-	for i := 0; i < 12; i++ {
-		obj.Add(s.NewBool(""), 1)
-	}
-	s.AssertAtMost(obj, 6)
-	return obj
-}
-
-func TestRepeatedOptimizationMatchesFreshSolvers(t *testing.T) {
-	// One long-lived solver runs Maximize, Minimize, Maximize back to
-	// back; each result must equal what a fresh solver computes for the
-	// same (single) query, and each descent must retire every probe
-	// constraint it planted.
-	reused := NewSolver()
-	obj := buildOptInstance(reused)
-
-	baseline := reused.Stats().PBActive
-	runs := []struct {
-		name string
-		run  func(s *Solver, o *Sum) (int64, error)
-		want int64
-	}{
-		{"maximize", func(s *Solver, o *Sum) (int64, error) { return s.Maximize(o) }, 6},
-		{"minimize", func(s *Solver, o *Sum) (int64, error) { return s.Minimize(o) }, 0},
-		{"maximize-again", func(s *Solver, o *Sum) (int64, error) { return s.Maximize(o) }, 6},
-	}
-	for _, r := range runs {
-		got, err := r.run(reused, obj)
-		if err != nil {
-			t.Fatalf("%s on reused solver: %v", r.name, err)
-		}
-
-		fresh := NewSolver()
-		fobj := buildOptInstance(fresh)
-		want, err := r.run(fresh, fobj)
-		if err != nil {
-			t.Fatalf("%s on fresh solver: %v", r.name, err)
-		}
-		if got != want || got != r.want {
-			t.Fatalf("%s: reused %d, fresh %d, want %d", r.name, got, want, r.want)
-		}
-		if active := reused.Stats().PBActive; active != baseline {
-			t.Fatalf("%s leaked probe constraints: PBActive %d, baseline %d", r.name, active, baseline)
-		}
-		if !reused.HasModel() {
-			t.Fatalf("%s must leave the optimizing model readable", r.name)
-		}
-		if v := reused.EvalSum(obj); v != got {
-			t.Fatalf("%s: model evaluates objective to %d, optimum was %d", r.name, v, got)
-		}
-	}
-}
-
-func TestBudgetExhaustedMaximizeDoesNotLeak(t *testing.T) {
-	s := NewSolver()
-	obj := buildOptInstance(s)
-	baseline := s.Stats().PBActive
-
-	// Budget 1: the initial check is propagation-only (Sat, zero
-	// conflicts), but the first bound probe — AtLeast 7 against a
-	// permanent AtMost 6 — needs more conflicts than that to refute, so
-	// the descent dies mid-flight with ErrBudget. The probe it planted
-	// must still have been relaxed and deactivated, or every later check
-	// on this solver pays for a dead constraint (the leak this test pins
-	// down).
-	s.SetBudget(1)
-	if _, err := s.Maximize(obj); !errors.Is(err, ErrBudget) {
-		t.Fatalf("got err %v, want ErrBudget", err)
-	}
-	if active := s.Stats().PBActive; active != baseline {
-		t.Fatalf("interrupted descent leaked probe constraints: PBActive %d, baseline %d", active, baseline)
-	}
-	if !s.HasModel() {
-		t.Fatal("budget exit must restore the best model found so far")
-	}
-	if v := s.EvalSum(obj); v < 0 || v > 6 {
-		t.Fatalf("restored model violates the instance: objective %d", v)
-	}
-
-	// Lifting the budget on the same solver must now produce exactly the
-	// fresh-solver answer: nothing from the truncated descent persists.
-	s.SetBudget(-1)
-	got, err := s.Maximize(obj)
-	if err != nil {
-		t.Fatalf("re-run after budget lift: %v", err)
-	}
-	fresh := NewSolver()
-	fobj := buildOptInstance(fresh)
-	want, err := fresh.Maximize(fobj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("re-run after truncated descent: %d, fresh solver: %d", got, want)
-	}
-	if active := s.Stats().PBActive; active != baseline {
-		t.Fatalf("re-run leaked probe constraints: PBActive %d, baseline %d", active, baseline)
 	}
 }

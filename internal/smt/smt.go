@@ -3,14 +3,14 @@
 //
 // It supports Boolean terms, clauses, cardinality helpers, linear
 // pseudo-Boolean constraints (optionally guarded by an indicator
-// literal), incremental checking under assumptions, model extraction,
-// unsat cores, and maximization of linear objectives — everything the
-// ConfigSynth synthesis model in internal/core needs from an SMT solver.
+// literal), incremental checking under assumptions, model extraction
+// and unsat cores — everything the ConfigSynth synthesis model in
+// internal/core needs from an SMT solver. Optimisation is not here: a
+// caller descends over guarded bounds (core.Query.Bisect).
 package smt
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"hash"
 	"slices"
@@ -608,8 +608,8 @@ func (s *Solver) captureModel() {
 }
 
 // HasModel reports whether a model from a Sat check is available to
-// read: true after a Sat Check (or a successful optimization), false
-// after Unsat or Unknown and before the first check.
+// read: true after a Sat Check, false after Unsat or Unknown and before
+// the first check.
 func (s *Solver) HasModel() bool { return s.hasModel }
 
 // Value returns b's value in the model of the last Sat check. It panics
@@ -651,82 +651,6 @@ func (s *Solver) Core() []Bool {
 	return out
 }
 
-// ErrNoModel is returned by Maximize when even the unconstrained problem
-// is unsatisfiable under the assumptions.
-var ErrNoModel = errors.New("smt: unsatisfiable, no objective value exists")
-
-// ErrBudget is returned when a solve budget expires during optimization.
-var ErrBudget = errors.New("smt: solve budget exhausted")
-
-// Maximize finds the maximum achievable value of the objective sum under
-// the given assumptions, by binary search with indicator-guarded bound
-// probes. On success the solver's model is the maximizing assignment.
-func (s *Solver) Maximize(objective *Sum, assumptions ...Bool) (int64, error) {
-	if st := s.Check(assumptions...); st != Sat {
-		if st == Unknown {
-			return 0, ErrBudget
-		}
-		return 0, ErrNoModel
-	}
-	lo := s.EvalSum(objective)
-	hi := objective.total
-	bestModel := append([]bool(nil), s.model...)
-	probe := 0
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		probe++
-		g := s.NewBool(fmt.Sprintf("$max_probe_%d", probe))
-		s.AssertAtLeastIf(g, objective, mid)
-		st := s.Check(append(append([]Bool(nil), assumptions...), g)...)
-		// Permanently relax the probe so later checks are unaffected, and
-		// deactivate its big-M PB constraint: with the guard root-false
-		// the constraint can never trip again, and leaving it live would
-		// make repeated Maximize/Minimize calls accumulate dead
-		// constraints that pay Assign/Unassign cost forever. This must
-		// run on every exit path — including the budget-exhausted return
-		// below — or an interrupted descent leaks its live probe
-		// constraint into every later check on the same solver.
-		s.AddClause(g.Not())
-		s.th.DeactivateDeadFor(g.lit)
-		switch st {
-		case Sat:
-			lo = s.EvalSum(objective)
-			bestModel = append(bestModel[:0], s.model...)
-		case Unsat:
-			hi = mid - 1
-		default:
-			// Restore the best model found so far before bailing, so the
-			// solver is left in the same coherent have-a-model state as a
-			// completed descent (the caller still sees ErrBudget).
-			s.model = append(s.model[:0], bestModel...)
-			s.hasModel = true
-			return 0, ErrBudget
-		}
-	}
-	s.model = append(s.model[:0], bestModel...)
-	s.hasModel = true
-	return lo, nil
-}
-
-// Minimize finds the minimum achievable value of the objective sum under
-// the given assumptions, via Maximize on the complemented sum. On success
-// the solver's model is the minimizing assignment.
-func (s *Solver) Minimize(objective *Sum, assumptions ...Bool) (int64, error) {
-	neg := &Sum{
-		terms:   make([]Bool, len(objective.terms)),
-		weights: append([]int64(nil), objective.weights...),
-		total:   objective.total,
-	}
-	for i, t := range objective.terms {
-		neg.terms[i] = t.Not()
-	}
-	best, err := s.Maximize(neg, assumptions...)
-	if err != nil {
-		return 0, err
-	}
-	return objective.total - best, nil
-}
-
 // Stats describes the size of the solver state, used by the Table VI
 // (memory) experiment, plus the portfolio diversification counters.
 type Stats struct {
@@ -734,13 +658,10 @@ type Stats struct {
 	Clauses       int
 	Learnts       int
 	PBConstraints int
-	// PBActive counts the PB constraints still in the occurrence lists
-	// (added minus deactivated dead probe constraints).
-	PBActive     int
-	Conflicts    int64
-	Decisions    int64
-	Propagations int64
-	Restarts     int64
+	Conflicts     int64
+	Decisions     int64
+	Propagations  int64
+	Restarts      int64
 	// LubyRestarts and GeomRestarts split Restarts by schedule.
 	LubyRestarts int64
 	GeomRestarts int64
@@ -769,7 +690,6 @@ func (s *Solver) Stats() Stats {
 		Clauses:         st.Clauses,
 		Learnts:         st.Learnts,
 		PBConstraints:   s.th.NumConstraints(),
-		PBActive:        s.th.ActiveConstraints(),
 		Conflicts:       st.Conflicts,
 		Decisions:       st.Decisions,
 		Propagations:    st.Propagations,

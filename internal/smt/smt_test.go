@@ -1,9 +1,6 @@
 package smt
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -197,156 +194,6 @@ func TestCoreNamesAssumptions(t *testing.T) {
 	}
 }
 
-func TestMaximizeSimple(t *testing.T) {
-	s := NewSolver()
-	var obj Sum
-	terms := make([]Bool, 5)
-	for i := range terms {
-		terms[i] = s.NewBool("")
-		obj.Add(terms[i], int64(i+1)) // total 15
-	}
-	var cap5 Sum
-	for i, x := range terms {
-		cap5.Add(x, int64(i+1))
-	}
-	s.AssertAtMost(&cap5, 9)
-	best, err := s.Maximize(&obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 9 {
-		t.Fatalf("best = %d, want 9", best)
-	}
-	if got := s.EvalSum(&obj); got != 9 {
-		t.Fatalf("model sum = %d, want 9", got)
-	}
-}
-
-func TestMaximizeUnderAssumptions(t *testing.T) {
-	s := NewSolver()
-	var obj Sum
-	a := s.NewBool("a")
-	b := s.NewBool("b")
-	c := s.NewBool("c")
-	obj.Add(a, 5)
-	obj.Add(b, 3)
-	obj.Add(c, 2)
-	s.AddClause(a.Not(), b.Not()) // a and b exclusive
-	best, err := s.Maximize(&obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 7 { // a + c
-		t.Fatalf("best = %d, want 7", best)
-	}
-	best, err = s.Maximize(&obj, a.Not())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 5 { // b + c
-		t.Fatalf("best with !a = %d, want 5", best)
-	}
-	// Maximize must not poison later checks.
-	if got := s.Check(a, c); got != Sat {
-		t.Fatalf("after maximize: got %v, want sat", got)
-	}
-}
-
-func TestMaximizeUnsat(t *testing.T) {
-	s := NewSolver()
-	a := s.NewBool("a")
-	s.AddUnit(a)
-	var obj Sum
-	obj.Add(a, 1)
-	if _, err := s.Maximize(&obj, a.Not()); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("got %v, want ErrNoModel", err)
-	}
-}
-
-func TestMaximizeRandomAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 60; iter++ {
-		n := 3 + rng.Intn(5)
-		s := NewSolver()
-		terms := make([]Bool, n)
-		weights := make([]int64, n)
-		var obj Sum
-		for i := range terms {
-			terms[i] = s.NewBool("")
-			weights[i] = int64(1 + rng.Intn(7))
-			obj.Add(terms[i], weights[i])
-		}
-		// A random at-most budget plus a couple of random binary clauses.
-		bound := int64(rng.Intn(int(obj.Total()) + 1))
-		var capSum Sum
-		for i := range terms {
-			capSum.Add(terms[i], weights[i])
-		}
-		s.AssertAtMost(&capSum, bound)
-		type bin struct {
-			a, b   int
-			na, nb bool
-		}
-		var bins []bin
-		for i := 0; i < rng.Intn(4); i++ {
-			x := bin{rng.Intn(n), rng.Intn(n), rng.Intn(2) == 0, rng.Intn(2) == 0}
-			bins = append(bins, x)
-			la, lb := terms[x.a], terms[x.b]
-			if x.na {
-				la = la.Not()
-			}
-			if x.nb {
-				lb = lb.Not()
-			}
-			s.AddClause(la, lb)
-		}
-		// Brute-force optimum.
-		want := int64(-1)
-		for m := 0; m < 1<<n; m++ {
-			var sum int64
-			for i := 0; i < n; i++ {
-				if m>>i&1 == 1 {
-					sum += weights[i]
-				}
-			}
-			if sum > bound {
-				continue
-			}
-			ok := true
-			for _, x := range bins {
-				av := m>>x.a&1 == 1
-				bv := m>>x.b&1 == 1
-				if x.na {
-					av = !av
-				}
-				if x.nb {
-					bv = !bv
-				}
-				if !av && !bv {
-					ok = false
-					break
-				}
-			}
-			if ok && sum > want {
-				want = sum
-			}
-		}
-		got, err := s.Maximize(&obj)
-		if want < 0 {
-			if !errors.Is(err, ErrNoModel) {
-				t.Fatalf("iter %d: want ErrNoModel, got %v/%d", iter, err, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if got != want {
-			t.Fatalf("iter %d: maximize = %d, want %d", iter, got, want)
-		}
-	}
-}
-
 func TestStatsPopulated(t *testing.T) {
 	s := NewSolver()
 	var sum Sum
@@ -388,51 +235,6 @@ func TestQuickSumEvaluation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOptimizationProbesDoNotAccumulateLiveConstraints(t *testing.T) {
-	// Regression: Maximize left every relaxed probe's big-M PB constraint
-	// live in the counter-propagation store, so repeated Minimize /
-	// Maximize calls accumulated dead constraints that paid
-	// Assign/Unassign cost forever. Relaxed probes are now deactivated;
-	// the active-constraint count must return to its baseline after every
-	// optimization call.
-	s := NewSolver()
-	var obj Sum
-	for i := 0; i < 6; i++ {
-		obj.Add(s.NewBool(fmt.Sprintf("t%d", i)), int64(1+i%2))
-	}
-	s.AssertAtMost(&obj, 5)
-	base := s.Stats().PBActive
-	for round := 0; round < 4; round++ {
-		max, err := s.Maximize(&obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if max != 5 {
-			t.Fatalf("round %d: Maximize = %d, want 5", round, max)
-		}
-		if got := s.Stats().PBActive; got != base {
-			t.Fatalf("round %d: %d PB constraints active after Maximize, want %d — probes leak",
-				round, got, base)
-		}
-		min, err := s.Minimize(&obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if min != 0 {
-			t.Fatalf("round %d: Minimize = %d, want 0", round, min)
-		}
-		if got := s.Stats().PBActive; got != base {
-			t.Fatalf("round %d: %d PB constraints active after Minimize, want %d — probes leak",
-				round, got, base)
-		}
-	}
-	// The probes did exist: the total store grew even though the active
-	// set did not.
-	if st := s.Stats(); st.PBConstraints <= base {
-		t.Fatalf("PBConstraints = %d, want > %d (probes should have been added)", st.PBConstraints, base)
 	}
 }
 

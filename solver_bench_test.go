@@ -267,7 +267,7 @@ func BenchmarkSliderSweep(b *testing.B) {
 // clauses. It stresses pb.Theory's assign/unassign counter maintenance
 // and propagation queue — the backend hot path behind the isolation,
 // usability, and cost sums.
-func pbInstance(s *smt.Solver, nVars, nCons int, seed int64) []smt.Bool {
+func pbInstance(s *smt.Solver, nVars, nCons int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	vars := make([]smt.Bool, nVars)
 	for i := range vars {
@@ -298,7 +298,6 @@ func pbInstance(s *smt.Solver, nVars, nCons int, seed int64) []smt.Bool {
 		a, b2, cc := rng.Intn(nVars), rng.Intn(nVars), rng.Intn(nVars)
 		s.AddClause(vars[a], vars[b2].Not(), vars[cc])
 	}
-	return vars
 }
 
 // benchPB measures Check on the dense PB store; the expected status is
@@ -324,27 +323,6 @@ func benchPB(b *testing.B, nVars, nCons int, seed int64) {
 
 func BenchmarkPBPropagateSmall(b *testing.B) { benchPB(b, 60, 90, 7) }
 func BenchmarkPBPropagateLarge(b *testing.B) { benchPB(b, 140, 240, 11) }
-
-// BenchmarkPBMaximize measures a guarded-probe Maximize descent over a
-// dense PB objective — the smt-level shape of the big-M optimization
-// probes.
-func BenchmarkPBMaximize(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := smt.NewSolver()
-		// Fewer constraints than the propagate benches: the descent needs a
-		// feasible region to climb in (60 vars / 90 cons at these bounds
-		// is unsat, which Maximize rejects outright).
-		vars := pbInstance(s, 60, 40, 7)
-		obj := &smt.Sum{}
-		for j, v := range vars {
-			obj.Add(v, int64(1+j%4))
-		}
-		if _, err := s.Maximize(obj); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // permuteLines shuffles the link lines of a spec among themselves, and
 // its require lines likewise: another text of the same problem.
