@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"configsynth/internal/core"
 	"configsynth/internal/service"
 	"configsynth/internal/spec"
 )
@@ -24,50 +25,17 @@ import (
 // (adoption must happen exactly once), stale-epoch RPC rejection, and
 // the rejoin handshake's stale-journal truncation set.
 
-// TestShipperTracksLagAndDivergentAckOffsets drives the shipper against
-// injected followers (no sockets): a down follower lags by the whole
-// log, a recovered one catches up in a single round, and a follower
-// that goes down mid-stream leaves the two ack offsets divergent — the
-// exact state the quorum takeover compares record counts over.
+// TestShipperTracksLagAndDivergentAckOffsets drives the shipper over the
+// simulated network (sim_test.go): a follower behind a down link lags by
+// the whole log, a recovered one catches up in a single round, and a
+// follower that goes down mid-stream leaves the two ack offsets
+// divergent — the exact state the quorum takeover compares record
+// counts over.
 func TestShipperTracksLagAndDivergentAckOffsets(t *testing.T) {
-	dir := t.TempDir()
-	svc, err := service.Open(service.Config{
-		Workers: 1, QueueDepth: 4, NodeID: "n1",
-		JournalPath: filepath.Join(dir, "n1", "journal.wal"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	n, err := New(svc, Config{
-		NodeID: "n1",
-		Peers: map[string]string{
-			"n1": "http://127.0.0.1:1", "n2": "http://127.0.0.1:2", "n3": "http://127.0.0.1:3",
-		},
-		HeartbeatInterval: time.Hour, // loops are never started; ships run manually
-		Logf:              func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-
-	stores := map[string]*shadowStore{}
-	for _, f := range []string{"n2", "n3"} {
-		st, serr := newShadowStore(filepath.Join(dir, f))
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		defer st.close()
-		stores[f] = st
-	}
-	down := map[string]bool{"n3": true}
-	n.ship.send = func(follower string, req shipRequest) (shipResponse, error) {
-		if down[follower] {
-			return shipResponse{}, errors.New("follower down")
-		}
-		return stores[follower].receive(req), nil
-	}
+	sn := newSimNet(t, "n1", "n2", "n3")
+	n, svc := sn.nodes["n1"].node, sn.nodes["n1"].svc
+	stores := map[string]*shadowStore{"n2": sn.nodes["n2"].node.shadows, "n3": sn.nodes["n3"].node.shadows}
+	sn.setLink("n1", "n3", false)
 
 	jl := svc.Journal()
 	for i := 0; i < 3; i++ {
@@ -86,7 +54,7 @@ func TestShipperTracksLagAndDivergentAckOffsets(t *testing.T) {
 	}
 
 	// The lagging follower recovers: one round catches it up.
-	down["n3"] = false
+	sn.setLink("n1", "n3", true)
 	n.ship.shipPending()
 	if r := n.ship.replicas()["n3"]; r.AckedOffset != end || r.LagBytes != 0 {
 		t.Fatalf("recovered follower: %+v, want acked=%d lag=0", r, end)
@@ -94,7 +62,7 @@ func TestShipperTracksLagAndDivergentAckOffsets(t *testing.T) {
 
 	// The other follower dies mid-stream: the two ack offsets diverge,
 	// and the shadows hold divergent record counts.
-	down["n2"] = true
+	sn.setLink("n1", "n2", false)
 	for i := 3; i < 5; i++ {
 		if err := jl.Append("submit", map[string]int{"n": i}); err != nil {
 			t.Fatal(err)
@@ -225,6 +193,61 @@ func TestConcurrentSuspectTakeoverTieBreaksOnSuccessorOrder(t *testing.T) {
 	if total != 1 {
 		t.Fatalf("%d takeovers across survivors, want exactly 1", total)
 	}
+}
+
+// TestDelegatedJobReclaimedOnDeathView: a peer's death that reaches a
+// node as another node's death view, before its own heartbeats decide,
+// must still return the jobs that node delegated to the dead peer. The
+// view install drops the peer from membership tracking, so the node's
+// own detection never fires; without the reclaim the job sits queued
+// until its deadline.
+func TestDelegatedJobReclaimedOnDeathView(t *testing.T) {
+	nodes := startCluster(t, 3, false, func(c *service.Config) { c.Workers = 1 })
+	n1 := nodes[0]
+
+	// Pin n1's only worker so the job below stays queued.
+	pin, err := n1.svc.Submit(hardTestProblem(t), service.SubmitOptions{
+		Mode: service.ModeMaxIsolation, Timeout: 5 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		pin.Cancel()
+		<-pin.Done()
+	}()
+	waitFor(t, "pin running", 10*time.Second, func() bool { return pin.State() == service.StateRunning })
+
+	j, err := n1.svc.Submit(mustParse(t, variantSpec(t, 1)), service.SubmitOptions{
+		Timeout: time.Minute,
+		Source:  &service.JobSource{Spec: variantSpec(t, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n1.svc.StealJobs("n2", 1); len(got) != 1 || got[0].ID != j.ID {
+		t.Fatalf("delegated %v, want job %s", got, j.ID)
+	}
+
+	nodes[1].kill()
+	n1.node.installView(n1.node.currentView().without("n2"), "death view from a peer")
+	select {
+	case <-j.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("job %s delegated to the dead peer still %s 5s after its death view", j.ID, j.State())
+	}
+	if res, err := j.Result(); err != nil || res.Status != "sat" {
+		t.Fatalf("reclaimed job: %+v, %v", res, err)
+	}
+}
+
+func mustParse(t *testing.T, text string) *core.Problem {
+	t.Helper()
+	p, err := spec.Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestStaleEpochRPCRejectedWithCurrentView sends a mutating RPC stamped
@@ -400,7 +423,7 @@ func TestRejoinHandshakeReadmitsAndTruncatesStaleJournal(t *testing.T) {
 		t.Fatalf("rejoin refused: %v", err)
 	}
 	for id := range staleIDs {
-		if !contains(adopted, id) {
+		if !slices.Contains(adopted, id) {
 			t.Fatalf("adopted IDs %v missing unfinished job %s", adopted, id)
 		}
 	}

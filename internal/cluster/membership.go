@@ -18,10 +18,9 @@ const (
 	// stealer ignores it — but no takeover runs yet: a GC pause or a
 	// slow solve must not trigger journal adoption.
 	StateSuspect PeerState = "suspect"
-	// StateDead: DeadAfter consecutive heartbeats missed. Takeover
-	// fires exactly once per death: delegated jobs are reclaimed and,
-	// on the dead node's designated follower, its shipped journal is
-	// adopted.
+	// StateDead: DeadAfter consecutive heartbeats missed. The death
+	// fires once and proposes the view without the peer; installing it
+	// reclaims delegated jobs and runs the takeover.
 	StateDead PeerState = "dead"
 )
 

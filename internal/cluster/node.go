@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	neturl "net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -121,13 +122,8 @@ type Node struct {
 
 	// takeoverMu serializes shadow adoption against the join
 	// handshake's registered-ID collection, so a rejoining node never
-	// sees a half-finished takeover's ID set. takeoverDone (guarded by
-	// it) records origins this node has already reached a verdict for:
-	// a death is decided at most once whether it arrives via local
-	// detection or via an installed death view, and the entry is
-	// re-armed when the origin rejoins.
-	takeoverMu   sync.Mutex
-	takeoverDone map[string]bool
+	// sees a half-finished takeover's ID set.
+	takeoverMu sync.Mutex
 	// joinMu serializes admissions handled by this node.
 	joinMu sync.Mutex
 	// rejoining guards the self-healing re-join triggered when a view
@@ -177,15 +173,14 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 	}
 	v := newView(0, cfg.Peers)
 	n := &Node{
-		cfg:          cfg,
-		svc:          svc,
-		selfURL:      v.members[cfg.NodeID],
-		view:         v,
-		ring:         newRing(v.ids()),
-		mem:          newMembership(remotesOf(v, cfg.NodeID), cfg.SuspectAfter, cfg.DeadAfter),
-		rpcClient:    &http.Client{Timeout: cfg.RPCTimeout},
-		fwdClient:    &http.Client{},
-		takeoverDone: map[string]bool{},
+		cfg:       cfg,
+		svc:       svc,
+		selfURL:   v.members[cfg.NodeID],
+		view:      v,
+		ring:      newRing(v.ids()),
+		mem:       newMembership(remotesOf(v, cfg.NodeID), cfg.SuspectAfter, cfg.DeadAfter),
+		rpcClient: &http.Client{Timeout: cfg.RPCTimeout},
+		fwdClient: &http.Client{},
 	}
 	n.stopCtx, n.stopAll = context.WithCancel(context.Background())
 	n.mem.onDeath = n.handleDeath
@@ -220,15 +215,6 @@ func remotesOf(v *view, self string) map[string]string {
 	return out
 }
 
-func contains(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // currentView snapshots the installed view.
 func (n *Node) currentView() *view {
 	n.mu.Lock()
@@ -251,10 +237,11 @@ func (n *Node) epoch() uint64 {
 }
 
 // installView adopts v if it supersedes the current view: the ring is
-// rebuilt, membership tracking synced, WAL shipping retargeted at the
-// new successors, stale shadows of origins this node no longer follows
-// dropped, and the bounded handoff protocol streams moved-range state
-// to its new owners. A view that excludes this node is never installed;
+// rebuilt, membership tracking synced, every member the view drops
+// handled as dead, WAL shipping retargeted at the new successors, stale
+// shadows of origins this node no longer follows dropped, and the
+// bounded handoff protocol streams moved-range state to its new owners.
+// A view that excludes this node is never installed;
 // it triggers the self-healing re-join handshake instead (the node was
 // declared dead while alive, or lost a concurrent view merge).
 func (n *Node) installView(v *view, why string) bool {
@@ -276,29 +263,22 @@ func (n *Node) installView(v *view, why string) bool {
 
 	n.mem.sync(remotesOf(v, n.cfg.NodeID))
 
-	// Settle takeovers for members this view removed: the death may have
-	// been detected elsewhere, and the first death view to arrive often
-	// beats this node's own missed-heartbeat detection — without this,
-	// the follower holding the most acked records could install the view,
-	// lose its membership tracking of the corpse, and never decide. The
-	// pre-removal ring names the dead node's followers. Members present
-	// in the new view re-arm their verdict (a rejoin means a future death
-	// must be decided afresh).
-	if n.shadows != nil {
-		for id := range v.members {
-			if id != n.cfg.NodeID {
-				n.takeoverMu.Lock()
-				delete(n.takeoverDone, id)
-				n.takeoverMu.Unlock()
-			}
+	// This is the one place a death acts, whether this node's heartbeats
+	// detected it (handleDeath proposed v) or a peer's death view got here
+	// first: jobs delegated to the dead member return to the local pool,
+	// and if this node was one of its two WAL followers — the pre-removal
+	// ring names them — the quorum takeover decides who adopts its journal.
+	for id := range oldView.members {
+		if _, still := v.members[id]; still || id == n.cfg.NodeID {
+			continue
 		}
-		for id := range oldView.members {
-			if _, still := v.members[id]; still || id == n.cfg.NodeID {
-				continue
-			}
-			if succ := oldRing.successors(id, replicationFactor); contains(succ, n.cfg.NodeID) {
-				n.decideTakeover(id, succ)
-			}
+		if r := n.svc.ReenqueueStolen(id); r > 0 {
+			n.cfg.Logf("cluster: reclaimed %d jobs delegated to dead peer %s", r, id)
+		}
+		if succ := oldRing.successors(id, replicationFactor); n.shadows != nil && slices.Contains(succ, n.cfg.NodeID) {
+			n.takeoverMu.Lock()
+			n.runTakeover(id, succ)
+			n.takeoverMu.Unlock()
 		}
 	}
 	if n.ship != nil {
@@ -309,7 +289,7 @@ func (n *Node) installView(v *view, why string) bool {
 			if _, member := v.members[origin]; !member {
 				continue // a dead origin's shadow is settled by takeover, not here
 			}
-			if origin != n.cfg.NodeID && !contains(newR.successors(origin, replicationFactor), n.cfg.NodeID) {
+			if origin != n.cfg.NodeID && !slices.Contains(newR.successors(origin, replicationFactor), n.cfg.NodeID) {
 				n.shadows.drop(origin)
 			}
 		}
@@ -427,12 +407,11 @@ func (n *Node) loop(every time.Duration, fn func()) {
 
 // Join runs the join handshake against the seed URLs: this node
 // presents its identity, fingerprint format version, and journal epoch;
-// any member admits it by minting the epoch+1 view and returning the
-// job IDs the cluster holds under this node's prefix — exactly the jobs
-// a stale local journal must not replay (the caller truncates them via
-// service.DropSuperseded). A typed refusal (version skew, identity
-// conflict) aborts immediately; transient failures rotate through the
-// seeds with backoff.
+// any member admits it by minting the epoch+1 view and returning every
+// job ID the cluster holds — the jobs a stale local journal must not
+// replay (the caller truncates them via service.DropSuperseded). A typed
+// refusal (version skew, identity conflict) aborts immediately;
+// transient failures rotate through the seeds with backoff.
 func (n *Node) Join(ctx context.Context, seeds []string) ([]string, error) {
 	req := joinRequest{
 		Node:      n.cfg.NodeID,
@@ -450,7 +429,7 @@ func (n *Node) Join(ctx context.Context, seeds []string) ([]string, error) {
 				continue
 			}
 			var resp joinResponse
-			if err := n.postJSONCtx(ctx, seed+"/cluster/v1/join", req, &resp); err != nil {
+			if err := n.call(ctx, http.MethodPost, seed+"/cluster/v1/join", req, &resp); err != nil {
 				lastErr = err
 				continue
 			}
@@ -500,7 +479,7 @@ func (n *Node) heartbeatAll() {
 			continue
 		}
 		var hb heartbeatResponse
-		err := n.getJSON(fmt.Sprintf("%s/cluster/v1/heartbeat?from=%s&epoch=%d", url, n.cfg.NodeID, n.epoch()), &hb)
+		err := n.call(n.stopCtx, http.MethodGet, fmt.Sprintf("%s/cluster/v1/heartbeat?from=%s&epoch=%d", url, n.cfg.NodeID, n.epoch()), nil, &hb)
 		if err == nil && hb.FPVersion != int(spec.FingerprintVersion) {
 			n.versionSkew.Add(1)
 			n.cfg.Logf("cluster: peer %s runs fingerprint format v%d, want v%d; draining it",
@@ -516,41 +495,14 @@ func (n *Node) heartbeatAll() {
 	}
 }
 
-// handleDeath runs once per peer death: jobs the dead peer had stolen
-// from us return to the local pool; if this node is one of the dead
-// peer's two WAL followers, the quorum takeover protocol decides which
-// follower adopts the shipped journal (the one holding more acked
-// records; the other truncates its shadow); and the death view —
-// members minus the corpse, epoch+1 — is installed, re-sharding the
-// ring so routing, stealing, and shipping targets follow.
+// handleDeath is the membership callback for a peer this node's own
+// heartbeats declared dead: it proposes the death view — members minus
+// the corpse, epoch+1 — and installing that view does the rest.
 func (n *Node) handleDeath(id string) {
 	n.cfg.Logf("cluster: peer %s dead after %d missed heartbeats", id, n.cfg.DeadAfter)
-	if r := n.svc.ReenqueueStolen(id); r > 0 {
-		n.cfg.Logf("cluster: reclaimed %d jobs delegated to dead peer %s", r, id)
+	if cur := n.currentView(); cur.members[id] != "" {
+		n.installView(cur.without(id), "death of "+id)
 	}
-	cur := n.currentView()
-	if _, member := cur.members[id]; !member {
-		return // a peer's death view already removed it
-	}
-	succ := n.curRing().successors(id, replicationFactor)
-	if n.shadows != nil && contains(succ, n.cfg.NodeID) {
-		n.decideTakeover(id, succ)
-	}
-	n.installView(cur.without(id), "death of "+id)
-}
-
-// decideTakeover runs the quorum takeover for a dead origin at most
-// once, whether the death arrived via local heartbeat detection or via
-// an installed death view (whichever fires first wins; the guard stops
-// the second path from re-adopting).
-func (n *Node) decideTakeover(id string, succ []string) {
-	n.takeoverMu.Lock()
-	defer n.takeoverMu.Unlock()
-	if n.takeoverDone[id] {
-		return
-	}
-	n.takeoverDone[id] = true
-	n.runTakeover(id, succ)
 }
 
 // runTakeover decides, between the dead node's two followers, who
@@ -561,7 +513,10 @@ func (n *Node) decideTakeover(id string, succ []string) {
 // reach the same verdict independently and adoption happens exactly
 // once. A follower that cannot reach its co-follower after retries
 // adopts anyway: that is the two-simultaneous-failure case, where the
-// co-follower died with the origin.
+// co-follower died with the origin. The winner keeps its shadow, so a
+// late co-follower still yields to it, and claims the records it
+// adopts, so a second removal of the same origin adopts only records
+// shipped since.
 func (n *Node) runTakeover(id string, succ []string) {
 	recs, rerr := n.shadows.records(id)
 	mine := len(recs)
@@ -590,7 +545,7 @@ func (n *Node) runTakeover(id string, succ []string) {
 				other, id, mine)
 		}
 	}
-	if mine == 0 {
+	if mine == 0 || !n.shadows.claim(id, mine) {
 		if rerr != nil {
 			n.cfg.Logf("cluster: no journal shadow for dead peer %s: %v", id, rerr)
 		}
@@ -609,18 +564,25 @@ func (n *Node) runTakeover(id string, succ []string) {
 func (n *Node) shadowStateOf(follower, origin string) (int, bool) {
 	url := fmt.Sprintf("%s/cluster/v1/shadowstate?origin=%s&epoch=%d",
 		n.mem.url(follower), neturl.QueryEscape(origin), n.epoch())
-	for attempt := 0; attempt < 3; attempt++ {
-		var ss shadowStateResponse
-		if err := n.getJSON(url, &ss); err == nil {
-			return ss.Records, true
+	var ss shadowStateResponse
+	err := n.retry(3, func() error { return n.call(n.stopCtx, http.MethodGet, url, nil, &ss) })
+	return ss.Records, err == nil
+}
+
+// retry runs fn up to attempts times, half a heartbeat apart, and
+// returns its last error; it gives up early when the node stops.
+func (n *Node) retry(attempts int, fn func() error) error {
+	for i := 1; ; i++ {
+		err := fn()
+		if err == nil || i == attempts {
+			return err
 		}
 		select {
 		case <-n.stopCtx.Done():
-			return 0, false
+			return err
 		case <-time.After(n.cfg.HeartbeatInterval / 2):
 		}
 	}
-	return 0, false
 }
 
 // handoff streams moved-range state to the new owners after a
@@ -700,18 +662,10 @@ func (n *Node) handoffTo(target string, ranges []keyRange) {
 // postHandoff delivers one handoff chunk with brief retries (the target
 // may lag one heartbeat behind on the new epoch).
 func (n *Node) postHandoff(target string, req handoffRequest) bool {
-	for attempt := 0; attempt < 3; attempt++ {
-		var resp handoffResponse
-		if err := n.postJSON(n.mem.url(target)+"/cluster/v1/handoff", req, &resp); err == nil {
-			return true
-		}
-		select {
-		case <-n.stopCtx.Done():
-			return false
-		case <-time.After(n.cfg.HeartbeatInterval / 2):
-		}
-	}
-	return false
+	var resp handoffResponse
+	return n.retry(3, func() error {
+		return n.call(n.stopCtx, http.MethodPost, n.mem.url(target)+"/cluster/v1/handoff", req, &resp)
+	}) == nil
 }
 
 // peerFill is the service's cold-miss hook: ask the ring owner of the
@@ -727,7 +681,7 @@ func (n *Node) peerFill(ctx context.Context, fp string, mode service.Mode) (*ser
 	cctx, cancel := context.WithTimeout(ctx, n.cfg.RPCTimeout)
 	defer cancel()
 	var res service.Result
-	if err := n.getJSONCtx(cctx, url, &res); err != nil {
+	if err := n.call(cctx, http.MethodGet, url, nil, &res); err != nil {
 		return nil, false
 	}
 	n.fillHits.Add(1)
@@ -751,7 +705,7 @@ func (n *Node) stealOnce() {
 		return
 	}
 	var sr stealResponse
-	err := n.postJSON(n.mem.url(victim)+"/cluster/v1/steal",
+	err := n.call(n.stopCtx, http.MethodPost, n.mem.url(victim)+"/cluster/v1/steal",
 		stealRequest{From: n.cfg.NodeID, Epoch: n.epoch(), Max: n.cfg.StealBatch}, &sr)
 	if err != nil {
 		return
@@ -813,22 +767,16 @@ func (n *Node) runStolen(origin string, job service.StolenJob) {
 // costs a re-solve after its deadline, so delivery is worth a few
 // attempts (epoch mismatches during churn heal within one heartbeat).
 func (n *Node) postComplete(origin string, req completeRequest) {
-	for attempt := 0; attempt < 5; attempt++ {
+	var cr completeResponse
+	err := n.retry(5, func() error {
 		req.Epoch = n.epoch()
-		var cr completeResponse
-		err := n.postJSON(n.mem.url(origin)+"/cluster/v1/complete", req, &cr)
-		if err == nil {
-			if cr.Applied {
-				n.postsApplied.Add(1)
-			}
-			return
-		}
-		select {
-		case <-n.stopCtx.Done():
-			return
-		case <-time.After(n.cfg.HeartbeatInterval / 2):
-		}
+		return n.call(n.stopCtx, http.MethodPost, n.mem.url(origin)+"/cluster/v1/complete", req, &cr)
+	})
+	switch {
+	case err != nil:
+		n.postsFailed.Add(1)
+		n.cfg.Logf("cluster: failed to post completion of %s back to %s", req.ID, origin)
+	case cr.Applied:
+		n.postsApplied.Add(1)
 	}
-	n.postsFailed.Add(1)
-	n.cfg.Logf("cluster: failed to post completion of %s back to %s", req.ID, origin)
 }

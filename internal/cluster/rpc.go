@@ -8,11 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	neturl "net/url"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"configsynth/internal/core"
 	"configsynth/internal/netgen"
@@ -124,8 +122,7 @@ type joinResponse struct {
 	Reason   string `json:"reason,omitempty"`
 	Detail   string `json:"detail,omitempty"`
 	// On admission: the minted epoch+1 view plus every job ID the
-	// cluster holds under the joiner's prefix — exactly the set a stale
-	// local journal must not replay.
+	// cluster holds — the set a stale local journal must not replay.
 	Epoch      uint64            `json:"epoch,omitempty"`
 	Members    map[string]string `json:"members,omitempty"`
 	AdoptedIDs []string          `json:"adopted_ids,omitempty"`
@@ -388,25 +385,14 @@ func (n *Node) handleWALShip(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.shadows.receive(req))
 }
 
-// shipSend is the shipper's wire transport: one chunk to one follower.
-func (n *Node) shipSend(follower string, req shipRequest) (shipResponse, error) {
-	url := n.mem.url(follower)
-	if url == "" {
-		return shipResponse{}, fmt.Errorf("cluster: follower %s not tracked", follower)
-	}
-	var resp shipResponse
-	err := n.postJSON(url+"/cluster/v1/walship", req, &resp)
-	return resp, err
-}
-
 // handleJoin admits a (re)joining node: any member runs the admission.
 // The join is refused outright on fingerprint-format skew or an
 // identity conflict (a live member already owns the node ID); it is
 // refused transiently when a current member cannot be reached, because
-// admission must return the complete set of job IDs the cluster holds
-// under the joiner's prefix — the set the joiner's stale journal must
-// not replay. On success the admitting node mints the epoch+1 view and
-// the heartbeat mesh propagates it.
+// admission must return the complete set of job IDs the cluster holds —
+// the set the joiner's stale journal must not replay. On success the
+// admitting node mints the epoch+1 view and the heartbeat mesh
+// propagates it.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -439,11 +425,12 @@ func (n *Node) admitJoin(req joinRequest) joinResponse {
 		return refuse(RefusalIDConflict,
 			fmt.Sprintf("node ID %q is held by a live member at %s", req.Node, url))
 	}
-	// Collect every job ID the cluster holds under the joiner's prefix:
-	// jobs a follower adopted after the joiner's death, plus any it had
-	// delegated that are still registered at peers. The joiner truncates
-	// these from its stale journal instead of replaying them.
-	prefix := req.Node + "-"
+	// Collect every job ID the cluster holds: the joiner's jobs a
+	// follower adopted after its death or that it had delegated, and —
+	// a journal also holds what its node adopted — other origins' jobs
+	// the joiner took over before it died and that a follower of the
+	// joiner has adopted since. The joiner truncates these from its stale
+	// journal instead of replaying them.
 	idset := map[string]bool{}
 	for _, id := range cur.ids() {
 		switch {
@@ -453,7 +440,7 @@ func (n *Node) admitJoin(req joinRequest) joinResponse {
 			// takeoverMu serializes against an in-flight local takeover,
 			// so a half-adopted journal is never reported.
 			n.takeoverMu.Lock()
-			ids := n.svc.JobIDsWithPrefix(prefix)
+			ids := n.svc.JobIDs()
 			n.takeoverMu.Unlock()
 			for _, jid := range ids {
 				idset[jid] = true
@@ -461,17 +448,9 @@ func (n *Node) admitJoin(req joinRequest) joinResponse {
 		case n.mem.state(id) == StateDead:
 			continue // its removal view is imminent; it holds nothing reachable
 		default:
-			url := fmt.Sprintf("%s/cluster/v1/jobids?prefix=%s&epoch=%d",
-				cur.members[id], neturl.QueryEscape(prefix), cur.epoch)
+			url := fmt.Sprintf("%s/cluster/v1/jobids?epoch=%d", cur.members[id], cur.epoch)
 			var jr jobIDsResponse
-			var err error
-			for attempt := 0; attempt < 3; attempt++ {
-				if err = n.getJSON(url, &jr); err == nil {
-					break
-				}
-				time.Sleep(n.cfg.HeartbeatInterval / 2)
-			}
-			if err != nil {
+			if err := n.retry(3, func() error { return n.call(n.stopCtx, http.MethodGet, url, nil, &jr) }); err != nil {
 				return refuse(RefusalMemberUnreachable, fmt.Sprintf("member %s: %v", id, err))
 			}
 			for _, jid := range jr.IDs {
@@ -489,18 +468,17 @@ func (n *Node) admitJoin(req joinRequest) joinResponse {
 		adopted = append(adopted, jid)
 	}
 	sort.Strings(adopted)
-	n.cfg.Logf("cluster: admitted %s at %s (journal epoch %d) into view epoch %d; %d of its job IDs held cluster-wide",
+	n.cfg.Logf("cluster: admitted %s at %s (journal epoch %d) into view epoch %d; %d job IDs held cluster-wide",
 		req.Node, req.URL, req.WALEpoch, next.epoch, len(adopted))
 	return joinResponse{Admitted: true, Epoch: next.epoch, Members: next.members, AdoptedIDs: adopted}
 }
 
-// handleJobIDs reports the job IDs registered here under a prefix (the
-// join handshake's truncation-set collection). takeoverMu makes it wait
-// out an in-flight takeover so adoption is never half-reported.
+// handleJobIDs reports every job ID registered here (the join
+// handshake's truncation-set collection). takeoverMu makes it wait out
+// an in-flight takeover so adoption is never half-reported.
 func (n *Node) handleJobIDs(w http.ResponseWriter, r *http.Request) {
-	prefix := r.URL.Query().Get("prefix")
 	n.takeoverMu.Lock()
-	ids := n.svc.JobIDsWithPrefix(prefix)
+	ids := n.svc.JobIDs()
 	n.takeoverMu.Unlock()
 	writeJSON(w, http.StatusOK, jobIDsResponse{IDs: ids})
 }
@@ -676,49 +654,32 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 	}
 }
 
-// getJSON / postJSON are the control-plane RPC helpers; they ride
-// rpcClient's tight timeout. A 409 epoch rejection is still an error to
-// the caller, but the rejection body's newer view is adopted on the
-// spot, so the retry (next tick, next attempt) runs under the epoch the
-// receiver wanted.
-func (n *Node) getJSON(url string, out any) error {
-	return n.getJSONCtx(context.Background(), url, out)
-}
-
-func (n *Node) getJSONCtx(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// call is the one control-plane RPC: in, when non-nil, is the JSON
+// request body, and a 200 answer decodes into out. It rides rpcClient's
+// tight timeout. A 409 epoch rejection is still an error to the caller,
+// but the rejection body's newer view is adopted on the spot, so the
+// retry (next tick, next attempt) runs under the epoch the receiver
+// wanted.
+func (n *Node) call(ctx context.Context, method, url string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := n.rpcClient.Do(req)
 	if err != nil {
 		return err
 	}
-	return n.decodeJSON(url, resp, out)
-}
-
-func (n *Node) postJSON(url string, in, out any) error {
-	return n.postJSONCtx(context.Background(), url, in, out)
-}
-
-func (n *Node) postJSONCtx(ctx context.Context, url string, in, out any) error {
-	data, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(data)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.rpcClient.Do(req)
-	if err != nil {
-		return err
-	}
-	return n.decodeJSON(url, resp, out)
-}
-
-func (n *Node) decodeJSON(url string, resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusConflict {
 		var rej epochRejection

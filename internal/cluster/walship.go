@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,9 +46,6 @@ type shipCursor struct {
 type shipper struct {
 	n   *Node
 	log *wal.Log
-	// send delivers one chunk to a follower; injected so fault-matrix
-	// tests can interpose loss, lag, and divergence without sockets.
-	send func(follower string, req shipRequest) (shipResponse, error)
 
 	notify chan struct{}
 
@@ -59,9 +57,7 @@ type shipper struct {
 }
 
 func newShipper(n *Node, log *wal.Log) *shipper {
-	s := &shipper{n: n, log: log, notify: make(chan struct{}, 1), cursors: map[string]*shipCursor{}}
-	s.send = n.shipSend
-	return s
+	return &shipper{n: n, log: log, notify: make(chan struct{}, 1), cursors: map[string]*shipCursor{}}
 }
 
 // retarget points the shipper at a new follower set: cursors of
@@ -163,17 +159,18 @@ func (s *shipper) shipTo(c *shipCursor) {
 			c.epoch, c.offset = epoch, 0
 			continue
 		}
-		if err != nil || len(data) == 0 {
+		url := s.n.mem.url(c.id)
+		if err != nil || len(data) == 0 || url == "" {
 			return
 		}
-		resp, rerr := s.send(c.id, shipRequest{
+		var resp shipResponse
+		if s.n.call(s.n.stopCtx, http.MethodPost, url+"/cluster/v1/walship", shipRequest{
 			Node:         s.n.cfg.NodeID,
 			ClusterEpoch: s.n.epoch(),
 			Epoch:        epoch,
 			Offset:       c.offset,
 			Data:         data,
-		})
-		if rerr != nil {
+		}, &resp) != nil {
 			return // follower down; the ticker retries
 		}
 		if !resp.OK {
@@ -230,6 +227,8 @@ type shadow struct {
 	f      *os.File
 	epoch  uint64
 	offset int64
+	// adopted counts the records a takeover already adopted (see claim).
+	adopted int
 }
 
 // shadowStore holds the shadows this node follows, one file per
@@ -289,7 +288,7 @@ func (st *shadowStore) receive(req shipRequest) shipResponse {
 		if err := sh.f.Truncate(0); err != nil {
 			return shipResponse{OK: false, WantEpoch: sh.epoch, WantOffset: sh.offset}
 		}
-		sh.epoch, sh.offset = req.Epoch, 0
+		sh.epoch, sh.offset, sh.adopted = req.Epoch, 0, 0
 	}
 	if req.Offset != sh.offset {
 		return shipResponse{OK: false, WantEpoch: sh.epoch, WantOffset: sh.offset}
@@ -299,6 +298,29 @@ func (st *shadowStore) receive(req shipRequest) shipResponse {
 	}
 	sh.offset += int64(len(req.Data))
 	return shipResponse{OK: true, WantEpoch: sh.epoch, WantOffset: sh.offset}
+}
+
+// claim records that a takeover adopts the first recs records of
+// origin's shadow and reports whether any of them is new: a removal
+// that finds nothing shipped since the last adoption adopts nothing.
+// An equal-epoch merge can bring a dead member back until its death is
+// detected again, and that second removal finds the same records. A
+// member declared dead while alive rejoins on the same journal and
+// ships on, so its real death later finds more; Adopt skips the IDs
+// the first adoption registered. The first chunk of a new incarnation
+// starts the count again.
+func (st *shadowStore) claim(origin string, recs int) bool {
+	sh, err := st.get(origin)
+	if err != nil {
+		return false
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if recs <= sh.adopted {
+		return false
+	}
+	sh.adopted = recs
+	return true
 }
 
 // records parses an origin's shadow for takeover. The on-disk file is

@@ -80,18 +80,16 @@ func (s *Service) CacheSeed(fingerprint string, mode Mode, res *Result) {
 	}
 }
 
-// JobIDsWithPrefix lists every registered job ID (pending or retained
-// terminal) under prefix. The join handshake aggregates this across
-// members to compute a rejoining node's truncation set: any ID the
-// cluster holds must not be replayed from the joiner's stale journal.
-func (s *Service) JobIDsWithPrefix(prefix string) []string {
+// JobIDs lists every registered job ID (pending or retained terminal),
+// sorted. The join handshake aggregates this across members to compute
+// a rejoining node's truncation set: any ID the cluster holds must not
+// be replayed from the joiner's stale journal.
+func (s *Service) JobIDs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []string
 	for id := range s.jobs {
-		if strings.HasPrefix(id, prefix) {
-			out = append(out, id)
-		}
+		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out

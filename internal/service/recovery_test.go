@@ -331,7 +331,12 @@ func TestChaosCrashRestartLosesNothing(t *testing.T) {
 	}
 	restore := faults.Set(plan)
 
-	s1, err := Open(cfg)
+	// Held: every submit below queues before the first solve. A queued job
+	// solves even when an earlier one cached its answer, so the pool
+	// reaches the schedule's first solver panic (the 13th solve) whatever
+	// the timing. Started as it submits, a fast worker turned later
+	// repeats into cache hits and sometimes finished below it.
+	s1, err := OpenHeld(cfg)
 	if err != nil {
 		restore()
 		t.Fatal(err)
@@ -356,8 +361,13 @@ func TestChaosCrashRestartLosesNothing(t *testing.T) {
 		restore()
 		t.Fatal("no job was accepted")
 	}
-	// Let the pool chew on the queue, then die mid-solve.
-	time.Sleep(100 * time.Millisecond)
+	// Let the pool chew on the queue until the seeded schedule has fired
+	// its first panic, then die mid-load. A fixed pause is not enough on
+	// a loaded host: the pool may not have reached that solve yet.
+	s1.StartWorkers()
+	for deadline := time.Now().Add(30 * time.Second); s1.Stats().PanicsRecovered == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	panicsPhase1 := s1.Stats().PanicsRecovered
 	s1.crash()
 	restore()

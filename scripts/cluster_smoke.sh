@@ -180,7 +180,15 @@ if [ "$takeovers" -ne 2 ]; then
   curl -s "$N2/statsz" >&2 || true
   exit 1
 fi
-epoch="$(stat_of "$N1" epoch)"
+# Two deaths detected by different survivors mint two views at one epoch;
+# the merge keeps one, and the lost death is re-detected within
+# -dead-after beats before the epoch passes 1. Poll, like the takeovers.
+epoch=0
+for i in $(seq 1 100); do
+  epoch="$(stat_of "$N1" epoch)"
+  if [ "$epoch" -ge 2 ]; then break; fi
+  sleep 0.2
+done
 if [ "$epoch" -lt 2 ]; then
   echo "survivor epoch $epoch after two deaths, want >= 2" >&2
   exit 1
