@@ -251,7 +251,7 @@ func TestClusterJournalTakeoverAfterKill(t *testing.T) {
 		byID[tn.id] = tn
 	}
 	victim := nodes[0]
-	follower := byID[victim.node.ring.successor(victim.id)]
+	follower := byID[victim.node.ring.successors(victim.id, 1)[0]]
 	fp := specFingerprint(t)
 
 	// Solve directly on the victim (loop-guard header bypasses routing)

@@ -34,7 +34,6 @@ type peer struct {
 	missed     int
 	lastSeen   time.Time
 	queueDepth int
-	deadFired  bool
 }
 
 // membership tracks liveness for the current view's peers by
@@ -47,12 +46,6 @@ type membership struct {
 
 	suspectAfter int
 	deadAfter    int
-
-	// onDeath fires (from the heartbeat goroutine) the first time a
-	// peer transitions to dead; onRejoin fires when a suspect or dead
-	// peer answers again.
-	onDeath  func(id string)
-	onRejoin func(id string)
 }
 
 func newMembership(peers map[string]string, suspectAfter, deadAfter int) *membership {
@@ -98,8 +91,8 @@ func (m *membership) size() int {
 // hold it suspect/dead is re-armed to alive — the view change is
 // membership information (an admission handshake or a peer's newer
 // view), and a genuinely dead peer re-earns its verdict within
-// DeadAfter beats, re-firing onDeath (deadFired resets with the
-// re-arm), so a death lost to an equal-epoch view merge self-heals.
+// DeadAfter beats, dying afresh, so a death lost to an equal-epoch view
+// merge self-heals.
 func (m *membership) sync(remotes map[string]string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -119,7 +112,6 @@ func (m *membership) sync(remotes map[string]string) {
 		if p.state != StateAlive {
 			p.state = StateAlive
 			p.missed = 0
-			p.deadFired = false
 		}
 		p.mu.Unlock()
 	}
@@ -157,51 +149,44 @@ func (m *membership) url(id string) string {
 }
 
 // beatOK records a successful heartbeat (or any successful RPC — proof
-// of life is proof of life) carrying the peer's reported queue depth.
-func (m *membership) beatOK(id string, queueDepth int) {
+// of life is proof of life) carrying the peer's reported queue depth,
+// and reports whether a suspect or dead peer has just come back.
+func (m *membership) beatOK(id string, queueDepth int) (back bool) {
 	p := m.lookup(id)
 	if p == nil {
-		return
+		return false
 	}
 	p.mu.Lock()
-	rejoined := p.state != StateAlive
+	defer p.mu.Unlock()
+	back = p.state != StateAlive
 	p.state = StateAlive
 	p.missed = 0
 	p.lastSeen = time.Now()
 	p.queueDepth = queueDepth
-	p.deadFired = false
-	p.mu.Unlock()
-	if rejoined && m.onRejoin != nil {
-		m.onRejoin(id)
-	}
+	return back
 }
 
-// beatMissed records a failed heartbeat and advances the state machine;
-// the dead transition fires onDeath exactly once per death.
-func (m *membership) beatMissed(id string) {
+// beatMissed records a failed heartbeat, advances the state machine, and
+// reports whether the peer has just died: true exactly once per death,
+// on the miss that makes it dead.
+func (m *membership) beatMissed(id string) (died bool) {
 	p := m.lookup(id)
 	if p == nil {
-		return
+		return false
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.missed++
-	fireDeath := false
 	switch {
 	case p.missed >= m.deadAfter:
+		died = p.state != StateDead
 		p.state = StateDead
-		if !p.deadFired {
-			p.deadFired = true
-			fireDeath = true
-		}
 	case p.missed >= m.suspectAfter:
 		if p.state == StateAlive {
 			p.state = StateSuspect
 		}
 	}
-	p.mu.Unlock()
-	if fireDeath && m.onDeath != nil {
-		m.onDeath(id)
-	}
+	return died
 }
 
 // snapshot returns per-peer liveness for /statsz.

@@ -4,9 +4,12 @@ import "testing"
 
 func TestMembershipStateMachine(t *testing.T) {
 	m := newMembership(map[string]string{"n2": "http://x"}, 2, 4)
-	deaths, rejoins := 0, 0
-	m.onDeath = func(string) { deaths++ }
-	m.onRejoin = func(string) { rejoins++ }
+	deaths := 0
+	miss := func() {
+		if m.beatMissed("n2") {
+			deaths++
+		}
+	}
 
 	if !m.alive("n2") {
 		t.Fatal("peers are born alive")
@@ -15,46 +18,51 @@ func TestMembershipStateMachine(t *testing.T) {
 		t.Fatal("self (untracked) must always read alive")
 	}
 
-	m.beatMissed("n2")
+	miss()
 	if !m.alive("n2") {
 		t.Fatal("one miss must not drain a peer")
 	}
-	m.beatMissed("n2")
+	miss()
 	if m.alive("n2") || m.state("n2") != StateSuspect {
 		t.Fatalf("after suspectAfter misses: state=%s", m.state("n2"))
 	}
 	if deaths != 0 {
-		t.Fatal("suspect fired death")
+		t.Fatal("suspect reported a death")
 	}
-	m.beatMissed("n2")
-	m.beatMissed("n2")
+	miss()
+	miss()
 	if m.state("n2") != StateDead || deaths != 1 {
 		t.Fatalf("after deadAfter misses: state=%s deaths=%d", m.state("n2"), deaths)
 	}
 	// Continued misses must not re-fire takeover.
-	m.beatMissed("n2")
-	m.beatMissed("n2")
+	miss()
+	miss()
 	if deaths != 1 {
-		t.Fatalf("death fired %d times for one death", deaths)
+		t.Fatalf("death reported %d times for one death", deaths)
 	}
 
-	m.beatOK("n2", 7)
-	if !m.alive("n2") || rejoins != 1 {
-		t.Fatalf("rejoin: alive=%v rejoins=%d", m.alive("n2"), rejoins)
+	if back := m.beatOK("n2", 7); !back || !m.alive("n2") {
+		t.Fatalf("rejoin: back=%v alive=%v", back, m.alive("n2"))
+	}
+	if m.beatOK("n2", 7) {
+		t.Fatal("an alive peer answering again reported as back")
 	}
 	if d := m.queueDepthOf("n2"); d != 7 {
 		t.Fatalf("queue depth %d, want 7", d)
 	}
 
-	// A second full death cycle fires takeover again: deadFired is per
-	// death, not per peer lifetime.
+	// A second full death cycle fires takeover again: a death is reported
+	// per death, not per peer lifetime.
 	for i := 0; i < 4; i++ {
-		m.beatMissed("n2")
+		miss()
 	}
 	if deaths != 2 {
-		t.Fatalf("second death fired %d total, want 2", deaths)
+		t.Fatalf("second death reported %d total, want 2", deaths)
 	}
 	if d := m.queueDepthOf("n2"); d != -1 {
 		t.Fatalf("dead peer advertises queue depth %d", d)
+	}
+	if m.beatMissed("ghost") || m.beatOK("ghost", 0) {
+		t.Fatal("an untracked peer died or came back")
 	}
 }

@@ -42,21 +42,6 @@ type Config struct {
 	// 3); DeadAfter trigger takeover (default 6).
 	SuspectAfter int
 	DeadAfter    int
-	// StealBatch caps jobs taken from one peer per steal (default 2).
-	StealBatch int
-	// StealMinPeerQueue is the queue depth a peer must report before an
-	// idle node steals from it (default 1).
-	StealMinPeerQueue int
-	// ShipChunkBytes bounds one WAL shipping RPC's payload (default
-	// 256 KiB).
-	ShipChunkBytes int
-	// HandoffJobBatch caps queued jobs delegated to one new owner per
-	// re-shard (default 16); cache entries are unbounded but chunked.
-	HandoffJobBatch int
-	// ShadowDir is where shipped peer journals are shadowed (default
-	// "<journal dir>/shadows"; shipping and takeover are disabled when
-	// the service has no journal).
-	ShadowDir string
 	// Logf receives cluster events (default log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -76,18 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadAfter <= c.SuspectAfter {
 		c.DeadAfter = c.SuspectAfter * 2
-	}
-	if c.StealBatch <= 0 {
-		c.StealBatch = 2
-	}
-	if c.StealMinPeerQueue <= 0 {
-		c.StealMinPeerQueue = 1
-	}
-	if c.ShipChunkBytes <= 0 {
-		c.ShipChunkBytes = 256 << 10
-	}
-	if c.HandoffJobBatch <= 0 {
-		c.HandoffJobBatch = 16
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -183,15 +156,11 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 		fwdClient: &http.Client{},
 	}
 	n.stopCtx, n.stopAll = context.WithCancel(context.Background())
-	n.mem.onDeath = n.handleDeath
-	n.mem.onRejoin = func(id string) { n.cfg.Logf("cluster: peer %s answering again", id) }
 
+	// Shipped peer journals are shadowed beside the local one; without a
+	// journal there is no shipping and no takeover.
 	if jl := svc.Journal(); jl != nil {
-		dir := cfg.ShadowDir
-		if dir == "" {
-			dir = shadowDirFor(jl.Path())
-		}
-		st, err := newShadowStore(dir)
+		st, err := newShadowStore(shadowDirFor(jl.Path()))
 		if err != nil {
 			return nil, err
 		}
@@ -201,6 +170,7 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 		svc.SetJournalNotify(n.ship.wake)
 	}
 	svc.SetPeerFill(n.peerFill)
+	svc.SetRouter(n.route)
 	return n, nil
 }
 
@@ -241,17 +211,21 @@ func (n *Node) epoch() uint64 {
 // handled as dead, WAL shipping retargeted at the new successors, stale
 // shadows of origins this node no longer follows dropped, and the
 // bounded handoff protocol streams moved-range state to its new owners.
-// A view that excludes this node is never installed;
-// it triggers the self-healing re-join handshake instead (the node was
-// declared dead while alive, or lost a concurrent view merge).
+// Views received on the wire (heartbeat responses and epoch-mismatch
+// rejections both carry the responder's full view) come here too, and
+// most do not supersede. A superseding view that excludes this node is
+// never installed; it triggers the self-healing re-join handshake
+// instead (the node was declared dead while alive, or lost a concurrent
+// view merge).
 func (n *Node) installView(v *view, why string) bool {
-	if _, ok := v.members[n.cfg.NodeID]; !ok {
-		n.triggerRejoin(v)
-		return false
-	}
 	n.mu.Lock()
 	if !v.supersedes(n.view) {
 		n.mu.Unlock()
+		return false
+	}
+	if _, ok := v.members[n.cfg.NodeID]; !ok {
+		n.mu.Unlock()
+		n.triggerRejoin(v)
 		return false
 	}
 	oldView := n.view
@@ -303,22 +277,6 @@ func (n *Node) installView(v *view, why string) bool {
 	n.cfg.Logf("cluster: view epoch %d installed (%s): members=%v, %d ranges moved, successors=%v",
 		v.epoch, why, v.ids(), len(moved), newR.successors(n.cfg.NodeID, replicationFactor))
 	return true
-}
-
-// maybeAdoptView installs a view received on the wire when it
-// supersedes ours (heartbeat responses and epoch-mismatch rejections
-// both carry the responder's full view).
-func (n *Node) maybeAdoptView(epoch uint64, members map[string]string, why string) {
-	if len(members) == 0 {
-		return
-	}
-	v := newView(epoch, members)
-	n.mu.Lock()
-	super := v.supersedes(n.view)
-	n.mu.Unlock()
-	if super {
-		n.installView(v, why)
-	}
 }
 
 // triggerRejoin re-runs the join handshake when the cluster's current
@@ -381,6 +339,7 @@ func (n *Node) Stop() {
 	n.stopAll()
 	n.wg.Wait()
 	n.svc.SetPeerFill(nil)
+	n.svc.SetRouter(nil)
 	n.svc.SetJournalNotify(nil)
 	if n.shadows != nil {
 		n.shadows.close()
@@ -487,17 +446,21 @@ func (n *Node) heartbeatAll() {
 			err = fmt.Errorf("fingerprint version skew")
 		}
 		if err != nil {
-			n.mem.beatMissed(id)
+			if n.mem.beatMissed(id) {
+				n.handleDeath(id)
+			}
 			continue
 		}
-		n.mem.beatOK(id, hb.QueueDepth)
-		n.maybeAdoptView(hb.Epoch, hb.Members, "heartbeat from "+id)
+		if n.mem.beatOK(id, hb.QueueDepth) {
+			n.cfg.Logf("cluster: peer %s answering again", id)
+		}
+		n.installView(newView(hb.Epoch, hb.Members), "heartbeat from "+id)
 	}
 }
 
-// handleDeath is the membership callback for a peer this node's own
-// heartbeats declared dead: it proposes the death view — members minus
-// the corpse, epoch+1 — and installing that view does the rest.
+// handleDeath acts on a peer this node's own heartbeats declared dead:
+// it proposes the death view — members minus the corpse, epoch+1 — and
+// installing that view does the rest.
 func (n *Node) handleDeath(id string) {
 	n.cfg.Logf("cluster: peer %s dead after %d missed heartbeats", id, n.cfg.DeadAfter)
 	if cur := n.currentView(); cur.members[id] != "" {
@@ -606,8 +569,13 @@ func (n *Node) handoff(moved []keyRange, v *view) {
 	}
 }
 
-// handoffChunk bounds cache entries per handoff RPC.
-const handoffChunk = 32
+const (
+	// handoffChunk bounds cache entries per handoff RPC.
+	handoffChunk = 32
+	// handoffJobBatch caps queued jobs delegated to one new owner per
+	// re-shard; cache entries are unbounded but chunked.
+	handoffJobBatch = 16
+)
 
 func (n *Node) handoffTo(target string, ranges []keyRange) {
 	match := func(fp string) bool {
@@ -625,7 +593,7 @@ func (n *Node) handoffTo(target string, ranges []keyRange) {
 			entries = append(entries, handoffEntry{Fingerprint: fp, Mode: mode, Result: res})
 		}
 	})
-	jobs := n.svc.DelegateMatching(target, n.cfg.HandoffJobBatch, match)
+	jobs := n.svc.DelegateMatching(target, handoffJobBatch, match)
 	if len(entries) == 0 && len(jobs) == 0 {
 		return
 	}
@@ -688,6 +656,14 @@ func (n *Node) peerFill(ctx context.Context, fp string, mode service.Mode) (*ser
 	return &res, true
 }
 
+const (
+	// stealBatch caps jobs taken from one peer per steal.
+	stealBatch = 2
+	// stealMinPeerQueue is the queue depth a peer must report before an
+	// idle node steals from it.
+	stealMinPeerQueue = 1
+)
+
 // stealOnce steals a batch of queued jobs from the most loaded alive
 // peer when this node is idle, solves them locally, and posts the
 // results back to the origin.
@@ -695,7 +671,7 @@ func (n *Node) stealOnce() {
 	if n.svc.QueueLen() > 0 {
 		return
 	}
-	victim, depth := "", n.cfg.StealMinPeerQueue-1
+	victim, depth := "", stealMinPeerQueue-1
 	for _, id := range n.mem.ids() {
 		if d := n.mem.queueDepthOf(id); d > depth {
 			victim, depth = id, d
@@ -706,7 +682,7 @@ func (n *Node) stealOnce() {
 	}
 	var sr stealResponse
 	err := n.call(n.stopCtx, http.MethodPost, n.mem.url(victim)+"/cluster/v1/steal",
-		stealRequest{From: n.cfg.NodeID, Epoch: n.epoch(), Max: n.cfg.StealBatch}, &sr)
+		stealRequest{From: n.cfg.NodeID, Epoch: n.epoch(), Max: stealBatch}, &sr)
 	if err != nil {
 		return
 	}

@@ -4,9 +4,12 @@
 //   - a consistent-hash ring maps every canonical problem fingerprint to
 //     an owner node, so repeat submissions of the same problem land on
 //     the node that already has the answer cached;
-//   - requests arriving at a non-owner are forwarded to the owner (one
-//     hop, loop-guarded), and a cold miss asks the owner's cache over
-//     RPC before solving locally;
+//   - the service reads, parses and fingerprints every synthesis
+//     request itself and then asks the node, through the routing hook
+//     New installs, whether it runs elsewhere: a request arriving at a
+//     non-owner is forwarded to the owner (one hop, loop-guarded), and
+//     a cold miss asks the owner's cache over RPC before solving
+//     locally;
 //   - idle nodes steal queued jobs from overloaded peers and post the
 //     results back (delegation, not migration: the origin keeps the job
 //     registered and its deadline still bounds it);
@@ -104,21 +107,6 @@ func (r *ring) owner(key string, alive func(string) bool) string {
 		if len(seen) == len(r.nodes) {
 			break
 		}
-	}
-	return ""
-}
-
-// successor is node's first WAL follower — successors(node, k)[0].
-// Liveness is deliberately ignored: shipping targets deterministic
-// peers, so every member derives the same follower set for any node and
-// the quorum takeover protocol knows exactly who to compare with.
-func (r *ring) successor(node string) string {
-	i := sort.SearchStrings(r.nodes, node)
-	if i >= len(r.nodes) || r.nodes[i] != node {
-		return ""
-	}
-	if s := r.successors(node, 1); len(s) > 0 {
-		return s[0]
 	}
 	return ""
 }

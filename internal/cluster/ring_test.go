@@ -60,21 +60,23 @@ func TestRingSuccessorIsStaticAndDistinct(t *testing.T) {
 	r := newRing([]string{"n1", "n2", "n3"})
 	seen := map[string]bool{}
 	for _, n := range []string{"n1", "n2", "n3"} {
-		s := r.successor(n)
-		if s == "" || s == n {
-			t.Fatalf("successor(%s) = %q", n, s)
+		s := r.successors(n, 1)
+		if len(s) != 1 || s[0] == n {
+			t.Fatalf("successors(%s, 1) = %q", n, s)
 		}
-		seen[s] = true
+		seen[s[0]] = true
 	}
 	// Sorted-member-order successors form one cycle: every node is
 	// exactly one member's follower, so a death has exactly one taker.
 	if len(seen) != 3 {
 		t.Fatalf("successor map is not a permutation: %v", seen)
 	}
-	if got := newRing([]string{"solo"}).successor("solo"); got != "" {
-		t.Fatalf("single-node successor = %q, want none", got)
+	if got := newRing([]string{"solo"}).successors("solo", 1); len(got) != 0 {
+		t.Fatalf("single-node successors = %q, want none", got)
 	}
-	if got := r.successor("ghost"); got != "" {
-		t.Fatalf("unknown member successor = %q, want none", got)
+	// A non-member's followers are the members at or after its sorted
+	// position: how the rejoin handshake finds a dead node's.
+	if got := r.successors("n2a", 1); len(got) != 1 || got[0] != "n3" {
+		t.Fatalf("non-member successors = %q, want [n3]", got)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,69 +9,85 @@ import (
 	"strings"
 	"testing"
 
-	"configsynth/internal/core"
+	"configsynth/internal/service"
 )
 
-// handedOver is what the service looks for on a request body.
-type handedOver interface {
-	Parsed() (*core.Problem, string)
+// countingReader counts the bytes a handler reads of a request body.
+type countingReader struct {
+	r io.Reader
+	n int
 }
 
-// TestLocalOwnerHandsOverItsParse: the router parses and fingerprints a
-// request to find its owner. When the owner is this node, the service
-// behind it receives that parse with the body — and so does not make it
-// again — together with the text it journals. A request that already
-// hopped is not parsed here at all, and an oversize one never gets past
-// the router.
-func TestLocalOwnerHandsOverItsParse(t *testing.T) {
-	n := startCluster(t, 1, false, nil)[0].node
-	var (
-		calls  int
-		handed bool
-		fp     string
-		text   []byte
-	)
-	h := n.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		var pb handedOver
-		if pb, handed = r.Body.(handedOver); handed {
-			var p *core.Problem
-			if p, fp = pb.Parsed(); p == nil {
-				t.Error("handed-over parse has no problem")
-			}
-		}
-		text, _ = io.ReadAll(r.Body)
-	}))
-	post := func(body string, forwardedBy string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(body))
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestOneFrontDoor: through a node's Handler, the service reads, parses
+// and fingerprints a synthesis request, and the node only decides where
+// it runs. An owned request runs here, a non-owned one is forwarded once,
+// a loop-guarded one runs where it landed, an unparseable one is refused
+// before anything is routed, and a body that declares more than the
+// service's limit is refused without reading a byte of it.
+func TestOneFrontDoor(t *testing.T) {
+	nodes := startCluster(t, 2, false, nil)
+	fp := specFingerprint(t)
+	owner, other := nodes[0], nodes[1]
+	if owner.node.ring.owner(fp, nil) != owner.id {
+		owner, other = other, owner
+	}
+	forwards := func() int64 {
+		return owner.node.forwarded.Load() + other.node.forwarded.Load() +
+			owner.node.forwardFails.Load() + other.node.forwardFails.Load()
+	}
+	post := func(tn *testNode, body io.Reader, declared int64, forwardedBy string) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize?timeout=60s", body)
+		req.ContentLength = declared
 		if forwardedBy != "" {
 			req.Header.Set(forwardedHeader, forwardedBy)
 		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		tn.srv.Handler.ServeHTTP(rec, req)
 		return rec
 	}
+	served := func(what string, rec *httptest.ResponseRecorder, on *testNode, wantForwards int64) {
+		t.Helper()
+		var res service.Result
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", what, rec.Code, rec.Body)
+		}
+		if !strings.HasPrefix(res.JobID, on.id+"-") || res.Fingerprint != fp || forwards() != wantForwards {
+			t.Errorf("%s: job %s with fingerprint %s after %d forwards; want a job of %s, fingerprint %s, %d forwards",
+				what, res.JobID, res.Fingerprint, forwards(), on.id, fp, wantForwards)
+		}
+	}
+	specBody := func() (io.Reader, int64) { return strings.NewReader(clusterSpec), int64(len(clusterSpec)) }
 
-	post(clusterSpec, "")
-	if !handed || fp != specFingerprint(t) || string(text) != clusterSpec {
-		t.Errorf("local owner: handed %v, fingerprint %q (want %q), text intact %v",
-			handed, fp, specFingerprint(t), string(text) == clusterSpec)
+	body, n := specBody()
+	served("owned request", post(owner, body, n, ""), owner, 0)
+	body, n = specBody()
+	served("non-owned request", post(other, body, n, ""), owner, 1)
+	if other.node.forwarded.Load() != 1 {
+		t.Errorf("non-owned request: %d forwards from the entry node, want 1", other.node.forwarded.Load())
 	}
-	post(clusterSpec, "n9")
-	if handed || string(text) != clusterSpec {
-		t.Errorf("forwarded request: handed %v, text intact %v; the owner's service parses it, once", handed, string(text) == clusterSpec)
-	}
-	post("not a spec", "")
-	if handed || string(text) != "not a spec" {
-		t.Errorf("unparseable body: handed %v, text %q; the service reports the parse error", handed, text)
+	body, n = specBody()
+	served("loop-guarded request", post(other, body, n, "n9"), other, 1)
+
+	rec := post(other, strings.NewReader("not a spec"), -1, "")
+	if rec.Code != http.StatusBadRequest || forwards() != 1 {
+		t.Errorf("unparseable body: status %d after %d forwards; want 400 and no forward", rec.Code, forwards())
 	}
 
-	calls = 0
+	const limit = 4 << 20 // the service's body limit
 	last := strings.LastIndex(clusterSpec, "require 2 4")
-	padded := clusterSpec[:last] + strings.Repeat("# "+strings.Repeat("x", 1021)+"\n", maxBodyBytes>>10) + clusterSpec[last:]
-	rec := post(padded, "")
-	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), strconv.Itoa(maxBodyBytes)) || calls != 0 {
-		t.Errorf("oversize body: status %d %s, %d calls through; want 413 naming the limit and none", rec.Code, rec.Body, calls)
+	padded := clusterSpec[:last] + strings.Repeat("# "+strings.Repeat("x", 1021)+"\n", limit>>10) + clusterSpec[last:]
+	cr := &countingReader{r: strings.NewReader(padded)}
+	rec = post(other, cr, int64(len(padded)), "")
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), strconv.Itoa(limit)) || cr.n != 0 || forwards() != 1 {
+		t.Errorf("declared oversize body: status %d %s, %d bytes read, %d forwards; want 413 naming the limit, none read, no forward",
+			rec.Code, rec.Body, cr.n, forwards())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"configsynth/internal/core"
-	"configsynth/internal/netgen"
 	"configsynth/internal/service"
 	"configsynth/internal/spec"
 )
@@ -256,9 +253,10 @@ func (n *Node) stats() Stats {
 }
 
 // Handler wraps the service's HTTP API with the cluster surface: the
-// /cluster/v1 RPC endpoints, fingerprint routing for /v1/synthesize,
-// and a /statsz enriched with the cluster section. Everything else
-// passes through to inner untouched.
+// /cluster/v1 RPC endpoints and a /statsz enriched with the cluster
+// section. Everything else, /v1/synthesize included, passes through to
+// inner untouched: the service routes a synthesis request through the
+// hook New installs (route).
 func (n *Node) Handler(inner http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /cluster/v1/heartbeat", n.handleHeartbeat)
@@ -276,11 +274,16 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 			Cluster Stats `json:"cluster"`
 		}{n.svc.Stats(), n.stats()})
 	})
-	mux.HandleFunc("POST /v1/synthesize", func(w http.ResponseWriter, r *http.Request) {
-		n.routeSynthesize(inner, w, r)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Split by path rather than mounting inner at "/": a request the
+		// mux only matches by that fallback pays a second, trailing-slash
+		// lookup on every synthesis request.
+		if strings.HasPrefix(r.URL.Path, "/cluster/") || r.URL.Path == "/statsz" {
+			mux.ServeHTTP(w, r)
+		} else {
+			inner.ServeHTTP(w, r)
+		}
 	})
-	mux.Handle("/", inner)
-	return mux
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -523,83 +526,29 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, handoffResponse{Accepted: len(req.Entries) + len(req.Jobs)})
 }
 
-// maxBodyBytes bounds a synthesis request body, as the service does.
-const maxBodyBytes = 4 << 20
-
-// routeSynthesize forwards a synthesis request to the ring owner of
-// its problem fingerprint, so repeat problems always land where their
-// result is cached. Requests that already hopped, parse failures, and
-// owner errors all fall through to the local service — forwarding is
-// an optimization, never a point of failure. Finding the owner costs a
-// parse and a fingerprint; when the request is then served here, both
-// go to the service with the body (parsedBody) instead of being redone.
-func (n *Node) routeSynthesize(inner http.Handler, w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		// Never a truncated read: a spec cut at the limit can still parse,
-		// as a different problem.
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-			"error": fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit),
-		})
-		return
-	}
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
+// route is the service's synthesis router (service.Router): a request
+// the service has read, parsed and fingerprinted runs on the ring owner
+// of that fingerprint, so repeat problems land where their result is
+// cached. A request that already hopped runs where it landed, and one
+// whose owner cannot be reached or fails runs here: forwarding is an
+// optimization, never a point of failure.
+func (n *Node) route(w http.ResponseWriter, r *http.Request, body []byte, fp string) bool {
 	if r.Header.Get(forwardedHeader) != "" {
-		inner.ServeHTTP(w, r)
-		return
+		return false
 	}
-	prob, fp := fingerprintOf(r, body)
-	if fp == "" {
-		inner.ServeHTTP(w, r)
-		return
+	owner := n.curRing().owner(fp, n.mem.alive)
+	if owner == "" || owner == n.cfg.NodeID {
+		return false
 	}
-	if owner := n.curRing().owner(fp, n.mem.alive); owner != "" && owner != n.cfg.NodeID {
-		if n.forward(w, r, body, n.mem.url(owner)) {
-			n.forwarded.Add(1)
-			return
-		}
-		n.forwardFails.Add(1)
+	// Counted before the owner's answer is relayed, which a client can
+	// read to the end before forward returns.
+	n.forwarded.Add(1)
+	if n.forward(w, r, body, n.mem.url(owner)) {
+		return true
 	}
-	if prob != nil {
-		r.Body = &parsedBody{Reader: bytes.NewReader(body), prob: prob, fp: fp}
-	}
-	inner.ServeHTTP(w, r)
-}
-
-// parsedBody is the request body routeSynthesize passes to the local
-// service once it has parsed it: the bytes, the problem and its
-// fingerprint. The service looks for Parsed on the body it is given.
-type parsedBody struct {
-	*bytes.Reader
-	prob *core.Problem
-	fp   string
-}
-
-func (b *parsedBody) Close() error { return nil }
-
-func (b *parsedBody) Parsed() (*core.Problem, string) { return b.prob, b.fp }
-
-// fingerprintOf computes the canonical fingerprint of the request's
-// problem without consuming the request (the body was already read), ""
-// when it has none, and returns the problem when it had to parse the
-// body for it.
-func fingerprintOf(r *http.Request, body []byte) (*core.Problem, string) {
-	if r.URL.Query().Get("example") != "" {
-		return nil, spec.Fingerprint(netgen.PaperExample())
-	}
-	if len(bytes.TrimSpace(body)) == 0 {
-		return nil, ""
-	}
-	p, err := spec.Parse(bytes.NewReader(body))
-	if err != nil {
-		return nil, ""
-	}
-	return p, spec.Fingerprint(p)
+	n.forwarded.Add(-1)
+	n.forwardFails.Add(1)
+	return false
 }
 
 // forward proxies the request to the owner node, streaming the
@@ -683,8 +632,8 @@ func (n *Node) call(ctx context.Context, method, url string, in, out any) error 
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusConflict {
 		var rej epochRejection
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rej) == nil {
-			n.maybeAdoptView(rej.Epoch, rej.Members, "epoch rejection from "+url)
+		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rej) == nil && len(rej.Members) > 0 {
+			n.installView(newView(rej.Epoch, rej.Members), "epoch rejection from "+url)
 		}
 		return fmt.Errorf("cluster rpc: %s: %s", url, resp.Status)
 	}

@@ -31,6 +31,9 @@ import (
 // followers means the journal survives two simultaneous failures —
 // origin plus one follower.
 
+// shipChunkBytes bounds one WAL shipping RPC's payload.
+const shipChunkBytes = 256 << 10
+
 // shipCursor is one follower's ack position in the local journal.
 type shipCursor struct {
 	id     string
@@ -149,7 +152,7 @@ func (s *shipper) shipTo(c *shipCursor) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := 0; i < 64; i++ {
-		data, next, epoch, err := s.log.TailFrom(c.offset, s.n.cfg.ShipChunkBytes)
+		data, next, epoch, err := s.log.TailFrom(c.offset, shipChunkBytes)
 		if errors.Is(err, wal.ErrOutOfRange) || (err == nil && epoch != c.epoch) {
 			// Compaction rewrote the journal out from under the cursor:
 			// start the new epoch from zero.

@@ -1,15 +1,17 @@
 package service
 
 // Cluster-facing hooks: everything internal/cluster needs from a
-// Service. A cluster node wires a peer-cache filler and a journal
-// notifier after Open, steals queued jobs from overloaded peers (and
-// applies the completions they post back), and adopts a dead peer's
-// shipped journal during takeover. None of this is reachable unless the
-// cluster layer calls it, so single-node deployments are unaffected.
+// Service. A cluster node wires a synthesis router, a peer-cache filler
+// and a journal notifier after Open, steals queued jobs from overloaded
+// peers (and applies the completions they post back), and adopts a dead
+// peer's shipped journal during takeover. None of this is reachable
+// unless the cluster layer calls it, so single-node deployments are
+// unaffected.
 
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -27,6 +29,19 @@ type PeerFiller func(ctx context.Context, fingerprint string, mode Mode) (*Resul
 func (s *Service) SetPeerFill(f PeerFiller) {
 	s.peerMu.Lock()
 	s.peerFill = f
+	s.peerMu.Unlock()
+}
+
+// Router is consulted by POST /v1/synthesize once the request is read,
+// parsed and fingerprinted, before it is submitted: it reports served
+// when it has answered the request itself (a cluster node forwarding it
+// to the ring owner of its fingerprint), and false to run it here.
+type Router func(w http.ResponseWriter, r *http.Request, body []byte, fingerprint string) (served bool)
+
+// SetRouter wires (or clears, with nil) the synthesis routing hook.
+func (s *Service) SetRouter(f Router) {
+	s.peerMu.Lock()
+	s.router = f
 	s.peerMu.Unlock()
 }
 

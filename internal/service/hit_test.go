@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"configsynth/internal/core"
 	"configsynth/internal/spec"
 )
 
@@ -348,37 +347,51 @@ func TestOversizeBodyIs413(t *testing.T) {
 	post("/v1/batch", http.NoBody, maxBatchBodyBytes+1, maxBatchBodyBytes)
 }
 
-// handedBody is a request body that carries a parse, as the cluster
-// router's does.
-type handedBody struct {
-	io.Reader
-	text string
-}
-
-func (handedBody) Close() error { return nil }
-
-func (b handedBody) Parsed() (*core.Problem, string) {
-	p, _ := specParse(b.text)
-	return p, spec.Fingerprint(p)
-}
-
-// TestSynthesizeUsesHandedOverParse: a body that carries its parse is
-// not parsed or fingerprinted again. The hand-over here disagrees with
-// the text on purpose, so which of the two was served shows in the
-// answer; the journaled source stays the text.
-func TestSynthesizeUsesHandedOverParse(t *testing.T) {
+// TestSynthesizeConsultsRouter: POST /v1/synthesize reads, parses and
+// fingerprints a request once and hands the router that fingerprint and
+// the body. A router that declines leaves the request to run here under
+// the fingerprint it was shown; one that answers is the whole answer:
+// no job is registered and the handler writes nothing more.
+func TestSynthesizeConsultsRouter(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", nil)
-	req.Body = handedBody{Reader: strings.NewReader(specVariant(1)), text: specVariant(2)}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	var (
+		calls      int
+		routedFP   string
+		routedBody string
+		answer     bool
+	)
+	s.SetRouter(func(w http.ResponseWriter, r *http.Request, body []byte, fp string) bool {
+		calls++
+		routedFP, routedBody = fp, string(body)
+		if answer {
+			w.WriteHeader(http.StatusTeapot)
+			io.WriteString(w, "served elsewhere")
+		}
+		return answer
+	})
+	post := func() *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(smallSpec))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+
+	rec := post()
 	var res Result
 	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		t.Fatalf("declined route: status %d: %s", rec.Code, rec.Body)
 	}
-	handed, _ := specParse(specVariant(2))
-	if res.Fingerprint != spec.Fingerprint(handed) || res.Design == nil || res.Design.Cost > 32 {
-		t.Errorf("served fingerprint %s, want the handed-over problem's %s (budget 32)", res.Fingerprint, spec.Fingerprint(handed))
+	if calls != 1 || routedFP != res.Fingerprint || routedBody != smallSpec {
+		t.Errorf("router called %d times with fingerprint %s (result carries %s), body intact %v",
+			calls, routedFP, res.Fingerprint, routedBody == smallSpec)
+	}
+
+	answer = true
+	jobs := len(s.JobIDs())
+	rec = post()
+	if calls != 2 || rec.Code != http.StatusTeapot || rec.Body.String() != "served elsewhere" || len(s.JobIDs()) != jobs {
+		t.Errorf("answered route: %d calls, status %d %q, %d jobs registered (was %d); want the router's answer alone and no job",
+			calls, rec.Code, rec.Body, len(s.JobIDs()), jobs)
 	}
 }

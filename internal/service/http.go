@@ -131,41 +131,29 @@ func submitError(w http.ResponseWriter, err error) {
 // parseProblem reads the request problem: the body in the paper's
 // Table IV spec format, or the built-in paper example with ?example=1
 // (and an empty body). The returned JobSource is the replayable origin
-// the journal records — HTTP submissions always have one. A fingerprint
-// comes back only with a handed-over parse (see parsedBody).
-func parseProblem(w http.ResponseWriter, r *http.Request) (*core.Problem, string, *JobSource, error) {
-	handed, _ := r.Body.(parsedBody)
+// the journal records — HTTP submissions always have one. The body comes
+// back too, for a router that sends the request elsewhere.
+func parseProblem(w http.ResponseWriter, r *http.Request) (*core.Problem, []byte, *JobSource, error) {
 	body, err := readBody(w, r, maxBodyBytes)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, nil, err
 	}
 	text := string(body)
 	blank := strings.TrimSpace(text) == ""
 	if r.URL.Query().Get("example") != "" {
 		if !blank {
-			return nil, "", nil, &BadRequestError{Msg: "example=1 takes no body"}
+			return nil, nil, nil, &BadRequestError{Msg: "example=1 takes no body"}
 		}
-		return netgen.PaperExample(), "", &JobSource{Example: true}, nil
+		return netgen.PaperExample(), body, &JobSource{Example: true}, nil
 	}
 	if blank {
-		return nil, "", nil, &BadRequestError{Msg: "empty body; POST a problem in the Table IV spec format (or use ?example=1)"}
-	}
-	if handed != nil {
-		p, fp := handed.Parsed()
-		return p, fp, &JobSource{Spec: text}, nil
+		return nil, nil, nil, &BadRequestError{Msg: "empty body; POST a problem in the Table IV spec format (or use ?example=1)"}
 	}
 	p, err := spec.Parse(strings.NewReader(text))
 	if err != nil {
-		return nil, "", nil, &BadRequestError{Msg: err.Error()}
+		return nil, nil, nil, &BadRequestError{Msg: err.Error()}
 	}
-	return p, "", &JobSource{Spec: text}, nil
-}
-
-// parsedBody is a request body that brings its own parse. The cluster
-// router parses and fingerprints a request to find its owner; when that
-// is this node it passes both on as the body, and they are not redone.
-type parsedBody interface {
-	Parsed() (prob *core.Problem, fingerprint string)
+	return p, body, &JobSource{Spec: text}, nil
 }
 
 // parseTimeout reads ?timeout=30s style deadlines.
@@ -188,10 +176,21 @@ func parseTimeout(q url.Values) (time.Duration, error) {
 //	?async=1         return 202 + job id immediately; poll /v1/jobs/{id}
 //	?stream=1        NDJSON event stream: queued, started, bound…, done
 //	?example=1       use the built-in paper example problem
+//
+// This is the one place a synthesis request is read, limited, parsed
+// and fingerprinted; a router the cluster installs (SetRouter) then
+// decides whether it runs here.
 func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	prob, fp, src, err := parseProblem(w, r)
+	prob, body, src, err := parseProblem(w, r)
 	if err != nil {
 		submitError(w, err)
+		return
+	}
+	fp := spec.Fingerprint(prob)
+	s.peerMu.Lock()
+	route := s.router
+	s.peerMu.Unlock()
+	if route != nil && route(w, r, body, fp) {
 		return
 	}
 	opts, err := submitOptions(r)

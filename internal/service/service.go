@@ -281,6 +281,9 @@ type Service struct {
 	// append; the cluster WAL shipper uses it to ship segments with
 	// sub-interval latency. Guarded by peerMu.
 	journalNotify func()
+	// router, when set, may send a synthesis request elsewhere (see
+	// Router). Guarded by peerMu.
+	router Router
 
 	nextID          atomic.Int64
 	submitted       atomic.Int64
@@ -613,8 +616,8 @@ type SubmitOptions struct {
 	// queue, results) is identical to an ordinary submission, which is
 	// what keeps what-if answers cache-compatible with /v1/synthesize.
 	whatif bool
-	// fingerprint is the problem's fingerprint when the HTTP layer was
-	// handed it with the parse (see parsedBody); empty, Submit computes it.
+	// fingerprint is the problem's fingerprint when the HTTP layer has
+	// already computed it to route the request; empty, Submit computes it.
 	fingerprint string
 }
 
