@@ -455,3 +455,66 @@ func TestRejoinHandshakeReadmitsAndTruncatesStaleJournal(t *testing.T) {
 		return true
 	})
 }
+
+// TestStopDuringRejoinReturnsPromptly: a node that sees a view excluding
+// it re-runs the join handshake in the background, and Stop must cut that
+// handshake short instead of waiting out an RPC timeout on each seed. The
+// seeds here accept connections and never answer.
+func TestStopDuringRejoinReturnsPromptly(t *testing.T) {
+	const rpcTimeout = 3 * time.Second
+	accepted := make(chan struct{}, 1)
+	var seeds []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			var conns []net.Conn
+			defer func() {
+				for _, c := range conns {
+					c.Close()
+				}
+			}()
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				conns = append(conns, c)
+				select {
+				case accepted <- struct{}{}:
+				default:
+				}
+			}
+		}()
+		seeds = append(seeds, "http://"+ln.Addr().String())
+	}
+	svc, err := service.Open(service.Config{Workers: 1, NodeID: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	node, err := New(svc, Config{
+		NodeID:     "n1",
+		Peers:      map[string]string{"n1": "http://n1"},
+		RPCTimeout: rpcTimeout,
+		Logf:       func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	node.installView(newView(1, map[string]string{"n2": seeds[0], "n3": seeds[1]}), "a view without n1")
+	select {
+	case <-accepted:
+	case <-time.After(rpcTimeout):
+		t.Fatal("the re-join never reached a seed")
+	}
+	start := time.Now()
+	node.Stop()
+	if d := time.Since(start); d > rpcTimeout/3 {
+		t.Fatalf("Stop took %v during a background re-join, want well inside the %v RPC timeout", d, rpcTimeout)
+	}
+}

@@ -148,9 +148,10 @@ func (m *membership) url(id string) string {
 	return ""
 }
 
-// beatOK records a successful heartbeat (or any successful RPC — proof
-// of life is proof of life) carrying the peer's reported queue depth,
-// and reports whether a suspect or dead peer has just come back.
+// beatOK records a successful heartbeat carrying the peer's reported
+// queue depth, and reports whether a suspect or dead peer has just come
+// back. Only heartbeats count: other RPCs that succeed leave the peer's
+// state alone.
 func (m *membership) beatOK(id string, queueDepth int) (back bool) {
 	p := m.lookup(id)
 	if p == nil {

@@ -76,11 +76,13 @@ type Node struct {
 	svc     *service.Service
 	selfURL string
 
-	// mu guards the current view and the ring derived from it; both are
+	// mu guards the current view, the ring derived from it and the ring
+	// it replaced (nil until the first view change): all three are
 	// replaced wholesale on every membership change.
-	mu   sync.Mutex
-	view *view
-	ring *ring
+	mu       sync.Mutex
+	view     *view
+	ring     *ring
+	prevRing *ring
 
 	mem *membership
 
@@ -123,12 +125,6 @@ type Node struct {
 	epochRejects  atomic.Int64
 	joinsAdmitted atomic.Int64
 	rejoins       atomic.Int64
-	reshards      atomic.Int64
-	rangesMoved   atomic.Int64
-	entriesSent   atomic.Int64
-	entriesRecv   atomic.Int64
-	handoffSent   atomic.Int64
-	handoffRecv   atomic.Int64
 }
 
 // New wires a node around svc. The service must have been opened with
@@ -208,15 +204,16 @@ func (n *Node) epoch() uint64 {
 
 // installView adopts v if it supersedes the current view: the ring is
 // rebuilt, membership tracking synced, every member the view drops
-// handled as dead, WAL shipping retargeted at the new successors, stale
-// shadows of origins this node no longer follows dropped, and the
-// bounded handoff protocol streams moved-range state to its new owners.
-// Views received on the wire (heartbeat responses and epoch-mismatch
-// rejections both carry the responder's full view) come here too, and
-// most do not supersede. A superseding view that excludes this node is
-// never installed; it triggers the self-healing re-join handshake
-// instead (the node was declared dead while alive, or lost a concurrent
-// view merge).
+// handled as dead, WAL shipping retargeted at the new successors, and
+// stale shadows of origins this node no longer follows dropped. The
+// replaced ring is kept: peer fill asks a key's owner under it, which
+// is how a proven entry follows a key the change moved. Views received
+// on the wire (heartbeat responses and epoch-mismatch rejections both
+// carry the responder's full view) come here too, and most do not
+// supersede. A superseding view that excludes this node is never
+// installed; it triggers the self-healing re-join handshake instead
+// (the node was declared dead while alive, or lost a concurrent view
+// merge).
 func (n *Node) installView(v *view, why string) bool {
 	n.mu.Lock()
 	if !v.supersedes(n.view) {
@@ -232,6 +229,7 @@ func (n *Node) installView(v *view, why string) bool {
 	oldRing := n.ring
 	n.view = v
 	n.ring = newRing(v.ids())
+	n.prevRing = oldRing
 	newR := n.ring
 	n.mu.Unlock()
 
@@ -268,14 +266,8 @@ func (n *Node) installView(v *view, why string) bool {
 			}
 		}
 	}
-	moved := movedRanges(oldRing, newR)
-	if len(moved) > 0 {
-		n.reshards.Add(1)
-		n.rangesMoved.Add(int64(len(moved)))
-		n.goAsync(func() { n.handoff(moved, v) })
-	}
-	n.cfg.Logf("cluster: view epoch %d installed (%s): members=%v, %d ranges moved, successors=%v",
-		v.epoch, why, v.ids(), len(moved), newR.successors(n.cfg.NodeID, replicationFactor))
+	n.cfg.Logf("cluster: view epoch %d installed (%s): members=%v, successors=%v",
+		v.epoch, why, v.ids(), newR.successors(n.cfg.NodeID, replicationFactor))
 	return true
 }
 
@@ -295,7 +287,8 @@ func (n *Node) triggerRejoin(v *view) {
 	n.cfg.Logf("cluster: view epoch %d excludes this node; re-running the join handshake", v.epoch)
 	n.goAsync(func() {
 		defer n.rejoining.Store(false)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		// On stopCtx, so that Stop cuts short a handshake in flight.
+		ctx, cancel := context.WithTimeout(n.stopCtx, 30*time.Second)
 		defer cancel()
 		adopted, err := n.Join(ctx, seeds)
 		if err != nil {
@@ -400,7 +393,16 @@ func (n *Node) Join(ctx context.Context, seeds []string) ([]string, error) {
 				lastErr = jerr
 				continue
 			}
-			n.installView(newView(resp.Epoch, resp.Members), "admitted via "+seed)
+			if v := newView(resp.Epoch, resp.Members); n.installView(v, "admitted via "+seed) {
+				// The ring this node ran outside the cluster says nothing of
+				// where entries are: before the admission the cluster ran
+				// the admitted view without this node.
+				n.mu.Lock()
+				if n.view == v {
+					n.prevRing = newRing(v.without(n.cfg.NodeID).ids())
+				}
+				n.mu.Unlock()
+			}
 			n.rejoins.Add(1)
 			n.cfg.Logf("cluster: joined at epoch %d, %d job IDs adopted elsewhere", resp.Epoch, len(resp.AdoptedIDs))
 			return resp.AdoptedIDs, nil
@@ -548,112 +550,42 @@ func (n *Node) retry(attempts int, fn func() error) error {
 	}
 }
 
-// handoff streams moved-range state to the new owners after a
-// re-shard: proven cache entries for the fingerprint ranges this node
-// lost, plus its queued jobs in those ranges (delegated, so completions
-// post back here and the jobs stay registered under their origin).
-// In-flight jobs are untouched — they finish where they run.
-func (n *Node) handoff(moved []keyRange, v *view) {
-	byTarget := map[string][]keyRange{}
-	for _, kr := range moved {
-		if kr.from != n.cfg.NodeID || kr.to == n.cfg.NodeID {
-			continue
-		}
-		if _, member := v.members[kr.to]; !member {
-			continue
-		}
-		byTarget[kr.to] = append(byTarget[kr.to], kr)
-	}
-	for target, ranges := range byTarget {
-		n.handoffTo(target, ranges)
-	}
-}
-
-const (
-	// handoffChunk bounds cache entries per handoff RPC.
-	handoffChunk = 32
-	// handoffJobBatch caps queued jobs delegated to one new owner per
-	// re-shard; cache entries are unbounded but chunked.
-	handoffJobBatch = 16
-)
-
-func (n *Node) handoffTo(target string, ranges []keyRange) {
-	match := func(fp string) bool {
-		h := hash64(fp)
-		for _, kr := range ranges {
-			if kr.contains(h) {
-				return true
-			}
-		}
-		return false
-	}
-	var entries []handoffEntry
-	n.svc.CacheEach(func(fp string, mode service.Mode, res *service.Result) {
-		if match(fp) {
-			entries = append(entries, handoffEntry{Fingerprint: fp, Mode: mode, Result: res})
-		}
-	})
-	jobs := n.svc.DelegateMatching(target, handoffJobBatch, match)
-	if len(entries) == 0 && len(jobs) == 0 {
-		return
-	}
-	sentJobs := false
-	for len(entries) > 0 || !sentJobs {
-		chunk := entries
-		if len(chunk) > handoffChunk {
-			chunk = chunk[:handoffChunk]
-		}
-		req := handoffRequest{From: n.cfg.NodeID, Epoch: n.epoch(), Entries: chunk}
-		if !sentJobs {
-			req.Jobs = jobs
-		}
-		if !n.postHandoff(target, req) {
-			if !sentJobs && len(jobs) > 0 {
-				// The new owner never accepted the delegated jobs:
-				// reclaim them so they run here instead of stalling to
-				// their deadlines.
-				n.svc.ReenqueueStolen(target)
-			}
-			n.cfg.Logf("cluster: handoff to %s failed; %d entries not moved", target, len(entries))
-			return
-		}
-		if !sentJobs {
-			sentJobs = true
-			n.handoffSent.Add(int64(len(jobs)))
-		}
-		n.entriesSent.Add(int64(len(chunk)))
-		entries = entries[len(chunk):]
-	}
-	n.cfg.Logf("cluster: handed off moved ranges to %s", target)
-}
-
-// postHandoff delivers one handoff chunk with brief retries (the target
-// may lag one heartbeat behind on the new epoch).
-func (n *Node) postHandoff(target string, req handoffRequest) bool {
-	var resp handoffResponse
-	return n.retry(3, func() error {
-		return n.call(n.stopCtx, http.MethodPost, n.mem.url(target)+"/cluster/v1/handoff", req, &resp)
-	}) == nil
-}
-
-// peerFill is the service's cold-miss hook: ask the ring owner of the
-// fingerprint for an already-proven result before solving locally.
+// peerFill is the service's cold-miss hook, and the one way a proven
+// result moves between nodes: before solving locally, ask the ring
+// owner of the fingerprint, then its owner under the ring the last view
+// change replaced, which still holds what it proved before a join or a
+// death moved the key. Self, a node already asked and a node outside
+// the installed view are skipped — membership calls an untracked ID
+// alive, so only the view rules out a dead previous owner — and a
+// cluster whose view never changed asks once.
 func (n *Node) peerFill(ctx context.Context, fp string, mode service.Mode) (*service.Result, bool) {
-	owner := n.curRing().owner(fp, n.mem.alive)
-	if owner == "" || owner == n.cfg.NodeID {
-		return nil, false
+	n.mu.Lock()
+	v, rings := n.view, []*ring{n.ring, n.prevRing}
+	n.mu.Unlock()
+	asked := ""
+	for _, r := range rings {
+		if r == nil {
+			continue
+		}
+		owner := r.owner(fp, n.mem.alive)
+		base := v.members[owner]
+		if base == "" || owner == n.cfg.NodeID || owner == asked {
+			continue
+		}
+		asked = owner
+		n.fillAsked.Add(1)
+		url := fmt.Sprintf("%s/cluster/v1/cache?fp=%s&mode=%s&v=%d&epoch=%d",
+			base, fp, mode, spec.FingerprintVersion, v.epoch)
+		cctx, cancel := context.WithTimeout(ctx, n.cfg.RPCTimeout)
+		var res service.Result
+		err := n.call(cctx, http.MethodGet, url, nil, &res)
+		cancel()
+		if err == nil {
+			n.fillHits.Add(1)
+			return &res, true
+		}
 	}
-	n.fillAsked.Add(1)
-	url := fmt.Sprintf("%s/cluster/v1/cache?fp=%s&mode=%s&v=%d&epoch=%d",
-		n.mem.url(owner), fp, mode, spec.FingerprintVersion, n.epoch())
-	cctx, cancel := context.WithTimeout(ctx, n.cfg.RPCTimeout)
-	defer cancel()
-	var res service.Result
-	if err := n.call(cctx, http.MethodGet, url, nil, &res); err != nil {
-		return nil, false
-	}
-	n.fillHits.Add(1)
-	return &res, true
+	return nil, false
 }
 
 const (
@@ -697,10 +629,9 @@ func (n *Node) stealOnce() {
 	}
 }
 
-// runStolen solves one stolen (or handed-off) job as an ordinary local
-// submission (so it is cached, journaled, and counted here like any
-// other job) and posts the outcome back to the origin, which still owns
-// the job.
+// runStolen solves one stolen job as an ordinary local submission (so
+// it is cached, journaled, and counted here like any other job) and
+// posts the outcome back to the origin, which still owns the job.
 func (n *Node) runStolen(origin string, job service.StolenJob) {
 	// A fingerprint mismatch means the two nodes disagree about
 	// canonicalization: the steal is refused rather than mis-cached.
@@ -712,7 +643,7 @@ func (n *Node) runStolen(origin string, job service.StolenJob) {
 	}
 	timeout := time.Duration(job.RemainingMS) * time.Millisecond
 	if timeout <= 0 {
-		// Already expired at hand-off: the origin's deadline watcher
+		// Already expired when stolen: the origin's deadline watcher
 		// cancels it there; nothing to do here.
 		return
 	}

@@ -25,11 +25,11 @@
 //     reject stale epochs, and a restarting node re-admits itself
 //     through a join handshake that auto-truncates whatever its stale
 //     journal would have double-replayed;
-//   - a membership change re-shards the ring: moved fingerprint ranges
-//     are computed exactly (set difference of the two rings) and the
-//     old owner streams its proven cache entries and queued jobs for
-//     those ranges to the new owner, while in-flight jobs finish where
-//     they run and forward results.
+//   - a membership change re-shards the ring and streams nothing: a
+//     cold miss asks the key's owner and then its owner under the ring
+//     the change replaced, so a proven entry follows its key on demand,
+//     one miss at a time, while queued and in-flight jobs finish on the
+//     node that holds them.
 //
 // The layer is strictly additive: a node with no peers behaves exactly
 // like a single confserved.
@@ -44,9 +44,9 @@ import (
 
 // vnodesPerNode is how many virtual points each node contributes to the
 // ring. 256 keeps every node's ownership share within 20% of uniform
-// for the cluster sizes we run (the re-sharding property tests assert
-// this), while the ring stays small enough that lookups and the moved-
-// range diff remain trivially cheap.
+// for the cluster sizes we run (TestRingVnodeDistributionNearUniform
+// asserts this), while the ring stays small enough that building one
+// per view change and a lookup per cold miss remain trivially cheap.
 const vnodesPerNode = 256
 
 type vnode struct {
@@ -54,9 +54,9 @@ type vnode struct {
 	node string
 }
 
-// ring is an immutable consistent-hash ring over the static member
-// list. Liveness is supplied per lookup, so the ring itself never needs
-// rebuilding when nodes fail or recover.
+// ring is an immutable consistent-hash ring over one view's members;
+// every view change builds a new one. Liveness is supplied per lookup,
+// so a suspect or recovering node needs no rebuild.
 type ring struct {
 	points []vnode  // sorted by hash
 	nodes  []string // distinct members, sorted

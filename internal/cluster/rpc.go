@@ -134,25 +134,6 @@ type shadowStateResponse struct {
 	Records int    `json:"records"`
 }
 
-// handoffEntry is one proven cache entry streamed to a range's new
-// owner during re-sharding.
-type handoffEntry struct {
-	Fingerprint string          `json:"fp"`
-	Mode        service.Mode    `json:"mode"`
-	Result      *service.Result `json:"result"`
-}
-
-type handoffRequest struct {
-	From    string              `json:"from"`
-	Epoch   uint64              `json:"epoch"`
-	Entries []handoffEntry      `json:"entries,omitempty"`
-	Jobs    []service.StolenJob `json:"jobs,omitempty"`
-}
-
-type handoffResponse struct {
-	Accepted int `json:"accepted"`
-}
-
 // PeerInfo is one peer's liveness row in /statsz.
 type PeerInfo struct {
 	URL           string    `json:"url"`
@@ -192,17 +173,6 @@ type Stats struct {
 	EpochRejects  int64 `json:"epoch_rejects,omitempty"`
 	JoinsAdmitted int64 `json:"joins_admitted,omitempty"`
 	Rejoins       int64 `json:"rejoins,omitempty"`
-	// Reshards counts installed views that moved ranges; RangesMoved is
-	// the total arc count across them.
-	Reshards    int64 `json:"reshards,omitempty"`
-	RangesMoved int64 `json:"ranges_moved,omitempty"`
-	// Handoff counters: proven cache entries and delegated queued jobs
-	// streamed out to (Sent) or accepted from (Recv) peers during
-	// re-sharding.
-	HandoffEntriesSent int64 `json:"handoff_entries_sent,omitempty"`
-	HandoffEntriesRecv int64 `json:"handoff_entries_recv,omitempty"`
-	HandoffJobsSent    int64 `json:"handoff_jobs_sent,omitempty"`
-	HandoffJobsRecv    int64 `json:"handoff_jobs_recv,omitempty"`
 
 	ShippedBytes    int64                  `json:"shipped_bytes,omitempty"`
 	ShipResyncs     int64                  `json:"ship_resyncs,omitempty"`
@@ -213,30 +183,24 @@ type Stats struct {
 func (n *Node) stats() Stats {
 	v := n.currentView()
 	st := Stats{
-		NodeID:             n.cfg.NodeID,
-		FPVersion:          int(spec.FingerprintVersion),
-		Epoch:              v.epoch,
-		Members:            v.ids(),
-		Peers:              n.mem.snapshot(),
-		RequestsForwarded:  n.forwarded.Load(),
-		ForwardFailures:    n.forwardFails.Load(),
-		FillAsked:          n.fillAsked.Load(),
-		FillHits:           n.fillHits.Load(),
-		FillServed:         n.fillServed.Load(),
-		JobsStolen:         n.jobsStolen.Load(),
-		PostsApplied:       n.postsApplied.Load(),
-		PostsFailed:        n.postsFailed.Load(),
-		Takeovers:          n.takeovers.Load(),
-		VersionSkew:        n.versionSkew.Load(),
-		EpochRejects:       n.epochRejects.Load(),
-		JoinsAdmitted:      n.joinsAdmitted.Load(),
-		Rejoins:            n.rejoins.Load(),
-		Reshards:           n.reshards.Load(),
-		RangesMoved:        n.rangesMoved.Load(),
-		HandoffEntriesSent: n.entriesSent.Load(),
-		HandoffEntriesRecv: n.entriesRecv.Load(),
-		HandoffJobsSent:    n.handoffSent.Load(),
-		HandoffJobsRecv:    n.handoffRecv.Load(),
+		NodeID:            n.cfg.NodeID,
+		FPVersion:         int(spec.FingerprintVersion),
+		Epoch:             v.epoch,
+		Members:           v.ids(),
+		Peers:             n.mem.snapshot(),
+		RequestsForwarded: n.forwarded.Load(),
+		ForwardFailures:   n.forwardFails.Load(),
+		FillAsked:         n.fillAsked.Load(),
+		FillHits:          n.fillHits.Load(),
+		FillServed:        n.fillServed.Load(),
+		JobsStolen:        n.jobsStolen.Load(),
+		PostsApplied:      n.postsApplied.Load(),
+		PostsFailed:       n.postsFailed.Load(),
+		Takeovers:         n.takeovers.Load(),
+		VersionSkew:       n.versionSkew.Load(),
+		EpochRejects:      n.epochRejects.Load(),
+		JoinsAdmitted:     n.joinsAdmitted.Load(),
+		Rejoins:           n.rejoins.Load(),
 	}
 	if n.ship != nil {
 		st.Successors = n.ship.followers()
@@ -265,7 +229,6 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 	mux.HandleFunc("POST /cluster/v1/complete", n.handleComplete)
 	mux.HandleFunc("POST /cluster/v1/walship", n.handleWALShip)
 	mux.HandleFunc("POST /cluster/v1/join", n.handleJoin)
-	mux.HandleFunc("POST /cluster/v1/handoff", n.handleHandoff)
 	mux.HandleFunc("GET /cluster/v1/jobids", n.handleJobIDs)
 	mux.HandleFunc("GET /cluster/v1/shadowstate", n.handleShadowState)
 	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
@@ -499,31 +462,6 @@ func (n *Node) handleShadowState(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleHandoff accepts moved-range state from the old owner after a
-// re-shard: proven cache entries seed the local cache, delegated queued
-// jobs run here with completions posted back to the origin.
-func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	var req handoffRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if n.rejectEpoch(w, req.Epoch) {
-		return
-	}
-	for _, e := range req.Entries {
-		n.svc.CacheSeed(e.Fingerprint, e.Mode, e.Result)
-	}
-	n.entriesRecv.Add(int64(len(req.Entries)))
-	for _, job := range req.Jobs {
-		n.handoffRecv.Add(1)
-		job := job
-		origin := req.From
-		n.goAsync(func() { n.runStolen(origin, job) })
-	}
-	writeJSON(w, http.StatusOK, handoffResponse{Accepted: len(req.Entries) + len(req.Jobs)})
 }
 
 // route is the service's synthesis router (service.Router): a request

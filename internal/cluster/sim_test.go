@@ -272,9 +272,9 @@ func (tr simTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // quiesce waits until the cluster has gone quiet: no live service has a
 // queued job and no goroutine but this one is running Node code (a
-// handoff, a stolen job, a rejoin, a worker's peer fill) or a service's
-// runJob. Only then are the nodes' WaitGroups waited on, so that wait
-// never blocks while another node's goroutine could still add to one.
+// stolen job, a rejoin, a worker's peer fill) or a service's runJob.
+// Only then are the nodes' WaitGroups waited on, so that wait never
+// blocks while another node's goroutine could still add to one.
 func (sn *simNet) quiesce() {
 	sn.t.Helper()
 	buf := make([]byte, 1<<20)
@@ -660,10 +660,12 @@ func (r *simRun) mergedDeaths() {
 	r.event("kill %s and %s; %s detects %s and %s detects %s in the same round", x.id, y.id, a.id, x.id, b.id, y.id)
 	r.kill(x.id, y.id)
 	for _, d := range [][2]*simNode{{a, x}, {b, y}} {
-		// DeadAfter missed beats in a row; once the death view is
-		// installed the peer is untracked and further misses are no-ops.
+		// DeadAfter missed beats in a row: the last reports the death, and
+		// the detector proposes its death view as heartbeatAll would.
 		for i := 0; i < d[0].node.cfg.DeadAfter; i++ {
-			d[0].node.mem.beatMissed(d[1].id)
+			if d[0].node.mem.beatMissed(d[1].id) {
+				d[0].node.handleDeath(d[1].id)
+			}
 		}
 		r.quiesce()
 	}
@@ -979,77 +981,160 @@ func TestClusterSimFalseDeathThenRealDeath(t *testing.T) {
 	}
 }
 
-// TestClusterSimJoinHandsOffMovedRanges: a join moves ranges to the new
-// node, and their old owners must hand over what they hold in them —
-// every proven cache entry, and their queued jobs, which the new owner
-// runs and completes back at their origin.
-func TestClusterSimJoinHandsOffMovedRanges(t *testing.T) {
+// variantWhere returns the first variant whose fingerprint meets cond,
+// with that fingerprint.
+func variantWhere(t *testing.T, cond func(fp string) bool) (int, string) {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if fp := spec.Fingerprint(mustParse(t, variantSpec(t, i))); cond(fp) {
+			return i, fp
+		}
+	}
+	t.Fatal("no variant meets the condition")
+	return 0, ""
+}
+
+// solveOn solves variant i on n, so that n holds its proven entry.
+func solveOn(t *testing.T, n *simNode, i int) {
+	t.Helper()
+	j, err := n.svc.Submit(mustParse(t, variantSpec(t, i)), service.SubmitOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterSimJoinFillsMovedEntries: a join moves keys to the new node
+// and streams nothing; a proven entry follows its key on the miss that
+// needs it. Every entry whose owner moved to n4 is answered without a
+// solve, both pinned on a node that is neither its old nor its new owner
+// (n4 misses, the old owner hits) and submitted at n4, which owns it now.
+// A job queued on n1 whose key moved stays on n1 and completes there.
+func TestClusterSimJoinFillsMovedEntries(t *testing.T) {
 	sn := newSimNet(t)
 	peers := sn.peers("n1", "n2", "n3")
 	n1 := sn.boot("n1", peers, true) // workers held: its job stays queued
-	n2 := sn.boot("n2", peers, false)
-	n3 := sn.boot("n3", peers, false)
+	sn.boot("n2", peers, false)
+	sn.boot("n3", peers, false)
 	before, after := newRing([]string{"n1", "n2", "n3"}), newRing([]string{"n1", "n2", "n3", "n4"})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 
-	// Proven entries, solved on n2 and seeded into n1 and n3, so every old
-	// owner holds every one; and one job queued on n1 whose range moves
-	// from n1 to n4.
-	var fps []string
-	queued, moved := -1, 0
-	for i := 0; moved < 3 || queued < 0; i++ {
+	// Proven entries whose keys move from n2 or n3 to n4, each solved on
+	// its old owner only; and one job queued on n1 whose key moves to n4.
+	var moved []int
+	queued := -1
+	for i := 0; len(moved) < 3 || queued < 0; i++ {
 		fp := spec.Fingerprint(mustParse(t, variantSpec(t, i)))
-		if queued < 0 && before.owner(fp, nil) == "n1" && after.owner(fp, nil) == "n4" {
-			queued = i
-			continue
-		}
-		j, err := n2.svc.Submit(mustParse(t, variantSpec(t, i)), service.SubmitOptions{Timeout: time.Minute})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := j.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		n1.svc.CacheSeed(fp, service.ModeSolve, res)
-		n3.svc.CacheSeed(fp, service.ModeSolve, res)
-		fps = append(fps, fp)
-		if after.owner(fp, nil) == "n4" {
-			moved++
+		switch from := before.owner(fp, nil); {
+		case after.owner(fp, nil) != "n4":
+		case from == "n1":
+			if queued < 0 {
+				queued = i
+			}
+		case len(moved) < 3:
+			solveOn(t, sn.nodes[from], i)
+			moved = append(moved, i)
 		}
 	}
-	job, err := n1.svc.Submit(mustParse(t, variantSpec(t, queued)), service.SubmitOptions{
-		Timeout: time.Minute,
-		Source:  &service.JobSource{Spec: variantSpec(t, queued)},
-	})
+	job, err := n1.svc.Submit(mustParse(t, variantSpec(t, queued)), service.SubmitOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	n4 := sn.boot("n4", sn.peers("n4"), false)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
 	if _, err := n4.node.Join(ctx, []string{simURL("n1"), simURL("n2"), simURL("n3")}); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range sn.live() { // the join view reaches n2 and n3
 		n.node.heartbeatAll()
 	}
-	waitFor(t, "the handed-off job completed back at n1", 30*time.Second, func() bool {
-		return job.State() == service.StateDone
-	})
-	if res, err := job.Result(); err != nil || res.Status != "sat" {
-		t.Fatalf("handed-off job: %+v, %v", res, err)
-	}
-	if n1.node.handoffSent.Load() != 1 || n4.node.handoffRecv.Load() != 1 {
-		t.Errorf("handoff jobs sent by n1 %d, received by n4 %d; want 1 and 1",
-			n1.node.handoffSent.Load(), n4.node.handoffRecv.Load())
-	}
-	waitFor(t, "every moved proven entry held by n4", 30*time.Second, func() bool {
-		for _, fp := range fps {
-			if _, ok := n4.svc.CacheLookup(fp, service.ModeSolve); after.owner(fp, nil) == "n4" && !ok {
-				return false
+
+	for _, i := range moved {
+		from := before.owner(spec.Fingerprint(mustParse(t, variantSpec(t, i))), nil)
+		other := sn.nodes["n2"]
+		if from == "n2" {
+			other = sn.nodes["n3"]
+		}
+		for _, at := range []*simNode{other, n4} {
+			hits := at.node.fillHits.Load()
+			j, ok := at.svc.Job(sn.submit(at, i, at != n4))
+			if !ok {
+				t.Fatalf("%s refused variant %d", at.id, i)
+			}
+			res, err := j.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Cached || at.node.fillHits.Load() != hits+1 {
+				t.Errorf("variant %d moved %s -> n4, submitted at %s: cached %v, %d fill hits; want a hit filled from %s",
+					i, from, at.id, res.Cached, at.node.fillHits.Load()-hits, from)
 			}
 		}
-		return true
+	}
+
+	n1.svc.StartWorkers()
+	if res, err := job.Wait(ctx); err != nil || res.Status != "sat" {
+		t.Fatalf("job queued on n1: %+v, %v", res, err)
+	}
+	if got := n1.svc.Stats().JobsStolenFromMe; got != 0 {
+		t.Errorf("n1 delegated %d jobs, want its queued job to run where it was queued", got)
+	}
+}
+
+// TestClusterSimPeerFillCandidates: a cold miss asks the key's owner,
+// then its owner under the ring the last view change replaced, skipping
+// self, a node already asked and a node outside the installed view.
+func TestClusterSimPeerFillCandidates(t *testing.T) {
+	sn := newSimNet(t, "n1", "n2", "n3")
+	n1 := sn.nodes["n1"]
+	three := newRing([]string{"n1", "n2", "n3"})
+	four := newRing([]string{"n1", "n2", "n3", "n4"})
+	check := func(what, fp string, wantAsks int64, wantHit bool) {
+		t.Helper()
+		asked := n1.node.fillAsked.Load()
+		_, hit := n1.node.peerFill(context.Background(), fp, service.ModeSolve)
+		if got := n1.node.fillAsked.Load() - asked; got != wantAsks || hit != wantHit {
+			t.Errorf("%s: %d asks, hit %v; want %d asks, hit %v", what, got, hit, wantAsks, wantHit)
+		}
+	}
+
+	_, fp := variantWhere(t, func(fp string) bool { return three.owner(fp, nil) == "n2" })
+	check("no view change", fp, 1, false)
+
+	// A key moving n2 -> n4 whose entry n2 holds; one moving from n1
+	// itself; one that stays on n2.
+	i, movedFP := variantWhere(t, func(fp string) bool {
+		return three.owner(fp, nil) == "n2" && four.owner(fp, nil) == "n4"
 	})
+	solveOn(t, sn.nodes["n2"], i)
+	_, fromSelf := variantWhere(t, func(fp string) bool {
+		return three.owner(fp, nil) == "n1" && four.owner(fp, nil) == "n4"
+	})
+	_, stays := variantWhere(t, func(fp string) bool {
+		return three.owner(fp, nil) == "n2" && four.owner(fp, nil) == "n2"
+	})
+	n4 := sn.boot("n4", sn.peers("n4"), false)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := n4.node.Join(ctx, []string{simURL("n1")}); err != nil {
+		t.Fatal(err)
+	}
+	sn.heartbeatRound()
+	check("after a join, the key's old owner", movedFP, 2, true)
+	check("after a join, previous owner is self", fromSelf, 1, false)
+	check("after a join, previous owner is the current one", stays, 1, false)
+
+	// n2 dies: its keys' previous owner is outside the view, and no RPC
+	// goes to it.
+	without := newRing([]string{"n1", "n3", "n4"})
+	_, deadFP := variantWhere(t, func(fp string) bool {
+		return four.owner(fp, nil) == "n2" && without.owner(fp, nil) != "n1"
+	})
+	sn.kill("n2")
+	n1.node.handleDeath("n2")
+	sn.quiesce()
+	check("previous owner dead", deadFP, 1, false)
 }

@@ -120,86 +120,3 @@ func (r *ring) successors(node string, k int) []string {
 	}
 	return out
 }
-
-// keyRange is one contiguous arc (lo, hi] of the 64-bit hash space
-// whose owner changed between two rings; hi < lo means the arc wraps
-// through zero. from/to name the old and new owners.
-type keyRange struct {
-	lo, hi   uint64
-	from, to string
-}
-
-// contains reports whether hash h falls in the (lo, hi] arc.
-func (kr keyRange) contains(h uint64) bool {
-	if kr.lo < kr.hi {
-		return h > kr.lo && h <= kr.hi
-	}
-	return h > kr.lo || h <= kr.hi
-}
-
-// ownerAt maps a raw hash to its ring owner, ignoring liveness (pure
-// ring geometry — the unit movedRanges compares).
-func (r *ring) ownerAt(h uint64) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	i := sort.Search(len(r.points), func(k int) bool { return r.points[k].hash >= h })
-	return r.points[i%len(r.points)].node
-}
-
-// movedRanges computes exactly the arcs of the hash space whose owner
-// differs between old and new — the set difference of the two rings'
-// ownership functions. Both rings' vnode points partition the space
-// into segments on which ownership is constant in each ring; adjacent
-// segments with the same (from, to) movement are merged.
-func movedRanges(oldr, newr *ring) []keyRange {
-	if len(oldr.points) == 0 || len(newr.points) == 0 {
-		return nil
-	}
-	// Boundary points: the sorted distinct union of both rings' vnode
-	// hashes. On the arc between two consecutive boundaries no ring has
-	// a vnode, so each ring's owner is constant there: the owner at the
-	// arc's upper boundary.
-	bounds := make([]uint64, 0, len(oldr.points)+len(newr.points))
-	for _, p := range oldr.points {
-		bounds = append(bounds, p.hash)
-	}
-	for _, p := range newr.points {
-		bounds = append(bounds, p.hash)
-	}
-	sort.Slice(bounds, func(i, k int) bool { return bounds[i] < bounds[k] })
-	uniq := bounds[:0]
-	for i, b := range bounds {
-		if i == 0 || b != uniq[len(uniq)-1] {
-			uniq = append(uniq, b)
-		}
-	}
-	bounds = uniq
-
-	var out []keyRange
-	for i, hi := range bounds {
-		lo := bounds[(i-1+len(bounds))%len(bounds)] // wrap: first arc is (last, first]
-		from, to := oldr.ownerAt(hi), newr.ownerAt(hi)
-		if from == to {
-			continue
-		}
-		// Merge with the previous arc when contiguous and same movement.
-		if len(out) > 0 {
-			prev := &out[len(out)-1]
-			if prev.hi == lo && prev.from == from && prev.to == to {
-				prev.hi = hi
-				continue
-			}
-		}
-		out = append(out, keyRange{lo: lo, hi: hi, from: from, to: to})
-	}
-	// The wrap arc may merge with the first arc (both cross zero).
-	if len(out) > 1 {
-		first, last := &out[0], &out[len(out)-1]
-		if last.hi == first.lo && last.from == first.from && last.to == first.to {
-			first.lo = last.lo
-			out = out[:len(out)-1]
-		}
-	}
-	return out
-}

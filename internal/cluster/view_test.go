@@ -124,64 +124,6 @@ func TestRingVnodeDistributionNearUniform(t *testing.T) {
 	}
 }
 
-// TestMovedRangesAreExactSetDifference: for random (old, new) ring
-// pairs drawn from a membership walk, a hash falls inside some moved
-// range if and only if its owner differs between the rings, and the
-// range's from/to annotations match the actual owners. This is the
-// contract the handoff protocol relies on: streaming exactly the moved
-// ranges moves every key that changed hands and no key that did not.
-func TestMovedRangesAreExactSetDifference(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	start := newView(0, map[string]string{
-		"n1": "http://n1:9101", "n2": "http://n2:9101",
-		"n3": "http://n3:9101", "n4": "http://n4:9101",
-	})
-	views := randomMembershipWalk(rng, start, 25)
-	for step := 1; step < len(views); step++ {
-		oldr, newr := newRing(views[step-1].ids()), newRing(views[step].ids())
-		moved := movedRanges(oldr, newr)
-		// Sample both uniform hashes and hashes near range boundaries
-		// (off-by-one in the (lo, hi] convention shows up only there).
-		hashes := make([]uint64, 0, 2000+4*len(moved))
-		for i := 0; i < 2000; i++ {
-			hashes = append(hashes, rng.Uint64())
-		}
-		for _, kr := range moved {
-			hashes = append(hashes, kr.lo, kr.lo+1, kr.hi, kr.hi+1)
-		}
-		for _, h := range hashes {
-			from, to := oldr.ownerAt(h), newr.ownerAt(h)
-			var in *keyRange
-			for i := range moved {
-				if moved[i].contains(h) {
-					if in != nil {
-						t.Fatalf("step %d: hash %#x in two moved ranges", step, h)
-					}
-					in = &moved[i]
-				}
-			}
-			if (from != to) != (in != nil) {
-				t.Fatalf("step %d: hash %#x owner %q->%q but in-moved=%v",
-					step, h, from, to, in != nil)
-			}
-			if in != nil && (in.from != from || in.to != to) {
-				t.Fatalf("step %d: hash %#x moved %q->%q but range says %q->%q",
-					step, h, from, to, in.from, in.to)
-			}
-		}
-	}
-}
-
-// TestMovedRangesEmptyWhenRingUnchanged: identical member sets move
-// nothing, regardless of construction order.
-func TestMovedRangesEmptyWhenRingUnchanged(t *testing.T) {
-	a := newRing([]string{"n1", "n2", "n3"})
-	b := newRing([]string{"n3", "n2", "n1"})
-	if moved := movedRanges(a, b); len(moved) != 0 {
-		t.Fatalf("identical rings moved %d ranges", len(moved))
-	}
-}
-
 // TestSuccessorsDeterministicAndDerivableByAnyMember: the follower set
 // is a pure function of the member list, every member computes the same
 // followers for any node, and a dead node's followers are derivable

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"configsynth/internal/wal"
@@ -71,28 +70,6 @@ func (s *Service) CacheLookup(fingerprint string, mode Mode) (*Result, bool) {
 	}
 	cp := *e.res
 	return &cp, true
-}
-
-// CacheEach iterates the proven-result cache — the re-sharding handoff
-// streams moved-range entries to their new ring owner with it. The
-// callback's result pointer is shared and must be treated as immutable.
-func (s *Service) CacheEach(fn func(fingerprint string, mode Mode, res *Result)) {
-	s.cache.Each(func(key string, e *cached) {
-		mode, fp, ok := strings.Cut(key, ":")
-		if !ok {
-			return
-		}
-		fn(fp, Mode(mode), e.res)
-	})
-}
-
-// CacheSeed inserts a peer-shipped proven result (re-sharding handoff).
-// Only proven answers are accepted, mirroring what a local solve would
-// have cached.
-func (s *Service) CacheSeed(fingerprint string, mode Mode, res *Result) {
-	if fingerprint != "" {
-		s.seed(fingerprint, mode, res)
-	}
 }
 
 // JobIDs lists every registered job ID (pending or retained terminal),
@@ -181,14 +158,6 @@ type StolenJob struct {
 // ReenqueueStolen. Only jobs with a replayable source are eligible,
 // since a stolen job ships as spec text.
 func (s *Service) StealJobs(peer string, max int) []StolenJob {
-	return s.DelegateMatching(peer, max, nil)
-}
-
-// DelegateMatching is StealJobs with a fingerprint filter: the
-// re-sharding handoff uses it to delegate exactly the queued jobs whose
-// fingerprints fall in ranges this node no longer owns. A nil match
-// accepts every job.
-func (s *Service) DelegateMatching(peer string, max int, match func(fingerprint string) bool) []StolenJob {
 	if peer == "" || max <= 0 {
 		return nil
 	}
@@ -200,9 +169,6 @@ func (s *Service) DelegateMatching(peer string, max int, match func(fingerprint 
 	for _, j := range cands {
 		if len(out) >= max {
 			break
-		}
-		if match != nil && !match(j.Fingerprint) {
-			continue
 		}
 		if !j.tryDelegate(peer) {
 			continue

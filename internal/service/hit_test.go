@@ -205,8 +205,9 @@ func TestFirstHitRendersOnce(t *testing.T) {
 }
 
 // TestEvictionDropsRenderedBody: rendered bytes belong to one entry. A
-// key that is evicted and solved again, or overwritten by seed (a cluster
-// handoff), renders afresh from the result now stored.
+// key that is evicted and solved again, or overwritten by seed (a peer
+// fill or a remote completion), renders afresh from the result now
+// stored.
 func TestEvictionDropsRenderedBody(t *testing.T) {
 	s, srv := newTestServer(t, Config{Workers: 1, CacheEntries: 1})
 	post := func(text, xcache string) Result {
@@ -238,11 +239,12 @@ func TestEvictionDropsRenderedBody(t *testing.T) {
 		t.Fatal("the re-solved key kept its evicted entry")
 	}
 
-	// A handoff overwrites the key with the peer's result: the next hit
-	// is that result, not the bytes rendered a moment ago.
+	// A peer fill or a remote completion overwrites the key with the
+	// peer's result: the next hit is that result, not the bytes rendered
+	// a moment ago.
 	shipped := *old.res
 	shipped.ElapsedMS = 12345.5
-	s.CacheSeed(first.Fingerprint, first.Mode, &shipped)
+	s.seed(first.Fingerprint, first.Mode, &shipped)
 	if got := post(specVariant(0), "hit"); got.ElapsedMS != shipped.ElapsedMS {
 		t.Errorf("hit after a re-seed has elapsed_ms %v, want the seeded %v", got.ElapsedMS, shipped.ElapsedMS)
 	}

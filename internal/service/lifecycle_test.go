@@ -268,12 +268,13 @@ func assertLifecycle(t *testing.T, s *Service) {
 	if len(ring) != len(jobs) {
 		t.Errorf("retention ring holds %d IDs for %d registered jobs", len(ring), len(jobs))
 	}
-	s.CacheEach(func(fp string, mode Mode, res *Result) {
+	s.cache.Each(func(key string, e *cached) {
+		res := e.res
 		if res.Degraded || (res.Status == "sat" && (res.Design == nil || !res.Design.Exact)) {
-			t.Errorf("cache holds an unproven result for %s/%.12s: %+v", mode, fp, res)
+			t.Errorf("cache holds an unproven result for %.20s: %+v", key, res)
 		}
 		if res.Cached || res.Session != "" {
-			t.Errorf("stored result for %s/%.12s carries response marks: cached=%v session=%q", mode, fp, res.Cached, res.Session)
+			t.Errorf("stored result for %.20s carries response marks: cached=%v session=%q", key, res.Cached, res.Session)
 		}
 	})
 }
