@@ -33,6 +33,10 @@ func (s *Synthesizer) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// SolverStatsOf returns the counters of the synthesizer's solver,
+// including the inprocessing ones ModelStats leaves out.
+func SolverStatsOf(s *Synthesizer) smt.Stats { return s.sol.Stats() }
+
 // HookReserve puts hook in front of the encoder's capacity reservation
 // until the returned function is called: it sees the variable and clause
 // counts every encode reserves with, and the reservation itself happens

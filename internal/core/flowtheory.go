@@ -260,7 +260,8 @@ func (t *flowTheory) activeBounds() (isoK int64, isoLit sat.Lit, budget int64, b
 
 // Propagate implements sat.Theory: it refreshes dirty flows and reports
 // a conflict when the maximum achievable isolation under the active
-// usability budget falls below an active isolation threshold.
+// usability budget falls below an active isolation threshold. The
+// conflict aliases t.expl, as sat.Theory allows.
 func (t *flowTheory) Propagate(s *sat.Solver) []sat.Lit {
 	if !t.stateDirt {
 		return nil
@@ -322,9 +323,7 @@ func (t *flowTheory) Propagate(s *sat.Solver) []sat.Lit {
 			}
 		}
 	}
-	conflict := make([]sat.Lit, len(t.expl))
-	copy(conflict, t.expl)
-	return conflict
+	return t.expl
 }
 
 // topGains sums the d largest per-flow gains.

@@ -378,7 +378,8 @@ func (t *Theory) Explain(p sat.Lit, tag int32) []sat.Lit {
 
 // Propagate implements sat.Theory. It processes all constraints whose sum
 // rose above their watermark since the last call, reporting a conflict
-// clause or implying literals via s.TheoryEnqueueLazy.
+// clause or implying literals via s.TheoryEnqueueLazy. A conflict aliases
+// t.expl, as sat.Theory allows.
 func (t *Theory) Propagate(s *sat.Solver) []sat.Lit {
 	for len(t.touched) > 0 {
 		id := t.touched[len(t.touched)-1]
@@ -386,10 +387,7 @@ func (t *Theory) Propagate(s *sat.Solver) []sat.Lit {
 		t.onQueue[id] = false
 		c := t.constraints[id]
 		if c.sum > c.bound {
-			expl := t.explain(c, sat.LitUndef, c.bound)
-			conflict := make([]sat.Lit, len(expl))
-			copy(conflict, expl)
-			return conflict
+			return t.explain(c, sat.LitUndef, c.bound)
 		}
 		// Weights are sorted descending: once w <= slack no further
 		// literal can propagate.
@@ -407,10 +405,7 @@ func (t *Theory) Propagate(s *sat.Solver) []sat.Lit {
 			if !s.TheoryEnqueueLazy(tm.lit.Not(), t, id) {
 				// tm.lit is already true: the eager reason clause is
 				// fully false, i.e., a conflict.
-				reason := t.explain(c, tm.lit.Not(), c.bound-tm.weight)
-				conflict := make([]sat.Lit, len(reason))
-				copy(conflict, reason)
-				return conflict
+				return t.explain(c, tm.lit.Not(), c.bound-tm.weight)
 			}
 		}
 	}

@@ -183,6 +183,73 @@ func TestPortfolioAssistDeterminism(t *testing.T) {
 	}
 }
 
+// TestAssistAcrossWorkerCounts pins what Assist promises across worker
+// counts, at Workers 1 (the sequential synthesizer) and 3 (a racing
+// engine): every row reports the same optimum and the same Exact flag,
+// and both designs pass core.Verify at that optimum with the same
+// recomputed isolation tenths. The designs themselves may differ: a
+// racing engine may extract another, equally optimal model.
+func TestAssistAcrossWorkerCounts(t *testing.T) {
+	p := smallPaperExample()
+	levels := []int{40, 60, 80}
+	type row struct {
+		entry  core.AssistEntry
+		design *core.Design
+	}
+	assist := func(workers int) []row {
+		s, err := New(p, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var designs []*core.Design
+		entries, err := core.AssistTable(p, levels, func(u int, budget int64) (float64, *core.Design, error) {
+			iso, d, err := s.MaxIsolation(u, budget)
+			designs = append(designs, d)
+			return iso, d, err
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		rows := make([]row, len(entries))
+		for i, e := range entries {
+			rows[i] = row{e, designs[i]}
+		}
+		return rows
+	}
+	one, three := assist(1), assist(3)
+	for i, level := range levels {
+		a, b := one[i], three[i]
+		if a.entry.IsolationTenths != b.entry.IsolationTenths {
+			t.Errorf("usability %d: optimum %d at one worker, %d at three", level, a.entry.IsolationTenths, b.entry.IsolationTenths)
+		}
+		if (a.design == nil) != (b.design == nil) {
+			t.Fatalf("usability %d: a design at one worker %v, at three %v", level, a.design != nil, b.design != nil)
+		}
+		if a.design == nil {
+			continue
+		}
+		if a.design.Exact != b.design.Exact {
+			t.Errorf("usability %d: Exact %v at one worker, %v at three", level, a.design.Exact, b.design.Exact)
+		}
+		q := *p
+		q.Thresholds = core.Thresholds{IsolationTenths: a.entry.IsolationTenths, UsabilityTenths: level, CostBudget: p.Thresholds.CostBudget}
+		var tenths [2]int
+		for k, d := range []*core.Design{a.design, b.design} {
+			res, err := core.Verify(&q, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK() {
+				t.Errorf("usability %d, design %d of 2: %v", level, k+1, res.Violations)
+			}
+			tenths[k] = int(res.Isolation * 10)
+		}
+		if tenths[0] != tenths[1] {
+			t.Errorf("usability %d: recomputed isolation %d tenths at one worker, %d at three", level, tenths[0], tenths[1])
+		}
+	}
+}
+
 // TestPortfolioRepeatability re-runs the same query on one racing
 // portfolio: later runs race against solvers that carry learnt clauses
 // from earlier runs, and must still agree.

@@ -197,8 +197,10 @@ func (s *Solver) maybeGC() {
 // every cref root: watcher lists, reasons of assigned variables, and the
 // problem/learnt clause lists. Freed clauses are dropped; shrunk-clause
 // tail waste disappears because relocation copies only the current size.
+// The slab keeps the old capacity: an exact fit would make the next
+// learnt clause copy the whole arena again to grow it.
 func (s *Solver) garbageCollect() {
-	to := make([]Lit, 0, len(s.arena)-s.wasted)
+	to := make([]Lit, 0, cap(s.arena))
 	for i := range s.watches {
 		ws := s.watches[i]
 		for j := range ws {

@@ -41,7 +41,7 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 	if s.decisionLevel() != 0 {
 		panic("sat: Clone off the root level")
 	}
-	n := len(s.assigns)
+	n := s.NumVars()
 	room := n + cloneVarRoom
 	c := &Solver{
 		wasted:     s.wasted,
@@ -49,7 +49,7 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 		clauseRefs: slices.Clone(s.clauseRefs),
 		learntRefs: slices.Clone(s.learntRefs),
 
-		assigns:  append(make([]LBool, 0, room), s.assigns...),
+		vals:     append(make([]LBool, 0, 2*room), s.vals...),
 		level:    append(make([]int32, 0, room), s.level...),
 		trailPos: append(make([]int32, 0, room), s.trailPos...),
 		reason:   append(make([]int32, 0, room), s.reason...),

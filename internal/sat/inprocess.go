@@ -1,6 +1,9 @@
 package sat
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Inprocessing: bounded simplification of the clause database between
 // restarts, while the trail is back at the root level. Two passes run:
@@ -123,32 +126,51 @@ func (s *Solver) subsumptionPass() bool {
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		si, sj := s.clsSize(cands[i]), s.clsSize(cands[j])
-		if si != sj {
-			return si < sj
+	slices.SortFunc(cands, func(a, b int32) int {
+		if c := cmp.Compare(s.clsSize(a), s.clsSize(b)); c != 0 {
+			return c
 		}
-		return cands[i] < cands[j]
+		return cmp.Compare(a, b)
 	})
 
-	// Occurrence lists and variable signatures. occ is keyed by variable
-	// (not literal) so one scan serves both subsumption and
-	// self-subsuming resolution; sigs are 64-bit variable blooms for the
-	// cheap superset pre-check.
-	occ := make([][]int32, len(s.assigns))
-	sig := make(map[int32]uint64, len(cands))
-	for _, cref := range cands {
+	// Occurrence lists and variable signatures, both keyed by candidate
+	// index. occ is keyed by variable (not literal) so one scan serves
+	// both subsumption and self-subsuming resolution; it is one flat
+	// slice, where occ[at[v]:at[v+1]] lists the candidates containing v
+	// in candidate order. sig[i] is candidate i's 64-bit variable bloom
+	// for the cheap superset pre-check. None of it outlives the pass:
+	// kept on the solver, the tables would be a second copy of the
+	// clause store's variables in every live solver, for a pass that
+	// runs once per inprocessPeriod conflicts.
+	nv := s.NumVars()
+	at := make([]int32, nv+2)
+	sig := make([]uint64, len(cands))
+	for i, cref := range cands {
 		var g uint64
 		for _, l := range s.clsLits(cref) {
-			occ[l.Var()] = append(occ[l.Var()], cref)
+			at[l.Var()+2]++
 			g |= 1 << (uint(l.Var()) % 64)
 		}
-		sig[cref] = g
+		sig[i] = g
 	}
+	// Counting sort: after the prefix sum at[v+1] is where v's list
+	// starts, and filling advances it to where the list ends, which is
+	// where v+1's list starts.
+	for v := 2; v < len(at); v++ {
+		at[v] += at[v-1]
+	}
+	occ := make([]int32, at[nv+1])
+	for i, cref := range cands {
+		for _, l := range s.clsLits(cref) {
+			occ[at[l.Var()+1]] = int32(i)
+			at[l.Var()+1]++
+		}
+	}
+	occOf := func(v Var) []int32 { return occ[at[v]:at[v+1]] }
 
 	budget := subsumeBudget
 	unitsAdded := false
-	for _, c := range cands {
+	for ci, c := range cands {
 		if budget <= 0 {
 			break
 		}
@@ -163,21 +185,22 @@ func (s *Solver) subsumptionPass() bool {
 		// Scan the occurrence list of C's rarest variable.
 		minV := clits[0].Var()
 		for _, l := range clits[1:] {
-			if len(occ[l.Var()]) < len(occ[minV]) {
+			if len(occOf(l.Var())) < len(occOf(minV)) {
 				minV = l.Var()
 			}
 		}
 		cs := len(clits)
-		csig := sig[c]
-		for _, d := range occ[minV] {
+		csig := sig[ci]
+		for _, di := range occOf(minV) {
 			if budget <= 0 {
 				break
 			}
-			if d == c || s.clsFreed(d) {
+			d := cands[di]
+			if di == int32(ci) || s.clsFreed(d) {
 				continue
 			}
 			dlits := s.clsLits(d)
-			if len(dlits) < cs || csig&^sig[d] != 0 {
+			if len(dlits) < cs || csig&^sig[di] != 0 {
 				continue
 			}
 			budget -= len(dlits)

@@ -100,7 +100,7 @@ func (s *Solver) ImportClause(lits []Lit) {
 	s.shareSeen[fp] = struct{}{}
 	out := cp[:0]
 	for _, l := range cp {
-		if int(l.Var()) >= len(s.assigns) {
+		if int(l.Var()) >= s.NumVars() {
 			return // foreign variable: not our encoding, drop defensively
 		}
 		switch s.ValueLit(l) {

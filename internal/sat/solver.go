@@ -1,11 +1,11 @@
 package sat
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"configsynth/internal/faults"
@@ -29,7 +29,9 @@ type Theory interface {
 	// Propagate runs theory propagation to fixpoint. The implementation
 	// may call s.TheoryEnqueueLazy to imply literals. It returns a non-nil
 	// conflict clause (all of whose literals are currently false) if the
-	// partial assignment is theory-inconsistent, and nil otherwise.
+	// partial assignment is theory-inconsistent, and nil otherwise. The
+	// conflict may alias theory scratch: the solver only reads it until
+	// its next Explain or Propagate call on the theory.
 	Propagate(s *Solver) []Lit
 }
 
@@ -241,7 +243,7 @@ type Solver struct {
 	reservedClauses int
 	watchChunk      []watcher
 
-	assigns  []LBool
+	vals     []LBool // per literal: written and cleared for l and l.Not() together
 	level    []int32
 	trailPos []int32 // trail index at which the variable was assigned
 	reason   []int32 // cref, reasonNone, or reasonTheory
@@ -258,6 +260,7 @@ type Solver struct {
 
 	seen      []byte
 	analyzeTs []Lit
+	learnt    []Lit   // analyze's learnt clause; attachNew and shareExport copy it
 	lbdStamp  []int64 // per-level stamp for LBD computation
 	lbdTick   int64
 
@@ -377,7 +380,7 @@ func (s *Solver) ResetSearchState() {
 	// all-zero heap with no swaps). Assigned (root-fixed) variables stay
 	// in the heap, as they do on a fresh solver; decide() skips them.
 	s.order.heap = s.order.heap[:0]
-	for v := range s.assigns {
+	for v := range s.NumVars() {
 		s.order.heap = append(s.order.heap, Var(v))
 		s.order.indices[v] = int32(v)
 	}
@@ -390,12 +393,12 @@ func (s *Solver) ResetSearchState() {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // Stats returns a snapshot of the solver counters.
 func (s *Solver) Stats() Stats {
 	st := s.stats
-	st.Vars = len(s.assigns)
+	st.Vars = s.NumVars()
 	st.Clauses = len(s.clauseRefs)
 	st.Learnts = len(s.learntRefs)
 	return st
@@ -413,7 +416,7 @@ func (s *Solver) Stats() Stats {
 // state. The arena is never pre-allocated past its cap: a formula that
 // does not fit still fails at the allocation that overflows.
 func (s *Solver) Reserve(vars, clauses, arenaWords int) {
-	s.assigns = reserve(s.assigns, vars)
+	s.vals = reserve(s.vals, 2*vars)
 	s.level = reserve(s.level, vars)
 	s.trailPos = reserve(s.trailPos, vars)
 	s.reason = reserve(s.reason, vars)
@@ -440,8 +443,8 @@ func reserve[S ~[]E, E any](s S, total int) S {
 
 // NewVar allocates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, Undef)
+	v := Var(s.NumVars())
+	s.vals = append(s.vals, Undef, Undef)
 	s.level = append(s.level, 0)
 	s.trailPos = append(s.trailPos, 0)
 	s.reason = append(s.reason, reasonNone)
@@ -456,16 +459,10 @@ func (s *Solver) NewVar() Var {
 }
 
 // Value returns the current assignment of v.
-func (s *Solver) Value(v Var) LBool { return s.assigns[v] }
+func (s *Solver) Value(v Var) LBool { return s.vals[PosLit(v)] }
 
 // ValueLit returns the current truth value of l.
-func (s *Solver) ValueLit(l Lit) LBool {
-	b := s.assigns[l.Var()]
-	if l.Neg() {
-		return b.Not()
-	}
-	return b
-}
+func (s *Solver) ValueLit(l Lit) LBool { return s.vals[l] }
 
 // ModelValue returns l's value in the model found by the last Sat result.
 func (s *Solver) ModelValue(l Lit) LBool {
@@ -613,18 +610,12 @@ func (s *Solver) removeClause(cref int32) {
 }
 
 func (s *Solver) enqueue(p Lit, from int32) bool {
-	switch s.ValueLit(p) {
-	case True:
-		return true
-	case False:
-		return false
+	if b := s.vals[p]; b != Undef {
+		return b == True
 	}
 	v := p.Var()
-	if p.Neg() {
-		s.assigns[v] = False
-	} else {
-		s.assigns[v] = True
-	}
+	s.vals[p] = True
+	s.vals[p.Not()] = False
 	s.level[v] = int32(s.decisionLevel())
 	s.trailPos[v] = int32(len(s.trail))
 	s.reason[v] = from
@@ -646,11 +637,8 @@ func (s *Solver) enqueue(p Lit, from int32) bool {
 // already false; the caller should then report a conflict with the same
 // explanation it would have given here.
 func (s *Solver) TheoryEnqueueLazy(p Lit, ex LazyExplainer, tag int32) bool {
-	if s.ValueLit(p) == False {
-		return false
-	}
-	if s.ValueLit(p) == True {
-		return true
+	if b := s.vals[p]; b != Undef {
+		return b == True
 	}
 	v := p.Var()
 	s.lazyEx[v] = ex
@@ -747,7 +735,8 @@ func (s *Solver) cancelUntil(lvl int) {
 		for _, t := range s.theories {
 			t.Unassign(p)
 		}
-		s.assigns[v] = Undef
+		s.vals[p] = Undef
+		s.vals[p.Not()] = Undef
 		s.polarity[v] = p.Neg()
 		if s.reason[v] == reasonTheory {
 			s.lazyEx[v] = nil
@@ -766,8 +755,8 @@ func (s *Solver) reasonLits(v Var) []Lit {
 		return nil
 	case reasonTheory:
 		p := PosLit(v)
-		if s.assigns[v] == False {
-			p = NegLit(v)
+		if s.vals[p] == False {
+			p = p.Not()
 		}
 		return s.lazyEx[v].Explain(p, s.lazyTag[v])
 	default:
@@ -819,9 +808,10 @@ func (s *Solver) computeLBD(lits []Lit) int {
 }
 
 // analyze performs first-UIP conflict analysis. It returns the learnt
-// clause (asserting literal first) and the backtrack level.
+// clause (asserting literal first) and the backtrack level. The clause
+// is the solver's own buffer, valid until the next analyze.
 func (s *Solver) analyze(confl []Lit) ([]Lit, int) {
-	learnt := []Lit{LitUndef}
+	learnt := append(s.learnt[:0], LitUndef)
 	counter := 0
 	p := LitUndef
 	idx := len(s.trail) - 1
@@ -890,6 +880,7 @@ func (s *Solver) analyze(confl []Lit) ([]Lit, int) {
 		btLevel = int(s.level[learnt[1].Var()])
 	}
 	s.stats.LearntLitsSum += int64(len(learnt))
+	s.learnt = learnt
 	return learnt, btLevel
 }
 
@@ -953,8 +944,7 @@ func (s *Solver) reduceDB() {
 		act  float32
 	}
 	locked := func(cref int32, lits []Lit) bool {
-		v := lits[0].Var()
-		return s.assigns[v] != Undef && s.reason[v] == cref
+		return s.vals[lits[0]] != Undef && s.reason[lits[0].Var()] == cref
 	}
 	cands := make([]cand, 0, len(s.learntRefs))
 	for _, c := range s.learntRefs {
@@ -971,14 +961,14 @@ func (s *Solver) reduceDB() {
 	}
 	// Worst first: highest LBD, then lowest activity; cref breaks ties
 	// deterministically (older clauses drop first).
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].lbd != cands[j].lbd {
-			return cands[i].lbd > cands[j].lbd
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.lbd, a.lbd); c != 0 {
+			return c
 		}
-		if cands[i].act != cands[j].act {
-			return cands[i].act < cands[j].act
+		if c := cmp.Compare(a.act, b.act); c != 0 {
+			return c
 		}
-		return cands[i].cref < cands[j].cref
+		return cmp.Compare(a.cref, b.cref)
 	})
 	drop := cands[:len(cands)/2]
 	for _, e := range drop {
@@ -1175,7 +1165,10 @@ func (s *Solver) search(maxConflicts int64) Status {
 			if next == LitUndef {
 				// Full assignment: theory has confirmed consistency
 				// via propagate, so this is a model.
-				s.model = append(s.model[:0], s.assigns...)
+				s.model = s.model[:0]
+				for v := range s.NumVars() {
+					s.model = append(s.model, s.Value(Var(v)))
+				}
 				return Sat
 			}
 			s.stats.Decisions++
@@ -1192,14 +1185,14 @@ func (s *Solver) pickBranch() Lit {
 	if f := s.cfg.RandomFreqMilli; f > 0 && len(s.order.heap) > 0 &&
 		int(s.nextRand()%1000) < f {
 		v := s.order.heap[s.nextRand()%uint64(len(s.order.heap))]
-		if s.assigns[v] == Undef {
+		if s.Value(v) == Undef {
 			s.stats.RandomDecisions++
 			return MkLit(v, s.polarity[v])
 		}
 	}
 	for len(s.order.heap) > 0 {
 		v := s.order.pop()
-		if s.assigns[v] == Undef {
+		if s.Value(v) == Undef {
 			return MkLit(v, s.polarity[v])
 		}
 	}
@@ -1214,8 +1207,8 @@ func (s *Solver) pickBranch() Lit {
 // half of the CONFSYNTH_VERIFY self-check; the PB half lives in
 // internal/pb.
 func (s *Solver) VerifyModel() error {
-	if len(s.model) != len(s.assigns) {
-		return fmt.Errorf("sat: model covers %d of %d variables", len(s.model), len(s.assigns))
+	if len(s.model) != s.NumVars() {
+		return fmt.Errorf("sat: model covers %d of %d variables", len(s.model), s.NumVars())
 	}
 	for v, b := range s.model {
 		if b == Undef {
