@@ -8,9 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"configsynth/internal/core"
-	"configsynth/internal/spec"
 )
 
 // maxBatchBodyBytes bounds POST /v1/batch bodies: a batch carries up to
@@ -32,9 +29,9 @@ type BatchItem struct {
 }
 
 // SubmitBatch admits every variant as its own job, in order. All specs
-// are parsed up front — one malformed variant rejects the whole batch
+// are scanned up front — one malformed variant rejects the whole batch
 // before any work is enqueued — and each admission goes through the
-// ordinary Submit path: identical variants collapse onto the
+// ordinary submission path: identical variants collapse onto the
 // whole-problem cache, distinct ones are journaled before enqueue so a
 // crash mid-batch replays exactly the accepted, unfinished jobs and
 // nothing else. A full queue is waited out (batches are bursts above
@@ -57,7 +54,7 @@ func (s *Service) SubmitBatch(ctx context.Context, variants []BatchVariant, opts
 
 	type parsed struct {
 		name string
-		prob *core.Problem
+		in   scanned
 		src  *JobSource
 	}
 	seen := make(map[string]bool, len(variants))
@@ -74,11 +71,12 @@ func (s *Service) SubmitBatch(ctx context.Context, variants []BatchVariant, opts
 		if strings.TrimSpace(v.Spec) == "" {
 			return nil, &BadRequestError{Msg: fmt.Sprintf("variant %q: empty spec", name)}
 		}
-		prob, err := spec.Parse(strings.NewReader(v.Spec))
+		src := &JobSource{Spec: v.Spec}
+		in, err := src.scan()
 		if err != nil {
 			return nil, &BadRequestError{Msg: fmt.Sprintf("variant %q: %v", name, err)}
 		}
-		items[i] = parsed{name: name, prob: prob, src: &JobSource{Spec: v.Spec}}
+		items[i] = parsed{name: name, in: in, src: src}
 	}
 
 	out := make([]BatchItem, 0, len(items))
@@ -86,7 +84,7 @@ func (s *Service) SubmitBatch(ctx context.Context, variants []BatchVariant, opts
 		o := opts
 		o.Source = it.src
 		for {
-			job, err := s.Submit(it.prob, o)
+			job, err := s.submit(it.in, o)
 			if err == nil {
 				out = append(out, BatchItem{Name: it.name, Job: job})
 				break

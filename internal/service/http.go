@@ -128,32 +128,36 @@ func submitError(w http.ResponseWriter, err error) {
 	writeError(w, status, "%s", msg)
 }
 
-// parseProblem reads the request problem: the body in the paper's
+// scanRequest reads the request problem — the body in the paper's
 // Table IV spec format, or the built-in paper example with ?example=1
-// (and an empty body). The returned JobSource is the replayable origin
-// the journal records — HTTP submissions always have one. The body comes
-// back too, for a router that sends the request elsewhere.
-func parseProblem(w http.ResponseWriter, r *http.Request) (*core.Problem, []byte, *JobSource, error) {
+// (and an empty body) — and fingerprints it without building it. The
+// returned JobSource is the replayable origin the journal records, which
+// HTTP submissions always have. The body comes back too, for a router
+// that sends the request elsewhere.
+func scanRequest(w http.ResponseWriter, r *http.Request) (scanned, []byte, *JobSource, error) {
 	body, err := readBody(w, r, maxBodyBytes)
 	if err != nil {
-		return nil, nil, nil, err
+		return scanned{}, nil, nil, err
 	}
 	text := string(body)
 	blank := strings.TrimSpace(text) == ""
-	if r.URL.Query().Get("example") != "" {
+	var src *JobSource
+	switch {
+	case r.URL.Query().Get("example") != "":
 		if !blank {
-			return nil, nil, nil, &BadRequestError{Msg: "example=1 takes no body"}
+			return scanned{}, nil, nil, &BadRequestError{Msg: "example=1 takes no body"}
 		}
-		return netgen.PaperExample(), body, &JobSource{Example: true}, nil
+		src = &JobSource{Example: true}
+	case blank:
+		return scanned{}, nil, nil, &BadRequestError{Msg: "empty body; POST a problem in the Table IV spec format (or use ?example=1)"}
+	default:
+		src = &JobSource{Spec: text}
 	}
-	if blank {
-		return nil, nil, nil, &BadRequestError{Msg: "empty body; POST a problem in the Table IV spec format (or use ?example=1)"}
-	}
-	p, err := spec.Parse(strings.NewReader(text))
+	in, err := src.scan()
 	if err != nil {
-		return nil, nil, nil, &BadRequestError{Msg: err.Error()}
+		return scanned{}, nil, nil, &BadRequestError{Msg: err.Error()}
 	}
-	return p, body, &JobSource{Spec: text}, nil
+	return in, body, src, nil
 }
 
 // parseTimeout reads ?timeout=30s style deadlines.
@@ -177,20 +181,20 @@ func parseTimeout(q url.Values) (time.Duration, error) {
 //	?stream=1        NDJSON event stream: queued, started, bound…, done
 //	?example=1       use the built-in paper example problem
 //
-// This is the one place a synthesis request is read, limited, parsed
+// This is the one place a synthesis request is read, limited, scanned
 // and fingerprinted; a router the cluster installs (SetRouter) then
-// decides whether it runs here.
+// decides whether it runs here. A request the cache answers never
+// builds its problem.
 func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	prob, body, src, err := parseProblem(w, r)
+	in, body, src, err := scanRequest(w, r)
 	if err != nil {
 		submitError(w, err)
 		return
 	}
-	fp := spec.Fingerprint(prob)
 	s.peerMu.Lock()
 	route := s.router
 	s.peerMu.Unlock()
-	if route != nil && route(w, r, body, fp) {
+	if route != nil && route(w, r, body, in.fp) {
 		return
 	}
 	opts, err := submitOptions(r)
@@ -198,8 +202,8 @@ func (s *Service) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	opts.Source, opts.fingerprint = src, fp
-	job, err := s.Submit(prob, opts)
+	opts.Source = src
+	job, err := s.submit(in, opts)
 	if err != nil {
 		submitError(w, err)
 		return

@@ -168,6 +168,9 @@ type Job struct {
 	Mode        Mode
 	Fingerprint string
 
+	// prob is the problem the job runs. A job the cache answered holds
+	// one only if its submitter handed it one whole; a job submitted as
+	// spec text keeps just src, and problem rebuilds from that.
 	prob   *core.Problem
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -225,6 +228,16 @@ func newJob(id string, mode Mode, prob *core.Problem, fp string) *Job {
 	}
 	j.publish(Event{Event: "queued"})
 	return j
+}
+
+// problem is the job's problem: the one it ran, or — for a job answered
+// from the cache that kept only its source — one rebuilt from the source
+// for the caller, and not kept.
+func (j *Job) problem() (*core.Problem, error) {
+	if j.prob != nil {
+		return j.prob, nil
+	}
+	return j.src.Problem(j.Fingerprint)
 }
 
 // State returns the job's current lifecycle state.

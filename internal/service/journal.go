@@ -106,50 +106,93 @@ func (s *Service) journalResult(j *Job) {
 	}
 }
 
-// sourceFor resolves the journaled form of a submission: the
-// caller-provided source verbatim, or a WriteProblem-derived spec that
-// provably re-parses to the same fingerprint. nil means the job cannot
-// be replayed (it is journaled anyway, so a crash converts it into an
-// explicit failure rather than silence).
-func sourceFor(prob *core.Problem, fp string, opts SubmitOptions) *JobSource {
-	if opts.Source != nil {
-		return opts.Source
-	}
+// sourceFor derives the journaled form of a submission that came with
+// none: a WriteProblem rendering that provably re-scans to the same
+// fingerprint. nil means the job cannot be replayed (it is journaled
+// anyway, so a crash converts it into an explicit failure rather than
+// silence).
+func sourceFor(prob *core.Problem, fp string) *JobSource {
 	var sb strings.Builder
 	if err := spec.WriteProblem(&sb, prob); err != nil {
 		return nil
 	}
-	re, err := spec.Parse(strings.NewReader(sb.String()))
-	if err != nil || spec.Fingerprint(re) != fp {
+	re, err := spec.Scan(sb.String())
+	if err != nil || re.Fingerprint() != fp {
 		return nil
 	}
 	return &JobSource{Spec: sb.String()}
 }
 
-// Problem rebuilds the problem a job was submitted with from its
-// journaled or shipped source and checks it still hashes to the
-// fingerprint it was accepted under. Journal replay, takeover adoption
-// and a stealing peer all reconstruct through here: a mismatch means
-// two builds (or two nodes) disagree about canonicalization, and the job
-// must fail rather than be solved and cached under the wrong key.
-func (src *JobSource) Problem(fingerprint string) (*core.Problem, error) {
-	var prob *core.Problem
-	switch {
-	case src == nil || (!src.Example && src.Spec == ""):
-		return nil, errors.New("job carries no replayable source")
-	case src.Example:
-		prob = netgen.PaperExample()
-	default:
-		p, err := spec.Parse(strings.NewReader(src.Spec))
-		if err != nil {
-			return nil, fmt.Errorf("re-parsing job spec: %w", err)
+// scanned is a submission known by its fingerprint before its problem is
+// built: a spec that passed every check of spec.Scan, or a whole problem
+// that passed Validate. A cache hit needs no more than the fingerprint.
+type scanned struct {
+	fp   string
+	spec *spec.Spec
+	prob *core.Problem // set for a problem submitted whole; spec is nil then
+}
+
+// problem is the submission's problem, built on a miss. A problem built
+// from a spec is validated like every submitted problem; Scan has made
+// Validate's checks already, so this cannot fail unless the two drift.
+func (in scanned) problem() (*core.Problem, error) {
+	if in.prob != nil {
+		return in.prob, nil
+	}
+	p := in.spec.Problem()
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// scan reads a non-empty source and fingerprints it. A spec is scanned,
+// not built; the paper example is built and validated, as it is small.
+func (src *JobSource) scan() (scanned, error) {
+	if src.Example {
+		p := netgen.PaperExample()
+		if err := p.Validate(); err != nil {
+			return scanned{}, err
 		}
-		prob = p
+		return scanned{fp: spec.Fingerprint(p), prob: p}, nil
 	}
-	if fp := spec.Fingerprint(prob); fp != fingerprint {
-		return nil, fmt.Errorf("job spec re-parses to fingerprint %.12s, want %.12s", fp, fingerprint)
+	sp, err := spec.Scan(src.Spec)
+	if err != nil {
+		return scanned{}, err
 	}
-	return prob, nil
+	return scanned{fp: sp.Fingerprint(), spec: sp}, nil
+}
+
+// check scans a journaled or shipped source and confirms it still hashes
+// to the fingerprint it was accepted under, without building its
+// problem: a caller whose cache answers the fingerprint never needs it.
+// Journal replay, takeover adoption and a stealing peer all come through
+// here: a mismatch means two builds (or two nodes) disagree about
+// canonicalization, and the job must fail rather than be solved and
+// cached under the wrong key.
+func (src *JobSource) check(fingerprint string) (scanned, error) {
+	if src == nil || (!src.Example && src.Spec == "") {
+		return scanned{}, errors.New("job carries no replayable source")
+	}
+	in, err := src.scan()
+	if err != nil {
+		return scanned{}, fmt.Errorf("re-parsing job spec: %w", err)
+	}
+	if in.fp != fingerprint {
+		return scanned{}, fmt.Errorf("job spec re-parses to fingerprint %.12s, want %.12s", in.fp, fingerprint)
+	}
+	return in, nil
+}
+
+// Problem rebuilds the problem a job was submitted with from its
+// journaled or shipped source, once check has confirmed the source still
+// hashes to the job's fingerprint.
+func (src *JobSource) Problem(fingerprint string) (*core.Problem, error) {
+	in, err := src.check(fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	return in.problem()
 }
 
 // source rebuilds the JobSource a submit record was journaled with; nil

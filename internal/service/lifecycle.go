@@ -55,21 +55,28 @@ func (s *Service) admit(j *Job, timeout time.Duration, parent context.Context) b
 // readmit is admit for a journaled submit record — this node's own after
 // a restart, or a dead peer's during takeover — under the record's
 // original ID, so clients polling GET /v1/jobs/{id} still find the job.
-// A record whose source no longer decodes to its fingerprint becomes an
-// explicit failed job rather than a silently dropped one; the fault is
-// the journal's, not the client's, so it is an ordinary error (HTTP 500)
-// on whichever node finds it.
+// Its source is checked against its fingerprint and looked up before
+// anything is built, as a request is: a record the cache answers never
+// builds its problem. A record whose source no longer decodes to its
+// fingerprint becomes an explicit failed job rather than a silently
+// dropped one; the fault is the journal's, not the client's, so it is
+// an ordinary error (HTTP 500) on whichever node finds it.
 func (s *Service) readmit(rec submitRecord) (*Job, bool) {
 	src := rec.source()
-	prob, err := src.Problem(rec.Fingerprint)
-	j := newJob(rec.ID, rec.Mode, prob, rec.Fingerprint)
+	in, err := src.check(rec.Fingerprint)
+	j := newJob(rec.ID, rec.Mode, in.prob, rec.Fingerprint)
 	j.journaled = true
 	j.src = src
-	if err != nil {
-		s.answer(j, nil, fmt.Errorf("journaled job cannot be rebuilt: %w", err))
-		return j, false
+	if err == nil {
+		if !s.admit(j, time.Duration(rec.TimeoutMS)*time.Millisecond, nil) {
+			return j, false // answered from the cache
+		}
+		if j.prob, err = in.problem(); err == nil {
+			return j, true
+		}
 	}
-	return j, s.admit(j, time.Duration(rec.TimeoutMS)*time.Millisecond, nil)
+	s.answer(j, nil, fmt.Errorf("journaled job cannot be rebuilt: %w", err))
+	return j, false
 }
 
 // answer settles a job at admission, before it ever reaches the queue.

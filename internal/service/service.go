@@ -616,39 +616,46 @@ type SubmitOptions struct {
 	// queue, results) is identical to an ordinary submission, which is
 	// what keeps what-if answers cache-compatible with /v1/synthesize.
 	whatif bool
-	// fingerprint is the problem's fingerprint when the HTTP layer has
-	// already computed it to route the request; empty, Submit computes it.
-	fingerprint string
 }
 
-// Submit fingerprints the problem, answers from the cache when it can,
-// and otherwise enqueues a job. The returned Job is terminal already on
-// a cache hit. ErrQueueFull signals backpressure.
+// Submit validates and fingerprints the problem, answers from the cache
+// when it can, and otherwise enqueues a job. The returned Job is
+// terminal already on a cache hit. ErrQueueFull signals backpressure.
 func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
+	if err := prob.Validate(); err != nil {
+		return nil, &BadRequestError{Msg: err.Error()}
+	}
+	return s.submit(scanned{fp: spec.Fingerprint(prob), prob: prob}, opts)
+}
+
+// submit is every submission once its fingerprint is known: one cache
+// lookup, and only a miss builds the problem, journals the job and
+// enqueues it. A hit job keeps what it was handed — its source text, or
+// the problem a caller submitted whole — and builds nothing.
+func (s *Service) submit(in scanned, opts SubmitOptions) (*Job, error) {
 	if opts.Mode == "" {
 		opts.Mode = ModeSolve
 	}
 	if !opts.Mode.valid() {
 		return nil, &BadRequestError{Msg: fmt.Sprintf("unknown mode %q", opts.Mode)}
 	}
-	if err := prob.Validate(); err != nil {
-		return nil, &BadRequestError{Msg: err.Error()}
-	}
-	fp := opts.fingerprint
-	if fp == "" {
-		fp = spec.Fingerprint(prob)
-	}
-	j := newJob(s.newJobID(), opts.Mode, prob, fp)
-	j.whatif = opts.whatif
+	j := newJob(s.newJobID(), opts.Mode, in.prob, in.fp)
+	j.whatif, j.src = opts.whatif, opts.Source
 	if !s.admit(j, opts.Timeout, opts.Parent) {
 		s.submitted.Add(1)
 		return j, nil
 	}
+	prob, err := in.problem()
+	if err != nil {
+		j.cancel()
+		return nil, &BadRequestError{Msg: err.Error()}
+	}
+	j.prob = prob
 	// A replayable source is needed for the journal and — in cluster
 	// mode — for work stealing, where a queued job ships to a peer as
 	// spec text.
-	if s.wal != nil || s.cfg.NodeID != "" {
-		j.src = sourceFor(prob, fp, opts)
+	if j.src == nil && (s.wal != nil || s.cfg.NodeID != "") {
+		j.src = sourceFor(prob, in.fp)
 	}
 	if err := s.accept(j); err != nil {
 		j.cancel()

@@ -56,13 +56,14 @@ func (s *Service) WhatIf(parentID string, delta WhatIfDelta, opts SubmitOptions)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, parentID)
 	}
-	if parent.prob == nil {
+	base, err := parent.problem()
+	if err != nil {
 		return nil, &BadRequestError{Msg: fmt.Sprintf("parent job %s has no reconstructable problem", parentID)}
 	}
 	if delta.empty() {
 		return nil, &BadRequestError{Msg: "empty delta: name at least one threshold or link change"}
 	}
-	prob, err := applyDelta(parent.prob, delta)
+	prob, err := applyDelta(base, delta)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"slices"
 	"sort"
 	"strconv"
 
 	"configsynth/internal/core"
+	"configsynth/internal/isolation"
 	"configsynth/internal/topology"
 	"configsynth/internal/usability"
 )
@@ -31,49 +33,70 @@ import (
 // execution knobs that cannot change the answer in the exact regime
 // (worker counts, solver diversification, self-check mode).
 func Canonical(p *core.Problem) []byte {
-	// The per-node, per-link, per-preplacement and per-flow lines — all
-	// but a few dozen bytes of a large problem — are appended with
-	// strconv into one buffer; fmt formats only the handful of lines
-	// whose count does not grow with the network.
 	size := 1024 + 40*len(p.Flows) + 24*len(p.Preplaced)
 	if p.Network != nil {
 		size += 24*p.Network.NumNodes() + 16*p.Network.NumLinks()
 	}
-	b := make([]byte, 0, size)
-	b = append(b, "configsynth-canon/1\n"...)
+	w := canonWriter{b: make([]byte, 0, size)}
+	w.problem(p)
+	return w.b
+}
 
-	opt := p.Options.Normalized()
-	b = fmt.Appendf(b, "options tunnel=%d alpha=%d maxroutes=%d maxhops=%d noft=%t sbudget=%d pbudget=%d\n",
-		opt.TunnelSlackHops, opt.AlphaPct, opt.Routes.MaxRoutes, opt.Routes.MaxHops,
-		opt.DisableFlowTheory, opt.SolverBudget, opt.ProbeBudget)
+// canonWriter writes the canonical form line by line; every line format
+// is spelled once, here, for Canonical, Fingerprint and
+// (*Spec).Fingerprint alike. The per-node, per-link, per-preplacement
+// and per-flow lines — all but a few dozen bytes of a large problem —
+// are appended with strconv; fmt formats only the handful of lines whose
+// count does not grow with the network. With h nil the writer collects
+// the whole form in b. With h set it hashes b whenever a line takes it
+// past flushAt, so a fingerprint never holds the form whole.
+type canonWriter struct {
+	b []byte
+	h hash.Hash
+}
 
-	th := p.Thresholds
-	b = fmt.Appendf(b, "thresholds iso=%d usa=%d cost=%d\n",
-		th.IsolationTenths, th.UsabilityTenths, th.CostBudget)
+// flushAt is how much a hashing canonWriter buffers between writes to
+// the hash.
+const flushAt = 2 << 10
 
+// newHasher starts a fingerprint: the format-version byte, then the
+// canonical form as it is written.
+func newHasher(version byte) canonWriter {
+	h := sha256.New()
+	h.Write([]byte{version})
+	return canonWriter{b: make([]byte, 0, flushAt+512), h: h}
+}
+
+// sum hashes what is left in the buffer and returns the hex digest.
+func (w *canonWriter) sum() string {
+	w.h.Write(w.b)
+	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// endLine ends the line being written.
+func (w *canonWriter) endLine() {
+	w.b = append(w.b, '\n')
+	if w.h != nil && len(w.b) >= flushAt {
+		w.h.Write(w.b)
+		w.b = w.b[:0]
+	}
+}
+
+// problem writes the canonical form of p.
+func (w *canonWriter) problem(p *core.Problem) {
+	w.head(p.Options.Normalized(), p.Thresholds)
 	if p.Network != nil {
 		// Node IDs are dense, so counting up is ascending ID order.
 		for id := 0; id < p.Network.NumNodes(); id++ {
 			n, _ := p.Network.Node(topology.NodeID(id))
-			b = appendInts(append(b, "node"...), int64(n.ID))
-			b = append(append(b, ' '), n.Kind.String()...)
-			b = append(append(append(b, ' '), n.Name...), '\n')
+			writeNode(w, n.ID, n.Kind, n.Name)
 		}
-		// Links are canonicalized as sorted endpoint pairs: LinkIDs depend
-		// on declaration order, which must not affect the fingerprint.
 		links := p.Network.Links()
 		pairs := make([][2]topology.NodeID, 0, len(links))
 		for _, l := range links {
-			a, c := l.A, l.B
-			if a > c {
-				a, c = c, a
-			}
-			pairs = append(pairs, [2]topology.NodeID{a, c})
+			pairs = append(pairs, [2]topology.NodeID{l.A, l.B})
 		}
-		slices.SortFunc(pairs, func(x, y [2]topology.NodeID) int { return slices.Compare(x[:], y[:]) })
-		for _, pr := range pairs {
-			b = append(appendInts(append(b, "link"...), int64(pr[0]), int64(pr[1])), '\n')
-		}
+		w.links(pairs)
 	}
 
 	if len(p.Preplaced) > 0 {
@@ -90,39 +113,22 @@ func Canonical(p *core.Problem) []byte {
 		}
 		slices.SortFunc(pres, func(x, y [3]int32) int { return slices.Compare(x[:], y[:]) })
 		for _, pr := range pres {
-			b = appendInts(append(b, "preplace"...), int64(pr[0]), int64(pr[1]))
-			b = append(strconv.AppendInt(append(b, " dev="...), int64(pr[2]), 10), '\n')
+			w.b = appendInts(append(w.b, "preplace"...), int64(pr[0]), int64(pr[1]))
+			w.b = strconv.AppendInt(append(w.b, " dev="...), int64(pr[2]), 10)
+			w.endLine()
 		}
 	}
 
 	if p.Catalog != nil {
-		for _, pat := range p.Catalog.Patterns() {
-			devs := make([]int, 0, len(pat.Devices))
-			for _, d := range pat.Devices {
-				devs = append(devs, int(d))
-			}
-			sort.Ints(devs)
-			b = fmt.Appendf(b, "pattern %d %q devs=%v usability=%d score=%d\n",
-				pat.ID, pat.Name, devs, pat.UsabilityPct, p.Catalog.Score(pat.ID))
-		}
-		for _, dev := range p.Catalog.Devices() {
-			b = fmt.Appendf(b, "device %d %q cost=%d\n", dev.ID, dev.Name, dev.Cost)
-		}
+		w.catalog(p.Catalog)
 	}
 
-	flows := slices.Clone(p.Flows)
-	slices.SortFunc(flows, func(a, c usability.Flow) int {
-		return cmp.Or(cmp.Compare(a.Src, c.Src), cmp.Compare(a.Dst, c.Dst), cmp.Compare(a.Svc, c.Svc))
-	})
-	for _, f := range flows {
+	for _, f := range sortedFlows(p.Flows) {
 		rank := 1
 		if p.Ranks != nil {
 			rank = p.Ranks.Rank(f)
 		}
-		req := p.Requirements != nil && p.Requirements.Required(f)
-		b = appendInts(append(b, "flow"...), int64(f.Src), int64(f.Dst), int64(f.Svc))
-		b = strconv.AppendInt(append(b, " rank="...), int64(rank), 10)
-		b = append(strconv.AppendBool(append(b, " require="...), req), '\n')
+		w.flow(f, rank, p.Requirements != nil && p.Requirements.Required(f))
 	}
 
 	if p.Policies != nil {
@@ -134,10 +140,83 @@ func Canonical(p *core.Problem) []byte {
 		}
 		sort.Strings(rules)
 		for _, r := range rules {
-			b = append(append(append(b, "policy "...), r...), '\n')
+			w.b = append(append(w.b, "policy "...), r...)
+			w.endLine()
 		}
 	}
-	return b
+}
+
+// head writes the format line, the options and the thresholds.
+func (w *canonWriter) head(opt core.Options, th core.Thresholds) {
+	w.b = append(w.b, "configsynth-canon/1\n"...)
+	w.b = fmt.Appendf(w.b, "options tunnel=%d alpha=%d maxroutes=%d maxhops=%d noft=%t sbudget=%d pbudget=%d\n",
+		opt.TunnelSlackHops, opt.AlphaPct, opt.Routes.MaxRoutes, opt.Routes.MaxHops,
+		opt.DisableFlowTheory, opt.SolverBudget, opt.ProbeBudget)
+	w.b = fmt.Appendf(w.b, "thresholds iso=%d usa=%d cost=%d",
+		th.IsolationTenths, th.UsabilityTenths, th.CostBudget)
+	w.endLine()
+}
+
+// writeNode writes one node line. The name is a string, or bytes a
+// caller built in a scratch buffer to spare a string per node.
+func writeNode[N string | []byte](w *canonWriter, id topology.NodeID, kind topology.NodeKind, name N) {
+	w.b = appendInts(append(w.b, "node"...), int64(id))
+	w.b = append(append(w.b, ' '), kind.String()...)
+	w.b = append(append(w.b, ' '), name...)
+	w.endLine()
+}
+
+// links writes the links as sorted endpoint pairs: LinkIDs depend on
+// declaration order, which must not affect the fingerprint. It sorts
+// pairs in place.
+func (w *canonWriter) links(pairs [][2]topology.NodeID) {
+	for i, pr := range pairs {
+		if pr[0] > pr[1] {
+			pairs[i] = [2]topology.NodeID{pr[1], pr[0]}
+		}
+	}
+	slices.SortFunc(pairs, func(x, y [2]topology.NodeID) int { return slices.Compare(x[:], y[:]) })
+	for _, pr := range pairs {
+		w.b = appendInts(append(w.b, "link"...), int64(pr[0]), int64(pr[1]))
+		w.endLine()
+	}
+}
+
+// catalog writes the patterns, with their solved scores, then the
+// devices.
+func (w *canonWriter) catalog(cat *isolation.Catalog) {
+	for _, pat := range cat.Patterns() {
+		devs := make([]int, 0, len(pat.Devices))
+		for _, d := range pat.Devices {
+			devs = append(devs, int(d))
+		}
+		sort.Ints(devs)
+		w.b = fmt.Appendf(w.b, "pattern %d %q devs=%v usability=%d score=%d",
+			pat.ID, pat.Name, devs, pat.UsabilityPct, cat.Score(pat.ID))
+		w.endLine()
+	}
+	for _, dev := range cat.Devices() {
+		w.b = fmt.Appendf(w.b, "device %d %q cost=%d", dev.ID, dev.Name, dev.Cost)
+		w.endLine()
+	}
+}
+
+// flow writes one flow line. Callers write flows in (src, dst, svc)
+// order.
+func (w *canonWriter) flow(f usability.Flow, rank int, required bool) {
+	b := appendInts(append(w.b, "flow"...), int64(f.Src), int64(f.Dst), int64(f.Svc))
+	b = strconv.AppendInt(append(b, " rank="...), int64(rank), 10)
+	w.b = strconv.AppendBool(append(b, " require="...), required)
+	w.endLine()
+}
+
+// sortedFlows returns a copy of flows in (src, dst, svc) order.
+func sortedFlows(flows []usability.Flow) []usability.Flow {
+	out := slices.Clone(flows)
+	slices.SortFunc(out, func(a, c usability.Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, c.Src), cmp.Compare(a.Dst, c.Dst), cmp.Compare(a.Svc, c.Svc))
+	})
+	return out
 }
 
 // appendInts appends each value in decimal behind a space.
@@ -146,6 +225,43 @@ func appendInts(b []byte, vals ...int64) []byte {
 		b = strconv.AppendInt(append(b, ' '), v, 10)
 	}
 	return b
+}
+
+// Fingerprint is the fingerprint of the problem the spec denotes,
+// Fingerprint(sp.Problem()), computed without building it: the same
+// canonical lines, generated from the spec's counts and tables in the
+// order Canonical sorts a built problem into, streamed into the hash.
+func (sp *Spec) Fingerprint() string {
+	w := newHasher(FingerprintVersion)
+	w.head(core.Options{}.Normalized(), sp.thresholds)
+	var name [24]byte
+	for i := 1; i <= sp.hosts; i++ {
+		writeNode(&w, nodeID(i), topology.Host, strconv.AppendInt(append(name[:0], 'h'), int64(i), 10))
+	}
+	for i := 1; i <= sp.routers; i++ {
+		writeNode(&w, nodeID(sp.hosts+i), topology.Router, strconv.AppendInt(append(name[:0], 'r'), int64(i), 10))
+	}
+	pairs := make([][2]topology.NodeID, len(sp.links))
+	for i, l := range sp.links {
+		pairs[i] = [2]topology.NodeID{nodeID(l[0]), nodeID(l[1])}
+	}
+	w.links(pairs)
+	w.catalog(sp.catalog)
+	// Every ordered pair of distinct hosts, each service: AllPairsFlows
+	// in sorted order. Parsed problems carry no ranks.
+	for src := 1; src <= sp.hosts; src++ {
+		for dst := 1; dst <= sp.hosts; dst++ {
+			if src == dst {
+				continue
+			}
+			for svc := 1; svc <= sp.services; svc++ {
+				bit := sp.flowBit(src, dst, svc)
+				f := usability.Flow{Src: nodeID(src), Dst: nodeID(dst), Svc: usability.Service(svc)}
+				w.flow(f, 1, sp.required[bit/64]&(1<<(bit%64)) != 0)
+			}
+		}
+	}
+	return w.sum()
 }
 
 // FingerprintVersion identifies the canonical-encoding format. It is
@@ -168,10 +284,9 @@ func Fingerprint(p *core.Problem) string {
 // fingerprintAt hashes a problem under an explicit format version; the
 // version-bump test uses it to prove a bump changes every fingerprint.
 func fingerprintAt(version byte, p *core.Problem) string {
-	h := sha256.New()
-	h.Write([]byte{version})
-	h.Write(Canonical(p))
-	return hex.EncodeToString(h.Sum(nil))
+	w := newHasher(version)
+	w.problem(p)
+	return w.sum()
 }
 
 // FamilyFingerprint hashes the problem with its thresholds zeroed: two

@@ -4,7 +4,9 @@
 // size, links, connectivity requirements, and slider values, with
 // '#'-prefixed comment lines.
 //
-// Grammar (sections in order, blank lines and #-comments ignored):
+// Grammar (one directive per line, in any order; blank lines and
+// #-comments ignored; devices, costs, nodes, services and sliders at most
+// once each, so that no file's meaning depends on the order of its lines):
 //
 //	devices      <n>                      number of device types in use
 //	order        <a> <b> <rel>            rel: 1 '=', 2 '>', 3 '>='  (repeatable)
@@ -14,6 +16,11 @@
 //	services     <count>                  services per host pair (flows are all-pairs)
 //	require      <src> <dst> [svc]        connectivity requirement (repeatable)
 //	sliders      <isolation> <usability> <cost$K>   isolation/usability on 0–10, decimals allowed
+//
+// Reading a file has two steps. Scan checks it and keeps what it says, a
+// Spec; the Spec's Fingerprint hashes the problem the file denotes
+// without building it, and its Problem builds it. Parse is the two steps
+// in one.
 package spec
 
 import (
@@ -25,6 +32,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"configsynth/internal/core"
 	"configsynth/internal/isolation"
@@ -35,32 +43,78 @@ import (
 // ErrSyntax reports a malformed input file.
 var ErrSyntax = errors.New("spec: syntax error")
 
-// Parse reads a problem description.
+// Parse reads a problem description: Scan, then Problem.
 func Parse(r io.Reader) (*core.Problem, error) {
+	text, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := Scan(string(text))
+	if err != nil {
+		return nil, err
+	}
+	return sp.Problem(), nil
+}
+
+// Spec is an input file Scan accepted: what the file says, before the
+// problem it denotes is built. It is never modified after Scan, so any
+// number of goroutines may call its methods.
+type Spec struct {
+	catalog        *isolation.Catalog
+	hosts, routers int
+	services       int
+	// links and requires are in declaration order and in the grammar's
+	// numbering (see nodeID).
+	links    [][2]int
+	requires [][3]int // src, dst, svc
+	// required holds the requirement set, one bit per flow at flowBit.
+	required   []uint64
+	thresholds core.Thresholds
+}
+
+// maxLine is the longest line Scan reads: bufio.Scanner's limit, which
+// bounded the line-at-a-time parser Scan replaced.
+const maxLine = bufio.MaxScanTokenSize - 1
+
+// Scan checks an input file in one pass over its lines and returns what
+// it says. Besides the grammar, it makes the two checks of
+// core.Problem.Validate that a file in the grammar can fail: fewer than
+// two hosts leave no flow (core.ErrNoFlows), and a requirement may not
+// name one host as both ends. The problem a Spec builds therefore always
+// validates, and a fingerprint is only taken of input that passed every
+// check.
+func Scan(text string) (*Spec, error) {
+	sp := &Spec{services: 1}
 	var (
-		nDevices     int
-		orders       []isolation.OrderConstraint
-		costs        []int64
-		hosts        int
-		routers      int
-		links        [][2]int
-		linkSeen     = map[[2]int]bool{}
-		services     = 1
-		requirements [][3]int
-		sliders      []float64
-		lineNo       int
+		nDevices int
+		orders   []isolation.OrderConstraint
+		costs    []int64
+		sliders  [3]float64
+		linkSeen = map[[2]int]bool{}
+		// firstAt holds the line each once-only directive was given on.
+		firstAt = make(map[string]int, 5)
+		fields  []string
 	)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	for lineNo := 1; text != ""; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if len(line) > maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		fields = appendFields(fields[:0], line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		fields := strings.Fields(line)
 		key, args := fields[0], fields[1:]
 		fail := func(msg string) error {
 			return fmt.Errorf("%w: line %d: %s", ErrSyntax, lineNo, msg)
+		}
+		switch key {
+		case "devices", "costs", "nodes", "services", "sliders":
+			if at, ok := firstAt[key]; ok {
+				return nil, fail(fmt.Sprintf("%s already given on line %d", key, at))
+			}
+			firstAt[key] = lineNo
 		}
 		switch key {
 		case "devices":
@@ -100,9 +154,9 @@ func Parse(r io.Reader) (*core.Problem, error) {
 				return nil, fail("nodes expects <hosts> <routers>")
 			}
 			var err1, err2 error
-			hosts, err1 = strconv.Atoi(args[0])
-			routers, err2 = strconv.Atoi(args[1])
-			if err1 != nil || err2 != nil || hosts <= 0 || routers < 0 {
+			sp.hosts, err1 = strconv.Atoi(args[0])
+			sp.routers, err2 = strconv.Atoi(args[1])
+			if err1 != nil || err2 != nil || sp.hosts <= 0 || sp.routers < 0 {
 				return nil, fail("nodes counts must be positive integers")
 			}
 		case "link":
@@ -117,22 +171,19 @@ func Parse(r io.Reader) (*core.Problem, error) {
 			if a == b {
 				return nil, fail("link endpoints must differ")
 			}
-			lo, hi := a, b
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if linkSeen[[2]int{lo, hi}] {
+			pair := [2]int{min(a, b), max(a, b)}
+			if linkSeen[pair] {
 				return nil, fail(fmt.Sprintf("duplicate link %d %d", a, b))
 			}
-			linkSeen[[2]int{lo, hi}] = true
-			links = append(links, [2]int{a, b})
+			linkSeen[pair] = true
+			sp.links = append(sp.links, [2]int{a, b})
 		case "services":
 			if len(args) != 1 {
 				return nil, fail("services expects one integer")
 			}
 			var err error
-			services, err = strconv.Atoi(args[0])
-			if err != nil || services <= 0 {
+			sp.services, err = strconv.Atoi(args[0])
+			if err != nil || sp.services <= 0 {
 				return nil, fail("services must be a positive integer")
 			}
 		case "require":
@@ -149,35 +200,143 @@ func Parse(r io.Reader) (*core.Problem, error) {
 			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fail("require arguments must be integers")
 			}
-			requirements = append(requirements, [3]int{src, dst, svc})
+			sp.requires = append(sp.requires, [3]int{src, dst, svc})
 		case "sliders":
 			if len(args) != 3 {
 				return nil, fail("sliders expects <isolation> <usability> <cost>")
 			}
-			for _, a := range args {
+			for i, a := range args {
 				v, err := strconv.ParseFloat(a, 64)
 				if err != nil || v < 0 {
 					return nil, fail("slider values must be non-negative numbers")
 				}
-				sliders = append(sliders, v)
+				sliders[i] = v
 			}
 		default:
 			return nil, fail(fmt.Sprintf("unknown directive %q", key))
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if hosts == 0 {
+	if _, ok := firstAt["nodes"]; !ok {
 		return nil, fmt.Errorf("%w: missing nodes directive", ErrSyntax)
 	}
-	if len(sliders) != 3 {
+	if _, ok := firstAt["sliders"]; !ok {
 		return nil, fmt.Errorf("%w: missing sliders directive", ErrSyntax)
 	}
 
-	// Catalog: the default patterns/devices restricted to nDevices, with
-	// cost overrides and the given partial order (falling back to the
-	// paper's defaults when none given).
+	var err error
+	if sp.catalog, err = buildCatalog(nDevices, costs, orders); err != nil {
+		return nil, err
+	}
+	for _, l := range sp.links {
+		if n := sp.hosts + sp.routers; l[0] < 1 || l[0] > n || l[1] < 1 || l[1] > n {
+			return nil, fmt.Errorf("%w: link %d-%d out of range", ErrSyntax, l[0], l[1])
+		}
+	}
+	for _, r := range sp.requires {
+		if r[0] < 1 || r[0] > sp.hosts || r[1] < 1 || r[1] > sp.hosts {
+			return nil, fmt.Errorf("%w: requirement %d->%d out of host range", ErrSyntax, r[0], r[1])
+		}
+		if r[2] < 1 || r[2] > sp.services {
+			return nil, fmt.Errorf("%w: requirement %d->%d names service %d (services %d)",
+				ErrSyntax, r[0], r[1], r[2], sp.services)
+		}
+	}
+
+	// What Validate would refuse in the built problem, in its order.
+	if sp.hosts < 2 {
+		return nil, fmt.Errorf("%w: %w: nodes declares %d host, and a flow needs two", ErrSyntax, core.ErrNoFlows, sp.hosts)
+	}
+	sp.required = make([]uint64, (sp.hosts*sp.hosts*sp.services+63)/64)
+	for _, r := range sp.requires {
+		if r[0] == r[1] {
+			return nil, fmt.Errorf("%w: requirement %d->%d names one host as both ends", ErrSyntax, r[0], r[1])
+		}
+		bit := sp.flowBit(r[0], r[1], r[2])
+		sp.required[bit/64] |= 1 << (bit % 64)
+	}
+
+	sp.thresholds = core.Thresholds{
+		IsolationTenths: int(math.Round(sliders[0] * 10)),
+		UsabilityTenths: int(math.Round(sliders[1] * 10)),
+		CostBudget:      int64(math.Round(sliders[2])),
+	}
+	return sp, nil
+}
+
+// appendFields appends the white-space separated fields of line to dst,
+// exactly as strings.Fields splits them, without allocating a slice per
+// line when the line is ASCII.
+func appendFields(dst []string, line string) []string {
+	start := -1
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= utf8.RuneSelf:
+			return append(dst, strings.Fields(line)...)
+		case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// nodeID maps the grammar's node numbering (hosts 1..H, routers
+// H+1..H+R) to the network's, which counts from 0 in insertion order
+// and Problem inserts in grammar order.
+func nodeID(n int) topology.NodeID { return topology.NodeID(n - 1) }
+
+// flowBit is the position of flow src->dst of service svc (grammar
+// numbering) in the required bitset: (src, dst, svc) order, which is the
+// order Canonical lists flows in.
+func (sp *Spec) flowBit(src, dst, svc int) int {
+	return ((src-1)*sp.hosts+dst-1)*sp.services + svc - 1
+}
+
+// Problem builds the problem the spec denotes, a new one on every call.
+// The problems of one Spec share its catalog, which solvers only read.
+func (sp *Spec) Problem() *core.Problem {
+	net := topology.New()
+	for i := 1; i <= sp.hosts; i++ {
+		net.AddHost("h" + strconv.Itoa(i))
+	}
+	for i := 1; i <= sp.routers; i++ {
+		net.AddRouter("r" + strconv.Itoa(i))
+	}
+	for _, l := range sp.links {
+		if _, err := net.Connect(nodeID(l[0]), nodeID(l[1])); err != nil {
+			// Scan refuses links out of range, to self and repeated.
+			panic(fmt.Sprintf("spec: a scanned link does not connect: %v", err))
+		}
+	}
+
+	svcIDs := make([]usability.Service, sp.services)
+	for i := range svcIDs {
+		svcIDs[i] = usability.Service(i + 1)
+	}
+	reqs := usability.NewRequirements()
+	for _, r := range sp.requires {
+		reqs.Require(usability.Flow{Src: nodeID(r[0]), Dst: nodeID(r[1]), Svc: usability.Service(r[2])})
+	}
+	return &core.Problem{
+		Network:      net,
+		Catalog:      sp.catalog,
+		Flows:        core.AllPairsFlows(net, svcIDs),
+		Requirements: reqs,
+		Thresholds:   sp.thresholds,
+	}
+}
+
+// buildCatalog is the default catalog restricted to nDevices device
+// types, with cost overrides and the given partial order (falling back to
+// the paper's defaults when none is given).
+func buildCatalog(nDevices int, costs []int64, orders []isolation.OrderConstraint) (*isolation.Catalog, error) {
 	patterns := isolation.DefaultPatterns()
 	devices := isolation.DefaultDevices()
 	if nDevices > 0 && nDevices < len(devices) {
@@ -227,57 +386,7 @@ func Parse(r io.Reader) (*core.Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spec: catalog: %w", err)
 	}
-
-	// Topology: hosts numbered 1..H, routers H+1..H+R.
-	net := topology.New()
-	ids := make([]topology.NodeID, hosts+routers+1)
-	for i := 1; i <= hosts; i++ {
-		ids[i] = net.AddHost(fmt.Sprintf("h%d", i))
-	}
-	for i := hosts + 1; i <= hosts+routers; i++ {
-		ids[i] = net.AddRouter(fmt.Sprintf("r%d", i-hosts))
-	}
-	for _, l := range links {
-		if l[0] < 1 || l[0] > hosts+routers || l[1] < 1 || l[1] > hosts+routers {
-			return nil, fmt.Errorf("%w: link %d-%d out of range", ErrSyntax, l[0], l[1])
-		}
-		if _, err := net.Connect(ids[l[0]], ids[l[1]]); err != nil {
-			return nil, fmt.Errorf("spec: %w", err)
-		}
-	}
-
-	svcIDs := make([]usability.Service, services)
-	for i := range svcIDs {
-		svcIDs[i] = usability.Service(i + 1)
-	}
-	flows := core.AllPairsFlows(net, svcIDs)
-	reqs := usability.NewRequirements()
-	for _, r := range requirements {
-		if r[0] < 1 || r[0] > hosts || r[1] < 1 || r[1] > hosts {
-			return nil, fmt.Errorf("%w: requirement %d->%d out of host range", ErrSyntax, r[0], r[1])
-		}
-		if r[2] < 1 || r[2] > services {
-			return nil, fmt.Errorf("%w: requirement %d->%d names service %d (services %d)",
-				ErrSyntax, r[0], r[1], r[2], services)
-		}
-		reqs.Require(usability.Flow{
-			Src: ids[r[0]],
-			Dst: ids[r[1]],
-			Svc: usability.Service(r[2]),
-		})
-	}
-
-	return &core.Problem{
-		Network:      net,
-		Catalog:      catalog,
-		Flows:        flows,
-		Requirements: reqs,
-		Thresholds: core.Thresholds{
-			IsolationTenths: int(math.Round(sliders[0] * 10)),
-			UsabilityTenths: int(math.Round(sliders[1] * 10)),
-			CostBudget:      int64(math.Round(sliders[2])),
-		},
-	}, nil
+	return catalog, nil
 }
 
 // restrictOrder drops order constraints that mention patterns outside the

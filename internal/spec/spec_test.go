@@ -122,31 +122,7 @@ func TestParseEndToEndSolve(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, input string
-	}{
-		{"unknown directive", "frobnicate 1\n"},
-		{"missing nodes", "sliders 1 1 1\n"},
-		{"missing sliders", "nodes 2 1\nlink 1 3\nlink 2 3\n"},
-		{"bad order rel", "order 1 2 9\nnodes 2 1\nsliders 1 1 1\n"},
-		{"link out of range", "nodes 2 1\nlink 1 9\nsliders 1 1 1\n"},
-		{"require out of range", "nodes 2 1\nlink 1 3\nlink 2 3\nrequire 1 9\nsliders 1 1 1\n"},
-		{"negative cost", "costs -1\nnodes 2 1\nsliders 1 1 1\n"},
-		{"bad sliders", "nodes 2 1\nsliders 1 x 1\n"},
-		{"non-numeric devices", "devices x\nnodes 2 1\nsliders 1 1 1\n"},
-		{"negative devices", "devices -2\nnodes 2 1\nsliders 1 1 1\n"},
-		{"non-numeric nodes", "nodes two 1\nsliders 1 1 1\n"},
-		{"non-numeric routers", "nodes 2 one\nsliders 1 1 1\n"},
-		{"non-numeric services", "nodes 2 1\nservices many\nsliders 1 1 1\n"},
-		{"zero services", "nodes 2 1\nservices 0\nsliders 1 1 1\n"},
-		{"duplicate link", "nodes 2 1\nlink 1 3\nlink 1 3\nlink 2 3\nsliders 1 1 1\n"},
-		{"duplicate link reversed", "nodes 2 1\nlink 1 3\nlink 3 1\nlink 2 3\nsliders 1 1 1\n"},
-		{"self link", "nodes 2 1\nlink 1 1\nsliders 1 1 1\n"},
-		{"order on unknown pattern", "devices 3\norder 1 9 2\nnodes 2 1\nlink 1 3\nlink 2 3\nsliders 1 1 1\n"},
-		{"order outside device restriction", "devices 2\norder 2 3 2\nnodes 2 1\nlink 1 3\nlink 2 3\nsliders 1 1 1\n"},
-		{"require unknown service", "nodes 2 1\nlink 1 3\nlink 2 3\nservices 2\nrequire 1 2 3\nsliders 1 1 1\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Parse(strings.NewReader(tc.input)); !errors.Is(err, ErrSyntax) {
 				t.Fatalf("got %v, want ErrSyntax", err)
