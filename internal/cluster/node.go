@@ -633,27 +633,20 @@ func (n *Node) stealOnce() {
 // it is cached, journaled, and counted here like any other job) and
 // posts the outcome back to the origin, which still owns the job.
 func (n *Node) runStolen(origin string, job service.StolenJob) {
-	// A fingerprint mismatch means the two nodes disagree about
-	// canonicalization: the steal is refused rather than mis-cached.
-	src := &service.JobSource{Spec: job.Spec, Example: job.Example}
-	prob, err := src.Problem(job.Fingerprint)
-	if err != nil {
-		n.postComplete(origin, completeRequest{ID: job.ID, Error: "stolen job: " + err.Error()})
-		return
-	}
 	timeout := time.Duration(job.RemainingMS) * time.Millisecond
 	if timeout <= 0 {
 		// Already expired when stolen: the origin's deadline watcher
 		// cancels it there; nothing to do here.
 		return
 	}
-	j, err := n.svc.Submit(prob, service.SubmitOptions{
+	// A fingerprint mismatch means the two nodes disagree about
+	// canonicalization: the steal is refused rather than mis-cached.
+	j, err := n.svc.SubmitSource(&job.JobSource, job.Fingerprint, service.SubmitOptions{
 		Mode:    job.Mode,
 		Timeout: timeout,
-		Source:  src,
 	})
 	if err != nil {
-		n.postComplete(origin, completeRequest{ID: job.ID, Error: err.Error()})
+		n.postComplete(origin, completeRequest{ID: job.ID, Error: "stolen job: " + err.Error()})
 		return
 	}
 	res, jerr := j.Wait(n.stopCtx)

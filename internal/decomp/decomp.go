@@ -18,29 +18,8 @@ import (
 // Options configure a decomposing solver. The zero value selects
 // defaults.
 type Options struct {
-	// Partition tunes the region partitioner.
-	Partition PartitionOptions
 	// Workers bounds concurrently solved subproblems (default 4).
 	Workers int
-	// SolverWorkers is the portfolio width for escalated subproblems
-	// (default 4). Every subproblem is first attempted by a single
-	// solver under RegionBudget — cheap, and sufficient for almost all
-	// regions — but threshold projection occasionally drops a region
-	// right on its feasibility phase boundary, where a lone CDCL solver
-	// can be orders of magnitude slower than a diversified race. Such
-	// regions blow their budget and are re-solved by SolverWorkers
-	// diversified racers.
-	SolverWorkers int
-	// RegionBudget is the wall-clock budget of the first, single-solver
-	// attempt at each subproblem (default 10s). A conflict budget
-	// cannot catch the boundary-region pathology — the stalled search
-	// thrashes in decisions and propagations, producing almost no
-	// conflicts — so the bound is time. A region that exhausts it, or
-	// whose cost descent came back truncated, escalates to the
-	// diversified portfolio with no extra deadline. Negative skips the
-	// bounded attempt and solves every region with the diversified
-	// portfolio directly.
-	RegionBudget time.Duration
 	// CacheEntries sizes the region result cache (default 512).
 	CacheEntries int
 	// VerifyStitch re-checks every stitched design against the full
@@ -48,15 +27,29 @@ type Options struct {
 	VerifyStitch bool
 }
 
+// escalationWidth is the portfolio width for escalated subproblems.
+// Every subproblem is first attempted by a single solver under
+// regionBudget — cheap, and sufficient for almost all regions — but
+// threshold projection occasionally drops a region right on its
+// feasibility phase boundary, where a lone CDCL solver can be orders of
+// magnitude slower than a diversified race. Such regions blow their
+// budget and are re-solved by escalationWidth diversified racers.
+const escalationWidth = 4
+
+// regionBudget is the wall-clock budget of the first, single-solver
+// attempt at each subproblem. A conflict budget cannot catch the
+// boundary-region pathology — the stalled search thrashes in decisions
+// and propagations, producing almost no conflicts — so the bound is
+// time. A region that exhausts it, or whose cost descent came back
+// truncated, escalates to the diversified portfolio with no extra
+// deadline. Negative skips the bounded attempt and solves every region
+// with the diversified portfolio directly. A test sets it to force or
+// skip escalation.
+var regionBudget = 10 * time.Second
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 4
-	}
-	if o.SolverWorkers <= 0 {
-		o.SolverWorkers = 4
-	}
-	if o.RegionBudget == 0 {
-		o.RegionBudget = 10 * time.Second
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 512
@@ -80,7 +73,7 @@ type RegionReport struct {
 	// in-flight solve of the same fingerprint) instead of a fresh solve.
 	Cached bool `json:"cached"`
 	// Escalated is true when the single-solver budgeted attempt blew
-	// RegionBudget and the region was re-solved by the diversified
+	// its budget and the region was re-solved by the diversified
 	// portfolio.
 	Escalated bool `json:"escalated,omitempty"`
 	// Unsat marks a subproblem with no design at the thresholds.
@@ -164,7 +157,7 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 	// the splitter reads it to cut out each subproblem's subgraph, the
 	// placement completion reads it again after the stitch.
 	routes := topology.NewRouteTable(p.Network, p.Options.Routes)
-	regions := Partition(p.Network, s.opts.Partition)
+	regions := Partition(p.Network, PartitionOptions{})
 	var subs []*Subproblem
 	var splitErr error
 	if len(regions) < 2 {
@@ -287,10 +280,11 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 	return res, nil
 }
 
-// solveMonolithic is the fallback path for undecomposable problems.
+// solveMonolithic is the fallback path for undecomposable problems. A
+// plain check never races, so the portfolio is one solver wide.
 func (s *Solver) solveMonolithic(ctx context.Context, p *core.Problem, reason string) (*Result, error) {
 	start := time.Now()
-	solver, err := portfolio.New(p, s.opts.Workers)
+	solver, err := portfolio.New(p, 1)
 	if err != nil {
 		return nil, err
 	}

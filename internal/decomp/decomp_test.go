@@ -428,7 +428,7 @@ func TestMonolithicFallback(t *testing.T) {
 }
 
 func TestRegionBudgetEscalation(t *testing.T) {
-	// A 1ns RegionBudget makes every fresh region blow its bounded
+	// A 1ns regionBudget makes every fresh region blow its bounded
 	// single-solver attempt's deadline, so each must escalate to the
 	// diversified portfolio and still land on the exact optimum.
 	mk := func() *core.Problem {
@@ -444,7 +444,9 @@ func TestRegionBudgetEscalation(t *testing.T) {
 		t.Fatal("baseline campus unexpectedly unsat")
 	}
 
-	tiny, err := New(Options{RegionBudget: time.Nanosecond}).Solve(context.Background(), mk())
+	defer func(old time.Duration) { regionBudget = old }(regionBudget)
+	regionBudget = time.Nanosecond
+	tiny, err := New(Options{}).Solve(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +472,8 @@ func TestRegionBudgetEscalation(t *testing.T) {
 
 	// A negative budget skips the bounded attempt entirely: regions go
 	// straight to the portfolio and never count as escalated.
-	direct, err := New(Options{RegionBudget: -1}).Solve(context.Background(), mk())
+	regionBudget = -1
+	direct, err := New(Options{}).Solve(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}

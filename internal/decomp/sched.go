@@ -175,14 +175,14 @@ func outcomesSnapshot(mu *sync.Mutex, outcomes map[string]*subOutcome, deps []st
 // so a boundary's cache key covers its interiors' designs — an edit
 // that changes an interior automatically misses on its boundaries too.
 //
-// A fresh solve is attempted single-solver first, under the RegionBudget
+// A fresh solve is attempted single-solver first, under the regionBudget
 // wall-clock deadline. Most regions finish there in a fraction of the
 // portfolio's cost (a K-wide portfolio encodes the model once and clones
 // it K times, and pays one canonical extraction on top of the race). The
 // rare region that sits on its projected thresholds' feasibility
 // boundary can stall a single search for minutes; when the bounded
 // attempt times out — or returns a truncated, inexact descent — the
-// region is re-solved by SolverWorkers diversified racers with no extra
+// region is re-solved by escalationWidth diversified racers with no extra
 // deadline. A definitive answer from the bounded attempt (an exact
 // design or an UNSAT proof) is final and never escalates.
 func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]*subOutcome) (*subOutcome, error) {
@@ -228,7 +228,7 @@ func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]
 			return nil
 		}
 
-		if budget := s.opts.RegionBudget; budget >= 0 {
+		if budget := regionBudget; budget >= 0 {
 			actx, cancel := context.WithTimeout(ctx, budget)
 			err := run(actx, 1)
 			cancel()
@@ -248,7 +248,7 @@ func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]
 			}
 		}
 
-		if err := run(ctx, s.opts.SolverWorkers); err != nil {
+		if err := run(ctx, escalationWidth); err != nil {
 			return nil, fmt.Errorf("decomp: subproblem %s: %w", sub.Key, err)
 		}
 		rr.ElapsedMS = time.Since(start).Milliseconds()

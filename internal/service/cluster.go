@@ -143,8 +143,7 @@ type StolenJob struct {
 	ID          string `json:"id"`
 	Mode        Mode   `json:"mode"`
 	Fingerprint string `json:"fp"`
-	Spec        string `json:"spec,omitempty"`
-	Example     bool   `json:"example,omitempty"`
+	JobSource
 	// RemainingMS is what is left of the job's deadline; the stealer
 	// bounds its run by it so origin and thief agree on expiry.
 	RemainingMS int64 `json:"remaining_ms"`
@@ -179,8 +178,7 @@ func (s *Service) StealJobs(peer string, max int) []StolenJob {
 			ID:          j.ID,
 			Mode:        j.Mode,
 			Fingerprint: j.Fingerprint,
-			Spec:        j.src.Spec,
-			Example:     j.src.Example,
+			JobSource:   *j.src,
 		}
 		if d, ok := j.ctx.Deadline(); ok {
 			sj.RemainingMS = time.Until(d).Milliseconds()

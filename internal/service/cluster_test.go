@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -163,12 +164,12 @@ func TestAdoptIsIdempotentUnderDoubleReplay(t *testing.T) {
 	fp := spec.Fingerprint(p)
 	pending := mustRecord(t, recSubmit, submitRecord{
 		ID: "px-j000001", Mode: ModeSolve, Fingerprint: fp,
-		Spec: smallSpec, TimeoutMS: 60_000,
+		JobSource: JobSource{Spec: smallSpec}, TimeoutMS: 60_000,
 	})
 	// A proven unsat under a fabricated fingerprint: adoption must seed
 	// the cache with it without ever running anything.
 	finishedSub := mustRecord(t, recSubmit, submitRecord{
-		ID: "px-j000002", Mode: ModeSolve, Fingerprint: "feedface", Spec: smallSpec, TimeoutMS: 60_000,
+		ID: "px-j000002", Mode: ModeSolve, Fingerprint: "feedface", JobSource: JobSource{Spec: smallSpec}, TimeoutMS: 60_000,
 	})
 	finishedRes := mustRecord(t, recResult, resultRecord{
 		ID: "px-j000002", State: StateDone, Mode: ModeSolve, Fingerprint: "feedface",
@@ -223,10 +224,10 @@ func TestAdoptedCacheHitCompletesInstantly(t *testing.T) {
 	// submission of it in flight: the proven record answers the pending
 	// one without a solve.
 	records := []wal.Record{
-		mustRecord(t, recSubmit, submitRecord{ID: "px-j000001", Mode: ModeSolve, Fingerprint: fp, Spec: smallSpec, TimeoutMS: 60_000}),
+		mustRecord(t, recSubmit, submitRecord{ID: "px-j000001", Mode: ModeSolve, Fingerprint: fp, JobSource: JobSource{Spec: smallSpec}, TimeoutMS: 60_000}),
 		mustRecord(t, recResult, resultRecord{ID: "px-j000001", State: StateDone, Mode: ModeSolve, Fingerprint: fp,
 			Result: &Result{Status: "unsat"}}),
-		mustRecord(t, recSubmit, submitRecord{ID: "px-j000002", Mode: ModeSolve, Fingerprint: fp, Spec: smallSpec, TimeoutMS: 60_000}),
+		mustRecord(t, recSubmit, submitRecord{ID: "px-j000002", Mode: ModeSolve, Fingerprint: fp, JobSource: JobSource{Spec: smallSpec}, TimeoutMS: 60_000}),
 	}
 	rep := s.Adopt(records)
 	if rep.Proven != 1 || rep.Requeued != 1 {
@@ -292,5 +293,91 @@ func TestModelTooLargeSurfacesAs422(t *testing.T) {
 	// The worker survived: the next job solves normally.
 	if res := wait(t, mustSubmit(t, s, smallProblem(t), SubmitOptions{})); res.Status != "sat" {
 		t.Fatalf("worker wedged after arena overflow: %q", res.Status)
+	}
+}
+
+// TestSubmitSourceBuildsOnlyOnAMiss: a stolen job arrives as a source and
+// the fingerprint its origin accepted it under. One the thief's cache
+// answers completes with no problem built; one it does not is built and
+// solved; one whose source no longer hashes to its fingerprint is refused
+// and registers no job.
+func TestSubmitSourceBuildsOnlyOnAMiss(t *testing.T) {
+	s := New(Config{Workers: 1, NodeID: "n2"})
+	defer s.Close()
+	solved, err := submitSpec(t, s, specVariant(5), ModeSolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := wait(t, solved).Fingerprint
+	other, err := specParse(specVariant(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherFP := spec.Fingerprint(other)
+
+	hit, err := s.SubmitSource(&JobSource{Spec: specVariant(5)}, fp, SubmitOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.State() != StateDone || hit.prob != nil {
+		t.Fatalf("stolen repeat of a solved problem: state %s, built %v; want done from the cache with no problem built",
+			hit.State(), hit.prob != nil)
+	}
+	if res := wait(t, hit); !res.Cached {
+		t.Errorf("stolen repeat was not answered from the cache: %+v", res)
+	}
+
+	miss, err := s.SubmitSource(&JobSource{Spec: specVariant(6)}, otherFP, SubmitOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.prob == nil {
+		t.Fatal("stolen new problem was queued without its problem built")
+	}
+	if res := wait(t, miss); res.Cached || res.Fingerprint != otherFP {
+		t.Errorf("stolen new problem: %+v, want a solve under its own fingerprint", res)
+	}
+
+	before := len(s.JobIDs())
+	if _, err := s.SubmitSource(&JobSource{Spec: specVariant(5)}, otherFP, SubmitOptions{Timeout: time.Minute}); err == nil {
+		t.Fatal("a source that hashes to another fingerprint was accepted")
+	}
+	if after := len(s.JobIDs()); after != before {
+		t.Errorf("a refused source registered %d job(s)", after-before)
+	}
+}
+
+// TestWireRecordsKeepTheirBytes: the journal's submit record and the
+// stolen job a peer receives carry their source inline, byte for byte as
+// journals and peers of earlier builds wrote and read them.
+func TestWireRecordsKeepTheirBytes(t *testing.T) {
+	const text = "nodes 2 1\nlink 1 3\nlink 2 3\n"
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{submitRecord{ID: "j000007", Mode: ModeSolve, Fingerprint: "5eed", JobSource: JobSource{Spec: text}, TimeoutMS: 60_000},
+			`{"id":"j000007","mode":"solve","fp":"5eed","spec":"nodes 2 1\nlink 1 3\nlink 2 3\n","timeout_ms":60000}`},
+		{submitRecord{ID: "j000008", Mode: ModeMaxIsolation, Fingerprint: "5eed", JobSource: JobSource{Example: true}, TimeoutMS: 30_000},
+			`{"id":"j000008","mode":"max-isolation","fp":"5eed","example":true,"timeout_ms":30000}`},
+		{StolenJob{ID: "n1-j000007", Mode: ModeSolve, Fingerprint: "5eed", JobSource: JobSource{Spec: text}, RemainingMS: 1500},
+			`{"id":"n1-j000007","mode":"solve","fp":"5eed","spec":"nodes 2 1\nlink 1 3\nlink 2 3\n","remaining_ms":1500}`},
+		{StolenJob{ID: "n1-j000008", Mode: ModeMaxIsolation, Fingerprint: "5eed", JobSource: JobSource{Example: true}, RemainingMS: 1500},
+			`{"id":"n1-j000008","mode":"max-isolation","fp":"5eed","example":true,"remaining_ms":1500}`},
+	} {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%T encodes as\n%s\nwant\n%s", c.v, got, c.want)
+		}
+		back := reflect.New(reflect.TypeOf(c.v))
+		if err := json.Unmarshal([]byte(c.want), back.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Elem().Interface(), c.v) {
+			t.Errorf("%s decodes as %+v, want %+v", c.want, back.Elem().Interface(), c.v)
+		}
 	}
 }

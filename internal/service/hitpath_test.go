@@ -197,8 +197,8 @@ func TestReplayedHitBuildsNoProblem(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range []submitRecord{
-		{ID: "j000100", Mode: ModeSolve, Fingerprint: fp, Spec: specVariant(5), TimeoutMS: 60_000},
-		{ID: "j000101", Mode: ModeSolve, Fingerprint: spec.Fingerprint(other), Spec: specVariant(6), TimeoutMS: 60_000},
+		{ID: "j000100", Mode: ModeSolve, Fingerprint: fp, JobSource: JobSource{Spec: specVariant(5)}, TimeoutMS: 60_000},
+		{ID: "j000101", Mode: ModeSolve, Fingerprint: spec.Fingerprint(other), JobSource: JobSource{Spec: specVariant(6)}, TimeoutMS: 60_000},
 	} {
 		if err := log.Append(recSubmit, rec); err != nil {
 			t.Fatal(err)

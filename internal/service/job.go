@@ -237,7 +237,7 @@ func (j *Job) problem() (*core.Problem, error) {
 	if j.prob != nil {
 		return j.prob, nil
 	}
-	return j.src.Problem(j.Fingerprint)
+	return j.src.problem(j.Fingerprint)
 }
 
 // State returns the job's current lifecycle state.

@@ -43,9 +43,8 @@ type submitRecord struct {
 	ID          string `json:"id"`
 	Mode        Mode   `json:"mode"`
 	Fingerprint string `json:"fp"`
-	Spec        string `json:"spec,omitempty"`
-	Example     bool   `json:"example,omitempty"`
-	TimeoutMS   int64  `json:"timeout_ms"`
+	JobSource
+	TimeoutMS int64 `json:"timeout_ms"`
 }
 
 // resultRecord journals one terminal outcome.
@@ -184,24 +183,15 @@ func (src *JobSource) check(fingerprint string) (scanned, error) {
 	return in, nil
 }
 
-// Problem rebuilds the problem a job was submitted with from its
+// problem rebuilds the problem a job was submitted with from its
 // journaled or shipped source, once check has confirmed the source still
 // hashes to the job's fingerprint.
-func (src *JobSource) Problem(fingerprint string) (*core.Problem, error) {
+func (src *JobSource) problem(fingerprint string) (*core.Problem, error) {
 	in, err := src.check(fingerprint)
 	if err != nil {
 		return nil, err
 	}
 	return in.problem()
-}
-
-// source rebuilds the JobSource a submit record was journaled with; nil
-// when the job was journaled as non-replayable.
-func (rec submitRecord) source() *JobSource {
-	if !rec.Example && rec.Spec == "" {
-		return nil
-	}
-	return &JobSource{Spec: rec.Spec, Example: rec.Example}
 }
 
 // replayState is what a journal scan recovers.

@@ -62,11 +62,10 @@ func (s *Service) admit(j *Job, timeout time.Duration, parent context.Context) b
 // dropped one; the fault is the journal's, not the client's, so it is
 // an ordinary error (HTTP 500) on whichever node finds it.
 func (s *Service) readmit(rec submitRecord) (*Job, bool) {
-	src := rec.source()
-	in, err := src.check(rec.Fingerprint)
+	in, err := rec.check(rec.Fingerprint)
 	j := newJob(rec.ID, rec.Mode, in.prob, rec.Fingerprint)
 	j.journaled = true
-	j.src = src
+	j.src = &rec.JobSource
 	if err == nil {
 		if !s.admit(j, time.Duration(rec.TimeoutMS)*time.Millisecond, nil) {
 			return j, false // answered from the cache

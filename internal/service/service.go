@@ -628,6 +628,21 @@ func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
 	return s.submit(scanned{fp: spec.Fingerprint(prob), prob: prob}, opts)
 }
 
+// SubmitSource is Submit for a source that arrives with the fingerprint
+// it was accepted under, as a job stolen from a peer does: the source is
+// scanned and checked against that fingerprint, and only a cache miss
+// builds its problem. A source that no longer hashes to its fingerprint
+// is refused, so two builds that disagree about canonicalization never
+// cache a result under the wrong key.
+func (s *Service) SubmitSource(src *JobSource, fingerprint string, opts SubmitOptions) (*Job, error) {
+	in, err := src.check(fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	opts.Source = src
+	return s.submit(in, opts)
+}
+
 // submit is every submission once its fingerprint is known: one cache
 // lookup, and only a miss builds the problem, journals the job and
 // enqueues it. A hit job keeps what it was handed — its source text, or
@@ -684,7 +699,7 @@ func (s *Service) accept(j *Job) error {
 	// submission instead of accepting work a crash would silently lose.
 	rec := submitRecord{ID: j.ID, Mode: j.Mode, Fingerprint: j.Fingerprint, TimeoutMS: j.timeout.Milliseconds()}
 	if j.src != nil {
-		rec.Spec, rec.Example = j.src.Spec, j.src.Example
+		rec.JobSource = *j.src
 	}
 	if err := s.journalAppend(recSubmit, rec); err != nil {
 		s.journalErrors.Add(1)

@@ -6,6 +6,7 @@
 # every variant's job still exists under its original ID and reached a
 # terminal state exactly once — no lost variants, no duplicates.
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 
 ADDR="127.0.0.1:8734"
 BASE="http://$ADDR"
@@ -18,19 +19,6 @@ go build -o /tmp/confserved ./cmd/confserved
 cleanup() {
   kill -9 "$SERVER_PID" 2>/dev/null || true
   rm -rf "$WORKDIR"
-}
-
-wait_http() { # url, want_status, tries
-  local url="$1" want="$2" tries="${3:-100}" code
-  for i in $(seq 1 "$tries"); do
-    code="$(curl -s -o /dev/null -w '%{http_code}' "$url" 2>/dev/null || true)"
-    if [ "$code" = "$want" ]; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  echo "$url never returned $want (last: ${code:-none})" >&2
-  return 1
 }
 
 # Build the batch body: VARIANTS budget variants of a two-department

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Chaos smoke of the fault-tolerant service: boot confserved with a
 # durable journal and seeded fault injection (solver panics + journal
-# write errors), drive load through confload while faults fire, confirm
-# the daemon survives and /statsz counts recovered panics, then kill -9
-# mid-load, restart fault-free against the same journal, and verify the
-# replay completes — /readyz flips back to 200 and every journaled job
-# reaches a terminal state.
+# write errors), drive load through lib.sh's load while faults fire,
+# confirm the daemon survives and /statsz counts recovered panics, then
+# kill -9 mid-load, restart fault-free against the same journal, and
+# verify the replay completes — /readyz flips back to 200 and every
+# journaled job reaches a terminal state.
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 
 ADDR="127.0.0.1:8733"
 BASE="http://$ADDR"
@@ -14,24 +15,10 @@ WORKDIR="$(mktemp -d)"
 JOURNAL="$WORKDIR/journal.ndjson"
 
 go build -o /tmp/confserved ./cmd/confserved
-go build -o /tmp/confload ./cmd/confload
 
 cleanup() {
   kill -9 "$SERVER_PID" 2>/dev/null || true
   rm -rf "$WORKDIR"
-}
-
-wait_http() { # url, want_status, tries
-  local url="$1" want="$2" tries="${3:-100}" code
-  for i in $(seq 1 "$tries"); do
-    code="$(curl -s -o /dev/null -w '%{http_code}' "$url" 2>/dev/null || true)"
-    if [ "$code" = "$want" ]; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  echo "$url never returned $want (last: ${code:-none})" >&2
-  return 1
 }
 
 # Phase 1: serve under injected faults. The panic rate is well above the
@@ -46,20 +33,21 @@ trap cleanup EXIT
 wait_http "$BASE/healthz" 200
 wait_http "$BASE/readyz" 200
 
-# -allow-errors: panicked jobs fail (contained, terminal) — the point is
-# that the daemon survives them, not that every request succeeds.
-/tmp/confload -addr "$BASE" -clients 4 -requests 60 -problems 8 -allow-errors
+# Failures are tolerated: a panicked job fails (contained, terminal) and
+# its retries may panic too — the point is that the daemon survives
+# them, not that every request succeeds.
+errors="$(load 4 60 8 solve "$BASE" 2>/dev/null)"
+echo "phase 1: 60 requests under injected faults, $errors failed"
 
 if ! kill -0 "$SERVER_PID" 2>/dev/null; then
   echo "confserved exited under injected solver panics" >&2
   exit 1
 fi
 
-stats="$(curl -sf "$BASE/statsz")"
-panics="$(echo "$stats" | grep -o '"panics_recovered": [0-9]*' | grep -o '[0-9]*$')"
-if [ -z "$panics" ] || [ "$panics" -lt 1 ]; then
+panics="$(stat_of "$BASE" panics_recovered)"
+if [ "$panics" -lt 1 ]; then
   echo "no recovered panics in /statsz after the chaos load:" >&2
-  echo "$stats" >&2
+  curl -s "$BASE/statsz" >&2
   exit 1
 fi
 
@@ -67,7 +55,7 @@ fi
 # different cache key and a much slower query than phase 1's solves —
 # so jobs are accepted (journaled) but still queued or mid-descent when
 # the process dies.
-/tmp/confload -addr "$BASE" -clients 4 -requests 60 -problems 8 -mode max-isolation -allow-errors >/dev/null 2>&1 &
+load 4 60 8 max-isolation "$BASE" >/dev/null 2>&1 &
 LOAD_PID=$!
 sleep 0.3
 kill -9 "$SERVER_PID"
@@ -88,28 +76,27 @@ SERVER_PID=$!
 wait_http "$BASE/healthz" 200
 wait_http "$BASE/readyz" 200 300
 
-stats="$(curl -sf "$BASE/statsz")"
-replayed="$(echo "$stats" | grep -o '"jobs_replayed": [0-9]*' | grep -o '[0-9]*$')"
-completed="$(echo "$stats" | grep -o '"jobs_completed": [0-9]*' | grep -o '[0-9]*$')"
-failed="$(echo "$stats" | grep -o '"jobs_failed": [0-9]*' | grep -o '[0-9]*$')"
-active="$(echo "$stats" | grep -o '"jobs_active": [0-9]*' | grep -o '[0-9]*$')"
-queued="$(echo "$stats" | grep -o '"queue_depth": [0-9]*' | grep -o '[0-9]*$')"
+replayed="$(stat_of "$BASE" jobs_replayed)"
+completed="$(stat_of "$BASE" jobs_completed)"
+failed="$(stat_of "$BASE" jobs_failed)"
+active="$(stat_of "$BASE" jobs_active)"
+queued="$(stat_of "$BASE" queue_depth)"
 
-if [ "${replayed:-0}" -lt 1 ]; then
+if [ "$replayed" -lt 1 ]; then
   echo "kill -9 mid-load stranded no jobs for replay:" >&2
-  echo "$stats" >&2
+  curl -s "$BASE/statsz" >&2
   exit 1
 fi
 # Ready + empty queue + nothing active means every replayed job reached
 # a terminal state.
-if [ "${active:-0}" -ne 0 ] || [ "${queued:-0}" -ne 0 ]; then
+if [ "$active" -ne 0 ] || [ "$queued" -ne 0 ]; then
   echo "replayed jobs still pending after readyz flipped to 200:" >&2
-  echo "$stats" >&2
+  curl -s "$BASE/statsz" >&2
   exit 1
 fi
-if [ "$((${completed:-0} + ${failed:-0}))" -lt "${replayed:-0}" ]; then
+if [ "$((completed + failed))" -lt "$replayed" ]; then
   echo "replayed jobs did not all reach terminal states:" >&2
-  echo "$stats" >&2
+  curl -s "$BASE/statsz" >&2
   exit 1
 fi
 
@@ -121,4 +108,4 @@ echo "$post" | grep -q '"status": "sat"' || {
   exit 1
 }
 
-echo "chaos smoke OK: $panics panic(s) contained, ${replayed:-0} job(s) replayed after kill -9, readyz recovered"
+echo "chaos smoke OK: $panics panic(s) contained, $replayed job(s) replayed after kill -9, readyz recovered"

@@ -3,6 +3,7 @@
 # the paper example, check the design is Sat, resubmit and check the
 # second answer is served from the cache, then confirm /statsz agrees.
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 
 ADDR="127.0.0.1:8732"
 BASE="http://$ADDR"
@@ -12,16 +13,7 @@ go build -o /tmp/confserved ./cmd/confserved
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 
-for i in $(seq 1 100); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  if [ "$i" -eq 100 ]; then
-    echo "confserved never became healthy" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
+wait_http "$BASE/healthz" 200
 
 first="$(curl -sf -X POST "$BASE/v1/synthesize?example=1")"
 echo "$first" | grep -q '"status": "sat"' || {
