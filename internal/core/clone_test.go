@@ -53,24 +53,9 @@ type answer struct {
 	Stats  core.ModelStats
 }
 
-// same compares two answers. Designs are compared on everything the
-// solver's model determines; HostIsolation is left out because it sums
-// floats in map iteration order and differs in the last bit between any
-// two extractions.
-func same(a, b answer) bool {
-	if (a.Design == nil) != (b.Design == nil) {
-		return false
-	}
-	if a.Design != nil {
-		x, y := *a.Design, *b.Design
-		x.HostIsolation, y.HostIsolation = nil, nil
-		if !reflect.DeepEqual(x, y) {
-			return false
-		}
-	}
-	a.Design, b.Design = nil, nil
-	return reflect.DeepEqual(a, b)
-}
+// same compares two answers, designs included down to the last bit of
+// every per-host score.
+func same(a, b answer) bool { return reflect.DeepEqual(a, b) }
 
 func ask(syn *core.Synthesizer, query string, th core.Thresholds) answer {
 	var a answer

@@ -440,7 +440,7 @@ func (s *Synthesizer) patternPos(id isolation.PatternID) int {
 
 // flowPos returns the position of f in s.flows, or -1.
 func (s *Synthesizer) flowPos(f usability.Flow) int {
-	i, ok := slices.BinarySearchFunc(s.flows, f, compareFlows)
+	i, ok := slices.BinarySearchFunc(s.flows, f, usability.CompareFlows)
 	if !ok {
 		return -1
 	}

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -248,17 +247,6 @@ func mkPair(x, y topology.NodeID) pairKey {
 // sortedFlows returns the problem's flows in deterministic order.
 func sortedFlows(flows []usability.Flow) []usability.Flow {
 	out := slices.Clone(flows)
-	slices.SortFunc(out, compareFlows)
+	slices.SortFunc(out, usability.CompareFlows)
 	return out
-}
-
-// compareFlows orders flows by source, destination and service.
-func compareFlows(a, b usability.Flow) int {
-	if c := cmp.Compare(a.Src, b.Src); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Svc, b.Svc)
 }

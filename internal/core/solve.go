@@ -119,14 +119,15 @@ func (s *Synthesizer) extractDesign() *Design {
 		HostIsolation: make(map[topology.NodeID]float64),
 	}
 	P, D := len(s.patterns), len(s.devices)
+	pids := make([]isolation.PatternID, len(s.flows)) // indexed like s.flows
 	for fi, f := range s.flows {
-		d.FlowPatterns[f] = isolation.PatternNone
 		for pi, p := range s.patterns {
 			if s.sol.Value(s.y[fi*P+pi]) {
-				d.FlowPatterns[f] = p.ID
+				pids[fi] = p.ID
 				break
 			}
 		}
+		d.FlowPatterns[f] = pids[fi]
 	}
 	// By link and then device, so each link's devices come out ascending.
 	for i, on := range s.prunedPlacements(d.FlowPatterns) {
@@ -139,7 +140,9 @@ func (s *Synthesizer) extractDesign() *Design {
 			d.Cost += dev.Cost
 		}
 	}
-	s.fillScores(d)
+	// Every flow has a pattern, so nothing can be missing.
+	d.Isolation, d.Usability, _ = networkScores(s.prob, d.FlowPatterns)
+	s.fillHostIsolation(d, pids)
 	return d
 }
 
@@ -245,53 +248,55 @@ func (s *Synthesizer) prunedPlacements(flowPatterns map[usability.Flow]isolation
 	return placed
 }
 
-// fillScores computes the achieved network and per-host scores from the
-// chosen patterns, using the paper's normalizations.
-func (s *Synthesizer) fillScores(d *Design) {
-	// extractDesign gave every flow a pattern, so nothing can be missing.
-	d.Isolation, d.Usability, _ = networkScores(s.prob, d.FlowPatterns)
-	s.fillHostIsolation(d)
-}
-
 // fillHostIsolation computes I_j per Eq. (2)–(3): the α-weighted blend of
-// incoming and outgoing isolation, normalized to 0–10.
-func (s *Synthesizer) fillHostIsolation(d *Design) {
+// incoming and outgoing isolation, normalized to 0–10. pids holds the
+// pattern of each flow of s.flows. Every sum runs in one fixed order —
+// flows by (src, dst, svc), then directed pairs by (src, dst) — so the
+// scores are a function of the design, bit for bit.
+func (s *Synthesizer) fillHostIsolation(d *Design, pids []isolation.PatternID) {
 	cat := s.prob.Catalog
 	maxScore := float64(cat.MaxScore())
-	// Ī_{i,j}: mean normalized isolation of flows i→j.
-	type dirKey struct{ src, dst topology.NodeID }
-	sums := make(map[dirKey]float64)
-	counts := make(map[dirKey]int)
-	for f, pid := range d.FlowPatterns {
-		k := dirKey{f.Src, f.Dst}
-		sums[k] += float64(cat.Score(pid)) / maxScore
-		counts[k]++
+	// Ī_{i,j}, the mean normalized isolation of the flows i→j: s.flows is
+	// sorted, so the flows of one directed pair are one run of it, and
+	// pairs[from[h]:from[h+1]] are the pairs out of h, by destination.
+	type dirMean struct {
+		src, dst topology.NodeID
+		mean     float64
 	}
+	n := s.prob.Network.NumNodes()
+	pairs := make([]dirMean, 0, len(s.flows))
+	from := make([]int, n+1)
+	for lo := 0; lo < len(s.flows); {
+		f, sum, hi := s.flows[lo], 0.0, lo
+		for ; hi < len(s.flows) && s.flows[hi].Src == f.Src && s.flows[hi].Dst == f.Dst; hi++ {
+			sum += float64(cat.Score(pids[hi])) / maxScore
+		}
+		pairs = append(pairs, dirMean{f.Src, f.Dst, sum / float64(hi-lo)})
+		from[f.Src+1] = len(pairs)
+		lo = hi
+	}
+	for h := range n {
+		from[h+1] = max(from[h+1], from[h]) // a host with no flows out
+	}
+	// I_j = 10 × the mean, over the hosts i that share a flow with j, of
+	// α·Ī_{i,j} + (1−α)·Ī_{j,i}, an absent direction counting 0.
 	alpha := float64(s.prob.Options.AlphaPct) / 100
-	peers := make(map[topology.NodeID]map[topology.NodeID]bool)
-	record := func(a, b topology.NodeID) {
-		if peers[a] == nil {
-			peers[a] = make(map[topology.NodeID]bool)
+	total, peers := make([]float64, n), make([]int, n)
+	for _, p := range pairs {
+		total[p.dst] += alpha * p.mean
+		total[p.src] += (1 - alpha) * p.mean
+		_, back := slices.BinarySearchFunc(pairs[from[p.dst]:from[p.dst+1]], p.src, func(q dirMean, src topology.NodeID) int {
+			return cmp.Compare(q.dst, src)
+		})
+		if !back || p.src < p.dst { // a host pair is one peering, whichever way its flows run
+			peers[p.src]++
+			peers[p.dst]++
 		}
-		peers[a][b] = true
 	}
-	for k := range sums {
-		record(k.src, k.dst)
-		record(k.dst, k.src)
-	}
-	iBar := func(i, j topology.NodeID) float64 {
-		k := dirKey{i, j}
-		if counts[k] == 0 {
-			return 0
+	for j, k := range peers {
+		if k > 0 {
+			d.HostIsolation[topology.NodeID(j)] = 10 * total[j] / float64(k)
 		}
-		return sums[k] / float64(counts[k])
-	}
-	for j, ps := range peers {
-		var total float64
-		for i := range ps {
-			total += alpha*iBar(i, j) + (1-alpha)*iBar(j, i)
-		}
-		d.HostIsolation[j] = 10 * total / float64(len(ps))
 	}
 }
 

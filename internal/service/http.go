@@ -50,17 +50,15 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON renders v as a response body, indented by two spaces. A
+// job's result goes through writeJobResult instead, which writes the
+// same bytes without the encoder.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = encodeJSON(w, v)
-}
-
-// encodeJSON is the one rendering of a response body.
-func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	_ = enc.Encode(v)
 }
 
 // readBody reads a request body of at most limit bytes. A longer one is
@@ -248,9 +246,10 @@ func reply(w http.ResponseWriter, r *http.Request, job *Job) {
 	}
 }
 
-// writeJobResult renders a terminal job as a JSON response. A solve is
-// marshalled; a hit is its cache entry's bytes with this job's id spliced
-// in: what writeJSON would send, with no encode and a known length.
+// writeJobResult renders a terminal job as a JSON response: what
+// writeJSON would send for its result. A solve is rendered by
+// appendResult; a hit is its cache entry's bytes with this job's id
+// spliced in, with no rendering and a known length.
 func writeJobResult(w http.ResponseWriter, job *Job) {
 	res, err := job.Result()
 	if err != nil {
@@ -261,7 +260,9 @@ func writeJobResult(w http.ResponseWriter, job *Job) {
 	h := w.Header()
 	if res.hit == nil {
 		h.Set("X-Cache", "miss")
-		writeJSON(w, http.StatusOK, res)
+		h.Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		renderResult(res, func(b []byte) { _, _ = w.Write(b) })
 		return
 	}
 	head, tail := res.hit.body()

@@ -1,9 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -416,8 +417,12 @@ func (j *Job) finish(res *Result, err error, record func(JobState)) bool {
 	return true
 }
 
-// designJSON converts a core design to its wire form, with placements
-// keyed by link endpoints.
+// designJSON converts a core design to its wire form: flows in (src,
+// dst, svc) order, placements keyed by link endpoints in (a, b) order.
+// A design covers exactly its problem's flows, so they are read from
+// the problem in that order — a spec-grammar problem lists them so,
+// anything else has a copy sorted — and looked up in the design, never
+// walked out of its map.
 func designJSON(p *core.Problem, d *core.Design) *DesignJSON {
 	out := &DesignJSON{
 		Isolation: d.Isolation,
@@ -425,7 +430,19 @@ func designJSON(p *core.Problem, d *core.Design) *DesignJSON {
 		Cost:      d.Cost,
 		Exact:     d.Exact,
 	}
-	for f, pid := range d.FlowPatterns {
+	flows := p.Flows
+	if !slices.IsSortedFunc(flows, usability.CompareFlows) {
+		flows = slices.Clone(flows)
+		slices.SortFunc(flows, usability.CompareFlows)
+	}
+	if len(d.FlowPatterns) > 0 {
+		out.Flows = make([]FlowPatternJSON, 0, len(d.FlowPatterns))
+	}
+	for _, f := range flows {
+		pid, ok := d.FlowPatterns[f]
+		if !ok {
+			continue
+		}
 		name := "no isolation"
 		if pid != isolation.PatternNone {
 			if pat, ok := p.Catalog.Pattern(pid); ok {
@@ -436,42 +453,26 @@ func designJSON(p *core.Problem, d *core.Design) *DesignJSON {
 			Src: f.Src, Dst: f.Dst, Svc: f.Svc, Pattern: int(pid), Name: name,
 		})
 	}
-	sort.Slice(out.Flows, func(i, k int) bool {
-		a, b := out.Flows[i], out.Flows[k]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Svc < b.Svc
-	})
-	for link, devs := range d.Placements {
-		l, ok := p.Network.Link(link)
+	for link := range topology.LinkID(p.Network.NumLinks()) {
+		devs, ok := d.Placements[link]
 		if !ok {
 			continue
 		}
-		a, b := l.A, l.B
-		if a > b {
-			a, b = b, a
+		l, _ := p.Network.Link(link)
+		pl := PlacementJSON{A: min(l.A, l.B), B: max(l.A, l.B)}
+		if len(devs) > 0 {
+			pl.Devices, pl.Names = make([]int, len(devs)), make([]string, len(devs))
 		}
-		pl := PlacementJSON{A: a, B: b}
-		for _, dev := range devs {
-			pl.Devices = append(pl.Devices, int(dev))
+		for i, dev := range devs {
+			pl.Devices[i], pl.Names[i] = int(dev), "?"
 			if dd, ok := p.Catalog.Device(dev); ok {
-				pl.Names = append(pl.Names, dd.Name)
-			} else {
-				pl.Names = append(pl.Names, "?")
+				pl.Names[i] = dd.Name
 			}
 		}
 		out.Placements = append(out.Placements, pl)
 	}
-	sort.Slice(out.Placements, func(i, k int) bool {
-		a, b := out.Placements[i], out.Placements[k]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
+	slices.SortFunc(out.Placements, func(a, b PlacementJSON) int {
+		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
 	return out
 }

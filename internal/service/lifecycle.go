@@ -90,9 +90,10 @@ func (s *Service) answer(j *Job, res *Result, err error) {
 // cached is one result-cache entry: the stored result and, from its
 // first hit on, the response every hit of it gets — two hits differ in
 // job_id alone, so the body is kept as the bytes either side of that
-// value. Rendered on the first hit, not in seed: most entries are never
-// hit (cold_solve stores 67 results of 275 KB a round and reads none
-// back) and must pay neither the encode nor the memory.
+// value, in one allocation of exactly their size. Rendered on the first
+// hit, not in seed: most entries are never hit (cold_solve stores 67
+// results of 275 KB a round and reads none back) and must pay neither
+// the rendering nor the memory.
 type cached struct {
 	res        *Result
 	render     sync.Once
@@ -108,18 +109,19 @@ func hitOf(e *cached) *Result {
 	return &hit
 }
 
-// body is hitOf(stored) through writeJSON's encoder, split around the
-// job id's value. A quote inside a JSON string is always escaped, so the
+// body is hitOf(stored) as appendResult renders it, split around the job
+// id's value. A quote inside a JSON string is always escaped, so the
 // first `"job_id": ` is the field itself, whatever the design text holds.
 func (e *cached) body() (head, tail []byte) {
 	e.render.Do(func() {
 		hit := hitOf(e)
 		hit.JobID = "?"
-		var buf bytes.Buffer
-		_ = encodeJSON(&buf, hit) // a Result always marshals
-		b := bytes.Clone(buf.Bytes())
-		at := bytes.Index(b, []byte(`"job_id": `)) + len(`"job_id": `)
-		e.head, e.tail = b[:at], b[at+len(`"?"`):]
+		renderResult(hit, func(r []byte) {
+			b := make([]byte, len(r)) // exactly its size: the cache holds every byte of it
+			copy(b, r)
+			at := bytes.Index(b, []byte(`"job_id": `)) + len(`"job_id": `)
+			e.head, e.tail = b[:at:at], b[at+len(`"?"`):]
+		})
 	})
 	return e.head, e.tail
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -403,97 +402,4 @@ func restrictOrder(orders []isolation.OrderConstraint, patterns []isolation.Patt
 		}
 	}
 	return out
-}
-
-// WriteDesign renders a synthesized design as the paper's output file:
-// the isolation pattern per flow (Table V shape) followed by the device
-// placements (Fig. 2(b) shape).
-func WriteDesign(w io.Writer, p *core.Problem, d *core.Design) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# synthesized security design\n")
-	fmt.Fprintf(bw, "# isolation=%.2f usability=%.2f cost=$%dK devices=%d\n",
-		d.Isolation, d.Usability, d.Cost, d.DeviceCount())
-
-	fmt.Fprintf(bw, "\n## isolation patterns per destination host\n")
-	type row struct {
-		dst  topology.NodeID
-		name string
-	}
-	byDst := make(map[topology.NodeID]map[isolation.PatternID][]string)
-	var rows []row
-	seen := map[topology.NodeID]bool{}
-	for f, pid := range d.FlowPatterns {
-		if byDst[f.Dst] == nil {
-			byDst[f.Dst] = make(map[isolation.PatternID][]string)
-		}
-		srcName := nodeName(p.Network, f.Src)
-		byDst[f.Dst][pid] = append(byDst[f.Dst][pid], srcName)
-		if !seen[f.Dst] {
-			seen[f.Dst] = true
-			rows = append(rows, row{f.Dst, nodeName(p.Network, f.Dst)})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].dst < rows[j].dst })
-	for _, r := range rows {
-		fmt.Fprintf(bw, "host %s:\n", r.name)
-		pids := make([]isolation.PatternID, 0, len(byDst[r.dst]))
-		for pid := range byDst[r.dst] {
-			pids = append(pids, pid)
-		}
-		sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-		for _, pid := range pids {
-			srcs := byDst[r.dst][pid]
-			sort.Strings(srcs)
-			name := "no isolation"
-			if pid != isolation.PatternNone {
-				if pat, ok := p.Catalog.Pattern(pid); ok {
-					name = pat.Name
-				}
-			}
-			fmt.Fprintf(bw, "  %-32s from %s\n", name, strings.Join(srcs, ", "))
-		}
-	}
-
-	fmt.Fprintf(bw, "\n## device placements\n")
-	type placement struct {
-		link topology.LinkID
-		devs []isolation.DeviceID
-	}
-	var placements []placement
-	for link, devs := range d.Placements {
-		placements = append(placements, placement{link, devs})
-	}
-	sort.Slice(placements, func(i, j int) bool { return placements[i].link < placements[j].link })
-	for _, pl := range placements {
-		l, _ := p.Network.Link(pl.link)
-		names := make([]string, len(pl.devs))
-		for i, dev := range pl.devs {
-			dd, _ := p.Catalog.Device(dev)
-			names[i] = dd.Name
-		}
-		fmt.Fprintf(bw, "link %s -- %s: %s\n",
-			nodeName(p.Network, l.A), nodeName(p.Network, l.B), strings.Join(names, ", "))
-	}
-	return bw.Flush()
-}
-
-func nodeName(net *topology.Network, id topology.NodeID) string {
-	if n, ok := net.Node(id); ok {
-		return n.Name
-	}
-	return fmt.Sprintf("n%d", id)
-}
-
-// DeviceLabels builds link labels for topology.DOT from a design.
-func DeviceLabels(p *core.Problem, d *core.Design) map[topology.LinkID]string {
-	labels := make(map[topology.LinkID]string, len(d.Placements))
-	for link, devs := range d.Placements {
-		names := make([]string, len(devs))
-		for i, dev := range devs {
-			dd, _ := p.Catalog.Device(dev)
-			names[i] = dd.Name
-		}
-		labels[link] = strings.Join(names, ",")
-	}
-	return labels
 }

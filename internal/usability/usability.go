@@ -4,6 +4,7 @@
 package usability
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -20,6 +21,17 @@ type Service int32
 type Flow struct {
 	Src, Dst topology.NodeID
 	Svc      Service
+}
+
+// CompareFlows orders flows by source, destination and service.
+func CompareFlows(a, b Flow) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Svc, b.Svc)
 }
 
 // String renders the flow as g<svc>(src->dst).
