@@ -19,9 +19,10 @@
 // With -node-id and -peers, the daemon starts a cluster member (see
 // internal/cluster): requests are forwarded to the consistent-hash
 // owner of their problem fingerprint, cold misses consult the owner's
-// cache, idle nodes steal queued jobs from loaded peers, and each
-// node's journal is streamed to its two ring successors so even two
-// simultaneous SIGKILLs lose no accepted job.
+// cache, a node with a queue offloads queued jobs to idle peers through
+// the same forwarded request, and each node's journal is streamed to
+// its two ring successors so even two simultaneous SIGKILLs lose no
+// accepted job.
 //
 // With -node-id, -advertise, and -join, the daemon joins a running
 // cluster through the epoch handshake instead of a static peer list: a
@@ -118,7 +119,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		join          = fs.String("join", "", "comma-separated seed URLs of a running cluster to join via the epoch handshake (requires -node-id and -advertise; replaces -peers)")
 		joinTimeout   = fs.Duration("join-timeout", 30*time.Second, "budget for the join handshake before startup fails")
 		advertise     = fs.String("advertise", "", "URL peers reach this node at (overrides this node's entry in -peers; required with -join)")
-		heartbeat     = fs.Duration("heartbeat", time.Second, "cluster heartbeat interval (liveness, stealing, and WAL-ship pacing)")
+		heartbeat     = fs.Duration("heartbeat", time.Second, "cluster heartbeat interval (liveness, offload, and WAL-ship pacing)")
 		suspectAfter  = fs.Int("suspect-after", 3, "missed heartbeats before a peer is drained")
 		deadAfter     = fs.Int("dead-after", 6, "missed heartbeats before takeover of a peer's journal")
 		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "shutdown budget for in-flight jobs before they are canceled")

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -195,17 +195,27 @@ func TestConcurrentSuspectTakeoverTieBreaksOnSuccessorOrder(t *testing.T) {
 	}
 }
 
-// TestDelegatedJobReclaimedOnDeathView: a peer's death that reaches a
-// node as another node's death view, before its own heartbeats decide,
-// must still return the jobs that node delegated to the dead peer. The
-// view install drops the peer from membership tracking, so the node's
-// own detection never fires; without the reclaim the job sits queued
-// until its deadline.
-func TestDelegatedJobReclaimedOnDeathView(t *testing.T) {
-	nodes := startCluster(t, 3, false, func(c *service.Config) { c.Workers = 1 })
-	n1 := nodes[0]
+// TestOffloadToSilentPeerEndsOnDeathView: a peer that accepts an offload
+// and never answers holds the job only until the installed view drops
+// it — here a death view from another node, before this node's own
+// heartbeats decide — and the job then solves at home, well inside its
+// deadline.
+func TestOffloadToSilentPeerEndsOnDeathView(t *testing.T) {
+	sn := newSimNet(t, "n1", "n2", "n3")
+	n1, n2 := sn.nodes["n1"], sn.nodes["n2"]
+	accepted := make(chan struct{}, 1)
+	inner := n2.h
+	n2.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/synthesize" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		accepted <- struct{}{}
+		<-r.Context().Done()
+	})
 
-	// Pin n1's only worker so the job below stays queued.
+	// Pin n1's only worker so the job below stays queued; n1 owns it, so
+	// its peer fill asks nobody.
 	pin, err := n1.svc.Submit(hardTestProblem(t), service.SubmitOptions{
 		Mode: service.ModeMaxIsolation, Timeout: 5 * time.Minute,
 	})
@@ -217,27 +227,30 @@ func TestDelegatedJobReclaimedOnDeathView(t *testing.T) {
 		<-pin.Done()
 	}()
 	waitFor(t, "pin running", 10*time.Second, func() bool { return pin.State() == service.StateRunning })
-
-	j, err := n1.svc.Submit(mustParse(t, variantSpec(t, 1)), service.SubmitOptions{
-		Timeout: time.Minute,
-		Source:  &service.JobSource{Spec: variantSpec(t, 1)},
-	})
+	i, _ := variantWhere(t, func(fp string) bool { return n1.node.curRing().owner(fp, nil) == "n1" })
+	j, err := n1.svc.Submit(mustParse(t, variantSpec(t, i)), service.SubmitOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n1.svc.StealJobs("n2", 1); len(got) != 1 || got[0].ID != j.ID {
-		t.Fatalf("delegated %v, want job %s", got, j.ID)
-	}
 
-	nodes[1].kill()
+	n1.node.heartbeatAll() // n2 and n3 report empty queues; n2 is picked
+	n1.node.offloadOnce()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the offload never reached n2")
+	}
 	n1.node.installView(n1.node.currentView().without("n2"), "death view from a peer")
 	select {
 	case <-j.Done():
 	case <-time.After(5 * time.Second):
-		t.Fatalf("job %s delegated to the dead peer still %s 5s after its death view", j.ID, j.State())
+		t.Fatalf("job %s offloaded to the silent peer still %s 5s after its death view", j.ID, j.State())
 	}
 	if res, err := j.Result(); err != nil || res.Status != "sat" {
-		t.Fatalf("reclaimed job: %+v, %v", res, err)
+		t.Fatalf("job back from the silent peer: %+v, %v", res, err)
+	}
+	if got := n1.node.offloaded.Load(); got != 0 {
+		t.Fatalf("%d offloads counted as run on a peer, want 0", got)
 	}
 }
 
@@ -250,9 +263,10 @@ func mustParse(t *testing.T, text string) *core.Problem {
 	return p
 }
 
-// TestStaleEpochRPCRejectedWithCurrentView sends a mutating RPC stamped
-// with a dead epoch: the receiver must refuse it with 409 and return its
-// full current view in the rejection body (the cure rides the refusal).
+// TestStaleEpochRPCRejectedWithCurrentView sends an epoch-guarded RPC (a
+// cache fill) stamped with a dead epoch: the receiver must refuse it with
+// 409 and return its full current view in the rejection body (the cure
+// rides the refusal).
 func TestStaleEpochRPCRejectedWithCurrentView(t *testing.T) {
 	nodes := startCluster(t, 3, false, nil)
 	nodes[2].kill()
@@ -260,14 +274,28 @@ func TestStaleEpochRPCRejectedWithCurrentView(t *testing.T) {
 		return nodes[0].node.epoch() >= 1
 	})
 
-	body, _ := json.Marshal(stealRequest{From: "n2", Epoch: 0, Max: 1})
-	resp, err := http.Post(nodes[0].url+"/cluster/v1/steal", "application/json", bytes.NewReader(body))
+	// n1 holds a proven entry, so a fill that passes the epoch guard hits.
+	solved, err := nodes[0].svc.Submit(mustParse(t, clusterSpec), service.SubmitOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	if _, err := solved.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fill := func(epoch uint64) *http.Response {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/cluster/v1/cache?fp=%s&mode=%s&v=%d&epoch=%d",
+			nodes[0].url, specFingerprint(t), service.ModeSolve, spec.FingerprintVersion, epoch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	resp := fill(0)
 	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale-epoch steal answered %d, want 409", resp.StatusCode)
+		t.Fatalf("stale-epoch fill answered %d, want 409", resp.StatusCode)
 	}
 	var rej epochRejection
 	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
@@ -284,14 +312,8 @@ func TestStaleEpochRPCRejectedWithCurrentView(t *testing.T) {
 	}
 
 	// The current epoch passes.
-	body, _ = json.Marshal(stealRequest{From: "n2", Epoch: rej.Epoch, Max: 1})
-	resp2, err := http.Post(nodes[0].url+"/cluster/v1/steal", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("current-epoch steal answered %d, want 200", resp2.StatusCode)
+	if resp := fill(rej.Epoch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("current-epoch fill answered %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -306,8 +328,8 @@ func TestRejoinHandshakeReadmitsAndTruncatesStaleJournal(t *testing.T) {
 	victim := nodes[2] // "n3"
 
 	// Pin every node's single worker so queued jobs stay pending: on the
-	// victim they queue behind the pin, and peers that steal them queue
-	// them behind their own pins — nothing completes until cleanup.
+	// victim they queue behind the pin, and a peer it offloads them to
+	// queues them behind its own pin — nothing completes until cleanup.
 	for _, tn := range nodes {
 		pin, err := tn.svc.Submit(hardTestProblem(t), service.SubmitOptions{
 			Mode: service.ModeMaxIsolation, Timeout: 5 * time.Minute,

@@ -18,8 +18,8 @@ import (
 )
 
 // End-to-end tests: three real confserved services joined over loopback
-// HTTP, exercising fingerprint routing, peer cache fill, work stealing,
-// and journal takeover exactly as three processes would — just without
+// HTTP, exercising fingerprint routing, peer cache fill, offloads to idle
+// peers, and journal takeover exactly as three processes would — just without
 // the processes (scripts/cluster_smoke.sh covers the kill -9 variant).
 
 const clusterSpec = `
@@ -298,9 +298,14 @@ func TestClusterJournalTakeoverAfterKill(t *testing.T) {
 	}
 }
 
+// TestClusterStealsFromOverloadedPeer: a node whose worker is pinned
+// offloads its queue to idle peers. The name, like the jobs_stolen
+// counter it checks, keeps the word from the work stealing offloads
+// replaced.
 func TestClusterStealsFromOverloadedPeer(t *testing.T) {
 	// One worker on every node; the victim's worker is pinned by a job
-	// that holds it long enough for idle peers to steal the queue.
+	// that holds it long enough for the victim to offload its queue to
+	// idle peers.
 	nodes := startCluster(t, 3, false, func(c *service.Config) { c.Workers = 1 })
 	victim := nodes[0]
 
@@ -343,7 +348,7 @@ func TestClusterStealsFromOverloadedPeer(t *testing.T) {
 		select {
 		case <-j.Done():
 		case <-time.After(60 * time.Second):
-			t.Fatalf("queued job %s never completed; stealing did not happen", j.ID)
+			t.Fatalf("queued job %s never completed; no offload happened", j.ID)
 		}
 		res, jerr := j.Result()
 		if jerr != nil {
@@ -353,14 +358,7 @@ func TestClusterStealsFromOverloadedPeer(t *testing.T) {
 			t.Fatalf("job %s: status %q", j.ID, res.Status)
 		}
 	}
-	var stolen int64
-	for _, tn := range nodes[1:] {
-		stolen += tn.node.stats().JobsStolen
-	}
-	if stolen == 0 {
-		t.Fatal("no peer reports stolen jobs")
-	}
-	if st := victim.svc.Stats(); st.JobsStolenCompleted == 0 {
-		t.Fatalf("victim reports no remotely completed jobs: %+v", st)
+	if st := victim.node.stats(); st.JobsStolen == 0 {
+		t.Fatalf("victim reports no job run on a peer: %+v", st)
 	}
 }

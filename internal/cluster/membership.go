@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -14,13 +15,13 @@ type PeerState string
 const (
 	StateAlive PeerState = "alive"
 	// StateSuspect: SuspectAfter consecutive heartbeats missed. The
-	// node is drained — the ring stops routing new work to it and the
-	// stealer ignores it — but no takeover runs yet: a GC pause or a
-	// slow solve must not trigger journal adoption.
+	// node is drained — the ring stops routing new work to it and no
+	// new job is offloaded to it — but no takeover runs yet: a GC pause
+	// or a slow solve must not trigger journal adoption.
 	StateSuspect PeerState = "suspect"
 	// StateDead: DeadAfter consecutive heartbeats missed. The death
 	// fires once and proposes the view without the peer; installing it
-	// reclaims delegated jobs and runs the takeover.
+	// ends the offloads in flight to it and runs the takeover.
 	StateDead PeerState = "dead"
 )
 
@@ -28,6 +29,11 @@ const (
 type peer struct {
 	id  string
 	url string
+	// gone ends when an installed view drops the peer, or the node
+	// stops: an offload in flight to it gives up, and its job solves at
+	// home.
+	gone  context.Context
+	leave context.CancelFunc
 
 	mu         sync.Mutex
 	state      PeerState
@@ -41,6 +47,7 @@ type peer struct {
 // dynamic: installing a new cluster view adds admitted members and
 // removes departed ones via sync.
 type membership struct {
+	ctx   context.Context // the node's: every peer's gone derives from it
 	mu    sync.RWMutex
 	peers map[string]*peer // excludes self
 
@@ -48,16 +55,23 @@ type membership struct {
 	deadAfter    int
 }
 
-func newMembership(peers map[string]string, suspectAfter, deadAfter int) *membership {
+func newMembership(ctx context.Context, peers map[string]string, suspectAfter, deadAfter int) *membership {
 	m := &membership{
+		ctx:          ctx,
 		peers:        make(map[string]*peer, len(peers)),
 		suspectAfter: suspectAfter,
 		deadAfter:    deadAfter,
 	}
 	for id, url := range peers {
-		m.peers[id] = &peer{id: id, url: url, state: StateAlive, lastSeen: time.Now()}
+		m.peers[id] = m.newPeer(id, url)
 	}
 	return m
+}
+
+func (m *membership) newPeer(id, url string) *peer {
+	p := &peer{id: id, url: url, state: StateAlive, lastSeen: time.Now()}
+	p.gone, p.leave = context.WithCancel(m.ctx)
+	return p
 }
 
 // lookup returns the tracked peer, or nil.
@@ -96,15 +110,16 @@ func (m *membership) size() int {
 func (m *membership) sync(remotes map[string]string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for id := range m.peers {
+	for id, p := range m.peers {
 		if _, ok := remotes[id]; !ok {
+			p.leave()
 			delete(m.peers, id)
 		}
 	}
 	for id, url := range remotes {
 		p, ok := m.peers[id]
 		if !ok {
-			m.peers[id] = &peer{id: id, url: url, state: StateAlive, lastSeen: time.Now()}
+			m.peers[id] = m.newPeer(id, url)
 			continue
 		}
 		p.mu.Lock()
@@ -213,17 +228,22 @@ func (m *membership) snapshot() map[string]PeerInfo {
 	return out
 }
 
-// queueDepthOf returns the peer's last reported queue depth (stealing
-// signal); -1 when unknown or not alive.
-func (m *membership) queueDepthOf(id string) int {
-	p := m.lookup(id)
-	if p == nil {
-		return -1
+// idle picks the peer to offload to: an alive one whose last heartbeat
+// reported an empty queue, the lowest such ID. It returns the base URL
+// the peer answers at and its gone context; "" when there is none.
+func (m *membership) idle() (url string, gone context.Context) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var pick *peer
+	for _, p := range m.peers {
+		p.mu.Lock()
+		if p.state == StateAlive && p.queueDepth == 0 && (pick == nil || p.id < pick.id) {
+			pick, url = p, p.url
+		}
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.state != StateAlive {
-		return -1
+	if pick == nil {
+		return "", nil
 	}
-	return p.queueDepth
+	return url, pick.gone
 }

@@ -1,9 +1,12 @@
 package cluster
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestMembershipStateMachine(t *testing.T) {
-	m := newMembership(map[string]string{"n2": "http://x"}, 2, 4)
+	m := newMembership(context.Background(), map[string]string{"n2": "http://x"}, 2, 4)
 	deaths := 0
 	miss := func() {
 		if m.beatMissed("n2") {
@@ -47,8 +50,13 @@ func TestMembershipStateMachine(t *testing.T) {
 	if m.beatOK("n2", 7) {
 		t.Fatal("an alive peer answering again reported as back")
 	}
-	if d := m.queueDepthOf("n2"); d != 7 {
-		t.Fatalf("queue depth %d, want 7", d)
+	if url, _ := m.idle(); url != "" {
+		t.Fatalf("a peer reporting a queue of 7 offered as idle at %q", url)
+	}
+	m.beatOK("n2", 0)
+	url, gone := m.idle()
+	if url != "http://x" || gone.Err() != nil {
+		t.Fatalf("an alive peer reporting an empty queue: idle at %q, gone %v", url, gone.Err())
 	}
 
 	// A second full death cycle fires takeover again: a death is reported
@@ -59,10 +67,15 @@ func TestMembershipStateMachine(t *testing.T) {
 	if deaths != 2 {
 		t.Fatalf("second death reported %d total, want 2", deaths)
 	}
-	if d := m.queueDepthOf("n2"); d != -1 {
-		t.Fatalf("dead peer advertises queue depth %d", d)
+	if url, _ := m.idle(); url != "" {
+		t.Fatalf("dead peer offered as idle at %q", url)
 	}
 	if m.beatMissed("ghost") || m.beatOK("ghost", 0) {
 		t.Fatal("an untracked peer died or came back")
+	}
+	// A view that drops the peer ends whatever was offloaded to it.
+	m.sync(map[string]string{})
+	if gone.Err() == nil {
+		t.Fatal("a peer dropped from the view is not gone")
 	}
 }

@@ -28,12 +28,12 @@ type Config struct {
 	// "http://127.0.0.1:8081". This is the epoch-0 view; joins and
 	// deaths evolve it from there.
 	Peers map[string]string
-	// HeartbeatInterval paces liveness probes and the steal loop
+	// HeartbeatInterval paces liveness probes and the offload check
 	// (default 1s).
 	HeartbeatInterval time.Duration
 	// RPCTimeout bounds one control-plane call (heartbeat, cache fill,
-	// steal, ship). It is deliberately decoupled from the heartbeat
-	// interval: under full solver load a peer legitimately takes tens of
+	// ship). It is deliberately decoupled from the heartbeat interval:
+	// under full solver load a peer legitimately takes tens of
 	// milliseconds to answer, so a timeout equal to a short interval
 	// would misread CPU saturation as death. Default
 	// 2×HeartbeatInterval, floored at 500ms.
@@ -69,7 +69,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Node glues one service instance into the cluster: epoch-versioned
-// membership views, ring routing, the join handshake, stealing, WAL
+// membership views, ring routing, the join handshake, offloads, WAL
 // replication to two successors, and the /cluster/v1 RPC surface.
 type Node struct {
 	cfg     Config
@@ -86,9 +86,9 @@ type Node struct {
 
 	mem *membership
 
-	// rpcClient bounds control-plane calls (heartbeat, cache fill,
-	// steal, ship) tightly; fwdClient carries forwarded synthesis
-	// requests, which legitimately run as long as a solve.
+	// rpcClient bounds control-plane calls (heartbeat, cache fill, ship)
+	// tightly; fwdClient carries forwarded synthesis requests and
+	// offloads, which legitimately run as long as a solve.
 	rpcClient *http.Client
 	fwdClient *http.Client
 
@@ -106,7 +106,7 @@ type Node struct {
 	rejoining atomic.Bool
 
 	// stopCtx ends when Stop is called: every background loop selects
-	// on it, and a stolen job's wait is bounded by it.
+	// on it, and every offload in flight gives up with it.
 	stopCtx context.Context
 	stopAll context.CancelFunc
 	wg      sync.WaitGroup
@@ -116,9 +116,7 @@ type Node struct {
 	fillAsked    atomic.Int64
 	fillHits     atomic.Int64
 	fillServed   atomic.Int64
-	jobsStolen   atomic.Int64
-	postsApplied atomic.Int64
-	postsFailed  atomic.Int64
+	offloaded    atomic.Int64
 	takeovers    atomic.Int64
 	versionSkew  atomic.Int64
 
@@ -141,17 +139,19 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: service NodeID %q != cluster NodeID %q", svc.NodeID(), cfg.NodeID)
 	}
 	v := newView(0, cfg.Peers)
+	stopCtx, stopAll := context.WithCancel(context.Background())
 	n := &Node{
 		cfg:       cfg,
 		svc:       svc,
 		selfURL:   v.members[cfg.NodeID],
 		view:      v,
 		ring:      newRing(v.ids()),
-		mem:       newMembership(remotesOf(v, cfg.NodeID), cfg.SuspectAfter, cfg.DeadAfter),
+		mem:       newMembership(stopCtx, remotesOf(v, cfg.NodeID), cfg.SuspectAfter, cfg.DeadAfter),
 		rpcClient: &http.Client{Timeout: cfg.RPCTimeout},
 		fwdClient: &http.Client{},
+		stopCtx:   stopCtx,
+		stopAll:   stopAll,
 	}
-	n.stopCtx, n.stopAll = context.WithCancel(context.Background())
 
 	// Shipped peer journals are shadowed beside the local one; without a
 	// journal there is no shipping and no takeover.
@@ -237,15 +237,13 @@ func (n *Node) installView(v *view, why string) bool {
 
 	// This is the one place a death acts, whether this node's heartbeats
 	// detected it (handleDeath proposed v) or a peer's death view got here
-	// first: jobs delegated to the dead member return to the local pool,
-	// and if this node was one of its two WAL followers — the pre-removal
-	// ring names them — the quorum takeover decides who adopts its journal.
+	// first: the sync above has ended the offloads in flight to the dead
+	// member, and if this node was one of its two WAL followers — the
+	// pre-removal ring names them — the quorum takeover decides who adopts
+	// its journal.
 	for id := range oldView.members {
 		if _, still := v.members[id]; still || id == n.cfg.NodeID {
 			continue
-		}
-		if r := n.svc.ReenqueueStolen(id); r > 0 {
-			n.cfg.Logf("cluster: reclaimed %d jobs delegated to dead peer %s", r, id)
 		}
 		if succ := oldRing.successors(id, replicationFactor); n.shadows != nil && slices.Contains(succ, n.cfg.NodeID) {
 			n.takeoverMu.Lock()
@@ -315,10 +313,10 @@ func (n *Node) goAsync(fn func()) {
 	}()
 }
 
-// Start launches the heartbeat, steal, and WAL-shipping loops.
+// Start launches the heartbeat, offload, and WAL-shipping loops.
 func (n *Node) Start() {
 	n.loop(n.cfg.HeartbeatInterval, n.heartbeatAll)
-	n.loop(n.cfg.HeartbeatInterval, n.stealOnce)
+	n.loop(n.cfg.HeartbeatInterval, n.offloadOnce)
 	if n.ship != nil {
 		n.wg.Add(1)
 		go n.ship.run()
@@ -431,8 +429,8 @@ func (n *Node) Join(ctx context.Context, seeds []string) ([]string, error) {
 // peer's full cluster view — newer views are adopted on the spot, which
 // is how epoch changes propagate in one interval. A peer answering with
 // a different fingerprint format version is treated as unreachable:
-// exchanging cache fills or stolen jobs across fingerprint formats
-// would silently mis-route every key.
+// exchanging cache fills or offloads across fingerprint formats would
+// silently mis-route every key.
 func (n *Node) heartbeatAll() {
 	for _, id := range n.mem.ids() {
 		url := n.mem.url(id)
@@ -588,95 +586,26 @@ func (n *Node) peerFill(ctx context.Context, fp string, mode service.Mode) (*ser
 	return nil, false
 }
 
-const (
-	// stealBatch caps jobs taken from one peer per steal.
-	stealBatch = 2
-	// stealMinPeerQueue is the queue depth a peer must report before an
-	// idle node steals from it.
-	stealMinPeerQueue = 1
-)
+// offloadBatch caps the jobs one offload check sends to a peer.
+const offloadBatch = 2
 
-// stealOnce steals a batch of queued jobs from the most loaded alive
-// peer when this node is idle, solves them locally, and posts the
-// results back to the origin.
-func (n *Node) stealOnce() {
-	if n.svc.QueueLen() > 0 {
+// offloadOnce runs queued jobs on an idle peer: when this node has a
+// queue and an alive peer's last heartbeat reported none, up to
+// offloadBatch of its oldest queued jobs go through runJob here and
+// solve there, through the peer's front door. The view dropping the
+// peer, or Stop, ends an offload in flight, and the job solves here.
+func (n *Node) offloadOnce() {
+	if n.svc.QueueLen() == 0 {
 		return
 	}
-	victim, depth := "", stealMinPeerQueue-1
-	for _, id := range n.mem.ids() {
-		if d := n.mem.queueDepthOf(id); d > depth {
-			victim, depth = id, d
-		}
-	}
-	if victim == "" {
+	base, gone := n.mem.idle()
+	if base == "" {
 		return
 	}
-	var sr stealResponse
-	err := n.call(n.stopCtx, http.MethodPost, n.mem.url(victim)+"/cluster/v1/steal",
-		stealRequest{From: n.cfg.NodeID, Epoch: n.epoch(), Max: stealBatch}, &sr)
-	if err != nil {
-		return
-	}
-	for _, job := range sr.Jobs {
-		n.jobsStolen.Add(1)
-		job := job
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			n.runStolen(victim, job)
-		}()
-	}
-}
-
-// runStolen solves one stolen job as an ordinary local submission (so
-// it is cached, journaled, and counted here like any other job) and
-// posts the outcome back to the origin, which still owns the job.
-func (n *Node) runStolen(origin string, job service.StolenJob) {
-	timeout := time.Duration(job.RemainingMS) * time.Millisecond
-	if timeout <= 0 {
-		// Already expired when stolen: the origin's deadline watcher
-		// cancels it there; nothing to do here.
-		return
-	}
-	// A fingerprint mismatch means the two nodes disagree about
-	// canonicalization: the steal is refused rather than mis-cached.
-	j, err := n.svc.SubmitSource(&job.JobSource, job.Fingerprint, service.SubmitOptions{
-		Mode:    job.Mode,
-		Timeout: timeout,
+	n.svc.Offload(offloadBatch, func(ctx context.Context, src service.JobSource, fp string, mode service.Mode) (*service.Result, bool) {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		defer context.AfterFunc(gone, cancel)()
+		return n.offload(ctx, base, src, fp, mode)
 	})
-	if err != nil {
-		n.postComplete(origin, completeRequest{ID: job.ID, Error: "stolen job: " + err.Error()})
-		return
-	}
-	res, jerr := j.Wait(n.stopCtx)
-	if jerr != nil {
-		if errors.Is(jerr, context.Canceled) || errors.Is(jerr, context.DeadlineExceeded) {
-			// The origin's own deadline watcher produces the identical
-			// verdict; posting it would just race the watcher.
-			return
-		}
-		n.postComplete(origin, completeRequest{ID: job.ID, Error: jerr.Error()})
-		return
-	}
-	n.postComplete(origin, completeRequest{ID: job.ID, Result: res})
-}
-
-// postComplete delivers a stolen job's outcome to its origin, retrying
-// briefly: the origin holding the job registered means a lost post
-// costs a re-solve after its deadline, so delivery is worth a few
-// attempts (epoch mismatches during churn heal within one heartbeat).
-func (n *Node) postComplete(origin string, req completeRequest) {
-	var cr completeResponse
-	err := n.retry(5, func() error {
-		req.Epoch = n.epoch()
-		return n.call(n.stopCtx, http.MethodPost, n.mem.url(origin)+"/cluster/v1/complete", req, &cr)
-	})
-	switch {
-	case err != nil:
-		n.postsFailed.Add(1)
-		n.cfg.Logf("cluster: failed to post completion of %s back to %s", req.ID, origin)
-	case cr.Applied:
-		n.postsApplied.Add(1)
-	}
 }

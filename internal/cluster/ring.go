@@ -10,9 +10,10 @@
 //     non-owner is forwarded to the owner (one hop, loop-guarded), and
 //     a cold miss asks the owner's cache over RPC before solving
 //     locally;
-//   - idle nodes steal queued jobs from overloaded peers and post the
-//     results back (delegation, not migration: the origin keeps the job
-//     registered and its deadline still bounds it);
+//   - a node with a queue offloads its oldest queued jobs to a peer
+//     whose queue is empty, each as the forwarded /v1/synthesize request
+//     routing makes: the job stays claimed on its origin, which settles
+//     it from the peer's answer, or solves it itself when none comes;
 //   - every node streams its job journal to its two ring successors
 //     (independent ack cursors), so when a node dies by SIGKILL the
 //     followers run a quorum takeover — the one holding more acked

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	neturl "net/url"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"configsynth/internal/service"
 	"configsynth/internal/spec"
@@ -41,27 +43,6 @@ type epochRejection struct {
 	Error   string            `json:"error"`
 	Epoch   uint64            `json:"epoch"`
 	Members map[string]string `json:"members,omitempty"`
-}
-
-type stealRequest struct {
-	From  string `json:"from"`
-	Epoch uint64 `json:"epoch"`
-	Max   int    `json:"max"`
-}
-
-type stealResponse struct {
-	Jobs []service.StolenJob `json:"jobs"`
-}
-
-type completeRequest struct {
-	ID     string          `json:"id"`
-	Epoch  uint64          `json:"epoch"`
-	Result *service.Result `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-type completeResponse struct {
-	Applied bool `json:"applied"`
 }
 
 type shipRequest struct {
@@ -161,13 +142,11 @@ type Stats struct {
 	FillAsked  int64 `json:"fill_asked"`
 	FillHits   int64 `json:"fill_hits"`
 	FillServed int64 `json:"fill_served"`
-	// JobsStolen counts jobs this node took from peers; posts are the
-	// completions delivered back.
-	JobsStolen   int64 `json:"jobs_stolen"`
-	PostsApplied int64 `json:"posts_applied"`
-	PostsFailed  int64 `json:"posts_failed"`
-	Takeovers    int64 `json:"takeovers"`
-	VersionSkew  int64 `json:"version_skew"`
+	// JobsStolen counts the jobs this node ran on a peer: offloads the
+	// peer answered.
+	JobsStolen  int64 `json:"jobs_stolen"`
+	Takeovers   int64 `json:"takeovers"`
+	VersionSkew int64 `json:"version_skew"`
 	// EpochRejects counts RPCs this node refused for carrying a stale
 	// cluster epoch.
 	EpochRejects  int64 `json:"epoch_rejects,omitempty"`
@@ -193,9 +172,7 @@ func (n *Node) stats() Stats {
 		FillAsked:         n.fillAsked.Load(),
 		FillHits:          n.fillHits.Load(),
 		FillServed:        n.fillServed.Load(),
-		JobsStolen:        n.jobsStolen.Load(),
-		PostsApplied:      n.postsApplied.Load(),
-		PostsFailed:       n.postsFailed.Load(),
+		JobsStolen:        n.offloaded.Load(),
 		Takeovers:         n.takeovers.Load(),
 		VersionSkew:       n.versionSkew.Load(),
 		EpochRejects:      n.epochRejects.Load(),
@@ -225,8 +202,6 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /cluster/v1/heartbeat", n.handleHeartbeat)
 	mux.HandleFunc("GET /cluster/v1/cache", n.handleCacheFill)
-	mux.HandleFunc("POST /cluster/v1/steal", n.handleSteal)
-	mux.HandleFunc("POST /cluster/v1/complete", n.handleComplete)
 	mux.HandleFunc("POST /cluster/v1/walship", n.handleWALShip)
 	mux.HandleFunc("POST /cluster/v1/join", n.handleJoin)
 	mux.HandleFunc("GET /cluster/v1/jobids", n.handleJobIDs)
@@ -307,32 +282,6 @@ func (n *Node) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	}
 	n.fillServed.Add(1)
 	writeJSON(w, http.StatusOK, res)
-}
-
-func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
-	var req stealRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if n.rejectEpoch(w, req.Epoch) {
-		return
-	}
-	writeJSON(w, http.StatusOK, stealResponse{Jobs: n.svc.StealJobs(req.From, req.Max)})
-}
-
-func (n *Node) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if n.rejectEpoch(w, req.Epoch) {
-		return
-	}
-	writeJSON(w, http.StatusOK, completeResponse{
-		Applied: n.svc.CompleteRemote(req.ID, req.Result, req.Error),
-	})
 }
 
 func (n *Node) handleWALShip(w http.ResponseWriter, r *http.Request) {
@@ -520,6 +469,36 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, base
 	w.WriteHeader(resp.StatusCode)
 	flushCopy(w, resp.Body)
 	return true
+}
+
+// offload is the forwarded POST /v1/synthesize a routed request makes —
+// the loop-guard header, the job's mode, its remaining deadline and its
+// spec text (or ?example=1) — answered only by a 200 result for the
+// job's own fingerprint and mode.
+func (n *Node) offload(ctx context.Context, base string, src service.JobSource, fp string, mode service.Mode) (*service.Result, bool) {
+	deadline, _ := ctx.Deadline() // every admitted job has one
+	q := neturl.Values{"mode": {string(mode)}, "timeout": {time.Until(deadline).Round(time.Millisecond).String()}}
+	if src.Example {
+		q.Set("example", "1")
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/synthesize?"+q.Encode(), strings.NewReader(src.Spec))
+	if err != nil {
+		return nil, false
+	}
+	req.Header.Set(forwardedHeader, n.cfg.NodeID)
+	resp, err := n.fwdClient.Do(req)
+	if err != nil {
+		return nil, false
+	}
+	defer resp.Body.Close()
+	var res service.Result
+	if resp.StatusCode != http.StatusOK ||
+		json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&res) != nil ||
+		res.Fingerprint != fp || res.Mode != mode {
+		return nil, false
+	}
+	n.offloaded.Add(1)
+	return &res, true
 }
 
 // flushCopy streams src to w, flushing after every chunk so forwarded

@@ -28,7 +28,7 @@ import (
 // an in-memory RoundTripper (simTransport) that calls the target node's
 // Handler directly, so a link can go down and a single request or
 // response can be lost without a socket. Start is never called: the
-// test drives heartbeatAll, ship.shipPending and stealOnce round by
+// test drives heartbeatAll, ship.shipPending and offloadOnce round by
 // round and lets the cluster go quiet between events, so a failing
 // TestClusterSim/seed=N replays its schedule from its name.
 
@@ -272,7 +272,8 @@ func (tr simTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // quiesce waits until the cluster has gone quiet: no live service has a
 // queued job and no goroutine but this one is running Node code (a
-// stolen job, a rejoin, a worker's peer fill) or a service's runJob.
+// rejoin, a worker's peer fill) or a service's runJob (an offload's
+// among them).
 // Only then are the nodes' WaitGroups waited on, so that wait never
 // blocks while another node's goroutine could still add to one.
 func (sn *simNet) quiesce() {
@@ -317,7 +318,7 @@ func (sn *simNet) each(fn func(*simNode)) {
 
 func (sn *simNet) heartbeatRound() { sn.each(func(n *simNode) { n.node.heartbeatAll() }) }
 func (sn *simNet) shipRound()      { sn.each(func(n *simNode) { n.node.ship.shipPending() }) }
-func (sn *simNet) stealRound()     { sn.each(func(n *simNode) { n.node.stealOnce() }) }
+func (sn *simNet) offloadRound()   { sn.each(func(n *simNode) { n.node.offloadOnce() }) }
 
 // variantSpec is clusterSpec with its cost budget raised by i: a distinct
 // fingerprint per i, solved in milliseconds.
@@ -394,7 +395,7 @@ func journalIDs(recs []wal.Record) (submitted, finished map[string]bool) {
 }
 
 // TestClusterSim runs seeded schedules on a four-node journaled cluster
-// taking submits: heartbeat, ship and steal rounds, lost requests and
+// taking submits: heartbeat, ship and offload rounds, lost requests and
 // lost responses, a partitioned link that heals, at most two kills —
 // one, two apart, or two whose deaths different nodes detect in the same
 // round (the equal-epoch view merge) — and sometimes a stale rejoin
@@ -499,11 +500,11 @@ func (r *simRun) randomEvent() {
 		r.event("ship round")
 		r.shipRound()
 	case k < 65:
-		r.event("steal round")
-		r.stealRound()
+		r.event("offload round")
+		r.offloadRound()
 	case k < 75:
-		// A queue builds on one node; peers learn its depth and steal
-		// before its worker drains it.
+		// A queue builds on one node; it learns which peers are idle and
+		// offloads to one before its worker drains the queue.
 		r.burst(r.pick(live), 4)
 		r.quiesce()
 	case k < 88:
@@ -595,10 +596,10 @@ func (r *simRun) pendingDeath() bool {
 	return false
 }
 
-// burst queues k jobs on x, then every live node heartbeats and idle
-// ones steal from it, without waiting for any of it to finish.
+// burst queues k jobs on x, then every live node heartbeats and offloads
+// to an idle peer, without waiting for any of it to finish.
 func (r *simRun) burst(x *simNode, k int) {
-	r.event("burst of %d on %s, then heartbeats and steals", k, x.id)
+	r.event("burst of %d on %s, then heartbeats and offloads", k, x.id)
 	for ; k > 0; k-- {
 		if id := r.submit(x, r.variants, true); id != "" {
 			r.accepted = append(r.accepted, id)
@@ -610,15 +611,16 @@ func (r *simRun) burst(x *simNode, k int) {
 		n.node.heartbeatAll()
 	}
 	for _, n := range r.live() {
-		n.node.stealOnce()
+		n.node.offloadOnce()
 	}
 }
 
-// kill takes nodes down mid-load: a burst on a survivor that the victims,
-// idle, steal from, and a burst on each victim; then every node ships —
+// kill takes nodes down mid-load: a burst on a survivor that offloads to
+// the victims, idle, and a burst on each victim; then every node ships —
 // in a live cluster an append ships at once through the journal notify
 // hook, so only a lost message leaves a follower behind. None of it is
-// waited for: the victims die holding queued, running and stolen jobs.
+// waited for: the victims die holding queued, running and offloaded
+// jobs, and offloads in flight to them.
 // What each surviving follower then holds is recorded for check.
 func (r *simRun) kill(ids ...string) {
 	r.healAll()
@@ -688,7 +690,7 @@ func (r *simRun) rejoinVictim() {
 
 // settle heals everything and runs rounds until every live node holds
 // the same view of exactly the live set and every registered job is
-// terminal (a job stranded by a lost steal answer ends at its deadline).
+// terminal.
 func (r *simRun) settle() {
 	r.healAll()
 	r.mu.Lock()
@@ -698,7 +700,7 @@ func (r *simRun) settle() {
 	for deadline := time.Now().Add(90 * time.Second); time.Now().Before(deadline); {
 		r.heartbeatRound()
 		r.shipRound()
-		r.stealRound()
+		r.offloadRound()
 		if r.viewsAgree() == "" && r.allTerminal() {
 			return
 		}
@@ -981,6 +983,51 @@ func TestClusterSimFalseDeathThenRealDeath(t *testing.T) {
 	}
 }
 
+// TestClusterSimOffloadAnswerLost: a job whose offload answer is lost —
+// the peer ran its copy, the response never arrived — completes with a
+// result on its origin, which solves it itself, well inside its
+// deadline.
+func TestClusterSimOffloadAnswerLost(t *testing.T) {
+	sn := newSimNet(t, "n1", "n2")
+	n1, n2 := sn.nodes["n1"], sn.nodes["n2"]
+	// Pin n1's only worker so the job below stays queued; n1 owns it, so
+	// its peer fill asks nobody and the lost message is the offload's.
+	pin, err := n1.svc.Submit(hardTestProblem(t), service.SubmitOptions{
+		Mode: service.ModeMaxIsolation, Timeout: 5 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		pin.Cancel()
+		<-pin.Done()
+	}()
+	waitFor(t, "pin running", 10*time.Second, func() bool { return pin.State() == service.StateRunning })
+	i, _ := variantWhere(t, func(fp string) bool { return n1.node.curRing().owner(fp, nil) == "n1" })
+	j, ok := n1.svc.Job(sn.submit(n1, i, true))
+	if !ok {
+		t.Fatal("n1 refused the submit")
+	}
+
+	n1.node.heartbeatAll() // n2 reports an empty queue
+	sn.lose("n1", "n2", loseResponse)
+	n1.node.offloadOnce()
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("job %s whose offload answer was lost still %s after 10s", j.ID, j.State())
+	}
+	if res, err := j.Result(); err != nil || res.Status != "sat" {
+		t.Fatalf("job %s: %+v, %v; want a sat result on its origin", j.ID, res, err)
+	}
+	if got := n2.svc.Stats().JobsSubmitted; got != 1 {
+		t.Errorf("n2 took %d jobs, want the one offload whose answer was lost", got)
+	}
+	if got := n1.node.offloaded.Load(); got != 0 {
+		t.Errorf("%d offloads counted as run on a peer, want 0", got)
+	}
+}
+
 // variantWhere returns the first variant whose fingerprint meets cond,
 // with that fingerprint.
 func variantWhere(t *testing.T, cond func(fp string) bool) (int, string) {
@@ -1079,8 +1126,8 @@ func TestClusterSimJoinFillsMovedEntries(t *testing.T) {
 	if res, err := job.Wait(ctx); err != nil || res.Status != "sat" {
 		t.Fatalf("job queued on n1: %+v, %v", res, err)
 	}
-	if got := n1.svc.Stats().JobsStolenFromMe; got != 0 {
-		t.Errorf("n1 delegated %d jobs, want its queued job to run where it was queued", got)
+	if got := n1.node.offloaded.Load(); got != 0 {
+		t.Errorf("n1 ran %d jobs on a peer, want its queued job to run where it was queued", got)
 	}
 }
 

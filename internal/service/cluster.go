@@ -2,18 +2,17 @@ package service
 
 // Cluster-facing hooks: everything internal/cluster needs from a
 // Service. A cluster node wires a synthesis router, a peer-cache filler
-// and a journal notifier after Open, steals queued jobs from overloaded
-// peers (and applies the completions they post back), and adopts a dead
-// peer's shipped journal during takeover. None of this is reachable
-// unless the cluster layer calls it, so single-node deployments are
-// unaffected.
+// and a journal notifier after Open, offloads queued jobs to idle peers,
+// and adopts a dead peer's shipped journal during takeover. None of this
+// is reachable unless the cluster layer calls it, so single-node
+// deployments are unaffected.
 
 import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
-	"time"
 
 	"configsynth/internal/wal"
 )
@@ -108,8 +107,8 @@ func (s *Service) DropSuperseded(ids []string) int {
 	return dropped
 }
 
-// QueueLen reports the current queue depth: the work-stealing signal
-// peers compare against their own idleness.
+// QueueLen reports the current queue depth: a node with a queue
+// offloads to a peer whose heartbeat reports none.
 func (s *Service) QueueLen() int { return len(s.queue) }
 
 // tryPeerFill consults the cluster peer-fill hook before solving a
@@ -137,124 +136,39 @@ func (s *Service) tryPeerFill(j *Job) bool {
 	return true
 }
 
-// StolenJob is one queued job handed to a stealing peer: enough to
-// rebuild and solve the problem remotely and post the result back.
-type StolenJob struct {
-	ID          string `json:"id"`
-	Mode        Mode   `json:"mode"`
-	Fingerprint string `json:"fp"`
-	JobSource
-	// RemainingMS is what is left of the job's deadline; the stealer
-	// bounds its run by it so origin and thief agree on expiry.
-	RemainingMS int64 `json:"remaining_ms"`
-}
+// Offloader solves a job on a peer: the cluster's forwarded POST
+// /v1/synthesize of the job's source, bounded by ctx, the job's context.
+// ok is true only for a 200 answer for the job's own fingerprint and
+// mode; anything else is no answer.
+type Offloader func(ctx context.Context, src JobSource, fingerprint string, mode Mode) (res *Result, ok bool)
 
-// StealJobs hands up to max queued jobs to a stealing peer. Each handed
-// job is marked delegated — the local workers skip it — and stays
-// registered here: the peer posts its result back via CompleteRemote,
-// the job's own deadline still bounds it (a watcher fires if the peer
-// never answers), and a peer death re-enqueues it locally via
-// ReenqueueStolen. Only jobs with a replayable source are eligible,
-// since a stolen job ships as spec text.
-func (s *Service) StealJobs(peer string, max int) []StolenJob {
-	if peer == "" || max <= 0 {
-		return nil
+// Offload hands up to max of the oldest queued jobs that carry a source
+// to peer. Each goes through runJob on its own goroutine, which claims
+// it as a worker would — a worker that dequeues it later skips it — and
+// solves it on peer instead of here. A held service offloads nothing:
+// its replayed jobs wait for the join handshake.
+func (s *Service) Offload(max int, peer Offloader) {
+	if s.held.Load() {
+		return
 	}
-	cands := s.allJobs()
+	var queued []*Job
+	for _, j := range s.allJobs() {
+		if j.src != nil && j.State() == StateQueued && j.ctx.Err() == nil {
+			queued = append(queued, j)
+		}
+	}
 	// Oldest first: the longest-queued jobs gain the most from another
 	// node's workers.
-	sort.Slice(cands, func(i, k int) bool { return cands[i].created.Before(cands[k].created) })
-	var out []StolenJob
-	for _, j := range cands {
-		if len(out) >= max {
-			break
-		}
-		if !j.tryDelegate(peer) {
-			continue
-		}
-		s.stolenFromMe.Add(1)
-		s.watchDelegated(j)
-		sj := StolenJob{
-			ID:          j.ID,
-			Mode:        j.Mode,
-			Fingerprint: j.Fingerprint,
-			JobSource:   *j.src,
-		}
-		if d, ok := j.ctx.Deadline(); ok {
-			sj.RemainingMS = time.Until(d).Milliseconds()
-		}
-		out = append(out, sj)
+	slices.SortFunc(queued, func(a, b *Job) int { return a.created.Compare(b.created) })
+	for _, j := range queued[:min(max, len(queued))] {
+		s.runAsync(j, peer)
 	}
-	return out
-}
-
-// watchDelegated bounds a stolen job by its own deadline: if the
-// stealing peer never posts a result (death, partition), the job still
-// terminates when its context expires, exactly as a local run would.
-func (s *Service) watchDelegated(j *Job) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		select {
-		case <-j.ctx.Done():
-			// Every terminal transition cancels the context, so this arm
-			// also fires after a remote completion; settle lets only the
-			// first transition through.
-			s.settle(j, nil, j.ctx.Err())
-		case <-j.done:
-		}
-	}()
-}
-
-// CompleteRemote applies a stealing peer's outcome to a delegated job.
-// Unknown IDs and already-terminal jobs (the deadline watcher may have
-// won the race) report false; the first caller to land wins, exactly
-// once.
-func (s *Service) CompleteRemote(id string, res *Result, errMsg string) bool {
-	j, ok := s.Job(id)
-	if !ok {
-		return false
-	}
-	var err error
-	if res != nil {
-		// The thief may have answered from its own cache or a session;
-		// here the result is a fresh solve, and a proven one seeds the
-		// local cache exactly as a local solve's would.
-		cp := *res
-		cp.Cached, cp.Session = false, ""
-		res = &cp
-	} else {
-		if errMsg == "" {
-			errMsg = "remote completion without a result"
-		}
-		err = errors.New(errMsg)
-	}
-	if !s.settle(j, res, err) {
-		return false
-	}
-	s.stolenDone.Add(1)
-	return true
-}
-
-// ReenqueueStolen returns every job delegated to a now-dead peer to the
-// local pool. Jobs that completed or expired in the meantime are left
-// alone. Returns how many were reclaimed.
-func (s *Service) ReenqueueStolen(peer string) int {
-	n := 0
-	for _, j := range s.allJobs() {
-		if !j.undelegate(peer) {
-			continue
-		}
-		n++
-		s.runAsync(j)
-	}
-	return n
 }
 
 // runAsync runs a job on its own goroutine with worker-equivalent
-// panic containment, for paths that cannot use the queue channel (it
-// may be full — or closed — during takeover and reclaim).
-func (s *Service) runAsync(j *Job) {
+// panic containment, for paths that cannot use the queue channel: an
+// adoption that finds it full, and an offload.
+func (s *Service) runAsync(j *Job, peer Offloader) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -263,7 +177,7 @@ func (s *Service) runAsync(j *Job) {
 				s.panicsRecovered.Add(1)
 			}
 		}()
-		s.runJob(j)
+		s.runJob(j, peer)
 	}()
 }
 
@@ -276,7 +190,7 @@ type AdoptReport struct {
 	// cache completions included).
 	Requeued int `json:"requeued"`
 	// Duplicates skipped because the ID is already registered — a prior
-	// adoption or steal of the same job. This is what makes takeover
+	// adoption of the same job. This is what makes takeover
 	// and double-replay idempotent.
 	Duplicates int `json:"duplicates"`
 	// Failed adoptions: the local journal rejected the record.

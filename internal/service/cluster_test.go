@@ -6,8 +6,10 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,11 +18,10 @@ import (
 	"configsynth/internal/wal"
 )
 
-// Tests for the cluster-facing service surface: delegation (stealing),
-// remote completion, and journal adoption. They run against a plain
-// single service — the cluster layer is just an HTTP shell around these
-// calls, so their invariants are pinned here where timing is fully
-// controlled.
+// Tests for the cluster-facing service surface: offload and journal
+// adoption. They run against a plain single service — the cluster layer
+// is just an HTTP shell around these calls, so their invariants are
+// pinned here where timing is fully controlled.
 
 // pinWorker occupies the (single) worker with a job only cancellation
 // ends, so subsequently submitted jobs stay queued.
@@ -64,86 +65,152 @@ func queuedVariant(t *testing.T, s *Service, i int) *Job {
 	return j
 }
 
-func TestStealJobsDelegatesQueuedJobsOnce(t *testing.T) {
-	s := New(Config{Workers: 1, NodeID: "n1"})
-	defer s.Close()
-	pinWorker(t, s)
+// heldPeer is an Offloader that counts its calls by fingerprint and
+// answers each with a proven unsat result — marked as a cache hit on a
+// warm session, as the peer sends it — once release is closed.
+type heldPeer struct {
+	t       *testing.T
+	release chan struct{}
+	mu      sync.Mutex
+	calls   map[string]int
+}
 
-	j1 := queuedVariant(t, s, 1)
-	j2 := queuedVariant(t, s, 2)
+func newHeldPeer(t *testing.T) *heldPeer {
+	return &heldPeer{t: t, release: make(chan struct{}), calls: map[string]int{}}
+}
 
-	stolen := s.StealJobs("n2", 5)
-	if len(stolen) != 2 {
-		t.Fatalf("stole %d jobs, want 2", len(stolen))
+func (p *heldPeer) offload(ctx context.Context, src JobSource, fp string, mode Mode) (*Result, bool) {
+	p.mu.Lock()
+	p.calls[fp]++
+	p.mu.Unlock()
+	if _, ok := ctx.Deadline(); src.Spec == "" || !ok {
+		p.t.Errorf("offload of %.12s without its spec text or deadline", fp)
 	}
-	// Oldest first, each with the replayable source a thief needs.
-	if stolen[0].ID != j1.ID || stolen[1].ID != j2.ID {
-		t.Fatalf("steal order %s,%s, want %s,%s", stolen[0].ID, stolen[1].ID, j1.ID, j2.ID)
-	}
-	for _, sj := range stolen {
-		if sj.Spec == "" || sj.Fingerprint == "" || sj.RemainingMS <= 0 {
-			t.Fatalf("stolen job missing source/fingerprint/deadline: %+v", sj)
+	<-p.release
+	return &Result{Status: "unsat", Mode: mode, Fingerprint: fp, Cached: true, Session: "reused"}, true
+}
+
+func (p *heldPeer) callsOf(fp string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.calls[fp]
+}
+
+// waitState polls until j is in state st.
+func waitState(t *testing.T, j *Job, st JobState) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); j.State() != st; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s is %s, want %s", j.ID, j.State(), st)
 		}
-	}
-	// A delegated job cannot be stolen again by anyone.
-	if again := s.StealJobs("n3", 5); len(again) != 0 {
-		t.Fatalf("double-stole %d jobs", len(again))
-	}
-
-	// The thief answers j1; the first completion wins, repeats are
-	// rejected — this is what makes the watcher/poster race safe.
-	if !s.CompleteRemote(j1.ID, &Result{Status: "unsat"}, "") {
-		t.Fatal("first remote completion rejected")
-	}
-	if s.CompleteRemote(j1.ID, &Result{Status: "unsat"}, "") {
-		t.Fatal("second remote completion accepted")
-	}
-	res1 := wait(t, j1)
-	if res1.Status != "unsat" || res1.Cached {
-		t.Fatalf("remote result mangled: %+v", res1)
-	}
-
-	// A remote failure terminates the job too.
-	if !s.CompleteRemote(j2.ID, nil, "peer ran out of memory") {
-		t.Fatal("remote failure rejected")
-	}
-	<-j2.Done()
-	if _, jerr := j2.Result(); jerr == nil || !strings.Contains(jerr.Error(), "peer ran out of memory") {
-		t.Fatalf("remote failure error = %v", jerr)
-	}
-
-	st := s.Stats()
-	if st.JobsStolenFromMe != 2 || st.JobsStolenCompleted != 2 {
-		t.Fatalf("stolen=%d completed=%d, want 2/2", st.JobsStolenFromMe, st.JobsStolenCompleted)
-	}
-	// Unknown IDs are refused outright.
-	if s.CompleteRemote("n1-j999999", &Result{Status: "unsat"}, "") {
-		t.Fatal("completion of unknown job accepted")
 	}
 }
 
-func TestReenqueueStolenReturnsJobsToLocalPool(t *testing.T) {
+// TestOffloadClaimsEachJobOnce: an offload claims the oldest queued jobs
+// as a worker would, so a worker that dequeues one later skips it and a
+// second offload does not take it again; the peer's answer settles the
+// job as a fresh solve that seeds the cache.
+func TestOffloadClaimsEachJobOnce(t *testing.T) {
 	s := New(Config{Workers: 1, NodeID: "n1"})
 	defer s.Close()
 	pin := pinWorker(t, s)
+	j1 := queuedVariant(t, s, 1)
+	j2 := queuedVariant(t, s, 2)
+	peer := newHeldPeer(t)
 
-	j := queuedVariant(t, s, 1)
-	if got := len(s.StealJobs("n2", 5)); got != 1 {
-		t.Fatalf("stole %d, want 1", got)
+	s.Offload(1, peer.offload)
+	waitState(t, j1, StateRunning)
+	if j2.State() != StateQueued {
+		t.Fatalf("an offload of one took %s before the older %s", j2.ID, j1.ID)
 	}
-	// The thief died: its jobs come home and run locally once the
-	// worker frees up.
-	if got := s.ReenqueueStolen("n2"); got != 1 {
-		t.Fatalf("reclaimed %d, want 1", got)
-	}
-	// Reclaim is idempotent and peer-scoped.
-	if got := s.ReenqueueStolen("n2"); got != 0 {
-		t.Fatalf("second reclaim returned %d", got)
-	}
+	s.Offload(5, peer.offload)
+	waitState(t, j2, StateRunning)
+	s.Offload(5, peer.offload) // nothing queued is left to claim
+
+	// The worker frees up and dequeues both claimed jobs before a third:
+	// it must skip them while their offloads are in flight.
 	pin.Cancel()
-	res := wait(t, j)
-	if res.Status != "sat" {
-		t.Fatalf("reclaimed job status %q", res.Status)
+	if res := wait(t, queuedVariant(t, s, 3)); res.Status != "sat" {
+		t.Fatalf("local job behind the offloaded ones: %+v", res)
+	}
+	for _, j := range []*Job{j1, j2} {
+		if j.State() != StateRunning {
+			t.Fatalf("offloaded job %s is %s before the peer answered", j.ID, j.State())
+		}
+	}
+
+	close(peer.release)
+	for _, j := range []*Job{j1, j2} {
+		res := wait(t, j)
+		if res.Status != "unsat" || res.Cached || res.Session != "" {
+			t.Errorf("job %s settled as %+v, want the peer's unsat as a fresh solve", j.ID, res)
+		}
+		if n := peer.callsOf(j.Fingerprint); n != 1 {
+			t.Errorf("job %s offloaded %d times, want once", j.ID, n)
+		}
+		if _, ok := s.CacheLookup(j.Fingerprint, ModeSolve); !ok {
+			t.Errorf("the peer's proven answer for %s did not seed the cache", j.ID)
+		}
+	}
+}
+
+// TestRefusedOffloadRunsLocally: a peer that gives no answer leaves the
+// job to solve here, on the goroutine that offloaded it, as if it had
+// never left — the pinned worker plays no part.
+func TestRefusedOffloadRunsLocally(t *testing.T) {
+	s := New(Config{Workers: 1, NodeID: "n1"})
+	defer s.Close()
+	pinWorker(t, s)
+	j := queuedVariant(t, s, 1)
+	calls := 0
+	s.Offload(1, func(context.Context, JobSource, string, Mode) (*Result, bool) {
+		calls++
+		return nil, false
+	})
+	if res := wait(t, j); res.Status != "sat" || res.Cached || calls != 1 {
+		t.Fatalf("refused offload: %+v after %d offloads, want a local sat solve after one", res, calls)
+	}
+}
+
+// TestOffloadedReplayDropsTheGateOnce: a replayed job holds /readyz at
+// 503 until it is terminal, and counts down exactly once whichever
+// runJob claims it — here the offload, with the workers dequeuing it
+// afterwards.
+func TestOffloadedReplayDropsTheGateOnce(t *testing.T) {
+	cfg := Config{Workers: 1, NodeID: "n1", JournalPath: filepath.Join(t.TempDir(), "journal.wal")}
+	s1, err := open(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queuedVariant(t, s1, 1)
+	queuedVariant(t, s1, 2)
+	s1.crash()
+
+	s, err := open(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.replayPending.Load(); got != 2 {
+		t.Fatalf("%d replayed jobs pending, want 2", got)
+	}
+	peer := newHeldPeer(t)
+	close(peer.release)
+	s.Offload(5, peer.offload)
+	for _, j := range s.allJobs() {
+		wait(t, j)
+	}
+	s.startPool()
+	for deadline := time.Now().Add(10 * time.Second); len(s.queue) > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the workers never drained the offloaded jobs")
+		}
+	}
+	if got := s.replayPending.Load(); got != 0 {
+		t.Fatalf("replay gate at %d after both replayed jobs settled, want 0", got)
+	}
+	if ok, why := s.Ready(); !ok {
+		t.Fatalf("not ready after the replay settled: %s", why)
 	}
 }
 
@@ -296,60 +363,9 @@ func TestModelTooLargeSurfacesAs422(t *testing.T) {
 	}
 }
 
-// TestSubmitSourceBuildsOnlyOnAMiss: a stolen job arrives as a source and
-// the fingerprint its origin accepted it under. One the thief's cache
-// answers completes with no problem built; one it does not is built and
-// solved; one whose source no longer hashes to its fingerprint is refused
-// and registers no job.
-func TestSubmitSourceBuildsOnlyOnAMiss(t *testing.T) {
-	s := New(Config{Workers: 1, NodeID: "n2"})
-	defer s.Close()
-	solved, err := submitSpec(t, s, specVariant(5), ModeSolve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := wait(t, solved).Fingerprint
-	other, err := specParse(specVariant(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherFP := spec.Fingerprint(other)
-
-	hit, err := s.SubmitSource(&JobSource{Spec: specVariant(5)}, fp, SubmitOptions{Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit.State() != StateDone || hit.prob != nil {
-		t.Fatalf("stolen repeat of a solved problem: state %s, built %v; want done from the cache with no problem built",
-			hit.State(), hit.prob != nil)
-	}
-	if res := wait(t, hit); !res.Cached {
-		t.Errorf("stolen repeat was not answered from the cache: %+v", res)
-	}
-
-	miss, err := s.SubmitSource(&JobSource{Spec: specVariant(6)}, otherFP, SubmitOptions{Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if miss.prob == nil {
-		t.Fatal("stolen new problem was queued without its problem built")
-	}
-	if res := wait(t, miss); res.Cached || res.Fingerprint != otherFP {
-		t.Errorf("stolen new problem: %+v, want a solve under its own fingerprint", res)
-	}
-
-	before := len(s.JobIDs())
-	if _, err := s.SubmitSource(&JobSource{Spec: specVariant(5)}, otherFP, SubmitOptions{Timeout: time.Minute}); err == nil {
-		t.Fatal("a source that hashes to another fingerprint was accepted")
-	}
-	if after := len(s.JobIDs()); after != before {
-		t.Errorf("a refused source registered %d job(s)", after-before)
-	}
-}
-
-// TestWireRecordsKeepTheirBytes: the journal's submit record and the
-// stolen job a peer receives carry their source inline, byte for byte as
-// journals and peers of earlier builds wrote and read them.
+// TestWireRecordsKeepTheirBytes: the journal's submit record carries its
+// source inline, byte for byte as journals of earlier builds wrote and
+// read it.
 func TestWireRecordsKeepTheirBytes(t *testing.T) {
 	const text = "nodes 2 1\nlink 1 3\nlink 2 3\n"
 	for _, c := range []struct {
@@ -360,10 +376,6 @@ func TestWireRecordsKeepTheirBytes(t *testing.T) {
 			`{"id":"j000007","mode":"solve","fp":"5eed","spec":"nodes 2 1\nlink 1 3\nlink 2 3\n","timeout_ms":60000}`},
 		{submitRecord{ID: "j000008", Mode: ModeMaxIsolation, Fingerprint: "5eed", JobSource: JobSource{Example: true}, TimeoutMS: 30_000},
 			`{"id":"j000008","mode":"max-isolation","fp":"5eed","example":true,"timeout_ms":30000}`},
-		{StolenJob{ID: "n1-j000007", Mode: ModeSolve, Fingerprint: "5eed", JobSource: JobSource{Spec: text}, RemainingMS: 1500},
-			`{"id":"n1-j000007","mode":"solve","fp":"5eed","spec":"nodes 2 1\nlink 1 3\nlink 2 3\n","remaining_ms":1500}`},
-		{StolenJob{ID: "n1-j000008", Mode: ModeMaxIsolation, Fingerprint: "5eed", JobSource: JobSource{Example: true}, RemainingMS: 1500},
-			`{"id":"n1-j000008","mode":"max-isolation","fp":"5eed","example":true,"remaining_ms":1500}`},
 	} {
 		got, err := json.Marshal(c.v)
 		if err != nil {

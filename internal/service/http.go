@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"configsynth/internal/core"
-	"configsynth/internal/netgen"
-	"configsynth/internal/spec"
 )
 
 // maxBodyBytes bounds request bodies (problem specs are small).
@@ -398,24 +396,21 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var (
-		prob *core.Problem
-		src  *JobSource
-	)
+	src := &JobSource{Spec: req.Problem}
 	if r.URL.Query().Get("example") != "" {
-		prob = netgen.PaperExample()
 		src = &JobSource{Example: true}
-	} else {
-		if strings.TrimSpace(req.Problem) == "" {
-			writeError(w, http.StatusBadRequest, `missing "problem" (spec text)`)
-			return
-		}
-		prob, err = spec.Parse(strings.NewReader(req.Problem))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		src = &JobSource{Spec: req.Problem}
+	} else if strings.TrimSpace(req.Problem) == "" {
+		writeError(w, http.StatusBadRequest, `missing "problem" (spec text)`)
+		return
+	}
+	in, err := src.scan()
+	var prob *core.Problem
+	if err == nil {
+		prob, err = in.problem()
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	timeout, err := parseTimeout(r.URL.Query())
 	if err != nil {

@@ -192,8 +192,8 @@ type Job struct {
 	// Journal replay never sets it — a restarted service has no warm
 	// sessions, so replayed what-if jobs re-solve from scratch.
 	whatif bool
-	// src is the replayable origin retained for cluster work stealing:
-	// a stolen job ships as spec text to the stealing peer. nil for
+	// src is the replayable origin retained for the journal and for an
+	// offload, which sends the job to a peer as spec text. nil for
 	// programmatic submissions that do not round-trip.
 	src *JobSource
 
@@ -206,10 +206,6 @@ type Job struct {
 	result *Result
 	err    error
 	done   chan struct{}
-	// delegated names the peer a queued job was stolen by; the local
-	// worker then skips it and the peer's remote completion (or the
-	// job's own deadline, or a peer-death re-enqueue) finishes it.
-	delegated string
 }
 
 // newJob builds a queued job with nothing to cancel yet: admit gives a
@@ -314,44 +310,11 @@ func (j *Job) Subscribe() <-chan Event {
 	return ch
 }
 
-// tryDelegate marks a still-queued, serializable job as stolen by peer.
-// It refuses jobs already running, already delegated, expired, or
-// without a replayable source (those cannot be shipped as spec text).
-func (j *Job) tryDelegate(peer string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued || j.delegated != "" || j.src == nil || j.ctx.Err() != nil {
-		return false
-	}
-	j.delegated = peer
-	return true
-}
-
-// delegatedTo returns the stealing peer, or "".
-func (j *Job) delegatedTo() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.delegated
-}
-
-// undelegate clears the stolen mark (peer died before completing); the
-// job may then be re-enqueued locally. Reports whether the job is still
-// non-terminal and was in fact delegated to peer.
-func (j *Job) undelegate(peer string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.delegated != peer || j.terminalLocked() {
-		return false
-	}
-	j.delegated = ""
-	return true
-}
-
-// startRun atomically claims the job for a local worker: false when the
-// job was stolen by a peer or already reached a terminal state.
+// startRun atomically claims the job for one runJob — a worker's or an
+// offload's: false when another claimed it or it is terminal already.
 func (j *Job) startRun() bool {
 	j.mu.Lock()
-	if j.delegated != "" || j.terminalLocked() || j.state == StateRunning {
+	if j.terminalLocked() || j.state == StateRunning {
 		j.mu.Unlock()
 		return false
 	}
@@ -367,8 +330,7 @@ func (j *Job) terminalLocked() bool {
 }
 
 // finish transitions to a terminal state and wakes every waiter. It is
-// idempotent: with cluster stealing, a remote completion can race the
-// job's own deadline watcher, and only the first transition wins — the
+// idempotent: only the first transition wins (see settle), and the
 // return value reports whether this call was it. record runs once the
 // transition is won, under the job mutex, so nothing that can observe
 // the terminal state (State, Done, Subscribe) runs before it has

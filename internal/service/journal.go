@@ -165,8 +165,8 @@ func (src *JobSource) scan() (scanned, error) {
 // check scans a journaled or shipped source and confirms it still hashes
 // to the fingerprint it was accepted under, without building its
 // problem: a caller whose cache answers the fingerprint never needs it.
-// Journal replay, takeover adoption and a stealing peer all come through
-// here: a mismatch means two builds (or two nodes) disagree about
+// Journal replay and takeover adoption both come through here: a
+// mismatch means two builds (or two nodes) disagree about
 // canonicalization, and the job must fail rather than be solved and
 // cached under the wrong key.
 func (src *JobSource) check(fingerprint string) (scanned, error) {

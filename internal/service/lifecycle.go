@@ -3,12 +3,13 @@ package service
 // This file is the one lifecycle every job goes through, whichever door
 // it came in by (Submit, journal replay, adoption of a dead peer's
 // journal) and whichever way it ends (cache hit, solve, peer fill,
-// remote completion, deadline, panic, takeover):
+// offload, deadline, panic, takeover):
 //
 //	admit    answer from the result cache, or clamp the deadline
 //	enqueue  the entry point's own policy (accept for Submit, requeue
 //	         for replay and adoption)
-//	runJob   claim, peer fill, solve (the mode picks the arm)
+//	runJob   claim, peer fill, solve (the mode picks the arm; an
+//	         offload solves on a peer first)
 //	settle   counters, cache, wake, retire, journal
 //
 // settle is the only caller of (*Job).finish, so the order of those
@@ -147,35 +148,53 @@ func (s *Service) requeue(j *Job) {
 	}
 	s.mu.Unlock()
 	if !queued {
-		s.runAsync(j)
+		s.runAsync(j, nil)
 	}
 }
 
-// runJob takes one job from the queue to its terminal state: claim it,
-// ask the cluster for a proven answer, solve it, settle it.
-func (s *Service) runJob(j *Job) {
+// runJob takes one job to its terminal state: claim it, ask the cluster
+// for a proven answer, solve it — on peer when one is given and answers,
+// here otherwise — and settle it.
+func (s *Service) runJob(j *Job, peer Offloader) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
-	if j.replayed {
-		defer s.replayPending.Add(-1)
-	}
 	if err := j.ctx.Err(); err != nil {
-		// Canceled or expired while queued. A remote completion may have
-		// beaten this; settle lets only the first transition through.
+		// Canceled or expired while queued, or settled already by the
+		// runJob that offloaded it; settle lets only the first transition
+		// through.
 		s.settle(j, nil, err)
 		return
 	}
 	if !j.startRun() {
-		// Stolen by a peer while queued: the delegation path (remote
-		// completion, deadline watcher, or peer-death re-enqueue) settles
-		// it.
+		// Claimed while queued by an offload: its runJob settles it.
 		return
 	}
 	if s.tryPeerFill(j) {
 		return
 	}
-	res, err := s.solve(j)
+	res, err := s.offload(j, peer)
+	if res == nil && err == nil {
+		res, err = s.solve(j)
+	}
 	s.settle(j, res, err)
+}
+
+// offload solves the job on peer, if there is one. The peer's result is
+// a fresh solve here, whether or not the peer answered from its cache:
+// it seeds this node's cache if it is proven, as a local solve would.
+// No answer — a lost or refused request, a result for another problem,
+// the peer leaving the view — is (nil, nil) while the job's context
+// lives, and the job solves here as if it had never left; only the end
+// of its own context ends it.
+func (s *Service) offload(j *Job, peer Offloader) (*Result, error) {
+	if peer != nil {
+		if res, ok := peer(j.ctx, *j.src, j.Fingerprint, j.Mode); ok {
+			cp := *res
+			cp.Cached, cp.Session = false, ""
+			return &cp, nil
+		}
+	}
+	return nil, j.ctx.Err()
 }
 
 // solve answers the job's query: a filled sat or unsat result (possibly
@@ -400,23 +419,27 @@ func (s *Service) seed(fingerprint string, mode Mode, res *Result) *cached {
 
 // settle is the one terminal transition. From (res, err) alone it
 // derives the state (finish: done, canceled for a context error, failed
-// otherwise), bumps the matching outcome counters and stores a proven
-// result that is new to this node — a local solve or a remote
-// completion, not a hit — and only then wakes the waiters; after that it
-// retires the job into the bounded retention ring and journals the
-// outcome if the submit was journaled. Counters and cache come first
-// because a client that sees the job done may read /statsz or resubmit
-// at once (PR 13 fixed that race on two paths; this is all of them).
+// otherwise), bumps the matching outcome counters — the replay gate's
+// among them — and stores a proven result that is new to this node (a
+// local solve or a peer's answer to an offload, not a hit), and only
+// then wakes the waiters; after that it retires the job into the bounded
+// retention ring and journals the outcome if the submit was journaled.
+// Counters and cache come first because a client that sees the job done
+// may read /statsz or resubmit at once.
 //
-// With cluster stealing a remote completion races the job's deadline
-// watcher and the local cancel path, so settle is idempotent: the first
-// call wins, and the return value says whether this one did. The rejoin
-// handshake's ErrSuperseded differs in two ways: it counts under
-// jobs_dropped_stale, and the job is deregistered instead of retained —
-// the adopter is its one holder now.
+// Two runJobs can meet one job — the worker that dequeues it and the
+// offload that claimed it — and the rejoin handshake settles jobs it
+// does not run, so settle is idempotent: the first call wins, and the
+// return value says whether this one did. The rejoin handshake's
+// ErrSuperseded differs in two ways: it counts under jobs_dropped_stale,
+// and the job is deregistered instead of retained — the adopter is its
+// one holder now.
 func (s *Service) settle(j *Job, res *Result, err error) bool {
 	superseded := errors.Is(err, ErrSuperseded)
 	won := j.finish(res, err, func(state JobState) {
+		if j.replayed {
+			s.replayPending.Add(-1)
+		}
 		switch {
 		case superseded:
 			s.droppedStale.Add(1)

@@ -67,7 +67,7 @@ const (
 // pins it (run with -race -count=20).
 func TestCountersFinalAtDone(t *testing.T) {
 	// unstarted opens a service whose pool never starts: jobs stay
-	// queued until the case runs one by hand or a peer "steals" it.
+	// queued until the case runs one by hand or offloads it.
 	unstarted := func(t *testing.T, cfg Config) *Service {
 		t.Helper()
 		s, err := open(cfg, false)
@@ -135,7 +135,7 @@ func TestCountersFinalAtDone(t *testing.T) {
 			j := submit(t, s, smallSpec, SubmitOptions{})
 			j.Cancel()
 			snap(s)
-			go s.runJob(<-s.queue)
+			go s.runJob(<-s.queue, nil)
 			return j
 		}, outcomes{canceled: 1}},
 		{"deadline without an incumbent", func(t *testing.T, snap func(*Service)) *Job {
@@ -163,33 +163,30 @@ func TestCountersFinalAtDone(t *testing.T) {
 			snap(s)
 			return submit(t, s, smallSpec, SubmitOptions{})
 		}, outcomes{failed: 1}},
-		{"remote completion ok", func(t *testing.T, snap func(*Service)) *Job {
+		{"offloaded ok", func(t *testing.T, snap func(*Service)) *Job {
 			s := unstarted(t, Config{NodeID: "n1"})
 			j := submit(t, s, smallSpec, SubmitOptions{})
-			if got := len(s.StealJobs("n2", 1)); got != 1 {
-				t.Fatalf("stole %d jobs, want 1", got)
-			}
 			snap(s)
-			go s.CompleteRemote(j.ID, &Result{Status: "unsat"}, "")
+			s.Offload(1, func(_ context.Context, _ JobSource, fp string, mode Mode) (*Result, bool) {
+				return &Result{Status: "unsat", Mode: mode, Fingerprint: fp}, true
+			})
 			return j
 		}, outcomes{completed: 1}},
-		{"remote completion err", func(t *testing.T, snap func(*Service)) *Job {
+		{"offload refused", func(t *testing.T, snap func(*Service)) *Job {
 			s := unstarted(t, Config{NodeID: "n1"})
 			j := submit(t, s, smallSpec, SubmitOptions{})
-			if got := len(s.StealJobs("n2", 1)); got != 1 {
-				t.Fatalf("stole %d jobs, want 1", got)
-			}
 			snap(s)
-			go s.CompleteRemote(j.ID, nil, "peer ran out of memory")
+			s.Offload(1, func(context.Context, JobSource, string, Mode) (*Result, bool) { return nil, false })
 			return j
-		}, outcomes{failed: 1}},
-		{"delegated deadline", func(t *testing.T, snap func(*Service)) *Job {
+		}, outcomes{completed: 1}},
+		{"offloaded deadline", func(t *testing.T, snap func(*Service)) *Job {
 			s := unstarted(t, Config{NodeID: "n1"})
 			j := submit(t, s, smallSpec, SubmitOptions{Timeout: 50 * time.Millisecond})
 			snap(s)
-			if got := len(s.StealJobs("n2", 1)); got != 1 {
-				t.Fatalf("stole %d jobs, want 1", got)
-			}
+			s.Offload(1, func(ctx context.Context, _ JobSource, _ string, _ Mode) (*Result, bool) {
+				<-ctx.Done()
+				return nil, false
+			})
 			return j
 		}, outcomes{canceled: 1}},
 		{"superseded by takeover", func(t *testing.T, snap func(*Service)) *Job {

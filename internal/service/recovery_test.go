@@ -144,7 +144,7 @@ func TestReplayDedupServesProvenResultInstantly(t *testing.T) {
 	if !ok {
 		t.Fatal("no replayed job in queue")
 	}
-	s2.runJob(ra)
+	s2.runJob(ra, nil)
 	resA := wait(t, ra)
 	if resA.Status != "sat" {
 		t.Fatalf("first replayed job: status %q", resA.Status)

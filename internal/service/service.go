@@ -213,10 +213,6 @@ type Stats struct {
 	// from a cluster peer's proven cache before any local solving.
 	PeerFillHits   int64 `json:"peer_fill_hits,omitempty"`
 	PeerFillMisses int64 `json:"peer_fill_misses,omitempty"`
-	// JobsStolenFromMe counts queued jobs handed to stealing peers;
-	// JobsStolenCompleted counts the remote completions applied back.
-	JobsStolenFromMe    int64 `json:"jobs_stolen_from_me,omitempty"`
-	JobsStolenCompleted int64 `json:"jobs_stolen_completed,omitempty"`
 	// JobsAdopted counts jobs re-enqueued from a dead peer's shipped
 	// journal during cluster takeover.
 	JobsAdopted int64 `json:"jobs_adopted,omitempty"`
@@ -297,11 +293,10 @@ type Service struct {
 	journalErrors   atomic.Int64
 	peerHits        atomic.Int64
 	peerMisses      atomic.Int64
-	stolenFromMe    atomic.Int64
-	stolenDone      atomic.Int64
 	adopted         atomic.Int64
 	// replayPending tracks re-enqueued journal jobs that have not yet
-	// reached a terminal state; /readyz reports 503 until it drains.
+	// reached a terminal state (settle counts them down); /readyz reports
+	// 503 until it drains.
 	replayPending atomic.Int64
 	// held is set by OpenHeld: the worker pool has not started because
 	// the cluster join handshake must reconcile the journal first.
@@ -449,8 +444,8 @@ func (s *Service) idPrefix() string {
 }
 
 // newJobID mints the next job ID, node-prefixed in cluster mode so IDs
-// stay globally unique across peers (adoption and stealing move jobs
-// between nodes under their original IDs).
+// stay globally unique across peers (adoption moves jobs between nodes
+// under their original IDs).
 func (s *Service) newJobID() string {
 	return fmt.Sprintf("%sj%06d", s.idPrefix(), s.nextID.Add(1))
 }
@@ -473,7 +468,7 @@ func (s *Service) worker() {
 		}
 	}()
 	for job := range s.queue {
-		s.runJob(job)
+		s.runJob(job, nil)
 	}
 }
 
@@ -628,21 +623,6 @@ func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
 	return s.submit(scanned{fp: spec.Fingerprint(prob), prob: prob}, opts)
 }
 
-// SubmitSource is Submit for a source that arrives with the fingerprint
-// it was accepted under, as a job stolen from a peer does: the source is
-// scanned and checked against that fingerprint, and only a cache miss
-// builds its problem. A source that no longer hashes to its fingerprint
-// is refused, so two builds that disagree about canonicalization never
-// cache a result under the wrong key.
-func (s *Service) SubmitSource(src *JobSource, fingerprint string, opts SubmitOptions) (*Job, error) {
-	in, err := src.check(fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	opts.Source = src
-	return s.submit(in, opts)
-}
-
 // submit is every submission once its fingerprint is known: one cache
 // lookup, and only a miss builds the problem, journals the job and
 // enqueues it. A hit job keeps what it was handed — its source text, or
@@ -667,8 +647,8 @@ func (s *Service) submit(in scanned, opts SubmitOptions) (*Job, error) {
 	}
 	j.prob = prob
 	// A replayable source is needed for the journal and — in cluster
-	// mode — for work stealing, where a queued job ships to a peer as
-	// spec text.
+	// mode — for an offload, which sends a queued job to a peer as spec
+	// text.
 	if j.src == nil && (s.wal != nil || s.cfg.NodeID != "") {
 		j.src = sourceFor(prob, in.fp)
 	}
@@ -765,28 +745,26 @@ func (s *Service) Stats() Stats {
 		QueueDepth:    len(s.queue),
 		// The channel is over-provisioned to absorb replayed jobs, so the
 		// configured depth — the admission limit — is the capacity.
-		QueueCapacity:       s.cfg.QueueDepth,
-		JobsSubmitted:       s.submitted.Load(),
-		JobsCompleted:       s.completed.Load(),
-		JobsFailed:          s.failed.Load(),
-		JobsCanceled:        s.canceled.Load(),
-		JobsActive:          s.active.Load(),
-		JobsDegraded:        s.degraded.Load(),
-		JobsReplayed:        s.replayed.Load(),
-		PanicsRecovered:     s.panicsRecovered.Load(),
-		JournalErrors:       s.journalErrors.Load(),
-		NodeID:              s.cfg.NodeID,
-		PeerFillHits:        s.peerHits.Load(),
-		PeerFillMisses:      s.peerMisses.Load(),
-		JobsStolenFromMe:    s.stolenFromMe.Load(),
-		JobsStolenCompleted: s.stolenDone.Load(),
-		JobsAdopted:         s.adopted.Load(),
-		JobsDroppedStale:    s.droppedStale.Load(),
-		Ready:               ready,
-		Cache:               s.cache.Stats(),
-		RegionCache:         s.decomp.CacheStats(),
-		Sessions:            s.sessions.Stats(),
-		Solver:              totals,
+		QueueCapacity:    s.cfg.QueueDepth,
+		JobsSubmitted:    s.submitted.Load(),
+		JobsCompleted:    s.completed.Load(),
+		JobsFailed:       s.failed.Load(),
+		JobsCanceled:     s.canceled.Load(),
+		JobsActive:       s.active.Load(),
+		JobsDegraded:     s.degraded.Load(),
+		JobsReplayed:     s.replayed.Load(),
+		PanicsRecovered:  s.panicsRecovered.Load(),
+		JournalErrors:    s.journalErrors.Load(),
+		NodeID:           s.cfg.NodeID,
+		PeerFillHits:     s.peerHits.Load(),
+		PeerFillMisses:   s.peerMisses.Load(),
+		JobsAdopted:      s.adopted.Load(),
+		JobsDroppedStale: s.droppedStale.Load(),
+		Ready:            ready,
+		Cache:            s.cache.Stats(),
+		RegionCache:      s.decomp.CacheStats(),
+		Sessions:         s.sessions.Stats(),
+		Solver:           totals,
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()
