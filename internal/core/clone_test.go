@@ -221,3 +221,74 @@ func TestCloneArenaCap(t *testing.T) {
 		t.Fatalf("the failed clone must leave the template usable: %v", err)
 	}
 }
+
+// TestSpentTemplateIsTheClone: a template spent as a synthesizer under
+// (th, cfg) is state for state the clone it replaces — the same digest
+// of clause database, watches, root trail and PB store, the same counters
+// — and answers every query as that clone does, for every worker
+// configuration. Spending it under an arena cap it does not fit fails as
+// Clone fails and leaves it unspent.
+func TestSpentTemplateIsTheClone(t *testing.T) {
+	for _, size := range []struct {
+		hosts int
+		seed  int64
+	}{{8, 1}, {8, 2}, {20, 1}} {
+		base := cloneProblem(t, size.hosts, size.seed)
+		for regime, th := range cloneThresholds(size.hosts) {
+			p := *base
+			p.Thresholds = th
+			for w := 0; w < 4; w++ {
+				cfg := portfolio.WorkerConfig(w)
+				for _, query := range []string{"Solve", "MinCost", "Explain"} {
+					name := fmt.Sprintf("hosts=%d seed=%d %s worker=%d %s", size.hosts, size.seed, regime, w, query)
+					kept, err := core.NewTemplate(&p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spendable, err := core.NewTemplate(&p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					clone, err := kept.Clone(th, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					spent, err := spendable.Synthesizer(th, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if c, s := clone.Digest(), spent.Digest(); c != s {
+						t.Fatalf("%s: digests differ: clone %s, spent %s", name, c, s)
+					}
+					if c, s := clone.Stats(), spent.Stats(); c != s {
+						t.Fatalf("%s: stats before search differ:\nclone %+v\nspent %+v", name, c, s)
+					}
+					if want, got := ask(clone, query, th), ask(spent, query, th); !same(want, got) {
+						t.Fatalf("%s: the spent template diverges from the clone:\nclone %+v\nspent %+v", name, want, got)
+					}
+				}
+			}
+		}
+	}
+
+	p := cloneProblem(t, 8, 1)
+	tmpl, err := core.NewTemplate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmpl.Synthesizer(p.Thresholds, smt.SolverConfig{ArenaCapWords: 64}); !errors.Is(err, core.ErrModelTooLarge) {
+		t.Fatalf("Synthesizer under a 64-word arena cap: err = %v, want ErrModelTooLarge", err)
+	}
+	if _, err := tmpl.Clone(p.Thresholds, smt.SolverConfig{}); err != nil {
+		t.Fatalf("the failed Synthesizer must leave the template unspent: %v", err)
+	}
+	if _, err := tmpl.Synthesizer(p.Thresholds, smt.SolverConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of a spent template did not panic")
+		}
+	}()
+	tmpl.Clone(p.Thresholds, smt.SolverConfig{})
+}

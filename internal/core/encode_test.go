@@ -73,7 +73,10 @@ func TestEncodeMatchesRecordedParent(t *testing.T) {
 		}
 		got := recorded[name]
 		got.template = tmpl.Digest()
-		syn := tmpl.Synthesizer()
+		syn, err := tmpl.Synthesizer(p.Thresholds, p.Options.Solver)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		got.instantiated = syn.Digest()
 		if _, err := syn.Solve(); err != nil {
 			t.Fatalf("%s: %v", name, err)

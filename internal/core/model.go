@@ -88,7 +88,7 @@ func NewSynthesizer(p *Problem) (*Synthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.Synthesizer(), nil
+	return t.Synthesizer(p.Thresholds, p.Options.Solver)
 }
 
 // Template is an encoded problem before any threshold exists in it:
@@ -98,7 +98,8 @@ func NewSynthesizer(p *Problem) (*Synthesizer, error) {
 // not depend on the thresholds, so everything that needs several
 // synthesizers over one problem family — a portfolio's raced workers, a
 // what-if session's per-query extractors — encodes one Template and
-// takes a Clone per synthesizer.
+// takes a Clone per synthesizer. A caller that needs no more than one
+// spends the template itself (Synthesizer) and copies nothing.
 type Template struct {
 	syn *Synthesizer
 }
@@ -140,16 +141,22 @@ func NewTemplate(p *Problem) (retT *Template, retErr error) {
 	return &Template{syn: s}, nil
 }
 
-// Synthesizer gives the template the thresholds of the problem it was
-// built on and returns it as that problem's synthesizer — what
-// NewSynthesizer returns. It consumes the template: the encoded state
-// is handed over, not copied, so the template must not be cloned
-// afterwards.
-func (t *Template) Synthesizer() *Synthesizer {
-	s := t.syn
+// Synthesizer is Clone(th, cfg) without the copy: it returns the
+// template itself as the synthesizer of its problem under th, its solver
+// reconfigured by cfg (smt.Solver.Reconfigure), state for state what the
+// clone would have been. It spends the template: the encoded state is
+// handed over, so every later Synthesizer, Clone, Fits, CostUpperBound
+// or Stats of the template panics. On Clone's error (the encoding does
+// not fit cfg.ArenaCapWords) the template is left unspent.
+func (t *Template) Synthesizer(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, error) {
+	s := t.pristine()
+	if err := s.sol.Reconfigure(cfg); err != nil {
+		return nil, err
+	}
 	t.syn = nil
+	s.prob = s.prob.under(th, cfg)
 	s.instantiate()
-	return s
+	return s, nil
 }
 
 // Clone returns a synthesizer for the template's problem under the
@@ -173,18 +180,12 @@ func (t *Template) Synthesizer() *Synthesizer {
 // bit-identically, counters included. It fails with ErrModelTooLarge
 // when the encoding does not fit cfg.ArenaCapWords.
 func (t *Template) Clone(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, error) {
-	if t.syn == nil {
-		panic("core: Clone of a Template already turned into its Synthesizer")
-	}
-	sol, err := t.syn.sol.Clone(cfg)
+	sol, err := t.pristine().sol.Clone(cfg)
 	if err != nil {
 		return nil, err
 	}
 	c := *t.syn
-	prob := *t.syn.prob
-	prob.Thresholds = th
-	prob.Options.Solver = cfg
-	c.prob = &prob
+	c.prob = c.prob.under(th, cfg)
 	c.sol = sol
 	c.nb = nil
 	if c.theory != nil {
@@ -192,6 +193,23 @@ func (t *Template) Clone(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, err
 	}
 	c.instantiate()
 	return &c, nil
+}
+
+// pristine returns the template's encoding, which Synthesizer spends.
+func (t *Template) pristine() *Synthesizer {
+	if t.syn == nil {
+		panic("core: use of a Template already spent by Synthesizer")
+	}
+	return t.syn
+}
+
+// under returns a copy of p with thresholds th and solver configuration
+// cfg.
+func (p *Problem) under(th Thresholds, cfg smt.SolverConfig) *Problem {
+	q := *p
+	q.Thresholds = th
+	q.Options.Solver = cfg
+	return &q
 }
 
 // Fits reports whether a Clone of the template stands for a fresh encode
@@ -207,7 +225,7 @@ func (t *Template) Clone(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, err
 // Flows are sorted before they are encoded, and requirements, ranks and
 // preplacements are looked up, never iterated.
 func (t *Template) Fits(p *Problem) bool {
-	tp := t.syn.prob
+	tp := t.pristine().prob
 	if p.Options.withDefaults().Verify != tp.Options.Verify ||
 		!slices.Equal(p.Network.Links(), tp.Network.Links()) {
 		return false
@@ -232,10 +250,10 @@ func (t *Template) Fits(p *Problem) bool {
 
 // CostUpperBound returns the trivially sufficient cost budget of the
 // template's problem (see Synthesizer.CostUpperBound).
-func (t *Template) CostUpperBound() int64 { return t.syn.CostUpperBound() }
+func (t *Template) CostUpperBound() int64 { return t.pristine().CostUpperBound() }
 
 // Stats returns the statistics of the encoding the template holds.
-func (t *Template) Stats() ModelStats { return t.syn.Stats() }
+func (t *Template) Stats() ModelStats { return t.pristine().Stats() }
 
 // instantiate turns a pristine encoding into the synthesizer of s.prob:
 // the problem's solver options, empty guard tables, and the guards of
@@ -385,11 +403,15 @@ func (s *Synthesizer) reserveTables() error {
 			implications++
 		}
 	}
+	// The arena gets the headroom a Clone gives (sat.Solver.Clone), for
+	// the first learnt clauses of a search on the template itself
+	// (Template.Synthesizer).
 	binary := F*(amoClauses+patDevs) + implications
+	words := binary*sat.ClauseWords(2) + covWords
 	reserve(s.sol,
 		F*(P+amoVars)+len(s.pairs)*nUsed+L*nUsed,
 		binary+covClauses,
-		binary*sat.ClauseWords(2)+covWords)
+		words+words/8)
 
 	s.y = filled(F * P)
 	s.x = filled(len(s.pairs) * D)

@@ -30,9 +30,10 @@ const reassertInterval = time.Millisecond
 // overflow returns as core.ErrModelTooLarge. The sequential arm answers
 // everything on its own synthesizer. An engine races the descent of an
 // optimisation and extracts the design at the optimum; a plain check
-// goes straight to a canonical clone and never races — the extraction
-// decides satisfiability itself (design, core and budget error all come
-// from it), so a raced status would only be computed twice.
+// goes straight to a canonical synthesizer and never races — the
+// extraction decides satisfiability itself (design, core and budget
+// error all come from it), so a raced status would only be computed
+// twice.
 func (s *Solver) Run(ctx context.Context, q core.Query) (d *core.Design, err error) {
 	err = s.guard(ctx, func() (err error) {
 		if s.tmpl != nil && q.Optimise != 0 {
@@ -63,8 +64,8 @@ func (s *Solver) interruptAll() {
 
 // clearAll re-arms every solver after a context cancellation, so the
 // Solver remains usable for later queries. The canonical synthesizer it
-// finds is the sequential arm's: an engine's clones are discarded with
-// their question, and none is live when this runs.
+// finds is the sequential arm's: an engine's are discarded with their
+// question, and none is live when this runs.
 func (s *Solver) clearAll() {
 	s.canonMu.Lock()
 	if s.canon != nil {

@@ -8,35 +8,39 @@
 // learnt. Decomposition's width-1 region solves, the experiments'
 // incremental sweeps and refcheck's reference run on it.
 //
-// The engine (NewRacing, or NewSession: the same constructor) keeps one
-// pristine core.Template — the threshold-independent three quarters of
-// the model, with no threshold guard in it and no search behind it — and
-// never searches it. Two kinds of structural clone of it do the work:
+// The engine holds one core.Template — the threshold-independent three
+// quarters of the model, with no threshold guard in it and no search
+// behind it. NewSession and NewRacing build the same engine; they differ
+// in who spends the template. Two kinds of synthesizer do the work:
 //
 //   - Every design, unsat core, anytime incumbent and explanation is
-//     extracted by a canonical clone made for that one question under the
-//     problem's own solver configuration and dropped afterwards. Because
-//     the snapshot predates every guard and every search, that clone is
-//     state for state what a fresh encode would have built, so an answer
-//     depends only on the question, never on the engine's history.
+//     extracted by a canonical synthesizer made for that one question
+//     under the problem's own solver configuration and dropped
+//     afterwards. A session engine (NewSession) keeps its template
+//     pristine and clones it for each question; a one-shot engine
+//     (NewRacing) spends the template itself on its question
+//     (core.Template.Synthesizer) and encodes the problem afresh if it is
+//     asked another. Either way the synthesizer predates every guard and
+//     every search, so it is state for state what a fresh encode would
+//     have built, and an answer depends only on the question, never on
+//     the engine's history or on which constructor built it.
 //   - An optimisation's probes are raced as statuses across K diversified
 //     workers (PRNG seed with a small random-decision fraction, initial
 //     phase polarity, restart schedule), cloned by the first race and
 //     kept, learnt clauses included. The first worker to reach Sat or
 //     Unsat wins the probe; the losers are cancelled cooperatively,
 //     rejoin, and exchange their sharp learnt clauses. core.Query.Bisect
-//     drives the descent from those statuses, and the canonical clone
+//     drives the descent from those statuses, and the canonical synthesizer
 //     then extracts the design at the optimum.
 //
 // A plain check never races: its canonical extraction decides
 // satisfiability itself, so a raced status would only be computed twice.
-// An engine somebody keeps and Retargets at another threshold
-// combination of the same problem family is a what-if session; nothing
-// in the engine distinguishes it.
+// A NewSession engine somebody keeps and Retargets at another threshold
+// combination of the same problem family is a what-if session.
 //
 // Results are deterministic regardless of which worker wins a race:
 // Sat/Unsat is a semantic property of the formula, identical for every
-// worker, and models come from the canonical clone only, which never
+// worker, and models come from the canonical synthesizer only, which never
 // races, imports no shared clause and is interrupted only by the
 // caller's context. The only caveat is conflict budgets: a probe reports
 // Unknown only if every worker exhausts its budget, and an interrupted
@@ -78,11 +82,17 @@ type Solver struct {
 	canon     *core.Synthesizer
 	extracted core.ModelStats
 
-	// tmpl is the engine's pristine encoding; work holds the diversified
-	// raced workers cloned from it by the first race (warm), nil until
-	// then.
-	tmpl *core.Template
-	work []*core.Synthesizer
+	// tmpl is the engine's encoding; work holds the diversified raced
+	// workers cloned from it by the first race (warm), nil until then;
+	// shape is tmpl's Stats, which a spent template no longer answers.
+	// A one-shot engine (NewRacing) spends tmpl on each canonical
+	// question instead of cloning it, and spent says the last one did:
+	// the next use of tmpl encodes prob afresh first (template).
+	tmpl    *core.Template
+	work    []*core.Synthesizer
+	shape   core.ModelStats
+	oneShot bool
+	spent   bool
 
 	// dead has one entry per raced worker and marks those whose last
 	// probe panicked: a panic may leave a solver's trail or clause
@@ -118,7 +128,7 @@ func (s *Solver) SetBoundObserver(f func(kind core.ThresholdKind, value int64)) 
 
 // New returns a solver for p with the given worker count. workers <= 1
 // yields the sequential arm, behaviourally identical to
-// core.NewSynthesizer; workers >= 2 the engine.
+// core.NewSynthesizer; workers >= 2 the engine NewSession builds.
 func New(p *core.Problem, workers int) (*Solver, error) {
 	if workers <= 1 {
 		canon, err := core.NewSynthesizer(p)
@@ -127,41 +137,54 @@ func New(p *core.Problem, workers int) (*Solver, error) {
 		}
 		return &Solver{prob: p, canon: canon}, nil
 	}
-	return NewRacing(p, workers)
+	return NewSession(p, workers)
 }
 
-// NewRacing always builds the engine, even with a single worker
-// (workers < 1 is treated as 1). The engine path is identical for every
-// K — raced statuses drive a central descent and a canonical clone
-// extracts every design — which is what makes K=1 and K=4 produce
-// identical results and lets the descent stream its bounds. The problem
-// is encoded once, here; the workers are cloned by the first race.
-func NewRacing(p *core.Problem, workers int) (*Solver, error) {
+// NewSession always builds the engine, even with a single worker
+// (workers < 1 is treated as 1), and keeps its template pristine for as
+// many questions as it is asked: a what-if session Retargeted across
+// the threshold variants of one problem family, or any caller with more
+// than one query. The engine path is identical for every K — raced
+// statuses drive a central descent and a canonical synthesizer extracts every
+// design — which is what makes K=1 and K=4 produce identical results
+// and lets the descent stream its bounds. The problem is encoded once,
+// here; the workers are cloned by the first race.
+func NewSession(p *core.Problem, workers int) (*Solver, error) { return newEngine(p, workers, false) }
+
+// NewRacing builds the engine for a caller that asks it one question:
+// the same engine as NewSession, answering every query identically,
+// counters included, but its canonical question searches the template
+// itself instead of a clone of it, so the model is held once. A later
+// question encodes the problem again first; a caller with several
+// builds NewSession.
+func NewRacing(p *core.Problem, workers int) (*Solver, error) { return newEngine(p, workers, true) }
+
+// newEngine encodes p's template and builds the engine around it.
+func newEngine(p *core.Problem, workers int, oneShot bool) (*Solver, error) {
 	tmpl, err := core.NewTemplate(p)
 	if err != nil {
 		return nil, err
 	}
-	return &Solver{prob: p, tmpl: tmpl, dead: make([]bool, max(workers, 1))}, nil
+	return &Solver{prob: p, tmpl: tmpl, shape: tmpl.Stats(), oneShot: oneShot, dead: make([]bool, max(workers, 1))}, nil
 }
 
-// NewSession is NewRacing under the name of its use: an engine built to
-// be kept and Retargeted across the threshold variants of one problem
-// family, re-solving only each delta.
-func NewSession(p *core.Problem, workers int) (*Solver, error) { return NewRacing(p, workers) }
-
-// cloneWorkers clones n diversified workers from the template.
-func cloneWorkers(tmpl *core.Template, th core.Thresholds, n int) ([]*core.Synthesizer, error) {
-	work := make([]*core.Synthesizer, n)
+// cloneWorkers clones the engine's diversified workers from its
+// template.
+func (s *Solver) cloneWorkers() ([]*core.Synthesizer, error) {
+	tmpl, err := s.template()
+	if err != nil {
+		return nil, err
+	}
+	work := make([]*core.Synthesizer, len(s.dead))
 	for i := range work {
-		var err error
-		if work[i], err = tmpl.Clone(th, WorkerConfig(i)); err != nil {
+		if work[i], err = tmpl.Clone(s.prob.Thresholds, WorkerConfig(i)); err != nil {
 			return nil, fmt.Errorf("portfolio: worker %d: %w", i, err)
 		}
 	}
 	if len(work) > 1 {
 		// Clause sharing: losers' sharp learnt clauses flow to the other
 		// workers at every race join (see shareClauses). Pointless with a
-		// single worker, and a canonical clone never participates — its
+		// single worker, and a canonical synthesizer never participates — its
 		// extraction must depend only on the formula, so its search is
 		// never steered by race-timing-dependent imports.
 		for _, w := range work {
@@ -353,7 +376,11 @@ func (s *Solver) optimise(q core.Query) (*core.Design, error) {
 	s.incumbent = nil
 	var from int64 // the loosest value: slider 0, or a budget that buys everything
 	if q.Optimise == core.ThresholdCost {
-		from = s.tmpl.CostUpperBound()
+		tmpl, err := s.template()
+		if err != nil {
+			return nil, err
+		}
+		from = tmpl.CostUpperBound()
 	}
 	base := q.Thresholds.With(q.Optimise, from)
 	switch s.raceStatus(base, false) {
@@ -474,14 +501,14 @@ func (s *Solver) Explain() (ex *core.Explanation, err error) {
 
 // Stats returns the model statistics with the dynamic search counters
 // (conflicts, decisions, propagations, restarts, interrupts, random
-// decisions): the sequential arm's own, or for an engine the pristine
-// template's shape with the search of every worker and of every
-// canonical clone it has used.
+// decisions): the sequential arm's own, or for an engine the shape of
+// its template — as it was before any question spent it — with the
+// search of every worker and of every canonical synthesizer it has used.
 func (s *Solver) Stats() core.ModelStats {
 	if s.tmpl == nil {
 		return s.canon.Stats()
 	}
-	st := s.tmpl.Stats()
+	st := s.shape
 	for _, w := range s.work {
 		st.AddSearch(w.Stats())
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // This file is what an engine does with its template: clone the raced
-// workers, clone a canonical synthesizer per question, and move to
-// another threshold combination of the same problem family.
+// workers, make a canonical synthesizer per question — a clone, or the
+// template itself on a one-shot engine — and move to another threshold
+// combination of the same problem family.
 //
 // Thresholds are never baked into the clause database (they are
 // assumption guards created on demand, see core.Synthesizer), so
@@ -21,18 +22,21 @@ import (
 // The template stays pristine, each question's clone is used for exactly
 // one model-producing computation and discarded, and so performs it byte
 // for byte as a from-scratch engine would — for the price of a copy and
-// three guards instead of an encode.
+// three guards instead of an encode. A one-shot engine does not even
+// copy: its question's synthesizer is the template, spent, and a second
+// question pays the encode.
 
 // warm clones the engine's workers from its template before the first
 // race: an engine that only ever answers checks — a slider sweep — never
 // races, and holds the template alone. A clone cannot outgrow an arena
-// the template's own encode fit in, but if it does the error unwinds
-// like a search-time overflow (guard turns it into the typed error).
+// the template's own encode fit in (nor can the encode a spent template
+// needs first), but if it does the error unwinds like a search-time
+// overflow (guard turns it into the typed error).
 func (s *Solver) warm() {
 	if s.work != nil {
 		return
 	}
-	work, err := cloneWorkers(s.tmpl, s.prob.Thresholds, len(s.dead))
+	work, err := s.cloneWorkers()
 	if err != nil {
 		panic(err)
 	}
@@ -41,17 +45,41 @@ func (s *Solver) warm() {
 	s.canonMu.Unlock()
 }
 
+// template returns the engine's pristine template, encoding the current
+// problem afresh when a one-shot question has spent the last one.
+func (s *Solver) template() (*core.Template, error) {
+	if s.spent {
+		tmpl, err := core.NewTemplate(s.prob)
+		if err != nil {
+			return nil, err
+		}
+		s.tmpl, s.shape, s.spent = tmpl, tmpl.Stats(), false
+	}
+	return s.tmpl, nil
+}
+
 // canonical runs ask on the synthesizer that produces this solver's
-// models. The sequential arm has the one; an engine clones a fresh one
-// from its pristine template under its current problem's thresholds,
-// records it so a concurrent context cancellation can reach it
+// models. The sequential arm has the one; an engine makes a fresh one
+// from its template under its current problem's thresholds and solver
+// configuration — a clone, or on a one-shot engine the template itself,
+// spent (core.Template.Synthesizer), which is state for state the same
+// — records it so a concurrent context cancellation can reach it
 // (interruptAll), and drops it when ask returns, keeping the search it
 // did (its counters beyond the template's) for Stats.
 func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
 	if s.tmpl == nil {
 		return ask(s.canon)
 	}
-	syn, err := s.tmpl.Clone(s.prob.Thresholds, s.prob.Options.Solver)
+	tmpl, err := s.template()
+	if err != nil {
+		return err
+	}
+	extractor := tmpl.Clone
+	if s.oneShot {
+		extractor = tmpl.Synthesizer
+	}
+	syn, err := extractor(s.prob.Thresholds, s.prob.Options.Solver)
+	s.spent = s.oneShot && err == nil
 	if err != nil {
 		return err
 	}
@@ -61,7 +89,7 @@ func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
 	defer func() {
 		s.canonMu.Lock()
 		s.canon = nil
-		s.extracted.AddSearch(syn.Stats().Since(s.tmpl.Stats()))
+		s.extracted.AddSearch(syn.Stats().Since(s.shape))
 		s.canonMu.Unlock()
 	}()
 	return ask(syn)
@@ -102,18 +130,18 @@ func (s *Solver) RetargetFamily(p *core.Problem, family string) error {
 	if family != s.Family() {
 		return fmt.Errorf("portfolio: retarget problem differs beyond thresholds (family %.12s, engine %.12s)", family, s.family)
 	}
-	if !s.tmpl.Fits(p) {
+	if !s.spent && !s.tmpl.Fits(p) {
 		// Same family, other declaration order (the fingerprint sorts
 		// links and rules): the LinkIDs in the template's designs are not
 		// p's, and a from-scratch solve of p would search a differently
 		// numbered model. Extract from p's own encoding from here on. The
 		// warm workers stay: they only ever report statuses, which are the
-		// family's.
+		// family's. A spent template is encoded from p when next needed.
 		tmpl, err := core.NewTemplate(p)
 		if err != nil {
 			return err
 		}
-		s.tmpl = tmpl
+		s.tmpl, s.shape = tmpl, tmpl.Stats()
 	}
 	s.prob = p
 	s.ResetQueryState()

@@ -110,9 +110,12 @@ func ClauseWords(n int) int { return hdrWords + n }
 
 // ArenaLimit returns the effective arena cap in words: the 31-bit cref
 // ceiling, or the lower Config.ArenaCapWords.
-func (s *Solver) ArenaLimit() int {
-	if s.arenaCap > 0 {
-		return s.arenaCap
+func (s *Solver) ArenaLimit() int { return arenaLimit(s.arenaCap) }
+
+// arenaLimit is ArenaLimit for a solver whose arena cap is capWords.
+func arenaLimit(capWords int) int {
+	if capWords > 0 {
+		return capWords
 	}
 	return defaultArenaCap
 }

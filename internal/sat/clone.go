@@ -41,6 +41,9 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 	if s.decisionLevel() != 0 {
 		panic("sat: Clone off the root level")
 	}
+	if err := s.fits(cfg); err != nil {
+		return nil, err
+	}
 	n := s.NumVars()
 	room := n + cloneVarRoom
 	c := &Solver{
@@ -73,9 +76,6 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 
 		cfg: cfg,
 	}
-	if len(s.arena) > c.ArenaLimit() {
-		return nil, &ArenaOverflowError{Need: len(s.arena), Cap: c.ArenaLimit()}
-	}
 	// Headroom for the first learnt clauses, as an append-grown arena has.
 	c.arena = append(make([]Lit, 0, len(s.arena)+len(s.arena)/8), s.arena...)
 
@@ -92,15 +92,50 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 		off = end
 	}
 
-	for v, r := range c.reason {
-		if r == reasonTheory {
-			c.reason[v] = reasonNone
-		}
-	}
-
+	c.dropTheoryReasons()
 	c.order.act = &c.activity
 	c.order.heap = make([]Var, 0, room)
 	c.order.indices = make([]int32, n, room)
 	c.ResetSearchState()
 	return c, nil
+}
+
+// Reconfigure makes the solver, in place, what Clone(cfg) would have
+// returned: cfg and its arena cap, no theory reasons on root literals,
+// the search heuristics reset under cfg. A caller that would clone a
+// solver and then drop the original calls it instead and skips the copy.
+// The solver keeps its theories, which are bound to it already. Like
+// Clone it must be called at the root level, between Solve calls, and
+// it returns Clone's error, leaving the solver unchanged, when the
+// clause arena does not fit cfg.ArenaCapWords.
+func (s *Solver) Reconfigure(cfg Config) error {
+	if s.decisionLevel() != 0 {
+		panic("sat: Reconfigure off the root level")
+	}
+	if err := s.fits(cfg); err != nil {
+		return err
+	}
+	s.cfg, s.arenaCap = cfg, cfg.ArenaCapWords
+	s.dropTheoryReasons()
+	s.ResetSearchState()
+	return nil
+}
+
+// fits returns the error NewWith(cfg) would have raised while adding the
+// solver's clause arena, or nil if the arena fits cfg.ArenaCapWords.
+func (s *Solver) fits(cfg Config) error {
+	if limit := arenaLimit(cfg.ArenaCapWords); len(s.arena) > limit {
+		return &ArenaOverflowError{Need: len(s.arena), Cap: limit}
+	}
+	return nil
+}
+
+// dropTheoryReasons forgets which root literals a theory implied; see
+// Clone.
+func (s *Solver) dropTheoryReasons() {
+	for v, r := range s.reason {
+		if r == reasonTheory {
+			s.reason[v] = reasonNone
+		}
+	}
 }

@@ -413,10 +413,13 @@ func (s *Solver) Stats() Stats {
 // lists take their first slots from a chunk sized by the clause count;
 // nothing a later NewVar, AddClause or Solve computes depends on it, so
 // a wrong hint costs memory or reallocation and never changes the
-// state. The arena is never pre-allocated past its cap: a formula that
-// does not fit still fails at the allocation that overflows.
+// state. The trail gets room for every variable, so that a search on
+// the encoded solver itself (Reconfigure) does not begin by copying it.
+// The arena is never pre-allocated past its cap: a formula that does not
+// fit still fails at the allocation that overflows.
 func (s *Solver) Reserve(vars, clauses, arenaWords int) {
 	s.vals = reserve(s.vals, 2*vars)
+	s.trail = reserve(s.trail, vars)
 	s.level = reserve(s.level, vars)
 	s.trailPos = reserve(s.trailPos, vars)
 	s.reason = reserve(s.reason, vars)

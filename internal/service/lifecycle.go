@@ -339,12 +339,15 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 // solverFor builds (or checks out) the job's portfolio engine — an
 // engine even for one worker, so the descent of an optimisation is
 // driven centrally, which is what makes bound streaming work and results
-// independent of K. Ordinary jobs get a fresh one and drop it. What-if
+// independent of K. Ordinary jobs get a fresh one-shot engine
+// (NewRacing), which searches the model it encoded, and drop it. What-if
 // jobs consult the session registry first: a warm engine for the problem
 // family is retargeted at the job's thresholds and re-solves only the
-// delta; on a miss the fresh engine is, after the job, checked in for
-// the family's next delta. The job, not the engine, says which it is.
+// delta; on a miss a fresh session (NewSession, whose template stays
+// pristine) is, after the job, checked in for the family's next delta.
+// The job, not the engine, says which it is.
 func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err error) {
+	build := portfolio.NewRacing
 	if j.whatif {
 		family := spec.FamilyFingerprint(j.prob)
 		if sess, ok := s.sessions.Take(family); ok {
@@ -354,8 +357,9 @@ func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err err
 			// A session that cannot retarget within its own family is
 			// defective; drop it and fall through to a fresh one.
 		}
+		build = portfolio.NewSession
 	}
-	syn, err = portfolio.NewRacing(j.prob, s.cfg.SolverWorkers)
+	syn, err = build(j.prob, s.cfg.SolverWorkers)
 	return syn, false, err
 }
 

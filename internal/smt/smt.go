@@ -114,19 +114,47 @@ func (s *Sum) Len() int { return len(s.terms) }
 func (s *Sum) Total() int64 { return s.total }
 
 // byWeight returns the sum's literals and weights in stable
-// descending-weight order.
+// descending-weight order. It is a counting sort over the sum's distinct
+// weights, which are few — one per isolation level, flow rank times
+// pattern, or device price — where a comparison sort of the F·P terms
+// was a measurable share of every encode.
 func (s *Sum) byWeight() *sumOrder {
 	if o := s.order.Load(); o != nil && len(o.lits) == len(s.terms) {
 		return o
 	}
-	idx := make([]int32, len(s.terms))
-	for i := range idx {
-		idx[i] = int32(i)
+	// bucket[i] numbers term i's weight in order of first appearance;
+	// distinct[b] is weight b, and next[b] counts its terms.
+	bucket := make([]int32, len(s.weights))
+	ids := make(map[int64]int32)
+	var distinct []int64
+	var next []int32
+	for i, w := range s.weights {
+		b, ok := ids[w]
+		if !ok {
+			b = int32(len(distinct))
+			ids[w] = b
+			distinct = append(distinct, w)
+			next = append(next, 0)
+		}
+		bucket[i] = b
+		next[b]++
 	}
-	slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(s.weights[b], s.weights[a]) })
-	o := &sumOrder{lits: make([]sat.Lit, len(idx)), weights: make([]int64, len(idx))}
-	for i, j := range idx {
-		o.lits[i], o.weights[i] = s.terms[j].lit, s.weights[j]
+	// Lay the buckets out heaviest first: next[b] becomes the position of
+	// bucket b's next term.
+	heaviest := make([]int32, len(distinct))
+	for b := range heaviest {
+		heaviest[b] = int32(b)
+	}
+	slices.SortFunc(heaviest, func(a, b int32) int { return cmp.Compare(distinct[b], distinct[a]) })
+	at := int32(0)
+	for _, b := range heaviest {
+		at, next[b] = at+next[b], at
+	}
+	o := &sumOrder{lits: make([]sat.Lit, len(s.terms)), weights: make([]int64, len(s.terms))}
+	for i, b := range bucket {
+		j := next[b]
+		next[b]++
+		o.lits[j], o.weights[j] = s.terms[i].lit, s.weights[i]
 	}
 	s.order.Store(o)
 	return o
@@ -230,6 +258,19 @@ func (s *Solver) Clone(cfg SolverConfig) (*Solver, error) {
 		hasTrue:   s.hasTrue,
 		verify:    s.verify,
 	}, nil
+}
+
+// Reconfigure makes the solver, in place, what Clone(cfg) would have
+// returned (sat.Solver.Reconfigure), for a caller that would clone it
+// and drop the original: the PB store and the theories attached through
+// SAT() stay bound to it, and no model or core is carried over. On
+// Clone's error the solver is left unchanged.
+func (s *Solver) Reconfigure(cfg SolverConfig) error {
+	if err := s.sat.Reconfigure(cfg); err != nil {
+		return err
+	}
+	s.model, s.hasModel, s.core = nil, false, nil
+	return nil
 }
 
 // allNames returns one table over every name the solver holds, clipped

@@ -1,6 +1,9 @@
 package smt
 
 import (
+	"cmp"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -314,5 +317,79 @@ func TestCloneSharesNames(t *testing.T) {
 		if got := c.sol.Name(c.term); got != c.want {
 			t.Errorf("Name(%v) = %q, want %q", c.term.lit, got, c.want)
 		}
+	}
+}
+
+// stableByWeight is the order byWeight must produce, by its definition:
+// the term indexes stably sorted by descending weight.
+func stableByWeight(weights []int64) []int32 {
+	idx := make([]int32, len(weights))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(weights[b], weights[a]) })
+	return idx
+}
+
+// TestByWeightIsTheStableSort holds byWeight's counting order to the
+// stable descending sort it replaced, term for term, on sums with many
+// ties, a single weight, all-distinct weights and random mixes.
+func TestByWeightIsTheStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	shapes := map[string]func(i int) int64{
+		"single weight": func(int) int64 { return 7 },
+		"all distinct":  func(i int) int64 { return int64(1 + rng.IntN(1<<40)*64 + i%64) },
+		"ties, cycling": func(i int) int64 { return int64(10 + 15*(i%6)) },
+		"ties, random":  func(int) int64 { return int64(1 + rng.IntN(5)) },
+		"wide range":    func(int) int64 { return int64(1 + rng.IntN(1000)) },
+	}
+	for name, weight := range shapes {
+		for _, n := range []int{0, 1, 2, 17, 1000} {
+			s := NewSolver()
+			sum := &Sum{}
+			for i := range n {
+				sum.Add(s.NewBool(""), weight(i))
+			}
+			got := sum.byWeight()
+			want := stableByWeight(sum.weights)
+			if len(got.lits) != n || len(got.weights) != n {
+				t.Fatalf("%s, %d terms: order has %d literals and %d weights", name, n, len(got.lits), len(got.weights))
+			}
+			for k, i := range want {
+				if got.lits[k] != sum.terms[i].lit || got.weights[k] != sum.weights[i] {
+					t.Fatalf("%s, %d terms: position %d holds (%v, %d), the stable sort puts term %d (%v, %d) there",
+						name, n, k, got.lits[k], got.weights[k], i, sum.terms[i].lit, sum.weights[i])
+				}
+			}
+		}
+	}
+	// A sum grown after its order was cached is ordered again in full.
+	s := NewSolver()
+	sum := &Sum{}
+	for i := range 10 {
+		sum.Add(s.NewBool(""), int64(1+i%3))
+	}
+	sum.byWeight()
+	for i := range 10 {
+		sum.Add(s.NewBool(""), int64(1+i%4))
+	}
+	if got, want := sum.byWeight(), stableByWeight(sum.weights); len(got.lits) != 20 || got.lits[0] != sum.terms[want[0]].lit || got.lits[19] != sum.terms[want[19]].lit {
+		t.Fatalf("the order of a grown sum was not rebuilt: %v", got.weights)
+	}
+}
+
+// BenchmarkByWeight orders an isolation-shaped sum: 5 000 flows over six
+// pattern levels, the terms of each flow in pattern order.
+func BenchmarkByWeight(b *testing.B) {
+	s := NewSolver()
+	sum := &Sum{}
+	for i := range 30_000 {
+		sum.Add(s.NewBool(""), int64(10+15*(i%6)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		sum.order.Store(nil)
+		sum.byWeight()
 	}
 }

@@ -102,7 +102,7 @@ fi
 
 # The restarted daemon still answers fresh work.
 post="$(curl -sf -X POST "$BASE/v1/synthesize?example=1")"
-echo "$post" | grep -q '"status": "sat"' || {
+grep -q '"status": "sat"' <<<"$post" || {
   echo "post-restart synthesis not sat:" >&2
   echo "$post" >&2
   exit 1

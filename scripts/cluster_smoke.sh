@@ -236,7 +236,7 @@ done
 
 # The rejoined node serves fresh work as a member.
 post="$(curl -sf -X POST "$N3/v1/synthesize?example=1&timeout=60s")"
-echo "$post" | grep -q '"status": "sat"' || {
+grep -q '"status": "sat"' <<<"$post" || {
   echo "post-rejoin synthesis via n3 not sat:" >&2
   echo "$post" >&2
   exit 1

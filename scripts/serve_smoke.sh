@@ -16,18 +16,18 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 wait_http "$BASE/healthz" 200
 
 first="$(curl -sf -X POST "$BASE/v1/synthesize?example=1")"
-echo "$first" | grep -q '"status": "sat"' || {
+grep -q '"status": "sat"' <<<"$first" || {
   echo "first synthesis not sat:" >&2
   echo "$first" >&2
   exit 1
 }
-echo "$first" | grep -q '"cached": false' || {
+grep -q '"cached": false' <<<"$first" || {
   echo "first synthesis unexpectedly cached" >&2
   exit 1
 }
 
 second="$(curl -sf -X POST "$BASE/v1/synthesize?example=1")"
-echo "$second" | grep -q '"cached": true' || {
+grep -q '"cached": true' <<<"$second" || {
   echo "resubmission missed the cache:" >&2
   echo "$second" >&2
   exit 1
