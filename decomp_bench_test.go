@@ -123,10 +123,12 @@ func BenchmarkBatchSweep(b *testing.B) {
 }
 
 // BenchmarkDecompAllHit measures what a decomposed solve costs when the
-// region cache answers every subproblem: a budget-only variant of a
-// campus the solver has seen. What is left is validation, partition,
-// split (one enumeration of the global routes), fingerprints, stitch
-// and placement completion — the floor under every batch variant.
+// cache already holds its answer: a budget-only variant of a campus the
+// solver has seen. The stitched design does not depend on the budget,
+// so what is left is validation, one sorted view of the flows, the
+// budget-free fingerprint, one cache read and the budget check — the
+// floor under every budget variant of a batch. An edit variant still
+// partitions, splits, fingerprints its regions and stitches.
 func BenchmarkDecompAllHit(b *testing.B) {
 	p := campusProblem(b, 100)
 	s := decomp.New(decomp.Options{Workers: 4})

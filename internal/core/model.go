@@ -21,7 +21,7 @@ import (
 type Synthesizer struct {
 	prob     *Problem
 	sol      *smt.Solver
-	flows    []usability.Flow    // ascending (sortedFlows)
+	flows    []usability.Flow    // ascending (usability.SortedFlows)
 	patterns []isolation.Pattern // ascending ID
 	devices  []isolation.Device  // ascending ID
 	pairs    []pairKey           // the unordered host pairs of the flows, ascending
@@ -127,7 +127,7 @@ func NewTemplate(p *Problem) (retT *Template, retErr error) {
 	s := &Synthesizer{
 		prob:     p,
 		sol:      smt.NewSolverWith(p.Options.Solver),
-		flows:    sortedFlows(p.Flows),
+		flows:    usability.SortedFlows(p.Flows),
 		patterns: p.Catalog.Patterns(),
 		devices:  p.Catalog.Devices(),
 		routes:   topology.NewRouteTable(p.Network, p.Options.Routes),

@@ -157,7 +157,10 @@ var (
 	ErrBudgetExceeded = errors.New("core: solver budget exhausted")
 )
 
-// Validate checks the problem for structural errors.
+// Validate checks the problem for structural errors. Flows are checked
+// in declaration order, each for its endpoints and then for repeating an
+// earlier flow; a requirement outside the flows is named in CompareFlows
+// order; preplacements come last.
 func (p *Problem) Validate() error {
 	if p.Network == nil {
 		return errors.New("core: nil network")
@@ -168,22 +171,32 @@ func (p *Problem) Validate() error {
 	if len(p.Flows) == 0 {
 		return ErrNoFlows
 	}
-	seen := make(map[usability.Flow]bool, len(p.Flows))
+	seen := newFlowSet(p.Network.NumNodes(), p.Flows)
 	for _, f := range p.Flows {
 		na, okA := p.Network.Node(f.Src)
 		nb, okB := p.Network.Node(f.Dst)
 		if !okA || !okB || na.Kind != topology.Host || nb.Kind != topology.Host || f.Src == f.Dst {
 			return fmt.Errorf("%w: %v", ErrBadFlow, f)
 		}
-		if seen[f] {
+		if !seen.add(f) {
 			return fmt.Errorf("core: duplicate flow %v", f)
 		}
-		seen[f] = true
 	}
 	if p.Requirements != nil {
-		for _, f := range p.Requirements.All() {
-			if !seen[f] {
-				return fmt.Errorf("core: connectivity requirement %v is not among the flows", f)
+		// The flows are distinct now, so every requirement is among them
+		// exactly when as many of them are required as there are
+		// requirements. Only a shortfall pays for the sorted list.
+		required := 0
+		for _, f := range p.Flows {
+			if p.Requirements.Required(f) {
+				required++
+			}
+		}
+		if required != p.Requirements.Len() {
+			for _, f := range p.Requirements.All() {
+				if !seen.has(f) {
+					return fmt.Errorf("core: connectivity requirement %v is not among the flows", f)
+				}
 			}
 		}
 	}
@@ -196,6 +209,75 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
+}
+
+// flowSet is the set of flows Validate has walked so far. It is a
+// bitset over (src, dst, service - lowest service) when that index space
+// costs at most about 64 bits per flow, and otherwise a mark per flow of
+// the flows' sorted view, found by binary search.
+type flowSet struct {
+	nodes, lo, hi int64
+	bits          []uint64
+	sorted        []usability.Flow
+	marked        []bool
+}
+
+func newFlowSet(nodes int, flows []usability.Flow) *flowSet {
+	s := &flowSet{nodes: int64(nodes), lo: int64(flows[0].Svc), hi: int64(flows[0].Svc)}
+	for _, f := range flows {
+		s.lo, s.hi = min(s.lo, int64(f.Svc)), max(s.hi, int64(f.Svc))
+	}
+	limit, cells := 64*int64(len(flows))+4096, max(s.nodes*s.nodes, 1)
+	if cells <= limit && s.hi-s.lo+1 <= limit/cells {
+		s.bits = make([]uint64, (cells*(s.hi-s.lo+1)+63)/64)
+	} else {
+		s.sorted = usability.SortedFlows(flows)
+		s.marked = make([]bool, len(s.sorted))
+	}
+	return s
+}
+
+// index is f's position in the set (bit or sorted view), or -1.
+func (s *flowSet) index(f usability.Flow) int64 {
+	if s.bits == nil {
+		i, ok := slices.BinarySearchFunc(s.sorted, f, usability.CompareFlows)
+		if !ok {
+			return -1
+		}
+		return int64(i)
+	}
+	src, dst, svc := int64(f.Src), int64(f.Dst), int64(f.Svc)
+	if src < 0 || src >= s.nodes || dst < 0 || dst >= s.nodes || svc < s.lo || svc > s.hi {
+		return -1
+	}
+	return (src*s.nodes+dst)*(s.hi-s.lo+1) + svc - s.lo
+}
+
+// has reports whether f has been added.
+func (s *flowSet) has(f usability.Flow) bool {
+	i := s.index(f)
+	switch {
+	case i < 0:
+		return false
+	case s.bits == nil:
+		return s.marked[i]
+	default:
+		return s.bits[i/64]&(1<<(i%64)) != 0
+	}
+}
+
+// add adds f, one of the flows the set was built over, and reports
+// whether it was new.
+func (s *flowSet) add(f usability.Flow) bool {
+	if s.has(f) {
+		return false
+	}
+	if i := s.index(f); s.bits == nil {
+		s.marked[i] = true
+	} else {
+		s.bits[i/64] |= 1 << (i % 64)
+	}
+	return true
 }
 
 // normalized fills optional fields with defaults.
@@ -242,11 +324,4 @@ func mkPair(x, y topology.NodeID) pairKey {
 		x, y = y, x
 	}
 	return pairKey{a: x, b: y}
-}
-
-// sortedFlows returns the problem's flows in deterministic order.
-func sortedFlows(flows []usability.Flow) []usability.Flow {
-	out := slices.Clone(flows)
-	slices.SortFunc(out, usability.CompareFlows)
-	return out
 }

@@ -65,22 +65,38 @@ func CompletePlacements(p *Problem, d *Design, routes *topology.RouteTable) (int
 	}
 	seen := make(map[need]bool)
 	var needs []need
-	flows := make([]usability.Flow, 0, len(d.FlowPatterns))
-	for f := range d.FlowPatterns {
-		flows = append(flows, f)
-	}
-	for _, f := range sortedFlows(flows) {
-		pid := d.FlowPatterns[f]
-		if pid == isolation.PatternNone {
-			continue
-		}
-		for _, dev := range p.Catalog.DevicesFor(pid) {
-			n := need{a: f.Src, b: f.Dst, dev: dev}
-			if !seen[n] {
-				seen[n] = true
-				needs = append(needs, n)
+	// A design covers its problem's flows, so they are walked in order
+	// from the problem and looked up in the design. Only a design with
+	// flows the problem lacks is walked out of its map.
+	collect := func(flows []usability.Flow) int {
+		clear(seen)
+		needs = needs[:0]
+		found := 0
+		for _, f := range flows {
+			pid, ok := d.FlowPatterns[f]
+			if !ok {
+				continue
+			}
+			found++
+			if pid == isolation.PatternNone {
+				continue
+			}
+			for _, dev := range p.Catalog.DevicesFor(pid) {
+				n := need{a: f.Src, b: f.Dst, dev: dev}
+				if !seen[n] {
+					seen[n] = true
+					needs = append(needs, n)
+				}
 			}
 		}
+		return found
+	}
+	if collect(usability.SortedFlows(p.Flows)) != len(d.FlowPatterns) {
+		flows := make([]usability.Flow, 0, len(d.FlowPatterns))
+		for f := range d.FlowPatterns {
+			flows = append(flows, f)
+		}
+		collect(usability.SortedFlows(flows))
 	}
 
 	place := func(window []topology.LinkID, dev isolation.DeviceID) bool {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"configsynth/internal/isolation"
 	"configsynth/internal/lru"
 	"configsynth/internal/portfolio"
+	"configsynth/internal/spec"
 	"configsynth/internal/topology"
 	"configsynth/internal/usability"
 )
@@ -71,6 +73,7 @@ type RegionReport struct {
 	Fingerprint string `json:"fingerprint"`
 	// Cached is true when the result came from the region cache (or an
 	// in-flight solve of the same fingerprint) instead of a fresh solve.
+	// A solve answered from a stored stitch reports every region cached.
 	Cached bool `json:"cached"`
 	// Escalated is true when the single-solver budgeted attempt blew
 	// its budget and the region was re-solved by the diversified
@@ -114,7 +117,10 @@ type Result struct {
 	Repaired int
 	// Regions reports per-subproblem outcomes, sorted by key.
 	Regions []RegionReport
-	// Hits and Misses count region-cache outcomes for this solve.
+	// Hits and Misses count region-cache outcomes for this solve. A
+	// solve answered from a stored stitch, or from a concurrent solve's
+	// decomposition, counts every region as a hit, as a pass that found
+	// each region in the cache would.
 	Hits, Misses uint64
 	// Stats aggregates solver model statistics across subproblems.
 	Stats core.ModelStats
@@ -128,9 +134,10 @@ type Result struct {
 // changed.
 type Solver struct {
 	opts Options
-	// cache holds proven region results by subproblem fingerprint.
-	// Concurrent solves of one fingerprint (common in batch sweeps, where
-	// many variants share regions) run once and share the outcome.
+	// cache holds proven region results by subproblem fingerprint, and
+	// proven stitches by budget-free problem fingerprint (stitchKey).
+	// Concurrent solves of one key (common in batch sweeps, where many
+	// variants share regions) run once and share the outcome.
 	cache *lru.Cache[*regionResult]
 }
 
@@ -143,37 +150,96 @@ func New(opts Options) *Solver {
 // CacheStats snapshots the region cache counters.
 func (s *Solver) CacheStats() lru.Stats { return s.cache.Stats() }
 
+// stitchKey prefixes a problem's budget-free fingerprint to key its
+// stitch, the root node of its region DAG, in the region cache. Region
+// keys are bare hex fingerprints, so neither kind of entry can be read
+// as the other.
+const stitchKey = "stitch:"
+
 // Solve decomposes, schedules, and stitches. Problems that do not
 // decompose (fewer than two regions, flows through no region, or
 // policies coupling subproblems) fall back to a monolithic portfolio
 // solve with Fallback set.
+//
+// No region reads the cost budget, so neither does the stitched and
+// completed design: the decomposition runs once per budget-free problem
+// and is kept in the region cache like a region, and every call then
+// checks the stored design's cost against its own budget.
 func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 	start := time.Now()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 
+	// One sorted view of the caller's flows serves the key, the split and
+	// the completion, and dies with the call.
+	free := *p
+	free.Flows = usability.SortedFlows(p.Flows)
+	free.Thresholds.CostBudget = 0
+	stored, cached, err := s.cache.Do(ctx, stitchKey+spec.Fingerprint(&free), func() (*regionResult, error) {
+		return s.decompose(ctx, &free)
+	}, (*regionResult).exact)
+	if errors.Is(err, ErrNotDecomposable) {
+		// The fallback reads the budget, so every caller runs its own.
+		res, err := s.solveMonolithic(ctx, p, err.Error())
+		if res != nil {
+			res.ElapsedMS = time.Since(start).Milliseconds()
+		}
+		return res, err
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	res := *stored.stitch
+	if cached {
+		// What a pass that found every region in the cache reports.
+		res.Regions = slices.Clone(res.Regions)
+		for i := range res.Regions {
+			res.Regions[i].Cached = true
+		}
+		res.Hits, res.Misses = uint64(len(res.Regions)), 0
+	}
+	if res.Design != nil && res.Design.Cost > p.Thresholds.CostBudget {
+		// Every region fit its slice, but the union is over budget. This
+		// is a decomposition artifact (regions minimized cost locally, not
+		// jointly), so it is always conservative.
+		res.Design = nil
+		res.Unsat = true
+		res.Conservative = true
+		res.Conflict = []core.ThresholdKind{core.ThresholdCost}
+		res.ConflictRegion = "stitch"
+	}
+	if res.Design != nil && s.opts.VerifyStitch {
+		vr, err := core.Verify(p, res.Design)
+		if err != nil {
+			return nil, err
+		}
+		if !vr.OK() {
+			return nil, fmt.Errorf("decomp: stitched design failed verification: %v", vr.Violations)
+		}
+	}
+	res.ElapsedMS = time.Since(start).Milliseconds()
+	return &res, nil
+}
+
+// decompose is the budget-free part of a solve, run on p with its budget
+// zeroed: partition, split, the region DAG, the stitch and the placement
+// completion. Its entry holds the outcome as Solve reports it before the
+// budget check, and the region cache keeps it only if every region's
+// answer was exact.
+func (s *Solver) decompose(ctx context.Context, p *core.Problem) (*regionResult, error) {
 	// One table of the global network's routes serves the whole request:
 	// the splitter reads it to cut out each subproblem's subgraph, the
 	// placement completion reads it again after the stitch.
 	routes := topology.NewRouteTable(p.Network, p.Options.Routes)
 	regions := Partition(p.Network, PartitionOptions{})
-	var subs []*Subproblem
-	var splitErr error
 	if len(regions) < 2 {
-		splitErr = fmt.Errorf("%w: partition found %d region(s)", ErrNotDecomposable, len(regions))
-	} else {
-		subs, splitErr = split(p, regions, routes)
+		return nil, fmt.Errorf("%w: partition found %d region(s)", ErrNotDecomposable, len(regions))
 	}
-	if splitErr != nil {
-		if !errors.Is(splitErr, ErrNotDecomposable) {
-			return nil, splitErr
-		}
-		res, err := s.solveMonolithic(ctx, p, splitErr.Error())
-		if res != nil {
-			res.ElapsedMS = time.Since(start).Milliseconds()
-		}
-		return res, err
+	subs, err := split(p, regions, routes)
+	if err != nil {
+		return nil, err
 	}
 
 	outcomes, err := s.runDAG(ctx, subs)
@@ -182,6 +248,7 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 	}
 
 	res := &Result{}
+	exact := true
 	for _, out := range outcomes {
 		if out.cached {
 			res.Hits++
@@ -189,6 +256,7 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 			res.Misses++
 		}
 		res.Stats.Add(out.res.Stats)
+		exact = exact && out.res.exact()
 	}
 
 	keys := make([]string, 0, len(outcomes))
@@ -238,8 +306,9 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 		res.Unsat = true
 		res.Conservative = !hard
 		sort.Slice(res.Conflict, func(i, j int) bool { return res.Conflict[i] < res.Conflict[j] })
-		res.ElapsedMS = time.Since(start).Milliseconds()
-		return res, nil
+		// The entry answers unsat as a region does, and is an exact
+		// answer, so kept, only if every region's answer was.
+		return &regionResult{stitch: res, Unsat: exact, Conflict: res.Conflict, HardUnsat: exact && len(res.Conflict) == 0}, nil
 	}
 
 	design, err := s.stitch(p, outcomes)
@@ -249,35 +318,13 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 	// Subnetworks can rank routes differently from the global graph once
 	// enumeration hits its search cap, so the stitched union may leave a
 	// globally enumerated route uncovered. Complete the placements under
-	// the global route set before judging the budget.
-	if added, err := core.CompletePlacements(p, design, routes); err != nil {
+	// the global route set before the budget is judged.
+	if res.Repaired, err = core.CompletePlacements(p, design, routes); err != nil {
 		return nil, err
-	} else if added > 0 {
-		res.Repaired = added
 	}
-	if design.Cost > p.Thresholds.CostBudget {
-		// Every region fit its slice, but the union is over budget. This
-		// is a decomposition artifact (regions minimized cost locally, not
-		// jointly), so it is always conservative.
-		res.Unsat = true
-		res.Conservative = true
-		res.Conflict = []core.ThresholdKind{core.ThresholdCost}
-		res.ConflictRegion = "stitch"
-		res.ElapsedMS = time.Since(start).Milliseconds()
-		return res, nil
-	}
-	if s.opts.VerifyStitch {
-		vr, err := core.Verify(p, design)
-		if err != nil {
-			return nil, err
-		}
-		if !vr.OK() {
-			return nil, fmt.Errorf("decomp: stitched design failed verification: %v", vr.Violations)
-		}
-	}
+	// The stitched design is exact when every region's was.
 	res.Design = design
-	res.ElapsedMS = time.Since(start).Milliseconds()
-	return res, nil
+	return &regionResult{stitch: res, Design: design}, nil
 }
 
 // solveMonolithic is the fallback path for undecomposable problems. A

@@ -22,6 +22,15 @@
 // conservative, except when a region's hard constraints (CR/IIC/UIC, a
 // subset of the global ones) conflict on their own, which is a genuine
 // global UNSAT.
+//
+// Caching: every subproblem is solved without the cost budget, so the
+// stitched and completed design does not depend on it either. The
+// solver's one cache keeps each region's answer under its subproblem
+// fingerprint and each problem's stitch, the root of its region DAG,
+// under the fingerprint of the problem with its budget zeroed. A
+// budget-only variant of a problem seen before is one cache read and a
+// comparison of the stored design's cost with its budget; an edit
+// re-solves only the regions whose fingerprints it changed.
 package decomp
 
 import (

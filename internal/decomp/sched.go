@@ -45,8 +45,15 @@ type regionResult struct {
 	// ElapsedMS is the original solve time (a cache hit reports the
 	// cached value, not ~0, so reports stay meaningful).
 	ElapsedMS int64
+	// stitch is set on the entry of a problem's stitch, the root of its
+	// region DAG: the budget-free outcome Solve checks every budget
+	// against. Its Design is the stitched design, and its Unsat is set
+	// only when every region's answer was exact.
+	stitch *Result
 }
 
+// exact is the cache's keep rule: a proven answer (an exact design or a
+// decided unsat).
 func (r *regionResult) exact() bool { return r.Unsat || (r.Design != nil && r.Design.Exact) }
 
 // subOutcome pairs a subproblem with its (possibly cached) result.

@@ -392,11 +392,7 @@ func designJSON(p *core.Problem, d *core.Design) *DesignJSON {
 		Cost:      d.Cost,
 		Exact:     d.Exact,
 	}
-	flows := p.Flows
-	if !slices.IsSortedFunc(flows, usability.CompareFlows) {
-		flows = slices.Clone(flows)
-		slices.SortFunc(flows, usability.CompareFlows)
-	}
+	flows := usability.SortedFlows(p.Flows)
 	if len(d.FlowPatterns) > 0 {
 		out.Flows = make([]FlowPatternJSON, 0, len(d.FlowPatterns))
 	}

@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -123,7 +122,7 @@ func (w *canonWriter) problem(p *core.Problem) {
 		w.catalog(p.Catalog)
 	}
 
-	for _, f := range sortedFlows(p.Flows) {
+	for _, f := range usability.SortedFlows(p.Flows) {
 		rank := 1
 		if p.Ranks != nil {
 			rank = p.Ranks.Rank(f)
@@ -208,15 +207,6 @@ func (w *canonWriter) flow(f usability.Flow, rank int, required bool) {
 	b = strconv.AppendInt(append(b, " rank="...), int64(rank), 10)
 	w.b = strconv.AppendBool(append(b, " require="...), required)
 	w.endLine()
-}
-
-// sortedFlows returns a copy of flows in (src, dst, svc) order.
-func sortedFlows(flows []usability.Flow) []usability.Flow {
-	out := slices.Clone(flows)
-	slices.SortFunc(out, func(a, c usability.Flow) int {
-		return cmp.Or(cmp.Compare(a.Src, c.Src), cmp.Compare(a.Dst, c.Dst), cmp.Compare(a.Svc, c.Svc))
-	})
-	return out
 }
 
 // appendInts appends each value in decimal behind a space.

@@ -6,7 +6,8 @@ package usability
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"configsynth/internal/order"
 	"configsynth/internal/topology"
@@ -32,6 +33,57 @@ func CompareFlows(a, b Flow) int {
 		return c
 	}
 	return cmp.Compare(a.Svc, b.Svc)
+}
+
+// SortedFlows returns flows in CompareFlows order: flows itself when it
+// is in that order already, otherwise a sorted copy.
+func SortedFlows(flows []Flow) []Flow {
+	if slices.IsSortedFunc(flows, CompareFlows) {
+		return flows
+	}
+	out := slices.Clone(flows)
+	sortFlows(out)
+	return out
+}
+
+// sortFlows puts flows in CompareFlows order in place. It packs each
+// flow's offsets from the per-field minima into one uint64, highest
+// field in the highest bits, and sorts the keys with no comparator
+// call; fields whose ranges do not fit 64 bits together fall back to
+// CompareFlows.
+func sortFlows(flows []Flow) {
+	if len(flows) < 2 {
+		return
+	}
+	lo, hi := flows[0], flows[0]
+	for _, f := range flows[1:] {
+		lo = Flow{Src: min(lo.Src, f.Src), Dst: min(lo.Dst, f.Dst), Svc: min(lo.Svc, f.Svc)}
+		hi = Flow{Src: max(hi.Src, f.Src), Dst: max(hi.Dst, f.Dst), Svc: max(hi.Svc, f.Svc)}
+	}
+	// Offsets are taken in uint32, where a difference of two int32s
+	// never overflows.
+	ws := uint(bits.Len32(uint32(hi.Src) - uint32(lo.Src)))
+	wd := uint(bits.Len32(uint32(hi.Dst) - uint32(lo.Dst)))
+	wv := uint(bits.Len32(uint32(hi.Svc) - uint32(lo.Svc)))
+	if ws+wd+wv > 64 {
+		slices.SortFunc(flows, CompareFlows)
+		return
+	}
+	keys := make([]uint64, len(flows))
+	for i, f := range flows {
+		keys[i] = uint64(uint32(f.Src)-uint32(lo.Src))<<(wd+wv) |
+			uint64(uint32(f.Dst)-uint32(lo.Dst))<<wv |
+			uint64(uint32(f.Svc)-uint32(lo.Svc))
+	}
+	slices.Sort(keys)
+	mask := func(w uint) uint64 { return 1<<w - 1 }
+	for i, k := range keys {
+		flows[i] = Flow{
+			Src: lo.Src + topology.NodeID(uint32(k>>(wd+wv))),
+			Dst: lo.Dst + topology.NodeID(uint32(k>>wv&mask(wd))),
+			Svc: lo.Svc + Service(uint32(k&mask(wv))),
+		}
+	}
 }
 
 // String renders the flow as g<svc>(src->dst).
@@ -66,16 +118,7 @@ func (r *Requirements) All() []Flow {
 	for f := range r.must {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Svc < b.Svc
-	})
+	sortFlows(out)
 	return out
 }
 
