@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-
 	"configsynth/internal/sat"
 	"configsynth/internal/smt"
 )
@@ -25,13 +22,6 @@ func (t *Template) RootAssigned() int {
 // Digest returns the sha256 of the template's solver state
 // (smt.Solver.Digest), in hex.
 func (t *Template) Digest() string { return t.syn.Digest() }
-
-// Digest returns the sha256 of the synthesizer's solver state, in hex.
-func (s *Synthesizer) Digest() string {
-	h := sha256.New()
-	s.sol.Digest(h)
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // SolverStatsOf returns the counters of the synthesizer's solver,
 // including the inprocessing ones ModelStats leaves out.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"configsynth/internal/sat"
-)
+import "configsynth/internal/sat"
 
 // flowTheory is a domain-specific DPLL(T) propagator that reasons about
 // the joint effect of the isolation and usability constraints across all
@@ -76,13 +72,17 @@ type ftFlow struct {
 	contrib   int64 // current contribution to baseIso
 }
 
-var _ sat.Theory = (*flowTheory)(nil)
+var (
+	_ sat.Theory     = (*flowTheory)(nil)
+	_ sat.Unassigner = (*flowTheory)(nil)
+)
 
 // newFlowTheory builds the theory from the synthesizer's y variables and
 // attaches it to the solver. It must be called before the first Check;
-// literals already assigned at that point are at the root level and are
-// folded into the initial state.
+// literals assigned at the root level are folded into the initial state
+// (the solver backtracks there first, should a search have left a trail).
 func newFlowTheory(solver *sat.Solver, flows [][]ftOption) *flowTheory {
+	solver.BacktrackToRoot()
 	t := &flowTheory{
 		solver: solver,
 		flows:  make([]ftFlow, 0, len(flows)),
@@ -127,21 +127,25 @@ func newFlowTheory(solver *sat.Solver, flows [][]ftOption) *flowTheory {
 	return t
 }
 
-// clone returns a copy of the theory attached to solver, a clone of the
-// solver t is attached to. The per-flow state, aggregates and queues are
-// copied; the option lists and the variable index are fixed at
-// construction and shared.
-func (t *flowTheory) clone(solver *sat.Solver) *flowTheory {
+// cloneInto returns a copy of the theory attached to solver, a clone of
+// the solver t is attached to, built in the buffers of spare, a theory
+// no longer in use (nil for none), wherever they are large enough. The
+// per-flow state, aggregates and queues are copied; the option lists
+// and the variable index are fixed at construction and shared.
+func (t *flowTheory) cloneInto(spare *flowTheory, solver *sat.Solver) *flowTheory {
+	if spare == nil {
+		spare = &flowTheory{}
+	}
 	c := *t
 	c.solver = solver
-	c.flows = slices.Clone(t.flows)
-	c.guardVar = slices.Clone(t.guardVar)
-	c.isoGuards = slices.Clone(t.isoGuards)
-	c.lossGuards = slices.Clone(t.lossGuards)
-	c.gainCounts = slices.Clone(t.gainCounts)
-	c.dirty = slices.Clone(t.dirty)
-	c.dirtySet = slices.Clone(t.dirtySet)
-	c.expl = nil
+	c.flows = append(spare.flows[:0], t.flows...)
+	c.guardVar = append(spare.guardVar[:0], t.guardVar...)
+	c.isoGuards = append(spare.isoGuards[:0], t.isoGuards...)
+	c.lossGuards = append(spare.lossGuards[:0], t.lossGuards...)
+	c.gainCounts = append(spare.gainCounts[:0], t.gainCounts...)
+	c.dirty = append(spare.dirty[:0], t.dirty...)
+	c.dirtySet = append(spare.dirtySet[:0], t.dirtySet...)
+	c.expl = spare.expl[:0]
 	solver.SetTheory(&c)
 	return &c
 }
@@ -189,7 +193,7 @@ func (t *flowTheory) Assign(l sat.Lit) {
 	}
 }
 
-// Unassign implements sat.Theory.
+// Unassign implements sat.Unassigner.
 func (t *flowTheory) Unassign(l sat.Lit) { t.Assign(l) }
 
 // recompute refreshes one flow's derived values and the global

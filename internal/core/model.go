@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -180,7 +182,22 @@ func (t *Template) Synthesizer(th Thresholds, cfg smt.SolverConfig) (*Synthesize
 // bit-identically, counters included. It fails with ErrModelTooLarge
 // when the encoding does not fit cfg.ArenaCapWords.
 func (t *Template) Clone(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, error) {
-	sol, err := t.pristine().sol.Clone(cfg)
+	return t.CloneInto(nil, th, cfg)
+}
+
+// CloneInto is Clone built in the memory of spare, a synthesizer the
+// caller is done with — the last question's, of any template, even one
+// cut short mid-search by an interrupt or a panic: what Clone copies
+// goes into spare's buffers wherever they are large enough
+// (smt.Solver.CloneInto). Only their capacity is read, never their
+// contents, so the result is state for state what Clone returns. spare
+// must not be used afterwards, and must come from Clone or CloneInto; a
+// nil spare is Clone.
+func (t *Template) CloneInto(spare *Synthesizer, th Thresholds, cfg smt.SolverConfig) (*Synthesizer, error) {
+	if spare == nil {
+		spare = &Synthesizer{}
+	}
+	sol, err := t.pristine().sol.CloneInto(spare.sol, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +206,7 @@ func (t *Template) Clone(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, err
 	c.sol = sol
 	c.nb = nil
 	if c.theory != nil {
-		c.theory = c.theory.clone(sol.SAT())
+		c.theory = c.theory.cloneInto(spare.theory, sol.SAT())
 	}
 	c.instantiate()
 	return &c, nil
@@ -271,6 +288,17 @@ func (s *Synthesizer) instantiate() {
 
 // Problem returns the (normalized) problem the synthesizer was built on.
 func (s *Synthesizer) Problem() *Problem { return s.prob }
+
+// Digest returns the sha256, in hex, of the synthesizer's solver state
+// (smt.Solver.Digest): its clause database, root assignment and PB
+// store. Two synthesizers with equal digests and equal heuristics
+// search identically. It is a debugging aid for tests that pin an
+// encoding or compare two ways of building one; nothing here calls it.
+func (s *Synthesizer) Digest() string {
+	h := sha256.New()
+	s.sol.Digest(h)
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // Verifying reports whether the solver self-check hooks are enabled
 // (Options.Verify or CONFSYNTH_VERIFY).

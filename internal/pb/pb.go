@@ -13,7 +13,7 @@
 // The theory uses counter propagation: it maintains the sum of weights of
 // currently-true literals per constraint, detects violations in O(1), and
 // propagates ¬l for any unassigned literal whose weight exceeds the
-// remaining slack. Two hot-path refinements keep large stores cheap:
+// remaining slack. Three hot-path refinements keep large stores cheap:
 //
 //   - Watermark gating: a constraint is only queued for Propagate when
 //     its sum exceeds watermark = bound − maxWeight. Below the
@@ -22,6 +22,12 @@
 //     possible, so Propagate would visit it and do nothing — the queue
 //     push in Assign is skipped instead, and most assignments touch
 //     nothing but the counters.
+//
+//   - Level-scoped restore: the sums are a function of the trail, so the
+//     store is a sat.LevelTheory. It saves the K sums when a decision
+//     level opens and copies them back when the solver backtracks below
+//     it, instead of subtracting every undone literal's weights: K words
+//     per level, against a walk of every undone literal's occurrences.
 //
 //   - Lazy explanations: implied literals are enqueued through
 //     sat.TheoryEnqueueLazy with the constraint id as the tag, and the
@@ -58,14 +64,13 @@ type term struct {
 	weight int64
 }
 
+// constraint is fixed once added, so clones of a store share it; the
+// running sum is Theory.sums[id].
 type constraint struct {
 	terms     []term // sorted by descending weight
 	bound     int64
-	sum       int64 // total weight of currently-true literals
 	watermark int64 // bound − max weight; only sums above it can act
 }
-
-func (c *constraint) slack() int64 { return c.bound - c.sum }
 
 type occEntry struct {
 	id     int32
@@ -73,10 +78,12 @@ type occEntry struct {
 }
 
 // Theory is a pseudo-Boolean constraint store attached to a sat.Solver.
-// It implements sat.Theory and sat.LazyExplainer.
+// It implements sat.Theory, sat.LevelTheory and sat.LazyExplainer.
 type Theory struct {
 	solver      *sat.Solver
 	constraints []*constraint
+	sums        []int64      // per constraint: total weight of currently-true literals
+	saved       []int64      // sums as each open decision level found them, K per level
 	occ         [][]occEntry // lit -> constraints where lit contributes
 	touched     []int32
 	onQueue     []bool
@@ -90,6 +97,7 @@ type Theory struct {
 
 var (
 	_ sat.Theory        = (*Theory)(nil)
+	_ sat.LevelTheory   = (*Theory)(nil)
 	_ sat.LazyExplainer = (*Theory)(nil)
 )
 
@@ -102,36 +110,54 @@ func New(s *sat.Solver) *Theory {
 
 // Clone returns a copy of the store bound to s, which must be a clone of
 // the solver t is attached to (sat.Solver.Clone), and registers it with
-// s. Counters, queue state and occurrence lists are copied (the lists
-// into one slab, each clipped so an append reallocates); the term
-// arrays are shared, since nothing writes to them after AddAtMost.
-func (t *Theory) Clone(s *sat.Solver) *Theory {
+// s. The sums, the queue and the occurrence table are copied; the
+// constraints and the occurrence lists are shared, each list clipped so
+// that an append reallocates, since nothing writes to them once added.
+func (t *Theory) Clone(s *sat.Solver) *Theory { return t.CloneInto(nil, s) }
+
+// cloneVarRoom is the per-variable room a clone's tables start with, as
+// sat.Solver.Clone gives its own: the guards a clone adds next then do
+// not copy the occurrence table again.
+const cloneVarRoom = 64
+
+// CloneInto is Clone built in the memory of spare, a store the caller is
+// done with (sat.Solver.CloneInto): only the capacity of its buffers is
+// read, and the result is state for state what Clone returns. spare
+// must not be used afterwards; nil is Clone. t's solver is backtracked
+// to the root first, so the sums copied are the root's.
+func (t *Theory) CloneInto(spare *Theory, s *sat.Solver) *Theory {
+	t.solver.BacktrackToRoot()
+	if spare == nil {
+		spare = &Theory{}
+	}
+	room := len(t.occ) + 2*cloneVarRoom
 	c := &Theory{
 		solver:      s,
-		constraints: make([]*constraint, len(t.constraints)),
-		occ:         make([][]occEntry, len(t.occ)),
-		touched:     slices.Clone(t.touched),
-		onQueue:     slices.Clone(t.onQueue),
+		constraints: append(recycled(spare.constraints, len(t.constraints)), t.constraints...),
+		sums:        append(recycled(spare.sums, len(t.sums)), t.sums...),
+		saved:       spare.saved[:0],
+		occ:         recycled(spare.occ, room)[:len(t.occ)],
+		touched:     append(recycled(spare.touched, len(t.touched)), t.touched...),
+		onQueue:     append(recycled(spare.onQueue, len(t.onQueue)), t.onQueue...),
 		rootViol:    t.rootViol,
+		expl:        spare.expl[:0],
+		stamp:       spare.stamp[:0],
 	}
-	cons := make([]constraint, len(t.constraints))
-	for i, k := range t.constraints {
-		cons[i] = *k
-		c.constraints[i] = &cons[i]
-	}
-	total := 0
-	for _, es := range t.occ {
-		total += len(es)
-	}
-	slab := make([]occEntry, total)
-	off := 0
 	for l, es := range t.occ {
-		end := off + copy(slab[off:], es)
-		c.occ[l] = slab[off:end:end]
-		off = end
+		c.occ[l] = es[:len(es):len(es)]
 	}
+	clear(c.occ[len(t.occ):cap(c.occ)]) // let go of the spare's lists
 	s.SetTheory(c)
 	return c
+}
+
+// recycled returns buf emptied when it can hold n elements, and a new
+// slice of capacity n otherwise.
+func recycled[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) >= n {
+		return buf[:0]
+	}
+	return make(S, 0, n)
 }
 
 // Digest writes the store to h: every constraint in id order with its
@@ -170,11 +196,16 @@ func (t *Theory) RootViolated() bool { return t.rootViol }
 // forced false through the solver, so the root assignment reflects them
 // before the next Solve.
 //
+// A constraint is added at the root level: the solver backtracks there
+// first (sat.Solver.BacktrackToRoot), so literals already true count
+// only if they are true at the root.
+//
 // Terms are stored in stable descending-weight order (the order decides
 // propagation and explanation order). Input that already arrives in
 // non-increasing weight order — smt.Sum hands its cached order over —
 // is stored as is; a stable sort would not move anything.
 func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
+	t.solver.BacktrackToRoot()
 	if len(lits) != len(weights) {
 		return fmt.Errorf("%w: %d literals vs %d weights", ErrBadConstraint, len(lits), len(weights))
 	}
@@ -219,6 +250,7 @@ func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
 	id := int32(len(t.constraints))
 	t.constraints = append(t.constraints, c)
 	t.onQueue = append(t.onQueue, false)
+	var sum int64
 
 	if n := 2 * t.solver.NumVars(); len(t.occ) < n {
 		t.occ = append(t.occ, make([][]occEntry, n-len(t.occ))...)
@@ -237,10 +269,11 @@ func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
 		}
 		// Account for literals already true at the root level.
 		if t.solver.ValueLit(tm.lit) == sat.True {
-			c.sum += tm.weight
+			sum += tm.weight
 		}
 	}
-	if c.sum > c.bound {
+	t.sums = append(t.sums, sum)
+	if sum > c.bound {
 		t.rootViol = true
 		return nil
 	}
@@ -252,7 +285,7 @@ func (t *Theory) AddAtMost(lits []sat.Lit, weights []int64, bound int64) error {
 	// units. The unit may cascade through clause and theory propagation;
 	// a root conflict surfacing from the cascade marks the store violated.
 	for _, tm := range c.terms {
-		if tm.weight <= c.bound-c.sum || t.solver.ValueLit(tm.lit) != sat.Undef {
+		if tm.weight <= c.bound-t.sums[id] || t.solver.ValueLit(tm.lit) != sat.Undef {
 			continue
 		}
 		if err := t.solver.AddClause(tm.lit.Not()); err != nil {
@@ -279,22 +312,24 @@ func (t *Theory) Assign(l sat.Lit) {
 		return
 	}
 	for _, e := range t.occ[l] {
-		c := t.constraints[e.id]
-		c.sum += e.weight
-		if c.sum > c.watermark {
+		t.sums[e.id] += e.weight
+		if t.sums[e.id] > t.constraints[e.id].watermark {
 			t.push(e.id)
 		}
 	}
 }
 
-// Unassign implements sat.Theory.
-func (t *Theory) Unassign(l sat.Lit) {
-	if int(l) >= len(t.occ) {
-		return
-	}
-	for _, e := range t.occ[l] {
-		t.constraints[e.id].sum -= e.weight
-	}
+// NewLevel implements sat.LevelTheory: it saves the sums.
+func (t *Theory) NewLevel() { t.saved = append(t.saved, t.sums...) }
+
+// Backtrack implements sat.LevelTheory: it restores the sums level+1
+// found when it opened. Constraints are only added at the root, so
+// every saved level holds one sum per constraint. The propagation queue
+// is left as it is, as it was when each undone literal was subtracted.
+func (t *Theory) Backtrack(level int) {
+	at := level * len(t.sums)
+	copy(t.sums, t.saved[at:])
+	t.saved = t.saved[:at]
 }
 
 // VerifyModel checks every constraint against a complete assignment,
@@ -386,12 +421,12 @@ func (t *Theory) Propagate(s *sat.Solver) []sat.Lit {
 		t.touched = t.touched[:len(t.touched)-1]
 		t.onQueue[id] = false
 		c := t.constraints[id]
-		if c.sum > c.bound {
+		if t.sums[id] > c.bound {
 			return t.explain(c, sat.LitUndef, c.bound)
 		}
 		// Weights are sorted descending: once w <= slack no further
 		// literal can propagate.
-		slack := c.slack()
+		slack := c.bound - t.sums[id]
 		if len(c.terms) == 0 || c.terms[0].weight <= slack {
 			continue
 		}

@@ -333,7 +333,7 @@ func TestRandomPBAgainstBruteForce(t *testing.T) {
 
 func TestIncrementalSolvesWithAssumptions(t *testing.T) {
 	// Repeated solving with different assumptions must keep counters
-	// consistent (exercises Unassign paths).
+	// consistent (exercises the level restore).
 	s, th, lits := setup(6)
 	if err := th.AddAtMost(lits, []int64{4, 3, 3, 2, 2, 1}, 7); err != nil {
 		t.Fatal(err)

@@ -264,6 +264,50 @@ func TestOneShotSolveAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestSessionQuestionAllocBudget pins the point of a session's spare:
+// a what-if question builds its synthesizer in the memory of the last
+// question's, so after one warm-up question a what-if on a 50-host
+// instance allocates at most half of what its template's encode did.
+// Cloning into fresh memory allocated as much as the encode (100 % of
+// 11.6 MB); the recycled question allocates 23 %, nearly all of it the
+// search and the three guards.
+func TestSessionQuestionAllocBudget(t *testing.T) {
+	p, err := netgen.Generate(netgen.Config{
+		Hosts: 50, Routers: 10, MaxServices: 3, CRFraction: 0.10, Seed: 50,
+		Thresholds: core.Thresholds{IsolationTenths: 30, UsabilityTenths: 50, CostBudget: 200},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var s *Solver
+	encode := allocated(func() { s = mustSession(t, p, 1) })
+	ask := func(iso int) {
+		q := *p
+		q.Thresholds.IsolationTenths = iso
+		if err := s.Retarget(&q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SolveContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask(20) // the warm-up: its clone has no spare to go into
+	question := allocated(func() { ask(40) })
+	t.Logf("a what-if question allocated %d bytes, %.0f%% of the %d its template's encode did",
+		question, 100*float64(question)/float64(encode), encode)
+	if question*2 > encode {
+		t.Fatalf("a what-if question allocated %d bytes, %.0f%% of the %d its template's encode did; want at most half",
+			question, 100*float64(question)/float64(encode), encode)
+	}
+}
+
 func mustSession(t *testing.T, p *core.Problem, workers int) *Solver {
 	t.Helper()
 	s, err := NewSession(p, workers)

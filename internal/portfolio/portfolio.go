@@ -93,6 +93,11 @@ type Solver struct {
 	shape   core.ModelStats
 	oneShot bool
 	spent   bool
+	// spare is a session's last canonical synthesizer, kept after its
+	// question only so that the next question's clone is built in its
+	// memory (canonical); nil on a one-shot engine and before the first
+	// question. Nothing reads its state.
+	spare *core.Synthesizer
 
 	// dead has one entry per raced worker and marks those whose last
 	// probe panicked: a panic may leave a solver's trail or clause

@@ -20,11 +20,13 @@ import (
 // solver bit-stable across queries (it cannot be: root simplification,
 // learnt units, and on-demand guard allocation mutate it irreversibly).
 // The template stays pristine, each question's clone is used for exactly
-// one model-producing computation and discarded, and so performs it byte
-// for byte as a from-scratch engine would — for the price of a copy and
-// three guards instead of an encode. A one-shot engine does not even
-// copy: its question's synthesizer is the template, spent, and a second
-// question pays the encode.
+// one model-producing computation, and so performs it byte for byte as
+// a from-scratch engine would — for the price of a copy and three guards
+// instead of an encode. The copy goes into the memory of the previous
+// question's clone, which a session keeps as its spare and nothing
+// reads. A one-shot engine does not even copy: its question's
+// synthesizer is the template, spent, and a second question pays the
+// encode.
 
 // warm clones the engine's workers from its template before the first
 // race: an engine that only ever answers checks — a slider sweep — never
@@ -61,11 +63,14 @@ func (s *Solver) template() (*core.Template, error) {
 // canonical runs ask on the synthesizer that produces this solver's
 // models. The sequential arm has the one; an engine makes a fresh one
 // from its template under its current problem's thresholds and solver
-// configuration — a clone, or on a one-shot engine the template itself,
-// spent (core.Template.Synthesizer), which is state for state the same
-// — records it so a concurrent context cancellation can reach it
-// (interruptAll), and drops it when ask returns, keeping the search it
-// did (its counters beyond the template's) for Stats.
+// configuration — on a one-shot engine the template itself, spent
+// (core.Template.Synthesizer); on a session a clone built in the memory
+// of the last question's synthesizer, the spare (core.Template.CloneInto);
+// both state for state a plain clone — records it so a concurrent
+// context cancellation can reach it (interruptAll), and drops it when
+// ask returns, keeping the search it did (its counters beyond the
+// template's) for Stats and, on a session, the synthesizer itself as the
+// next question's spare, whatever state ask left it in.
 func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
 	if s.tmpl == nil {
 		return ask(s.canon)
@@ -74,12 +79,15 @@ func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
 	if err != nil {
 		return err
 	}
-	extractor := tmpl.Clone
+	var syn *core.Synthesizer
 	if s.oneShot {
-		extractor = tmpl.Synthesizer
+		syn, err = tmpl.Synthesizer(s.prob.Thresholds, s.prob.Options.Solver)
+		s.spent = err == nil
+	} else {
+		spare := s.spare
+		s.spare = nil
+		syn, err = tmpl.CloneInto(spare, s.prob.Thresholds, s.prob.Options.Solver)
 	}
-	syn, err := extractor(s.prob.Thresholds, s.prob.Options.Solver)
-	s.spent = s.oneShot && err == nil
 	if err != nil {
 		return err
 	}
@@ -91,6 +99,9 @@ func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
 		s.canon = nil
 		s.extracted.AddSearch(syn.Stats().Since(s.shape))
 		s.canonMu.Unlock()
+		if !s.oneShot {
+			s.spare = syn
+		}
 	}()
 	return ask(syn)
 }
@@ -108,24 +119,23 @@ func (s *Solver) Family() string {
 // deltas are legal: the encoding (routes, flows, placements, policies)
 // is reused verbatim, which is sound exactly when everything except the
 // thresholds is unchanged — enforced by comparing thresholds-zeroed
-// canonical fingerprints. Any leftover per-query state (incumbent,
-// bound observer, sticky interrupts) is cleared.
-//
-// It is RetargetFamily for a caller without p's family fingerprint in
-// hand.
+// canonical fingerprints. p is validated first. Any leftover per-query
+// state (incumbent, bound observer, sticky interrupts) is cleared.
 func (s *Solver) Retarget(p *core.Problem) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	return s.RetargetFamily(p, spec.FamilyFingerprint(p))
 }
 
-// RetargetFamily is Retarget for a caller that already holds p's family
-// fingerprint (spec.FamilyFingerprint(p) — the service keys its session
-// registry on it), sparing a second canonicalisation and hash of p.
+// RetargetFamily is Retarget for a trusted caller: one that has
+// validated p already and holds its family fingerprint
+// (spec.FamilyFingerprint(p) — the service keys its session registry on
+// it), sparing a second validation and a second canonicalisation and
+// hash of p.
 func (s *Solver) RetargetFamily(p *core.Problem, family string) error {
 	if s.tmpl == nil {
 		return fmt.Errorf("portfolio: Retarget on the sequential arm, whose one synthesizer is bound to its thresholds")
-	}
-	if err := p.Validate(); err != nil {
-		return err
 	}
 	if family != s.Family() {
 		return fmt.Errorf("portfolio: retarget problem differs beyond thresholds (family %.12s, engine %.12s)", family, s.family)

@@ -1,7 +1,5 @@
 package sat
 
-import "slices"
-
 // cloneVarRoom is the spare per-variable capacity a clone starts with:
 // room for the variables callers add to it next (threshold guards,
 // optimization probes), so that the first NewVar does not reallocate
@@ -33,39 +31,54 @@ const cloneVarRoom = 64
 // outputs (model, failed assumptions), a pending interrupt and the
 // clause-sharing buffers start empty.
 //
-// Clone must be called at the root level, between Solve calls. If the
-// arena already exceeds cfg.ArenaCapWords the formula could not have
-// been added under cfg, and the error NewWith(cfg) would have raised
-// while adding it (wrapping ErrModelTooLarge) is returned instead.
-func (s *Solver) Clone(cfg Config) (*Solver, error) {
-	if s.decisionLevel() != 0 {
-		panic("sat: Clone off the root level")
-	}
+// Clone backtracks s to the root level first. If the arena already
+// exceeds cfg.ArenaCapWords the formula could not have been added under
+// cfg, and the error NewWith(cfg) would have raised while adding it
+// (wrapping ErrModelTooLarge) is returned instead.
+func (s *Solver) Clone(cfg Config) (*Solver, error) { return s.CloneInto(nil, cfg) }
+
+// CloneInto is Clone built in the memory of spare, a solver the caller
+// is done with: the copy goes into spare's buffers wherever they are
+// large enough, instead of into new ones. Any spare will do — of
+// another formula, larger or smaller, or left mid-search by an
+// interrupt or a panic — because only the capacity of its buffers is
+// read, never their contents; the result is state for state what
+// Clone(cfg) returns. spare must not be used afterwards, and must not
+// share a buffer with a solver still in use: a solver from Clone,
+// CloneInto or New qualifies. A nil spare is Clone. On Clone's error
+// spare is left untouched.
+func (s *Solver) CloneInto(spare *Solver, cfg Config) (*Solver, error) {
+	s.BacktrackToRoot()
 	if err := s.fits(cfg); err != nil {
 		return nil, err
+	}
+	if spare == nil {
+		spare = &Solver{}
 	}
 	n := s.NumVars()
 	room := n + cloneVarRoom
 	c := &Solver{
 		wasted:     s.wasted,
 		arenaCap:   cfg.ArenaCapWords,
-		clauseRefs: slices.Clone(s.clauseRefs),
-		learntRefs: slices.Clone(s.learntRefs),
+		clauseRefs: append(recycled(spare.clauseRefs, len(s.clauseRefs)), s.clauseRefs...),
+		learntRefs: append(recycled(spare.learntRefs, len(s.learntRefs)), s.learntRefs...),
 
-		vals:     append(make([]LBool, 0, 2*room), s.vals...),
-		level:    append(make([]int32, 0, room), s.level...),
-		trailPos: append(make([]int32, 0, room), s.trailPos...),
-		reason:   append(make([]int32, 0, room), s.reason...),
-		trail:    append(make([]Lit, 0, room), s.trail...),
+		vals:     append(recycled(spare.vals, 2*room), s.vals...),
+		level:    append(recycled(spare.level, room), s.level...),
+		trailPos: append(recycled(spare.trailPos, room), s.trailPos...),
+		reason:   append(recycled(spare.reason, room), s.reason...),
+		trail:    append(recycled(spare.trail, room), s.trail...),
 		qhead:    s.qhead,
 
-		activity: make([]float64, n, room),
-		polarity: make([]bool, n, room),
+		// ResetSearchState below sets every activity and phase.
+		activity: recycled(spare.activity, room)[:n],
+		polarity: recycled(spare.polarity, room)[:n],
 		claInc:   s.claInc,
 
-		seen:    make([]byte, n, room),
-		lazyEx:  make([]LazyExplainer, n, room),
-		lazyTag: make([]int32, n, room),
+		seen:    zeroed(spare.seen, n, room),
+		lazyEx:  zeroed(spare.lazyEx, n, room),
+		lazyTag: zeroed(spare.lazyTag, n, room),
+		model:   spare.model[:0],
 
 		rootUnsat:         s.rootUnsat,
 		maxLearnts:        s.maxLearnts,
@@ -77,27 +90,47 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 		cfg: cfg,
 	}
 	// Headroom for the first learnt clauses, as an append-grown arena has.
-	c.arena = append(make([]Lit, 0, len(s.arena)+len(s.arena)/8), s.arena...)
+	c.arena = append(recycled(spare.arena, len(s.arena)+len(s.arena)/8), s.arena...)
 
 	total := 0
 	for _, ws := range s.watches {
 		total += len(ws)
 	}
-	slab := make([]watcher, total)
-	c.watches = make([][]watcher, len(s.watches), 2*room)
+	c.watchSlab = recycled(spare.watchSlab, total)[:total]
+	c.watches = zeroed(spare.watches, len(s.watches), 2*room)
 	off := 0
 	for i, ws := range s.watches {
-		end := off + copy(slab[off:], ws)
-		c.watches[i] = slab[off:end:end]
+		end := off + copy(c.watchSlab[off:], ws)
+		c.watches[i] = c.watchSlab[off:end:end]
 		off = end
 	}
 
 	c.dropTheoryReasons()
 	c.order.act = &c.activity
-	c.order.heap = make([]Var, 0, room)
-	c.order.indices = make([]int32, n, room)
+	c.order.heap = recycled(spare.order.heap, room)
+	c.order.indices = recycled(spare.order.indices, room)[:n]
 	c.ResetSearchState()
 	return c, nil
+}
+
+// recycled returns buf emptied when it can hold n elements, and a new
+// slice of capacity n otherwise. The elements past the length are not
+// cleared: the caller overwrites what it reads.
+func recycled[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) >= n {
+		return buf[:0]
+	}
+	return make(S, 0, n)
+}
+
+// zeroed returns n zero elements with room for at least capacity,
+// reusing buf when it can hold that many. All of a reused buf is
+// cleared, so that nothing past the length keeps the spare's memory
+// reachable.
+func zeroed[S ~[]E, E any](buf S, n, capacity int) S {
+	z := recycled(buf, capacity)
+	clear(z[:cap(z)])
+	return z[:n]
 }
 
 // Reconfigure makes the solver, in place, what Clone(cfg) would have
@@ -105,13 +138,11 @@ func (s *Solver) Clone(cfg Config) (*Solver, error) {
 // the search heuristics reset under cfg. A caller that would clone a
 // solver and then drop the original calls it instead and skips the copy.
 // The solver keeps its theories, which are bound to it already. Like
-// Clone it must be called at the root level, between Solve calls, and
-// it returns Clone's error, leaving the solver unchanged, when the
-// clause arena does not fit cfg.ArenaCapWords.
+// Clone it must be called between Solve calls, it backtracks to the root level first, and it returns Clone's error,
+// leaving the solver otherwise unchanged, when the clause arena does not
+// fit cfg.ArenaCapWords.
 func (s *Solver) Reconfigure(cfg Config) error {
-	if s.decisionLevel() != 0 {
-		panic("sat: Reconfigure off the root level")
-	}
+	s.BacktrackToRoot()
 	if err := s.fits(cfg); err != nil {
 		return err
 	}

@@ -11,8 +11,10 @@ import (
 // list in literal order with its watchers in list order, and the trail.
 // Two solvers with equal digests search identically from here on under
 // equal heuristics. It is a debugging aid for tests that pin an
-// encoding; nothing in the solver calls it.
+// encoding; nothing in the solver calls it. It backtracks to the root
+// level first.
 func (s *Solver) Digest(h hash.Hash) {
+	s.BacktrackToRoot()
 	var buf [4]byte
 	put := func(x int32) {
 		binary.LittleEndian.PutUint32(buf[:], uint32(x))

@@ -68,22 +68,24 @@ func (s *Solver) shareExport(lits []Lit) {
 
 // DrainShared returns the accumulated outgoing clauses and resets the
 // buffer. The clauses are fully owned by the caller. Must not be called
-// while Solve runs.
+// while Solve runs; it backtracks to the root level first.
 func (s *Solver) DrainShared() [][]Lit {
+	s.BacktrackToRoot()
 	out := s.shareOut
 	s.shareOut = nil
 	return out
 }
 
 // ImportClause adds a learnt clause obtained from another solver over
-// the same variable space. It must be called at the root level, outside
-// Solve. Clauses satisfied at the root are skipped, false literals are
+// the same variable space. It must be called outside Solve, and
+// backtracks to the root level first. Clauses satisfied at the root are skipped, false literals are
 // stripped, and the remainder is attached as a learnt clause (or
 // asserted as a root unit). Duplicate imports — including clauses this
 // solver itself exported — are skipped via the shared fingerprint set.
 // Importing is sound because learnt clauses are assumption-free logical
 // consequences of the (identical) formula.
 func (s *Solver) ImportClause(lits []Lit) {
+	s.BacktrackToRoot()
 	if s.rootUnsat || len(lits) == 0 {
 		return
 	}

@@ -18,14 +18,21 @@ var ErrAddAfterUnsat = errors.New("sat: formula is already unsatisfiable")
 // Theory is the DPLL(T) hook. A theory receives assignment notifications,
 // may imply further literals with explanations, and may report conflicts.
 //
-// The solver guarantees that Assign/Unassign calls are properly nested:
-// every literal is unassigned in reverse assignment order during
-// backtracking.
+// Backtracking reaches a theory in one of two ways, chosen by the
+// methods it has besides these:
+//
+//   - An Unassigner is told of every literal undone, in reverse
+//     assignment order, so its Assign and Unassign calls nest properly.
+//   - A LevelTheory is told when each decision level opens and, once per
+//     backtrack, the level the solver returns to; it restores what it
+//     kept for that level instead of undoing literal by literal. Its
+//     state must be a function of the trail, so that restoring it is
+//     exactly what undoing the literals one at a time would have left.
+//
+// A theory that is neither keeps no state backtracking would invalidate.
 type Theory interface {
 	// Assign notifies the theory that l became true.
 	Assign(l Lit)
-	// Unassign notifies the theory that l is being undone.
-	Unassign(l Lit)
 	// Propagate runs theory propagation to fixpoint. The implementation
 	// may call s.TheoryEnqueueLazy to imply literals. It returns a non-nil
 	// conflict clause (all of whose literals are currently false) if the
@@ -33,6 +40,25 @@ type Theory interface {
 	// conflict may alias theory scratch: the solver only reads it until
 	// its next Explain or Propagate call on the theory.
 	Propagate(s *Solver) []Lit
+}
+
+// Unassigner is a Theory told of backtracking one literal at a time.
+type Unassigner interface {
+	// Unassign notifies the theory that l is being undone.
+	Unassign(l Lit)
+}
+
+// LevelTheory is a Theory told of backtracking one decision level at a
+// time.
+type LevelTheory interface {
+	// NewLevel notifies the theory that a decision level opens: every
+	// literal assigned so far stays below it, and nothing is assigned in
+	// it yet. Levels are numbered from 1.
+	NewLevel()
+	// Backtrack notifies the theory that every literal assigned in a
+	// level above level has been undone: its state must become what it
+	// was when level+1 opened. Backtrack(0) returns it to the root.
+	Backtrack(level int)
 }
 
 // LazyExplainer is how a theory explains what it implies in DPLL(T):
@@ -242,6 +268,9 @@ type Solver struct {
 	// clause is attached to it; see seedWatches.
 	reservedClauses int
 	watchChunk      []watcher
+	// watchSlab is the one block a clone's watch lists start out in,
+	// kept so that CloneInto can reuse it.
+	watchSlab []watcher
 
 	vals     []LBool // per literal: written and cleared for l and l.Not() together
 	level    []int32
@@ -265,6 +294,8 @@ type Solver struct {
 	lbdTick   int64
 
 	theories []Theory
+	undoLits []Unassigner    // the theories told of each literal undone
+	undoLvls []LevelTheory   // the theories told of each level opened and left
 	lazyEx   []LazyExplainer // set exactly where reason is reasonTheory
 	lazyTag  []int32
 
@@ -344,13 +375,22 @@ func (s *Solver) nextRand() uint64 {
 	return x
 }
 
-// SetTheory attaches a theory propagator. It must be called at the root
-// level (before the first Solve); a theory attached after clauses were
-// added is responsible for folding the current root-level assignment
-// into its initial state, since it will not receive Assign calls for
-// literals already on the trail. Multiple theories may be attached; they
-// are propagated in attachment order.
-func (s *Solver) SetTheory(t Theory) { s.theories = append(s.theories, t) }
+// SetTheory attaches a theory propagator. It backtracks to the root
+// level first; a theory attached after clauses were added is
+// responsible for folding the current root-level assignment into its
+// initial state, since it will not receive Assign calls for literals
+// already on the trail. Multiple theories may be attached; they are
+// propagated in attachment order.
+func (s *Solver) SetTheory(t Theory) {
+	s.BacktrackToRoot()
+	s.theories = append(s.theories, t)
+	switch t := t.(type) {
+	case LevelTheory:
+		s.undoLvls = append(s.undoLvls, t)
+	case Unassigner:
+		s.undoLits = append(s.undoLits, t)
+	}
+}
 
 // SetBudget limits the number of conflicts a Solve call may spend;
 // negative means unlimited. When the budget is exhausted Solve returns
@@ -365,11 +405,9 @@ func (s *Solver) SetBudget(conflicts int64) { s.budget = conflicts }
 // tuned to the previous query's thresholds can send the next one far
 // astray (saved phases replay the old model against a changed bound),
 // while the learnt clauses remain sound and are the warm-start payoff.
-// Must be called at the root level, between Solve calls.
+// It backtracks to the root level first.
 func (s *Solver) ResetSearchState() {
-	if s.decisionLevel() != 0 {
-		panic("sat: ResetSearchState off the root level")
-	}
+	s.BacktrackToRoot()
 	s.varInc = 1
 	for v := range s.activity {
 		s.activity[v] = 0
@@ -416,8 +454,10 @@ func (s *Solver) Stats() Stats {
 // state. The trail gets room for every variable, so that a search on
 // the encoded solver itself (Reconfigure) does not begin by copying it.
 // The arena is never pre-allocated past its cap: a formula that does not
-// fit still fails at the allocation that overflows.
+// fit still fails at the allocation that overflows. It backtracks to
+// the root level first.
 func (s *Solver) Reserve(vars, clauses, arenaWords int) {
+	s.BacktrackToRoot()
 	s.vals = reserve(s.vals, 2*vars)
 	s.trail = reserve(s.trail, vars)
 	s.level = reserve(s.level, vars)
@@ -444,8 +484,10 @@ func reserve[S ~[]E, E any](s S, total int) S {
 	return slices.Grow(s, total-len(s))
 }
 
-// NewVar allocates a fresh variable and returns it.
+// NewVar allocates a fresh variable and returns it. It backtracks to
+// the root level first.
 func (s *Solver) NewVar() Var {
+	s.BacktrackToRoot()
 	v := Var(s.NumVars())
 	s.vals = append(s.vals, Undef, Undef)
 	s.level = append(s.level, 0)
@@ -461,11 +503,24 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-// Value returns the current assignment of v.
+// Value returns the current assignment of v. Between searches that is
+// whatever the last Solve left on the trail (see Solve); a caller that
+// wants the root-level assignment calls BacktrackToRoot first.
 func (s *Solver) Value(v Var) LBool { return s.vals[PosLit(v)] }
 
-// ValueLit returns the current truth value of l.
+// ValueLit returns the current truth value of l; see Value.
 func (s *Solver) ValueLit(l Lit) LBool { return s.vals[l] }
+
+// BacktrackToRoot undoes every assignment above the root level — what
+// the last Solve left standing — so that Value and ValueLit read the
+// root-level assignment. Every entry that needs the root does it
+// itself; a caller reading root values between searches calls it first.
+// At the root it is one comparison.
+func (s *Solver) BacktrackToRoot() {
+	if len(s.trailLim) > 0 {
+		s.cancelUntil(0)
+	}
+}
 
 // ModelValue returns l's value in the model found by the last Sat result.
 func (s *Solver) ModelValue(l Lit) LBool {
@@ -484,16 +539,14 @@ func (s *Solver) TrailPos(v Var) int { return int(s.trailPos[v]) }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-// AddClause adds a clause over the given literals. It returns
-// ErrAddAfterUnsat if the formula is detected unsatisfiable at the root
-// level. The slice is not retained.
+// AddClause adds a clause over the given literals, at the root level:
+// it backtracks there first. It returns ErrAddAfterUnsat if the formula
+// is detected unsatisfiable at the root level. The slice is not
+// retained.
 func (s *Solver) AddClause(lits ...Lit) error {
+	s.BacktrackToRoot()
 	if s.rootUnsat {
 		return ErrAddAfterUnsat
-	}
-	if s.decisionLevel() != 0 {
-		// Clauses may only be added at the root level.
-		return errors.New("sat: AddClause called during search")
 	}
 	// Simplify: drop false/duplicate literals, detect tautologies. The
 	// result is built in the analysis scratch, which nothing else uses at
@@ -727,6 +780,14 @@ func (s *Solver) bcp() []Lit {
 	return nil
 }
 
+// newDecisionLevel opens a decision level and tells the level theories.
+func (s *Solver) newDecisionLevel() {
+	s.trailLim = append(s.trailLim, int32(len(s.trail)))
+	for _, t := range s.undoLvls {
+		t.NewLevel()
+	}
+}
+
 func (s *Solver) cancelUntil(lvl int) {
 	if s.decisionLevel() <= lvl {
 		return
@@ -735,7 +796,7 @@ func (s *Solver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= lim; i-- {
 		p := s.trail[i]
 		v := p.Var()
-		for _, t := range s.theories {
+		for _, t := range s.undoLits {
 			t.Unassign(p)
 		}
 		s.vals[p] = Undef
@@ -750,6 +811,9 @@ func (s *Solver) cancelUntil(lvl int) {
 	s.trail = s.trail[:lim]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = len(s.trail)
+	for _, t := range s.undoLvls {
+		t.Backtrack(lvl)
+	}
 }
 
 func (s *Solver) reasonLits(v Var) []Lit {
@@ -1006,7 +1070,16 @@ func luby(y float64, x int64) float64 {
 // Unsat, or Unknown (budget exhausted). After Unsat, UnsatCore returns
 // the subset of assumptions responsible. After Sat, ModelValue reads the
 // model.
+//
+// Solve backtracks to the root level when it starts, not when it
+// returns: the trail of its search stays standing — a full assignment
+// after Sat — until the next entry that needs the root (Solve,
+// AddClause, NewVar, Clone, CloneInto, Reconfigure, ResetSearchState,
+// SetTheory, Reserve, Digest, ImportClause, DrainShared or
+// BacktrackToRoot) undoes it, exactly as a backtrack at the end would
+// have. A solver dropped after its last search never pays for it.
 func (s *Solver) Solve(assumptions ...Lit) Status {
+	s.BacktrackToRoot()
 	if faults.Active() {
 		// Chaos hooks, inert unless a CONFSYNTH_FAULTS plan is installed:
 		// a stretched solve, a spuriously-cancelled solve, or a poisoned
@@ -1036,8 +1109,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.lubyRestart = 0
 	s.geomBudget = 100
 	conflictsAtStart := s.stats.Conflicts
-
-	defer s.cancelUntil(0)
 
 	for {
 		var restartBudget int64
@@ -1153,7 +1224,7 @@ func (s *Solver) search(maxConflicts int64) Status {
 			p := s.assumptions[s.decisionLevel()]
 			switch s.ValueLit(p) {
 			case True:
-				s.trailLim = append(s.trailLim, int32(len(s.trail)))
+				s.newDecisionLevel()
 				continue
 			case False:
 				s.analyzeFinal(p)
@@ -1176,7 +1247,7 @@ func (s *Solver) search(maxConflicts int64) Status {
 			}
 			s.stats.Decisions++
 		}
-		s.trailLim = append(s.trailLim, int32(len(s.trail)))
+		s.newDecisionLevel()
 		s.enqueue(next, reasonNone)
 	}
 }

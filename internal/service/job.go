@@ -11,6 +11,7 @@ import (
 	"configsynth/internal/core"
 	"configsynth/internal/decomp"
 	"configsynth/internal/isolation"
+	"configsynth/internal/spec"
 	"configsynth/internal/topology"
 	"configsynth/internal/usability"
 )
@@ -192,6 +193,11 @@ type Job struct {
 	// Journal replay never sets it — a restarted service has no warm
 	// sessions, so replayed what-if jobs re-solve from scratch.
 	whatif bool
+	// fam memoises spec.FamilyFingerprint of the job's problem (family):
+	// a what-if session is keyed on it, and a threshold-only what-if
+	// child, whose family is its parent's, starts with it set.
+	fam     string
+	famOnce sync.Once
 	// src is the replayable origin retained for the journal and for an
 	// offload, which sends the job to a peer as spec text. nil for
 	// programmatic submissions that do not round-trip.
@@ -235,6 +241,17 @@ func (j *Job) problem() (*core.Problem, error) {
 		return j.prob, nil
 	}
 	return j.src.problem(j.Fingerprint)
+}
+
+// family returns the family fingerprint of p, the job's problem
+// (spec.FamilyFingerprint), computed at most once per job.
+func (j *Job) family(p *core.Problem) string {
+	j.famOnce.Do(func() {
+		if j.fam == "" {
+			j.fam = spec.FamilyFingerprint(p)
+		}
+	})
+	return j.fam
 }
 
 // State returns the job's current lifecycle state.

@@ -349,7 +349,7 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err error) {
 	build := portfolio.NewRacing
 	if j.whatif {
-		family := spec.FamilyFingerprint(j.prob)
+		family := j.family(j.prob)
 		if sess, ok := s.sessions.Take(family); ok {
 			if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
 				return sess, true, nil

@@ -611,6 +611,9 @@ type SubmitOptions struct {
 	// queue, results) is identical to an ordinary submission, which is
 	// what keeps what-if answers cache-compatible with /v1/synthesize.
 	whatif bool
+	// family, when set, is the problem's family fingerprint, known
+	// already: a threshold-only what-if's is its parent's.
+	family string
 }
 
 // Submit validates and fingerprints the problem, answers from the cache
@@ -635,7 +638,7 @@ func (s *Service) submit(in scanned, opts SubmitOptions) (*Job, error) {
 		return nil, &BadRequestError{Msg: fmt.Sprintf("unknown mode %q", opts.Mode)}
 	}
 	j := newJob(s.newJobID(), opts.Mode, in.prob, in.fp)
-	j.whatif, j.src = opts.whatif, opts.Source
+	j.whatif, j.src, j.fam = opts.whatif, opts.Source, opts.family
 	if !s.admit(j, opts.Timeout, opts.Parent) {
 		s.submitted.Add(1)
 		return j, nil

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"configsynth/internal/faults"
+	"configsynth/internal/spec"
 )
 
 func postWhatIf(t *testing.T, base, query string, parent string, delta string) (*http.Response, []byte) {
@@ -157,6 +158,8 @@ func TestHTTPWhatIfRejections(t *testing.T) {
 		{"unknown parent", "j999999", `{"isolation_tenths":50}`, http.StatusNotFound},
 		{"empty delta", parent.ID, `{}`, http.StatusBadRequest},
 		{"bogus drop link", parent.ID, `{"drop_links":[{"a":0,"b":0}]}`, http.StatusBadRequest},
+		{"non-integer threshold", parent.ID, `{"isolation_tenths":"high"}`, http.StatusBadRequest},
+		{"fractional budget", parent.ID, `{"cost_budget":2.5}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, data := postWhatIf(t, srv.URL, "", c.parent, c.delta)
@@ -164,6 +167,62 @@ func TestHTTPWhatIfRejections(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.want, data)
 		}
 	}
+}
+
+// TestWhatIfFamilies: a threshold-only what-if takes its family from
+// its parent, canonicalised once for the parent however many children
+// ask, and lands on the parent family's session; a link delta is of
+// another family, which it canonicalises itself, and gets a session of
+// its own.
+func TestWhatIfFamilies(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	parent, err := submitSpec(t, s, specVariant(3), ModeSolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, parent)
+	family := spec.FamilyFingerprint(parent.prob)
+
+	for i, c := range []struct{ delta, session string }{
+		{`{"isolation_tenths":40}`, "fresh"},
+		{`{"usability_tenths":40}`, "reused"},
+		{`{"add_links":[{"a":0,"b":5}]}`, "fresh"},
+	} {
+		child, err := s.WhatIf(parent.ID, decodeDelta(t, c.delta), SubmitOptions{})
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		res := wait(t, child)
+		if res.Session != c.session {
+			t.Fatalf("delta %d %s: session %q, want %q", i, c.delta, res.Session, c.session)
+		}
+		want := family
+		if i == 2 {
+			if want = spec.FamilyFingerprint(child.prob); want == family {
+				t.Fatal("the link delta stayed in its parent's family")
+			}
+		}
+		// family(nil) would panic on a family it had to canonicalise now.
+		if got := child.family(nil); got != want {
+			t.Fatalf("delta %d %s: family %.12s, want %.12s", i, c.delta, got, want)
+		}
+	}
+	if parent.fam != family {
+		t.Fatalf("the parent memoised family %.12s, want %.12s", parent.fam, family)
+	}
+	if n := s.Stats().Sessions.Entries; n != 2 {
+		t.Fatalf("%d warm sessions, want one per family (2)", n)
+	}
+}
+
+// decodeDelta reads a delta from its wire form.
+func decodeDelta(t *testing.T, text string) WhatIfDelta {
+	t.Helper()
+	var d WhatIfDelta
+	if err := json.Unmarshal([]byte(text), &d); err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestWhatIfDegradedNeverCachedNorReplayed is the what-if face of the

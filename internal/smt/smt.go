@@ -244,18 +244,29 @@ func NewSolverWith(cfg SolverConfig) *Solver {
 // through SAT() are not copied; the caller re-attaches its own clones.
 // It fails, with an error wrapping sat.ErrModelTooLarge, when the
 // assertions do not fit cfg.ArenaCapWords.
-func (s *Solver) Clone(cfg SolverConfig) (*Solver, error) {
-	core, err := s.sat.Clone(cfg)
+func (s *Solver) Clone(cfg SolverConfig) (*Solver, error) { return s.CloneInto(nil, cfg) }
+
+// CloneInto is Clone built in the memory of spare, a solver the caller
+// is done with (sat.Solver.CloneInto, pb.Theory.CloneInto): only the
+// capacity of its buffers is read, and the result is state for state
+// what Clone(cfg) returns. spare must not be used afterwards; nil is
+// Clone. On Clone's error spare is left untouched.
+func (s *Solver) CloneInto(spare *Solver, cfg SolverConfig) (*Solver, error) {
+	if spare == nil {
+		spare = &Solver{}
+	}
+	core, err := s.sat.CloneInto(spare.sat, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Solver{
 		sat:       core,
-		th:        s.th.Clone(core),
+		th:        s.th.CloneInto(spare.th, core),
 		inherited: s.allNames(),
 		rootUnsat: s.rootUnsat,
 		trueTerm:  s.trueTerm,
 		hasTrue:   s.hasTrue,
+		model:     spare.model[:0],
 		verify:    s.verify,
 	}, nil
 }
