@@ -22,6 +22,17 @@ func (s *Synthesizer) ProbeStatus(th Thresholds, limited bool) smt.Status {
 	return s.check(s.assume(Query{Thresholds: th}), limited)
 }
 
+// ProbeStatusWithin is ProbeStatus under at most budget conflicts, or
+// Options.ProbeBudget where that is tighter: the cheap pass of an
+// optimisation (Probes.Cheap), whose probes are meant to answer only
+// what a few conflicts can settle.
+func (s *Synthesizer) ProbeStatusWithin(th Thresholds, budget int64) smt.Status {
+	if b := s.prob.Options.ProbeBudget; b > 0 {
+		budget = min(budget, b)
+	}
+	return s.checkWithin(s.assume(Query{Thresholds: th}), budget)
+}
+
 // Interrupt asks the solver to abandon its current check as soon as
 // possible (the check reports Unknown). Safe to call from another
 // goroutine; the flag is sticky until ClearInterrupt.
@@ -74,4 +85,23 @@ func (s *Synthesizer) AnytimeAt(th Thresholds) (*Design, error) {
 	}
 	d.Exact = false
 	return d, nil
+}
+
+// AttemptAt is CheckAt's check — the same guards in the same order —
+// under Options.ProbeBudget, or Options.SolverBudget where that is
+// tighter: the canonical question an optimisation asks once, at the
+// bound its cheap pass left open (Probes.Attempt). It reports the status
+// and, on Sat, the design. A search that ends within its budget is the
+// search an unbudgeted check makes — the budget only trims the last
+// restart window to what is left of it — so a Sat here is CheckAt's
+// design, byte for byte.
+func (s *Synthesizer) AttemptAt(th Thresholds) (smt.Status, *Design) {
+	b, own := s.prob.Options.ProbeBudget, s.prob.Options.SolverBudget
+	if b <= 0 || own > 0 && own < b {
+		b = own
+	}
+	if b <= 0 {
+		b = -1 // unlimited
+	}
+	return s.withModel(s.checkWithin(s.assume(Query{Thresholds: th}), b))
 }

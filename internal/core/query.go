@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -38,12 +39,25 @@ func (q Query) Objective(d *Design) float64 {
 
 // Value is Objective in the threshold's own unit: slider tenths rounded
 // down, or cost.
+//
+// A slider score is a ratio of the model's integer sums, 10·p/n (Σ
+// isolation scores over the most reachable; Σ ranks less the usability
+// loss over Σ ranks), and its float carries the rounding of that
+// division: a usability of exactly 9.4 reads as 9.399999999999999. Its
+// tenths are 100·p/n, so where they are not whole they sit at least 1/n
+// below the next whole tenth. The floor forgives valueSlack: far above
+// the float's rounding (about 1e-14 at 100), and below 1/n for any n
+// under 10^11, far more flows than a model holds.
 func (q Query) Value(d *Design) int64 {
 	if q.Optimise == ThresholdCost {
 		return d.Cost
 	}
-	return int64(q.Objective(d) * 10)
+	return int64(math.Floor(q.Objective(d)*10 + valueSlack))
 }
+
+// valueSlack is how far below a whole tenth Value still reads a slider
+// score as that tenth.
+const valueSlack = 1e-11
 
 // Optimum splits the answer of a Run of q into the (optimum, design,
 // error) triple the named optimisation methods return.
@@ -67,30 +81,84 @@ func (th Thresholds) With(kind ThresholdKind, v int64) Thresholds {
 	return th
 }
 
-// Bisect is the one optimisation descent: a binary search for the
-// tightest satisfiable value of q's free threshold, parametrised only by
-// who answers a probe. from is the loosest value, known satisfiable: the
-// search runs over a tightness t — the threshold itself, from..100, for
-// the two sliders; the saving from−cost, 0..from, for cost — so every
-// query maximises and one midpoint rule serves both directions.
+// Probes are who answers Bisect's probes, each with the free threshold
+// held at v. Full decides a probe definitively or reports Unknown (a
+// blown budget, a lost race); a satisfiable one may return the design
+// it found, so the bound jumps to what that design achieved (a prober
+// that only has a status returns nil).
 //
-// probe(v) decides the query with the free threshold held at v. A
-// satisfiable probe moves the lower bound to v, or past it to what the
-// design it returns achieved (a prober that only has a status returns
-// nil); an Unknown probe — a blown budget, a lost race — counts as
-// unsatisfiable and makes the answer inexact. Bisect returns the value
-// it settled on, the design of the last satisfiable probe that returned
-// one, and whether every probe was definitive.
-func (q Query) Bisect(from int64, probe func(v int64) (smt.Status, *Design)) (v int64, best *Design, exact bool) {
+// Cheap and Attempt, set together, put a cheap pass ahead of the full
+// probes. Cheap decides a probe under a budget so small that only the
+// easy questions come back definitive: a value past the optimum that a
+// counting bound refutes at the root, or one far below it. Attempt asks
+// the canonical question once, at the tightest value the cheap pass
+// left open, and returns its design on Sat.
+type Probes struct {
+	Full    func(v int64) (smt.Status, *Design)
+	Cheap   func(v int64) smt.Status
+	Attempt func(v int64) (smt.Status, *Design)
+}
+
+// Bisect is the one optimisation descent: a binary search for the
+// tightest satisfiable value of q's free threshold. from is the loosest
+// value, known satisfiable: the search runs over a tightness t — the
+// threshold itself, from..100, for the two sliders; the saving
+// from−cost, 0..from, for cost — so every query maximises and one
+// midpoint rule serves both directions.
+//
+// Without a cheap prober every probe is a full one. A satisfiable probe
+// moves the lower bound to v, or past it to what its design achieved; an
+// Unknown one counts as unsatisfiable and makes the answer inexact.
+//
+// With one, the search starts with a cheap pass. A cheap Sat proves a
+// lower bound and a cheap Unsat an upper one; a cheap Unknown proves
+// nothing and only raises the floor the pass bisects from, so the pass
+// ends at up: the tightest value not refuted, with up+1 refuted or up
+// the tightest the threshold allows. Then Attempt decides up. Sat there
+// is the optimum, exact, and the attempt's design is the answer.
+// Otherwise — Unsat lowers up by one, Unknown leaves it — the full
+// probes bisect what is left between the proven bounds, as they would
+// have without the cheap pass. No cheap probe and no attempt ever makes
+// the answer inexact.
+//
+// Bisect returns the value it settled on, the design of the last
+// satisfiable probe or attempt that returned one, and whether every full
+// probe was definitive.
+func (q Query) Bisect(from int64, p Probes) (v int64, best *Design, exact bool) {
 	lo, hi, at := from, int64(100), func(t int64) int64 { return t }
 	if q.Optimise == ThresholdCost {
 		// Its own inverse: a cost is the tightness of its saving.
 		lo, hi, at = 0, from, func(t int64) int64 { return from - t }
 	}
+	// floor is where the cheap pass bisects from: lo, or above it where
+	// a cheap Unknown left it. cheap says the pass is still on.
+	floor, cheap := lo, p.Cheap != nil
 	exact = true
 	for lo < hi {
+		if cheap && floor < hi {
+			mid := floor + (hi-floor+1)/2
+			switch p.Cheap(at(mid)) {
+			case smt.Sat:
+				lo, floor = mid, mid
+			case smt.Unsat:
+				hi = mid - 1
+			default:
+				floor = mid
+			}
+			continue
+		}
+		if cheap {
+			cheap = false
+			switch st, d := p.Attempt(at(hi)); st {
+			case smt.Sat:
+				best, lo = d, hi
+			case smt.Unsat:
+				hi--
+			}
+			continue
+		}
 		mid := lo + (hi-lo+1)/2
-		switch st, d := probe(at(mid)); {
+		switch st, d := p.Full(at(mid)); {
 		case st == smt.Sat && d != nil:
 			best, lo = d, max(at(q.Value(d)), mid)
 		case st == smt.Sat:
@@ -142,9 +210,9 @@ func (s *Synthesizer) descend(q Query, assume []smt.Bool) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, d, exact := q.Bisect(q.Value(best), func(v int64) (smt.Status, *Design) {
+	_, d, exact := q.Bisect(q.Value(best), Probes{Full: func(v int64) (smt.Status, *Design) {
 		return s.checkModel(append(slices.Clip(assume), s.guardOf(q.Optimise, v)), true)
-	})
+	}})
 	if d != nil {
 		best = d
 	}
@@ -157,15 +225,27 @@ func (s *Synthesizer) descend(q Query, assume []smt.Bool) (*Design, error) {
 // probes are anytime, like an SMT solver run under a timeout.
 func (s *Synthesizer) check(assume []smt.Bool, limited bool) smt.Status {
 	if b := s.prob.Options.ProbeBudget; limited && b > 0 {
-		s.sol.SetBudget(b)
-		defer s.restoreBudget()
+		return s.checkWithin(assume, b)
 	}
+	return s.sol.Check(assume...)
+}
+
+// checkWithin decides the assumptions under a conflict budget of the
+// caller's, then restores Options.SolverBudget.
+func (s *Synthesizer) checkWithin(assume []smt.Bool, budget int64) smt.Status {
+	s.sol.SetBudget(budget)
+	defer s.restoreBudget()
 	return s.sol.Check(assume...)
 }
 
 // checkModel is check that extracts a design on SAT.
 func (s *Synthesizer) checkModel(assume []smt.Bool, limited bool) (smt.Status, *Design) {
-	st := s.check(assume, limited)
+	return s.withModel(s.check(assume, limited))
+}
+
+// withModel extracts the design of the check that just returned st, if
+// it is Sat.
+func (s *Synthesizer) withModel(st smt.Status) (smt.Status, *Design) {
 	if st != smt.Sat {
 		return st, nil
 	}

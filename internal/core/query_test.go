@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -80,24 +81,145 @@ func TestBisectReproducesBothDescents(t *testing.T) {
 	} {
 		q := core.Query{Optimise: tc.kind}
 		var visited []int64
-		value, best, exact := q.Bisect(tc.from, func(v int64) (smt.Status, *core.Design) {
+		value, best, exact := q.Bisect(tc.from, core.Probes{Full: func(v int64) (smt.Status, *core.Design) {
 			visited = append(visited, v)
 			st, reach := tc.probe(v)
-			if reach < 0 {
-				return st, nil
-			}
-			// A design whose q.Value is reach, whatever the kind; the half
-			// tenth keeps the slider scores clear of float rounding.
-			score := (float64(reach) + 0.5) / 10
-			return st, &core.Design{Isolation: score, Usability: score, Cost: reach}
-		})
-		got := int64(-1)
-		if best != nil {
-			got = best.Cost
-		}
-		if !reflect.DeepEqual(visited, tc.visited) || value != tc.value || got != tc.best || exact != tc.exact {
+			return st, design(reach)
+		}})
+		if got := reached(best); !reflect.DeepEqual(visited, tc.visited) || value != tc.value || got != tc.best || exact != tc.exact {
 			t.Errorf("%s:\n got visited %v value %d best %d exact %v\nwant visited %v value %d best %d exact %v",
 				tc.name, visited, value, got, exact, tc.visited, tc.value, tc.best, tc.exact)
+		}
+	}
+
+	// portfolio.optimise: a cheap pass of status probes, where an Unknown
+	// proves nothing and only raises the floor; the canonical attempt at
+	// the tightest value left open, whose Sat is the answer with its
+	// design; else full status probes between the proven bounds. Visits
+	// are "c" for cheap, "a" for the attempt, bare for full.
+	cheapAt := func(sat, decided func(int64) bool) func(int64) smt.Status {
+		return func(v int64) smt.Status {
+			switch {
+			case !decided(v):
+				return smt.Unknown
+			case sat(v):
+				return smt.Sat
+			}
+			return smt.Unsat
+		}
+	}
+	outside := func(a, b int64) func(int64) bool { return func(v int64) bool { return v < a || v > b } }
+	blind := func(int64) bool { return false }
+	sighted := func(int64) bool { return true }
+	for _, tc := range []struct {
+		name    string
+		kind    core.ThresholdKind
+		from    int64
+		cheap   func(v int64) smt.Status
+		attempt smt.Status
+		probe   script
+		visited []string
+		value   int64
+		best    int64 // what the attempt's design reached; -1 if it is not the answer
+		exact   bool
+	}{
+		{"attempt Sat at the bound the cheap pass left", iso, 0, cheapAt(atMost(37), outside(30, 37)), smt.Sat,
+			threshold(atMost(37), statusOnly, never),
+			[]string{"c50", "c25", "c37", "c43", "c40", "c38", "a37"}, 37, 37, true},
+		{"attempt Sat, cost", cost, 57, cheapAt(atLeast(20), outside(20, 24)), smt.Sat,
+			threshold(atLeast(20), statusOnly, never),
+			[]string{"c28", "c14", "c21", "c18", "c20", "c19", "a20"}, 20, 20, true},
+		{"attempt Unknown falls back between the proven bounds", iso, 0, cheapAt(atMost(37), outside(30, 37)), smt.Unknown,
+			threshold(atMost(37), statusOnly, never),
+			[]string{"c50", "c25", "c37", "c43", "c40", "c38", "a37", "31", "34", "36", "37"}, 37, -1, true},
+		{"attempt Unsat lowers the bound by one", iso, 0, cheapAt(atMost(37), outside(30, 45)), smt.Unsat,
+			threshold(atMost(37), statusOnly, never),
+			[]string{"c50", "c25", "c37", "c43", "c46", "c44", "c45", "a45", "35", "40", "37", "38"}, 37, -1, true},
+		{"blind cheap pass, attempt Unsat at the top", iso, 0, cheapAt(atMost(37), blind), smt.Unsat,
+			threshold(atMost(37), statusOnly, never),
+			[]string{"c50", "c75", "c88", "c94", "c97", "c99", "c100", "a100", "50", "25", "37", "43", "40", "38"}, 37, -1, true},
+		{"a full Unknown in the fallback is inexact, a cheap one is not", iso, 0, cheapAt(atMost(37), outside(30, 37)), smt.Unknown,
+			threshold(atMost(37), statusOnly, 34),
+			[]string{"c50", "c25", "c37", "c43", "c40", "c38", "a37", "31", "34", "32", "33"}, 33, -1, false},
+		{"cheap Sat up to the top, no attempt", usa, 0, cheapAt(atMost(100), sighted), smt.Unsat,
+			threshold(atMost(100), statusOnly, never),
+			[]string{"c50", "c75", "c88", "c94", "c97", "c99", "c100"}, 100, -1, true},
+	} {
+		q := core.Query{Optimise: tc.kind}
+		var visited []string
+		value, best, exact := q.Bisect(tc.from, core.Probes{
+			Cheap: func(v int64) smt.Status {
+				visited = append(visited, fmt.Sprintf("c%d", v))
+				return tc.cheap(v)
+			},
+			Attempt: func(v int64) (smt.Status, *core.Design) {
+				visited = append(visited, fmt.Sprintf("a%d", v))
+				// An attempt's model is its own: whatever it reached, it
+				// is handed over with every status.
+				return tc.attempt, design(v)
+			},
+			Full: func(v int64) (smt.Status, *core.Design) {
+				visited = append(visited, fmt.Sprint(v))
+				st, reach := tc.probe(v)
+				return st, design(reach)
+			},
+		})
+		if got := reached(best); !reflect.DeepEqual(visited, tc.visited) || value != tc.value || got != tc.best || exact != tc.exact {
+			t.Errorf("%s:\n got visited %v value %d best %d exact %v\nwant visited %v value %d best %d exact %v",
+				tc.name, visited, value, got, exact, tc.visited, tc.value, tc.best, tc.exact)
+		}
+	}
+}
+
+// design returns a design whose Value is reach, whatever the kind (nil
+// for reach < 0: a prober with a status only); the half tenth keeps the
+// slider scores clear of float rounding.
+func design(reach int64) *core.Design {
+	if reach < 0 {
+		return nil
+	}
+	score := (float64(reach) + 0.5) / 10
+	return &core.Design{Isolation: score, Usability: score, Cost: reach}
+}
+
+// reached is what a design returned by design reached; -1 for none.
+func reached(d *core.Design) int64 {
+	if d == nil {
+		return -1
+	}
+	return d.Cost
+}
+
+// TestValueReadsWholeTenths: a slider score that is a whole tenth reads
+// as that tenth, although its float falls just short of it — a
+// usability of exactly 9.4 is 9.399999999999999 — and a score between
+// two tenths reads as the lower. Scores are formed as the model forms
+// them (networkScores), from integer sums; the tenths they stand for are
+// computed from the same sums in integers.
+func TestValueReadsWholeTenths(t *testing.T) {
+	usa := core.Query{Optimise: core.ThresholdUsability}
+	iso := core.Query{Optimise: core.ThresholdIsolation}
+	if got := usa.Value(&core.Design{Usability: 10 * (1 - float64(6)/float64(100*1))}); got != 94 {
+		t.Fatalf("a usability of 9.4 reads as %d tenths, want 94", got)
+	}
+	for sumRanks := int64(1); sumRanks <= 300; sumRanks++ {
+		for loss := int64(0); loss <= 100*sumRanks; loss++ {
+			// U = 10·(1 − loss/(100·Σranks)); in tenths 100 − loss/Σranks,
+			// rounded down.
+			score := 10 * (1 - float64(loss)/float64(100*sumRanks))
+			want := 100 - (loss+sumRanks-1)/sumRanks
+			if got := usa.Value(&core.Design{Usability: score}); got != want {
+				t.Fatalf("loss %d over Σranks %d: usability %v reads as %d tenths, want %d", loss, sumRanks, score, got, want)
+			}
+		}
+	}
+	for maxIso := int64(1); maxIso <= 300; maxIso++ {
+		for sum := int64(0); sum <= maxIso; sum++ {
+			// I = 10·sum/maxIso; in tenths 100·sum/maxIso, rounded down.
+			score := 10 * float64(sum) / float64(maxIso)
+			if got, want := iso.Value(&core.Design{Isolation: score}), 100*sum/maxIso; got != want {
+				t.Fatalf("%d of %d: isolation %v reads as %d tenths, want %d", sum, maxIso, score, got, want)
+			}
 		}
 	}
 }

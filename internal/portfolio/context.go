@@ -48,12 +48,15 @@ func (s *Solver) Run(ctx context.Context, q core.Query) (d *core.Design, err err
 	return d, err
 }
 
-// interruptAll asks every solver — the canonical synthesizer, if one is
-// live, and the raced workers — to abandon its current check.
+// interruptAll asks every solver — the canonical synthesizer and an
+// attempt's fresh worker, if one is live, and the raced workers — to
+// abandon its current check.
 func (s *Solver) interruptAll() {
 	s.canonMu.Lock()
-	if s.canon != nil {
-		s.canon.Interrupt()
+	for _, syn := range []*core.Synthesizer{s.canon, s.fresh} {
+		if syn != nil {
+			syn.Interrupt()
+		}
 	}
 	work := s.work
 	s.canonMu.Unlock()

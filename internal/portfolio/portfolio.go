@@ -30,8 +30,10 @@
 //     kept, learnt clauses included. The first worker to reach Sat or
 //     Unsat wins the probe; the losers are cancelled cooperatively,
 //     rejoin, and exchange their sharp learnt clauses. core.Query.Bisect
-//     drives the descent from those statuses, and the canonical synthesizer
-//     then extracts the design at the optimum.
+//     drives the descent from those statuses: a cheap pass under a few
+//     conflicts a probe, then the canonical question asked once at the
+//     bound it left, whose Sat design is the answer, and otherwise full
+//     probes and the canonical extraction at their optimum (optimise).
 //
 // A plain check never races: its canonical extraction decides
 // satisfiability itself, so a raced status would only be computed twice.
@@ -81,6 +83,14 @@ type Solver struct {
 	canonMu   sync.Mutex
 	canon     *core.Synthesizer
 	extracted core.ModelStats
+	// fresh is the fresh worker of an optimisation's attempt while it
+	// searches, guarded like canon. probed sums the search that only
+	// bounded a descent: the fresh workers', and that of a canonical
+	// attempt which did not answer. Like the raced workers' search, it
+	// depends on where a race's cancellations landed, through the bound
+	// it was asked at; extracted, the search of answers, does not.
+	fresh  *core.Synthesizer
+	probed core.ModelStats
 
 	// tmpl is the engine's encoding; work holds the diversified raced
 	// workers cloned from it by the first race (warm), nil until then;
@@ -242,13 +252,13 @@ func (s *Solver) liveWorkers() []int {
 // inside the solver is returned as pval instead of unwinding through
 // the race, so one poisoned instance cannot take the others — or the
 // daemon — down with it.
-func (s *Solver) probeWorker(i int, th core.Thresholds, limited bool) (st smt.Status, pval any) {
+func (s *Solver) probeWorker(i int, ask func(*core.Synthesizer) smt.Status) (st smt.Status, pval any) {
 	defer func() {
 		if r := recover(); r != nil {
 			st, pval = smt.Unknown, r
 		}
 	}()
-	return s.work[i].ProbeStatus(th, limited), nil
+	return ask(s.work[i]), nil
 }
 
 // PanicsRecovered returns the number of worker panics the portfolio
@@ -257,13 +267,13 @@ func (s *Solver) probeWorker(i int, th core.Thresholds, limited bool) (st smt.St
 // to the caller and not counted here.
 func (s *Solver) PanicsRecovered() uint64 { return s.panics.Load() }
 
-// raceStatus races one threshold probe across the live workers and
+// raceStatus races one status probe, ask, across the live workers and
 // returns the first definitive status, cancelling and rejoining the
 // losers. If every live worker reports Unknown (budget exhausted),
 // Unknown is returned. A worker that panics is retired from future
 // races; only when every live worker panicked in the same race is the
 // panic rethrown.
-func (s *Solver) raceStatus(th core.Thresholds, limited bool) smt.Status {
+func (s *Solver) raceStatus(ask func(w *core.Synthesizer) smt.Status) smt.Status {
 	s.warm()
 	if faults.Active() && faults.Fire(faults.PortfolioProbeInterrupt) {
 		// Chaos hook: a spurious cancellation landing on a worker just as
@@ -281,7 +291,7 @@ func (s *Solver) raceStatus(th core.Thresholds, limited bool) smt.Status {
 		panic("portfolio: all raced workers retired by panics")
 	}
 	if len(live) == 1 {
-		st, pval := s.probeWorker(live[0], th, limited)
+		st, pval := s.probeWorker(live[0], ask)
 		if pval != nil {
 			s.dead[live[0]] = true
 			panic(pval)
@@ -296,7 +306,7 @@ func (s *Solver) raceStatus(th core.Thresholds, limited bool) smt.Status {
 	ch := make(chan outcome, len(live))
 	for _, i := range live {
 		go func(i int) {
-			st, pval := s.probeWorker(i, th, limited)
+			st, pval := s.probeWorker(i, ask)
 			ch <- outcome{st, i, pval}
 		}(i)
 	}
@@ -370,13 +380,27 @@ func (s *Solver) shareClauses() {
 	}
 }
 
+// cheapProbeBudget is the conflict budget of an optimisation's cheap
+// pass, or Options.ProbeBudget where that is tighter: enough to refute a
+// value past the optimum, which the flow theory's counting bound closes
+// at the root, and far too little for a satisfiable probe near it. A
+// fresh worker gets 16 times as much to settle the bound the pass left
+// (attempt). A variable only so that a test can force the fallback.
+var cheapProbeBudget int64 = 64
+
 // optimise is the engine's descent behind every optimisation query: race
 // the held thresholds with the free one at its loosest; on unsat report
-// the canonical core; otherwise bisect the free threshold, racing every
-// probe, recording each satisfiable one as the anytime incumbent and
-// reporting it to the bound observer; and extract the canonical design
-// at the optimum. Heuristics carry from probe to probe: they are reset
-// when the engine is retargeted, never inside a descent.
+// the canonical core; otherwise bisect the free threshold
+// (core.Query.Bisect). Its cheap pass races probes under
+// cheapProbeBudget and leaves the tightest value it could not refute;
+// attempt decides that value, and a Sat there is the optimum. Otherwise
+// the full probes race what is left under the probe budget. The design
+// is the canonical attempt's, or the canonical synthesizer extracts it
+// at the optimum. Every value proven satisfiable, the optimum included,
+// becomes the anytime incumbent and goes to the bound observer.
+// Heuristics carry from probe to probe on the raced workers: they are
+// reset when the engine is retargeted and where the full probes take
+// over from the cheap pass, never between two full probes.
 func (s *Solver) optimise(q core.Query) (*core.Design, error) {
 	s.incumbent = nil
 	var from int64 // the loosest value: slider 0, or a budget that buys everything
@@ -388,7 +412,7 @@ func (s *Solver) optimise(q core.Query) (*core.Design, error) {
 		from = tmpl.CostUpperBound()
 	}
 	base := q.Thresholds.With(q.Optimise, from)
-	switch s.raceStatus(base, false) {
+	switch s.raceStatus(func(w *core.Synthesizer) smt.Status { return w.ProbeStatus(base, false) }) {
 	case smt.Unknown:
 		return nil, core.ErrBudgetExceeded
 	case smt.Unsat:
@@ -398,23 +422,105 @@ func (s *Solver) optimise(q core.Query) (*core.Design, error) {
 		return nil, errors.New("portfolio: workers proved unsat but canonical check succeeded")
 	}
 	s.incumbent = &base
-	best, _, exact := q.Bisect(from, func(v int64) (smt.Status, *core.Design) {
+	reported := false
+	// proved records a satisfiable v as the incumbent and reports it,
+	// once; it passes st through.
+	proved := func(v int64, st smt.Status) smt.Status {
 		th := q.Thresholds.With(q.Optimise, v)
-		st := s.raceStatus(th, true)
-		if st == smt.Sat {
-			s.incumbent = &th
-			if s.onBound != nil {
-				s.onBound(q.Optimise, v)
-			}
+		if st != smt.Sat || reported && *s.incumbent == th {
+			return st
 		}
-		return st, nil
-	})
-	d, err := s.checkAt(q.Thresholds.With(q.Optimise, best))
-	if err != nil {
-		return nil, err
+		s.incumbent, reported = &th, true
+		if s.onBound != nil {
+			s.onBound(q.Optimise, v)
+		}
+		return st
 	}
+	raced := func(v int64, cheap bool) smt.Status {
+		th := q.Thresholds.With(q.Optimise, v)
+		return proved(v, s.raceStatus(func(w *core.Synthesizer) smt.Status {
+			if cheap {
+				return w.ProbeStatusWithin(th, cheapProbeBudget)
+			}
+			return w.ProbeStatus(th, true)
+		}))
+	}
+	best, d, exact := q.Bisect(from, core.Probes{
+		Full:  func(v int64) (smt.Status, *core.Design) { return raced(v, false), nil },
+		Cheap: func(v int64) smt.Status { return raced(v, true) },
+		Attempt: func(v int64) (smt.Status, *core.Design) {
+			st, d := s.attempt(q.Thresholds.With(q.Optimise, v))
+			if st != smt.Sat {
+				// The full probes take over. They keep what the cheap pass
+				// learnt, not where its aborted searches left the phases
+				// and activities: from there a probe that full probes alone
+				// settle in thousands of conflicts can take 10^5.
+				s.resetHeuristics()
+			}
+			return proved(v, st), d
+		},
+	})
+	if d == nil {
+		var err error
+		if d, err = s.checkAt(q.Thresholds.With(q.Optimise, best)); err != nil {
+			return nil, err
+		}
+	}
+	proved(best, smt.Sat)
 	d.Exact = exact
 	return d, nil
+}
+
+// attempt decides th, the bound an optimisation's cheap pass left open,
+// and returns the design when it is the canonical question that says
+// Sat.
+//
+// A fresh worker tries first, under 16 times the cheap budget: a clone
+// of the template with none of the heuristics the raced workers carry,
+// which near the optimum can cost a warm worker many times the search a
+// fresh one makes. A loose bound — hard Unsats past the optimum that the
+// cheap pass could not tell from hard Sats — is refuted there in a few
+// hundred conflicts instead of a canonical search, and an easy one is
+// proven, for the canonical synthesizer to extract as ever. Only a bound
+// the fresh worker cannot settle either gets the canonical question,
+// once, under the probe budget (core.Synthesizer.AttemptAt), on the
+// synthesizer checkAt would build. Its design, when Sat, is the design
+// checkAt would extract there. An error (a template that no longer
+// encodes or a clone that outgrows its arena) is Unknown, and the
+// extraction meets it again.
+func (s *Solver) attempt(th core.Thresholds) (st smt.Status, d *core.Design) {
+	tmpl, err := s.template()
+	if err != nil {
+		return smt.Unknown, nil
+	}
+	w, err := tmpl.CloneInto(s.spare, s.prob.Thresholds, WorkerConfig(0))
+	s.spare = nil
+	if err != nil {
+		return smt.Unknown, nil
+	}
+	s.use(&s.fresh, &s.probed, w, func(w *core.Synthesizer) error {
+		st = w.ProbeStatusWithin(th, 16*cheapProbeBudget)
+		return nil
+	})
+	if st != smt.Unknown {
+		return st, nil
+	}
+	var search core.ModelStats
+	err = s.canonicalInto(&search, func(syn *core.Synthesizer) error {
+		st, d = syn.AttemptAt(th)
+		return nil
+	})
+	s.canonMu.Lock()
+	if st == smt.Sat {
+		s.extracted.AddSearch(search)
+	} else {
+		s.probed.AddSearch(search)
+	}
+	s.canonMu.Unlock()
+	if err != nil {
+		return smt.Unknown, nil
+	}
+	return st, d
 }
 
 // checkAt is the canonical check of all three thresholds.
@@ -508,7 +614,8 @@ func (s *Solver) Explain() (ex *core.Explanation, err error) {
 // (conflicts, decisions, propagations, restarts, interrupts, random
 // decisions): the sequential arm's own, or for an engine the shape of
 // its template — as it was before any question spent it — with the
-// search of every worker and of every canonical synthesizer it has used.
+// search of every worker, raced or fresh, and of every canonical
+// synthesizer it has used.
 func (s *Solver) Stats() core.ModelStats {
 	if s.tmpl == nil {
 		return s.canon.Stats()
@@ -519,6 +626,7 @@ func (s *Solver) Stats() core.ModelStats {
 	}
 	s.canonMu.Lock()
 	st.AddSearch(s.extracted)
+	st.AddSearch(s.probed)
 	s.canonMu.Unlock()
 	return st
 }

@@ -397,9 +397,10 @@ func TestOneEngineBehindBothConstructors(t *testing.T) {
 
 // TestHeuristicsResetOnRetargetOnly pins the reset rule by replaying an
 // engine's probes by hand on a worker clone of the same template. Within
-// one target the probes of a descent build on each other's heuristics
-// (phases, activities, restart schedule); moving to another target
-// forgets them once, keeping the learnt clauses. A worker that is reset
+// one target the full probes of a descent build on each other's
+// heuristics (phases, activities, restart schedule); moving to another
+// target forgets them once, keeping the learnt clauses, and so does the
+// hand-over from a cheap pass to full probes. A worker that is reset
 // before every probe — what a session used to do — searches differently,
 // which is what makes the comparison tell the two apart.
 func TestHeuristicsResetOnRetargetOnly(t *testing.T) {
@@ -420,16 +421,38 @@ func TestHeuristicsResetOnRetargetOnly(t *testing.T) {
 		return w
 	}
 	// descend is the engine's MaxIsolation descent on w: the base probe,
-	// then the bisection's, with before run ahead of each.
+	// then the bisection's, cheap and full, with before run ahead of
+	// each, and the attempt on clones of its own.
 	descend := func(w *core.Synthesizer, th core.Thresholds, before func()) {
 		q := core.Query{Optimise: core.ThresholdIsolation, Thresholds: th}
 		before()
 		if st := w.ProbeStatus(th.With(q.Optimise, 0), false); st != smt.Sat {
 			t.Fatalf("base probe: %v", st)
 		}
-		q.Bisect(0, func(v int64) (smt.Status, *core.Design) {
-			before()
-			return w.ProbeStatus(th.With(q.Optimise, v), true), nil
+		q.Bisect(0, core.Probes{
+			Cheap: func(v int64) smt.Status {
+				before()
+				return w.ProbeStatusWithin(th.With(q.Optimise, v), cheapProbeBudget)
+			},
+			Attempt: func(v int64) (smt.Status, *core.Design) {
+				st := clone().ProbeStatusWithin(th.With(q.Optimise, v), 16*cheapProbeBudget)
+				var d *core.Design
+				if st == smt.Unknown {
+					canon, err := tmpl.Clone(th, p.Options.Solver)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, d = canon.AttemptAt(th.With(q.Optimise, v))
+				}
+				if st != smt.Sat {
+					w.ResetSearchState() // the full probes take over
+				}
+				return st, d
+			},
+			Full: func(v int64) (smt.Status, *core.Design) {
+				before()
+				return w.ProbeStatus(th.With(q.Optimise, v), true), nil
+			},
 		})
 	}
 	nothing := func() {}

@@ -66,12 +66,13 @@ func (s *Solver) template() (*core.Template, error) {
 // configuration — on a one-shot engine the template itself, spent
 // (core.Template.Synthesizer); on a session a clone built in the memory
 // of the last question's synthesizer, the spare (core.Template.CloneInto);
-// both state for state a plain clone — records it so a concurrent
-// context cancellation can reach it (interruptAll), and drops it when
-// ask returns, keeping the search it did (its counters beyond the
-// template's) for Stats and, on a session, the synthesizer itself as the
-// next question's spare, whatever state ask left it in.
+// both state for state a plain clone — and runs ask on it (use).
 func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
+	return s.canonicalInto(&s.extracted, ask)
+}
+
+// canonicalInto is canonical with an engine's search summed into *tally.
+func (s *Solver) canonicalInto(tally *core.ModelStats, ask func(*core.Synthesizer) error) error {
 	if s.tmpl == nil {
 		return ask(s.canon)
 	}
@@ -91,13 +92,23 @@ func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
 	if err != nil {
 		return err
 	}
+	return s.use(&s.canon, tally, syn, ask)
+}
+
+// use runs ask on syn, a synthesizer built from the template for it,
+// with syn in *slot (canon or fresh) meanwhile so that a concurrent
+// context cancellation can reach it (interruptAll), and drops it when
+// ask returns: the search it did (its counters beyond the template's) is
+// summed into *tally (extracted or probed) for Stats and, on a session,
+// syn itself becomes the spare, whatever state ask left it in.
+func (s *Solver) use(slot **core.Synthesizer, tally *core.ModelStats, syn *core.Synthesizer, ask func(*core.Synthesizer) error) error {
 	s.canonMu.Lock()
-	s.canon = syn
+	*slot = syn
 	s.canonMu.Unlock()
 	defer func() {
 		s.canonMu.Lock()
-		s.canon = nil
-		s.extracted.AddSearch(syn.Stats().Since(s.shape))
+		*slot = nil
+		tally.AddSearch(syn.Stats().Since(s.shape))
 		s.canonMu.Unlock()
 		if !s.oneShot {
 			s.spare = syn
@@ -159,14 +170,21 @@ func (s *Solver) RetargetFamily(p *core.Problem, family string) error {
 	// search heuristics: phases and activities tuned to the previous
 	// thresholds can derail the first probes at the new ones by orders of
 	// magnitude (saved phases replay a stale model against a changed
-	// bound). This is the only reset: within one target the probes of a
-	// descent build on each other's heuristics, as on a fresh engine.
+	// bound). Within one target the full probes of a descent build on
+	// each other's heuristics, as on a fresh engine; the only other reset
+	// is where they take over from a cheap pass (optimise).
+	s.resetHeuristics()
+	return nil
+}
+
+// resetHeuristics makes every live worker forget its search heuristics,
+// keeping its clauses, learnt ones included.
+func (s *Solver) resetHeuristics() {
 	for i, w := range s.work {
 		if !s.dead[i] {
 			w.ResetSearchState()
 		}
 	}
-	return nil
 }
 
 // ResetQueryState clears everything one query may have left on the

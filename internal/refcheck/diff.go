@@ -15,6 +15,7 @@ type built struct {
 	assume []smt.Bool            // parallel to Instance.Assumptions
 	guards []smt.Bool            // parallel to Instance.AtMosts if built guarded
 	probes map[[2]int64]smt.Bool // Bisect's probe guards; see guard
+	fresh  func() *built         // encodes the same instance the same way again
 }
 
 // Build encodes the instance into a fresh solver diversified by cfg,
@@ -30,6 +31,7 @@ func BuildGuarded(in *Instance, cfg smt.SolverConfig) *built { return build(in, 
 
 func build(in *Instance, cfg smt.SolverConfig, guarded bool) *built {
 	b := &built{sol: smt.NewSolverWith(cfg), obj: &smt.Sum{}, probes: map[[2]int64]smt.Bool{}}
+	b.fresh = func() *built { return build(in, cfg, guarded) }
 	b.sol.SetVerify(true)
 	for v := 1; v <= in.Vars; v++ {
 		b.vars = append(b.vars, b.sol.NewBool(fmt.Sprintf("x%d", v)))

@@ -48,7 +48,7 @@ func CheckGuarded(in *Instance, cfg smt.SolverConfig) error {
 	ref := newReference(in, nil)
 	for _, q := range []core.Query{maximise, minimise} {
 		for _, b := range []*built{baked, g} {
-			if _, err := ref.descend(b, q, true, -1, false); err != nil {
+			if _, err := ref.descend(b, q, designs, -1, false); err != nil {
 				return err
 			}
 		}

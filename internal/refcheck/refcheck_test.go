@@ -2,6 +2,7 @@ package refcheck
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"configsynth/internal/smt"
@@ -122,6 +123,11 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	}
 	if cov.budget == 0 || cov.wrapper == 0 || cov.jumped == 0 {
 		t.Fatalf("injection coverage collapsed: %+v", cov)
+	}
+	// The cheap shapes must have met cheap Unknowns, attempts of every
+	// status, and fallbacks to the full probes.
+	if cov.cheapUnknown == 0 || cov.fallback == 0 || slices.Contains(cov.attempts[:], 0) {
+		t.Fatalf("cheap-pass coverage collapsed: %+v", cov)
 	}
 	t.Logf("descents that met an Unknown: %+v", cov)
 }
