@@ -384,13 +384,16 @@ func (t *Theory) explain(c *constraint, head sat.Lit, target int64) []sat.Lit {
 // the clause an eager explanation would have produced, including order,
 // so conflict analysis (and with it search, models, and cores) is
 // unaffected by the laziness.
+//
+// The weight of the literal forced false comes from its occurrence
+// entry for this constraint: most literals occur in one constraint, so
+// that is one entry to read, where the constraint's terms are many.
 func (t *Theory) Explain(p sat.Lit, tag int32) []sat.Lit {
 	c := t.constraints[tag]
-	l := p.Not() // the constraint literal that was forced false
 	var target int64
-	for _, tm := range c.terms {
-		if tm.lit == l {
-			target = c.bound - tm.weight
+	for _, e := range t.occ[p.Not()] {
+		if e.id == tag {
+			target = c.bound - e.weight
 			break
 		}
 	}

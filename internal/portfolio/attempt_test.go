@@ -14,10 +14,9 @@ import (
 )
 
 // attemptProblem is a netgen instance whose max-isolation descent
-// proves 5.0 in its cheap pass and leaves 8.0 open, a bound the fresh
-// worker cannot settle within its budget, so that the canonical question
-// is asked there; it answers Sat, and the answer is the attempt's
-// design.
+// proves 5.0 in its cheap pass and leaves 8.0 open, a bound that takes
+// the attempt thousands of conflicts; it answers Sat, and the answer is
+// the attempt's design.
 func attemptProblem(t *testing.T) *core.Problem {
 	t.Helper()
 	p, err := netgen.Generate(netgen.Config{Hosts: 6, Routers: 6, MaxServices: 2, CRFraction: 0.1, Seed: 3,
@@ -28,10 +27,9 @@ func attemptProblem(t *testing.T) *core.Problem {
 	return p
 }
 
-// withCheapBudget runs f with the cheap pass under budget conflicts (and
-// its fresh worker under 16 times that): 0 makes every cheap probe and
-// the fresh worker Unknown, so the canonical question is asked at the
-// tightest value the threshold allows.
+// withCheapBudget runs f with the cheap pass under budget conflicts: 0
+// makes every cheap probe Unknown, so the canonical question is asked at
+// the tightest value the threshold allows.
 func withCheapBudget(budget int64, f func()) {
 	old := cheapProbeBudget
 	cheapProbeBudget = budget
@@ -118,13 +116,42 @@ func TestOptimumIsAPlainCheckThere(t *testing.T) {
 	}
 }
 
+// TestAttemptIsOneSearch: on attemptProblem the attempt answers with
+// one search, never replayed: tallied once as the answer's and counter
+// for counter a fresh engine's plain check at the optimum, nothing
+// probed, and the one-shot template left unspent, so that no canonical
+// synthesizer searched after it; its design is that plain check's.
+func TestAttemptIsOneSearch(t *testing.T) {
+	p := attemptProblem(t)
+	for name, build := range map[string]func(*testing.T, *core.Problem, int) *Solver{"one-shot": mustRacing, "session": mustSession} {
+		s := build(t, p, 1)
+		q, d, v := optimum(t, s, core.ThresholdIsolation)
+		checkOptimum(t, name, p, q, d, v)
+		plain := mustSession(t, p, 1)
+		if _, err := plain.Run(context.Background(), core.Query{Thresholds: q.Thresholds.With(q.Optimise, v)}); err != nil {
+			t.Fatal(err)
+		}
+		if s.extracted != plain.extracted {
+			t.Fatalf("%s: the attempt searched\n%+v\n, a plain check at the optimum\n%+v", name, s.extracted, plain.extracted)
+		}
+		if s.spent || s.probed != (core.ModelStats{}) {
+			t.Fatalf("%s: template spent %v, probed %+v; want the attempt's answer alone", name, s.spent, s.probed)
+		}
+		// A route that tried the bound in a short first search and asked
+		// again after it would differ only on a search longer than that.
+		if c := s.extracted.Conflicts; c <= 16*cheapProbeBudget {
+			t.Fatalf("%s: the attempt answered in %d conflicts; the test wants a bound that takes more than %d", name, c, 16*cheapProbeBudget)
+		}
+	}
+}
+
 // TestForcedFallbackReencodesOrReusesTheSpare: with the cheap pass blind
 // the canonical question is asked at the tightest value the threshold
 // allows, where it is Unsat, and the full probes take over. A one-shot
-// engine, whose template that question spent, encodes a template afresh
-// for the extraction; a session keeps its template and ends with a
-// spare. Both answer alike, exactly, with the design of a plain check at
-// the optimum.
+// engine, whose attempt was a clone, spends the template it encoded on
+// the extraction and encodes nothing afresh; a session keeps its
+// template and ends with a spare. Both answer alike, exactly, with the
+// design of a plain check at the optimum.
 func TestForcedFallbackReencodesOrReusesTheSpare(t *testing.T) {
 	p := oneShotProblem(t, 2, "sat")
 	withCheapBudget(0, func() {
@@ -134,8 +161,8 @@ func TestForcedFallbackReencodesOrReusesTheSpare(t *testing.T) {
 			label := fmt.Sprintf("K=%d", k)
 			got, want := askEngine(t, oneShot, "MaxIsolation"), askEngine(t, session, "MaxIsolation")
 			sameReply(t, label, got, want, oneShot, session)
-			if oneShot.tmpl == encoded || !oneShot.spent {
-				t.Fatalf("%s: the one-shot engine extracted without encoding afresh the template the canonical attempt spent", label)
+			if oneShot.tmpl != encoded || !oneShot.spent {
+				t.Fatalf("%s: the one-shot engine encoded afresh (%v) or did not spend its template on the extraction (spent %v)", label, oneShot.tmpl != encoded, oneShot.spent)
 			}
 			if session.tmpl != kept || session.spent || session.spare == nil {
 				t.Fatalf("%s: the session did not keep its template (kept %v, spent %v) or its spare (%v)", label, session.tmpl == kept, session.spent, session.spare != nil)
@@ -197,8 +224,9 @@ func TestBoundObserverEndsAtTheOptimum(t *testing.T) {
 // pass left open, not yet proven, leaves the engine the bound the cheap
 // pass did prove, and AnytimeDesign extracts the design a plain check
 // there gives, marked inexact: on a one-shot engine, whose template the
-// attempt spent, and on a session. Every solve is stalled by 100 ms, and
-// the deadline is fired the moment the canonical synthesizer appears.
+// attempt leaves unspent, and on a session. Every solve is stalled by
+// 100 ms, and the deadline is fired the moment the attempt's
+// synthesizer appears in its slot.
 func TestDeadlineInTheCanonicalAttemptDegradesToTheIncumbent(t *testing.T) {
 	p := attemptProblem(t)
 	_, _, opt := optimum(t, mustSession(t, p, 1), core.ThresholdIsolation)
@@ -216,7 +244,7 @@ func TestDeadlineInTheCanonicalAttemptDegradesToTheIncumbent(t *testing.T) {
 		go func() {
 			for ctx.Err() == nil {
 				s.canonMu.Lock()
-				attempting := s.canon != nil
+				attempting := s.trial != nil
 				s.canonMu.Unlock()
 				if attempting {
 					cancel()

@@ -49,11 +49,11 @@ func (s *Solver) Run(ctx context.Context, q core.Query) (d *core.Design, err err
 }
 
 // interruptAll asks every solver — the canonical synthesizer and an
-// attempt's fresh worker, if one is live, and the raced workers — to
+// optimisation's attempt, if one is live, and the raced workers — to
 // abandon its current check.
 func (s *Solver) interruptAll() {
 	s.canonMu.Lock()
-	for _, syn := range []*core.Synthesizer{s.canon, s.fresh} {
+	for _, syn := range []*core.Synthesizer{s.canon, s.trial} {
 		if syn != nil {
 			syn.Interrupt()
 		}

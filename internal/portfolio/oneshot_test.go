@@ -109,7 +109,10 @@ func sameReply(t *testing.T, label string, got, want reply, gotEng, wantEng *Sol
 // question (NewRacing) answers every query like one that keeps it
 // pristine and clones (NewSession) — the same design bytes, optimum,
 // explanation and unsat core, and the same counters — on satisfiable and
-// unsatisfiable instances, with one worker and with three.
+// unsatisfiable instances, with one worker and with three. The one-shot
+// engine spends its template on every question but an optimisation
+// whose attempt (a clone) answered, which probed nothing and leaves the
+// template for the next question.
 func TestOneShotMatchesSession(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		for _, regime := range []string{"sat", "unsat"} {
@@ -120,8 +123,9 @@ func TestOneShotMatchesSession(t *testing.T) {
 					oneShot, session := mustRacing(t, p, k), mustSession(t, p, k)
 					got, want := askEngine(t, oneShot, query), askEngine(t, session, query)
 					sameReply(t, label, got, want, oneShot, session)
-					if !oneShot.spent || session.spent {
-						t.Fatalf("%s: spent = %v on the one-shot engine, %v on the session; want true, false", label, oneShot.spent, session.spent)
+					optimised := query == "MinCost" || query == "MaxIsolation"
+					if !oneShot.spent && (!optimised || oneShot.probed != (core.ModelStats{})) || session.spent {
+						t.Fatalf("%s: spent = %v on the one-shot engine (probed %+v), %v on the session", label, oneShot.spent, oneShot.probed, session.spent)
 					}
 				}
 			}

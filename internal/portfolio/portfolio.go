@@ -20,10 +20,13 @@
 //     pristine and clones it for each question; a one-shot engine
 //     (NewRacing) spends the template itself on its question
 //     (core.Template.Synthesizer) and encodes the problem afresh if it is
-//     asked another. Either way the synthesizer predates every guard and
-//     every search, so it is state for state what a fresh encode would
-//     have built, and an answer depends only on the question, never on
-//     the engine's history or on which constructor built it.
+//     asked another. An optimisation's attempt (below) is a clone on
+//     both, so that a one-shot engine whose attempt does not answer
+//     still has its template to extract from. Either way the synthesizer
+//     predates every guard and every search, so it is state for state
+//     what a fresh encode would have built, and an answer depends only
+//     on the question, never on the engine's history or on which
+//     constructor built it.
 //   - An optimisation's probes are raced as statuses across K diversified
 //     workers (PRNG seed with a small random-decision fraction, initial
 //     phase polarity, restart schedule), cloned by the first race and
@@ -32,8 +35,9 @@
 //     rejoin, and exchange their sharp learnt clauses. core.Query.Bisect
 //     drives the descent from those statuses: a cheap pass under a few
 //     conflicts a probe, then the canonical question asked once at the
-//     bound it left, whose Sat design is the answer, and otherwise full
-//     probes and the canonical extraction at their optimum (optimise).
+//     bound it left — one search, never replayed — whose Sat design is
+//     the answer, and otherwise full probes and the canonical extraction
+//     at their optimum (optimise).
 //
 // A plain check never races: its canonical extraction decides
 // satisfiability itself, so a raced status would only be computed twice.
@@ -83,13 +87,13 @@ type Solver struct {
 	canonMu   sync.Mutex
 	canon     *core.Synthesizer
 	extracted core.ModelStats
-	// fresh is the fresh worker of an optimisation's attempt while it
-	// searches, guarded like canon. probed sums the search that only
-	// bounded a descent: the fresh workers', and that of a canonical
-	// attempt which did not answer. Like the raced workers' search, it
-	// depends on where a race's cancellations landed, through the bound
-	// it was asked at; extracted, the search of answers, does not.
-	fresh  *core.Synthesizer
+	// trial is the synthesizer of an optimisation's attempt while it
+	// searches, guarded like canon. probed sums the search of attempts
+	// that did not answer, which only bounded a descent. Like the raced
+	// workers' search, it depends on where a race's cancellations
+	// landed, through the bound it was asked at; extracted, the search of
+	// answers, does not.
+	trial  *core.Synthesizer
 	probed core.ModelStats
 
 	// tmpl is the engine's encoding; work holds the diversified raced
@@ -384,8 +388,7 @@ func (s *Solver) shareClauses() {
 // pass, or Options.ProbeBudget where that is tighter: enough to refute a
 // value past the optimum, which the flow theory's counting bound closes
 // at the root, and far too little for a satisfiable probe near it. A
-// fresh worker gets 16 times as much to settle the bound the pass left
-// (attempt). A variable only so that a test can force the fallback.
+// variable only so that a test can force the fallback.
 var cheapProbeBudget int64 = 64
 
 // optimise is the engine's descent behind every optimisation query: race
@@ -471,21 +474,15 @@ func (s *Solver) optimise(q core.Query) (*core.Design, error) {
 	return d, nil
 }
 
-// attempt decides th, the bound an optimisation's cheap pass left open,
-// and returns the design when it is the canonical question that says
-// Sat.
-//
-// A fresh worker tries first, under 16 times the cheap budget: a clone
-// of the template with none of the heuristics the raced workers carry,
-// which near the optimum can cost a warm worker many times the search a
-// fresh one makes. A loose bound — hard Unsats past the optimum that the
-// cheap pass could not tell from hard Sats — is refuted there in a few
-// hundred conflicts instead of a canonical search, and an easy one is
-// proven, for the canonical synthesizer to extract as ever. Only a bound
-// the fresh worker cannot settle either gets the canonical question,
-// once, under the probe budget (core.Synthesizer.AttemptAt), on the
-// synthesizer checkAt would build. Its design, when Sat, is the design
-// checkAt would extract there. An error (a template that no longer
+// attempt asks the canonical question once, at th, the bound an
+// optimisation's cheap pass left open, under the probe budget
+// (core.Synthesizer.AttemptAt), and returns the design when it says Sat:
+// the design checkAt would extract there, so it is never searched for
+// again. It asks it on a clone of the template under the problem's own
+// solver configuration — in the spare's memory on a session — on a
+// one-shot engine too, whose template then stays unspent for the
+// extraction a fallback needs. The search counts as extracted if it
+// answers and as probed if not. An error (a template that no longer
 // encodes or a clone that outgrows its arena) is Unknown, and the
 // extraction meets it again.
 func (s *Solver) attempt(th core.Thresholds) (st smt.Status, d *core.Design) {
@@ -493,33 +490,15 @@ func (s *Solver) attempt(th core.Thresholds) (st smt.Status, d *core.Design) {
 	if err != nil {
 		return smt.Unknown, nil
 	}
-	w, err := tmpl.CloneInto(s.spare, s.prob.Thresholds, WorkerConfig(0))
+	syn, err := tmpl.CloneInto(s.spare, s.prob.Thresholds, s.prob.Options.Solver)
 	s.spare = nil
 	if err != nil {
 		return smt.Unknown, nil
 	}
-	s.use(&s.fresh, &s.probed, w, func(w *core.Synthesizer) error {
-		st = w.ProbeStatusWithin(th, 16*cheapProbeBudget)
-		return nil
-	})
-	if st != smt.Unknown {
-		return st, nil
-	}
-	var search core.ModelStats
-	err = s.canonicalInto(&search, func(syn *core.Synthesizer) error {
+	s.use(&s.trial, syn, func(syn *core.Synthesizer) bool {
 		st, d = syn.AttemptAt(th)
-		return nil
+		return st == smt.Sat
 	})
-	s.canonMu.Lock()
-	if st == smt.Sat {
-		s.extracted.AddSearch(search)
-	} else {
-		s.probed.AddSearch(search)
-	}
-	s.canonMu.Unlock()
-	if err != nil {
-		return smt.Unknown, nil
-	}
 	return st, d
 }
 

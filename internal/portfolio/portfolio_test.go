@@ -435,15 +435,11 @@ func TestHeuristicsResetOnRetargetOnly(t *testing.T) {
 				return w.ProbeStatusWithin(th.With(q.Optimise, v), cheapProbeBudget)
 			},
 			Attempt: func(v int64) (smt.Status, *core.Design) {
-				st := clone().ProbeStatusWithin(th.With(q.Optimise, v), 16*cheapProbeBudget)
-				var d *core.Design
-				if st == smt.Unknown {
-					canon, err := tmpl.Clone(th, p.Options.Solver)
-					if err != nil {
-						t.Fatal(err)
-					}
-					st, d = canon.AttemptAt(th.With(q.Optimise, v))
+				canon, err := tmpl.Clone(th, p.Options.Solver)
+				if err != nil {
+					t.Fatal(err)
 				}
+				st, d := canon.AttemptAt(th.With(q.Optimise, v))
 				if st != smt.Sat {
 					w.ResetSearchState() // the full probes take over
 				}

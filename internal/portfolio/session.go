@@ -67,12 +67,7 @@ func (s *Solver) template() (*core.Template, error) {
 // (core.Template.Synthesizer); on a session a clone built in the memory
 // of the last question's synthesizer, the spare (core.Template.CloneInto);
 // both state for state a plain clone — and runs ask on it (use).
-func (s *Solver) canonical(ask func(*core.Synthesizer) error) error {
-	return s.canonicalInto(&s.extracted, ask)
-}
-
-// canonicalInto is canonical with an engine's search summed into *tally.
-func (s *Solver) canonicalInto(tally *core.ModelStats, ask func(*core.Synthesizer) error) error {
+func (s *Solver) canonical(ask func(*core.Synthesizer) error) (err error) {
 	if s.tmpl == nil {
 		return ask(s.canon)
 	}
@@ -92,20 +87,31 @@ func (s *Solver) canonicalInto(tally *core.ModelStats, ask func(*core.Synthesize
 	if err != nil {
 		return err
 	}
-	return s.use(&s.canon, tally, syn, ask)
+	s.use(&s.canon, syn, func(syn *core.Synthesizer) bool {
+		err = ask(syn)
+		return true
+	})
+	return err
 }
 
-// use runs ask on syn, a synthesizer built from the template for it,
-// with syn in *slot (canon or fresh) meanwhile so that a concurrent
-// context cancellation can reach it (interruptAll), and drops it when
-// ask returns: the search it did (its counters beyond the template's) is
-// summed into *tally (extracted or probed) for Stats and, on a session,
-// syn itself becomes the spare, whatever state ask left it in.
-func (s *Solver) use(slot **core.Synthesizer, tally *core.ModelStats, syn *core.Synthesizer, ask func(*core.Synthesizer) error) error {
+// use runs ask on syn, a synthesizer built from the template for one
+// question, with syn in *slot (canon or trial) meanwhile so that a
+// concurrent context cancellation can reach it (interruptAll), and
+// drops it when ask returns: the search it did (its counters beyond the
+// template's) is summed for Stats, into extracted if ask returned that
+// it answered and into probed otherwise — a search that panicked
+// included — and, on a session, syn itself becomes the spare, whatever
+// state ask left it in.
+func (s *Solver) use(slot **core.Synthesizer, syn *core.Synthesizer, ask func(*core.Synthesizer) (answered bool)) {
 	s.canonMu.Lock()
 	*slot = syn
 	s.canonMu.Unlock()
+	answered := false
 	defer func() {
+		tally := &s.extracted
+		if !answered {
+			tally = &s.probed
+		}
 		s.canonMu.Lock()
 		*slot = nil
 		tally.AddSearch(syn.Stats().Since(s.shape))
@@ -114,7 +120,7 @@ func (s *Solver) use(slot **core.Synthesizer, tally *core.ModelStats, syn *core.
 			s.spare = syn
 		}
 	}()
-	return ask(syn)
+	answered = ask(syn)
 }
 
 // Family returns the family fingerprint of the solver's problem (the

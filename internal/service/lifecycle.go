@@ -387,14 +387,16 @@ func (s *Service) query(j *Job, syn *portfolio.Solver, reused bool) (*core.Desig
 // proven reports whether a result is a fact about its problem — an unsat
 // verdict or an exact, undegraded design — and so may be cached, shipped
 // to a peer and replayed from a journal. An anytime design truncated by
-// one job's deadline or budget must never be served to a patient client.
+// one job's deadline or budget must never be served to a patient client,
+// nor a decomposed unsat that the monolithic encoding might still
+// satisfy (Conservative).
 func proven(res *Result) bool {
 	if res == nil {
 		return false
 	}
 	switch res.Status {
 	case "unsat":
-		return true
+		return res.Decomp == nil || !res.Decomp.Conservative
 	case "sat":
 		return res.Design != nil && res.Design.Exact && !res.Degraded
 	}
