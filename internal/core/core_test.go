@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"configsynth/internal/faults"
 	"configsynth/internal/isolation"
 	"configsynth/internal/policy"
 	"configsynth/internal/topology"
@@ -432,6 +434,66 @@ func TestExplainSuggestsRelaxations(t *testing.T) {
 		if len(r.Suggestions) != len(r.Dropped) {
 			t.Fatalf("suggestions %d != dropped %d", len(r.Suggestions), len(r.Dropped))
 		}
+	}
+}
+
+// TestExplainFailsWhenALaterCheckIsLeftUndecided: Algorithm 1 explains
+// the whole core or says that its budget ran out. Spurious interrupts
+// (sat.solve.interrupt) let Explain's first check through and leave a
+// later one undecided — a subset's re-check, a descent's first model or
+// one of its probes — under some of the seeds tried. Explain must then
+// return ErrBudgetExceeded or the uninterrupted run's relaxations with a
+// suggestion for every dropped threshold; a probe cut short may leave a
+// suggestion at a looser value, as a budget would, but never a shorter
+// list.
+func TestExplainFailsWhenALaterCheckIsLeftUndecided(t *testing.T) {
+	th := Thresholds{IsolationTenths: 100, UsabilityTenths: 100, CostBudget: 1000}
+	want, err := mustSynth(t, tinyProblem(t, th)).Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// shape is an explanation without its suggested values.
+	shape := func(ex *Explanation) string {
+		out := fmt.Sprint(ex.Core)
+		for _, r := range ex.Relaxations {
+			out += fmt.Sprint(" ", r.Dropped, "→")
+			for _, sg := range r.Suggestions {
+				out += fmt.Sprint(sg.Threshold, ",")
+			}
+		}
+		return out
+	}
+	// planOf returns a fresh plan, its arrival counter at zero.
+	planOf := func(seed int) *faults.Plan {
+		plan, err := faults.Parse(fmt.Sprintf("seed=%d,%s=0.2", seed, faults.SatSolveInterrupt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	cut := 0
+	for seed := 1; seed <= 40; seed++ {
+		restore := faults.Set(planOf(seed))
+		firstFires := faults.Fire(faults.SatSolveInterrupt)
+		restore()
+		if firstFires {
+			continue
+		}
+		s := mustSynth(t, tinyProblem(t, th))
+		restore = faults.Set(planOf(seed))
+		ex, err := s.Explain()
+		restore()
+		switch {
+		case errors.Is(err, ErrBudgetExceeded):
+			cut++
+		case err != nil:
+			t.Fatalf("seed %d: %v", seed, err)
+		case shape(ex) != shape(want):
+			t.Fatalf("seed %d: an interrupted Explain returned %+v, the uninterrupted one %+v", seed, ex, want)
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no seed left a check after the first undecided")
 	}
 }
 

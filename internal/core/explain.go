@@ -69,7 +69,11 @@ var ErrSatisfiable = errors.New("core: model is satisfiable; nothing to explain"
 // user-defined constraints are hard clauses; the three threshold
 // constraints are assumptions. For every non-empty subset A of the unsat
 // core it removes A, re-solves, and on SAT reports the achievable value
-// of each dropped threshold.
+// of each dropped threshold. A re-check or a descent's first model that
+// a budget or an interrupt leaves undecided fails the whole explanation
+// with ErrBudgetExceeded rather than leaving a relaxation or a
+// suggestion out of it. A descent that a probe budget cuts short still
+// suggests the best value it proved, as every optimisation is anytime.
 func (s *Synthesizer) Explain() (*Explanation, error) {
 	own := s.assume(Query{Thresholds: s.prob.Thresholds})
 	switch s.sol.Check(own...) {
@@ -82,8 +86,11 @@ func (s *Synthesizer) Explain() (*Explanation, error) {
 	ex := &Explanation{Core: core}
 	for _, dropped := range subsets(core) {
 		rest := remaining(own, dropped)
-		if s.sol.Check(rest...) != smt.Sat {
+		switch s.sol.Check(rest...) {
+		case smt.Unsat:
 			continue
+		case smt.Unknown:
+			return nil, ErrBudgetExceeded
 		}
 		relax := Relaxation{Dropped: dropped}
 		for _, k := range dropped {
@@ -92,7 +99,7 @@ func (s *Synthesizer) Explain() (*Explanation, error) {
 			q := Query{Optimise: k}
 			d, err := s.descend(q, rest)
 			if err != nil {
-				continue
+				return nil, err
 			}
 			relax.Suggestions = append(relax.Suggestions, Suggestion{Threshold: k, ValueTenths: q.Value(d)})
 		}

@@ -244,7 +244,7 @@ func TestDeadlineInTheCanonicalAttemptDegradesToTheIncumbent(t *testing.T) {
 		go func() {
 			for ctx.Err() == nil {
 				s.canonMu.Lock()
-				attempting := s.trial != nil
+				attempting := len(s.live) > 0
 				s.canonMu.Unlock()
 				if attempting {
 					cancel()

@@ -36,7 +36,7 @@ const reassertInterval = time.Millisecond
 // twice.
 func (s *Solver) Run(ctx context.Context, q core.Query) (d *core.Design, err error) {
 	err = s.guard(ctx, func() (err error) {
-		if s.tmpl != nil && q.Optimise != 0 {
+		if s.seq == nil && q.Optimise != 0 {
 			d, err = s.optimise(q)
 			return err
 		}
@@ -48,33 +48,28 @@ func (s *Solver) Run(ctx context.Context, q core.Query) (d *core.Design, err err
 	return d, err
 }
 
-// interruptAll asks every solver — the canonical synthesizer and an
-// optimisation's attempt, if one is live, and the raced workers — to
-// abandon its current check.
+// interruptAll asks every solver — the live ones (the sequential arm's,
+// or the synthesizers an engine's questions hold) and the raced workers
+// — to abandon its current check.
 func (s *Solver) interruptAll() {
 	s.canonMu.Lock()
-	for _, syn := range []*core.Synthesizer{s.canon, s.trial} {
-		if syn != nil {
-			syn.Interrupt()
-		}
+	defer s.canonMu.Unlock()
+	for _, syn := range s.live {
+		syn.Interrupt()
 	}
-	work := s.work
-	s.canonMu.Unlock()
-	for _, w := range work {
+	for _, w := range s.work {
 		w.Interrupt()
 	}
 }
 
 // clearAll re-arms every solver after a context cancellation, so the
-// Solver remains usable for later queries. The canonical synthesizer it
-// finds is the sequential arm's: an engine's are discarded with their
+// Solver remains usable for later queries: the sequential arm's and the
+// raced workers. An engine's other synthesizers are put back with their
 // question, and none is live when this runs.
 func (s *Solver) clearAll() {
-	s.canonMu.Lock()
-	if s.canon != nil {
-		s.canon.ClearInterrupt()
+	if s.seq != nil {
+		s.seq.ClearInterrupt()
 	}
-	s.canonMu.Unlock()
 	for _, w := range s.work {
 		w.ClearInterrupt()
 	}

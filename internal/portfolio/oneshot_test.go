@@ -206,7 +206,7 @@ func TestSpentExtractionStillDegradesToIncumbent(t *testing.T) {
 	go func() {
 		for ctx.Err() == nil {
 			s.canonMu.Lock()
-			extracting := s.canon != nil
+			extracting := len(s.live) > 0 && s.spent
 			s.canonMu.Unlock()
 			if extracting {
 				cancel()

@@ -14,25 +14,26 @@
 // in who spends the template. Two kinds of synthesizer do the work:
 //
 //   - Every design, unsat core, anytime incumbent and explanation is
-//     extracted by a canonical synthesizer made for that one question
-//     under the problem's own solver configuration and dropped
-//     afterwards. A session engine (NewSession) keeps its template
-//     pristine and clones it for each question; a one-shot engine
-//     (NewRacing) spends the template itself on its question
-//     (core.Template.Synthesizer) and encodes the problem afresh if it is
-//     asked another. An optimisation's attempt (below) is a clone on
-//     both, so that a one-shot engine whose attempt does not answer
-//     still has its template to extract from. Either way the synthesizer
-//     predates every guard and every search, so it is state for state
-//     what a fresh encode would have built, and an answer depends only
-//     on the question, never on the engine's history or on which
-//     constructor built it.
+//     extracted by a synthesizer the engine's one pool (get, put) hands
+//     out for that one question under the problem's own solver
+//     configuration and takes back afterwards. On a session engine
+//     (NewSession) it is a clone of the pristine template for every
+//     question; on a one-shot engine (NewRacing) the canonical question
+//     is handed the template itself, spent (core.Template.Synthesizer),
+//     and another question encodes the problem afresh. An optimisation's
+//     attempt (below) is a clone on both, so that a one-shot engine
+//     whose attempt does not answer still has its template to extract
+//     from. Either way the synthesizer predates every guard and every
+//     search, so it is state for state what a fresh encode would have
+//     built, and an answer depends only on the question, never on the
+//     engine's history or on which constructor built it.
 //   - An optimisation's probes are raced as statuses across K diversified
 //     workers (PRNG seed with a small random-decision fraction, initial
 //     phase polarity, restart schedule), cloned by the first race and
 //     kept, learnt clauses included. The first worker to reach Sat or
 //     Unsat wins the probe; the losers are cancelled cooperatively,
-//     rejoin, and exchange their sharp learnt clauses. core.Query.Bisect
+//     rejoin, are re-armed and exchange their sharp learnt clauses — one
+//     race at every K, a lone worker included. core.Query.Bisect
 //     drives the descent from those statuses: a cheap pass under a few
 //     conflicts a probe, then the canonical question asked once at the
 //     bound it left — one search, never replayed — whose Sat design is
@@ -77,41 +78,39 @@ type Solver struct {
 	prob   *core.Problem
 	family string // Family's cache
 
-	// canon is the canonical synthesizer, the one that produces models.
-	// The sequential arm has one for life and nothing else below. An
-	// engine (tmpl != nil) has one while a question is being answered on
-	// it: a clone of tmpl, nil between questions; extracted sums the
-	// search counters of the clones already dropped, which would otherwise
-	// vanish with them. canonMu guards what a context watcher's goroutine
-	// reads while a query runs: canon and the assignment that fills work.
-	canonMu   sync.Mutex
-	canon     *core.Synthesizer
-	extracted core.ModelStats
-	// trial is the synthesizer of an optimisation's attempt while it
-	// searches, guarded like canon. probed sums the search of attempts
-	// that did not answer, which only bounded a descent. Like the raced
-	// workers' search, it depends on where a race's cancellations
-	// landed, through the bound it was asked at; extracted, the search of
-	// answers, does not.
-	trial  *core.Synthesizer
-	probed core.ModelStats
+	// seq is the sequential arm's one synthesizer, which every query
+	// runs on; nil on an engine.
+	seq *core.Synthesizer
 
 	// tmpl is the engine's encoding; work holds the diversified raced
 	// workers cloned from it by the first race (warm), nil until then;
 	// shape is tmpl's Stats, which a spent template no longer answers.
-	// A one-shot engine (NewRacing) spends tmpl on each canonical
-	// question instead of cloning it, and spent says the last one did:
-	// the next use of tmpl encodes prob afresh first (template).
-	tmpl    *core.Template
-	work    []*core.Synthesizer
-	shape   core.ModelStats
-	oneShot bool
-	spent   bool
-	// spare is a session's last canonical synthesizer, kept after its
-	// question only so that the next question's clone is built in its
-	// memory (canonical); nil on a one-shot engine and before the first
-	// question. Nothing reads its state.
-	spare *core.Synthesizer
+	tmpl  *core.Template
+	work  []*core.Synthesizer
+	shape core.ModelStats
+
+	// The pool (get and put, session.go) hands out every other
+	// synthesizer of an engine: one per question, built from tmpl and
+	// dropped when the question is answered. live holds those out now —
+	// the sequential arm's seq, for life — so that a context watcher can
+	// interrupt them. extracted sums the search of the questions that
+	// answered and probed that of the ones that did not, which only
+	// bounded a descent: like the raced workers' search, probed depends
+	// on where a race's cancellations landed; extracted does not. A
+	// one-shot engine (NewRacing) hands out tmpl itself for its canonical
+	// question, and spent says the last one did: the next use of tmpl
+	// encodes prob afresh first (template). A session keeps the last
+	// question's synthesizer as its spare, only so that the next one is
+	// built in its memory; nothing reads its state. canonMu guards what a
+	// context watcher's goroutine reads while a query runs: live, spent
+	// and the tallies with it, and the assignment that fills work.
+	canonMu   sync.Mutex
+	live      []*core.Synthesizer
+	extracted core.ModelStats
+	probed    core.ModelStats
+	oneShot   bool
+	spent     bool
+	spare     *core.Synthesizer
 
 	// dead has one entry per raced worker and marks those whose last
 	// probe panicked: a panic may leave a solver's trail or clause
@@ -150,11 +149,11 @@ func (s *Solver) SetBoundObserver(f func(kind core.ThresholdKind, value int64)) 
 // core.NewSynthesizer; workers >= 2 the engine NewSession builds.
 func New(p *core.Problem, workers int) (*Solver, error) {
 	if workers <= 1 {
-		canon, err := core.NewSynthesizer(p)
+		seq, err := core.NewSynthesizer(p)
 		if err != nil {
 			return nil, err
 		}
-		return &Solver{prob: p, canon: canon}, nil
+		return &Solver{prob: p, seq: seq, live: []*core.Synthesizer{seq}}, nil
 	}
 	return NewSession(p, workers)
 }
@@ -293,14 +292,6 @@ func (s *Solver) raceStatus(ask func(w *core.Synthesizer) smt.Status) smt.Status
 	if len(live) == 0 {
 		// Every worker has panicked in earlier probes; nothing can answer.
 		panic("portfolio: all raced workers retired by panics")
-	}
-	if len(live) == 1 {
-		st, pval := s.probeWorker(live[0], ask)
-		if pval != nil {
-			s.dead[live[0]] = true
-			panic(pval)
-		}
-		return st
 	}
 	type outcome struct {
 		status smt.Status
@@ -478,28 +469,18 @@ func (s *Solver) optimise(q core.Query) (*core.Design, error) {
 // optimisation's cheap pass left open, under the probe budget
 // (core.Synthesizer.AttemptAt), and returns the design when it says Sat:
 // the design checkAt would extract there, so it is never searched for
-// again. It asks it on a clone of the template under the problem's own
-// solver configuration — in the spare's memory on a session — on a
-// one-shot engine too, whose template then stays unspent for the
-// extraction a fallback needs. The search counts as extracted if it
-// answers and as probed if not. An error (a template that no longer
-// encodes or a clone that outgrows its arena) is Unknown, and the
-// extraction meets it again.
+// again. It asks it on a clone from the pool, on a one-shot engine too,
+// whose template then stays unspent for the extraction a fallback needs.
+// The search counts as extracted if it answers and as probed if not. An
+// error (a template that no longer encodes or a clone that outgrows its
+// arena) is Unknown, and the extraction meets it again.
 func (s *Solver) attempt(th core.Thresholds) (st smt.Status, d *core.Design) {
-	tmpl, err := s.template()
+	syn, err := s.get(false)
 	if err != nil {
 		return smt.Unknown, nil
 	}
-	syn, err := tmpl.CloneInto(s.spare, s.prob.Thresholds, s.prob.Options.Solver)
-	s.spare = nil
-	if err != nil {
-		return smt.Unknown, nil
-	}
-	s.use(&s.trial, syn, func(syn *core.Synthesizer) bool {
-		st, d = syn.AttemptAt(th)
-		return st == smt.Sat
-	})
-	return st, d
+	defer func() { s.put(syn, st == smt.Sat) }()
+	return syn.AttemptAt(th)
 }
 
 // checkAt is the canonical check of all three thresholds.
@@ -593,11 +574,11 @@ func (s *Solver) Explain() (ex *core.Explanation, err error) {
 // (conflicts, decisions, propagations, restarts, interrupts, random
 // decisions): the sequential arm's own, or for an engine the shape of
 // its template — as it was before any question spent it — with the
-// search of every worker, raced or fresh, and of every canonical
-// synthesizer it has used.
+// search of every raced worker and of every synthesizer its pool has
+// handed out.
 func (s *Solver) Stats() core.ModelStats {
-	if s.tmpl == nil {
-		return s.canon.Stats()
+	if s.seq != nil {
+		return s.seq.Stats()
 	}
 	st := s.shape
 	for _, w := range s.work {

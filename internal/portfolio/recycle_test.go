@@ -80,7 +80,7 @@ func spareFromCancel(t *testing.T) *core.Synthesizer {
 		go func() {
 			for ctx.Err() == nil {
 				s.canonMu.Lock()
-				asking := s.canon != nil
+				asking := len(s.live) > 0
 				s.canonMu.Unlock()
 				if asking {
 					time.Sleep(time.Duration(attempt) * time.Millisecond)

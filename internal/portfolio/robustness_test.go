@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"configsynth/internal/core"
 	"configsynth/internal/faults"
+	"configsynth/internal/smt"
 )
 
 // waitGoroutines polls until the goroutine count settles at or below
@@ -252,5 +254,34 @@ func TestAnytimeDesignAbsentWithoutIncumbent(t *testing.T) {
 	}
 	if d, ok := s.AnytimeDesign(); !ok || d == nil {
 		t.Error("no anytime design after a successful descent")
+	}
+}
+
+// TestOneWorkerRaceRearmsAfterASpuriousInterrupt: a race re-arms its
+// workers when they rejoin, whatever its width. A spurious cancellation
+// (PortfolioProbeInterrupt at rate 1) lands on the first live worker of
+// one race; on one worker that race loses its answer, but the races
+// after it must answer what they answer on two workers instead of
+// finding the interrupt still set.
+func TestOneWorkerRaceRearmsAfterASpuriousInterrupt(t *testing.T) {
+	plan, err := faults.Parse(faults.PortfolioProbeInterrupt + "=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := easyProblem(t)
+	probe := func(w *core.Synthesizer) smt.Status { return w.ProbeStatus(p.Thresholds, false) }
+	after := func(workers int) []smt.Status {
+		s := mustSession(t, p, workers)
+		restore := faults.Set(plan)
+		s.raceStatus(probe)
+		restore()
+		return []smt.Status{s.raceStatus(probe), s.raceStatus(probe)}
+	}
+	want := after(2)
+	if want[0] == smt.Unknown || want[1] == smt.Unknown {
+		t.Fatalf("two workers answered %v after the interrupted race, want definitive statuses", want)
+	}
+	if got := after(1); got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("one worker answered %v after the interrupted race, two answered %v", got, want)
 	}
 }

@@ -2,31 +2,33 @@ package portfolio
 
 import (
 	"fmt"
+	"slices"
 
 	"configsynth/internal/core"
 	"configsynth/internal/spec"
 )
 
 // This file is what an engine does with its template: clone the raced
-// workers, make a canonical synthesizer per question — a clone, or the
-// template itself on a one-shot engine — and move to another threshold
-// combination of the same problem family.
+// workers, hand out a synthesizer per question from one pool (get, put)
+// — a clone, or the template itself for a one-shot engine's canonical
+// question — and move to another threshold combination of the same
+// problem family.
 //
 // Thresholds are never baked into the clause database (they are
 // assumption guards created on demand, see core.Synthesizer), so
 // re-solving a delta is a new check under new assumptions — on a warm
-// worker for a probe, on a fresh clone for a model. Determinism is
-// preserved by construction rather than by trying to keep a canonical
-// solver bit-stable across queries (it cannot be: root simplification,
-// learnt units, and on-demand guard allocation mutate it irreversibly).
-// The template stays pristine, each question's clone is used for exactly
-// one model-producing computation, and so performs it byte for byte as
-// a from-scratch engine would — for the price of a copy and three guards
-// instead of an encode. The copy goes into the memory of the previous
-// question's clone, which a session keeps as its spare and nothing
-// reads. A one-shot engine does not even copy: its question's
-// synthesizer is the template, spent, and a second question pays the
-// encode.
+// worker for a probe, on a synthesizer from the pool for a model.
+// Determinism is preserved by construction rather than by trying to keep
+// a canonical solver bit-stable across queries (it cannot be: root
+// simplification, learnt units, and on-demand guard allocation mutate it
+// irreversibly). The template stays pristine, each synthesizer the pool
+// hands out is used for exactly one question, and so answers it byte for
+// byte as a from-scratch engine would — for the price of a copy and
+// three guards instead of an encode. The copy goes into the memory of
+// the previous question's synthesizer, which a session keeps as its
+// spare and nothing reads. A one-shot engine does not even copy for its
+// canonical question: the pool hands out the template, spent, and a
+// second question pays the encode.
 
 // warm clones the engine's workers from its template before the first
 // race: an engine that only ever answers checks — a slider sweep — never
@@ -61,66 +63,69 @@ func (s *Solver) template() (*core.Template, error) {
 }
 
 // canonical runs ask on the synthesizer that produces this solver's
-// models. The sequential arm has the one; an engine makes a fresh one
-// from its template under its current problem's thresholds and solver
-// configuration — on a one-shot engine the template itself, spent
-// (core.Template.Synthesizer); on a session a clone built in the memory
-// of the last question's synthesizer, the spare (core.Template.CloneInto);
-// both state for state a plain clone — and runs ask on it (use).
+// models: the sequential arm's one, or one from an engine's pool for
+// this question (get), taken back when ask returns (put).
 func (s *Solver) canonical(ask func(*core.Synthesizer) error) (err error) {
-	if s.tmpl == nil {
-		return ask(s.canon)
+	if s.seq != nil {
+		return ask(s.seq)
 	}
-	tmpl, err := s.template()
+	syn, err := s.get(true)
 	if err != nil {
 		return err
 	}
-	var syn *core.Synthesizer
-	if s.oneShot {
-		syn, err = tmpl.Synthesizer(s.prob.Thresholds, s.prob.Options.Solver)
-		s.spent = err == nil
-	} else {
-		spare := s.spare
-		s.spare = nil
-		syn, err = tmpl.CloneInto(spare, s.prob.Thresholds, s.prob.Options.Solver)
-	}
-	if err != nil {
-		return err
-	}
-	s.use(&s.canon, syn, func(syn *core.Synthesizer) bool {
-		err = ask(syn)
-		return true
-	})
+	answered := false
+	defer func() { s.put(syn, answered) }()
+	err = ask(syn)
+	answered = true
 	return err
 }
 
-// use runs ask on syn, a synthesizer built from the template for one
-// question, with syn in *slot (canon or trial) meanwhile so that a
-// concurrent context cancellation can reach it (interruptAll), and
-// drops it when ask returns: the search it did (its counters beyond the
-// template's) is summed for Stats, into extracted if ask returned that
-// it answered and into probed otherwise — a search that panicked
-// included — and, on a session, syn itself becomes the spare, whatever
-// state ask left it in.
-func (s *Solver) use(slot **core.Synthesizer, syn *core.Synthesizer, ask func(*core.Synthesizer) (answered bool)) {
+// get returns a synthesizer for one question under the current problem's
+// thresholds and solver configuration, and counts it live until put: the
+// template itself, spent (core.Template.Synthesizer), for a one-shot
+// engine's canonical question (spend); otherwise a clone of it built in
+// the memory of the spare (core.Template.CloneInto). Both are state for
+// state a plain clone.
+func (s *Solver) get(spend bool) (syn *core.Synthesizer, err error) {
+	tmpl, err := s.template()
+	if err != nil {
+		return nil, err
+	}
+	spend = spend && s.oneShot
+	if spend {
+		syn, err = tmpl.Synthesizer(s.prob.Thresholds, s.prob.Options.Solver)
+	} else {
+		syn, err = tmpl.CloneInto(s.spare, s.prob.Thresholds, s.prob.Options.Solver)
+		s.spare = nil
+	}
+	if err != nil {
+		return nil, err
+	}
 	s.canonMu.Lock()
-	*slot = syn
+	s.live = append(s.live, syn)
+	s.spent = spend
 	s.canonMu.Unlock()
-	answered := false
-	defer func() {
-		tally := &s.extracted
-		if !answered {
-			tally = &s.probed
-		}
-		s.canonMu.Lock()
-		*slot = nil
-		tally.AddSearch(syn.Stats().Since(s.shape))
-		s.canonMu.Unlock()
-		if !s.oneShot {
-			s.spare = syn
-		}
-	}()
-	answered = ask(syn)
+	return syn, nil
+}
+
+// put takes back syn, which get handed out, when its question is over:
+// the search it did (its counters beyond the template's) is summed for
+// Stats, into extracted if the question was answered and into probed
+// otherwise — a search that panicked included — and, on a session, syn
+// becomes the spare, whatever state the question left it in.
+func (s *Solver) put(syn *core.Synthesizer, answered bool) {
+	tally := &s.probed
+	if answered {
+		tally = &s.extracted
+	}
+	s.canonMu.Lock()
+	i := slices.Index(s.live, syn)
+	s.live = slices.Delete(s.live, i, i+1)
+	tally.AddSearch(syn.Stats().Since(s.shape))
+	s.canonMu.Unlock()
+	if !s.oneShot {
+		s.spare = syn
+	}
 }
 
 // Family returns the family fingerprint of the solver's problem (the
@@ -151,7 +156,7 @@ func (s *Solver) Retarget(p *core.Problem) error {
 // it), sparing a second validation and a second canonicalisation and
 // hash of p.
 func (s *Solver) RetargetFamily(p *core.Problem, family string) error {
-	if s.tmpl == nil {
+	if s.seq != nil {
 		return fmt.Errorf("portfolio: Retarget on the sequential arm, whose one synthesizer is bound to its thresholds")
 	}
 	if family != s.Family() {
