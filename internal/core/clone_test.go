@@ -18,7 +18,9 @@ func cloneProblem(t testing.TB, hosts int, seed int64) *core.Problem {
 	t.Helper()
 	// Conflict budgets keep MinCost descents and Explain's relaxation
 	// checks in the seconds; budget-bound answers are as deterministic as
-	// exact ones, so they compare just the same.
+	// exact ones, so they compare just the same. Under these budgets
+	// every unsat-regime Explain ends at its first undecided re-check;
+	// see explainBudget.
 	opts := core.Options{SolverBudget: 300, ProbeBudget: 30}
 	if hosts >= 50 {
 		opts = core.Options{SolverBudget: 100, ProbeBudget: 10}
@@ -42,6 +44,14 @@ func cloneThresholds(hosts int) map[string]core.Thresholds {
 		"unsat": {IsolationTenths: 90, UsabilityTenths: 80, CostBudget: int64(hosts) * 10},
 	}
 }
+
+// explainBudget is the SolverBudget of the Explain queries under the
+// reference solver configuration (worker 0). Under it every
+// unsat-regime problem's re-checks decide, in 2.8 k–14.5 k conflicts an
+// Explain, so the relaxation lists themselves are compared. The
+// diversified configurations keep cloneProblem's budget: under some of
+// them a re-check stays undecided past 300 000 conflicts.
+const explainBudget = 30000
 
 // answer is everything one query reports, plus the counters after it.
 type answer struct {
@@ -103,17 +113,27 @@ func TestCloneMatchesFreshEncode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				deciding := p
+				deciding.Options.SolverBudget = explainBudget
+				decidingTmpl, err := core.NewTemplate(&deciding)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for w := 0; w < 4; w++ {
 					cfg := portfolio.WorkerConfig(w)
-					q := p
-					q.Options.Solver = cfg
 					for _, query := range []string{"Solve", "MinCost", "Explain"} {
+						q, from := p, tmpl
+						decides := query == "Explain" && w == 0
+						if decides {
+							q, from = deciding, decidingTmpl
+						}
+						q.Options.Solver = cfg
 						name := fmt.Sprintf("hosts=%d seed=%d %s worker=%d %s", size.hosts, seed, regime, w, query)
 						fresh, err := core.NewSynthesizer(&q)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						clone, err := tmpl.Clone(th, cfg)
+						clone, err := from.Clone(th, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -123,6 +143,9 @@ func TestCloneMatchesFreshEncode(t *testing.T) {
 						want, got := ask(fresh, query, th), ask(clone, query, th)
 						if !same(want, got) {
 							t.Fatalf("%s: clone diverges from a fresh encode:\nfresh %+v\nclone %+v", name, want, got)
+						}
+						if decides && regime == "unsat" && (want.Expl == nil || len(want.Expl.Relaxations) == 0) {
+							t.Fatalf("%s: no relaxation to compare (%s)", name, want.Err)
 						}
 					}
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"configsynth/internal/faults"
@@ -434,6 +435,50 @@ func TestExplainSuggestsRelaxations(t *testing.T) {
 		if len(r.Suggestions) != len(r.Dropped) {
 			t.Fatalf("suggestions %d != dropped %d", len(r.Suggestions), len(r.Dropped))
 		}
+	}
+}
+
+// TestSuggestionMarksADescentCutShort: a suggestion is exact exactly
+// when its descent proved the optimum. Under a probe budget of one
+// conflict some descent stops short, and its suggestion says so in the
+// flag and in the text; without a budget every suggestion is the proven
+// optimum and reads as it always did.
+func TestSuggestionMarksADescentCutShort(t *testing.T) {
+	const mark = " (best proven; search cut short)"
+	suggestions := func(probeBudget int64) []Suggestion {
+		t.Helper()
+		p := tinyProblem(t, Thresholds{IsolationTenths: 100, UsabilityTenths: 100, CostBudget: 1000})
+		p.Options.ProbeBudget = probeBudget
+		ex, err := mustSynth(t, p).Explain()
+		if err != nil {
+			t.Fatalf("probe budget %d: %v", probeBudget, err)
+		}
+		var out []Suggestion
+		for _, r := range ex.Relaxations {
+			out = append(out, r.Suggestions...)
+		}
+		return out
+	}
+	cut := 0
+	for _, sg := range suggestions(1) {
+		if !sg.Exact {
+			cut++
+			if !strings.HasSuffix(sg.String(), mark) {
+				t.Errorf("an inexact suggestion reads %q", sg)
+			}
+		}
+	}
+	if cut == 0 {
+		t.Error("a probe budget of one conflict cut no descent short")
+	}
+	for _, sg := range suggestions(-1) {
+		if !sg.Exact || strings.Contains(sg.String(), mark) {
+			t.Errorf("an unbudgeted descent suggested %q, Exact %v", sg, sg.Exact)
+		}
+	}
+	exact := Suggestion{Threshold: ThresholdCost, ValueTenths: 12, Exact: true}
+	if got, want := exact.String(), "set the cost budget to at least $12K"; got != want {
+		t.Errorf("an exact suggestion reads %q, want %q", got, want)
 	}
 }
 

@@ -16,17 +16,27 @@ type Suggestion struct {
 	// ValueTenths is the achievable value in tenths of the 0–10 scale
 	// for isolation/usability; for cost it is the minimum budget in $K.
 	ValueTenths int64
+	// Exact reports that ValueTenths is the proven optimum. A descent
+	// that a probe budget cut short leaves it false: the value is then
+	// the best one proven achievable, and a better one may exist.
+	Exact bool
 }
 
-// String renders the suggestion.
+// String renders the suggestion, marking one that is not the proven
+// optimum.
 func (s Suggestion) String() string {
+	var text string
 	switch s.Threshold {
 	case ThresholdCost:
-		return fmt.Sprintf("set the cost budget to at least $%dK", s.ValueTenths)
+		text = fmt.Sprintf("set the cost budget to at least $%dK", s.ValueTenths)
 	default:
-		return fmt.Sprintf("set the %s threshold to at most %.1f",
+		text = fmt.Sprintf("set the %s threshold to at most %.1f",
 			s.Threshold, float64(s.ValueTenths)/10)
 	}
+	if !s.Exact {
+		text += " (best proven; search cut short)"
+	}
+	return text
 }
 
 // Relaxation is one satisfiable choice found by Algorithm 1: dropping the
@@ -73,7 +83,8 @@ var ErrSatisfiable = errors.New("core: model is satisfiable; nothing to explain"
 // a budget or an interrupt leaves undecided fails the whole explanation
 // with ErrBudgetExceeded rather than leaving a relaxation or a
 // suggestion out of it. A descent that a probe budget cuts short still
-// suggests the best value it proved, as every optimisation is anytime.
+// suggests the best value it proved, as every optimisation is anytime,
+// and marks the suggestion inexact.
 func (s *Synthesizer) Explain() (*Explanation, error) {
 	own := s.assume(Query{Thresholds: s.prob.Thresholds})
 	switch s.sol.Check(own...) {
@@ -101,7 +112,7 @@ func (s *Synthesizer) Explain() (*Explanation, error) {
 			if err != nil {
 				return nil, err
 			}
-			relax.Suggestions = append(relax.Suggestions, Suggestion{Threshold: k, ValueTenths: q.Value(d)})
+			relax.Suggestions = append(relax.Suggestions, Suggestion{Threshold: k, ValueTenths: q.Value(d), Exact: d.Exact})
 		}
 		ex.Relaxations = append(ex.Relaxations, relax)
 	}

@@ -833,10 +833,6 @@ type ModelStats struct {
 	Subsumed     int64
 	Strengthened int64
 	Reduced      int64
-	// Clause-sharing counters (portfolio): imported clauses kept and
-	// export candidates dropped on a full exchange buffer.
-	SharedKept    int64
-	SharedDropped int64
 	// EstimatedBytes approximates the resident model size from structure
 	// counts (the paper's Table VI reports MB against problem size).
 	EstimatedBytes int64
@@ -863,8 +859,6 @@ func (s *ModelStats) Add(b ModelStats) {
 	s.Subsumed += b.Subsumed
 	s.Strengthened += b.Strengthened
 	s.Reduced += b.Reduced
-	s.SharedKept += b.SharedKept
-	s.SharedDropped += b.SharedDropped
 	s.EstimatedBytes += b.EstimatedBytes
 }
 
@@ -894,8 +888,6 @@ func (s *ModelStats) addSearch(b ModelStats, sign int64) {
 	s.Subsumed += sign * b.Subsumed
 	s.Strengthened += sign * b.Strengthened
 	s.Reduced += sign * b.Reduced
-	s.SharedKept += sign * b.SharedKept
-	s.SharedDropped += sign * b.SharedDropped
 }
 
 // Stats returns current model statistics.
@@ -922,8 +914,6 @@ func (s *Synthesizer) Stats() ModelStats {
 		Subsumed:        st.Subsumed,
 		Strengthened:    st.Strengthened,
 		Reduced:         st.Reduced,
-		SharedKept:      st.SharedKept,
-		SharedDropped:   st.SharedDropped,
 		EstimatedBytes: int64(st.Vars)*64 +
 			int64(st.Clauses+st.Learnts)*96 +
 			int64(pbTerms)*24,

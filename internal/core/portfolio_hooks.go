@@ -1,9 +1,6 @@
 package core
 
-import (
-	"configsynth/internal/sat"
-	"configsynth/internal/smt"
-)
+import "configsynth/internal/smt"
 
 // This file is the Synthesizer surface consumed by internal/portfolio:
 // status-only probes, cooperative cancellation, and the bounds the
@@ -49,23 +46,6 @@ func (s *Synthesizer) ClearInterrupt() { s.sol.ClearInterrupt() }
 // (they are threshold-conditioned through the guards) and carry the
 // warm-start payoff.
 func (s *Synthesizer) ResetSearchState() { s.sol.ResetSearchState() }
-
-// EnableClauseSharing turns on collection of this synthesizer's sharp
-// learnt clauses for cross-worker exchange. Workers built from the same
-// problem encode identically (ProbeStatus allocates guards on demand in
-// probe order, so a fixed probe sequence yields identical variable
-// numbering), which is what makes a clause learnt by one worker sound
-// for every other.
-func (s *Synthesizer) EnableClauseSharing() { s.sol.EnableClauseSharing() }
-
-// DrainSharedClauses returns and clears the clauses collected since the
-// last drain. Must not be called while a probe runs.
-func (s *Synthesizer) DrainSharedClauses() [][]sat.Lit { return s.sol.DrainSharedClauses() }
-
-// ImportSharedClauses folds clauses drained from sibling workers into
-// this synthesizer's solver, between probes. Already-seen clauses
-// (including this worker's own exports) are skipped.
-func (s *Synthesizer) ImportSharedClauses(cls [][]sat.Lit) { s.sol.ImportSharedClauses(cls) }
 
 // CostUpperBound returns the total cost of placing every candidate
 // device on every candidate link — a trivially sufficient budget, used

@@ -49,16 +49,12 @@ type SolverTotals struct {
 	GeomRestarts    int64 `json:"geom_restarts"`
 	Interrupts      int64 `json:"interrupts"`
 	RandomDecisions int64 `json:"random_decisions"`
-	// Inprocessing and clause-sharing counters (solver internals
-	// trends across sweeps): clauses removed by subsumption, literals
-	// removed by self-subsuming resolution, learnt clauses dropped by
-	// database reduction, and shared clauses imported/dropped by the
-	// portfolio exchange.
-	Subsumed      int64 `json:"subsumed"`
-	Strengthened  int64 `json:"strengthened"`
-	Reduced       int64 `json:"reduced"`
-	SharedKept    int64 `json:"shared_kept"`
-	SharedDropped int64 `json:"shared_dropped"`
+	// Inprocessing counters (solver internals trends across sweeps):
+	// clauses removed by subsumption, literals removed by self-subsuming
+	// resolution, and learnt clauses dropped by database reduction.
+	Subsumed     int64 `json:"subsumed"`
+	Strengthened int64 `json:"strengthened"`
+	Reduced      int64 `json:"reduced"`
 }
 
 // Add folds one solver's counters into the totals. Exported for
@@ -78,8 +74,6 @@ func (t *SolverTotals) add(st core.ModelStats) {
 	t.Subsumed += st.Subsumed
 	t.Strengthened += st.Strengthened
 	t.Reduced += st.Reduced
-	t.SharedKept += st.SharedKept
-	t.SharedDropped += st.SharedDropped
 }
 
 // Worker knobs, set once before running experiments (confsweep -workers,

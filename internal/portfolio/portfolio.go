@@ -32,13 +32,14 @@
 //     phase polarity, restart schedule), cloned by the first race and
 //     kept, learnt clauses included. The first worker to reach Sat or
 //     Unsat wins the probe; the losers are cancelled cooperatively,
-//     rejoin, are re-armed and exchange their sharp learnt clauses — one
-//     race at every K, a lone worker included. core.Query.Bisect
-//     drives the descent from those statuses: a cheap pass under a few
-//     conflicts a probe, then the canonical question asked once at the
-//     bound it left — one search, never replayed — whose Sat design is
-//     the answer, and otherwise full probes and the canonical extraction
-//     at their optimum (optimise).
+//     rejoin and are re-armed — one race at every K, a lone worker
+//     included. Workers share nothing: every clause a worker holds is
+//     one it derived itself. core.Query.Bisect drives the descent from
+//     those statuses: a cheap pass under a few conflicts a probe, then
+//     the canonical question asked once at the bound it left — one
+//     search, never replayed — whose Sat design is the answer, and
+//     otherwise full probes and the canonical extraction at their
+//     optimum (optimise).
 //
 // A plain check never races: its canonical extraction decides
 // satisfiability itself, so a raced status would only be computed twice.
@@ -47,15 +48,15 @@
 //
 // Results are deterministic regardless of which worker wins a race:
 // Sat/Unsat is a semantic property of the formula, identical for every
-// worker, and models come from the canonical synthesizer only, which never
-// races, imports no shared clause and is interrupted only by the
-// caller's context. The only caveat is conflict budgets: a probe reports
-// Unknown only if every worker exhausts its budget, and an interrupted
-// worker's learnt clauses depend on when the cancellation landed, which
-// can in principle flip a later probe between "budget exhausted" and
-// "answered". In the exact regime (budgets that do not bind, the
-// default) results are bit-identical across runs, across K, and between
-// a warm engine and a fresh one.
+// worker, and models come from the canonical synthesizer only, which
+// never races and is interrupted only by the caller's context. The only
+// caveat is conflict budgets: a probe reports Unknown only if every
+// worker exhausts its budget, and an interrupted worker's learnt clauses
+// depend on when the cancellation landed, which can in principle flip a
+// later probe between "budget exhausted" and "answered". In the exact
+// regime (budgets that do not bind, the default) results are
+// bit-identical across runs, across K, and between a warm engine and a
+// fresh one.
 package portfolio
 
 import (
@@ -67,7 +68,6 @@ import (
 
 	"configsynth/internal/core"
 	"configsynth/internal/faults"
-	"configsynth/internal/sat"
 	"configsynth/internal/smt"
 )
 
@@ -187,7 +187,8 @@ func newEngine(p *core.Problem, workers int, oneShot bool) (*Solver, error) {
 }
 
 // cloneWorkers clones the engine's diversified workers from its
-// template.
+// template. Each keeps its own learnt clauses from race to race and
+// receives none from its siblings.
 func (s *Solver) cloneWorkers() ([]*core.Synthesizer, error) {
 	tmpl, err := s.template()
 	if err != nil {
@@ -197,16 +198,6 @@ func (s *Solver) cloneWorkers() ([]*core.Synthesizer, error) {
 	for i := range work {
 		if work[i], err = tmpl.Clone(s.prob.Thresholds, WorkerConfig(i)); err != nil {
 			return nil, fmt.Errorf("portfolio: worker %d: %w", i, err)
-		}
-	}
-	if len(work) > 1 {
-		// Clause sharing: losers' sharp learnt clauses flow to the other
-		// workers at every race join (see shareClauses). Pointless with a
-		// single worker, and a canonical synthesizer never participates — its
-		// extraction must depend only on the formula, so its search is
-		// never steered by race-timing-dependent imports.
-		for _, w := range work {
-			w.EnableClauseSharing()
 		}
 	}
 	return work, nil
@@ -272,10 +263,10 @@ func (s *Solver) PanicsRecovered() uint64 { return s.panics.Load() }
 
 // raceStatus races one status probe, ask, across the live workers and
 // returns the first definitive status, cancelling and rejoining the
-// losers. If every live worker reports Unknown (budget exhausted),
-// Unknown is returned. A worker that panics is retired from future
-// races; only when every live worker panicked in the same race is the
-// panic rethrown.
+// losers and re-arming the survivors. If every live worker reports
+// Unknown (budget exhausted), Unknown is returned. A worker that panics
+// is retired from future races; only when every live worker panicked in
+// the same race is the panic rethrown.
 func (s *Solver) raceStatus(ask func(w *core.Synthesizer) smt.Status) smt.Status {
 	s.warm()
 	if faults.Active() && faults.Fire(faults.PortfolioProbeInterrupt) {
@@ -340,39 +331,7 @@ func (s *Solver) raceStatus(ask func(w *core.Synthesizer) smt.Status) smt.Status
 		panic(lastPanic)
 	}
 	s.panics.Add(uint64(panicked))
-	s.shareClauses()
 	return status
-}
-
-// shareClauses runs the learnt-clause exchange at a race-join point:
-// every surviving worker's outgoing buffer (filled during the probe with
-// its binary/low-LBD learnt clauses) is drained, and the union is
-// imported into every other survivor before the next probe. All workers
-// have rejoined when this runs, so the exchange is plain sequential
-// code. Workers retired by a panic neither export (their clause store is
-// suspect) nor import. Sharing never touches the canonical synthesizer:
-// probe statuses are semantic (identical whichever clauses a worker
-// carries), and designs/cores are always extracted canonically, so
-// results stay bit-deterministic in the exact regime even though the
-// shared set depends on where cancellations landed.
-func (s *Solver) shareClauses() {
-	if len(s.work) < 2 {
-		return
-	}
-	var pool [][]sat.Lit
-	for i, w := range s.work {
-		if !s.dead[i] {
-			pool = append(pool, w.DrainSharedClauses()...)
-		}
-	}
-	if len(pool) == 0 {
-		return
-	}
-	for i, w := range s.work {
-		if !s.dead[i] {
-			w.ImportSharedClauses(pool)
-		}
-	}
 }
 
 // cheapProbeBudget is the conflict budget of an optimisation's cheap

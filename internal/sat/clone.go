@@ -28,8 +28,8 @@ const cloneVarRoom = 64
 // the original attachment order, bound to the returned solver. Theory
 // reasons of root literals are dropped with them; reasons below level 1
 // are never consulted (simplifyRoot clears them wholesale). Per-Solve
-// outputs (model, failed assumptions), a pending interrupt and the
-// clause-sharing buffers start empty.
+// outputs (model, failed assumptions) and a pending interrupt start
+// empty.
 //
 // Clone backtracks s to the root level first. If the arena already
 // exceeds cfg.ArenaCapWords the formula could not have been added under

@@ -20,9 +20,9 @@ func (t *trueSet) Unassign(l sat.Lit)                { delete(t.on, l) }
 func (t *trueSet) Propagate(s *sat.Solver) []sat.Lit { return nil }
 
 // deferredInstance is a satisfiable random 3-CNF over 40 variables with
-// a PB at-most over the first twelve, both theory kinds attached and
-// clause collection on, searched under three assumptions: its trail
-// stands at several decision levels when Solve returns.
+// a PB at-most over the first twelve and both theory kinds attached,
+// searched under three assumptions: its trail stands at several
+// decision levels when Solve returns.
 type deferredInstance struct {
 	s      *sat.Solver
 	vars   []sat.Lit
@@ -40,7 +40,6 @@ func newDeferredInstance(t *testing.T) deferredInstance {
 		}
 		th := pb.New(s)
 		s.SetTheory(&trueSet{on: map[sat.Lit]bool{}})
-		s.SetShareCollect(true)
 		lit := func() sat.Lit { return sat.MkLit(sat.Var(rng.Intn(40)), rng.Intn(2) == 0) }
 		for range 150 {
 			if err := s.AddClause(lit(), lit(), lit()); err != nil {
@@ -80,9 +79,7 @@ func TestEntriesBacktrackAsSolveUsedTo(t *testing.T) {
 			in.s.SetTheory(&trueSet{on: map[sat.Lit]bool{}})
 			return nil
 		},
-		"Reserve":      func(in deferredInstance) any { in.s.Reserve(100, 300, 2000); return nil },
-		"ImportClause": func(in deferredInstance) any { in.s.ImportClause([]sat.Lit{in.vars[7], in.vars[8].Not()}); return nil },
-		"DrainShared":  func(in deferredInstance) any { return in.s.DrainShared() },
+		"Reserve": func(in deferredInstance) any { in.s.Reserve(100, 300, 2000); return nil },
 		"Digest": func(in deferredInstance) any {
 			h := sha256.New()
 			in.s.Digest(h)

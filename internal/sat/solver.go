@@ -246,11 +246,6 @@ type Stats struct {
 	Reduced      int64
 	RemovedSat   int64
 	ArenaGCs     int64
-	// Clause-sharing counters (portfolio): SharedKept imported clauses
-	// attached (or asserted as units), SharedDropped export candidates
-	// that overflowed the outgoing buffer.
-	SharedKept    int64
-	SharedDropped int64
 }
 
 // Solver is an incremental CDCL SAT solver.
@@ -289,7 +284,7 @@ type Solver struct {
 
 	seen      []byte
 	analyzeTs []Lit
-	learnt    []Lit   // analyze's learnt clause; attachNew and shareExport copy it
+	learnt    []Lit   // analyze's learnt clause; attachNew copies it
 	lbdStamp  []int64 // per-level stamp for LBD computation
 	lbdTick   int64
 
@@ -314,14 +309,6 @@ type Solver struct {
 	// pass runs, and the trail length the last root simplification saw.
 	nextInprocess     int64
 	lastSimplifyTrail int
-
-	// Clause sharing (portfolio): when collecting, copies of sharp
-	// learnt clauses accumulate in shareOut until drained; shareSeen
-	// fingerprints both exported and imported clauses so the same
-	// clause never crosses the exchange twice for this solver.
-	shareCollect bool
-	shareOut     [][]Lit
-	shareSeen    map[uint64]struct{}
 
 	cfg         Config
 	rng         uint64
@@ -1075,9 +1062,9 @@ func luby(y float64, x int64) float64 {
 // returns: the trail of its search stays standing — a full assignment
 // after Sat — until the next entry that needs the root (Solve,
 // AddClause, NewVar, Clone, CloneInto, Reconfigure, ResetSearchState,
-// SetTheory, Reserve, Digest, ImportClause, DrainShared or
-// BacktrackToRoot) undoes it, exactly as a backtrack at the end would
-// have. A solver dropped after its last search never pays for it.
+// SetTheory, Reserve, Digest or BacktrackToRoot) undoes it, exactly as
+// a backtrack at the end would have. A solver dropped after its last
+// search never pays for it.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.BacktrackToRoot()
 	if faults.Active() {
@@ -1203,9 +1190,6 @@ func (s *Solver) search(maxConflicts int64) Status {
 				lbd := s.computeLBD(learnt)
 				cref := s.attachNew(learnt, true, lbd)
 				s.enqueue(learnt[0], cref)
-				if s.shareCollect && (len(learnt) <= 2 || lbd <= shareMaxLBD) {
-					s.shareExport(learnt)
-				}
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999

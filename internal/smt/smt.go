@@ -728,10 +728,6 @@ type Stats struct {
 	Strengthened int64
 	Reduced      int64
 	ArenaGCs     int64
-	// Clause-sharing counters (portfolio): imported clauses kept and
-	// export candidates dropped on a full buffer.
-	SharedKept    int64
-	SharedDropped int64
 }
 
 // Stats returns a snapshot of solver counters.
@@ -754,25 +750,5 @@ func (s *Solver) Stats() Stats {
 		Strengthened:    st.Strengthened,
 		Reduced:         st.Reduced,
 		ArenaGCs:        st.ArenaGCs,
-		SharedKept:      st.SharedKept,
-		SharedDropped:   st.SharedDropped,
-	}
-}
-
-// EnableClauseSharing turns on collection of sharp learnt clauses
-// (binary or low-LBD) into a bounded outgoing buffer for portfolio
-// exchange; see internal/sat.
-func (s *Solver) EnableClauseSharing() { s.sat.SetShareCollect(true) }
-
-// DrainSharedClauses returns and clears the outgoing share buffer. Must
-// not be called while a Check runs.
-func (s *Solver) DrainSharedClauses() [][]sat.Lit { return s.sat.DrainShared() }
-
-// ImportSharedClauses adds learnt clauses drained from other solvers
-// over the same encoding. Must be called between Checks; clauses this
-// solver already exported or imported are skipped.
-func (s *Solver) ImportSharedClauses(cls [][]sat.Lit) {
-	for _, c := range cls {
-		s.sat.ImportClause(c)
 	}
 }
