@@ -147,7 +147,7 @@ func NewTemplate(p *Problem) (retT *Template, retErr error) {
 // template itself as the synthesizer of its problem under th, its solver
 // reconfigured by cfg (smt.Solver.Reconfigure), state for state what the
 // clone would have been. It spends the template: the encoded state is
-// handed over, so every later Synthesizer, Clone, Fits, CostUpperBound
+// handed over, so every later Synthesizer, Clone, CostUpperBound
 // or Stats of the template panics. On Clone's error (the encoding does
 // not fit cfg.ArenaCapWords) the template is left unspent.
 func (t *Template) Synthesizer(th Thresholds, cfg smt.SolverConfig) (*Synthesizer, error) {
@@ -166,9 +166,11 @@ func (t *Template) Synthesizer(th Thresholds, cfg smt.SolverConfig) (*Synthesize
 // copy of the template instead of a second encode. Only the thresholds
 // are the caller's: everything structural — and with it the meaning of
 // every LinkID in the designs the clone produces — stays the template
-// problem's, which Synthesizer.Problem reports. A caller that holds a
-// different Problem value of the same family asks Fits before reading
-// the clone's answers against its own.
+// problem's, which Synthesizer.Problem reports. Another Problem value of
+// the same family (spec.FamilyFingerprint) whose links are the template
+// problem's, in order, reads the clone's designs as its own; a family's
+// problems built in sorted link order (topology.Network.Sorted), as
+// every spec-built and service-built one is, all are.
 //
 // Everything search mutates is copied and re-bound to the clone's SAT
 // core (sat.Solver.Clone, pb.Theory.Clone, the flow theory's per-flow
@@ -227,42 +229,6 @@ func (p *Problem) under(th Thresholds, cfg smt.SolverConfig) *Problem {
 	q.Thresholds = th
 	q.Options.Solver = cfg
 	return &q
-}
-
-// Fits reports whether a Clone of the template stands for a fresh encode
-// of p, given that p is of the template problem's family (equal up to
-// thresholds and declaration order — spec.FamilyFingerprint, which the
-// caller has compared). Within a family the encode still reads three
-// things in declaration order: the links, whose order numbers the
-// LinkIDs that routes, placement variables and Design.Placements are
-// written in; each pattern's device list; and the policy rules. When
-// they agree too (and Options.Verify, an execution knob the fingerprint
-// leaves out, is the same), the template's encoding is p's, variable for
-// variable, and a clone's designs read correctly against p.Network.
-// Flows are sorted before they are encoded, and requirements, ranks and
-// preplacements are looked up, never iterated.
-func (t *Template) Fits(p *Problem) bool {
-	tp := t.pristine().prob
-	if p.Options.withDefaults().Verify != tp.Options.Verify ||
-		!slices.Equal(p.Network.Links(), tp.Network.Links()) {
-		return false
-	}
-	if p.Catalog != tp.Catalog {
-		pats := p.Catalog.Patterns()
-		if len(pats) != len(t.syn.patterns) {
-			return false
-		}
-		for i, pat := range pats {
-			if !slices.Equal(pat.Devices, t.syn.patterns[i].Devices) {
-				return false
-			}
-		}
-	}
-	var rules []policy.Rule
-	if p.Policies != nil {
-		rules = p.Policies.All()
-	}
-	return slices.Equal(rules, tp.Policies.All())
 }
 
 // CostUpperBound returns the trivially sufficient cost budget of the

@@ -81,7 +81,9 @@ func rehome(t *testing.T, p *core.Problem, host, from, to topology.NodeID) *core
 // the stitched design's digest, its cost, the devices the placement
 // completion added, and every subproblem's key and cache fingerprint.
 // Route order fixes the subnetworks' link numbering and through it the
-// encodings, so all of it must survive the rebuild unchanged.
+// encodings, so all of it must survive the rebuild unchanged. The cache
+// fingerprints are those of spec.FingerprintVersion 3, whose one route
+// set per host pair left every design here as it was.
 var campusGolden = map[string]struct {
 	design   string
 	cost     int64
@@ -93,9 +95,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 91dcf3e37e37fbc98a3536b0fd5f0c3fe6e9dcf12c82882fd821b4ae0ae06376",
-			"r1 b31c2a1485e7237d563cbe2fb594153bdaec5336e1480599fb4c0a1425f4de3f",
-			"x0-1 46a49e3c44e30111d55916229ffcaf355c455e5f339623adf193f6e13f1f918e",
+			"r0 8f298396661ff7783191df7d5ec82ff4d7a69fb1c543194abad0474e5dcd4687",
+			"r1 13c9b1aba0489fd6f08c98641580f499e7d7933393304d577a52cf4cde9ef681",
+			"x0-1 d882cc62df63885327b1b3f49ad50e7f579efb98e8a41ed40f9875d7c7d0588e",
 		},
 	},
 	"budget": {
@@ -103,9 +105,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 91dcf3e37e37fbc98a3536b0fd5f0c3fe6e9dcf12c82882fd821b4ae0ae06376",
-			"r1 b31c2a1485e7237d563cbe2fb594153bdaec5336e1480599fb4c0a1425f4de3f",
-			"x0-1 46a49e3c44e30111d55916229ffcaf355c455e5f339623adf193f6e13f1f918e",
+			"r0 8f298396661ff7783191df7d5ec82ff4d7a69fb1c543194abad0474e5dcd4687",
+			"r1 13c9b1aba0489fd6f08c98641580f499e7d7933393304d577a52cf4cde9ef681",
+			"x0-1 d882cc62df63885327b1b3f49ad50e7f579efb98e8a41ed40f9875d7c7d0588e",
 		},
 	},
 	"rehome-h10": {
@@ -113,9 +115,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 b05f8e33e06636ed0fb590a3ae61f4af051f4c83f2aafe5f6f52fa7d66f4dae2",
-			"r1 b31c2a1485e7237d563cbe2fb594153bdaec5336e1480599fb4c0a1425f4de3f",
-			"x0-1 587f6b1d7db1056409c0818700df1fda9bba2b85f82fce5af061b4a6da9dd60b",
+			"r0 465c534b7525c60f0299d6153d1c91b13ff6b46d0de9b38b0eb930ea571f82a5",
+			"r1 13c9b1aba0489fd6f08c98641580f499e7d7933393304d577a52cf4cde9ef681",
+			"x0-1 f1ab2b094834c3720a67e3a06c145312e6539fcff36c9ea08505633bfcf54dd1",
 		},
 	},
 	"rehome-h64": {
@@ -123,9 +125,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 91dcf3e37e37fbc98a3536b0fd5f0c3fe6e9dcf12c82882fd821b4ae0ae06376",
-			"r1 a9069ac20b3da6e574ab16b58db039a45a1463a3fa0f14d84cc0ff390938b274",
-			"x0-1 07227fed4db32d67c3ff26fe25cda1361e7f2760c90d9877ab8c05d50216a945",
+			"r0 8f298396661ff7783191df7d5ec82ff4d7a69fb1c543194abad0474e5dcd4687",
+			"r1 6a3cbdc54d197de022b5025728ebe483b3a26308d7c8cc630d0d9eab119eb54c",
+			"x0-1 5a6fd577a2649929c15480b231d502e89b5374b3f3fd2a562894c99c6b766d2c",
 		},
 	},
 }

@@ -78,8 +78,14 @@ func (s *Solver) clearAll() {
 // guard runs query under ctx: when ctx is cancelled or its deadline
 // expires, every solver is interrupted (and re-interrupted each tick)
 // until the query returns. The returned error is ctx.Err() whenever the
-// context was the cause of an early exit; a query that completed with a
-// definitive answer despite a late cancellation keeps its answer.
+// context was the cause of an early exit, and context.DeadlineExceeded
+// whenever the query returned after the deadline by the wall clock,
+// whatever it answered: the runtime timer behind ctx can fire tens of
+// milliseconds late on a busy machine, and an optimisation it has not
+// interrupted yet — or one whose interrupted probes only ended its
+// cheap pass early — goes on to prove an optimum no caller can still
+// wait for. A query that completed with a definitive answer before the
+// deadline, or despite a late cancellation, keeps its answer.
 func (s *Solver) guard(ctx context.Context, query func() error) error {
 	// A clause-arena overflow (ErrModelTooLarge) unwinds as a panic from
 	// the SAT core; it is not a solver bug but a stated capacity limit,
@@ -134,6 +140,9 @@ func (s *Solver) guard(ctx context.Context, query func() error) error {
 	err := query()
 	if cerr := ctx.Err(); cerr != nil && interrupted(err) {
 		return cerr
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
 	}
 	return err
 }

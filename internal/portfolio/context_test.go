@@ -99,6 +99,46 @@ func TestSolveContextDeadline(t *testing.T) {
 	}
 }
 
+// lateTimer is a context whose deadline has a timer that has not fired:
+// what a context.WithTimeout is on a busy machine, where the runtime
+// runs its timer tens of milliseconds late.
+type lateTimer struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimer) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestAnswerPastTheDeadlineIsDeadlineExceeded: a descent of about 20 ms
+// under a 3 ms deadline whose timer never fires is not interrupted, and
+// proves its optimum. It answered after its deadline, so the answer is
+// context.DeadlineExceeded, as if the timer had been on time; the
+// engine keeps the incumbent it proved for the degraded answer.
+func TestAnswerPastTheDeadlineIsDeadlineExceeded(t *testing.T) {
+	p, err := netgen.Generate(netgen.Config{
+		Hosts: 10, Routers: 5, Seed: 2, CRFraction: 0.15,
+		Thresholds: core.Thresholds{IsolationTenths: 30, UsabilityTenths: 60, CostBudget: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewRacing(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := lateTimer{never, time.Now().Add(3 * time.Millisecond)}
+	d, err := s.Run(ctx, core.Query{Optimise: core.ThresholdIsolation, Thresholds: p.Thresholds})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		exact := d != nil && d.Exact
+		t.Fatalf("an answer past its deadline: err %v, exact design %v; want DeadlineExceeded", err, exact)
+	}
+	if ad, ok := s.AnytimeDesign(); !ok || ad.Exact {
+		t.Fatalf("no inexact incumbent to degrade to after the deadline: %v %+v", ok, ad)
+	}
+}
+
 func TestSolveContextAlreadyCancelled(t *testing.T) {
 	p := easyProblem(t)
 	s, err := New(p, 1)

@@ -6,6 +6,7 @@ import (
 
 	"configsynth/internal/core"
 	"configsynth/internal/spec"
+	"configsynth/internal/topology"
 )
 
 // This file is what an engine does with its template: clone the raced
@@ -141,8 +142,17 @@ func (s *Solver) Family() string {
 // deltas are legal: the encoding (routes, flows, placements, policies)
 // is reused verbatim, which is sound exactly when everything except the
 // thresholds is unchanged — enforced by comparing thresholds-zeroed
-// canonical fingerprints. p is validated first. Any leftover per-query
-// state (incumbent, bound observer, sticky interrupts) is cleared.
+// canonical fingerprints — and when p's links are the engine problem's,
+// in order (each in either orientation), since LinkIDs follow link
+// order and the fingerprint leaves it out. A family's problems built in
+// sorted link order (topology.Network.Sorted: spec.Spec.Problem, the
+// service) always are; a problem whose links are in another order is
+// refused, and the engine stays as it was. Pattern device lists and
+// policy rules may come in any order: they change neither an answer nor
+// what a LinkID means. Execution knobs outside the fingerprint
+// (Options.Verify) stay the engine's. p is validated first. Any
+// leftover per-query state (incumbent, bound observer, sticky
+// interrupts) is cleared.
 func (s *Solver) Retarget(p *core.Problem) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -162,18 +172,11 @@ func (s *Solver) RetargetFamily(p *core.Problem, family string) error {
 	if family != s.Family() {
 		return fmt.Errorf("portfolio: retarget problem differs beyond thresholds (family %.12s, engine %.12s)", family, s.family)
 	}
-	if !s.spent && !s.tmpl.Fits(p) {
-		// Same family, other declaration order (the fingerprint sorts
-		// links and rules): the LinkIDs in the template's designs are not
-		// p's, and a from-scratch solve of p would search a differently
-		// numbered model. Extract from p's own encoding from here on. The
-		// warm workers stay: they only ever report statuses, which are the
-		// family's. A spent template is encoded from p when next needed.
-		tmpl, err := core.NewTemplate(p)
-		if err != nil {
-			return err
-		}
-		s.tmpl, s.shape = tmpl, tmpl.Stats()
+	sameLink := func(x, y topology.Link) bool {
+		return min(x.A, x.B) == min(y.A, y.B) && max(x.A, x.B) == max(y.A, y.B)
+	}
+	if !slices.EqualFunc(p.Network.Links(), s.prob.Network.Links(), sameLink) {
+		return fmt.Errorf("portfolio: retarget problem numbers its links in another order than the engine's (see topology.Network.Sorted)")
 	}
 	s.prob = p
 	s.ResetQueryState()

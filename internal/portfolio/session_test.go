@@ -374,12 +374,12 @@ func relinked(t *testing.T, p *core.Problem) *core.Problem {
 	return &q
 }
 
-// TestSessionRetargetAcrossLinkOrder: a session retargeted to a problem
-// of its family whose links are declared in another order must answer in
-// that problem's LinkIDs — exactly what a from-scratch solve of it
-// reports — not in the numbering of the problem the session was built
-// on. A re-parsed problem with the same declaration order, on the other
-// hand, must keep the session's template: that is the one-encode path.
+// TestSessionRetargetAcrossLinkOrder: a re-parsed problem with the same
+// declaration order must keep the session's template — that is the
+// one-encode path. A problem of the family whose links are numbered in
+// another order is refused, since the session's designs name links by
+// its own numbering, and the session answers on as if it had never been
+// asked: what a from-scratch solve of its last target reports.
 func TestSessionRetargetAcrossLinkOrder(t *testing.T) {
 	gen := func() *core.Problem {
 		p, err := netgen.Generate(netgen.Config{
@@ -408,13 +408,13 @@ func TestSessionRetargetAcrossLinkOrder(t *testing.T) {
 	}
 
 	q := relinked(t, p)
-	if err := s.Retarget(q); err != nil {
-		t.Fatal(err)
+	if err := s.Retarget(q); err == nil || !strings.Contains(err.Error(), "another order") {
+		t.Fatalf("Retarget to a re-ordered problem: %v, want a refusal", err)
 	}
-	if s.tmpl == built {
-		t.Fatal("Retarget to a re-ordered problem kept a template numbered for the old link order")
+	if s.tmpl != built || s.prob != again {
+		t.Fatal("a refused Retarget changed the session")
 	}
-	scratch, err := NewRacing(q, 1)
+	scratch, err := NewRacing(again, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,20 +429,20 @@ func TestSessionRetargetAcrossLinkOrder(t *testing.T) {
 	if len(want.Placements) == 0 {
 		t.Fatal("the instance places no device; the test would compare nothing")
 	}
-	assertSameDesign(t, q.Thresholds.IsolationTenths, "Solve after re-ordered Retarget", got, want)
-	if res, err := core.Verify(q, got); err != nil || !res.OK() {
-		t.Fatalf("session design does not verify against the retargeted problem: %v %+v", err, res)
+	assertSameDesign(t, again.Thresholds.IsolationTenths, "Solve after a refused Retarget", got, want)
+	if res, err := core.Verify(again, got); err != nil || !res.OK() {
+		t.Fatalf("session design does not verify against its last target: %v %+v", err, res)
 	}
-	gotC, _, err := s.MinCost(q.Thresholds.IsolationTenths, q.Thresholds.UsabilityTenths)
+	gotC, _, err := s.MinCost(again.Thresholds.IsolationTenths, again.Thresholds.UsabilityTenths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC, _, err := scratch.MinCost(q.Thresholds.IsolationTenths, q.Thresholds.UsabilityTenths)
+	wantC, _, err := scratch.MinCost(again.Thresholds.IsolationTenths, again.Thresholds.UsabilityTenths)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotC != wantC {
-		t.Fatalf("MinCost after re-ordered Retarget: session %d, scratch %d", gotC, wantC)
+		t.Fatalf("MinCost after a refused Retarget: session %d, scratch %d", gotC, wantC)
 	}
 }
 

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"cmp"
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
@@ -401,7 +399,8 @@ func (j *Job) finish(res *Result, err error, record func(JobState)) bool {
 // A design covers exactly its problem's flows, so they are read from
 // the problem in that order — a spec-grammar problem lists them so,
 // anything else has a copy sorted — and looked up in the design, never
-// walked out of its map.
+// walked out of its map. A job's problem numbers its links in (a, b)
+// order (scanned.problem), so placements are read in LinkID order.
 func designJSON(p *core.Problem, d *core.Design) *DesignJSON {
 	out := &DesignJSON{
 		Isolation: d.Isolation,
@@ -446,9 +445,6 @@ func designJSON(p *core.Problem, d *core.Design) *DesignJSON {
 		}
 		out.Placements = append(out.Placements, pl)
 	}
-	slices.SortFunc(out.Placements, func(a, b PlacementJSON) int {
-		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
-	})
 	return out
 }
 

@@ -122,18 +122,15 @@ func pairKey(a, b topology.NodeID) [2]topology.NodeID {
 // Nodes are re-added in ID order, so every NodeID in flows, policies,
 // and requirements stays valid; LinkIDs are reassigned, which is
 // invisible outside the network (the wire forms and the canonical
-// fingerprint key links by endpoints).
+// fingerprint key links by endpoints), and renumbered once more in
+// sorted order when the job's problem is built (scanned.problem).
 func rebuildNetwork(n *topology.Network, add, drop []LinkRef) (*topology.Network, error) {
 	nn := topology.New()
 	for id := 0; id < n.NumNodes(); id++ {
-		node, _ := n.Node(topology.NodeID(id))
-		switch node.Kind {
-		case topology.Host:
+		if node, _ := n.Node(topology.NodeID(id)); node.Kind == topology.Host {
 			nn.AddHost(node.Name)
-		case topology.Router:
+		} else {
 			nn.AddRouter(node.Name)
-		default:
-			return nil, &BadRequestError{Msg: fmt.Sprintf("node %d has unknown kind", id)}
 		}
 	}
 	dropSet := make(map[[2]topology.NodeID]bool, len(drop))
@@ -144,11 +141,8 @@ func rebuildNetwork(n *topology.Network, add, drop []LinkRef) (*topology.Network
 		dropSet[pairKey(l.A, l.B)] = true
 	}
 	for _, l := range n.Links() {
-		if dropSet[pairKey(l.A, l.B)] {
-			continue
-		}
-		if _, err := nn.Connect(l.A, l.B); err != nil {
-			return nil, &BadRequestError{Msg: fmt.Sprintf("rebuilding topology: %v", err)}
+		if !dropSet[pairKey(l.A, l.B)] {
+			_, _ = nn.Connect(l.A, l.B) // the parent's links: valid, distinct, never to self
 		}
 	}
 	for _, l := range add {

@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"configsynth/internal/faults"
 	"configsynth/internal/spec"
+	"configsynth/internal/topology"
 )
 
 func postWhatIf(t *testing.T, base, query string, parent string, delta string) (*http.Response, []byte) {
@@ -322,10 +324,10 @@ func TestWhatIfDegradedNeverCachedNorReplayed(t *testing.T) {
 
 // TestWhatIfAcrossLinkOrderMatchesColdServer: the session registry keys
 // on the family fingerprint, which sorts links, so a what-if whose
-// parent declares the family's links in another order lands on a
-// session encoded for the first order. Its answer must still name the
-// links of its own parent — byte for byte what a server that never saw
-// the first order answers.
+// parent declares the family's links in another order lands on the
+// session the first order started. Both texts build one problem (links
+// in sorted order), so its answer is byte for byte what a server that
+// never saw the first order answers.
 func TestWhatIfAcrossLinkOrderMatchesColdServer(t *testing.T) {
 	lines := strings.Split(specVariant(2), "\n")
 	var links []int
@@ -372,5 +374,82 @@ func TestWhatIfAcrossLinkOrderMatchesColdServer(t *testing.T) {
 	}
 	if got.Text != want.Text {
 		t.Fatalf("what-if on a warm session of another link order differs from a cold server:\nwarm:\n%s\ncold:\n%s", got.Text, want.Text)
+	}
+}
+
+// TestWhatIfLinkRoundTripReachesWarmSession: a what-if that drops a link
+// leaves its family; a what-if on that child that adds the link back
+// returns to it. Its problem numbers its links as the family's first
+// problem did (the service builds every problem in sorted link order),
+// so it lands on the family's warm session, which answers it without a
+// re-encode, byte for byte as a cold /v1/synthesize of the same text.
+func TestWhatIfLinkRoundTripReachesWarmSession(t *testing.T) {
+	const text = `
+devices 3
+costs 5 8 6
+nodes 4 3
+link 1 5
+link 2 5
+link 3 6
+link 4 7
+link 5 6
+link 6 7
+link 5 7
+services 1
+require 1 3
+sliders 4 5 30
+`
+	s, _ := newTestServer(t, Config{Workers: 1})
+	root, err := submitSpec(t, s, text, ModeSolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, root)
+	step := func(parent *Job, delta, wantSession string) (*Job, *Result) {
+		t.Helper()
+		j, err := s.WhatIf(parent.ID, decodeDelta(t, delta), SubmitOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", delta, err)
+		}
+		res := wait(t, j)
+		if res.Status != "sat" || res.Session != wantSession {
+			t.Fatalf("%s: status %q session %q, want sat on a %s session", delta, res.Status, res.Session, wantSession)
+		}
+		return j, res
+	}
+	step(root, `{"cost_budget":35}`, "fresh") // the family's warm session
+	dropped, _ := step(root, `{"drop_links":[{"a":4,"b":5}],"cost_budget":40}`, "fresh")
+	back, got := step(dropped, `{"add_links":[{"a":5,"b":4}]}`, "reused")
+	endpoints := func(j *Job) [][2]topology.NodeID {
+		var out [][2]topology.NodeID
+		for _, l := range j.prob.Network.Links() {
+			out = append(out, pairKey(l.A, l.B))
+		}
+		return out
+	}
+	if !slices.Equal(endpoints(back), endpoints(root)) {
+		t.Fatalf("the round trip numbers its links %v, the family's first problem %v", endpoints(back), endpoints(root))
+	}
+
+	_, coldSrv := newTestServer(t, Config{Workers: 1})
+	resp, data := postSpec(t, coldSrv.URL+"/v1/synthesize", strings.Replace(text, "sliders 4 5 30", "sliders 4 5 40", 1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold synthesize: status %d: %s", resp.StatusCode, data)
+	}
+	var want Result
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, data)
+	}
+	if got.Design == nil || len(got.Design.Placements) == 0 {
+		t.Fatalf("the what-if places no device; the test would compare nothing: %+v", got.Design)
+	}
+	if got.Fingerprint != want.Fingerprint || got.Text != want.Text {
+		t.Fatalf("round trip on the warm session differs from a cold synthesize:\nwarm %.12s:\n%s\ncold %.12s:\n%s",
+			got.Fingerprint, got.Text, want.Fingerprint, want.Text)
+	}
+	gotDesign, _ := json.Marshal(got.Design)
+	wantDesign, _ := json.Marshal(want.Design)
+	if string(gotDesign) != string(wantDesign) {
+		t.Fatalf("designs differ:\nwarm %s\ncold %s", gotDesign, wantDesign)
 	}
 }

@@ -262,8 +262,11 @@ func (sp *Spec) Fingerprint() string {
 // at different versions from exchanging stale cache entries or WAL
 // replays keyed by an incompatible encoding. Peers additionally send
 // the version on cluster RPC so a mismatch is an explicit rejection,
-// not a silent universal cache miss.
-const FingerprintVersion byte = 2
+// not a silent universal cache miss. A change to what a fingerprint's
+// problem means bumps it too: at 3, a host pair has one route set,
+// searched from its smaller endpoint, so an answer proven under the
+// directional route sets of 2 is a miss, never served.
+const FingerprintVersion byte = 3
 
 // Fingerprint hashes the canonical serialization of a problem, prefixed
 // with the format-version byte, to a stable hex cache key.

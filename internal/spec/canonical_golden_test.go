@@ -187,37 +187,38 @@ func goldenProblems(t testing.TB) map[string]*core.Problem {
 }
 
 // goldenFingerprints are Fingerprint and FamilyFingerprint of the golden
-// problems as computed by the fmt-based Canonical at the commit before
-// the rewrite. Journals, the result cache and cluster routing key on
-// them, so they may change only together with FingerprintVersion.
+// problems: the fmt-based Canonical's bytes (the reference above) hashed
+// behind FingerprintVersion 3. Journals, the result cache and cluster
+// routing key on them, so they may change only together with
+// FingerprintVersion.
 var goldenFingerprints = map[string][2]string{
 	"campus-100-100": {
-		"69e90f9afb05536cb4428b1f85e84688bfce12d5a93f9965c5c0d0b0e12141f6",
-		"d5e72b3776f10538b564067613a66d268529b5e18db19aa9133d81da3ffdd241",
+		"a2f88bc45545136f2f22e2e62dfe0f48aa11cf7ae5ed383d21a65cf1a519c489",
+		"485299f379bf141586a190adb508a31ea05e4014932e2d2557e73cf7eb5d8917",
 	},
 	"example-spec": {
-		"78079d21f49b1a270946a4ef5182fac87c815b0c120c83fe8e89afffc2012269",
-		"f675581993a696b5435566324bfc8cb64335252dc46254c711755c2e5b2be6aa",
+		"0772925317f873d50a778c6740d4f16e083795db9ffa850959cabfcb994a8d1d",
+		"de6a95e6b7c4ebb676e3c3ad2666274fe2b4432dec6e7f9b628435d17f424075",
 	},
 	"grammar-24x6": {
-		"fe22a58b7e26ede9e4dd33ba9773dea582e61a6f4271c9ba25c285db71fb1a44",
-		"265c449b990768d18d0b0d29dbe1e13cf70a0f907c5f7de3f1bf0ccf41ff49d6",
+		"39efd6fb0c355027e7d578a4543ea3725aee238797c0c5dabef208045ef7680c",
+		"1c8cfa403adf7b7536a9aeb526d2bad17259067c44c1d08f86cde956b818c865",
 	},
 	"grammar-46x10": {
-		"9b18ad374c58822e730c09fb0cebb9b080129b504225152ebabdebb0c360f26b",
-		"a4442927f3d2ea3fe89a959437f50d9e06cb4f4c316da31748051ea9ef052f47",
+		"5de1b6f138fafe25cbd1b12130ede6c239b8ee1f2fa20c7c658f7d40ac7a2868",
+		"a5213c5d0395515e8f2b1e4815471a5f3c701d9e6ecb7e958a58e5d957f203e3",
 	},
 	"grammar-60x10": {
-		"d193e44ca648991334f00db0508bd1e7ca3bd50f7eb8b193aab68d9a89f0247c",
-		"a99398dfd337188cfff8cc060c993a7ed8d40248073f9bd16ff8359978630bda",
+		"e0a83db121dbe314ece7c327bbac04e577fa4b98c83406f5a6a7a4cc48d0b477",
+		"800f7cfa6bb23e1c6adb15b3c2fbfdb2478fd5d0b834b031fe5ff191c39b1748",
 	},
 	"paper": {
-		"c297dc1fcc498f19bd14498eee0c269f0416844381444aa011fa774d21614045",
-		"9729643c715eeaa523a83cd74997ec7d2923f674d0d48890ef47c33cff1facee",
+		"54d20e2f4d18630101b8857c9acdafd5e6102da17b00c0f6f62f61f13430320f",
+		"6fc96b7f466d64d2a8ec474797337662f623578e8c79e5320d30b34f06212f15",
 	},
 	"paper-decorated": {
-		"6b54443f9b5c913fdb4a5c197194a98bb5015a71ef37c5d8cdf3e95209ca9f18",
-		"e1b7bb8a7c0842b00ed67432b1c3e7187f37955ba90eaaf7c28a529815a56f05",
+		"93210c263f8e58bd3b3a6116720249dace5fe58c0c1c2c1e960aeb9796032a15",
+		"d27add49a6395ba6544023b06292be1e75007dd9eba4c08205fbda368800e604",
 	},
 }
 

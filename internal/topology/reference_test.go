@@ -6,13 +6,23 @@ import "sort"
 // allocation-free search replaced it, kept verbatim as the oracle of the
 // differential tests: every step copies the adjacency list and sorts it
 // by link ID, every candidate is its own allocation, and the candidates
-// are ordered by a stable reflective sort.
+// are ordered by a stable reflective sort. A pair has one route set: for
+// src > dst it searches from dst and reverses each route it keeps.
 func (n *Network) ReferenceRoutes(src, dst NodeID, opts RouteOptions) ([]Route, error) {
-	if err := n.checkPair(src, dst); err != nil {
-		return nil, err
+	if !n.valid(src) || !n.valid(dst) {
+		return nil, ErrUnknownNode
 	}
 	if src == dst {
 		return nil, nil
+	}
+	if src > dst {
+		found, err := n.ReferenceRoutes(dst, src, opts)
+		for _, r := range found {
+			for i, j := 0, len(r)-1; i < j; i, j = i+1, j-1 {
+				r[i], r[j] = r[j], r[i]
+			}
+		}
+		return found, err
 	}
 	opts = opts.withDefaults()
 	searchCap := opts.MaxRoutes * 4

@@ -32,33 +32,34 @@ func (o RouteOptions) withDefaults() RouteOptions {
 type Route []LinkID
 
 // Routes enumerates simple paths from src to dst whose interior nodes are
-// routers (traffic is not forwarded through hosts). Results are
-// deterministic: shorter routes first, ties broken lexicographically by
-// link ID. Enumeration honours the caps in opts.
+// routers (traffic is not forwarded through hosts). A pair of nodes has
+// one route set, searched from its smaller endpoint: shorter routes
+// first, ties broken lexicographically by link ID, under the caps in
+// opts. For src > dst the routes are those of (dst, src), each reversed,
+// so a flow and its reverse cross the same links whichever endpoint asks.
 //
-// A caller that asks for more than a handful of pairs of one network
-// under one set of options takes them from a RouteTable, which keeps its
-// scratch and never enumerates a pair twice.
+// It is a one-pair RouteTable: a caller that asks for more than a
+// handful of pairs of one network under one set of options keeps the
+// table, which keeps its scratch and never enumerates a pair twice.
 func (n *Network) Routes(src, dst NodeID, opts RouteOptions) ([]Route, error) {
-	if err := n.checkPair(src, dst); err != nil {
-		return nil, err
-	}
-	var e enumerator
-	return e.routes(n, src, dst, opts.withDefaults()), nil
+	return NewRouteTable(n, opts).Routes(src, dst)
 }
 
-func (n *Network) checkPair(src, dst NodeID) error {
-	if !n.valid(src) || !n.valid(dst) {
-		return fmt.Errorf("%w: %d or %d", ErrUnknownNode, src, dst)
+// reversed returns a copy of routes with each route's links in reverse
+// order.
+func reversed(routes []Route) (out []Route) {
+	for _, r := range routes {
+		out = append(out, slices.Clone(r))
+		slices.Reverse(out[len(out)-1])
 	}
-	return nil
+	return out
 }
 
 // RouteTable holds the routes of one network under one set of options,
-// enumerating each ordered (src, dst) pair the first time it is asked
-// for. The key is directional: once the search cap truncates, the routes
-// of (a, b) are not the reversed routes of (b, a), so each direction is
-// its own entry.
+// enumerating each pair the first time it is asked for. Like
+// Network.Routes it searches a pair once, from its smaller endpoint; the
+// routes of (b, a) with a < b are those of (a, b) reversed, built once
+// and kept under their own entry.
 //
 // Hosts with a single link, to a router, share their searches: every
 // route from such a host h to such a host g is h's link, a router path
@@ -82,7 +83,7 @@ type RouteTable struct {
 	opts RouteOptions // defaults applied
 
 	mu      sync.Mutex
-	routes  map[uint64][]Route // by pairKey(src, dst)
+	routes  map[uint64][]Route // by pairKey(src, dst), either direction
 	nRoutes int                // total over the entries
 	// shared holds, per ordered pair of routers, the routes of the first
 	// pair of single-link hosts on them that was searched.
@@ -110,8 +111,9 @@ func (t *RouteTable) Covers(n *Network, opts RouteOptions) bool {
 	return t.net == n && t.opts == opts.withDefaults()
 }
 
-// Size returns the number of pairs enumerated so far and the number of
-// routes they have in total.
+// Size returns the number of entries (ordered pairs asked for, and the
+// searched pair behind each reversal) and the number of routes they
+// hold in total.
 func (t *RouteTable) Size() (pairs, routes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -121,24 +123,34 @@ func (t *RouteTable) Size() (pairs, routes int) {
 // Routes returns what Network.Routes returns for the pair under the
 // table's options.
 func (t *RouteTable) Routes(src, dst NodeID) ([]Route, error) {
-	if err := t.net.checkPair(src, dst); err != nil {
-		return nil, err
+	if !t.net.valid(src) || !t.net.valid(dst) {
+		return nil, fmt.Errorf("%w: %d or %d", ErrUnknownNode, src, dst)
 	}
-	key := pairKey(src, dst)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.lookup(src, dst), nil
+}
+
+// lookup returns the pair's entry, making it first if there is none: by
+// search for src <= dst, by reversing the entry of (dst, src) otherwise.
+func (t *RouteTable) lookup(src, dst NodeID) []Route {
+	key := pairKey(src, dst)
 	routes, ok := t.routes[key]
 	if !ok {
-		routes = t.enumerate(src, dst)
+		if src > dst {
+			routes = reversed(t.lookup(dst, src))
+		} else {
+			routes = t.enumerate(src, dst)
+		}
 		t.routes[key] = routes
 		t.nRoutes += len(routes)
 	}
-	return routes, nil
+	return routes
 }
 
-// enumerate produces the routes of a pair not in the table yet: by
-// search, or from the searched routes of another pair of single-link
-// hosts on the same two routers.
+// enumerate produces the routes of a pair (src < dst) not in the table
+// yet: by search, or from the searched routes of another pair of
+// single-link hosts on the same two routers.
 func (t *RouteTable) enumerate(src, dst NodeID) []Route {
 	up, okSrc := t.net.uplink(src)
 	down, okDst := t.net.uplink(dst)

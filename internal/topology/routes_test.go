@@ -197,19 +197,35 @@ func TestRoutesMatchReference(t *testing.T) {
 	}
 }
 
-// TestMeshDirectionsDiffer pins why the table's key is directional: once
-// the search cap cuts the enumeration short, the routes of (a, b) are
-// not the routes of (b, a) reversed.
-func TestMeshDirectionsDiffer(t *testing.T) {
+// TestMeshRoutesReverse: a host pair has one route set. On the mesh
+// where the search cap truncates, a search from h2 would keep other
+// routes than one from h1; the routes of (h2, h1) are those of (h1, h2)
+// reversed, from Network.Routes and from a table asked in either order.
+func TestMeshRoutesReverse(t *testing.T) {
 	tc := fullMesh(t, 8)
 	h1, h2 := tc.pairs[0][0], tc.pairs[0][1]
 	fwd, _ := tc.net.Routes(h1, h2, topology.RouteOptions{})
-	rev, _ := tc.net.Routes(h2, h1, topology.RouteOptions{})
-	for _, r := range rev {
-		slices.Reverse(r)
+	if len(fwd) != (topology.RouteOptions{}).Normalized().MaxRoutes {
+		t.Fatalf("%d routes: the mesh no longer truncates", len(fwd))
 	}
-	if sameRoutes(fwd, rev) {
-		t.Fatal("reversed routes of (h2, h1) equal those of (h1, h2); the mesh no longer truncates")
+	want := make([]topology.Route, len(fwd))
+	for i, r := range fwd {
+		want[i] = slices.Clone(r)
+		slices.Reverse(want[i])
+	}
+	rev, _ := tc.net.Routes(h2, h1, topology.RouteOptions{})
+	if !sameRoutes(rev, want) {
+		t.Fatalf("Routes(h2, h1) = %v, want the reversal %v", rev, want)
+	}
+	for _, first := range [][2]topology.NodeID{{h1, h2}, {h2, h1}} {
+		table := topology.NewRouteTable(tc.net, topology.RouteOptions{})
+		table.Routes(first[0], first[1])
+		if got, _ := table.Routes(h2, h1); !sameRoutes(got, want) {
+			t.Fatalf("table asked %v first: Routes(h2, h1) = %v, want %v", first, got, want)
+		}
+		if got, _ := table.Routes(h1, h2); !sameRoutes(got, fwd) {
+			t.Fatalf("table asked %v first: Routes(h1, h2) = %v, want %v", first, got, fwd)
+		}
 	}
 }
 
@@ -318,6 +334,45 @@ func TestAdjacencyStaysInLinkOrder(t *testing.T) {
 	tc.net.SwapAdjacency(tc.pairs[6][0], 0, 2)
 	if err := tc.net.Validate(); err == nil || !strings.Contains(err.Error(), "link order") {
 		t.Fatalf("Validate accepted a scrambled adjacency list: %v", err)
+	}
+}
+
+// TestSortedIsOneNetworkPerLinkSet: networks that differ only in the
+// order their links were connected in have one Sorted form — the same
+// links under the same IDs, and so the same routes — and a network
+// already in that order is its own.
+func TestSortedIsOneNetworkPerLinkSet(t *testing.T) {
+	base := campus100(t).Network
+	endpoints := func(n *topology.Network) [][2]topology.NodeID {
+		var out [][2]topology.NodeID
+		for _, l := range n.Links() {
+			out = append(out, [2]topology.NodeID{min(l.A, l.B), max(l.A, l.B)})
+		}
+		return out
+	}
+	want := base.Sorted()
+	if want.Sorted() != want {
+		t.Fatal("Sorted of a sorted network is a copy, not the network itself")
+	}
+	if !slices.IsSortedFunc(endpoints(want), func(x, y [2]topology.NodeID) int { return slices.Compare(x[:], y[:]) }) {
+		t.Fatalf("Sorted links are not in endpoint order: %v", endpoints(want))
+	}
+	pairs := flowPairs(campus100(t))[:200]
+	for seed := int64(1); seed <= 3; seed++ {
+		got := scrambled(t, base, seed).Sorted()
+		if !slices.Equal(endpoints(got), endpoints(want)) {
+			t.Fatalf("seed %d: Sorted links %v, want %v", seed, endpoints(got), endpoints(want))
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, pr := range pairs {
+			a, _ := got.Routes(pr[1], pr[0], topology.RouteOptions{MaxRoutes: 4})
+			b, _ := want.Routes(pr[1], pr[0], topology.RouteOptions{MaxRoutes: 4})
+			if !sameRoutes(a, b) {
+				t.Fatalf("seed %d pair %v: routes %v, want %v", seed, pr, a, b)
+			}
+		}
 	}
 }
 

@@ -6,8 +6,10 @@
 package topology
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -180,6 +182,28 @@ func (n *Network) byKind(k NodeKind) []NodeID {
 func (n *Network) Links() []Link {
 	out := make([]Link, len(n.links))
 	copy(out, n.links)
+	return out
+}
+
+// Sorted returns the network with its links numbered in sorted endpoint
+// order — by smaller endpoint, then larger, the order a canonical
+// rendering lists them in — or n itself when they already are. LinkIDs,
+// and with them the route search's neighbour order, follow the order
+// links were connected in; two networks that differ only in that order
+// have one Sorted form, and so one route set per pair. Nodes and each
+// link's endpoints are kept as they are.
+func (n *Network) Sorted() *Network {
+	links := slices.Clone(n.links)
+	slices.SortFunc(links, func(x, y Link) int {
+		return cmp.Or(cmp.Compare(min(x.A, x.B), min(y.A, y.B)), cmp.Compare(max(x.A, x.B), max(y.A, y.B)))
+	})
+	if slices.Equal(links, n.links) {
+		return n
+	}
+	out := &Network{nodes: slices.Clone(n.nodes), adj: make([][]edge, len(n.nodes))}
+	for _, l := range links {
+		_, _ = out.Connect(l.A, l.B) // n's links: valid, distinct, never to self
+	}
 	return out
 }
 
