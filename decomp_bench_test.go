@@ -9,6 +9,7 @@ import (
 	"configsynth/internal/decomp"
 	"configsynth/internal/netgen"
 	"configsynth/internal/portfolio"
+	"configsynth/internal/service"
 	"configsynth/internal/topology"
 )
 
@@ -146,6 +147,42 @@ func BenchmarkDecompAllHit(b *testing.B) {
 		}
 		if res.Unsat || res.Misses != 0 {
 			b.Fatalf("variant %d: unsat=%v misses=%d, want a stitched design from cache hits alone", i, res.Unsat, res.Misses)
+		}
+	}
+}
+
+// BenchmarkDecompBudgetVariant measures a budget-only variant of the
+// 100-host campus through the service, from Submit to its Result: the
+// admission (one sorted view of the flows, validation, fingerprint), the
+// queue, the decomposed solve answered from the stored stitch, and the
+// rendering of the result — what the ledger's campus_batch times per
+// budget variant. Every variant's budget is new, so none is a result
+// cache hit.
+func BenchmarkDecompBudgetVariant(b *testing.B) {
+	p := campusProblem(b, 100)
+	svc := service.New(service.Config{Workers: 1, SolverWorkers: 1})
+	defer svc.Close()
+	submit := func(budget int64) *service.Result {
+		q := *p
+		q.Thresholds.CostBudget = budget
+		job, err := svc.Submit(&q, service.SubmitOptions{Mode: service.ModeDecomp})
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-job.Done()
+		res, err := job.Result()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	submit(p.Thresholds.CostBudget)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := submit(p.Thresholds.CostBudget + int64(1+i))
+		if res.Status != "sat" || res.Cached || res.Decomp == nil || res.Decomp.Misses != 0 {
+			b.Fatalf("variant %d: status %s, cached %v, decomp %+v; want a fresh job on a stored stitch", i, res.Status, res.Cached, res.Decomp)
 		}
 	}
 }

@@ -480,6 +480,8 @@ func (s *Synthesizer) encodeFlows() {
 		lossPct[pi] = int64(100 - cat.UsabilityPct(p.ID))
 	}
 	opts := make([]ftOption, 0, len(s.flows)*P) // one backing array for every flow's options
+	// s.flows is sorted, so the requirement flags are read in step.
+	req := s.prob.Requirements.Walk()
 	for fi, f := range s.flows {
 		group := s.y[fi*P : (fi+1)*P]
 		rank := int64(s.prob.Ranks.Rank(f))
@@ -511,7 +513,7 @@ func (s *Synthesizer) encodeFlows() {
 		// means "no isolation").
 		s.sol.AddAtMostOne(group...)
 		// CR + IIC2: a connectivity requirement forbids access deny.
-		if deny >= 0 && s.prob.Requirements.Required(f) {
+		if deny >= 0 && req.Required(f) {
 			s.sol.AddUnit(group[deny].Not())
 		}
 		s.sumRanks += rank

@@ -183,20 +183,11 @@ func (p *Problem) Validate() error {
 		}
 	}
 	if p.Requirements != nil {
-		// The flows are distinct now, so every requirement is among them
-		// exactly when as many of them are required as there are
-		// requirements. Only a shortfall pays for the sorted list.
-		required := 0
-		for _, f := range p.Flows {
-			if p.Requirements.Required(f) {
-				required++
-			}
-		}
-		if required != p.Requirements.Len() {
-			for _, f := range p.Requirements.All() {
-				if !seen.has(f) {
-					return fmt.Errorf("core: connectivity requirement %v is not among the flows", f)
-				}
+		// One look-up in the flow set per requirement, in the order the
+		// first one missing is named in.
+		for _, f := range p.Requirements.Sorted() {
+			if !seen.has(f) {
+				return fmt.Errorf("core: connectivity requirement %v is not among the flows", f)
 			}
 		}
 	}

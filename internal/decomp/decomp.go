@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"configsynth/internal/core"
@@ -126,6 +127,31 @@ type Result struct {
 	Stats core.ModelStats
 	// ElapsedMS is the wall-clock time of the whole solve.
 	ElapsedMS int64
+	// Rendered is set with a Design read from a stitch entry of the
+	// region cache: the entry's memo of what a caller derives from that
+	// design alone (Memoised). It is created and dropped with the entry,
+	// so every budget variant the entry answers shares one value. A
+	// fallback's design is the caller's own, and Rendered is nil.
+	Rendered *Memo
+}
+
+// Memo holds one value derived from a stored stitch's design.
+type Memo struct {
+	once sync.Once
+	v    any
+}
+
+// Memoised returns the value m holds, computing it with f on first use;
+// every later caller shares it and must only read it. A nil m holds
+// nothing, and f computes afresh. f must derive its value from the
+// stitched design and from what the budget-free fingerprint covers,
+// never from the budget.
+func Memoised[T any](m *Memo, f func() T) T {
+	if m == nil {
+		return f()
+	}
+	m.once.Do(func() { m.v = f() })
+	return m.v.(T)
 }
 
 // Solver solves problems by decomposition, keeping a region result
@@ -209,6 +235,9 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 		res.Conservative = true
 		res.Conflict = []core.ThresholdKind{core.ThresholdCost}
 		res.ConflictRegion = "stitch"
+	}
+	if res.Design != nil {
+		res.Rendered = &stored.rendered
 	}
 	if res.Design != nil && s.opts.VerifyStitch {
 		vr, err := core.Verify(p, res.Design)

@@ -48,8 +48,10 @@ type regionResult struct {
 	// stitch is set on the entry of a problem's stitch, the root of its
 	// region DAG: the budget-free outcome Solve checks every budget
 	// against. Its Design is the stitched design, and its Unsat is set
-	// only when every region's answer was exact.
-	stitch *Result
+	// only when every region's answer was exact. rendered is the
+	// stitch's memo (Result.Rendered).
+	stitch   *Result
+	rendered Memo
 }
 
 // exact is the cache's keep rule: a proven answer (an exact design or a

@@ -277,3 +277,37 @@ func TestDeadlineInTheCanonicalAttemptDegradesToTheIncumbent(t *testing.T) {
 		sameDesign(t, name+": anytime design at the incumbent", d, want)
 	}
 }
+
+// TestContextFiredInTheCheapPassSearchesNoMore: a context cancelled by
+// the bound observer at the cheap pass's first proven bound ends the
+// descent there. The cheap probes left and the full probes answer
+// Unknown without a race, the attempt and the extraction get a
+// synthesizer that starts interrupted, and so no question is searched:
+// nothing extracted, nothing probed. The answer is the cancellation,
+// and the incumbent is the bound the observer saw.
+func TestContextFiredInTheCheapPassSearchesNoMore(t *testing.T) {
+	p := attemptProblem(t)
+	for _, k := range []int{1, 3} {
+		for name, build := range map[string]func(*testing.T, *core.Problem, int) *Solver{"one-shot": mustRacing, "session": mustSession} {
+			label := fmt.Sprintf("%s K=%d", name, k)
+			s := build(t, p, k)
+			ctx, cancel := context.WithCancel(context.Background())
+			var bounds []int64
+			s.SetBoundObserver(func(kind core.ThresholdKind, v int64) {
+				bounds = append(bounds, v)
+				cancel()
+			})
+			_, err := s.Run(ctx, core.Query{Optimise: core.ThresholdIsolation, Thresholds: p.Thresholds})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want the cancellation", label, err)
+			}
+			if len(bounds) != 1 || s.incumbent == nil || int64(s.incumbent.IsolationTenths) != bounds[0] {
+				t.Fatalf("%s: the observer saw %v, the incumbent is %+v; want the one bound the cheap pass proved", label, bounds, s.incumbent)
+			}
+			if s.extracted.Conflicts != 0 || s.probed.Conflicts != 0 {
+				t.Fatalf("%s: after the context fired the engine searched on: %d conflicts extracted, %d probed", label, s.extracted.Conflicts, s.probed.Conflicts)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync"
@@ -92,20 +93,18 @@ func (s *Solver) guard(ctx context.Context, query func() error) error {
 	// so it is surfaced as an ordinary typed error instead of reaching
 	// the service's panic containment as a worker death.
 	query = tooLargeToError(query)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	// The runtime timer behind a context deadline can fire well after the
 	// deadline has passed (it is not a hard-real-time mechanism), leaving
 	// ctx.Err() nil for milliseconds on a busy machine. A query must not
 	// start — and set an anytime incumbent — after its deadline is already
 	// over, so check the wall clock, not just the timer.
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
+	if late(ctx) {
+		return cmp.Or(ctx.Err(), context.DeadlineExceeded)
 	}
 	if ctx.Done() == nil {
 		return query()
 	}
+	s.ctx = ctx // for stopped, until the query returns
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -136,6 +135,7 @@ func (s *Solver) guard(ctx context.Context, query func() error) error {
 		close(done)
 		wg.Wait()
 		s.clearAll()
+		s.ctx = nil
 	}()
 	err := query()
 	if cerr := ctx.Err(); cerr != nil && interrupted(err) {
@@ -145,6 +145,20 @@ func (s *Solver) guard(ctx context.Context, query func() error) error {
 		return context.DeadlineExceeded
 	}
 	return err
+}
+
+// stopped reports whether the running query's context has fired or its
+// deadline has passed by the wall clock. From then on a race answers
+// Unknown without a probe, and a synthesizer get hands out starts
+// interrupted, so that what is left of a descent searches nothing while
+// the watcher's next tick is still to come.
+func (s *Solver) stopped() bool { return s.ctx != nil && late(s.ctx) }
+
+// late reports whether ctx has fired or its deadline has passed by the
+// wall clock.
+func late(ctx context.Context) bool {
+	d, ok := ctx.Deadline()
+	return ctx.Err() != nil || ok && !time.Now().Before(d)
 }
 
 // interrupted reports whether err is the kind of failure a cooperative

@@ -132,6 +132,10 @@ type Solver struct {
 	// This is the anytime hook confserved streams to clients while a
 	// query is still running.
 	onBound func(kind core.ThresholdKind, value int64)
+
+	// ctx is the context of the query guard is running, nil between
+	// queries (stopped).
+	ctx context.Context
 }
 
 // SetBoundObserver registers f to be called with every bound an
@@ -268,6 +272,9 @@ func (s *Solver) PanicsRecovered() uint64 { return s.panics.Load() }
 // is retired from future races; only when every live worker panicked in
 // the same race is the panic rethrown.
 func (s *Solver) raceStatus(ask func(w *core.Synthesizer) smt.Status) smt.Status {
+	if s.stopped() {
+		return smt.Unknown
+	}
 	s.warm()
 	if faults.Active() && faults.Fire(faults.PortfolioProbeInterrupt) {
 		// Chaos hook: a spurious cancellation landing on a worker just as

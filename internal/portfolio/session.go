@@ -105,6 +105,11 @@ func (s *Solver) get(spend bool) (syn *core.Synthesizer, err error) {
 	s.canonMu.Lock()
 	s.live = append(s.live, syn)
 	s.spent = spend
+	if s.stopped() {
+		// Checked under canonMu: a watcher's interruptAll either finds
+		// syn live or ran after the context fired.
+		syn.Interrupt()
+	}
 	s.canonMu.Unlock()
 	return syn, nil
 }

@@ -180,11 +180,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	send := ndjson(w)
 
 	// Fan results in as jobs finish, preserving completion order.
 	done := make(chan int, len(items))
@@ -224,16 +220,10 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 				summary.RegionMisses += res.Decomp.Misses
 			}
 		}
-		if enc.Encode(line) != nil {
+		if !send(line) {
 			return
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 	summary.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	send(summary)
 }

@@ -14,8 +14,9 @@ import (
 // independent min-cost solves with no global incumbent to fall back on.
 // An unsat verdict is deterministic for a given decomposition, so it is
 // cacheable even when conservative — the Decomp payload carries the
-// conservativeness for the client to judge.
-func (s *Service) solveDecomp(j *Job, res *Result) (*core.Design, []core.ThresholdKind, error) {
+// conservativeness for the client to judge. A design comes with the memo
+// its rendering is kept in (decomp.Result.Rendered).
+func (s *Service) solveDecomp(j *Job, res *Result) (*core.Design, []core.ThresholdKind, *decomp.Memo, error) {
 	dr, err := s.decomp.Solve(j.ctx, j.prob)
 	if dr != nil {
 		s.mu.Lock()
@@ -23,13 +24,10 @@ func (s *Service) solveDecomp(j *Job, res *Result) (*core.Design, []core.Thresho
 		s.mu.Unlock()
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	res.Decomp = decompJSON(dr)
-	if dr.Unsat {
-		return nil, dr.Conflict, nil
-	}
-	return dr.Design, nil, nil
+	return dr.Design, dr.Conflict, dr.Rendered, nil
 }
 
 // decompJSON converts a decomposed solve's region breakdown to wire

@@ -277,18 +277,30 @@ func writeJobResult(w http.ResponseWriter, job *Job) {
 // streamEvents writes the job's event log as NDJSON, flushing per event,
 // until the job is terminal.
 func streamEvents(w http.ResponseWriter, job *Job) {
+	send := ndjson(w)
+	for e := range job.Subscribe() {
+		if !send(e) {
+			return // client went away; the request context cancels the job
+		}
+	}
+}
+
+// ndjson starts an NDJSON response on w and returns its writer: one
+// value a line, flushed, and false once the client has gone away.
+func ndjson(w http.ResponseWriter) func(v any) bool {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for e := range job.Subscribe() {
-		if enc.Encode(e) != nil {
-			return // client went away; the request context cancels the job
+	return func(v any) bool {
+		if enc.Encode(v) != nil {
+			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return true
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"time"
 
@@ -392,6 +393,17 @@ func (j *Job) finish(res *Result, err error, record func(JobState)) bool {
 	close(j.done)
 	j.cancel()
 	return true
+}
+
+// render is d's two wire forms against p, the JSON design and the
+// paper's text (spec.WriteDesign, left empty if that fails), in an
+// otherwise empty Result.
+func render(p *core.Problem, d *core.Design) *Result {
+	var sb strings.Builder
+	if spec.WriteDesign(&sb, p, d) != nil {
+		sb.Reset()
+	}
+	return &Result{Design: designJSON(p, d), Text: sb.String()}
 }
 
 // designJSON converts a core design to its wire form: flows in (src,

@@ -135,16 +135,15 @@ type scanned struct {
 // in sorted endpoint order (topology.Network.Sorted) however it came: a
 // job's routes, and so its answer, are then a function of its
 // fingerprint, and every problem of a family numbers its links alike, as
-// a warm session needs. A problem submitted whole is copied, its network renumbered if
-// it was not in that order; the wire forms of a design name links by
-// endpoints, never by ID. A problem built from a spec is in that order
-// already, and is validated like every submitted problem; Scan has made
-// Validate's checks already, so this cannot fail unless the two drift.
+// a warm session needs. A problem submitted whole was put in that order
+// when it was admitted (Submit, scan); the wire forms of a design name
+// links by endpoints, never by ID. A problem built from a spec is in
+// that order already, and is validated like every submitted problem;
+// Scan has made Validate's checks already, so this cannot fail unless
+// the two drift.
 func (in scanned) problem() (*core.Problem, error) {
 	if in.prob != nil {
-		p := *in.prob
-		p.Network = p.Network.Sorted()
-		return &p, nil
+		return in.prob, nil
 	}
 	p := in.spec.Problem()
 	if err := p.Validate(); err != nil {
@@ -161,6 +160,7 @@ func (src *JobSource) scan() (scanned, error) {
 		if err := p.Validate(); err != nil {
 			return scanned{}, err
 		}
+		p.Network = p.Network.Sorted()
 		return scanned{fp: spec.Fingerprint(p), prob: p}, nil
 	}
 	sp, err := spec.Scan(src.Spec)

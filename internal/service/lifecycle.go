@@ -21,13 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
 	"configsynth/internal/core"
+	"configsynth/internal/decomp"
 	"configsynth/internal/portfolio"
-	"configsynth/internal/spec"
 )
 
 // admit is the admission every entry point shares. A job whose
@@ -216,13 +215,11 @@ func (s *Service) solve(j *Job) (res *Result, err error) {
 		}
 	}()
 	res = &Result{Mode: j.Mode, Fingerprint: j.Fingerprint, JobID: j.ID}
-	var design *core.Design
-	var conflict []core.ThresholdKind
+	arm := s.solveMono
 	if j.Mode == ModeDecomp {
-		design, conflict, err = s.solveDecomp(j, res)
-	} else {
-		design, conflict, err = s.solveMono(j, res)
+		arm = s.solveDecomp
 	}
+	design, conflict, rendered, err := arm(j, res)
 	switch {
 	case err != nil:
 		return nil, err
@@ -237,11 +234,10 @@ func (s *Service) solve(j *Job) (res *Result, err error) {
 			res.Degraded, res.DegradedReason = true, truncatedBy(j.ctx.Err())
 		}
 		res.Objective = j.question().Objective(design)
-		res.Design = designJSON(j.prob, design)
-		var sb strings.Builder
-		if werr := spec.WriteDesign(&sb, j.prob, design); werr == nil {
-			res.Text = sb.String()
-		}
+		// A design read from a stored stitch is rendered once per stitch,
+		// and its wire forms are shared read-only by every job it answers.
+		r := decomp.Memoised(rendered, func() *Result { return render(j.prob, design) })
+		res.Design, res.Text = r.Design, r.Text
 	default:
 		res.Status = "unsat"
 		for _, k := range conflict {
@@ -284,11 +280,12 @@ var optimised = map[Mode]core.ThresholdKind{
 // solveMono is the monolithic arm: one portfolio engine (or a warm one
 // from the what-if session registry) answers the query under the job
 // context. It returns the design, or the threshold kinds of the unsat
-// core with a nil design. When the deadline or a cancellation cuts an
-// optimization short after the descent has proven a feasible incumbent,
-// that design (Exact=false) is the answer, marked degraded with the
-// reason, instead of a bare timeout error.
-func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.ThresholdKind, error) {
+// core with a nil design, and no memo: the design is this job's own.
+// When the deadline or a cancellation cuts an optimization short after
+// the descent has proven a feasible incumbent, that design (Exact=false)
+// is the answer, marked degraded with the reason, instead of a bare
+// timeout error.
+func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.ThresholdKind, *decomp.Memo, error) {
 	syn, reused, err := s.solverFor(j)
 	if err != nil {
 		if !errors.Is(err, core.ErrModelTooLarge) {
@@ -296,7 +293,7 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 			// encode failure is a malformed request.
 			err = &BadRequestError{Msg: err.Error()}
 		}
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	syn.SetBoundObserver(func(kind core.ThresholdKind, v int64) {
 		val := float64(v)
@@ -333,7 +330,7 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 		syn.ResetQueryState()
 		s.sessions.Put(syn.Family(), syn)
 	}
-	return design, kinds, qerr
+	return design, kinds, nil, qerr
 }
 
 // solverFor builds (or checks out) the job's portfolio engine — an

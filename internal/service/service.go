@@ -55,6 +55,7 @@ import (
 	"configsynth/internal/lru"
 	"configsynth/internal/portfolio"
 	"configsynth/internal/spec"
+	"configsynth/internal/usability"
 	"configsynth/internal/wal"
 )
 
@@ -107,37 +108,26 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.SolverWorkers <= 0 {
-		c.SolverWorkers = 1
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 120 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 10 * time.Minute
-	}
-	if c.SessionEntries <= 0 {
-		c.SessionEntries = 8
-	}
+	orDefault(&c.Workers, 2)
+	orDefault(&c.SolverWorkers, 1)
+	orDefault(&c.QueueDepth, 64)
+	orDefault(&c.CacheEntries, 256)
+	orDefault(&c.DefaultTimeout, 120*time.Second)
+	orDefault(&c.MaxTimeout, 10*time.Minute)
+	orDefault(&c.SessionEntries, 8)
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 10 * time.Minute
 	}
-	if c.RegionWorkers <= 0 {
-		c.RegionWorkers = 4
-	}
-	if c.RegionCacheEntries <= 0 {
-		c.RegionCacheEntries = 512
-	}
+	orDefault(&c.RegionWorkers, 4)
+	orDefault(&c.RegionCacheEntries, 512)
 	return c
+}
+
+// orDefault sets *v to def when it is zero or negative.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // finishedRetention bounds how many terminal jobs stay queryable via
@@ -619,11 +609,20 @@ type SubmitOptions struct {
 // Submit validates and fingerprints the problem, answers from the cache
 // when it can, and otherwise enqueues a job. The returned Job is
 // terminal already on a cache hit. ErrQueueFull signals backpressure.
+// The job holds a copy of prob with its flows in CompareFlows order and
+// its links in sorted endpoint order (topology.Network.Sorted), taken
+// once, here: every later sorted view of its flows — the fingerprint,
+// the decomposed solve, the encoder, the rendering — is then the flows
+// themselves, and its routes, and so its answer, are a function of its
+// fingerprint.
 func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
-	if err := prob.Validate(); err != nil {
+	p := *prob
+	p.Flows = usability.SortedFlows(p.Flows)
+	if err := p.Validate(); err != nil {
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
-	return s.submit(scanned{fp: spec.Fingerprint(prob), prob: prob}, opts)
+	p.Network = p.Network.Sorted()
+	return s.submit(scanned{fp: spec.Fingerprint(&p), prob: &p}, opts)
 }
 
 // submit is every submission once its fingerprint is known: one cache

@@ -122,12 +122,15 @@ func (w *canonWriter) problem(p *core.Problem) {
 		w.catalog(p.Catalog)
 	}
 
+	// The requirement flags are read in step with the sorted flows, off
+	// the requirements' own sorted list.
+	req := p.Requirements.Walk()
 	for _, f := range usability.SortedFlows(p.Flows) {
 		rank := 1
 		if p.Ranks != nil {
 			rank = p.Ranks.Rank(f)
 		}
-		w.flow(f, rank, p.Requirements != nil && p.Requirements.Required(f))
+		w.flow(f, rank, req.Required(f))
 	}
 
 	if p.Policies != nil {
@@ -201,12 +204,40 @@ func (w *canonWriter) catalog(cat *isolation.Catalog) {
 }
 
 // flow writes one flow line. Callers write flows in (src, dst, svc)
-// order.
+// order. It is the line a large problem is made of, so its numbers are
+// appended by appendDec and its common tail is one constant.
 func (w *canonWriter) flow(f usability.Flow, rank int, required bool) {
-	b := appendInts(append(w.b, "flow"...), int64(f.Src), int64(f.Dst), int64(f.Svc))
-	b = strconv.AppendInt(append(b, " rank="...), int64(rank), 10)
-	w.b = strconv.AppendBool(append(b, " require="...), required)
+	b := appendDec(append(w.b, "flow "...), int64(f.Src))
+	b = appendDec(append(b, ' '), int64(f.Dst))
+	b = appendDec(append(b, ' '), int64(f.Svc))
+	switch {
+	case rank == 1 && !required:
+		b = append(b, " rank=1 require=false"...)
+	case rank == 1:
+		b = append(b, " rank=1 require=true"...)
+	default:
+		b = strconv.AppendBool(append(appendDec(append(b, " rank="...), int64(rank)), " require="...), required)
+	}
+	w.b = b
 	w.endLine()
+}
+
+// appendDec appends v in decimal, as strconv.AppendInt(b, v, 10) does,
+// writing a non-negative value's digits itself.
+func appendDec(b []byte, v int64) []byte {
+	if v < 0 {
+		return strconv.AppendInt(b, v, 10)
+	}
+	var buf [20]byte
+	i := len(buf)
+	for v >= 10 {
+		i--
+		buf[i] = byte('0' + v%10)
+		v /= 10
+	}
+	i--
+	buf[i] = byte('0' + v)
+	return append(b, buf[i:]...)
 }
 
 // appendInts appends each value in decimal behind a space.

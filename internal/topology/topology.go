@@ -193,13 +193,14 @@ func (n *Network) Links() []Link {
 // have one Sorted form, and so one route set per pair. Nodes and each
 // link's endpoints are kept as they are.
 func (n *Network) Sorted() *Network {
-	links := slices.Clone(n.links)
-	slices.SortFunc(links, func(x, y Link) int {
+	byEnds := func(x, y Link) int {
 		return cmp.Or(cmp.Compare(min(x.A, x.B), min(y.A, y.B)), cmp.Compare(max(x.A, x.B), max(y.A, y.B)))
-	})
-	if slices.Equal(links, n.links) {
+	}
+	if slices.IsSortedFunc(n.links, byEnds) {
 		return n
 	}
+	links := slices.Clone(n.links)
+	slices.SortFunc(links, byEnds)
 	out := &Network{nodes: slices.Clone(n.nodes), adj: make([][]edge, len(n.nodes))}
 	for _, l := range links {
 		_, _ = out.Connect(l.A, l.B) // n's links: valid, distinct, never to self

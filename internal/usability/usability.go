@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"configsynth/internal/order"
 	"configsynth/internal/topology"
@@ -96,6 +97,9 @@ func (f Flow) String() string {
 // present are unspecified (c = 0): they may be allowed or denied.
 type Requirements struct {
 	must map[Flow]bool
+	// sorted is the set in CompareFlows order, built by the first Sorted
+	// after a Require and shared by every reader until the next one.
+	sorted atomic.Pointer[[]Flow]
 }
 
 // NewRequirements returns an empty requirement set.
@@ -104,7 +108,12 @@ func NewRequirements() *Requirements {
 }
 
 // Require marks the flow as a connectivity requirement.
-func (r *Requirements) Require(f Flow) { r.must[f] = true }
+func (r *Requirements) Require(f Flow) {
+	r.must[f] = true
+	if r.sorted.Load() != nil {
+		r.sorted.Store(nil)
+	}
+}
 
 // Required reports whether the flow must be allowed.
 func (r *Requirements) Required(f Flow) bool { return r.must[f] }
@@ -112,14 +121,51 @@ func (r *Requirements) Required(f Flow) bool { return r.must[f] }
 // Len returns the number of required flows.
 func (r *Requirements) Len() int { return len(r.must) }
 
-// All returns the required flows in a deterministic order.
-func (r *Requirements) All() []Flow {
+// All returns the required flows in CompareFlows order, in a slice of
+// the caller's own.
+func (r *Requirements) All() []Flow { return slices.Clone(r.Sorted()) }
+
+// Sorted returns the required flows in CompareFlows order. The slice is
+// shared: a caller reads it and never writes it. It is sorted once per
+// set of requirements, not once per call, so every problem that shares
+// r — the budget variants of one campus — reads one list.
+func (r *Requirements) Sorted() []Flow {
+	if out := r.sorted.Load(); out != nil {
+		return *out
+	}
 	out := make([]Flow, 0, len(r.must))
 	for f := range r.must {
 		out = append(out, f)
 	}
 	sortFlows(out)
+	r.sorted.Store(&out)
 	return out
+}
+
+// Walk reads the requirement flags of flows visited in CompareFlows
+// order, walking r's sorted list in step with them: O(flows +
+// requirements) for the whole walk and no map probe. A nil r requires
+// nothing.
+func (r *Requirements) Walk() Walker {
+	if r == nil {
+		return Walker{}
+	}
+	return Walker{req: r.Sorted()}
+}
+
+// Walker is a walk over a sorted requirement list (Requirements.Walk).
+type Walker struct {
+	req []Flow
+	k   int
+}
+
+// Required reports whether f is required. Successive calls must pass
+// flows in CompareFlows order; a flow may repeat.
+func (w *Walker) Required(f Flow) bool {
+	for w.k < len(w.req) && CompareFlows(w.req[w.k], f) < 0 {
+		w.k++
+	}
+	return w.k < len(w.req) && w.req[w.k] == f
 }
 
 // Ranks assigns each flow a demand rank a_{i,j}(g). If nothing is

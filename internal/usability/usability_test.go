@@ -121,3 +121,42 @@ func TestFlowString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// TestRequirementsSortedAndWalk: Sorted is the set in CompareFlows
+// order, sorted once and built again after a Require; All is a copy of
+// it. A Walk reads each flag of flows visited in that order — repeats,
+// flows between requirements and a requirement outside the flows
+// included — as Required does, and a nil set's walk requires nothing.
+func TestRequirementsSortedAndWalk(t *testing.T) {
+	r := NewRequirements()
+	for _, f := range []Flow{{2, 1, 1}, {1, 3, -4}, {1, 2, 2}} {
+		r.Require(f)
+	}
+	first := r.Sorted()
+	if again := r.Sorted(); &again[0] != &first[0] {
+		t.Fatal("Sorted sorted the same set twice")
+	}
+	all := r.All()
+	all[0] = Flow{9, 9, 9}
+	if r.Sorted()[0] == all[0] {
+		t.Fatal("All shares its slice with Sorted")
+	}
+	r.Require(Flow{1, 2, 1})
+	want := []Flow{{1, 2, 1}, {1, 2, 2}, {1, 3, -4}, {2, 1, 1}}
+	if got := r.Sorted(); len(got) != len(want) || got[0] != want[0] || got[3] != want[3] {
+		t.Fatalf("Sorted after a Require = %v, want %v", got, want)
+	}
+
+	visited := []Flow{{0, 5, 1}, {1, 2, 1}, {1, 2, 1}, {1, 2, 3}, {1, 3, -4}, {3, 0, 1}}
+	w := r.Walk()
+	for _, f := range visited {
+		if got := w.Required(f); got != r.Required(f) {
+			t.Fatalf("Walk says %v required %v, Required says %v", f, got, !got)
+		}
+	}
+	var none *Requirements
+	w = none.Walk()
+	if w.Required(Flow{1, 2, 1}) {
+		t.Fatal("a nil set's walk required a flow")
+	}
+}
