@@ -39,6 +39,7 @@ import (
 	"configsynth/internal/decomp"
 	"configsynth/internal/experiments"
 	"configsynth/internal/netgen"
+	"configsynth/internal/sat"
 )
 
 func main() {
@@ -50,13 +51,13 @@ func main() {
 
 // benchReport is the schema of a BENCH_<experiment>.json file.
 type benchReport struct {
-	Name          string                   `json:"name"`
-	SweepWorkers  int                      `json:"sweep_workers"`
-	SolverWorkers int                      `json:"solver_workers"`
-	ElapsedMS     float64                  `json:"elapsed_ms"`
-	Header        []string                 `json:"header"`
-	Rows          [][]string               `json:"rows"`
-	Solver        experiments.SolverTotals `json:"solver"`
+	Name          string       `json:"name"`
+	SweepWorkers  int          `json:"sweep_workers"`
+	SolverWorkers int          `json:"solver_workers"`
+	ElapsedMS     float64      `json:"elapsed_ms"`
+	Header        []string     `json:"header"`
+	Rows          [][]string   `json:"rows"`
+	Solver        sat.Counters `json:"solver"`
 	// Region-cache totals of a -batch sweep (absent otherwise).
 	RegionHits    int64    `json:"region_hits,omitempty"`
 	RegionMisses  int64    `json:"region_misses,omitempty"`
@@ -222,7 +223,7 @@ func runBatch(stdout io.Writer, cfg batchConfig) error {
 			fmt.Sprintf("%d", r.Repaired),
 			fmt.Sprintf("%d", r.ElapsedMS),
 		})
-		res.Totals.Add(r.Stats)
+		res.Totals.Add(r.Stats.Counters)
 	}
 	elapsed := time.Since(start)
 

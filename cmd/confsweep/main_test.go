@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"configsynth/internal/experiments"
 )
@@ -99,5 +101,37 @@ func TestRunVerifyFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "# table5") {
 		t.Errorf("missing header:\n%s", out.String())
+	}
+}
+
+// TestJSONReportSolverIsTheCounterRecord writes a report whose totals
+// give every counter its own value: each field of sat.Counters is a key
+// of the report's solver object, under the field's own name, with its
+// value. A counter added to the record reaches the report with no edit
+// here or in experiments.
+func TestJSONReportSolverIsTheCounterRecord(t *testing.T) {
+	res := experiments.Result{Name: "counters"}
+	fields := reflect.VisibleFields(reflect.TypeOf(res.Totals))
+	for i := range fields {
+		reflect.ValueOf(&res.Totals).Elem().Field(i).SetInt(int64(i + 1))
+	}
+	dir := t.TempDir()
+	if err := writeBench(dir, res, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_counters.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Solver map[string]int64 `json:"solver"`
+	}
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range fields {
+		if got, ok := report.Solver[f.Name]; !ok || got != int64(i+1) {
+			t.Errorf("solver.%s = %d (present %v), want %d", f.Name, got, ok, i+1)
+		}
 	}
 }

@@ -209,14 +209,9 @@ func (s *shipper) replicas() map[string]ReplicaInfo {
 	out := map[string]ReplicaInfo{}
 	for _, c := range s.snapshotCursors() {
 		c.mu.Lock()
-		info := ReplicaInfo{AckedOffset: c.offset, WALEpoch: c.epoch}
+		info := ReplicaInfo{AckedOffset: c.offset, WALEpoch: c.epoch, LagBytes: end}
 		if c.epoch == curEpoch {
-			info.LagBytes = end - c.offset
-		} else {
-			info.LagBytes = end
-		}
-		if info.LagBytes < 0 {
-			info.LagBytes = 0
+			info.LagBytes = max(end-c.offset, 0)
 		}
 		c.mu.Unlock()
 		out[c.id] = info

@@ -49,21 +49,24 @@ func TestEncodeMatchesRecordedParent(t *testing.T) {
 			"6134313325e93ef66a65184f04a14abf5aa7386983015a28e6457fd2f92679a0",
 			core.ModelStats{Flows: 90, HostPairs: 45, Routes: 174, Vars: 713, Clauses: 2292,
 				PBConstraints: 3, PBTerms: 620,
-				Conflicts: 42, Decisions: 143, Propagations: 950, EstimatedBytes: 280544},
+				EstimatedBytes: 280544, Counters: sat.Counters{Conflicts: 42, Decisions: 143, Propagations: 950,
+					TheoryProps: 78, LearntLitsSum: 12904, RemovedSat: 48}},
 		},
 		"netgen20/seed1": {
 			"0b47d7dd31e200db061130e1bba238741f680daa6f63f203a35dcdc535c5872a",
 			"2dd1d9a01d3fed899acdcb1bd401a51c6052e7ea9ed8739563b75160881d13a3",
 			core.ModelStats{Flows: 732, HostPairs: 190, Routes: 336, Vars: 4542, Clauses: 12964,
 				PBConstraints: 3, PBTerms: 4511,
-				Conflicts: 2, Decisions: 148, Propagations: 4845, EstimatedBytes: 1643496},
+				EstimatedBytes: 1643496, Counters: sat.Counters{Conflicts: 2, Decisions: 148, Propagations: 4845,
+					TheoryProps: 220, LearntLitsSum: 6035, RemovedSat: 344}},
 		},
 		"netgen50/seed50": {
 			"2caf18a8b1e709638409a3e17ebf4a881ef9e10088b7045b4ffe2a2e1cd9fea3",
 			"b5bc3d11f78f7d3b3ede01118959215848d00f85cc64d3dc95ce1444b6606974",
 			core.ModelStats{Flows: 4914, HostPairs: 1225, Routes: 1225, Vars: 29709, Clauses: 82076,
 				PBConstraints: 3, PBTerms: 29720,
-				Conflicts: 2, Decisions: 567, Propagations: 31592, EstimatedBytes: 10493952},
+				EstimatedBytes: 10493952, Counters: sat.Counters{Conflicts: 2, Decisions: 567, Propagations: 31592,
+					TheoryProps: 1475, LearntLitsSum: 41784, RemovedSat: 2140}},
 		},
 	}
 	for name, p := range encodeInstances(t) {

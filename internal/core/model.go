@@ -775,7 +775,8 @@ func ceilDiv(a, b int64) int64 {
 }
 
 // ModelStats describes the size of the encoded model, used by the
-// scalability and memory experiments (paper §V-B, Table VI).
+// scalability and memory experiments (paper §V-B, Table VI), and the
+// search its solvers did on it (sat.Counters).
 type ModelStats struct {
 	Flows         int
 	HostPairs     int
@@ -784,30 +785,15 @@ type ModelStats struct {
 	Clauses       int
 	PBConstraints int
 	PBTerms       int
-	Conflicts     int64
-	Decisions     int64
-	Propagations  int64
-	// Restarts counts solver restarts, split by schedule below.
-	Restarts     int64
-	LubyRestarts int64
-	GeomRestarts int64
-	// Interrupts counts checks abandoned by portfolio cancellation;
-	// RandomDecisions counts diversified branching decisions.
-	Interrupts      int64
-	RandomDecisions int64
-	// Inprocessing counters: clauses removed by forward subsumption,
-	// literals removed by self-subsuming resolution, and learnt clauses
-	// dropped by database reduction.
-	Subsumed     int64
-	Strengthened int64
-	Reduced      int64
 	// EstimatedBytes approximates the resident model size from structure
 	// counts (the paper's Table VI reports MB against problem size).
 	EstimatedBytes int64
+	sat.Counters
 }
 
-// Add accumulates b's counters into s. The serving layer aggregates
-// per-job model statistics into fleet totals this way (/statsz).
+// Add accumulates b's shape and counters into s. The serving layer
+// aggregates per-job model statistics into fleet totals this way
+// (/statsz).
 func (s *ModelStats) Add(b ModelStats) {
 	s.Flows += b.Flows
 	s.HostPairs += b.HostPairs
@@ -816,46 +802,8 @@ func (s *ModelStats) Add(b ModelStats) {
 	s.Clauses += b.Clauses
 	s.PBConstraints += b.PBConstraints
 	s.PBTerms += b.PBTerms
-	s.Conflicts += b.Conflicts
-	s.Decisions += b.Decisions
-	s.Propagations += b.Propagations
-	s.Restarts += b.Restarts
-	s.LubyRestarts += b.LubyRestarts
-	s.GeomRestarts += b.GeomRestarts
-	s.Interrupts += b.Interrupts
-	s.RandomDecisions += b.RandomDecisions
-	s.Subsumed += b.Subsumed
-	s.Strengthened += b.Strengthened
-	s.Reduced += b.Reduced
 	s.EstimatedBytes += b.EstimatedBytes
-}
-
-// AddSearch accumulates only b's search counters — the work a solver
-// did, as opposed to the shape of the model it did it on — into s. This
-// is how counters of several solvers over one encoding (a portfolio's
-// workers, a session's per-query extractors) are summed.
-func (s *ModelStats) AddSearch(b ModelStats) { s.addSearch(b, 1) }
-
-// Since returns s with its search counters reduced by base's: the work
-// done since base was snapshotted from the same solver, with the model
-// shape reported as is.
-func (s ModelStats) Since(base ModelStats) ModelStats {
-	s.addSearch(base, -1)
-	return s
-}
-
-func (s *ModelStats) addSearch(b ModelStats, sign int64) {
-	s.Conflicts += sign * b.Conflicts
-	s.Decisions += sign * b.Decisions
-	s.Propagations += sign * b.Propagations
-	s.Restarts += sign * b.Restarts
-	s.LubyRestarts += sign * b.LubyRestarts
-	s.GeomRestarts += sign * b.GeomRestarts
-	s.Interrupts += sign * b.Interrupts
-	s.RandomDecisions += sign * b.RandomDecisions
-	s.Subsumed += sign * b.Subsumed
-	s.Strengthened += sign * b.Strengthened
-	s.Reduced += sign * b.Reduced
+	s.Counters.Add(b.Counters)
 }
 
 // Stats returns current model statistics.
@@ -864,26 +812,16 @@ func (s *Synthesizer) Stats() ModelStats {
 	pairs, routes := s.routes.Size()
 	pbTerms := s.isoSum.Len() + s.lossSum.Len() + s.costSum.Len()
 	return ModelStats{
-		Flows:           len(s.flows),
-		HostPairs:       pairs,
-		Routes:          routes,
-		Vars:            st.Vars,
-		Clauses:         st.Clauses + st.Learnts,
-		PBConstraints:   st.PBConstraints,
-		PBTerms:         pbTerms,
-		Conflicts:       st.Conflicts,
-		Decisions:       st.Decisions,
-		Propagations:    st.Propagations,
-		Restarts:        st.Restarts,
-		LubyRestarts:    st.LubyRestarts,
-		GeomRestarts:    st.GeomRestarts,
-		Interrupts:      st.Interrupts,
-		RandomDecisions: st.RandomDecisions,
-		Subsumed:        st.Subsumed,
-		Strengthened:    st.Strengthened,
-		Reduced:         st.Reduced,
+		Flows:         len(s.flows),
+		HostPairs:     pairs,
+		Routes:        routes,
+		Vars:          st.Vars,
+		Clauses:       st.Clauses + st.Learnts,
+		PBConstraints: st.PBConstraints,
+		PBTerms:       pbTerms,
 		EstimatedBytes: int64(st.Vars)*64 +
 			int64(st.Clauses+st.Learnts)*96 +
 			int64(pbTerms)*24,
+		Counters: st.Counters,
 	}
 }

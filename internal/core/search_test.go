@@ -74,7 +74,7 @@ func TestSearchMatchesRecordedParent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		st := core.SolverStatsOf(syn)
+		st := syn.Stats()
 		got := searchPinned{
 			Value:     v,
 			Conflicts: st.Conflicts, Decisions: st.Decisions, Propagations: st.Propagations, Restarts: st.Restarts,
@@ -110,11 +110,11 @@ func TestSearchAllocBudget(t *testing.T) {
 	th := core.Thresholds{IsolationTenths: 78, UsabilityTenths: 80, CostBudget: 80}
 	var spent int64
 	check := func() {
-		before := core.SolverStatsOf(syn).Conflicts
+		before := syn.Stats().Conflicts
 		if _, err := syn.CheckAt(th); !errors.Is(err, core.ErrBudgetExceeded) {
 			t.Fatalf("check at %+v: err = %v, want the budget to run out", th, err)
 		}
-		spent = core.SolverStatsOf(syn).Conflicts - before
+		spent = syn.Stats().Conflicts - before
 	}
 	for range warmups {
 		check()

@@ -22,6 +22,7 @@ import (
 	"configsynth/internal/isolation"
 	"configsynth/internal/netgen"
 	"configsynth/internal/portfolio"
+	"configsynth/internal/sat"
 )
 
 // Result is one regenerated table or figure.
@@ -32,48 +33,9 @@ type Result struct {
 	Header []string
 	// Rows are the data series.
 	Rows [][]string
-	// Totals aggregates solver counters across every synthesis the
-	// experiment ran (reported by confsweep -json).
-	Totals SolverTotals
-}
-
-// SolverTotals sums the solver's dynamic search counters over an
-// experiment, including the portfolio diversification machinery
-// (restarts per schedule, cooperative interrupts, random decisions).
-type SolverTotals struct {
-	Conflicts       int64 `json:"conflicts"`
-	Decisions       int64 `json:"decisions"`
-	Propagations    int64 `json:"propagations"`
-	Restarts        int64 `json:"restarts"`
-	LubyRestarts    int64 `json:"luby_restarts"`
-	GeomRestarts    int64 `json:"geom_restarts"`
-	Interrupts      int64 `json:"interrupts"`
-	RandomDecisions int64 `json:"random_decisions"`
-	// Inprocessing counters (solver internals trends across sweeps):
-	// clauses removed by subsumption, literals removed by self-subsuming
-	// resolution, and learnt clauses dropped by database reduction.
-	Subsumed     int64 `json:"subsumed"`
-	Strengthened int64 `json:"strengthened"`
-	Reduced      int64 `json:"reduced"`
-}
-
-// Add folds one solver's counters into the totals. Exported for
-// harnesses outside this package (confsweep -batch) that aggregate
-// into the same BENCH report schema.
-func (t *SolverTotals) Add(st core.ModelStats) { t.add(st) }
-
-func (t *SolverTotals) add(st core.ModelStats) {
-	t.Conflicts += st.Conflicts
-	t.Decisions += st.Decisions
-	t.Propagations += st.Propagations
-	t.Restarts += st.Restarts
-	t.LubyRestarts += st.LubyRestarts
-	t.GeomRestarts += st.GeomRestarts
-	t.Interrupts += st.Interrupts
-	t.RandomDecisions += st.RandomDecisions
-	t.Subsumed += st.Subsumed
-	t.Strengthened += st.Strengthened
-	t.Reduced += st.Reduced
+	// Totals sums the solver counters of every synthesis the experiment
+	// ran (reported by confsweep -json).
+	Totals sat.Counters
 }
 
 // Worker knobs, set once before running experiments (confsweep -workers,
@@ -120,10 +82,10 @@ func newSynth(prob *core.Problem) (*portfolio.Solver, error) {
 
 // runRows computes n data rows concurrently on a worker pool bounded by
 // the sweep parallelism, preserving input order.
-func runRows(n int, f func(i int) ([]string, core.ModelStats, error)) ([][]string, SolverTotals, error) {
+func runRows(n int, f func(i int) ([]string, sat.Counters, error)) ([][]string, sat.Counters, error) {
 	sweep, _ := Workers()
 	rows := make([][]string, n)
-	stats := make([]core.ModelStats, n)
+	stats := make([]sat.Counters, n)
 	errs := make([]error, n)
 	sem := make(chan struct{}, sweep)
 	var wg sync.WaitGroup
@@ -137,12 +99,12 @@ func runRows(n int, f func(i int) ([]string, core.ModelStats, error)) ([][]strin
 		}(i)
 	}
 	wg.Wait()
-	var tot SolverTotals
+	var tot sat.Counters
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return nil, tot, errs[i]
 		}
-		tot.add(stats[i])
+		tot.Add(stats[i])
 	}
 	return rows, tot, nil
 }
@@ -189,7 +151,7 @@ func Fig3a() (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.Totals.add(syn.Stats())
+	res.Totals = syn.Stats().Counters
 	return res, nil
 }
 
@@ -221,7 +183,7 @@ func Fig3b() (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.Totals.add(syn.Stats())
+	res.Totals = syn.Stats().Counters
 	return res, nil
 }
 
@@ -268,10 +230,10 @@ func Fig4a() (Result, error) {
 		Header: []string{"hosts", "flows", "time_ms_cr10", "time_ms_cr20"},
 	}
 	hostGrid := []int{10, 20, 30, 40, 50}
-	rows, totals, err := runRows(len(hostGrid), func(i int) ([]string, core.ModelStats, error) {
+	rows, totals, err := runRows(len(hostGrid), func(i int) ([]string, sat.Counters, error) {
 		hosts := hostGrid[i]
 		row := []string{fmt.Sprintf("%d", hosts)}
-		var sum core.ModelStats
+		var sum sat.Counters
 		var flowCount int
 		for _, cr := range []float64{0.10, 0.20} {
 			cfg := netgen.Config{
@@ -289,7 +251,7 @@ func Fig4a() (Result, error) {
 				row = append(row, ms(elapsed))
 			}
 			flowCount = stats.Flows
-			sumStats(&sum, stats)
+			sum.Add(stats.Counters)
 		}
 		row = append(row[:1], append([]string{fmt.Sprintf("%d", flowCount)}, row[1:]...)...)
 		return row, sum, nil
@@ -301,18 +263,6 @@ func Fig4a() (Result, error) {
 	return res, nil
 }
 
-// sumStats accumulates the dynamic solver counters of b into a.
-func sumStats(a *core.ModelStats, b core.ModelStats) {
-	a.Conflicts += b.Conflicts
-	a.Decisions += b.Decisions
-	a.Propagations += b.Propagations
-	a.Restarts += b.Restarts
-	a.LubyRestarts += b.LubyRestarts
-	a.GeomRestarts += b.GeomRestarts
-	a.Interrupts += b.Interrupts
-	a.RandomDecisions += b.RandomDecisions
-}
-
 // Fig4b reproduces Fig. 4(b): synthesis time vs the number of routers.
 func Fig4b() (Result, error) {
 	res := Result{
@@ -320,10 +270,10 @@ func Fig4b() (Result, error) {
 		Header: []string{"routers", "time_ms_cr10", "time_ms_cr20"},
 	}
 	routerGrid := []int{8, 12, 16, 20}
-	rows, totals, err := runRows(len(routerGrid), func(i int) ([]string, core.ModelStats, error) {
+	rows, totals, err := runRows(len(routerGrid), func(i int) ([]string, sat.Counters, error) {
 		routers := routerGrid[i]
 		row := []string{fmt.Sprintf("%d", routers)}
-		var sum core.ModelStats
+		var sum sat.Counters
 		for _, cr := range []float64{0.10, 0.20} {
 			cfg := netgen.Config{
 				Hosts: 20, Routers: routers, MaxServices: 3,
@@ -339,7 +289,7 @@ func Fig4b() (Result, error) {
 			} else {
 				row = append(row, ms(elapsed))
 			}
-			sumStats(&sum, stats)
+			sum.Add(stats.Counters)
 		}
 		return row, sum, nil
 	})
@@ -358,10 +308,10 @@ func Fig4c() (Result, error) {
 		Header: []string{"cr_percent", "time_ms_hosts20", "time_ms_hosts30"},
 	}
 	crGrid := []int{5, 10, 15, 20, 25, 30}
-	rows, totals, err := runRows(len(crGrid), func(i int) ([]string, core.ModelStats, error) {
+	rows, totals, err := runRows(len(crGrid), func(i int) ([]string, sat.Counters, error) {
 		crPct := crGrid[i]
 		row := []string{fmt.Sprintf("%d", crPct)}
-		var sum core.ModelStats
+		var sum sat.Counters
 		for _, hosts := range []int{20, 30} {
 			cfg := netgen.Config{
 				Hosts: hosts, Routers: 10, MaxServices: 3,
@@ -377,7 +327,7 @@ func Fig4c() (Result, error) {
 			} else {
 				row = append(row, ms(elapsed))
 			}
-			sumStats(&sum, stats)
+			sum.Add(stats.Counters)
 		}
 		return row, sum, nil
 	})
@@ -396,10 +346,10 @@ func Fig5a() (Result, error) {
 		Header: []string{"isolation", "time_ms_usability3", "time_ms_usability5"},
 	}
 	isoGrid := []int{10, 20, 30, 40, 50, 60}
-	rows, totals, err := runRows(len(isoGrid), func(i int) ([]string, core.ModelStats, error) {
+	rows, totals, err := runRows(len(isoGrid), func(i int) ([]string, sat.Counters, error) {
 		iso := isoGrid[i]
 		row := []string{f1(float64(iso) / 10)}
-		var sum core.ModelStats
+		var sum sat.Counters
 		for _, u := range []int{30, 50} {
 			cfg := netgen.Config{
 				Hosts: 30, Routers: 10, MaxServices: 3,
@@ -415,7 +365,7 @@ func Fig5a() (Result, error) {
 				return nil, sum, err
 			}
 			row = append(row, ms(elapsed)+"/"+status)
-			sumStats(&sum, stats)
+			sum.Add(stats.Counters)
 		}
 		return row, sum, nil
 	})
@@ -434,10 +384,10 @@ func Fig5b() (Result, error) {
 		Header: []string{"cost", "time_ms_usability3", "time_ms_usability5"},
 	}
 	costGrid := []int64{40, 60, 80, 100, 120, 150}
-	rows, totals, err := runRows(len(costGrid), func(i int) ([]string, core.ModelStats, error) {
+	rows, totals, err := runRows(len(costGrid), func(i int) ([]string, sat.Counters, error) {
 		cost := costGrid[i]
 		row := []string{fmt.Sprintf("%d", cost)}
-		var sum core.ModelStats
+		var sum sat.Counters
 		for _, u := range []int{30, 50} {
 			cfg := netgen.Config{
 				Hosts: 30, Routers: 10, MaxServices: 3,
@@ -453,7 +403,7 @@ func Fig5b() (Result, error) {
 				return nil, sum, err
 			}
 			row = append(row, ms(elapsed)+"/"+status)
-			sumStats(&sum, stats)
+			sum.Add(stats.Counters)
 		}
 		return row, sum, nil
 	})
@@ -473,10 +423,10 @@ func Fig5c() (Result, error) {
 		Header: []string{"hosts", "time_ms_sat", "time_ms_unsat"},
 	}
 	hostGrid := []int{10, 20, 30, 40}
-	rows, totals, err := runRows(len(hostGrid), func(i int) ([]string, core.ModelStats, error) {
+	rows, totals, err := runRows(len(hostGrid), func(i int) ([]string, sat.Counters, error) {
 		hosts := hostGrid[i]
 		row := []string{fmt.Sprintf("%d", hosts)}
-		var sum core.ModelStats
+		var sum sat.Counters
 		// SAT: moderate thresholds.
 		cfg := netgen.Config{
 			Hosts: hosts, Routers: 10, MaxServices: 3,
@@ -488,7 +438,7 @@ func Fig5c() (Result, error) {
 			return nil, sum, err
 		}
 		row = append(row, ms(elapsed)+"/"+status)
-		sumStats(&sum, stats)
+		sum.Add(stats.Counters)
 		// UNSAT: isolation demand above what usability 8 permits.
 		cfg.Thresholds = core.Thresholds{
 			IsolationTenths: 90,
@@ -500,7 +450,7 @@ func Fig5c() (Result, error) {
 			return nil, sum, err
 		}
 		row = append(row, ms(elapsed)+"/"+status)
-		sumStats(&sum, stats)
+		sum.Add(stats.Counters)
 		return row, sum, nil
 	})
 	if err != nil {
@@ -535,7 +485,7 @@ func TableIII() (Result, error) {
 			e.Note,
 		})
 	}
-	res.Totals.add(syn.Stats())
+	res.Totals = syn.Stats().Counters
 	return res, nil
 }
 
@@ -557,7 +507,7 @@ func TableV() (Result, error) {
 		return res, err
 	}
 	elapsed := time.Since(start)
-	res.Totals.add(syn.Stats())
+	res.Totals = syn.Stats().Counters
 	mix := design.PatternMix()
 	res.Rows = append(res.Rows,
 		[]string{"time_ms", ms(elapsed)},
@@ -583,10 +533,10 @@ func TableVI() (Result, error) {
 		Header: []string{"hosts", "mem_mb_iso3", "mem_mb_iso5"},
 	}
 	hostGrid := []int{10, 20, 30, 40, 50}
-	rows, totals, err := runRows(len(hostGrid), func(i int) ([]string, core.ModelStats, error) {
+	rows, totals, err := runRows(len(hostGrid), func(i int) ([]string, sat.Counters, error) {
 		hosts := hostGrid[i]
 		row := []string{fmt.Sprintf("%d", hosts)}
-		var sum core.ModelStats
+		var sum sat.Counters
 		for _, iso := range []int{30, 50} {
 			cfg := netgen.Config{
 				Hosts: hosts, Routers: 10, MaxServices: 3,
@@ -608,7 +558,7 @@ func TableVI() (Result, error) {
 			}
 			_, _ = syn.Solve()
 			st := syn.Stats()
-			sumStats(&sum, st)
+			sum.Add(st.Counters)
 			row = append(row, f2(float64(st.EstimatedBytes)/(1<<20)))
 		}
 		return row, sum, nil
@@ -716,7 +666,7 @@ func AblationMaximize() (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Totals.add(syn.Stats())
+	res.Totals = syn.Stats().Counters
 	res.Rows = append(res.Rows, []string{"binary_search", f2(iso), ms(time.Since(start))})
 
 	// Linear scan: raise the isolation slider one tenth at a time on a

@@ -4,7 +4,47 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+
+	"configsynth/internal/core"
+	"configsynth/internal/sat"
 )
+
+// TestRowTotalsSumEveryCounter runs runRows over rows that each sum two
+// solves' stats, as the scaling sweeps do, where every counter of every
+// solve has its own value: the totals are the field-wise sum of all of
+// them, so no counter of the record is dropped on the way to
+// confsweep -json.
+func TestRowTotalsSumEveryCounter(t *testing.T) {
+	fields := reflect.VisibleFields(reflect.TypeOf(sat.Counters{}))
+	solve := func(row, k int) (st core.ModelStats) {
+		for j := range fields {
+			reflect.ValueOf(&st.Counters).Elem().Field(j).SetInt(int64(1000*row + 100*k + j + 1))
+		}
+		return st
+	}
+	const rows = 3
+	_, got, err := runRows(rows, func(i int) ([]string, sat.Counters, error) {
+		var sum sat.Counters
+		for k := range 2 {
+			sum.Add(solve(i, k).Counters)
+		}
+		return nil, sum, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, f := range fields {
+		var want int64
+		for i := range rows {
+			for k := range 2 {
+				want += reflect.ValueOf(solve(i, k).Counters).Field(j).Int()
+			}
+		}
+		if v := reflect.ValueOf(got).Field(j).Int(); v != want {
+			t.Errorf("totals %s = %d, want the sum of the rows' %d", f.Name, v, want)
+		}
+	}
+}
 
 func TestNamesMatchRegistry(t *testing.T) {
 	reg := All()

@@ -11,6 +11,7 @@ import (
 	"configsynth/internal/core"
 	"configsynth/internal/faults"
 	"configsynth/internal/netgen"
+	"configsynth/internal/sat"
 )
 
 // attemptProblem is a netgen instance whose max-isolation descent
@@ -134,7 +135,7 @@ func TestAttemptIsOneSearch(t *testing.T) {
 		if s.extracted != plain.extracted {
 			t.Fatalf("%s: the attempt searched\n%+v\n, a plain check at the optimum\n%+v", name, s.extracted, plain.extracted)
 		}
-		if s.spent || s.probed != (core.ModelStats{}) {
+		if s.spent || s.probed != (sat.Counters{}) {
 			t.Fatalf("%s: template spent %v, probed %+v; want the attempt's answer alone", name, s.spent, s.probed)
 		}
 		// A route that tried the bound in a short first search and asked

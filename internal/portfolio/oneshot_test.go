@@ -12,6 +12,7 @@ import (
 	"configsynth/internal/core"
 	"configsynth/internal/faults"
 	"configsynth/internal/netgen"
+	"configsynth/internal/sat"
 )
 
 // oneShotProblem is a small netgen instance under a satisfiable or an
@@ -84,7 +85,7 @@ func askEngine(t *testing.T, s *Solver, query string) reply {
 // on where their cancellation landed.
 func canonicalStats(s *Solver) core.ModelStats {
 	st := s.shape
-	st.AddSearch(s.extracted)
+	st.Counters.Add(s.extracted)
 	return st
 }
 
@@ -124,7 +125,7 @@ func TestOneShotMatchesSession(t *testing.T) {
 					got, want := askEngine(t, oneShot, query), askEngine(t, session, query)
 					sameReply(t, label, got, want, oneShot, session)
 					optimised := query == "MinCost" || query == "MaxIsolation"
-					if !oneShot.spent && (!optimised || oneShot.probed != (core.ModelStats{})) || session.spent {
+					if !oneShot.spent && (!optimised || oneShot.probed != (sat.Counters{})) || session.spent {
 						t.Fatalf("%s: spent = %v on the one-shot engine (probed %+v), %v on the session", label, oneShot.spent, oneShot.probed, session.spent)
 					}
 				}

@@ -68,6 +68,7 @@ import (
 
 	"configsynth/internal/core"
 	"configsynth/internal/faults"
+	"configsynth/internal/sat"
 	"configsynth/internal/smt"
 )
 
@@ -104,13 +105,12 @@ type Solver struct {
 	// built in its memory; nothing reads its state. canonMu guards what a
 	// context watcher's goroutine reads while a query runs: live, spent
 	// and the tallies with it, and the assignment that fills work.
-	canonMu   sync.Mutex
-	live      []*core.Synthesizer
-	extracted core.ModelStats
-	probed    core.ModelStats
-	oneShot   bool
-	spent     bool
-	spare     *core.Synthesizer
+	canonMu           sync.Mutex
+	live              []*core.Synthesizer
+	extracted, probed sat.Counters
+	oneShot           bool
+	spent             bool
+	spare             *core.Synthesizer
 
 	// dead has one entry per raced worker and marks those whose last
 	// probe panicked: a panic may leave a solver's trail or clause
@@ -536,9 +536,8 @@ func (s *Solver) Explain() (ex *core.Explanation, err error) {
 	return ex, err
 }
 
-// Stats returns the model statistics with the dynamic search counters
-// (conflicts, decisions, propagations, restarts, interrupts, random
-// decisions): the sequential arm's own, or for an engine the shape of
+// Stats returns the model statistics with the search counters
+// (sat.Counters): the sequential arm's own, or for an engine the shape of
 // its template — as it was before any question spent it — with the
 // search of every raced worker and of every synthesizer its pool has
 // handed out.
@@ -548,11 +547,11 @@ func (s *Solver) Stats() core.ModelStats {
 	}
 	st := s.shape
 	for _, w := range s.work {
-		st.AddSearch(w.Stats())
+		st.Counters.Add(w.Stats().Counters)
 	}
 	s.canonMu.Lock()
-	st.AddSearch(s.extracted)
-	st.AddSearch(s.probed)
+	st.Counters.Add(s.extracted)
+	st.Counters.Add(s.probed)
 	s.canonMu.Unlock()
 	return st
 }

@@ -127,7 +127,7 @@ func (s *Solver) put(syn *core.Synthesizer, answered bool) {
 	s.canonMu.Lock()
 	i := slices.Index(s.live, syn)
 	s.live = slices.Delete(s.live, i, i+1)
-	tally.AddSearch(syn.Stats().Since(s.shape))
+	tally.Add(syn.Stats().Counters.Sub(s.shape.Counters))
 	s.canonMu.Unlock()
 	if !s.oneShot {
 		s.spare = syn

@@ -216,26 +216,29 @@ type Config struct {
 	ArenaCapWords int
 }
 
-// Stats aggregates solver counters, used by the performance experiments.
-type Stats struct {
-	Vars          int
-	Clauses       int
-	Learnts       int
-	Conflicts     int64
-	Decisions     int64
-	Propagations  int64
-	TheoryProps   int64
-	Restarts      int64
-	MaxTrail      int
-	LearntLitsSum int64
+// Counters are the solver's additive search counters. Each only grows
+// while the solver runs, so the counters of several solvers add up and
+// the work between two snapshots of one solver is their difference. This
+// is the one declaration of them: smt, core's ModelStats, the service's
+// /statsz and confsweep -json embed the record rather than copy its
+// fields, so a counter added here reaches every report.
+type Counters struct {
+	Conflicts    int64
+	Decisions    int64
+	Propagations int64
+	// TheoryProps counts literals a theory implied.
+	TheoryProps int64
+	Restarts    int64
+	// LubyRestarts and GeomRestarts split Restarts by schedule.
+	LubyRestarts int64
+	GeomRestarts int64
 	// RandomDecisions counts decisions taken by the diversification
 	// PRNG rather than the activity order.
 	RandomDecisions int64
 	// Interrupts counts Solve calls abandoned via Interrupt.
 	Interrupts int64
-	// LubyRestarts and GeomRestarts split Restarts by schedule.
-	LubyRestarts int64
-	GeomRestarts int64
+	// LearntLitsSum sums the lengths of the learnt clauses.
+	LearntLitsSum int64
 	// Inprocessing counters: Subsumed clauses removed by forward
 	// subsumption, Strengthened literals removed by self-subsuming
 	// resolution, Reduced learnt clauses dropped by database reduction,
@@ -246,6 +249,42 @@ type Stats struct {
 	Reduced      int64
 	RemovedSat   int64
 	ArenaGCs     int64
+}
+
+// Add adds b's counters to c.
+func (c *Counters) Add(b Counters) { c.add(&b, 1) }
+
+// Sub returns c less b: the work a solver did since snapshot b.
+func (c Counters) Sub(b Counters) Counters {
+	c.add(&b, -1)
+	return c
+}
+
+func (c *Counters) add(b *Counters, sign int64) {
+	c.Conflicts += sign * b.Conflicts
+	c.Decisions += sign * b.Decisions
+	c.Propagations += sign * b.Propagations
+	c.TheoryProps += sign * b.TheoryProps
+	c.Restarts += sign * b.Restarts
+	c.LubyRestarts += sign * b.LubyRestarts
+	c.GeomRestarts += sign * b.GeomRestarts
+	c.RandomDecisions += sign * b.RandomDecisions
+	c.Interrupts += sign * b.Interrupts
+	c.LearntLitsSum += sign * b.LearntLitsSum
+	c.Subsumed += sign * b.Subsumed
+	c.Strengthened += sign * b.Strengthened
+	c.Reduced += sign * b.Reduced
+	c.RemovedSat += sign * b.RemovedSat
+	c.ArenaGCs += sign * b.ArenaGCs
+}
+
+// Stats is a snapshot of a solver: its shape (variables, problem and
+// learnt clauses) and its Counters.
+type Stats struct {
+	Vars    int
+	Clauses int
+	Learnts int
+	Counters
 }
 
 // Solver is an incremental CDCL SAT solver.
@@ -300,7 +339,7 @@ type Solver struct {
 	rootUnsat   bool
 	maxLearnts  float64
 	budget      int64 // max conflicts; <0 = unlimited
-	stats       Stats
+	stats       Counters
 	model       []LBool
 	lubyRestart int64
 	geomBudget  float64
@@ -422,11 +461,7 @@ func (s *Solver) NumVars() int { return len(s.level) }
 
 // Stats returns a snapshot of the solver counters.
 func (s *Solver) Stats() Stats {
-	st := s.stats
-	st.Vars = s.NumVars()
-	st.Clauses = len(s.clauseRefs)
-	st.Learnts = len(s.learntRefs)
-	return st
+	return Stats{Vars: s.NumVars(), Clauses: len(s.clauseRefs), Learnts: len(s.learntRefs), Counters: s.stats}
 }
 
 // Reserve tells the solver how large the formula about to be added is:
@@ -663,9 +698,6 @@ func (s *Solver) enqueue(p Lit, from int32) bool {
 	s.trailPos[v] = int32(len(s.trail))
 	s.reason[v] = from
 	s.trail = append(s.trail, p)
-	if len(s.trail) > s.stats.MaxTrail {
-		s.stats.MaxTrail = len(s.trail)
-	}
 	for _, t := range s.theories {
 		t.Assign(p)
 	}

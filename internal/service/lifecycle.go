@@ -375,7 +375,8 @@ func (s *Service) query(j *Job, syn *portfolio.Solver, reused bool) (*core.Desig
 	defer func() {
 		s.panicsRecovered.Add(int64(syn.PanicsRecovered() - panicsBase))
 		s.mu.Lock()
-		s.totals.Add(syn.Stats().Since(statsBase))
+		s.totals.Add(syn.Stats())
+		s.totals.Counters = s.totals.Counters.Sub(statsBase.Counters)
 		s.mu.Unlock()
 	}()
 	return syn.Run(j.ctx, j.question())

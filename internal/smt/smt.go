@@ -703,52 +703,12 @@ func (s *Solver) Core() []Bool {
 	return out
 }
 
-// Stats describes the size of the solver state, used by the Table VI
-// (memory) experiment, plus the portfolio diversification counters.
+// Stats is the SAT solver's snapshot (its shape and sat.Counters) plus
+// the number of PB constraints the theory holds.
 type Stats struct {
-	Vars          int
-	Clauses       int
-	Learnts       int
+	sat.Stats
 	PBConstraints int
-	Conflicts     int64
-	Decisions     int64
-	Propagations  int64
-	Restarts      int64
-	// LubyRestarts and GeomRestarts split Restarts by schedule.
-	LubyRestarts int64
-	GeomRestarts int64
-	// Interrupts counts checks abandoned via Interrupt (portfolio
-	// losers), RandomDecisions the diversified branching decisions.
-	Interrupts      int64
-	RandomDecisions int64
-	// Inprocessing counters: clauses removed by forward subsumption,
-	// literals removed by self-subsuming resolution, learnt clauses
-	// dropped by database reduction, and clause-arena compactions.
-	Subsumed     int64
-	Strengthened int64
-	Reduced      int64
-	ArenaGCs     int64
 }
 
 // Stats returns a snapshot of solver counters.
-func (s *Solver) Stats() Stats {
-	st := s.sat.Stats()
-	return Stats{
-		Vars:            st.Vars,
-		Clauses:         st.Clauses,
-		Learnts:         st.Learnts,
-		PBConstraints:   s.th.NumConstraints(),
-		Conflicts:       st.Conflicts,
-		Decisions:       st.Decisions,
-		Propagations:    st.Propagations,
-		Restarts:        st.Restarts,
-		LubyRestarts:    st.LubyRestarts,
-		GeomRestarts:    st.GeomRestarts,
-		Interrupts:      st.Interrupts,
-		RandomDecisions: st.RandomDecisions,
-		Subsumed:        st.Subsumed,
-		Strengthened:    st.Strengthened,
-		Reduced:         st.Reduced,
-		ArenaGCs:        st.ArenaGCs,
-	}
-}
+func (s *Solver) Stats() Stats { return Stats{s.sat.Stats(), s.th.NumConstraints()} }

@@ -74,6 +74,14 @@ func TestFingerprintTwinsShareVerifiedDesigns(t *testing.T) {
 // link lines shuffled.
 func twinTexts(t *testing.T, seed int64) (string, string) {
 	t.Helper()
+	text := generatedText(t, seed)
+	return text, shuffled(text, "link ", seed)
+}
+
+// generatedText writes a generated 20-host, 16-router problem as spec
+// text.
+func generatedText(t *testing.T, seed int64) string {
+	t.Helper()
 	p, err := netgen.Generate(netgen.Config{Hosts: 20, Routers: 16, MaxServices: 2, CRFraction: 0.1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -82,22 +90,75 @@ func twinTexts(t *testing.T, seed int64) (string, string) {
 	if err := spec.WriteProblem(&sb, p); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(sb.String(), "\n")
+	return sb.String()
+}
+
+// shuffled returns text with the lines that start with prefix shuffled
+// among their own places.
+func shuffled(text, prefix string, seed int64) string {
+	lines := strings.Split(text, "\n")
 	var at []int
 	for i, l := range lines {
-		if strings.HasPrefix(l, "link ") {
+		if strings.HasPrefix(l, prefix) {
 			at = append(at, i)
 		}
 	}
-	links := make([]string, len(at))
+	picked := make([]string, len(at))
 	for i, j := range at {
-		links[i] = lines[j]
+		picked[i] = lines[j]
 	}
-	rand.New(rand.NewSource(seed)).Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	rand.New(rand.NewSource(seed)).Shuffle(len(picked), func(i, j int) { picked[i], picked[j] = picked[j], picked[i] })
 	for i, j := range at {
-		lines[j] = links[i]
+		lines[j] = picked[i]
 	}
-	return sb.String(), strings.Join(lines, "\n")
+	return strings.Join(lines, "\n")
+}
+
+// TestFingerprintTwinsSearchAlike: a text and its twins with the `link`
+// lines or the `require` lines shuffled encode byte for byte alike — one
+// solver digest before the search — and search alike: one Stats after
+// Solve, the model's shape and every solver counter. So the answer the
+// cache serves for a twin is the one its own solve would have found,
+// with the same effort. Ten generated networks at 5.0/3.0/$600; -short
+// runs seeds 10 and 20.
+func TestFingerprintTwinsSearchAlike(t *testing.T) {
+	th := core.Thresholds{IsolationTenths: 50, UsabilityTenths: 30, CostBudget: 600}
+	seeds := []int64{10, 20}
+	if !testing.Short() {
+		seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	}
+	for _, seed := range seeds {
+		text := generatedText(t, seed)
+		want, wantStats := digestAndStats(t, parseAt(t, text, th, 4))
+		for _, prefix := range []string{"link ", "require "} {
+			twin := shuffled(text, prefix, seed)
+			if twin == text {
+				t.Fatalf("seed=%d: shuffling %q lines left the text as it was", seed, prefix)
+			}
+			got, gotStats := digestAndStats(t, parseAt(t, twin, th, 4))
+			if got != want {
+				t.Errorf("seed=%d: shuffling %q lines changed the encode: digest %s, want %s", seed, prefix, got, want)
+			}
+			if gotStats != wantStats {
+				t.Errorf("seed=%d: shuffling %q lines changed the search:\n got %+v\nwant %+v", seed, prefix, gotStats, wantStats)
+			}
+		}
+	}
+}
+
+// digestAndStats returns the digest of p's freshly encoded solver and
+// its Stats after Solve.
+func digestAndStats(t *testing.T, p *core.Problem) (string, core.ModelStats) {
+	t.Helper()
+	syn, err := core.NewSynthesizer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := syn.Digest()
+	if _, err := syn.Solve(); err != nil && !core.IsUnsat(err) {
+		t.Fatal(err)
+	}
+	return digest, syn.Stats()
 }
 
 func parseAt(t *testing.T, text string, th core.Thresholds, maxRoutes int) *core.Problem {
