@@ -31,24 +31,35 @@ type Options struct {
 }
 
 // escalationWidth is the portfolio width for escalated subproblems.
-// Every subproblem is first attempted by a single solver under
-// regionBudget — cheap, and sufficient for almost all regions — but
-// threshold projection occasionally drops a region right on its
-// feasibility phase boundary, where a lone CDCL solver can be orders of
-// magnitude slower than a diversified race. Such regions blow their
-// budget and are re-solved by escalationWidth diversified racers.
+// Every subproblem is first attempted by a single solver on regionFuel
+// — cheap, and sufficient for almost all regions — but threshold
+// projection occasionally drops a region right on its feasibility phase
+// boundary, where a lone CDCL solver can be orders of magnitude slower
+// than a diversified race. Such regions spend their fuel and are
+// re-solved by escalationWidth diversified racers. On Campus 100/2
+// (3.0/4.0/$2 000) region r1 is one: a lone engine did not finish it in
+// 60 s, two racers took 1.3 s and four 0.6 s.
 const escalationWidth = 4
 
-// regionBudget is the wall-clock budget of the first, single-solver
-// attempt at each subproblem. A conflict budget cannot catch the
-// boundary-region pathology — the stalled search thrashes in decisions
-// and propagations, producing almost no conflicts — so the bound is
-// time. A region that exhausts it, or whose cost descent came back
-// truncated, escalates to the diversified portfolio with no extra
-// deadline. Negative skips the bounded attempt and solves every region
-// with the diversified portfolio directly. A test sets it to force or
-// skip escalation.
-var regionBudget = 10 * time.Second
+// regionFuel is the fuel of the first, single-solver attempt at each
+// subproblem, counted in SAT decisions (sat.Config.MaxDecisions). A
+// region that spends it, or whose cost descent came back truncated,
+// escalates to the diversified portfolio, bounded only by the problem's
+// probe budget and the caller's context. Counted work, unlike a wall
+// clock, stops every attempt at the same point on every machine, so a
+// region's cached answer is a function of its fingerprint.
+//
+// The unit is decisions, not conflicts: a stalled search thrashes in
+// decisions and propagations and learns almost nothing. The stalled
+// regions of Campus 100/1 (r0), 100/2 (r1) and 150/150 (r0), at 3.0/4.0
+// and $20 a host, spend the fuel in 1.2–2.4 s with only 806–1 220
+// conflicts, while regions that finish their attempt need up to 61 938.
+// In decisions the two separate: of 282 first attempts across the
+// decomp, service, experiments and root test suites, every one that
+// finished made at most 204 029 decisions (TestDecompDifferential
+// h20_d2_s2, r1). The old 10 s clock escalated the same stalled
+// regions, and each still ends on the exact optimum.
+const regionFuel = 300_000
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -76,9 +87,9 @@ type RegionReport struct {
 	// in-flight solve of the same fingerprint) instead of a fresh solve.
 	// A solve answered from a stored stitch reports every region cached.
 	Cached bool `json:"cached"`
-	// Escalated is true when the single-solver budgeted attempt blew
-	// its budget and the region was re-solved by the diversified
-	// portfolio.
+	// Escalated is true when the single-solver attempt spent its fuel
+	// (or came back truncated) and the region was re-solved by the
+	// diversified portfolio.
 	Escalated bool `json:"escalated,omitempty"`
 	// Unsat marks a subproblem with no design at the thresholds.
 	Unsat bool `json:"unsat,omitempty"`

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -427,61 +430,96 @@ func TestMonolithicFallback(t *testing.T) {
 	}
 }
 
+// TestRegionBudgetEscalation: on Campus 100/2 region r1 sits on its
+// projected thresholds' feasibility boundary, where a lone solver
+// stalls. Its first attempt spends regionFuel and escalates to the
+// diversified portfolio, which lands on the exact optimum; every other
+// region answers on its fuel.
 func TestRegionBudgetEscalation(t *testing.T) {
-	// A 1ns regionBudget makes every fresh region blow its bounded
-	// single-solver attempt's deadline, so each must escalate to the
-	// diversified portfolio and still land on the exact optimum.
-	mk := func() *core.Problem {
-		p := triCampus(t, false)
-		p.Thresholds.CostBudget = 300
-		return p
+	if testing.Short() {
+		t.Skip("solves a 100-host campus with a stalling region")
 	}
-	base, err := New(Options{}).Solve(context.Background(), mk())
+	p := campus(t, 100, 0, 2, core.Thresholds{IsolationTenths: 30, UsabilityTenths: 40, CostBudget: 2000})
+	res, err := New(Options{VerifyStitch: true}).Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Unsat || base.Design == nil {
-		t.Fatal("baseline campus unexpectedly unsat")
+	if res.Unsat || res.Fallback || res.Design == nil {
+		t.Fatalf("unsat=%v fallback=%v; want a stitched design", res.Unsat, res.Fallback)
 	}
-
-	defer func(old time.Duration) { regionBudget = old }(regionBudget)
-	regionBudget = time.Nanosecond
-	tiny, err := New(Options{}).Solve(context.Background(), mk())
-	if err != nil {
-		t.Fatal(err)
+	if !res.Design.Exact {
+		t.Error("stitched design is not exact; escalation must preserve exactness")
 	}
-	if tiny.Unsat || tiny.Design == nil {
-		t.Fatal("escalated solve unexpectedly unsat")
-	}
-	if tiny.Design.Cost != base.Design.Cost {
-		t.Errorf("escalated cost = %d, baseline = %d; escalation must preserve exactness",
-			tiny.Design.Cost, base.Design.Cost)
-	}
-	escalated := 0
-	for _, r := range tiny.Regions {
+	var escalated []string
+	for _, r := range res.Regions {
 		if r.Escalated {
-			escalated++
+			escalated = append(escalated, r.Key)
 		}
 	}
-	if escalated == 0 {
-		t.Error("no region escalated under RegionBudget=1")
+	if !slices.Equal(escalated, []string{"r1"}) {
+		t.Errorf("escalated regions %v, want [r1]", escalated)
 	}
-	if tiny.Stats.Propagations == 0 {
-		t.Error("Stats.Propagations = 0; solver statistics must be captured after the solve")
+	if res.Stats.Decisions < regionFuel {
+		t.Errorf("Stats.Decisions = %d, below the %d decisions r1 spent before escalating", res.Stats.Decisions, regionFuel)
 	}
+}
 
-	// A negative budget skips the bounded attempt entirely: regions go
-	// straight to the portfolio and never count as escalated.
-	regionBudget = -1
-	direct, err := New(Options{}).Solve(context.Background(), mk())
-	if err != nil {
-		t.Fatal(err)
+// TestRegionVerdictIgnoresLoad: a region's answer is a function of its
+// fingerprint, not of how busy the machine is. The 40-host campus of the
+// service's conservative-unsat test is solved once plainly and once on
+// one thread shared with busy goroutines, where each region takes
+// several times as long; both give the same design, the same solver
+// counters and no escalation.
+func TestRegionVerdictIgnoresLoad(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("solves a 40-host campus twice, once on a loaded thread")
 	}
-	for _, r := range direct.Regions {
-		if r.Escalated {
-			t.Errorf("region %s reported escalation with the bounded attempt disabled", r.Key)
+	p := campus(t, 40, 4, 1, core.Thresholds{IsolationTenths: 30, UsabilityTenths: 40, CostBudget: 800})
+	solve := func() *Result {
+		t.Helper()
+		res, err := New(Options{}).Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Unsat || res.Fallback {
+			t.Fatalf("unsat=%v fallback=%v; want a stitched design", res.Unsat, res.Fallback)
+		}
+		for _, r := range res.Regions {
+			if r.Escalated {
+				t.Errorf("region %s escalated", r.Key)
+			}
+		}
+		return res
 	}
+	plain := solve()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	stop := make(chan struct{})
+	var busy sync.WaitGroup
+	for range 2 {
+		busy.Add(1)
+		go func() {
+			defer busy.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	loaded := solve()
+	close(stop)
+	busy.Wait()
+
+	if plain.Stats != loaded.Stats {
+		t.Errorf("solver stats differ under load:\n%+v\nplain:\n%+v", loaded.Stats, plain.Stats)
+	}
+	if a, b := designDigest(plain.Design), designDigest(loaded.Design); a != b {
+		t.Errorf("design digest %s under load, %s plain", b, a)
+	}
+	t.Logf("plain %d ms, loaded %d ms", plain.ElapsedMS, loaded.ElapsedMS)
 }
 
 func TestBatchVariantsShareRegions(t *testing.T) {

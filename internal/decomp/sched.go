@@ -38,9 +38,9 @@ type regionResult struct {
 	// Stats are the solver model statistics for the subproblem,
 	// accumulated across the bounded attempt and any escalation.
 	Stats core.ModelStats
-	// Escalated is true when the bounded single-solver attempt blew its
-	// conflict budget (or had its cost descent truncated) and the
-	// subproblem was re-solved by the diversified portfolio.
+	// Escalated is true when the single-solver attempt spent its
+	// regionFuel (or had its cost descent truncated) and the subproblem
+	// was re-solved by the diversified portfolio.
 	Escalated bool
 	// ElapsedMS is the original solve time (a cache hit reports the
 	// cached value, not ~0, so reports stay meaningful).
@@ -184,16 +184,17 @@ func outcomesSnapshot(mu *sync.Mutex, outcomes map[string]*subOutcome, deps []st
 // so a boundary's cache key covers its interiors' designs — an edit
 // that changes an interior automatically misses on its boundaries too.
 //
-// A fresh solve is attempted single-solver first, under the regionBudget
-// wall-clock deadline. Most regions finish there in a fraction of the
-// portfolio's cost (a K-wide portfolio encodes the model once and clones
-// it K times, and pays one canonical extraction on top of the race). The
+// A fresh solve is attempted single-solver first, on regionFuel
+// decisions. Most regions finish there in a fraction of the portfolio's
+// cost (a K-wide portfolio encodes the model once and clones it K
+// times, and pays one canonical extraction on top of the race). The
 // rare region that sits on its projected thresholds' feasibility
-// boundary can stall a single search for minutes; when the bounded
-// attempt times out — or returns a truncated, inexact descent — the
-// region is re-solved by escalationWidth diversified racers with no extra
-// deadline. A definitive answer from the bounded attempt (an exact
-// design or an UNSAT proof) is final and never escalates.
+// boundary can stall a single search for minutes; when the attempt
+// spends its fuel — or returns a truncated, inexact descent — the
+// region is re-solved by escalationWidth diversified racers. A
+// definitive answer from the attempt (an exact design or an UNSAT
+// proof) is final and never escalates. The only clock is the caller's
+// context, whose expiry fails the solve.
 func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]*subOutcome) (*subOutcome, error) {
 	prob := sub.Prob
 	if len(deps) > 0 {
@@ -209,15 +210,14 @@ func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]
 	res, cached, err := s.cache.Do(ctx, fp, func() (*regionResult, error) {
 		start := time.Now()
 		rr := &regionResult{}
-		// run overwrites rr's outcome fields from one solve attempt and
-		// accumulates its stats. It returns the raw solver error so the
-		// caller can distinguish a blown deadline from a hard failure.
-		run := func(ctx context.Context, width int) error {
-			solver, err := portfolio.New(prob, width)
+		// run overwrites rr's outcome fields from one solve of p and
+		// accumulates its stats.
+		run := func(p *core.Problem, width int) error {
+			solver, err := portfolio.New(p, width)
 			if err != nil {
 				return err
 			}
-			design, err := solver.Run(ctx, core.Query{Optimise: core.ThresholdCost, Thresholds: prob.Thresholds})
+			design, err := solver.Run(ctx, core.Query{Optimise: core.ThresholdCost, Thresholds: p.Thresholds})
 			rr.Stats.Add(solver.Stats())
 			switch {
 			case err == nil:
@@ -237,27 +237,16 @@ func (s *Solver) solveSub(ctx context.Context, sub *Subproblem, deps map[string]
 			return nil
 		}
 
-		if budget := regionBudget; budget >= 0 {
-			actx, cancel := context.WithTimeout(ctx, budget)
-			err := run(actx, 1)
-			cancel()
-			switch {
-			case err == nil && rr.exact():
-				rr.ElapsedMS = time.Since(start).Milliseconds()
-				return rr, nil
-			case err == nil,
-				errors.Is(err, context.DeadlineExceeded),
-				errors.Is(err, core.ErrBudgetExceeded):
-				// Truncated descent, blown deadline, or a blown
-				// problem-level conflict budget: try harder.
-				rr.Escalated = true
-			default:
-				// Parent cancellation and hard failures propagate.
-				return nil, fmt.Errorf("decomp: subproblem %s: %w", sub.Key, err)
-			}
+		fueled := *prob
+		fueled.Options.Solver.MaxDecisions = regionFuel
+		err := run(&fueled, 1)
+		if rr.Stats.Decisions >= regionFuel || errors.Is(err, core.ErrBudgetExceeded) || err == nil && !rr.exact() {
+			// Spent fuel, a blown problem-level conflict budget or a
+			// truncated descent: try harder.
+			rr.Escalated = true
+			err = run(prob, escalationWidth)
 		}
-
-		if err := run(ctx, escalationWidth); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("decomp: subproblem %s: %w", sub.Key, err)
 		}
 		rr.ElapsedMS = time.Since(start).Milliseconds()

@@ -169,3 +169,42 @@ func TestPhaseTrue(t *testing.T) {
 		}
 	}
 }
+
+// TestDecisionCap checks MaxDecisions: Solve stops with Unknown after
+// exactly the capped number of lifetime decisions, every later Solve
+// answers Unknown without another decision, and a cap the search never
+// reaches changes nothing.
+func TestDecisionCap(t *testing.T) {
+	const fuel = 500
+	s := NewWith(Config{MaxDecisions: fuel})
+	php(t, s, 8, 7)
+	if st := s.Solve(); st != Unknown {
+		t.Fatalf("PHP(8,7) under a %d-decision cap = %v, want Unknown", fuel, st)
+	}
+	if got := s.Stats().Decisions; got != fuel {
+		t.Fatalf("stopped after %d decisions, want exactly %d", got, fuel)
+	}
+	for i, assume := range [][]Lit{nil, {PosLit(0)}, {NegLit(0), NegLit(1)}} {
+		if st := s.Solve(assume...); st != Unknown {
+			t.Fatalf("Solve %d after the cap = %v, want Unknown", i+2, st)
+		}
+		if got := s.Stats().Decisions; got != fuel {
+			t.Fatalf("Solve %d after the cap decided again: %d decisions", i+2, got)
+		}
+	}
+
+	free := New()
+	php(t, free, 7, 6)
+	if st := free.Solve(); st != Unsat {
+		t.Fatalf("PHP(7,6) = %v, want Unsat", st)
+	}
+	want := free.Stats().Counters
+	roomy := NewWith(Config{MaxDecisions: want.Decisions + 1})
+	php(t, roomy, 7, 6)
+	if st := roomy.Solve(); st != Unsat {
+		t.Fatalf("PHP(7,6) under a cap it never reaches = %v, want Unsat", st)
+	}
+	if got := roomy.Stats().Counters; got != want {
+		t.Errorf("a cap the search never reaches changed it: %+v, want %+v", got, want)
+	}
+}

@@ -214,6 +214,12 @@ type Config struct {
 	// negative. 0 keeps the 31-bit limit. Regression tests use small
 	// caps to exercise the overflow path on small instances.
 	ArenaCapWords int
+	// MaxDecisions is the solver's fuel: once its lifetime Decisions
+	// counter reaches it, Solve returns Unknown where it would decide
+	// again, so every later Solve returns Unknown without another
+	// decision. It counts work, not time, so where a search stops does
+	// not depend on the machine. 0 is unlimited.
+	MaxDecisions int64
 }
 
 // Counters are the solver's additive search counters. Each only grows
@@ -1154,7 +1160,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if status != Unknown {
 			return status
 		}
-		if s.interrupted.Load() {
+		if s.interrupted.Load() || s.outOfFuel() {
 			return Unknown
 		}
 		if s.budget >= 0 && s.stats.Conflicts-conflictsAtStart >= s.budget {
@@ -1251,6 +1257,9 @@ func (s *Solver) search(maxConflicts int64) Status {
 			break
 		}
 		if next == LitUndef {
+			if s.outOfFuel() {
+				return Unknown
+			}
 			next = s.pickBranch()
 			if next == LitUndef {
 				// Full assignment: theory has confirmed consistency
@@ -1266,6 +1275,12 @@ func (s *Solver) search(maxConflicts int64) Status {
 		s.newDecisionLevel()
 		s.enqueue(next, reasonNone)
 	}
+}
+
+// outOfFuel reports whether the solver has made Config.MaxDecisions
+// decisions.
+func (s *Solver) outOfFuel() bool {
+	return s.cfg.MaxDecisions > 0 && s.stats.Decisions >= s.cfg.MaxDecisions
 }
 
 func (s *Solver) pickBranch() Lit {
