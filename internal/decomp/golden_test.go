@@ -82,8 +82,9 @@ func rehome(t *testing.T, p *core.Problem, host, from, to topology.NodeID) *core
 // completion added, and every subproblem's key and cache fingerprint.
 // Route order fixes the subnetworks' link numbering and through it the
 // encodings, so all of it must survive the rebuild unchanged. The cache
-// fingerprints are those of spec.FingerprintVersion 3, whose one route
-// set per host pair left every design here as it was.
+// fingerprints are those of spec.FingerprintVersion 4: version 3's one
+// route set per host pair left every design here as it was, and version
+// 4 changed only how the hash is built.
 var campusGolden = map[string]struct {
 	design   string
 	cost     int64
@@ -95,9 +96,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 8f298396661ff7783191df7d5ec82ff4d7a69fb1c543194abad0474e5dcd4687",
-			"r1 13c9b1aba0489fd6f08c98641580f499e7d7933393304d577a52cf4cde9ef681",
-			"x0-1 d882cc62df63885327b1b3f49ad50e7f579efb98e8a41ed40f9875d7c7d0588e",
+			"r0 a28c63e9d44990300ffd2e14b3d448774acd2484189a86ca1fd34336c00cc355",
+			"r1 b85a273fd5d171e96f46afb14b8313ed9f6477460499a0d44a10fe819a5bd67c",
+			"x0-1 f2fa35b37b40ea2bdbc6a502c049e1f8be22c571029fa77596971120227d97b9",
 		},
 	},
 	"budget": {
@@ -105,9 +106,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 8f298396661ff7783191df7d5ec82ff4d7a69fb1c543194abad0474e5dcd4687",
-			"r1 13c9b1aba0489fd6f08c98641580f499e7d7933393304d577a52cf4cde9ef681",
-			"x0-1 d882cc62df63885327b1b3f49ad50e7f579efb98e8a41ed40f9875d7c7d0588e",
+			"r0 a28c63e9d44990300ffd2e14b3d448774acd2484189a86ca1fd34336c00cc355",
+			"r1 b85a273fd5d171e96f46afb14b8313ed9f6477460499a0d44a10fe819a5bd67c",
+			"x0-1 f2fa35b37b40ea2bdbc6a502c049e1f8be22c571029fa77596971120227d97b9",
 		},
 	},
 	"rehome-h10": {
@@ -115,9 +116,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 465c534b7525c60f0299d6153d1c91b13ff6b46d0de9b38b0eb930ea571f82a5",
-			"r1 13c9b1aba0489fd6f08c98641580f499e7d7933393304d577a52cf4cde9ef681",
-			"x0-1 f1ab2b094834c3720a67e3a06c145312e6539fcff36c9ea08505633bfcf54dd1",
+			"r0 4f5f79eeac82a11bf725ba6820b5f56a1045d3e43ce9c048f48005a336e23d7e",
+			"r1 b85a273fd5d171e96f46afb14b8313ed9f6477460499a0d44a10fe819a5bd67c",
+			"x0-1 43930eb681d790591a4ff5b8c048e384e0c2120a345beb08f14d60f09ad80693",
 		},
 	},
 	"rehome-h64": {
@@ -125,9 +126,9 @@ var campusGolden = map[string]struct {
 		cost:     10,
 		repaired: 0,
 		regions: []string{
-			"r0 8f298396661ff7783191df7d5ec82ff4d7a69fb1c543194abad0474e5dcd4687",
-			"r1 6a3cbdc54d197de022b5025728ebe483b3a26308d7c8cc630d0d9eab119eb54c",
-			"x0-1 5a6fd577a2649929c15480b231d502e89b5374b3f3fd2a562894c99c6b766d2c",
+			"r0 a28c63e9d44990300ffd2e14b3d448774acd2484189a86ca1fd34336c00cc355",
+			"r1 73f133b8ecbd219ea9b94ce9e0835711b6a8a5894e988248a7b5019e7dff1dc7",
+			"x0-1 821c934e1c5430373a8346f06530a0c3e7ca042ebb655ade19cd8bd8caad8b9e",
 		},
 	},
 }

@@ -17,7 +17,7 @@ import (
 // conservativeness for the client to judge. A design comes with the memo
 // its rendering is kept in (decomp.Result.Rendered).
 func (s *Service) solveDecomp(j *Job, res *Result) (*core.Design, []core.ThresholdKind, *decomp.Memo, error) {
-	dr, err := s.decomp.Solve(j.ctx, j.prob)
+	dr, err := s.decomp.SolveKeyed(j.ctx, j.prob, j.key)
 	if dr != nil {
 		s.mu.Lock()
 		s.totals.Add(dr.Stats)

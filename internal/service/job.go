@@ -192,11 +192,12 @@ type Job struct {
 	// Journal replay never sets it — a restarted service has no warm
 	// sessions, so replayed what-if jobs re-solve from scratch.
 	whatif bool
-	// fam memoises spec.FamilyFingerprint of the job's problem (family):
-	// a what-if session is keyed on it, and a threshold-only what-if
-	// child, whose family is its parent's, starts with it set.
-	fam     string
-	famOnce sync.Once
+	// key is the job's problem's key (spec.KeyOf), made in the one
+	// canonical pass of its admission: the job's Fingerprint is the key
+	// at the job's thresholds, its family — what a what-if session is
+	// keyed on — the key at zero thresholds, and a decomposed solve
+	// derives its stitch key from it.
+	key spec.Key
 	// src is the replayable origin retained for the journal and for an
 	// offload, which sends the job to a peer as spec text. nil for
 	// programmatic submissions that do not round-trip.
@@ -240,17 +241,6 @@ func (j *Job) problem() (*core.Problem, error) {
 		return j.prob, nil
 	}
 	return j.src.problem(j.Fingerprint)
-}
-
-// family returns the family fingerprint of p, the job's problem
-// (spec.FamilyFingerprint), computed at most once per job.
-func (j *Job) family(p *core.Problem) string {
-	j.famOnce.Do(func() {
-		if j.fam == "" {
-			j.fam = spec.FamilyFingerprint(p)
-		}
-	})
-	return j.fam
 }
 
 // State returns the job's current lifecycle state.

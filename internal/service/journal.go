@@ -122,11 +122,13 @@ func sourceFor(prob *core.Problem, fp string) *JobSource {
 	return &JobSource{Spec: sb.String()}
 }
 
-// scanned is a submission known by its fingerprint before its problem is
-// built: a spec that passed every check of spec.Scan, or a whole problem
-// that passed Validate. A cache hit needs no more than the fingerprint.
+// scanned is a submission known by its key and fingerprint before its
+// problem is built: a spec that passed every check of spec.Scan, or a
+// whole problem that passed Validate. A cache hit needs no more than the
+// fingerprint.
 type scanned struct {
-	fp   string
+	key  spec.Key
+	fp   string // key at the submission's thresholds
 	spec *spec.Spec
 	prob *core.Problem // set for a problem submitted whole; spec is nil then
 }
@@ -152,8 +154,8 @@ func (in scanned) problem() (*core.Problem, error) {
 	return p, nil
 }
 
-// scan reads a non-empty source and fingerprints it. A spec is scanned,
-// not built; the paper example is built and validated, as it is small.
+// scan reads a non-empty source and keys it. A spec is scanned, not
+// built; the paper example is built and validated, as it is small.
 func (src *JobSource) scan() (scanned, error) {
 	if src.Example {
 		p := netgen.PaperExample()
@@ -161,13 +163,15 @@ func (src *JobSource) scan() (scanned, error) {
 			return scanned{}, err
 		}
 		p.Network = p.Network.Sorted()
-		return scanned{fp: spec.Fingerprint(p), prob: p}, nil
+		k := spec.KeyOf(p)
+		return scanned{key: k, fp: k.At(p.Thresholds), prob: p}, nil
 	}
 	sp, err := spec.Scan(src.Spec)
 	if err != nil {
 		return scanned{}, err
 	}
-	return scanned{fp: sp.Fingerprint(), spec: sp}, nil
+	k := sp.Key()
+	return scanned{key: k, fp: k.At(sp.Thresholds()), spec: sp}, nil
 }
 
 // check scans a journaled or shipped source and confirms it still hashes

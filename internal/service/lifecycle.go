@@ -64,7 +64,7 @@ func (s *Service) admit(j *Job, timeout time.Duration, parent context.Context) b
 func (s *Service) readmit(rec submitRecord) (*Job, bool) {
 	in, err := rec.check(rec.Fingerprint)
 	j := newJob(rec.ID, rec.Mode, in.prob, rec.Fingerprint)
-	j.journaled = true
+	j.key, j.journaled = in.key, true
 	j.src = &rec.JobSource
 	if err == nil {
 		if !s.admit(j, time.Duration(rec.TimeoutMS)*time.Millisecond, nil) {
@@ -346,7 +346,7 @@ func (s *Service) solveMono(j *Job, res *Result) (*core.Design, []core.Threshold
 func (s *Service) solverFor(j *Job) (syn *portfolio.Solver, reused bool, err error) {
 	build := portfolio.NewRacing
 	if j.whatif {
-		family := j.family(j.prob)
+		family := j.key.At(core.Thresholds{})
 		if sess, ok := s.sessions.Take(family); ok {
 			if rerr := sess.RetargetFamily(j.prob, family); rerr == nil {
 				return sess, true, nil

@@ -601,12 +601,9 @@ type SubmitOptions struct {
 	// queue, results) is identical to an ordinary submission, which is
 	// what keeps what-if answers cache-compatible with /v1/synthesize.
 	whatif bool
-	// family, when set, is the problem's family fingerprint, known
-	// already: a threshold-only what-if's is its parent's.
-	family string
 }
 
-// Submit validates and fingerprints the problem, answers from the cache
+// Submit validates and keys the problem, answers from the cache
 // when it can, and otherwise enqueues a job. The returned Job is
 // terminal already on a cache hit. ErrQueueFull signals backpressure.
 // The job holds a copy of prob with its flows in CompareFlows order and
@@ -622,7 +619,8 @@ func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
 	p.Network = p.Network.Sorted()
-	return s.submit(scanned{fp: spec.Fingerprint(&p), prob: &p}, opts)
+	k := spec.KeyOf(&p)
+	return s.submit(scanned{key: k, fp: k.At(p.Thresholds), prob: &p}, opts)
 }
 
 // submit is every submission once its fingerprint is known: one cache
@@ -637,7 +635,7 @@ func (s *Service) submit(in scanned, opts SubmitOptions) (*Job, error) {
 		return nil, &BadRequestError{Msg: fmt.Sprintf("unknown mode %q", opts.Mode)}
 	}
 	j := newJob(s.newJobID(), opts.Mode, in.prob, in.fp)
-	j.whatif, j.src, j.fam = opts.whatif, opts.Source, opts.family
+	j.key, j.whatif, j.src = in.key, opts.whatif, opts.Source
 	if !s.admit(j, opts.Timeout, opts.Parent) {
 		s.submitted.Add(1)
 		return j, nil

@@ -78,11 +78,6 @@ func (s *Service) WhatIf(parentID string, delta WhatIfDelta, opts SubmitOptions)
 		return nil, &BadRequestError{Msg: "mode decomp does not support what-if sessions; resubmit the modified problem with mode=decomp"}
 	}
 	opts.whatif = true
-	if len(delta.AddLinks) == 0 && len(delta.DropLinks) == 0 {
-		// Thresholds are all the family leaves out: the child's family
-		// is the parent's, which is canonicalised once per parent.
-		opts.family = parent.family(base)
-	}
 	return s.Submit(prob, opts)
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"configsynth/internal/core"
 	"configsynth/internal/faults"
 	"configsynth/internal/spec"
 	"configsynth/internal/topology"
@@ -171,11 +172,10 @@ func TestHTTPWhatIfRejections(t *testing.T) {
 	}
 }
 
-// TestWhatIfFamilies: a threshold-only what-if takes its family from
-// its parent, canonicalised once for the parent however many children
-// ask, and lands on the parent family's session; a link delta is of
-// another family, which it canonicalises itself, and gets a session of
-// its own.
+// TestWhatIfFamilies: a job's family is its admission key at zero
+// thresholds. A threshold-only what-if is of its parent's family and
+// lands on the parent family's session; a link delta is of another
+// family and gets a session of its own.
 func TestWhatIfFamilies(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 	parent, err := submitSpec(t, s, specVariant(3), ModeSolve)
@@ -204,13 +204,12 @@ func TestWhatIfFamilies(t *testing.T) {
 				t.Fatal("the link delta stayed in its parent's family")
 			}
 		}
-		// family(nil) would panic on a family it had to canonicalise now.
-		if got := child.family(nil); got != want {
+		if got := child.key.At(core.Thresholds{}); got != want {
 			t.Fatalf("delta %d %s: family %.12s, want %.12s", i, c.delta, got, want)
 		}
 	}
-	if parent.fam != family {
-		t.Fatalf("the parent memoised family %.12s, want %.12s", parent.fam, family)
+	if got := parent.key.At(core.Thresholds{}); got != family {
+		t.Fatalf("the parent's key gives family %.12s, want %.12s", got, family)
 	}
 	if n := s.Stats().Sessions.Entries; n != 2 {
 		t.Fatalf("%d warm sessions, want one per family (2)", n)

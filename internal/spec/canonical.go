@@ -42,13 +42,13 @@ func Canonical(p *core.Problem) []byte {
 }
 
 // canonWriter writes the canonical form line by line; every line format
-// is spelled once, here, for Canonical, Fingerprint and
-// (*Spec).Fingerprint alike. The per-node, per-link, per-preplacement
-// and per-flow lines — all but a few dozen bytes of a large problem —
-// are appended with strconv; fmt formats only the handful of lines whose
-// count does not grow with the network. With h nil the writer collects
-// the whole form in b. With h set it hashes b whenever a line takes it
-// past flushAt, so a fingerprint never holds the form whole.
+// is spelled once, here, for Canonical, KeyOf and (*Spec).Key alike. The
+// per-node, per-link, per-preplacement and per-flow lines — all but a
+// few dozen bytes of a large problem — are appended with strconv; fmt
+// formats only the handful of lines whose count does not grow with the
+// network. With h nil the writer collects the whole form in b. With h
+// set it hashes b whenever a line takes it past flushAt, so a key never
+// holds the form whole.
 type canonWriter struct {
 	b []byte
 	h hash.Hash
@@ -58,18 +58,17 @@ type canonWriter struct {
 // the hash.
 const flushAt = 2 << 10
 
-// newHasher starts a fingerprint: the format-version byte, then the
-// canonical form as it is written.
-func newHasher(version byte) canonWriter {
-	h := sha256.New()
-	h.Write([]byte{version})
-	return canonWriter{b: make([]byte, 0, flushAt+512), h: h}
+// newHasher starts a body digest: the canonical lines below the
+// thresholds line, hashed as they are written.
+func newHasher() canonWriter {
+	return canonWriter{b: make([]byte, 0, flushAt+512), h: sha256.New()}
 }
 
-// sum hashes what is left in the buffer and returns the hex digest.
-func (w *canonWriter) sum() string {
+// sum hashes what is left in the buffer and returns the digest.
+func (w *canonWriter) sum() (d [sha256.Size]byte) {
 	w.h.Write(w.b)
-	return hex.EncodeToString(w.h.Sum(nil))
+	w.h.Sum(d[:0])
+	return d
 }
 
 // endLine ends the line being written.
@@ -81,9 +80,15 @@ func (w *canonWriter) endLine() {
 	}
 }
 
-// problem writes the canonical form of p.
+// problem writes the canonical form of p: its head, then its body.
 func (w *canonWriter) problem(p *core.Problem) {
-	w.head(p.Options.Normalized(), p.Thresholds)
+	w.b = appendHead(w.b, headOptionsOf(p.Options), p.Thresholds)
+	w.body(p)
+}
+
+// body writes everything of p's canonical form below the thresholds
+// line.
+func (w *canonWriter) body(p *core.Problem) {
 	if p.Network != nil {
 		// Node IDs are dense, so counting up is ascending ID order.
 		for id := 0; id < p.Network.NumNodes(); id++ {
@@ -148,15 +153,40 @@ func (w *canonWriter) problem(p *core.Problem) {
 	}
 }
 
-// head writes the format line, the options and the thresholds.
-func (w *canonWriter) head(opt core.Options, th core.Thresholds) {
-	w.b = append(w.b, "configsynth-canon/1\n"...)
-	w.b = fmt.Appendf(w.b, "options tunnel=%d alpha=%d maxroutes=%d maxhops=%d noft=%t sbudget=%d pbudget=%d\n",
-		opt.TunnelSlackHops, opt.AlphaPct, opt.Routes.MaxRoutes, opt.Routes.MaxHops,
-		opt.DisableFlowTheory, opt.SolverBudget, opt.ProbeBudget)
-	w.b = fmt.Appendf(w.b, "thresholds iso=%d usa=%d cost=%d",
-		th.IsolationTenths, th.UsabilityTenths, th.CostBudget)
-	w.endLine()
+// appendHead appends the head of a canonical form to b: the format
+// line, the options and the thresholds. Every fingerprint renders one
+// (Key.At), so it is appended with strconv, not fmt.
+func appendHead(b []byte, opt headOptions, th core.Thresholds) []byte {
+	b = strconv.AppendInt(append(b, "configsynth-canon/1\noptions tunnel="...), int64(opt.tunnel), 10)
+	b = strconv.AppendInt(append(b, " alpha="...), int64(opt.alpha), 10)
+	b = strconv.AppendInt(append(b, " maxroutes="...), int64(opt.maxRoutes), 10)
+	b = strconv.AppendInt(append(b, " maxhops="...), int64(opt.maxHops), 10)
+	b = strconv.AppendBool(append(b, " noft="...), opt.noFlowTheory)
+	b = strconv.AppendInt(append(b, " sbudget="...), opt.solverBudget, 10)
+	b = strconv.AppendInt(append(b, " pbudget="...), opt.probeBudget, 10)
+	b = strconv.AppendInt(append(b, "\nthresholds iso="...), int64(th.IsolationTenths), 10)
+	b = strconv.AppendInt(append(b, " usa="...), int64(th.UsabilityTenths), 10)
+	b = strconv.AppendInt(append(b, " cost="...), th.CostBudget, 10)
+	return append(b, '\n')
+}
+
+// headOptions are the options the canonical head writes, with their
+// defaults filled in: what Canonical keeps of core.Options.
+type headOptions struct {
+	tunnel, alpha, maxRoutes, maxHops int
+	solverBudget, probeBudget         int64
+	noFlowTheory                      bool
+}
+
+// headOptionsOf normalises o and keeps what the head writes.
+func headOptionsOf(o core.Options) headOptions {
+	o = o.Normalized()
+	return headOptions{
+		tunnel: o.TunnelSlackHops, alpha: o.AlphaPct,
+		maxRoutes: o.Routes.MaxRoutes, maxHops: o.Routes.MaxHops,
+		solverBudget: o.SolverBudget, probeBudget: o.ProbeBudget,
+		noFlowTheory: o.DisableFlowTheory,
+	}
 }
 
 // writeNode writes one node line. The name is a string, or bytes a
@@ -248,13 +278,12 @@ func appendInts(b []byte, vals ...int64) []byte {
 	return b
 }
 
-// Fingerprint is the fingerprint of the problem the spec denotes,
-// Fingerprint(sp.Problem()), computed without building it: the same
-// canonical lines, generated from the spec's counts and tables in the
-// order Canonical sorts a built problem into, streamed into the hash.
-func (sp *Spec) Fingerprint() string {
-	w := newHasher(FingerprintVersion)
-	w.head(core.Options{}.Normalized(), sp.thresholds)
+// Key is the key of the problem the spec denotes, KeyOf(sp.Problem()),
+// computed without building it: the same canonical lines, generated from
+// the spec's counts and tables in the order Canonical sorts a built
+// problem into, streamed into the hash.
+func (sp *Spec) Key() Key {
+	w := newHasher()
 	var name [24]byte
 	for i := 1; i <= sp.hosts; i++ {
 		writeNode(&w, nodeID(i), topology.Host, strconv.AppendInt(append(name[:0], 'h'), int64(i), 10))
@@ -282,8 +311,15 @@ func (sp *Spec) Fingerprint() string {
 			}
 		}
 	}
-	return w.sum()
+	return Key{opt: headOptionsOf(core.Options{}), body: w.sum()}
 }
+
+// Fingerprint is the fingerprint of the problem the spec denotes,
+// Fingerprint(sp.Problem()).
+func (sp *Spec) Fingerprint() string { return sp.Key().At(sp.thresholds) }
+
+// Thresholds are the spec's slider values.
+func (sp *Spec) Thresholds() core.Thresholds { return sp.thresholds }
 
 // FingerprintVersion identifies the canonical-encoding format. It is
 // the first byte of the Fingerprint hash input, so any change to the
@@ -296,30 +332,50 @@ func (sp *Spec) Fingerprint() string {
 // not a silent universal cache miss. A change to what a fingerprint's
 // problem means bumps it too: at 3, a host pair has one route set,
 // searched from its smaller endpoint, so an answer proven under the
-// directional route sets of 2 is a miss, never served.
-const FingerprintVersion byte = 3
+// directional route sets of 2 is a miss, never served. So does a change
+// to how the hash is built: at 4, a fingerprint hashes the head over the
+// body's digest (Key.At), not the canonical form whole.
+const FingerprintVersion byte = 4
 
-// Fingerprint hashes the canonical serialization of a problem, prefixed
-// with the format-version byte, to a stable hex cache key.
-func Fingerprint(p *core.Problem) string {
-	return fingerprintAt(FingerprintVersion, p)
+// Key is a problem's cache key before its thresholds are chosen: the
+// options its canonical head writes, and the SHA-256 digest of its
+// canonical body, everything of Canonical below the thresholds line.
+// One streaming pass over the body makes it (KeyOf, (*Spec).Key); every
+// fingerprint of the problem at any thresholds is then one hash of a
+// few hundred bytes (At). Two problems have equal keys exactly when
+// they differ at most in thresholds and in what Canonical leaves out.
+type Key struct {
+	opt  headOptions
+	body [sha256.Size]byte
 }
 
-// fingerprintAt hashes a problem under an explicit format version; the
-// version-bump test uses it to prove a bump changes every fingerprint.
-func fingerprintAt(version byte, p *core.Problem) string {
-	w := newHasher(version)
-	w.problem(p)
-	return w.sum()
+// KeyOf makes p's key in one pass over its canonical body.
+func KeyOf(p *core.Problem) Key {
+	w := newHasher()
+	w.body(p)
+	return Key{opt: headOptionsOf(p.Options), body: w.sum()}
 }
 
-// FamilyFingerprint hashes the problem with its thresholds zeroed: two
-// problems share a family fingerprint exactly when they differ only in
-// threshold values. What-if sessions key on it — a session's encoded
+// At is the fingerprint of the key's problem at thresholds th:
+// hex(sha256(version ‖ head(options, th) ‖ body digest)).
+func (k Key) At(th core.Thresholds) string { return k.at(FingerprintVersion, th) }
+
+// at is At under an explicit format version; the version-bump test uses
+// it to prove a bump changes every fingerprint.
+func (k Key) at(version byte, th core.Thresholds) string {
+	var buf [256]byte
+	b := appendHead(append(buf[:0], version), k.opt, th)
+	sum := sha256.Sum256(append(b, k.body[:]...))
+	return hex.EncodeToString(sum[:])
+}
+
+// Fingerprint is p's result-cache key: the hash of its canonical form,
+// through its key (KeyOf(p).At(p.Thresholds)).
+func Fingerprint(p *core.Problem) string { return KeyOf(p).At(p.Thresholds) }
+
+// FamilyFingerprint is the fingerprint of p with its thresholds zeroed:
+// two problems share a family fingerprint exactly when they differ only
+// in threshold values. What-if sessions key on it — a session's encoded
 // workers can be re-solved under new threshold assumptions, but only
 // for a problem whose every non-threshold part is unchanged.
-func FamilyFingerprint(p *core.Problem) string {
-	q := *p
-	q.Thresholds = core.Thresholds{}
-	return Fingerprint(&q)
-}
+func FamilyFingerprint(p *core.Problem) string { return KeyOf(p).At(core.Thresholds{}) }

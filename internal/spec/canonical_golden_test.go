@@ -188,37 +188,37 @@ func goldenProblems(t testing.TB) map[string]*core.Problem {
 
 // goldenFingerprints are Fingerprint and FamilyFingerprint of the golden
 // problems: the fmt-based Canonical's bytes (the reference above) hashed
-// behind FingerprintVersion 3. Journals, the result cache and cluster
+// behind FingerprintVersion 4, the head over the body's digest. Journals, the result cache and cluster
 // routing key on them, so they may change only together with
 // FingerprintVersion.
 var goldenFingerprints = map[string][2]string{
 	"campus-100-100": {
-		"a2f88bc45545136f2f22e2e62dfe0f48aa11cf7ae5ed383d21a65cf1a519c489",
-		"485299f379bf141586a190adb508a31ea05e4014932e2d2557e73cf7eb5d8917",
+		"743f52cbac4a9fe89f2264ebdb1d27294129f3c1699929a278df43978614fc65",
+		"db1185b70a62979f00e0b828980e9bcfdf554a5ddb4c914eb7c9c67b9ebe796a",
 	},
 	"example-spec": {
-		"0772925317f873d50a778c6740d4f16e083795db9ffa850959cabfcb994a8d1d",
-		"de6a95e6b7c4ebb676e3c3ad2666274fe2b4432dec6e7f9b628435d17f424075",
+		"cfb345b0def59aa5704ed7513c6b3efee60c230f66d14a00c60572665c497d7d",
+		"d58e4211842dd22d4cdbaf10687d5da5aa1b5cd10780462c4e052a8653ce5d50",
 	},
 	"grammar-24x6": {
-		"39efd6fb0c355027e7d578a4543ea3725aee238797c0c5dabef208045ef7680c",
-		"1c8cfa403adf7b7536a9aeb526d2bad17259067c44c1d08f86cde956b818c865",
+		"03788c3b9ff9318953493c80c7ca292a94eff2e7b8ca1f251bf69e9fe2259096",
+		"7d3cdb8b191897a2cd31a161a8fb8a09bec9be245221cff3c9f23611198808c1",
 	},
 	"grammar-46x10": {
-		"5de1b6f138fafe25cbd1b12130ede6c239b8ee1f2fa20c7c658f7d40ac7a2868",
-		"a5213c5d0395515e8f2b1e4815471a5f3c701d9e6ecb7e958a58e5d957f203e3",
+		"b143feed4b0c6d3fcd3ef76f15f5a6dba97f33c08fa3aa8524b56685039c6119",
+		"06a622359399a8a6f77c1b78e0c045237ac7268111de2de0f4a494015ac69140",
 	},
 	"grammar-60x10": {
-		"e0a83db121dbe314ece7c327bbac04e577fa4b98c83406f5a6a7a4cc48d0b477",
-		"800f7cfa6bb23e1c6adb15b3c2fbfdb2478fd5d0b834b031fe5ff191c39b1748",
+		"f6ad820b4a0c41998e7e36ca42dc879dd7ff2a3cba97a5a8ba39c4f086dd873d",
+		"4c0335608f4e848f42afc93c34181d47f1ed0fe9644e55063cd1bf9b93106386",
 	},
 	"paper": {
-		"54d20e2f4d18630101b8857c9acdafd5e6102da17b00c0f6f62f61f13430320f",
-		"6fc96b7f466d64d2a8ec474797337662f623578e8c79e5320d30b34f06212f15",
+		"0b0fc2d89f69b5aa99d2c08275db8f4e4e3c6048f623d68dc0b9dd93735daa08",
+		"a351eba3a89d9ec0d71d95e5f9c58633b4aa27a69fa1fdaf012d6af8a1881252",
 	},
 	"paper-decorated": {
-		"93210c263f8e58bd3b3a6116720249dace5fe58c0c1c2c1e960aeb9796032a15",
-		"d27add49a6395ba6544023b06292be1e75007dd9eba4c08205fbda368800e604",
+		"8885860fafa25aad4c666381c5af9580f126acc09ebf59240f886d74d9aca4b4",
+		"511d0bffdef7afe96fd735dcca83d98f706674a17690af69083e5e73c077415d",
 	},
 }
 
@@ -236,13 +236,28 @@ func TestCanonicalGoldenBytes(t *testing.T) {
 		if fps != goldenFingerprints[name] {
 			t.Errorf("%s: fingerprints %v, recorded %v", name, fps, goldenFingerprints[name])
 		}
-		// The hash input is the version byte followed by the canonical
-		// bytes, nothing else.
-		sum := sha256.Sum256(append([]byte{FingerprintVersion}, want...))
+		// The hash input is the version byte, the reference's head (its
+		// lines up to and including the thresholds line) and the digest
+		// of the rest of its lines, nothing else.
+		head, body := splitHead(t, want)
+		bodySum := sha256.Sum256(body)
+		sum := sha256.Sum256(append(append([]byte{FingerprintVersion}, head...), bodySum[:]...))
 		if hex.EncodeToString(sum[:]) != fps[0] {
-			t.Errorf("%s: Fingerprint is not sha256(version || reference canonical)", name)
+			t.Errorf("%s: Fingerprint is not sha256(version || reference head || sha256(reference body))", name)
 		}
 	}
+}
+
+// splitHead cuts a canonical form after its thresholds line: the head a
+// Key renders at each thresholds, and the body it digests once.
+func splitHead(t *testing.T, canon []byte) (head, body []byte) {
+	t.Helper()
+	at := bytes.Index(canon, []byte("\nthresholds "))
+	if at < 0 {
+		t.Fatal("canonical form has no thresholds line")
+	}
+	end := at + 1 + bytes.IndexByte(canon[at+1:], '\n') + 1
+	return canon[:end], canon[end:]
 }
 
 // firstDiff renders the first line on which two serializations differ.

@@ -149,14 +149,15 @@ func TestFingerprintVersionBumpChangesEveryFingerprint(t *testing.T) {
 	}
 	probs["generated"] = gen
 	for name, p := range probs {
-		cur := fingerprintAt(FingerprintVersion, p)
+		k := KeyOf(p)
+		cur := k.at(FingerprintVersion, p.Thresholds)
 		if cur != Fingerprint(p) {
-			t.Errorf("%s: fingerprintAt(FingerprintVersion) disagrees with Fingerprint", name)
+			t.Errorf("%s: at(FingerprintVersion) disagrees with Fingerprint", name)
 		}
-		if next := fingerprintAt(FingerprintVersion+1, p); next == cur {
+		if next := k.at(FingerprintVersion+1, p.Thresholds); next == cur {
 			t.Errorf("%s: version bump did not change the fingerprint", name)
 		}
-		if prev := fingerprintAt(FingerprintVersion-1, p); prev == cur {
+		if prev := k.at(FingerprintVersion-1, p.Thresholds); prev == cur {
 			t.Errorf("%s: version rollback did not change the fingerprint", name)
 		}
 	}

@@ -18,9 +18,8 @@
 //	sliders      <isolation> <usability> <cost$K>   isolation/usability on 0–10, decimals allowed
 //
 // Reading a file has two steps. Scan checks it and keeps what it says, a
-// Spec; the Spec's Fingerprint hashes the problem the file denotes
-// without building it, and its Problem builds it. Parse is the two steps
-// in one.
+// Spec; the Spec's Key hashes the problem the file denotes without
+// building it, and its Problem builds it. Parse is the two steps in one.
 package spec
 
 import (

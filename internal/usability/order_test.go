@@ -69,3 +69,57 @@ func TestSortedFlowsKeepsSortedInput(t *testing.T) {
 		t.Errorf("SortedFlows on sorted input allocates %.0f times, want 0", allocs)
 	}
 }
+
+// TestRadixSortMatchesSlicesSort holds radixSort to slices.Sort on
+// random keys of every width from 1 to 64 bits, with duplicates, and on
+// 0, 1 and 2 keys.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for width := uint(1); width <= 64; width++ {
+		mask := uint64(1)<<width - 1 // all ones at 64
+		for _, n := range []int{0, 1, 2, 3, 100, 2000} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				if i > 0 && rng.Intn(4) == 0 {
+					keys[i] = keys[rng.Intn(i)] // a duplicate
+				} else {
+					keys[i] = rng.Uint64() & mask
+				}
+			}
+			if n > 0 {
+				keys[rng.Intn(n)] = mask // the widest key
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			radixSort(keys, width)
+			if !slices.Equal(keys, want) {
+				t.Fatalf("width %d, %d keys: radixSort disagrees with slices.Sort", width, n)
+			}
+		}
+	}
+}
+
+// TestSortFlowsPacksOnlyWhatFits: flows whose fields span the whole
+// int32 range need 96 bits and take the CompareFlows fallback; services
+// at math.MinInt32 and math.MaxInt32 alone, with narrow hosts, pack.
+func TestSortFlowsPacksOnlyWhatFits(t *testing.T) {
+	wide := []Flow{
+		{Src: math.MaxInt32, Dst: math.MinInt32, Svc: math.MaxInt32},
+		{Src: math.MinInt32, Dst: math.MaxInt32, Svc: math.MinInt32},
+	}
+	if _, ws, wd, wv := keyWidths(wide); ws+wd+wv <= 64 {
+		t.Errorf("full-range flows pack into %d bits, want the fallback", ws+wd+wv)
+	}
+	services := []Flow{{Src: 0, Dst: 1, Svc: math.MaxInt32}, {Src: 6, Dst: 0, Svc: 0}, {Src: 0, Dst: 1, Svc: math.MinInt32}}
+	if _, ws, wd, wv := keyWidths(services); ws+wd+wv > 64 {
+		t.Errorf("extreme services on narrow hosts need %d bits, want them packed", ws+wd+wv)
+	}
+	for _, flows := range [][]Flow{wide, services} {
+		got, want := slices.Clone(flows), slices.Clone(flows)
+		sortFlows(got)
+		slices.SortFunc(want, CompareFlows)
+		if !slices.Equal(got, want) {
+			t.Errorf("sortFlows(%v) = %v, want %v", flows, got, want)
+		}
+	}
+}

@@ -49,23 +49,14 @@ func SortedFlows(flows []Flow) []Flow {
 
 // sortFlows puts flows in CompareFlows order in place. It packs each
 // flow's offsets from the per-field minima into one uint64, highest
-// field in the highest bits, and sorts the keys with no comparator
-// call; fields whose ranges do not fit 64 bits together fall back to
-// CompareFlows.
+// field in the highest bits, and radix-sorts the keys, with no
+// comparator call; fields whose ranges do not fit 64 bits together fall
+// back to CompareFlows.
 func sortFlows(flows []Flow) {
 	if len(flows) < 2 {
 		return
 	}
-	lo, hi := flows[0], flows[0]
-	for _, f := range flows[1:] {
-		lo = Flow{Src: min(lo.Src, f.Src), Dst: min(lo.Dst, f.Dst), Svc: min(lo.Svc, f.Svc)}
-		hi = Flow{Src: max(hi.Src, f.Src), Dst: max(hi.Dst, f.Dst), Svc: max(hi.Svc, f.Svc)}
-	}
-	// Offsets are taken in uint32, where a difference of two int32s
-	// never overflows.
-	ws := uint(bits.Len32(uint32(hi.Src) - uint32(lo.Src)))
-	wd := uint(bits.Len32(uint32(hi.Dst) - uint32(lo.Dst)))
-	wv := uint(bits.Len32(uint32(hi.Svc) - uint32(lo.Svc)))
+	lo, ws, wd, wv := keyWidths(flows)
 	if ws+wd+wv > 64 {
 		slices.SortFunc(flows, CompareFlows)
 		return
@@ -76,7 +67,7 @@ func sortFlows(flows []Flow) {
 			uint64(uint32(f.Dst)-uint32(lo.Dst))<<wv |
 			uint64(uint32(f.Svc)-uint32(lo.Svc))
 	}
-	slices.Sort(keys)
+	radixSort(keys, ws+wd+wv)
 	mask := func(w uint) uint64 { return 1<<w - 1 }
 	for i, k := range keys {
 		flows[i] = Flow{
@@ -84,6 +75,60 @@ func sortFlows(flows []Flow) {
 			Dst: lo.Dst + topology.NodeID(uint32(k>>wv&mask(wd))),
 			Svc: lo.Svc + Service(uint32(k&mask(wv))),
 		}
+	}
+}
+
+// keyWidths returns the per-field minima of flows and the bit width of
+// each field's largest offset from its minimum. Offsets are taken in
+// uint32, where a difference of two int32s never overflows.
+func keyWidths(flows []Flow) (lo Flow, ws, wd, wv uint) {
+	lo, hi := flows[0], flows[0]
+	for _, f := range flows[1:] {
+		lo = Flow{Src: min(lo.Src, f.Src), Dst: min(lo.Dst, f.Dst), Svc: min(lo.Svc, f.Svc)}
+		hi = Flow{Src: max(hi.Src, f.Src), Dst: max(hi.Dst, f.Dst), Svc: max(hi.Svc, f.Svc)}
+	}
+	ws = uint(bits.Len32(uint32(hi.Src) - uint32(lo.Src)))
+	wd = uint(bits.Len32(uint32(hi.Dst) - uint32(lo.Dst)))
+	wv = uint(bits.Len32(uint32(hi.Svc) - uint32(lo.Svc)))
+	return lo, ws, wd, wv
+}
+
+// radixBits is the widest digit radixSort sorts by in one pass.
+const radixBits = 11
+
+// radixSort sorts keys, each below 1<<width, by stable counting passes
+// from the least significant digit up, through one buffer as long as
+// keys. It makes ⌈width/radixBits⌉ passes, each over an equal share of
+// the width: a 16-bit key takes two passes of 256 buckets.
+func radixSort(keys []uint64, width uint) {
+	if len(keys) < 2 || width == 0 {
+		return
+	}
+	passes := (width + radixBits - 1) / radixBits
+	digit := (width + passes - 1) / passes
+	mask := uint64(1)<<digit - 1
+	var count [1 << radixBits]int
+	src, dst := keys, make([]uint64, len(keys))
+	for shift := uint(0); shift < width; shift += digit {
+		buckets := count[:mask+1]
+		clear(buckets)
+		for _, k := range src {
+			buckets[k>>shift&mask]++
+		}
+		at := 0
+		for d, c := range buckets {
+			buckets[d] = at
+			at += c
+		}
+		for _, k := range src {
+			d := k >> shift & mask
+			dst[buckets[d]] = k
+			buckets[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
 	}
 }
 
