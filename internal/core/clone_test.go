@@ -155,8 +155,9 @@ func TestCloneMatchesFreshEncode(t *testing.T) {
 }
 
 // TestCloneIsolation searches four clones of one template at once (run
-// under -race: a clone must not alias anything search mutates) and then
-// checks that the template is untouched — same counters, same root
+// under -race: a clone must not alias anything search mutates), each of
+// which must answer as a fresh encode under its worker's configuration
+// does, and then checks that the template is untouched — same counters, same root
 // assignment, and a clone taken afterwards answers exactly like one
 // taken before — also once the earlier clones are garbage.
 func TestCloneIsolation(t *testing.T) {
@@ -177,23 +178,39 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatalf("reference MinCost: %s", want.Err)
 	}
 
+	// Each clone must answer as a fresh encode of its problem under its
+	// worker's configuration does; a budget-bound answer compares like
+	// any other.
+	queries := []string{"MinCost", "Solve"}
+	wants := make([][]answer, 4)
+	for w := range wants {
+		q := *p
+		q.Thresholds.IsolationTenths = 20 + 10*w // distinct guards per clone
+		q.Options.Solver = portfolio.WorkerConfig(w)
+		fresh, err := core.NewSynthesizer(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range queries {
+			wants[w] = append(wants[w], ask(fresh, query, q.Thresholds))
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			q := *p
-			q.Thresholds.IsolationTenths = 20 + 10*w // distinct guards per clone
-			c, err := tmpl.Clone(q.Thresholds, portfolio.WorkerConfig(w))
+			th := p.Thresholds
+			th.IsolationTenths = 20 + 10*w
+			c, err := tmpl.Clone(th, portfolio.WorkerConfig(w))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if a := ask(c, "MinCost", q.Thresholds); a.Err != "" {
-				t.Errorf("worker %d: %s", w, a.Err)
-			}
-			if a := ask(c, "Solve", q.Thresholds); a.Err != "" {
-				t.Errorf("worker %d: %s", w, a.Err)
+			for i, query := range queries {
+				if got := ask(c, query, th); !same(wants[w][i], got) {
+					t.Errorf("worker %d %s: clone diverges from a fresh encode:\nfresh %+v\nclone %+v", w, query, wants[w][i], got)
+				}
 			}
 		}(w)
 	}

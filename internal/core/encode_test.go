@@ -39,18 +39,21 @@ func encodeInstances(t testing.TB) map[string]*core.Problem {
 // arena order, every watch list, the root trail and the PB store — once
 // for the pristine template, once with the problem's own three guards —
 // and the statistics after Solve cover the search that state produces.
+// The paper example's values were re-recorded when networks began
+// numbering their links in sorted endpoint order, which renumbers that
+// example's links.
 func TestEncodeMatchesRecordedParent(t *testing.T) {
 	recorded := map[string]struct {
 		template, instantiated string
 		stats                  core.ModelStats
 	}{
 		"paper": {
-			"215501594e587e8313d347ee7b73f6ea4f4c836e6ccd293c76d466a20ef9f1d9",
-			"6134313325e93ef66a65184f04a14abf5aa7386983015a28e6457fd2f92679a0",
+			"d169fb260b6f96b49cfec784d223114fa36b2a582abef2caa529f22a3f1bb299",
+			"dc96d654c5ccb7838b5559b890ad81f23a99b14b141893406c31e17cdc68c8a4",
 			core.ModelStats{Flows: 90, HostPairs: 45, Routes: 174, Vars: 713, Clauses: 2292,
 				PBConstraints: 3, PBTerms: 620,
 				EstimatedBytes: 280544, Counters: sat.Counters{Conflicts: 42, Decisions: 143, Propagations: 950,
-					TheoryProps: 78, LearntLitsSum: 12904, RemovedSat: 48}},
+					TheoryProps: 78, LearntLitsSum: 12906, RemovedSat: 48}},
 		},
 		"netgen20/seed1": {
 			"0b47d7dd31e200db061130e1bba238741f680daa6f63f203a35dcdc535c5872a",

@@ -167,10 +167,9 @@ func (t *Template) Synthesizer(th Thresholds, cfg smt.SolverConfig) (*Synthesize
 // are the caller's: everything structural — and with it the meaning of
 // every LinkID in the designs the clone produces — stays the template
 // problem's, which Synthesizer.Problem reports. Another Problem value of
-// the same family (spec.FamilyFingerprint) whose links are the template
-// problem's, in order, reads the clone's designs as its own; a family's
-// problems built in sorted link order (topology.Network.Sorted), as
-// every spec-built and service-built one is, all are.
+// the same family (spec.FamilyFingerprint) reads the clone's designs as
+// its own: it has the template problem's link set, and so its LinkIDs
+// (topology.Network.Connect).
 //
 // Everything search mutates is copied and re-bound to the clone's SAT
 // core (sat.Solver.Clone, pb.Theory.Clone, the flow theory's per-flow

@@ -36,7 +36,10 @@ func designDigest(d *core.Design) string {
 // table and stopped allocating per conflict; how the solver stores its
 // state must never move them. They are the search's own: the
 // CONFSYNTH_VERIFY self-checks re-solve every unsat core on the same
-// solver, so they stay off here.
+// solver, so they stay off here. The max-isolation design digest names
+// placements by LinkID; it was re-recorded when networks began numbering
+// their links in sorted endpoint order, for the same placements by
+// endpoints.
 func TestSearchMatchesRecordedParent(t *testing.T) {
 	t.Setenv("CONFSYNTH_VERIFY", "")
 	recorded := map[string]searchPinned{
@@ -47,7 +50,7 @@ func TestSearchMatchesRecordedParent(t *testing.T) {
 		"max-isolation/seed2": {Value: 80,
 			Conflicts: 7359, Decisions: 15432, Propagations: 537016, Restarts: 41,
 			Reduced: 2495, Subsumed: 0, Strengthened: 9, ArenaGCs: 1,
-			Design: "9b943606f982a40f0ab779bb0b33db0d1aa94463b17c8ef61ad17e2969b158d6"},
+			Design: "ba6646a7a017456ce390045b55ed43b7db5418e81d5482881ba25a6a01d15bfc"},
 	}
 	for name, c := range map[string]struct {
 		seed int64

@@ -142,8 +142,7 @@ type Result struct {
 	// region cache: the entry's memo of what a caller derives from that
 	// design alone (Memoised). It is created and dropped with the entry,
 	// so every budget variant the entry answers shares one value. A
-	// fallback's design is the caller's own, and Rendered is nil; so it
-	// is for a design mapped back to a caller's unsorted links.
+	// fallback's design is the caller's own, and Rendered is nil.
 	Rendered *Memo
 }
 
@@ -209,23 +208,15 @@ func (s *Solver) Solve(ctx context.Context, p *core.Problem) (*Result, error) {
 // completed design: the decomposition runs once per budget-free problem
 // and is kept in the region cache like a region, and every call then
 // checks the stored design's cost against its own budget.
-//
-// The decomposition solves p with its links in sorted endpoint order
-// (topology.Network.Sorted), so that a stored design, whose placements
-// name links by LinkID, is a function of the key it is stored under. A
-// caller whose links are in another order gets the design mapped back to
-// its own LinkIDs by endpoints and completed under its own routes
-// (core.CompletePlacements), with no render memo.
 func (s *Solver) SolveKeyed(ctx context.Context, p *core.Problem, key spec.Key) (*Result, error) {
 	start := time.Now()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 
-	// One sorted view of the caller's links and flows serves the split
-	// and the completion, and dies with the call.
+	// One sorted view of the caller's flows serves the split and the
+	// completion, and dies with the call.
 	free := *p
-	free.Network = p.Network.Sorted()
 	free.Flows = usability.SortedFlows(p.Flows)
 	free.Thresholds.CostBudget = 0
 	stored, cached, err := s.cache.Do(ctx, stitchKey+key.At(free.Thresholds), func() (*regionResult, error) {
@@ -252,13 +243,6 @@ func (s *Solver) SolveKeyed(ctx context.Context, p *core.Problem, key spec.Key) 
 		}
 		res.Hits, res.Misses = uint64(len(res.Regions)), 0
 	}
-	if res.Design != nil && free.Network != p.Network {
-		on, err := stored.onLinks(p, free.Network)
-		if err != nil {
-			return nil, err
-		}
-		res.Design, res.Repaired = on.design, res.Repaired+on.added
-	}
 	if res.Design != nil && res.Design.Cost > p.Thresholds.CostBudget {
 		// Every region fit its slice, but the union is over budget. This
 		// is a decomposition artifact (regions minimized cost locally, not
@@ -269,7 +253,7 @@ func (s *Solver) SolveKeyed(ctx context.Context, p *core.Problem, key spec.Key) 
 		res.Conflict = []core.ThresholdKind{core.ThresholdCost}
 		res.ConflictRegion = "stitch"
 	}
-	if res.Design != nil && free.Network == p.Network {
+	if res.Design != nil {
 		res.Rendered = &stored.rendered
 	}
 	if res.Design != nil && s.opts.VerifyStitch {
@@ -387,42 +371,6 @@ func (s *Solver) decompose(ctx context.Context, p *core.Problem) (*regionResult,
 	// The stitched design is exact when every region's was.
 	res.Design = design
 	return &regionResult{stitch: res, Design: design}, nil
-}
-
-// relinkedDesign is a stored stitch's design on a caller's links.
-type relinkedDesign struct {
-	net    *topology.Network
-	design *core.Design
-	added  int // devices the completion added
-}
-
-// onLinks is the stitch entry's design on the links of p's network,
-// whose links are sorted's in another order: its placements moved to
-// the links with the same endpoints, then completed under p's own
-// routes, which route enumeration can rank differently from the sorted
-// links' once it hits its search cap. The completion does not read the
-// budget. The entry keeps the last network's, so the budget variants of
-// one caller's problem map and complete it once; a network's links are
-// only ever added to, so within one entry (one link set) a network
-// holds one order.
-func (r *regionResult) onLinks(p *core.Problem, sorted *topology.Network) (*relinkedDesign, error) {
-	if on := r.relinked.Load(); on != nil && on.net == p.Network {
-		return on, nil
-	}
-	d := *r.stitch.Design
-	d.Placements = make(map[topology.LinkID][]isolation.DeviceID, len(r.stitch.Design.Placements))
-	for id, devs := range r.stitch.Design.Placements {
-		l, _ := sorted.Link(id)
-		to, _ := p.Network.LinkBetween(l.A, l.B)
-		d.Placements[to] = slices.Clone(devs)
-	}
-	added, err := core.CompletePlacements(p, &d, topology.NewRouteTable(p.Network, p.Options.Routes))
-	if err != nil {
-		return nil, err
-	}
-	on := &relinkedDesign{net: p.Network, design: &d, added: added}
-	r.relinked.Store(on)
-	return on, nil
 }
 
 // solveMonolithic is the fallback path for undecomposable problems. A

@@ -516,7 +516,7 @@ func TestRegionVerdictIgnoresLoad(t *testing.T) {
 	if plain.Stats != loaded.Stats {
 		t.Errorf("solver stats differ under load:\n%+v\nplain:\n%+v", loaded.Stats, plain.Stats)
 	}
-	if a, b := designDigest(plain.Design), designDigest(loaded.Design); a != b {
+	if a, b := designDigest(p.Network, plain.Design), designDigest(p.Network, loaded.Design); a != b {
 		t.Errorf("design digest %s under load, %s plain", b, a)
 	}
 	t.Logf("plain %d ms, loaded %d ms", plain.ElapsedMS, loaded.ElapsedMS)

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,13 +11,15 @@ import (
 	"testing"
 
 	"configsynth/internal/core"
+	"configsynth/internal/isolation"
 	"configsynth/internal/topology"
 	"configsynth/internal/usability"
 )
 
 // designDigest hashes a design's flow patterns, placements, cost and
-// exactness in a canonical order.
-func designDigest(d *core.Design) string {
+// exactness in a canonical order, naming each placement's link by its
+// endpoints on net, smaller first.
+func designDigest(net *topology.Network, d *core.Design) string {
 	h := sha256.New()
 	flows := make([]usability.Flow, 0, len(d.FlowPatterns))
 	for f := range d.FlowPatterns {
@@ -35,13 +38,18 @@ func designDigest(d *core.Design) string {
 	for _, f := range flows {
 		fmt.Fprintf(h, "f %d %d %d %d\n", f.Src, f.Dst, f.Svc, d.FlowPatterns[f])
 	}
-	links := make([]topology.LinkID, 0, len(d.Placements))
-	for l := range d.Placements {
-		links = append(links, l)
+	type placed struct {
+		a, b topology.NodeID
+		devs []isolation.DeviceID
 	}
-	slices.Sort(links)
-	for _, l := range links {
-		fmt.Fprintf(h, "p %d %v\n", l, d.Placements[l])
+	var ps []placed
+	for id, devs := range d.Placements {
+		l, _ := net.Link(id)
+		ps = append(ps, placed{min(l.A, l.B), max(l.A, l.B), devs})
+	}
+	slices.SortFunc(ps, func(x, y placed) int { return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b)) })
+	for _, p := range ps {
+		fmt.Fprintf(h, "p %d-%d %v\n", p.a, p.b, p.devs)
 	}
 	fmt.Fprintf(h, "cost %d exact %t\n", d.Cost, d.Exact)
 	return hex.EncodeToString(h.Sum(nil))
@@ -84,7 +92,8 @@ func rehome(t *testing.T, p *core.Problem, host, from, to topology.NodeID) *core
 // encodings, so all of it must survive the rebuild unchanged. The cache
 // fingerprints are those of spec.FingerprintVersion 4: version 3's one
 // route set per host pair left every design here as it was, and version
-// 4 changed only how the hash is built.
+// 4 changed only how the hash is built. A design digest names placements
+// by endpoints, so it does not depend on how the links are numbered.
 var campusGolden = map[string]struct {
 	design   string
 	cost     int64
@@ -92,7 +101,7 @@ var campusGolden = map[string]struct {
 	regions  []string
 }{
 	"base": {
-		design:   "771ed915d1af1b9cfa720533d5e61163b214a829ffa0ad4c00e508ac6de6c299",
+		design:   "8a175079f32b8b263b0ee97a1c573afa72e5f2210bf99e6447accf5d8e24592a",
 		cost:     10,
 		repaired: 0,
 		regions: []string{
@@ -102,7 +111,7 @@ var campusGolden = map[string]struct {
 		},
 	},
 	"budget": {
-		design:   "771ed915d1af1b9cfa720533d5e61163b214a829ffa0ad4c00e508ac6de6c299",
+		design:   "8a175079f32b8b263b0ee97a1c573afa72e5f2210bf99e6447accf5d8e24592a",
 		cost:     10,
 		repaired: 0,
 		regions: []string{
@@ -112,7 +121,7 @@ var campusGolden = map[string]struct {
 		},
 	},
 	"rehome-h10": {
-		design:   "39b0a79fc5c560a5b5121fb3c15823d4300ded6b643c33615f531c649cb2e536",
+		design:   "0a87c313822ad4e3400c3a998724adcc5ed4e6ee6867899dfcc7ebc7731a1cbd",
 		cost:     10,
 		repaired: 0,
 		regions: []string{
@@ -122,7 +131,7 @@ var campusGolden = map[string]struct {
 		},
 	},
 	"rehome-h64": {
-		design:   "99812d56d8b5aa14e920323f2d923b86de9efb0de8945eccbc2493a08e9fcf0b",
+		design:   "a0cecbb69a1ca85c39d3bb5dd786150083918d9940e5d22267232dbb2291c750",
 		cost:     10,
 		repaired: 0,
 		regions: []string{
@@ -164,7 +173,7 @@ func TestCampusAnswersMatchRecordedParent(t *testing.T) {
 			regions = append(regions, r.Key+" "+r.Fingerprint)
 		}
 		want := campusGolden[sv.name]
-		if got := designDigest(res.Design); got != want.design {
+		if got := designDigest(sv.prob.Network, res.Design); got != want.design {
 			t.Errorf("%s: design digest %s, recorded %s", sv.name, got, want.design)
 		}
 		if res.Design.Cost != want.cost || res.Repaired != want.repaired {

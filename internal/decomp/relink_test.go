@@ -11,11 +11,13 @@ import (
 
 // TestStoredDesignFitsReorderedLinks: a warm solver that has stored a
 // campus's decomposition answers the same campus with its links
-// connected in reverse order (one key, another LinkID numbering) with a
-// design that passes core.Verify on the reversed problem, as a fresh
-// solver's does. Campus 100/100 at 3.0/4.0/$2 000, then reversed at
-// $2 001 (1 671 violations when the stored design's LinkIDs were served
-// as they were); without -short or -race, also the 40-host,
+// connected in reverse order (one key, and one LinkID numbering, as
+// LinkIDs follow the link set) with a design that passes core.Verify on
+// the reversed problem, as a fresh solver's does, and with the stored
+// stitch's render memo. Campus 100/100 at 3.0/4.0/$2 000, then reversed
+// at $2 001 (1 671 violations when LinkIDs followed declaration order
+// and the stored design's were served as they were); without -short or
+// -race, also the 40-host,
 // 4-department campus at $800, then $801 (73), whose cold solve takes
 // about 40 s under the race detector.
 func TestStoredDesignFitsReorderedLinks(t *testing.T) {
@@ -43,8 +45,8 @@ func TestStoredDesignFitsReorderedLinks(t *testing.T) {
 			if res.Misses != 0 {
 				t.Fatalf("reversed campus missed %d regions, want its stored stitch", res.Misses)
 			}
-			if res.Rendered != nil {
-				t.Error("a design mapped to the caller's links carries the stored stitch's render memo")
+			if res.Rendered == nil {
+				t.Error("the reversed campus, one link set and so one numbering, is served without the stored stitch's render memo")
 			}
 			vr, err := core.Verify(rev, res.Design)
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"configsynth/internal/core"
@@ -50,11 +49,9 @@ type regionResult struct {
 	// region DAG: the budget-free outcome Solve checks every budget
 	// against. Its Design is the stitched design, and its Unsat is set
 	// only when every region's answer was exact. rendered is the
-	// stitch's memo (Result.Rendered), and relinked its design as last
-	// mapped to a caller's unsorted links (onLinks).
+	// stitch's memo (Result.Rendered).
 	stitch   *Result
 	rendered Memo
-	relinked atomic.Pointer[relinkedDesign]
 }
 
 // exact is the cache's keep rule: a proven answer (an exact design or a

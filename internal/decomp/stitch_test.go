@@ -387,3 +387,40 @@ func TestBudgetFreeVariantAllocBudget(t *testing.T) {
 		t.Errorf("a budget-only variant allocates %.0f times, want at most 1000", allocs)
 	}
 }
+
+// TestRebuiltCampusVariantAllocBudget: a library caller that builds the
+// 100-host campus afresh for each budget variant, as netgen.Campus
+// builds it with its links connected out of endpoint order, is held to
+// the budget of TestBudgetFreeVariantAllocBudget. While LinkIDs followed
+// declaration order, the solver renumbered each such network in sorted
+// order and mapped the stored design back onto it: 5 150 allocations.
+func TestRebuiltCampusVariantAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocation")
+	}
+	if testing.Short() {
+		t.Skip("solves the 100-host campus cold")
+	}
+	const runs = 10
+	th := core.Thresholds{IsolationTenths: 30, UsabilityTenths: 40, CostBudget: 2000}
+	s := New(Options{Workers: 4})
+	solve(t, s, campus(t, 100, 0, 100, th))
+	// AllocsPerRun calls its function once more than runs, to warm up.
+	variants := make([]*core.Problem, runs+1)
+	for i := range variants {
+		th.CostBudget += 10
+		variants[i] = campus(t, 100, 0, 100, th)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p := variants[next]
+		next++
+		if res := solve(t, s, p); res.Misses != 0 || res.Unsat {
+			t.Fatalf("budget %d: misses %d unsat %v, want a stored stitch", p.Thresholds.CostBudget, res.Misses, res.Unsat)
+		}
+	})
+	t.Logf("%.0f allocations per variant", allocs)
+	if allocs > 1000 {
+		t.Errorf("a rebuilt campus's budget variant allocates %.0f times, want at most 1000", allocs)
+	}
+}

@@ -17,22 +17,23 @@ func chain(t *testing.T) (*topology.Network, topology.NodeID, topology.NodeID, [
 	net := topology.New()
 	h1 := net.AddHost("h1")
 	h2 := net.AddHost("h2")
-	prev := h1
-	var links []topology.LinkID
+	nodes := []topology.NodeID{h1}
 	for i := 0; i < 4; i++ {
-		r := net.AddRouter("")
-		id, err := net.Connect(prev, r)
-		if err != nil {
+		nodes = append(nodes, net.AddRouter(""))
+	}
+	nodes = append(nodes, h2)
+	for i := 1; i < len(nodes); i++ {
+		if _, err := net.Connect(nodes[i-1], nodes[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A LinkID is final only once the network is built: read the links
+	// in path order now.
+	var links []topology.LinkID
+	for i := 1; i < len(nodes); i++ {
+		id, _ := net.LinkBetween(nodes[i-1], nodes[i])
 		links = append(links, id)
-		prev = r
 	}
-	id, err := net.Connect(prev, h2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	links = append(links, id)
 	return net, h1, h2, links
 }
 
@@ -236,14 +237,15 @@ func TestMultiRouteCoverage(t *testing.T) {
 	h1 := net.AddHost("h1")
 	h2 := net.AddHost("h2")
 	r1, r2, r3, r4 := net.AddRouter(""), net.AddRouter(""), net.AddRouter(""), net.AddRouter("")
-	lh1, _ := net.Connect(h1, r1)
-	top, _ := net.Connect(r1, r2)
-	bottom, _ := net.Connect(r1, r3)
-	t2, _ := net.Connect(r2, r4)
-	b2, _ := net.Connect(r3, r4)
-	lh2, _ := net.Connect(r4, h2)
-	_ = t2
-	_ = b2
+	for _, l := range [][2]topology.NodeID{{h1, r1}, {r1, r2}, {r1, r3}, {r2, r4}, {r3, r4}, {r4, h2}} {
+		if _, err := net.Connect(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lh1, _ := net.LinkBetween(h1, r1)
+	top, _ := net.LinkBetween(r1, r2)
+	bottom, _ := net.LinkBetween(r1, r3)
+	lh2, _ := net.LinkBetween(r4, h2)
 	flow := usability.Flow{Src: h1, Dst: h2, Svc: 1}
 
 	s := sim(t, net, map[topology.LinkID][]isolation.DeviceID{

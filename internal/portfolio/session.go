@@ -6,7 +6,6 @@ import (
 
 	"configsynth/internal/core"
 	"configsynth/internal/spec"
-	"configsynth/internal/topology"
 )
 
 // This file is what an engine does with its template: clone the raced
@@ -147,14 +146,11 @@ func (s *Solver) Family() string {
 // deltas are legal: the encoding (routes, flows, placements, policies)
 // is reused verbatim, which is sound exactly when everything except the
 // thresholds is unchanged — enforced by comparing thresholds-zeroed
-// canonical fingerprints — and when p's links are the engine problem's,
-// in order (each in either orientation), since LinkIDs follow link
-// order and the fingerprint leaves it out. A family's problems built in
-// sorted link order (topology.Network.Sorted: spec.Spec.Problem, the
-// service) always are; a problem whose links are in another order is
-// refused, and the engine stays as it was. Pattern device lists and
-// policy rules may come in any order: they change neither an answer nor
-// what a LinkID means. Execution knobs outside the fingerprint
+// canonical fingerprints. One family has one link set, and LinkIDs are
+// a function of the link set (topology.Network.Connect), so a LinkID
+// names the same link in every problem of the family. Pattern device
+// lists and policy rules may come in any order: they change neither an
+// answer nor what a LinkID means. Execution knobs outside the fingerprint
 // (Options.Verify) stay the engine's. p is validated first. Any
 // leftover per-query state (incumbent, bound observer, sticky
 // interrupts) is cleared.
@@ -176,12 +172,6 @@ func (s *Solver) RetargetFamily(p *core.Problem, family string) error {
 	}
 	if family != s.Family() {
 		return fmt.Errorf("portfolio: retarget problem differs beyond thresholds (family %.12s, engine %.12s)", family, s.family)
-	}
-	sameLink := func(x, y topology.Link) bool {
-		return min(x.A, x.B) == min(y.A, y.B) && max(x.A, x.B) == max(y.A, y.B)
-	}
-	if !slices.EqualFunc(p.Network.Links(), s.prob.Network.Links(), sameLink) {
-		return fmt.Errorf("portfolio: retarget problem numbers its links in another order than the engine's (see topology.Network.Sorted)")
 	}
 	s.prob = p
 	s.ResetQueryState()

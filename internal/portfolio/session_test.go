@@ -347,7 +347,7 @@ func TestArenaOverflowOnClonesIsTyped(t *testing.T) {
 
 // relinked returns p with the same nodes and the links declared in
 // reverse: the same family (the fingerprint sorts links by endpoints),
-// another LinkID numbering.
+// and the same LinkID numbering, which follows the link set.
 func relinked(t *testing.T, p *core.Problem) *core.Problem {
 	t.Helper()
 	net := topology.New()
@@ -376,10 +376,9 @@ func relinked(t *testing.T, p *core.Problem) *core.Problem {
 
 // TestSessionRetargetAcrossLinkOrder: a re-parsed problem with the same
 // declaration order must keep the session's template — that is the
-// one-encode path. A problem of the family whose links are numbered in
-// another order is refused, since the session's designs name links by
-// its own numbering, and the session answers on as if it had never been
-// asked: what a from-scratch solve of its last target reports.
+// one-encode path. So must a problem of the family whose links are
+// declared in another order: its links are numbered as the session's
+// are, and the session answers it as a from-scratch solve does.
 func TestSessionRetargetAcrossLinkOrder(t *testing.T) {
 	gen := func() *core.Problem {
 		p, err := netgen.Generate(netgen.Config{
@@ -408,13 +407,14 @@ func TestSessionRetargetAcrossLinkOrder(t *testing.T) {
 	}
 
 	q := relinked(t, p)
-	if err := s.Retarget(q); err == nil || !strings.Contains(err.Error(), "another order") {
-		t.Fatalf("Retarget to a re-ordered problem: %v, want a refusal", err)
+	q.Thresholds = again.Thresholds
+	if err := s.Retarget(q); err != nil {
+		t.Fatalf("Retarget to a re-ordered problem: %v", err)
 	}
-	if s.tmpl != built || s.prob != again {
-		t.Fatal("a refused Retarget changed the session")
+	if s.tmpl != built || s.prob != q {
+		t.Fatal("Retarget to a re-ordered problem re-encoded the template or kept the old target")
 	}
-	scratch, err := NewRacing(again, 1)
+	scratch, err := NewRacing(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,20 +429,20 @@ func TestSessionRetargetAcrossLinkOrder(t *testing.T) {
 	if len(want.Placements) == 0 {
 		t.Fatal("the instance places no device; the test would compare nothing")
 	}
-	assertSameDesign(t, again.Thresholds.IsolationTenths, "Solve after a refused Retarget", got, want)
-	if res, err := core.Verify(again, got); err != nil || !res.OK() {
+	assertSameDesign(t, q.Thresholds.IsolationTenths, "Solve after a re-ordered Retarget", got, want)
+	if res, err := core.Verify(q, got); err != nil || !res.OK() {
 		t.Fatalf("session design does not verify against its last target: %v %+v", err, res)
 	}
-	gotC, _, err := s.MinCost(again.Thresholds.IsolationTenths, again.Thresholds.UsabilityTenths)
+	gotC, _, err := s.MinCost(q.Thresholds.IsolationTenths, q.Thresholds.UsabilityTenths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC, _, err := scratch.MinCost(again.Thresholds.IsolationTenths, again.Thresholds.UsabilityTenths)
+	wantC, _, err := scratch.MinCost(q.Thresholds.IsolationTenths, q.Thresholds.UsabilityTenths)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotC != wantC {
-		t.Fatalf("MinCost after a refused Retarget: session %d, scratch %d", gotC, wantC)
+		t.Fatalf("MinCost after a re-ordered Retarget: session %d, scratch %d", gotC, wantC)
 	}
 }
 

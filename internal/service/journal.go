@@ -133,16 +133,10 @@ type scanned struct {
 	prob *core.Problem // set for a problem submitted whole; spec is nil then
 }
 
-// problem is the submission's problem, built on a miss, with its links
-// in sorted endpoint order (topology.Network.Sorted) however it came: a
-// job's routes, and so its answer, are then a function of its
-// fingerprint, and every problem of a family numbers its links alike, as
-// a warm session needs. A problem submitted whole was put in that order
-// when it was admitted (Submit, scan); the wire forms of a design name
-// links by endpoints, never by ID. A problem built from a spec is in
-// that order already, and is validated like every submitted problem;
-// Scan has made Validate's checks already, so this cannot fail unless
-// the two drift.
+// problem is the submission's problem, built on a miss. A problem
+// built from a spec is validated like every submitted problem; Scan has
+// made Validate's checks already, so this cannot fail unless the two
+// drift.
 func (in scanned) problem() (*core.Problem, error) {
 	if in.prob != nil {
 		return in.prob, nil
@@ -162,7 +156,6 @@ func (src *JobSource) scan() (scanned, error) {
 		if err := p.Validate(); err != nil {
 			return scanned{}, err
 		}
-		p.Network = p.Network.Sorted()
 		k := spec.KeyOf(p)
 		return scanned{key: k, fp: k.At(p.Thresholds), prob: p}, nil
 	}

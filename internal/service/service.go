@@ -606,19 +606,16 @@ type SubmitOptions struct {
 // Submit validates and keys the problem, answers from the cache
 // when it can, and otherwise enqueues a job. The returned Job is
 // terminal already on a cache hit. ErrQueueFull signals backpressure.
-// The job holds a copy of prob with its flows in CompareFlows order and
-// its links in sorted endpoint order (topology.Network.Sorted), taken
-// once, here: every later sorted view of its flows — the fingerprint,
-// the decomposed solve, the encoder, the rendering — is then the flows
-// themselves, and its routes, and so its answer, are a function of its
-// fingerprint.
+// The job holds a copy of prob with its flows in CompareFlows order,
+// taken once, here: every later sorted view of its flows — the
+// fingerprint, the decomposed solve, the encoder, the rendering — is
+// then the flows themselves.
 func (s *Service) Submit(prob *core.Problem, opts SubmitOptions) (*Job, error) {
 	p := *prob
 	p.Flows = usability.SortedFlows(p.Flows)
 	if err := p.Validate(); err != nil {
 		return nil, &BadRequestError{Msg: err.Error()}
 	}
-	p.Network = p.Network.Sorted()
 	k := spec.KeyOf(&p)
 	return s.submit(scanned{key: k, fp: k.At(p.Thresholds), prob: &p}, opts)
 }

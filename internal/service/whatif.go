@@ -115,10 +115,9 @@ func pairKey(a, b topology.NodeID) [2]topology.NodeID {
 
 // rebuildNetwork clones the topology with links dropped and added.
 // Nodes are re-added in ID order, so every NodeID in flows, policies,
-// and requirements stays valid; LinkIDs are reassigned, which is
-// invisible outside the network (the wire forms and the canonical
-// fingerprint key links by endpoints), and renumbered once more in
-// sorted order when the job's problem is built (scanned.problem).
+// and requirements stays valid. LinkIDs follow the link set
+// (topology.Network.Connect), so the result equals a network built fresh
+// from the same links.
 func rebuildNetwork(n *topology.Network, add, drop []LinkRef) (*topology.Network, error) {
 	nn := topology.New()
 	for id := 0; id < n.NumNodes(); id++ {

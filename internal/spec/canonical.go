@@ -24,13 +24,13 @@ import (
 // SAT core.
 //
 // The encoding covers everything that can influence a synthesis answer:
-// nodes (IDs, kinds, names), links (as sorted endpoint pairs, not link
-// IDs, which depend on declaration order), the catalog (patterns with
-// devices, usability retention, and solved scores; devices with costs),
-// flows with ranks and requirement flags, policy rules, thresholds, and
-// the semantically relevant options with defaults applied. It excludes
-// execution knobs that cannot change the answer in the exact regime
-// (worker counts, solver diversification, self-check mode).
+// nodes (IDs, kinds, names), links (as sorted endpoint pairs), the
+// catalog (patterns with devices, usability retention, and solved
+// scores; devices with costs), flows with ranks and requirement flags,
+// policy rules, thresholds, and the semantically relevant options with
+// defaults applied. It excludes execution knobs that cannot change the
+// answer in the exact regime (worker counts, solver diversification,
+// self-check mode).
 func Canonical(p *core.Problem) []byte {
 	size := 1024 + 40*len(p.Flows) + 24*len(p.Preplaced)
 	if p.Network != nil {
@@ -198,9 +198,10 @@ func writeNode[N string | []byte](w *canonWriter, id topology.NodeID, kind topol
 	w.endLine()
 }
 
-// links writes the links as sorted endpoint pairs: LinkIDs depend on
-// declaration order, which must not affect the fingerprint. It sorts
-// pairs in place.
+// links writes the links as sorted endpoint pairs, the order a built
+// network numbers them in (topology.Network.Connect); a scanned spec's
+// come in declaration order, which must not affect the fingerprint. It
+// sorts pairs in place.
 func (w *canonWriter) links(pairs [][2]topology.NodeID) {
 	for i, pr := range pairs {
 		if pr[0] > pr[1] {

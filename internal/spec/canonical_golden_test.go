@@ -164,11 +164,13 @@ func goldenProblems(t testing.TB) map[string]*core.Problem {
 	out["campus-100-100"] = campus
 
 	d := netgen.PaperExample()
-	links := d.Network.Links()
+	// The ring links r1-r2 and r4-r5 (routers r1..r8 are nodes 0..7), in
+	// the orientation the example declares them in.
+	r1r2, r4r5 := topology.Link{A: 0, B: 1}, topology.Link{A: 3, B: 4}
 	d.Preplaced = []core.Preplacement{
-		{A: links[3].B, B: links[3].A, Dev: isolation.IPSec},
-		{A: links[0].A, B: links[0].B, Dev: isolation.Firewall},
-		{A: links[3].A, B: links[3].B, Dev: isolation.Firewall},
+		{A: r4r5.B, B: r4r5.A, Dev: isolation.IPSec},
+		{A: r1r2.A, B: r1r2.B, Dev: isolation.Firewall},
+		{A: r4r5.A, B: r4r5.B, Dev: isolation.Firewall},
 	}
 	d.Ranks = usability.NewRanks()
 	d.Ranks.SetFlowRank(d.Flows[2], 3)

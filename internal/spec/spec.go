@@ -299,9 +299,6 @@ func (sp *Spec) flowBit(src, dst, svc int) int {
 
 // Problem builds the problem the spec denotes, a new one on every call.
 // The problems of one Spec share its catalog, which solvers only read.
-// Its links are numbered in sorted endpoint order
-// (topology.Network.Sorted), whatever order the text declares them in,
-// so fingerprint-equal texts build the same problem.
 func (sp *Spec) Problem() *core.Problem {
 	net := topology.New()
 	for i := 1; i <= sp.hosts; i++ {
@@ -316,7 +313,6 @@ func (sp *Spec) Problem() *core.Problem {
 			panic(fmt.Sprintf("spec: a scanned link does not connect: %v", err))
 		}
 	}
-	net = net.Sorted()
 
 	svcIDs := make([]usability.Service, sp.services)
 	for i := range svcIDs {

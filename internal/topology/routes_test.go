@@ -289,8 +289,24 @@ func TestRouteTableConcurrentReaders(t *testing.T) {
 }
 
 // scrambled rebuilds a network with its links connected in a shuffled
-// order, the way a permuted spec declares them.
+// order, every other one in the other orientation, the way a permuted
+// spec declares them. Each ID Connect returns must name the link just
+// added.
 func scrambled(t testing.TB, n *topology.Network, seed int64) *topology.Network {
+	t.Helper()
+	links := n.Links()
+	rand.New(rand.NewSource(seed)).Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	for i := range links {
+		if i%2 == 1 {
+			links[i].A, links[i].B = links[i].B, links[i].A
+		}
+	}
+	return connected(t, n, links)
+}
+
+// connected is a network with n's nodes and the given links, connected
+// in the order given.
+func connected(t testing.TB, n *topology.Network, links []topology.Link) *topology.Network {
 	t.Helper()
 	out := topology.New()
 	for id := 0; id < n.NumNodes(); id++ {
@@ -301,14 +317,13 @@ func scrambled(t testing.TB, n *topology.Network, seed int64) *topology.Network 
 			out.AddRouter(nd.Name)
 		}
 	}
-	links := n.Links()
-	rand.New(rand.NewSource(seed)).Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-	for i, l := range links {
-		if i%2 == 1 {
-			l.A, l.B = l.B, l.A
-		}
-		if _, err := out.Connect(l.A, l.B); err != nil {
+	for _, l := range links {
+		id, err := out.Connect(l.A, l.B)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if got, ok := out.Link(id); !ok || got.A != l.A || got.B != l.B {
+			t.Fatalf("Connect(%d, %d) returned %d, which names %+v", l.A, l.B, id, got)
 		}
 	}
 	return out
@@ -337,42 +352,86 @@ func TestAdjacencyStaysInLinkOrder(t *testing.T) {
 	}
 }
 
-// TestSortedIsOneNetworkPerLinkSet: networks that differ only in the
-// order their links were connected in have one Sorted form — the same
-// links under the same IDs, and so the same routes — and a network
-// already in that order is its own.
-func TestSortedIsOneNetworkPerLinkSet(t *testing.T) {
-	base := campus100(t).Network
-	endpoints := func(n *topology.Network) [][2]topology.NodeID {
-		var out [][2]topology.NodeID
-		for _, l := range n.Links() {
-			out = append(out, [2]topology.NodeID{min(l.A, l.B), max(l.A, l.B)})
-		}
-		return out
+// TestLinkIDsAreAFunctionOfTheLinkSet: whatever order a network's links
+// are connected in, and in either orientation, it has one numbering —
+// the links in sorted endpoint order, ID = index — and so one adjacency
+// and one route set per host pair, and it passes Validate.
+func TestLinkIDsAreAFunctionOfTheLinkSet(t *testing.T) {
+	ends := func(l topology.Link) [2]topology.NodeID { return [2]topology.NodeID{min(l.A, l.B), max(l.A, l.B)} }
+	mesh, err := netgen.Generate(netgen.Config{Hosts: 24, Routers: 8, ExtraLinks: 12, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := base.Sorted()
-	if want.Sorted() != want {
-		t.Fatal("Sorted of a sorted network is a copy, not the network itself")
-	}
-	if !slices.IsSortedFunc(endpoints(want), func(x, y [2]topology.NodeID) int { return slices.Compare(x[:], y[:]) }) {
-		t.Fatalf("Sorted links are not in endpoint order: %v", endpoints(want))
-	}
-	pairs := flowPairs(campus100(t))[:200]
-	for seed := int64(1); seed <= 3; seed++ {
-		got := scrambled(t, base, seed).Sorted()
-		if !slices.Equal(endpoints(got), endpoints(want)) {
-			t.Fatalf("seed %d: Sorted links %v, want %v", seed, endpoints(got), endpoints(want))
+	for _, tc := range []struct {
+		name string
+		net  *topology.Network
+	}{
+		{"paper", netgen.PaperExample().Network},
+		{"mesh", mesh.Network},
+		{"campus100", campus100(t).Network},
+	} {
+		base := tc.net
+		want := base.Links()
+		var prev [2]topology.NodeID
+		for i, l := range want {
+			if l.ID != topology.LinkID(i) {
+				t.Fatalf("%s: link %d has ID %d", tc.name, i, l.ID)
+			}
+			e := ends(l)
+			if i > 0 && slices.Compare(prev[:], e[:]) >= 0 {
+				t.Fatalf("%s: link %v follows %v, out of sorted endpoint order", tc.name, l, want[i-1])
+			}
+			prev = e
 		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		hosts := base.Hosts()
+		opts := topology.RouteOptions{MaxRoutes: 4, MaxHops: 12}
+		wantRoutes := topology.NewRouteTable(base, opts)
+		reversed := base.Links()
+		slices.Reverse(reversed)
+		orders := map[string]*topology.Network{"reversed": connected(t, base, reversed)}
+		for seed := int64(1); seed <= 3; seed++ {
+			orders[fmt.Sprintf("seed%d", seed)] = scrambled(t, base, seed)
 		}
-		for _, pr := range pairs {
-			a, _ := got.Routes(pr[1], pr[0], topology.RouteOptions{MaxRoutes: 4})
-			b, _ := want.Routes(pr[1], pr[0], topology.RouteOptions{MaxRoutes: 4})
-			if !sameRoutes(a, b) {
-				t.Fatalf("seed %d pair %v: routes %v, want %v", seed, pr, a, b)
+		for order, got := range orders {
+			if !slices.EqualFunc(got.Links(), want, func(x, y topology.Link) bool { return x.ID == y.ID && ends(x) == ends(y) }) {
+				t.Fatalf("%s %s: links %v, want %v", tc.name, order, got.Links(), want)
+			}
+			for id := 0; id < base.NumNodes(); id++ {
+				if a, b := got.AdjacentLinks(topology.NodeID(id)), base.AdjacentLinks(topology.NodeID(id)); !slices.Equal(a, b) {
+					t.Fatalf("%s %s node %d: adjacency %v, want %v", tc.name, order, id, a, b)
+				}
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, order, err)
+			}
+			gotRoutes := topology.NewRouteTable(got, opts)
+			for i, src := range hosts {
+				for _, dst := range hosts[i+1:] {
+					a, _ := gotRoutes.Routes(src, dst)
+					b, _ := wantRoutes.Routes(src, dst)
+					if !sameRoutes(a, b) {
+						t.Fatalf("%s %s pair %d-%d: routes %v, want %v", tc.name, order, src, dst, a, b)
+					}
+				}
 			}
 		}
+	}
+}
+
+// BenchmarkConnectReversedCampus1000 builds a 1000-host campus with its
+// links connected in reverse sorted order, so that every Connect inserts
+// below all earlier links and renumbers them: the worst case of keeping
+// LinkIDs in sorted endpoint order.
+func BenchmarkConnectReversedCampus1000(b *testing.B) {
+	p, err := netgen.Campus(netgen.CampusConfig{Hosts: 1000, Seed: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	links := p.Network.Links()
+	slices.Reverse(links)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		connected(b, p.Network, links)
 	}
 }
 

@@ -76,10 +76,10 @@ type edge struct {
 type Network struct {
 	nodes []Node
 	links []Link
-	// adj[n] lists n's links in increasing LinkID: Connect, the only
-	// writer, appends each new link under an ID larger than every
-	// earlier one. Route enumeration visits neighbours in this order
-	// without sorting.
+	// links are in sorted endpoint order (ends), ID = index. adj[n]
+	// lists n's links in increasing LinkID: Connect, the only writer,
+	// keeps both in order. Route enumeration visits neighbours in this
+	// order without sorting.
 	adj [][]edge
 }
 
@@ -111,7 +111,14 @@ func (n *Network) AddHost(name string) NodeID { return n.addNode(Host, name) }
 // AddRouter adds a router node. An empty name is auto-generated.
 func (n *Network) AddRouter(name string) NodeID { return n.addNode(Router, name) }
 
-// Connect adds an undirected link between a and b.
+// Connect adds an undirected link between a and b and returns its ID.
+// Links are numbered in sorted endpoint order, by smaller endpoint and
+// then larger, whatever order they are connected in, so a network's
+// LinkIDs are a function of its link set: a link that sorts below
+// earlier ones is inserted among them, and every link above it is
+// renumbered. The returned ID therefore names the new link only until
+// the next Connect; once the network is built its IDs are final. Each
+// link keeps the endpoint orientation it was declared with.
 func (n *Network) Connect(a, b NodeID) (LinkID, error) {
 	if !n.valid(a) || !n.valid(b) {
 		return -1, fmt.Errorf("%w: %d-%d", ErrUnknownNode, a, b)
@@ -119,16 +126,58 @@ func (n *Network) Connect(a, b NodeID) (LinkID, error) {
 	if a == b {
 		return -1, fmt.Errorf("%w: %d", ErrSelfLink, a)
 	}
-	for _, e := range n.adj[a] {
-		if e.peer == b {
+	// A link that sorts above every earlier one, as each does when a
+	// network is rebuilt from another's links, is appended unsearched.
+	key := ends(Link{A: a, B: b})
+	i := len(n.links)
+	if i > 0 && key <= ends(n.links[i-1]) {
+		var found bool
+		i, found = slices.BinarySearchFunc(n.links, key, func(l Link, k uint64) int { return cmp.Compare(ends(l), k) })
+		if found {
 			return -1, fmt.Errorf("%w: %d-%d", ErrDuplicateLink, a, b)
 		}
 	}
-	id := LinkID(len(n.links))
-	n.links = append(n.links, Link{ID: id, A: a, B: b})
-	n.adj[a] = append(n.adj[a], edge{peer: b, link: id})
-	n.adj[b] = append(n.adj[b], edge{peer: a, link: id})
+	id := LinkID(i)
+	n.links = append(n.links, Link{})
+	copy(n.links[i+1:], n.links[i:])
+	n.links[i] = Link{ID: id, A: a, B: b}
+	// Renumber the links above the new one, highest first. An adjacency
+	// list is in link order, so its links above the new one are a suffix
+	// of it, renumbered in one go when its node is first met: then, and
+	// only then, its last edge is the link at hand, not yet renumbered.
+	for j := len(n.links) - 1; j > i; j-- {
+		l := &n.links[j]
+		l.ID = LinkID(j)
+		for _, x := range [2]NodeID{l.A, l.B} {
+			edges := n.adj[x]
+			if edges[len(edges)-1].link != l.ID-1 {
+				continue
+			}
+			for k := len(edges) - 1; k >= 0 && edges[k].link >= id; k-- {
+				edges[k].link++
+			}
+		}
+	}
+	n.adj[a] = insertEdge(n.adj[a], edge{peer: b, link: id})
+	n.adj[b] = insertEdge(n.adj[b], edge{peer: a, link: id})
 	return id, nil
+}
+
+// ends is the key links are numbered in: smaller endpoint, then larger,
+// the order a canonical rendering lists them in.
+func ends(l Link) uint64 {
+	return uint64(min(l.A, l.B))<<32 | uint64(max(l.A, l.B))
+}
+
+// insertEdge adds e to an adjacency list, keeping it in link order.
+func insertEdge(edges []edge, e edge) []edge {
+	edges = append(edges, e)
+	k := len(edges) - 1
+	for ; k > 0 && edges[k-1].link > e.link; k-- {
+		edges[k] = edges[k-1]
+	}
+	edges[k] = e
+	return edges
 }
 
 func (n *Network) valid(id NodeID) bool { return id >= 0 && int(id) < len(n.nodes) }
@@ -182,29 +231,6 @@ func (n *Network) byKind(k NodeKind) []NodeID {
 func (n *Network) Links() []Link {
 	out := make([]Link, len(n.links))
 	copy(out, n.links)
-	return out
-}
-
-// Sorted returns the network with its links numbered in sorted endpoint
-// order — by smaller endpoint, then larger, the order a canonical
-// rendering lists them in — or n itself when they already are. LinkIDs,
-// and with them the route search's neighbour order, follow the order
-// links were connected in; two networks that differ only in that order
-// have one Sorted form, and so one route set per pair. Nodes and each
-// link's endpoints are kept as they are.
-func (n *Network) Sorted() *Network {
-	byEnds := func(x, y Link) int {
-		return cmp.Or(cmp.Compare(min(x.A, x.B), min(y.A, y.B)), cmp.Compare(max(x.A, x.B), max(y.A, y.B)))
-	}
-	if slices.IsSortedFunc(n.links, byEnds) {
-		return n
-	}
-	links := slices.Clone(n.links)
-	slices.SortFunc(links, byEnds)
-	out := &Network{nodes: slices.Clone(n.nodes), adj: make([][]edge, len(n.nodes))}
-	for _, l := range links {
-		_, _ = out.Connect(l.A, l.B) // n's links: valid, distinct, never to self
-	}
 	return out
 }
 
