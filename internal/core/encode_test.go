@@ -130,6 +130,38 @@ func TestEncodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestEncodeBytesPerVariable holds the encode of the 50-host instance to
+// at most 350 bytes per variable. It read 391 when every variable was
+// created with a name that the solver copied into a byte slab, and 321
+// once variables became plain numbers: the bound sits between the two,
+// so a name (or anything of its size) per variable does not come back
+// unnoticed.
+func TestEncodeBytesPerVariable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds bytes to every allocation")
+	}
+	p := encodeInstances(t)["netgen50/seed50"]
+	tmpl, err := core.NewTemplate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := tmpl.Stats().Vars
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := core.NewTemplate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perVar := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(vars)
+	t.Logf("NewTemplate: %.1f bytes per variable (%d variables)", perVar, vars)
+	if perVar > 350 {
+		t.Errorf("NewTemplate: %.1f bytes per variable (%d variables), budget 350", perVar, vars)
+	}
+}
+
 // TestReserveIsOnlyAHint encodes with the capacity reservation stubbed
 // out and checks that the template is the one a reserving encode builds,
 // and that Solve, MinCost and Explain answer with the same designs and

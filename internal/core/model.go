@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"configsynth/internal/isolation"
 	"configsynth/internal/policy"
@@ -61,19 +60,7 @@ type Synthesizer struct {
 
 	theory   *flowTheory
 	ftInputs [][]ftOption
-
-	nb []byte // scratch for building variable names without fmt
 }
-
-// name finishes the scratch buffer into a variable name. Encoding
-// allocates one y/x/l variable per flow-pattern, pair-device, and
-// link-device combination; naming them through fmt.Sprintf was a
-// measurable slice of probe time, so the names are built with strconv
-// appends into a reused buffer instead. The string goes straight into
-// smt.Solver.NewBool, which copies it into its name slab and keeps no
-// reference, so the conversion of a short name does not reach the heap
-// (TestEncodeAllocBudget would notice if it did).
-func (s *Synthesizer) name() string { return string(s.nb) }
 
 // ErrModelTooLarge re-exports the SAT core's clause-arena overflow
 // sentinel: the encoded constraint system (or a learnt clause grown
@@ -205,7 +192,6 @@ func (t *Template) CloneInto(spare *Synthesizer, th Thresholds, cfg smt.SolverCo
 	c := *t.syn
 	c.prob = c.prob.under(th, cfg)
 	c.sol = sol
-	c.nb = nil
 	if c.theory != nil {
 		c.theory = c.theory.cloneInto(spare.theory, sol.SAT())
 	}
@@ -484,19 +470,8 @@ func (s *Synthesizer) encodeFlows() {
 	for fi, f := range s.flows {
 		group := s.y[fi*P : (fi+1)*P]
 		rank := int64(s.prob.Ranks.Rank(f))
-		for pi, p := range s.patterns {
-			// y<k>[g<svc>(<src>-><dst>)], as Flow.String renders it.
-			nb := append(s.nb[:0], 'y')
-			nb = strconv.AppendInt(nb, int64(p.ID), 10)
-			nb = append(nb, "[g"...)
-			nb = strconv.AppendInt(nb, int64(f.Svc), 10)
-			nb = append(nb, '(')
-			nb = strconv.AppendInt(nb, int64(f.Src), 10)
-			nb = append(nb, "->"...)
-			nb = strconv.AppendInt(nb, int64(f.Dst), 10)
-			nb = append(nb, ")]"...)
-			s.nb = nb
-			v := s.sol.NewBool(s.name())
+		for pi := range s.patterns {
+			v := s.sol.NewBool()
 			group[pi] = v
 			// Isolation contribution L_k · y.
 			s.isoSum.Add(v, scores[pi])
@@ -602,15 +577,7 @@ func (s *Synthesizer) xVar(pair, dev int) smt.Bool {
 	if slot.Valid() {
 		return *slot
 	}
-	nb := append(s.nb[:0], 'x')
-	nb = strconv.AppendInt(nb, int64(s.devices[dev].ID), 10)
-	nb = append(nb, '[')
-	nb = strconv.AppendInt(nb, int64(s.pairs[pair].a), 10)
-	nb = append(nb, ',')
-	nb = strconv.AppendInt(nb, int64(s.pairs[pair].b), 10)
-	nb = append(nb, ']')
-	s.nb = nb
-	*slot = s.sol.NewBool(s.name())
+	*slot = s.sol.NewBool()
 	return *slot
 }
 
@@ -621,13 +588,7 @@ func (s *Synthesizer) lVar(link topology.LinkID, dev int) smt.Bool {
 	if s.l[i].Valid() {
 		return s.l[i]
 	}
-	nb := append(s.nb[:0], 'l')
-	nb = strconv.AppendInt(nb, int64(s.devices[dev].ID), 10)
-	nb = append(nb, '[')
-	nb = strconv.AppendInt(nb, int64(link), 10)
-	nb = append(nb, ']')
-	s.nb = nb
-	v := s.sol.NewBool(s.name())
+	v := s.sol.NewBool()
 	s.l[i] = v
 	if s.isPreset(i) {
 		// Already deployed: pinned true and free, so the solver can rely
@@ -742,10 +703,9 @@ func (s *Synthesizer) guardOf(kind ThresholdKind, v int64) smt.Bool {
 	if g, ok := s.guards[key]; ok {
 		return g
 	}
-	var g smt.Bool
+	g := s.sol.NewBool()
 	switch kind {
 	case ThresholdIsolation:
-		g = s.sol.NewBool(fmt.Sprintf("Th_I>=%d", v))
 		// I = Σ L·y / (F·Lmax) ≥ v/100  ⇔  Σ L·y ≥ ⌈v·F·Lmax/100⌉.
 		bound := ceilDiv(v*s.maxIso, 100)
 		s.sol.AssertAtLeastIf(g, s.isoSum, bound)
@@ -753,7 +713,6 @@ func (s *Synthesizer) guardOf(kind ThresholdKind, v int64) smt.Bool {
 			s.theory.watchIsoGuard(g.Lit(), bound)
 		}
 	case ThresholdUsability:
-		g = s.sol.NewBool(fmt.Sprintf("Th_U>=%d", v))
 		// U = (100·Σa − loss)/(100·Σa) ≥ v/100  ⇔  loss ≤ (100−v)·Σa.
 		bound := (100 - v) * s.sumRanks
 		s.sol.AssertAtMostIf(g, s.lossSum, bound)
@@ -761,7 +720,6 @@ func (s *Synthesizer) guardOf(kind ThresholdKind, v int64) smt.Bool {
 			s.theory.watchLossGuard(g.Lit(), bound)
 		}
 	default:
-		g = s.sol.NewBool(fmt.Sprintf("Th_C<=%d", v))
 		s.sol.AssertAtMostIf(g, s.costSum, v)
 	}
 	s.guards[key] = g

@@ -54,11 +54,10 @@ func CompletePlacements(p *Problem, d *Design, routes *topology.RouteTable) (int
 		}
 	}
 
-	// Needed (pair, device) requirements, deterministically ordered.
-	// Pairs keep the flow's own direction: verification walks each
-	// flow's directional route enumeration, whose top-K tie-breaking can
-	// differ from the reverse direction's, so coverage must hold per
-	// direction.
+	// Needed (pair, device) requirements, deterministically ordered. A
+	// pair is keyed low host first: the routes of (b, a) are those of
+	// (a, b) reversed, over the same links with the same IPSec windows,
+	// so one walk covers both directions.
 	type need struct {
 		a, b topology.NodeID
 		dev  isolation.DeviceID
@@ -82,7 +81,7 @@ func CompletePlacements(p *Problem, d *Design, routes *topology.RouteTable) (int
 				continue
 			}
 			for _, dev := range p.Catalog.DevicesFor(pid) {
-				n := need{a: f.Src, b: f.Dst, dev: dev}
+				n := need{a: min(f.Src, f.Dst), b: max(f.Src, f.Dst), dev: dev}
 				if !seen[n] {
 					seen[n] = true
 					needs = append(needs, n)

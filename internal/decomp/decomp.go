@@ -279,7 +279,7 @@ func (s *Solver) decompose(ctx context.Context, p *core.Problem) (*regionResult,
 	// the splitter reads it to cut out each subproblem's subgraph, the
 	// placement completion reads it again after the stitch.
 	routes := topology.NewRouteTable(p.Network, p.Options.Routes)
-	regions := Partition(p.Network, PartitionOptions{})
+	regions := Partition(p.Network)
 	if len(regions) < 2 {
 		return nil, fmt.Errorf("%w: partition found %d region(s)", ErrNotDecomposable, len(regions))
 	}

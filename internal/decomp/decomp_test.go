@@ -38,7 +38,7 @@ func campus(t *testing.T, hosts, depts int, seed int64, th core.Thresholds) *cor
 
 func TestPartitionCampus(t *testing.T) {
 	p := campus(t, 40, 4, 1, core.Thresholds{})
-	regions := Partition(p.Network, PartitionOptions{})
+	regions := Partition(p.Network)
 	if len(regions) != 4 {
 		t.Fatalf("regions = %d, want 4 (one per department)", len(regions))
 	}
@@ -66,7 +66,7 @@ func TestPartitionCampus(t *testing.T) {
 
 func TestPartitionMergesSmallRegions(t *testing.T) {
 	// Two departments of 1 host each cannot stand alone under the
-	// default MinRegionHosts=2 floor.
+	// host floor of 2 (minRegionHosts).
 	net := topology.New()
 	b := net.AddRouter("b")
 	var hosts []topology.NodeID
@@ -81,21 +81,18 @@ func TestPartitionMergesSmallRegions(t *testing.T) {
 		}
 		hosts = append(hosts, h)
 	}
-	regions := Partition(net, PartitionOptions{})
+	regions := Partition(net)
 	for _, r := range regions {
 		if len(r.Hosts) < 2 && len(regions) > 1 {
 			t.Errorf("region below host floor survived: %+v", r)
 		}
-	}
-	if got := Partition(net, PartitionOptions{MaxRegions: 1}); len(got) != 1 {
-		t.Errorf("MaxRegions=1 produced %d regions", len(got))
 	}
 	_ = hosts
 }
 
 func TestSplitStructure(t *testing.T) {
 	p := campus(t, 40, 4, 1, core.Thresholds{IsolationTenths: 30, UsabilityTenths: 40, CostBudget: 500})
-	regions := Partition(p.Network, PartitionOptions{})
+	regions := Partition(p.Network)
 	subs, err := Split(p, regions)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +138,7 @@ func TestSplitStructure(t *testing.T) {
 
 func TestSplitRejectsCrossRegionImplication(t *testing.T) {
 	p := campus(t, 20, 2, 1, core.Thresholds{})
-	regions := Partition(p.Network, PartitionOptions{})
+	regions := Partition(p.Network)
 	if len(regions) != 2 {
 		t.Fatalf("regions = %d, want 2", len(regions))
 	}

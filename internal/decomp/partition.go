@@ -36,6 +36,7 @@ package decomp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -59,24 +60,16 @@ type Region struct {
 	Hosts []topology.NodeID
 }
 
-// PartitionOptions tune the partitioner. The zero value selects
-// defaults.
-type PartitionOptions struct {
-	// MinRegionHosts merges regions smaller than this into their
-	// neighbors (default 2): single-host fragments are not worth a
-	// subproblem.
-	MinRegionHosts int
-	// MaxRegions caps the region count by merging the smallest regions
-	// (0 = unlimited).
-	MaxRegions int
-}
+// minRegionHosts is the host floor of a region: a smaller one is merged
+// into a neighbour, since a single-host fragment is not worth a
+// subproblem.
+const minRegionHosts = 2
 
-func (o PartitionOptions) withDefaults() PartitionOptions {
-	if o.MinRegionHosts <= 0 {
-		o.MinRegionHosts = 2
-	}
-	return o
-}
+// PartitionOptions is empty: the partitioner has no knobs.
+//
+// Deprecated: call Partition(net). The type is kept only so that a
+// caller written as Partition(net, PartitionOptions{}) still compiles.
+type PartitionOptions struct{}
 
 // Partition cuts the topology at transit routers: routers with at least
 // one attached host are grouped into connected components (following
@@ -84,10 +77,9 @@ func (o PartitionOptions) withDefaults() PartitionOptions {
 // hosts becoming a region. Routers without hosts — the backbone — belong
 // to no region and are shared by boundary subproblems. A topology whose
 // host-bearing routers form one component yields a single region, which
-// Solve treats as "not decomposable" and solves monolithically.
-func Partition(net *topology.Network, opts PartitionOptions) []Region {
-	opts = opts.withDefaults()
-
+// Solve treats as "not decomposable" and solves monolithically. Regions
+// below the host floor are merged (mergeSmall).
+func Partition(net *topology.Network, _ ...PartitionOptions) []Region {
 	// hostRouter[r] = hosts attached to router r.
 	hostsOf := make(map[topology.NodeID][]topology.NodeID)
 	for _, h := range net.Hosts() {
@@ -159,33 +151,20 @@ func Partition(net *topology.Network, opts PartitionOptions) []Region {
 		regions = append(regions, reg)
 	}
 
-	regions = mergeSmall(regions, opts)
+	regions = mergeSmall(regions)
 	for i := range regions {
 		regions[i].ID = i
 	}
 	return regions
 }
 
-// mergeSmall folds regions below the host floor (and beyond the region
-// cap) into the next region, keeping the result deterministic: the
-// smallest region merges into the smallest other region, repeatedly.
-func mergeSmall(regions []Region, opts PartitionOptions) []Region {
-	tooMany := func() bool { return opts.MaxRegions > 0 && len(regions) > opts.MaxRegions }
-	tooSmall := func() int {
-		for i, r := range regions {
-			if len(r.Hosts) < opts.MinRegionHosts {
-				return i
-			}
-		}
-		return -1
-	}
+// mergeSmall folds regions below the host floor into another region,
+// keeping the result deterministic: the first region below the floor
+// merges into the smallest other region, repeatedly.
+func mergeSmall(regions []Region) []Region {
 	for len(regions) > 1 {
-		victim := -1
-		if i := tooSmall(); i >= 0 {
-			victim = i
-		} else if tooMany() {
-			victim = smallest(regions, -1)
-		} else {
+		victim := slices.IndexFunc(regions, func(r Region) bool { return len(r.Hosts) < minRegionHosts })
+		if victim < 0 {
 			break
 		}
 		target := smallest(regions, victim)

@@ -198,7 +198,7 @@ func TestBudgetFreeFallbackRunsAtEachBudget(t *testing.T) {
 // read as the region.
 func TestStitchKeyNeverMeetsARegionKey(t *testing.T) {
 	p := memoCampus(t, core.Thresholds{IsolationTenths: 30, UsabilityTenths: 40, CostBudget: 10_000})
-	subs, err := Split(p, Partition(p.Network, PartitionOptions{}))
+	subs, err := Split(p, Partition(p.Network))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,12 +235,21 @@ func TestSpentExtractionStillDegradesToIncumbent(t *testing.T) {
 }
 
 // TestOneShotSolveAllocatesLittle pins the point of a one-shot engine:
-// its question searches the model it encoded instead of a copy, so a
-// plain solve of a 50-host instance allocates well under what the encode
-// did. Cloning the template made it allocate more than the encode
-// (104 %); spending it leaves 45 %, nearly all of it the three threshold
-// guards' PB store — whose occurrence table has a slot per literal — and
-// the search itself.
+// its question searches the model it encoded instead of a copy. So a
+// plain solve of a 50-host instance is held to at most 48 % of what the
+// same question allocates on a NewSession engine, whose first question
+// searches a clone of the template. On that instance the one-shot solve
+// allocates 5.30 MB and the cloned question 12.08 MB (0.439), nearly all
+// of the difference the clone; what the one-shot solve still allocates
+// is mostly the three threshold guards' PB store, whose occurrence table
+// has a slot per literal, and the search itself. The bound used to be
+// half of the encode, which fell from 11.65 to 9.55 MB when variables
+// lost their names while the solve did not move: 48 % of the clone is
+// 5.80 MB, under the 5.82 MB that half of the named encode allowed.
+// Under the race detector the search's many small allocations grow
+// more than the clone's few large ones (6.90 of 13.68 MB, 0.505), so
+// the bound there is 0.52: 7.11 MB, under the 8.61 MB that half of the
+// named encode allowed under it.
 func TestOneShotSolveAllocatesLittle(t *testing.T) {
 	p, err := netgen.Generate(netgen.Config{
 		Hosts: 50, Routers: 10, MaxServices: 3, CRFraction: 0.10, Seed: 50,
@@ -256,16 +265,23 @@ func TestOneShotSolveAllocatesLittle(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	var s *Solver
-	encode := allocated(func() { s = mustRacing(t, p, 1) })
-	solve := allocated(func() {
+	solve := func(s *Solver) {
 		if _, err := s.SolveContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if solve*2 > encode {
-		t.Fatalf("a one-shot solve allocated %d bytes, %.0f%% of the %d its encode did; want at most half",
-			solve, 100*float64(solve)/float64(encode), encode)
+	}
+	oneShot, session := mustRacing(t, p, 1), mustSession(t, p, 1)
+	spent := allocated(func() { solve(oneShot) })
+	cloned := allocated(func() { solve(session) })
+	t.Logf("a one-shot solve allocated %d bytes, %.3f of the %d the same question on a cloned synthesizer did",
+		spent, float64(spent)/float64(cloned), cloned)
+	bound := 0.48
+	if raceEnabled {
+		bound = 0.52
+	}
+	if float64(spent) > bound*float64(cloned) {
+		t.Fatalf("a one-shot solve allocated %d bytes, %.3f of the %d the same question on a cloned synthesizer did; want at most %.2f",
+			spent, float64(spent)/float64(cloned), cloned, bound)
 	}
 }
 
@@ -274,8 +290,9 @@ func TestOneShotSolveAllocatesLittle(t *testing.T) {
 // question's, so after one warm-up question a what-if on a 50-host
 // instance allocates at most half of what its template's encode did.
 // Cloning into fresh memory allocated as much as the encode (100 % of
-// 11.6 MB); the recycled question allocates 23 %, nearly all of it the
-// search and the three guards.
+// 11.6 MB when variables had names); the recycled question allocates
+// 2.6 MB, 28 % of the 9.5 MB encode, nearly all of it the search and
+// the three guards.
 func TestSessionQuestionAllocBudget(t *testing.T) {
 	p, err := netgen.Generate(netgen.Config{
 		Hosts: 50, Routers: 10, MaxServices: 3, CRFraction: 0.10, Seed: 50,

@@ -113,7 +113,7 @@ func (b *built) guard(q core.Query, v int64) smt.Bool {
 	if g, ok := b.probes[key]; ok {
 		return g
 	}
-	g := b.sol.NewBool(fmt.Sprintf("$probe%d_%d", q.Optimise, v))
+	g := b.sol.NewBool()
 	if q == maximise {
 		b.sol.AssertAtLeastIf(g, b.obj, v)
 	} else {

@@ -33,8 +33,8 @@ func build(in *Instance, cfg smt.SolverConfig, guarded bool) *built {
 	b := &built{sol: smt.NewSolverWith(cfg), obj: &smt.Sum{}, probes: map[[2]int64]smt.Bool{}}
 	b.fresh = func() *built { return build(in, cfg, guarded) }
 	b.sol.SetVerify(true)
-	for v := 1; v <= in.Vars; v++ {
-		b.vars = append(b.vars, b.sol.NewBool(fmt.Sprintf("x%d", v)))
+	for range in.Vars {
+		b.vars = append(b.vars, b.sol.NewBool())
 	}
 	for _, c := range in.Clauses {
 		terms := make([]smt.Bool, len(c))
@@ -49,7 +49,7 @@ func build(in *Instance, cfg smt.SolverConfig, guarded bool) *built {
 			sum.Add(b.term(l), am.Weights[i])
 		}
 		if guarded {
-			b.guards = append(b.guards, b.sol.NewBool(fmt.Sprintf("$guard%d", ai)))
+			b.guards = append(b.guards, b.sol.NewBool())
 			b.sol.AssertAtMostIf(b.guards[ai], sum, am.Bound)
 		} else {
 			b.sol.AssertAtMost(sum, am.Bound)
@@ -146,7 +146,7 @@ func coreOf(in *Instance, b *built) (lits []Lit, atmosts []int, err error) {
 			atmosts = append(atmosts, i)
 			continue
 		}
-		return nil, nil, fmt.Errorf("refcheck: core term %s is neither an assumption nor a guard on %v", b.sol.Name(t), in)
+		return nil, nil, fmt.Errorf("refcheck: core term %s is neither an assumption nor a guard on %v", t.Lit(), in)
 	}
 	return lits, atmosts, nil
 }

@@ -401,8 +401,9 @@ func render(p *core.Problem, d *core.Design) *Result {
 // A design covers exactly its problem's flows, so they are read from
 // the problem in that order — a spec-grammar problem lists them so,
 // anything else has a copy sorted — and looked up in the design, never
-// walked out of its map. A job's problem numbers its links in (a, b)
-// order (scanned.problem), so placements are read in LinkID order.
+// walked out of its map. A network numbers its links in sorted endpoint
+// order (topology.Network.Connect), so placements are read in LinkID
+// order.
 func designJSON(p *core.Problem, d *core.Design) *DesignJSON {
 	out := &DesignJSON{
 		Isolation: d.Isolation,

@@ -1,9 +1,6 @@
 package smt
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // countProjectedModels enumerates the solver's models projected onto the
 // given terms, blocking each projection as it is found.
@@ -45,7 +42,7 @@ func TestAtMostOneLadderModelCount(t *testing.T) {
 			s := NewSolver()
 			xs := make([]Bool, n)
 			for i := range xs {
-				xs[i] = s.NewBool(fmt.Sprintf("x%d", i))
+				xs[i] = s.NewBool()
 			}
 			if variant == 0 {
 				// Forced pairwise, bypassing the cutoff.
@@ -73,7 +70,7 @@ func TestAtMostOneLadderRejectsTwo(t *testing.T) {
 	n := 10
 	xs := make([]Bool, n)
 	for i := range xs {
-		xs[i] = s.NewBool(fmt.Sprintf("x%d", i))
+		xs[i] = s.NewBool()
 	}
 	s.AddAtMostOne(xs...)
 	for _, pair := range [][2]int{{0, 1}, {0, 9}, {4, 5}, {8, 9}} {
@@ -93,13 +90,13 @@ func TestAtMostOneLadderRejectsTwo(t *testing.T) {
 // solver accumulates learnt clauses between calls.
 func TestUnsatCoreDeterminism(t *testing.T) {
 	s := NewSolver()
-	a := s.NewBool("a")
-	b := s.NewBool("b")
-	c := s.NewBool("c")
-	d := s.NewBool("d")
+	a := s.NewBool()
+	b := s.NewBool()
+	c := s.NewBool()
+	d := s.NewBool()
 	// a ∧ b is contradictory through an intermediate chain; c, d are
 	// irrelevant bystanders.
-	m := s.NewBool("m")
+	m := s.NewBool()
 	s.AddImplies(a, m)
 	s.AddClause(b.Not(), m.Not())
 
@@ -109,15 +106,11 @@ func TestUnsatCoreDeterminism(t *testing.T) {
 			t.Fatalf("check %d = %v, want Unsat", i, st)
 		}
 		core := s.Core()
-		names := make([]string, len(core))
-		for j, x := range core {
-			names[j] = s.Name(x)
-		}
 		if i == 0 {
 			first = core
 			for _, x := range core {
-				if n := s.Name(x); n == "c" || n == "d" {
-					t.Errorf("bystander %s in core %v", n, names)
+				if x == c || x == d {
+					t.Errorf("bystander %v in core %v", x.Lit(), core)
 				}
 			}
 			if len(core) == 0 {
@@ -126,11 +119,11 @@ func TestUnsatCoreDeterminism(t *testing.T) {
 			continue
 		}
 		if len(core) != len(first) {
-			t.Fatalf("check %d core %v differs from first", i, names)
+			t.Fatalf("check %d core %v differs from first", i, core)
 		}
 		for j := range core {
 			if core[j] != first[j] {
-				t.Fatalf("check %d core %v differs from first at %d", i, names, j)
+				t.Fatalf("check %d core %v differs from first at %d", i, core, j)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ func mustPanic(f func()) (panicked bool) {
 
 func TestValueAfterNonSatCheckPanics(t *testing.T) {
 	s := NewSolver()
-	a, b := s.NewBool("a"), s.NewBool("b")
+	a, b := s.NewBool(), s.NewBool()
 	s.AddClause(a, b)
 	if got := s.Check(); got != Sat {
 		t.Fatalf("got %v, want sat", got)

@@ -5,8 +5,10 @@
 // pseudo-Boolean constraints (optionally guarded by an indicator
 // literal), incremental checking under assumptions, model extraction
 // and unsat cores — everything the ConfigSynth synthesis model in
-// internal/core needs from an SMT solver. Optimisation is not here: a
-// caller descends over guarded bounds (core.Query.Bisect).
+// internal/core needs from an SMT solver. Unlike Z3's, its terms carry
+// no names: a variable is its SAT number, and a diagnostic prints the
+// literal (v12, ~v3). Optimisation is not here: a caller descends over
+// guarded bounds (core.Query.Bisect).
 package smt
 
 import (
@@ -163,14 +165,8 @@ func (s *Sum) byWeight() *sumOrder {
 // Solver is an incremental SMT-style solver for Boolean logic plus linear
 // pseudo-Boolean arithmetic.
 type Solver struct {
-	sat *sat.Solver
-	th  *pb.Theory
-	// Diagnostic names by variable: inherited holds those of the
-	// variables the solver was cloned with, shared read-only with the
-	// solver it was cloned from and its other clones; names holds those
-	// of the variables allocated here, numbered from inherited.len().
-	inherited nameTable
-	names     nameTable
+	sat       *sat.Solver
+	th        *pb.Theory
 	lits      []sat.Lit // AddClause scratch
 	rootUnsat bool
 	trueTerm  Bool
@@ -185,30 +181,6 @@ type Solver struct {
 
 	verify   bool
 	inVerify bool
-}
-
-// nameTable stores variable names back to back in one byte slab instead
-// of one string per variable: an encode names every variable it creates,
-// and tens of thousands of string headers are allocations to make and
-// pointers for the collector to chase, for text only a diagnostic reads.
-type nameTable struct {
-	buf []byte
-	end []int32 // end[i] is where name i ends in buf; it starts at end[i-1]
-}
-
-func (t *nameTable) len() int { return len(t.end) }
-
-func (t *nameTable) add(name string) {
-	t.buf = append(t.buf, name...)
-	t.end = append(t.end, int32(len(t.buf)))
-}
-
-func (t *nameTable) get(i int) string {
-	start := int32(0)
-	if i > 0 {
-		start = t.end[i-1]
-	}
-	return string(t.buf[start:t.end[i]])
 }
 
 // SolverConfig diversifies the underlying CDCL search for portfolio
@@ -236,14 +208,13 @@ func NewSolverWith(cfg SolverConfig) *Solver {
 
 // Clone returns an independent solver over the same assertions, its CDCL
 // core configured by cfg: the SAT state and the PB store are deep-copied
-// (sat.Solver.Clone, pb.Theory.Clone), the variable names are shared
-// read-only (a variable named on either side afterwards goes into that
-// side's own table), and no model or core is carried over. A clone
-// taken before the first Check searches exactly like a
-// NewSolverWith(cfg) solver given the same assertions. Theories attached
-// through SAT() are not copied; the caller re-attaches its own clones.
-// It fails, with an error wrapping sat.ErrModelTooLarge, when the
-// assertions do not fit cfg.ArenaCapWords.
+// (sat.Solver.Clone, pb.Theory.Clone), variables keep their numbers,
+// and no model or core is carried over. A clone taken before the first
+// Check searches exactly like a NewSolverWith(cfg) solver given the
+// same assertions. Theories attached through SAT() are not copied; the
+// caller re-attaches its own clones. It fails, with an error wrapping
+// sat.ErrModelTooLarge, when the assertions do not fit
+// cfg.ArenaCapWords.
 func (s *Solver) Clone(cfg SolverConfig) (*Solver, error) { return s.CloneInto(nil, cfg) }
 
 // CloneInto is Clone built in the memory of spare, a solver the caller
@@ -262,7 +233,6 @@ func (s *Solver) CloneInto(spare *Solver, cfg SolverConfig) (*Solver, error) {
 	return &Solver{
 		sat:       core,
 		th:        s.th.CloneInto(spare.th, core),
-		inherited: s.allNames(),
 		rootUnsat: s.rootUnsat,
 		trueTerm:  s.trueTerm,
 		hasTrue:   s.hasTrue,
@@ -284,32 +254,10 @@ func (s *Solver) Reconfigure(cfg SolverConfig) error {
 	return nil
 }
 
-// allNames returns one table over every name the solver holds, clipped
-// so that it can be shared: the solver's own table or the one it
-// inherited when the other is empty (an encoded solver, or a clone that
-// has named nothing yet), and a merged copy otherwise.
-func (s *Solver) allNames() nameTable {
-	t := s.names
-	switch {
-	case s.names.len() == 0:
-		t = s.inherited
-	case s.inherited.len() > 0:
-		t = nameTable{buf: slices.Concat(s.inherited.buf, s.names.buf), end: slices.Clone(s.inherited.end)}
-		for _, e := range s.names.end {
-			t.end = append(t.end, int32(len(s.inherited.buf))+e)
-		}
-	}
-	return nameTable{buf: slices.Clip(t.buf), end: slices.Clip(t.end)}
-}
-
 // Reserve forwards a capacity hint for the assertions about to be made
 // to the SAT core (sat.Solver.Reserve: variables, clauses of two or more
-// literals, clause-arena words) and makes room for the name offsets of
-// the variables.
-func (s *Solver) Reserve(vars, clauses, arenaWords int) {
-	s.sat.Reserve(vars, clauses, arenaWords)
-	s.names.end = slices.Grow(s.names.end, max(0, vars-s.inherited.len()-s.names.len()))
-}
+// literals, clause-arena words).
+func (s *Solver) Reserve(vars, clauses, arenaWords int) { s.sat.Reserve(vars, clauses, arenaWords) }
 
 // SetBudget limits the conflicts spent per Check; negative is unlimited.
 func (s *Solver) SetBudget(conflicts int64) { s.sat.SetBudget(conflicts) }
@@ -342,40 +290,15 @@ func (s *Solver) Digest(h hash.Hash) {
 // state through it directly is not supported.
 func (s *Solver) SAT() *sat.Solver { return s.sat }
 
-// NewBool allocates a fresh Boolean term. The name is used only for
-// diagnostics.
-func (s *Solver) NewBool(name string) Bool {
-	v := s.sat.NewVar()
-	// Vars are normally allocated only here, but a caller reaching the
-	// SAT core directly may have created unnamed ones; keep aligned.
-	for int(v) > s.inherited.len()+s.names.len() {
-		s.names.add("")
-	}
-	s.names.add(name)
-	return Bool{sat.PosLit(v)}
-}
-
-// Name returns the diagnostic name of the term's variable.
-func (s *Solver) Name(b Bool) string {
-	name := ""
-	if v := int(b.lit.Var()); v < s.inherited.len() {
-		name = s.inherited.get(v)
-	} else if v -= s.inherited.len(); v < s.names.len() {
-		name = s.names.get(v)
-	}
-	if name == "" {
-		return b.lit.String()
-	}
-	if b.lit.Neg() {
-		return "!" + name
-	}
-	return name
-}
+// NewBool allocates a fresh Boolean term: the positive literal of the
+// SAT core's next variable. A term has no name; diagnostics print its
+// literal (sat.Lit.String).
+func (s *Solver) NewBool() Bool { return Bool{sat.PosLit(s.sat.NewVar())} }
 
 // True returns a term that is constrained to be true.
 func (s *Solver) True() Bool {
 	if !s.hasTrue {
-		s.trueTerm = s.NewBool("$true")
+		s.trueTerm = s.NewBool()
 		s.AddClause(s.trueTerm)
 		s.hasTrue = true
 	}
@@ -457,7 +380,7 @@ func (s *Solver) AddAtMostOne(terms ...Bool) {
 	// once the register before it is set.
 	reg := make([]Bool, n-1)
 	for i := range reg {
-		reg[i] = s.NewBool(fmt.Sprintf("$amo%d_%d", s.sat.NumVars(), i))
+		reg[i] = s.NewBool()
 	}
 	s.AddClause(terms[0].Not(), reg[0])
 	for i := 1; i < n-1; i++ {
@@ -637,12 +560,12 @@ func (s *Solver) VerifyCore() error {
 	s.inVerify = false
 	s.core = core
 	if st == Sat {
-		names := make([]string, len(core))
+		lits := make([]string, len(core))
 		for i, b := range core {
-			names[i] = s.Name(b)
+			lits[i] = b.lit.String()
 		}
 		return fmt.Errorf("smt: unsat core {%s} is unsound: re-solving under it alone is satisfiable",
-			strings.Join(names, ", "))
+			strings.Join(lits, ", "))
 	}
 	return nil
 }

@@ -10,8 +10,8 @@ import (
 
 func TestBasicClauseLogic(t *testing.T) {
 	s := NewSolver()
-	a := s.NewBool("a")
-	b := s.NewBool("b")
+	a := s.NewBool()
+	b := s.NewBool()
 	s.AddImplies(a, b)
 	s.AddUnit(a)
 	if got := s.Check(); got != Sat {
@@ -24,7 +24,7 @@ func TestBasicClauseLogic(t *testing.T) {
 
 func TestIff(t *testing.T) {
 	s := NewSolver()
-	a, b := s.NewBool("a"), s.NewBool("b")
+	a, b := s.NewBool(), s.NewBool()
 	s.AddIff(a, b)
 	s.AddUnit(a.Not())
 	if got := s.Check(); got != Sat {
@@ -51,7 +51,7 @@ func TestTrueFalseTerms(t *testing.T) {
 
 func TestExactlyOne(t *testing.T) {
 	s := NewSolver()
-	terms := []Bool{s.NewBool("x1"), s.NewBool("x2"), s.NewBool("x3"), s.NewBool("x4")}
+	terms := []Bool{s.NewBool(), s.NewBool(), s.NewBool(), s.NewBool()}
 	s.AddExactlyOne(terms...)
 	if got := s.Check(); got != Sat {
 		t.Fatalf("got %v", got)
@@ -76,7 +76,7 @@ func TestAtMostAndAtLeast(t *testing.T) {
 	var sum Sum
 	terms := make([]Bool, 4)
 	for i := range terms {
-		terms[i] = s.NewBool("")
+		terms[i] = s.NewBool()
 		sum.Add(terms[i], int64(i+1)) // weights 1..4, total 10
 	}
 	if sum.Total() != 10 {
@@ -100,7 +100,7 @@ func TestAtMostAndAtLeast(t *testing.T) {
 func TestAtLeastGreaterThanTotalIsUnsat(t *testing.T) {
 	s := NewSolver()
 	var sum Sum
-	sum.Add(s.NewBool(""), 3)
+	sum.Add(s.NewBool(), 3)
 	s.AssertAtLeast(&sum, 4)
 	if got := s.Check(); got != Unsat {
 		t.Fatalf("got %v, want unsat", got)
@@ -110,7 +110,7 @@ func TestAtLeastGreaterThanTotalIsUnsat(t *testing.T) {
 func TestAtMostNegativeBoundIsUnsat(t *testing.T) {
 	s := NewSolver()
 	var sum Sum
-	sum.Add(s.NewBool(""), 1)
+	sum.Add(s.NewBool(), 1)
 	s.AssertAtMost(&sum, -1)
 	if got := s.Check(); got != Unsat {
 		t.Fatalf("got %v, want unsat", got)
@@ -119,11 +119,11 @@ func TestAtMostNegativeBoundIsUnsat(t *testing.T) {
 
 func TestGuardedAtMost(t *testing.T) {
 	s := NewSolver()
-	g := s.NewBool("g")
+	g := s.NewBool()
 	var sum Sum
 	terms := make([]Bool, 3)
 	for i := range terms {
-		terms[i] = s.NewBool("")
+		terms[i] = s.NewBool()
 		sum.Add(terms[i], 2)
 	}
 	s.AssertAtMostIf(g, &sum, 2) // if g: at most one term
@@ -142,11 +142,11 @@ func TestGuardedAtMost(t *testing.T) {
 
 func TestGuardedAtLeast(t *testing.T) {
 	s := NewSolver()
-	g := s.NewBool("g")
+	g := s.NewBool()
 	var sum Sum
 	terms := make([]Bool, 3)
 	for i := range terms {
-		terms[i] = s.NewBool("")
+		terms[i] = s.NewBool()
 		sum.Add(terms[i], 1)
 	}
 	s.AssertAtLeastIf(g, &sum, 2)
@@ -167,9 +167,9 @@ func TestGuardedAtLeast(t *testing.T) {
 
 func TestGuardedAtLeastImpossibleBoundForcesGuardOff(t *testing.T) {
 	s := NewSolver()
-	g := s.NewBool("g")
+	g := s.NewBool()
 	var sum Sum
-	sum.Add(s.NewBool(""), 1)
+	sum.Add(s.NewBool(), 1)
 	s.AssertAtLeastIf(g, &sum, 5)
 	if got := s.Check(g); got != Unsat {
 		t.Fatalf("got %v, want unsat", got)
@@ -181,19 +181,15 @@ func TestGuardedAtLeastImpossibleBoundForcesGuardOff(t *testing.T) {
 
 func TestCoreNamesAssumptions(t *testing.T) {
 	s := NewSolver()
-	a, b := s.NewBool("thI"), s.NewBool("thU")
-	c := s.NewBool("other")
+	a, b := s.NewBool(), s.NewBool()
+	c := s.NewBool()
 	s.AddClause(a.Not(), b.Not())
 	if got := s.Check(c, a, b); got != Unsat {
 		t.Fatalf("got %v", got)
 	}
 	core := s.Core()
-	names := map[string]bool{}
-	for _, x := range core {
-		names[s.Name(x)] = true
-	}
-	if !names["thI"] || !names["thU"] || names["other"] {
-		t.Fatalf("core names wrong: %v", names)
+	if !slices.Contains(core, a) || !slices.Contains(core, b) || slices.Contains(core, c) {
+		t.Fatalf("core %v, want a=%v and b=%v and not c=%v", core, a.Lit(), b.Lit(), c.Lit())
 	}
 }
 
@@ -201,7 +197,7 @@ func TestStatsPopulated(t *testing.T) {
 	s := NewSolver()
 	var sum Sum
 	for i := 0; i < 10; i++ {
-		sum.Add(s.NewBool(""), 1)
+		sum.Add(s.NewBool(), 1)
 	}
 	s.AssertAtMost(&sum, 5)
 	if got := s.Check(); got != Sat {
@@ -221,7 +217,7 @@ func TestQuickSumEvaluation(t *testing.T) {
 		var sum Sum
 		var want int64
 		for i := 0; i < 8; i++ {
-			b := s.NewBool("")
+			b := s.NewBool()
 			w := int64(i + 1)
 			sum.Add(b, w)
 			if mask>>uint(i)&1 == 1 {
@@ -247,7 +243,7 @@ func TestVerifyModeChecksSatAndUnsat(t *testing.T) {
 	if !s.Verifying() {
 		t.Fatal("Verifying() should report true after SetVerify(true)")
 	}
-	a, b, c := s.NewBool("a"), s.NewBool("b"), s.NewBool("c")
+	a, b, c := s.NewBool(), s.NewBool(), s.NewBool()
 	s.AddClause(a, b)
 	s.AddClause(a.Not(), c)
 	var sum Sum
@@ -281,45 +277,6 @@ func TestVerifyModeChecksSatAndUnsat(t *testing.T) {
 	}
 }
 
-// TestCloneSharesNames: a clone reads the names it was cloned with out
-// of the original's slab and keeps the names of its own variables apart,
-// so that neither side sees (or pays for) what the other names later —
-// also when the cloned solver is itself a clone with names of its own,
-// and when a variable was created behind the solver's back.
-func TestCloneSharesNames(t *testing.T) {
-	s := NewSolver()
-	a, b := s.NewBool("a"), s.NewBool("b")
-	c1, err := s.Clone(SolverConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := c1.NewBool("g")
-	h := s.NewBool("h") // the same variable index as g, on the other side
-	c1.SAT().NewVar()   // unnamed
-	k := c1.NewBool("k")
-	c2, err := c1.Clone(SolverConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := c2.NewBool("m")
-	for _, c := range []struct {
-		sol  *Solver
-		term Bool
-		want string
-	}{
-		{s, a, "a"}, {s, b.Not(), "!b"}, {s, h, "h"},
-		{c1, a, "a"}, {c1, b, "b"}, {c1, g, "g"}, {c1, k.Not(), "!k"},
-		{c1, Bool{k.lit - 2}, "v3"},
-		{c2, a, "a"}, {c2, g, "g"}, {c2, k, "k"}, {c2, m, "m"},
-		{c2, Bool{k.lit - 2}, "v3"},
-		{s, m, m.lit.String()}, // a variable s never allocated
-	} {
-		if got := c.sol.Name(c.term); got != c.want {
-			t.Errorf("Name(%v) = %q, want %q", c.term.lit, got, c.want)
-		}
-	}
-}
-
 // stableByWeight is the order byWeight must produce, by its definition:
 // the term indexes stably sorted by descending weight.
 func stableByWeight(weights []int64) []int32 {
@@ -348,7 +305,7 @@ func TestByWeightIsTheStableSort(t *testing.T) {
 			s := NewSolver()
 			sum := &Sum{}
 			for i := range n {
-				sum.Add(s.NewBool(""), weight(i))
+				sum.Add(s.NewBool(), weight(i))
 			}
 			got := sum.byWeight()
 			want := stableByWeight(sum.weights)
@@ -367,11 +324,11 @@ func TestByWeightIsTheStableSort(t *testing.T) {
 	s := NewSolver()
 	sum := &Sum{}
 	for i := range 10 {
-		sum.Add(s.NewBool(""), int64(1+i%3))
+		sum.Add(s.NewBool(), int64(1+i%3))
 	}
 	sum.byWeight()
 	for i := range 10 {
-		sum.Add(s.NewBool(""), int64(1+i%4))
+		sum.Add(s.NewBool(), int64(1+i%4))
 	}
 	if got, want := sum.byWeight(), stableByWeight(sum.weights); len(got.lits) != 20 || got.lits[0] != sum.terms[want[0]].lit || got.lits[19] != sum.terms[want[19]].lit {
 		t.Fatalf("the order of a grown sum was not rebuilt: %v", got.weights)
@@ -384,7 +341,7 @@ func BenchmarkByWeight(b *testing.B) {
 	s := NewSolver()
 	sum := &Sum{}
 	for i := range 30_000 {
-		sum.Add(s.NewBool(""), int64(10+15*(i%6)))
+		sum.Add(s.NewBool(), int64(10+15*(i%6)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,7 +1,6 @@
 package configsynth_test
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -271,7 +270,7 @@ func pbInstance(s *smt.Solver, nVars, nCons int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	vars := make([]smt.Bool, nVars)
 	for i := range vars {
-		vars[i] = s.NewBool(fmt.Sprintf("x%d", i))
+		vars[i] = s.NewBool()
 	}
 	for c := 0; c < nCons; c++ {
 		sum := &smt.Sum{}
