@@ -207,7 +207,7 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 	mux.HandleFunc("GET /cluster/v1/jobids", n.handleJobIDs)
 	mux.HandleFunc("GET /cluster/v1/shadowstate", n.handleShadowState)
 	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		service.WriteJSON(w, http.StatusOK, struct {
 			service.Stats
 			Cluster Stats `json:"cluster"`
 		}{n.svc.Stats(), n.stats()})
@@ -224,12 +224,12 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 	})
 }
 
+// writeJSON renders an RPC body compactly: only a peer's json.Decoder
+// reads it. /statsz, which scripts grep, goes through service.WriteJSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // rejectEpoch answers a stale-epoch RPC with 409 and the current view;
@@ -459,8 +459,8 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, base
 		io.Copy(io.Discard, resp.Body)
 		return false
 	}
-	// Content-Length with the rest: a hit says its length, and passing it
-	// on keeps the forwarded copy from being re-chunked.
+	// Content-Length with the rest: a result says its length, and passing
+	// it on keeps the forwarded copy from being re-chunked.
 	for _, h := range []string{"Content-Type", "Content-Length", "Retry-After", "Location", "X-Cache"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)

@@ -176,7 +176,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 				"href":    "/v1/jobs/" + it.Job.ID,
 			})
 		}
-		writeJSON(w, http.StatusAccepted, map[string]any{"jobs": jobs})
+		WriteJSON(w, http.StatusAccepted, map[string]any{"jobs": jobs})
 		return
 	}
 

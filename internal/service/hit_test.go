@@ -17,13 +17,13 @@ import (
 	"configsynth/internal/spec"
 )
 
-// wantHitBody is what the parent's writeJobResult sent for a hit of e
-// under id: hitOf(stored) with the job's id, through writeJSON.
+// wantHitBody is what a hit of e under id must send: hitOf(stored) with
+// the job's id, through WriteJSON.
 func wantHitBody(e *cached, id string) []byte {
 	want := hitOf(e)
 	want.JobID = id
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, want)
+	WriteJSON(rec, http.StatusOK, want)
 	return rec.Body.Bytes()
 }
 
@@ -52,7 +52,7 @@ func differingKeys(t *testing.T, a, b []byte) map[string]bool {
 }
 
 // TestHitBodyIsTheEncodersBytes: for every result shape the cache can
-// hold, the spliced hit response is byte for byte what writeJSON renders
+// hold, the spliced hit response is byte for byte what WriteJSON renders
 // for hitOf(stored) under the serving job's id — on POST /v1/synthesize
 // and on GET /v1/jobs/{id} of the hit job — says its exact length, and
 // differs from the miss it repeats in job_id and cached only.

@@ -40,23 +40,26 @@ func (s *Service) Handler() http.Handler {
 		if !ready {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, map[string]any{"ready": ready, "reason": reason})
+		WriteJSON(w, status, map[string]any{"ready": ready, "reason": reason})
 	})
 	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		WriteJSON(w, http.StatusOK, s.Stats())
 	})
 	return mux
 }
 
-// writeJSON renders v as a response body, indented by two spaces. A
-// job's result goes through writeJobResult instead, which writes the
-// same bytes without the encoder.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON renders v as a response body: json.MarshalIndent with an
+// empty prefix and indent, then a newline — one field or element a
+// line, ": " after a key, no indentation — so a line-oriented grep for
+// "key": value finds every field. A value that cannot be marshalled (a
+// NaN) gets no body. A job's result goes through writeJobResult
+// instead, which writes the same bytes without the encoder.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if js, err := json.MarshalIndent(v, "", ""); err == nil {
+		_, _ = w.Write(append(js, '\n'))
+	}
 }
 
 // readBody reads a request body of at most limit bytes. A longer one is
@@ -75,7 +78,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // errorStatus is the one mapping from an error — a refused submission
@@ -231,7 +234,7 @@ func reply(w http.ResponseWriter, r *http.Request, job *Job) {
 	q := r.URL.Query()
 	switch {
 	case q.Get("async") != "":
-		writeJSON(w, http.StatusAccepted, map[string]string{
+		WriteJSON(w, http.StatusAccepted, map[string]string{
 			"job_id": job.ID,
 			"status": string(job.State()),
 			"href":   "/v1/jobs/" + job.ID,
@@ -245,9 +248,10 @@ func reply(w http.ResponseWriter, r *http.Request, job *Job) {
 }
 
 // writeJobResult renders a terminal job as a JSON response: what
-// writeJSON would send for its result. A solve is rendered by
+// WriteJSON would send for its result. A solve is rendered by
 // appendResult; a hit is its cache entry's bytes with this job's id
-// spliced in, with no rendering and a known length.
+// spliced in, with no rendering. Both carry an exact Content-Length, so
+// no result body is sent chunked.
 func writeJobResult(w http.ResponseWriter, job *Job) {
 	res, err := job.Result()
 	if err != nil {
@@ -256,17 +260,19 @@ func writeJobResult(w http.ResponseWriter, job *Job) {
 		return
 	}
 	h := w.Header()
+	h.Set("Content-Type", "application/json")
 	if res.hit == nil {
 		h.Set("X-Cache", "miss")
-		h.Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		renderResult(res, func(b []byte) { _, _ = w.Write(b) })
+		renderResult(res, func(b []byte) {
+			h.Set("Content-Length", strconv.Itoa(len(b)))
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(b)
+		})
 		return
 	}
 	head, tail := res.hit.body()
 	id, _ := json.Marshal(&res.JobID) // cannot fail; by pointer, so unboxed
 	h.Set("X-Cache", "hit")
-	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(head)+len(id)+len(tail)))
 	w.WriteHeader(http.StatusOK)
 	for _, part := range [][]byte{head, id, tail} {
@@ -322,7 +328,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJobResult(w, job)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{
+	WriteJSON(w, http.StatusOK, map[string]string{
 		"job_id": job.ID,
 		"status": string(state),
 	})
@@ -434,7 +440,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, verifyResponse{
+	WriteJSON(w, http.StatusOK, verifyResponse{
 		OK:         vr.OK(),
 		Violations: vr.Violations,
 		Isolation:  vr.Isolation,

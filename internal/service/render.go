@@ -8,12 +8,13 @@ import (
 	"unicode/utf8"
 )
 
-// appendResult appends r as writeJSON's encoder (json.NewEncoder with
-// SetIndent("", "  ")) renders it — two-space indent, HTML-safe
+// appendResult appends r as WriteJSON renders it (json.MarshalIndent
+// with an empty prefix and indent, then a newline) — one field or
+// element a line with no indentation, ": " after a key, HTML-safe
 // escaping, encoding/json's number format, omitempty, null for a nil
-// slice and [] for an empty one, a trailing newline — in one pass over
-// the result, with no reflection. Like the encoder it appends nothing
-// for a result that holds a NaN or an infinity.
+// slice and [] for an empty one — in one pass over the result, with no
+// reflection. Like WriteJSON it appends nothing for a result that holds
+// a NaN or an infinity.
 //
 // It is the one renderer of a result body: a miss is written from it
 // and a cache entry's hit body is cut from it. A field added to Result,
@@ -24,70 +25,70 @@ func appendResult(b []byte, r *Result) []byte {
 		return b
 	}
 	start := len(b)
-	b = append(b, "{\n  \"status\": "...)
+	b = append(b, "{\n\"status\": "...)
 	b = appendString(b, r.Status)
-	b = append(b, ",\n  \"mode\": "...)
+	b = append(b, ",\n\"mode\": "...)
 	b = appendString(b, string(r.Mode))
-	b = append(b, ",\n  \"fingerprint\": "...)
+	b = append(b, ",\n\"fingerprint\": "...)
 	b = appendString(b, r.Fingerprint)
 	if r.JobID != "" {
-		b = append(b, ",\n  \"job_id\": "...)
+		b = append(b, ",\n\"job_id\": "...)
 		b = appendString(b, r.JobID)
 	}
 	if r.Design != nil {
-		b = append(b, ",\n  \"design\": "...)
+		b = append(b, ",\n\"design\": "...)
 		b = appendDesign(b, r.Design)
 	}
 	if r.Objective != 0 {
-		b = append(b, ",\n  \"objective\": "...)
+		b = append(b, ",\n\"objective\": "...)
 		b = appendFloat(b, r.Objective)
 	}
 	if len(r.Conflict) > 0 {
-		b = append(b, ",\n  \"conflict\": "...)
-		b = appendStrings(b, r.Conflict, "\n    ", "\n  ")
+		b = append(b, ",\n\"conflict\": "...)
+		b = appendStrings(b, r.Conflict)
 	}
 	if r.Text != "" {
-		b = append(b, ",\n  \"text\": "...)
+		b = append(b, ",\n\"text\": "...)
 		b = appendString(b, r.Text)
 	}
-	b = append(b, ",\n  \"cached\": "...)
+	b = append(b, ",\n\"cached\": "...)
 	b = strconv.AppendBool(b, r.Cached)
 	if r.Session != "" {
-		b = append(b, ",\n  \"session\": "...)
+		b = append(b, ",\n\"session\": "...)
 		b = appendString(b, r.Session)
 	}
 	if r.Degraded {
-		b = append(b, ",\n  \"degraded\": true"...)
+		b = append(b, ",\n\"degraded\": true"...)
 	}
 	if r.DegradedReason != "" {
-		b = append(b, ",\n  \"degraded_reason\": "...)
+		b = append(b, ",\n\"degraded_reason\": "...)
 		b = appendString(b, r.DegradedReason)
 	}
-	b = append(b, ",\n  \"elapsed_ms\": "...)
+	b = append(b, ",\n\"elapsed_ms\": "...)
 	b = appendFloat(b, r.ElapsedMS)
 	if r.Decomp != nil {
-		// A handful of regions: the encoder renders them, at this depth.
-		js, err := json.MarshalIndent(r.Decomp, "  ", "  ")
+		// A handful of regions: the encoder renders them.
+		js, err := json.MarshalIndent(r.Decomp, "", "")
 		if err != nil {
 			return b[:start]
 		}
-		b = append(b, ",\n  \"decomp\": "...)
+		b = append(b, ",\n\"decomp\": "...)
 		b = append(b, js...)
 	}
 	return append(b, "\n}\n"...)
 }
 
-// appendDesign appends a design object at depth 1, its flows at depth 3.
+// appendDesign appends a design object.
 func appendDesign(b []byte, d *DesignJSON) []byte {
-	b = append(b, "{\n    \"isolation\": "...)
+	b = append(b, "{\n\"isolation\": "...)
 	b = appendFloat(b, d.Isolation)
-	b = append(b, ",\n    \"usability\": "...)
+	b = append(b, ",\n\"usability\": "...)
 	b = appendFloat(b, d.Usability)
-	b = append(b, ",\n    \"cost\": "...)
+	b = append(b, ",\n\"cost\": "...)
 	b = strconv.AppendInt(b, d.Cost, 10)
-	b = append(b, ",\n    \"exact\": "...)
+	b = append(b, ",\n\"exact\": "...)
 	b = strconv.AppendBool(b, d.Exact)
-	b = append(b, ",\n    \"flows\": "...)
+	b = append(b, ",\n\"flows\": "...)
 	switch {
 	case d.Flows == nil:
 		b = append(b, "null"...)
@@ -96,24 +97,24 @@ func appendDesign(b []byte, d *DesignJSON) []byte {
 	default:
 		for i, f := range d.Flows {
 			if i == 0 {
-				b = append(b, "[\n      {\n        \"src\": "...)
+				b = append(b, "[\n{\n\"src\": "...)
 			} else {
-				b = append(b, ",\n      {\n        \"src\": "...)
+				b = append(b, ",\n{\n\"src\": "...)
 			}
 			b = strconv.AppendInt(b, int64(f.Src), 10)
-			b = append(b, ",\n        \"dst\": "...)
+			b = append(b, ",\n\"dst\": "...)
 			b = strconv.AppendInt(b, int64(f.Dst), 10)
-			b = append(b, ",\n        \"svc\": "...)
+			b = append(b, ",\n\"svc\": "...)
 			b = strconv.AppendInt(b, int64(f.Svc), 10)
-			b = append(b, ",\n        \"pattern\": "...)
+			b = append(b, ",\n\"pattern\": "...)
 			b = strconv.AppendInt(b, int64(f.Pattern), 10)
-			b = append(b, ",\n        \"name\": "...)
+			b = append(b, ",\n\"name\": "...)
 			b = appendString(b, f.Name)
-			b = append(b, "\n      }"...)
+			b = append(b, "\n}"...)
 		}
-		b = append(b, "\n    ]"...)
+		b = append(b, "\n]"...)
 	}
-	b = append(b, ",\n    \"placements\": "...)
+	b = append(b, ",\n\"placements\": "...)
 	switch {
 	case d.Placements == nil:
 		b = append(b, "null"...)
@@ -122,14 +123,14 @@ func appendDesign(b []byte, d *DesignJSON) []byte {
 	default:
 		for i, pl := range d.Placements {
 			if i == 0 {
-				b = append(b, "[\n      {\n        \"a\": "...)
+				b = append(b, "[\n{\n\"a\": "...)
 			} else {
-				b = append(b, ",\n      {\n        \"a\": "...)
+				b = append(b, ",\n{\n\"a\": "...)
 			}
 			b = strconv.AppendInt(b, int64(pl.A), 10)
-			b = append(b, ",\n        \"b\": "...)
+			b = append(b, ",\n\"b\": "...)
 			b = strconv.AppendInt(b, int64(pl.B), 10)
-			b = append(b, ",\n        \"devices\": "...)
+			b = append(b, ",\n\"devices\": "...)
 			switch {
 			case pl.Devices == nil:
 				b = append(b, "null"...)
@@ -138,26 +139,25 @@ func appendDesign(b []byte, d *DesignJSON) []byte {
 			default:
 				for k, dev := range pl.Devices {
 					if k == 0 {
-						b = append(b, "[\n          "...)
+						b = append(b, "[\n"...)
 					} else {
-						b = append(b, ",\n          "...)
+						b = append(b, ",\n"...)
 					}
 					b = strconv.AppendInt(b, int64(dev), 10)
 				}
-				b = append(b, "\n        ]"...)
+				b = append(b, "\n]"...)
 			}
-			b = append(b, ",\n        \"names\": "...)
-			b = appendStrings(b, pl.Names, "\n          ", "\n        ")
-			b = append(b, "\n      }"...)
+			b = append(b, ",\n\"names\": "...)
+			b = appendStrings(b, pl.Names)
+			b = append(b, "\n}"...)
 		}
-		b = append(b, "\n    ]"...)
+		b = append(b, "\n]"...)
 	}
-	return append(b, "\n  }"...)
+	return append(b, "\n}"...)
 }
 
-// appendStrings appends a string array whose elements start on lines
-// indented by in and whose closing bracket is indented by out.
-func appendStrings(b []byte, ss []string, in, out string) []byte {
+// appendStrings appends a string array, one element a line.
+func appendStrings(b []byte, ss []string) []byte {
 	switch {
 	case ss == nil:
 		return append(b, "null"...)
@@ -169,11 +169,10 @@ func appendStrings(b []byte, ss []string, in, out string) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, in...)
+		b = append(b, '\n')
 		b = appendString(b, s)
 	}
-	b = append(b, out...)
-	return append(b, ']')
+	return append(b, '\n', ']')
 }
 
 // appendFloat is encoding/json's float64 format: the shortest decimal

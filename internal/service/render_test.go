@@ -18,14 +18,14 @@ import (
 	"configsynth/internal/decomp"
 )
 
-// encoderBytes is what the encoder every response body used to go
-// through writes for r.
+// encoderBytes is what WriteJSON writes for r: json.MarshalIndent with
+// an empty prefix and indent, then a newline.
 func encoderBytes(r *Result) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(r) // a non-finite float writes nothing, and so must appendResult
-	return buf.Bytes()
+	js, err := json.MarshalIndent(r, "", "")
+	if err != nil {
+		return nil // a non-finite float writes nothing, and so must appendResult
+	}
+	return append(js, '\n')
 }
 
 // trickyNames exercise every escape the encoder makes.
@@ -257,6 +257,62 @@ func TestMissRenderAllocBudget(t *testing.T) {
 	}
 	if !strings.HasSuffix(rec.Body.String(), "\n}\n") {
 		t.Fatalf("the measured render is not a whole body")
+	}
+}
+
+// TestResultBodyBytes: a 3 120-flow miss body carries no indentation —
+// at most 0.65 of the bytes the same Result takes indented by two
+// spaces, the layout every body had before — and decodes to the same
+// Result.
+func TestResultBodyBytes(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	p, err := specParse(wideSpec(40, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := mustSubmit(t, s, p, SubmitOptions{})
+	res := wait(t, job)
+	if res.hit != nil || res.Design == nil || len(res.Design.Flows) != 3120 {
+		t.Fatalf("want a solved miss of 3 120 flows, got hit %v, design %v", res.hit != nil, res.Design != nil)
+	}
+	rec := httptest.NewRecorder()
+	writeJobResult(rec, job)
+	var indented bytes.Buffer
+	enc := json.NewEncoder(&indented)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(rec.Body.Len()) / float64(indented.Len())
+	t.Logf("miss body %d bytes, indented %d bytes: %.3f", rec.Body.Len(), indented.Len(), ratio)
+	if ratio > 0.65 {
+		t.Errorf("miss body is %.3f of the indented encoding, want at most 0.65", ratio)
+	}
+	var got, want Result
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(indented.Bytes(), &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the body decodes to another Result than the indented encoding")
+	}
+}
+
+// TestResultLengthIsExact: a miss and a hit both declare their body's
+// exact length, so neither is sent chunked.
+func TestResultLengthIsExact(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := postSpec(t, srv.URL+"/v1/synthesize", wideSpec(20, 1))
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != want {
+			t.Fatalf("status %d, X-Cache %q, want 200 and %s: %s", resp.StatusCode, resp.Header.Get("X-Cache"), want, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, for a %d-byte body", want, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
 	}
 }
 
